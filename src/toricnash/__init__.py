@@ -27,6 +27,7 @@ from .errors import (
     ConeNotTwoDimensional,
     EmptyEdge,
     EmptyIdeal,
+    InvalidExponent,
     InvalidGeneratorSet,
     InvariantViolation,
     LatticeNotFull,
@@ -61,11 +62,13 @@ from .ideal import (
     toric_ideal,
 )
 from .nash import (
+    Analysis,
     DifferenceMatrix,
     NashReport,
     OrbitSet,
     SingularLocus,
     TheoremVerdict,
+    analyze,
     classify_ci,
     difference_matrix,
     dim1_selector,

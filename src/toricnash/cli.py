@@ -4,7 +4,7 @@ Three commands:
 
     toricnash validate --input FILE.json
     toricnash analyze  --input FILE.json [--out REPORT.json] [--order ...]
-                       [--family minimal|groebner] [--jobs N]
+                       [--family minimal|groebner]
     toricnash examples [--corpus DIR]
 
 Input files are JSON documents with keys "generators" (list of integer
@@ -27,20 +27,22 @@ from typing import Optional, Sequence
 
 from .algebra import (
     Binomial,
+    TermOrder,
     binomial_str,
     default_names,
     lex_order,
     degrevlex_order,
     monomial_str,
 )
-from .errors import TheoremViolation, ToricNashError
+from .errors import InvalidExponent, TheoremViolation, ToricNashError
 from .ideal import ToricIdeal, same_ideal, toric_ideal
 from .nash import (
+    Analysis,
     OrbitSet,
-    SingularLocus,
-    TheoremVerdict,
+    analyze,
     classify_ci,
     dim1_selector,
+    monomial_classes,
     nash_ideal_classes,
     search_all_subsets,
     singular_locus,
@@ -128,11 +130,7 @@ class RunReport:
     semigroup: ValidatedSemigroup
     names: list
     ideal: ToricIdeal
-    sigma: SingularLocus
-    is_hypersurface: bool
-    is_complete_intersection: bool
-    reports: list
-    verdict: TheoremVerdict
+    analysis: Analysis
     warnings: list = field(default_factory=list)
 
 
@@ -142,26 +140,22 @@ def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
     return [spec.names[vs.permutation[i]] for i in range(vs.N)]
 
 
-def build_report(spec: InputSpec, jobs: int = 1) -> RunReport:
+def _term_order(spec: InputSpec, vs: ValidatedSemigroup) -> TermOrder:
+    return (lex_order if spec.order == "lex" else degrevlex_order)(vs.N)
+
+
+def build_report(spec: InputSpec) -> RunReport:
     vs = validate(generator_set(spec.generators))
-    order = (lex_order(vs.N) if spec.order == "lex"
-             else degrevlex_order(vs.N))
-    ideal = toric_ideal(vs, order)
-    sigma = singular_locus(ideal)
-    is_hyp, is_ci = classify_ci(ideal)
-    stats: dict = {}
-    reports = search_all_subsets(ideal, spec.family, jobs=jobs, stats=stats)
-    verdict = verify_dichotomy(ideal, spec.family, jobs=jobs)
+    ideal = toric_ideal(vs, _term_order(spec, vs))
+    a = analyze(ideal, spec.family)
     warnings = []
-    if not sigma.origin_singular:
+    if not a.sigma.origin_singular:
         warnings.append("origin is a smooth point; the dichotomy does not "
                         "apply to this input")
-    fallbacks = stats.get("formula_fallbacks", 0)
-    if fallbacks:
+    if a.fallbacks:
         warnings.append(f"minor formula fell back to the symbolic "
-                        f"determinant {fallbacks} times")
-    return RunReport(spec, vs, _canonical_names(spec, vs), ideal, sigma,
-                     is_hyp, is_ci, reports, verdict, warnings)
+                        f"determinant {a.fallbacks} times")
+    return RunReport(spec, vs, _canonical_names(spec, vs), ideal, a, warnings)
 
 
 def _orbit_json(o: Optional[OrbitSet]):
@@ -176,10 +170,9 @@ def _binomial_json(b: Binomial, names) -> dict:
 
 
 def report_json(rep: RunReport) -> dict:
-    vs = rep.semigroup
-    names = rep.names
+    vs, names, a = rep.semigroup, rep.names, rep.analysis
     subsets = []
-    for r in rep.reports:
+    for r in a.reports:
         subsets.append({
             "subset": list(r.subset),
             "rank_ok": r.rank_ok,
@@ -210,24 +203,23 @@ def report_json(rep: RunReport) -> dict:
             "groebner_basis": [_binomial_json(b, names)
                                for b in rep.ideal.gb.elements],
         },
-        "sigma": _orbit_json(rep.sigma.orbits),
-        "origin_singular": rep.sigma.origin_singular,
-        "ci": {"is_hypersurface": rep.is_hypersurface,
-               "is_complete_intersection": rep.is_complete_intersection},
+        "sigma": _orbit_json(a.sigma.orbits),
+        "origin_singular": a.sigma.origin_singular,
+        "ci": {"is_hypersurface": a.is_hypersurface,
+               "is_complete_intersection": a.is_complete_intersection},
         "subsets": subsets,
         "verdict": {
-            "predicted": rep.verdict.predicted,
-            "observed": rep.verdict.observed,
-            "witness": (list(rep.verdict.witness)
-                        if rep.verdict.witness is not None else None),
+            "predicted": a.verdict.predicted,
+            "observed": a.verdict.observed,
+            "witness": (list(a.verdict.witness)
+                        if a.verdict.witness is not None else None),
         },
         "warnings": list(rep.warnings),
     }
 
 
 def report_text(rep: RunReport) -> str:
-    vs = rep.semigroup
-    names = rep.names
+    vs, names, a = rep.semigroup, rep.names, rep.analysis
     lines = []
     blocks = " | ".join(
         " ".join(str(tuple(vs.gens.points[i])) for i in idx) or "-"
@@ -242,15 +234,15 @@ def report_text(rep: RunReport) -> str:
     lines.append(f"groebner basis ({len(rep.ideal.gb.elements)} elements):")
     for b in rep.ideal.gb.elements:
         lines.append(f"  {binomial_str(b, names)}")
-    lines.append(f"singular locus: {rep.sigma.orbits.describe()}"
-                 f" (origin singular: {'yes' if rep.sigma.origin_singular else 'no'})")
-    lines.append(f"hypersurface: {'yes' if rep.is_hypersurface else 'no'}; "
+    lines.append(f"singular locus: {a.sigma.orbits.describe()}"
+                 f" (origin singular: {'yes' if a.sigma.origin_singular else 'no'})")
+    lines.append(f"hypersurface: {'yes' if a.is_hypersurface else 'no'}; "
                  f"complete intersection: "
-                 f"{'yes' if rep.is_complete_intersection else 'no'}")
-    valid = [r for r in rep.reports if r.rank_ok]
-    lines.append(f"subsets: {len(rep.reports)} of size r={vs.r} "
+                 f"{'yes' if a.is_complete_intersection else 'no'}")
+    valid = [r for r in a.reports if r.rank_ok]
+    lines.append(f"subsets: {len(a.reports)} of size r={vs.r} "
                  f"({len(valid)} with full rank)")
-    for r in rep.reports:
+    for r in a.reports:
         if not r.rank_ok:
             lines.append(f"  {list(r.subset)}: rank deficient, skipped")
             continue
@@ -260,10 +252,10 @@ def report_text(rep: RunReport) -> str:
         lines.append(f"  {list(r.subset)}: V = {r.zero_locus.describe()}; "
                      f"equals sigma: {eq}")
         lines.append(f"      minors: {mons}")
-    lines.append(f"verdict: predicted={rep.verdict.predicted} "
-                 f"observed={rep.verdict.observed}"
-                 + (f" witness={list(rep.verdict.witness)}"
-                    if rep.verdict.witness is not None else ""))
+    lines.append(f"verdict: predicted={a.verdict.predicted} "
+                 f"observed={a.verdict.observed}"
+                 + (f" witness={list(a.verdict.witness)}"
+                    if a.verdict.witness is not None else ""))
     for w in rep.warnings:
         lines.append(f"warning: {w}")
     return "\n".join(lines) + "\n"
@@ -286,23 +278,30 @@ def _load_corpus(corpus_dir: Optional[str]) -> list:
     return docs
 
 
-def _binomials_from_pairs(pairs, order) -> list:
-    out = []
-    for plus, minus in pairs:
-        b = Binomial(tuple(plus), tuple(minus))
-        out.append(b)
-    return out
+def _exponents(e, nvars: int) -> tuple:
+    """e as an exponent vector: a list of nvars non-negative integers."""
+    if not (isinstance(e, list) and len(e) == nvars
+            and all(type(x) is int and x >= 0 for x in e)):
+        raise InvalidExponent(
+            f"{e!r} is not a list of {nvars} non-negative integers")
+    return tuple(e)
+
+
+def _binomials_from_pairs(pairs, nvars: int) -> list:
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and p[0] != p[1]
+            for p in pairs)):
+        raise InvalidExponent(
+            f"{pairs!r} is not a list of pairs of distinct exponent vectors")
+    return [Binomial(_exponents(plus, nvars), _exponents(minus, nvars))
+            for plus, minus in pairs]
 
 
 def _nf_exponents(exps, ideal) -> frozenset:
-    from .algebra import Polynomial
-    from .ideal import normal_form
-    out = set()
-    for e in exps:
-        nf = normal_form(Polynomial.from_monomial(1, tuple(e)), ideal.gb)
-        term = nf.single_term()
-        out.add(term.exp)
-    return frozenset(out)
+    if not isinstance(exps, list):
+        raise InvalidExponent(f"{exps!r} is not a list of exponent vectors")
+    return monomial_classes([_exponents(e, ideal.semigroup.N) for e in exps],
+                            ideal)
 
 
 def _check_fixture(name: str, doc: dict, out) -> list:
@@ -314,9 +313,9 @@ def _check_fixture(name: str, doc: dict, out) -> list:
     vs = validate(generator_set(spec.generators))
     if [vs.l, vs.m, vs.n] != exp["blocks"]:
         problems.append(f"blocks {[vs.l, vs.m, vs.n]} != {exp['blocks']}")
-    order = lex_order(vs.N)
+    order = _term_order(spec, vs)
     ideal = toric_ideal(vs, order)
-    expected_binomials = _binomials_from_pairs(exp["ideal"], order)
+    expected_binomials = _binomials_from_pairs(exp["ideal"], vs.N)
     if not same_ideal(ideal.gb.elements, expected_binomials, order):
         computed = [binomial_str(b, _canonical_names(spec, vs))
                     for b in ideal.gb.elements]
@@ -340,7 +339,7 @@ def _check_fixture(name: str, doc: dict, out) -> list:
         problems.append(f"verdict {verdict.predicted}/{verdict.observed} != "
                         f"{exp['verdict']}")
     for i, mf in enumerate(exp.get("minor_fixtures", [])):
-        rows = _binomials_from_pairs(mf["rows"], order)
+        rows = _binomials_from_pairs(mf["rows"], vs.N)
         got = nash_ideal_classes(rows, ideal)
         want = _nf_exponents(mf["monomials"], ideal)
         if got != want:
@@ -352,7 +351,7 @@ def _check_fixture(name: str, doc: dict, out) -> list:
         if bad:
             problems.append(f"subsets with V != sigma: {bad}")
     if "witness_rows" in exp:
-        rows = _binomials_from_pairs(exp["witness_rows"], order)
+        rows = _binomials_from_pairs(exp["witness_rows"], vs.N)
         locus = zero_locus(nash_ideal(rows, ideal), vs)
         if locus != sig.orbits:
             problems.append("witness rows do not cut out sigma")
@@ -421,9 +420,8 @@ def cmd_validate(path: str, out=None) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(path: str, out_path: Optional[str], jobs: int,
-                order: Optional[str], family: Optional[str],
-                out=None) -> int:
+def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
+                family: Optional[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         spec = _read_spec(path)
@@ -434,7 +432,7 @@ def cmd_analyze(path: str, out_path: Optional[str], jobs: int,
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        rep = build_report(spec, jobs=jobs)
+        rep = build_report(spec)
     except TheoremViolation as exc:
         print(f"dichotomy violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -466,8 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       help="override the term order")
     p_an.add_argument("--family", choices=("minimal", "groebner"),
                       help="override the relation family searched")
-    p_an.add_argument("--jobs", type=int, default=1,
-                      help="worker threads for the subset search")
 
     p_ex = sub.add_parser("examples", help="run the bundled example corpus")
     p_ex.add_argument("--corpus", help="directory of example JSON files "
@@ -477,8 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "validate":
         return cmd_validate(args.input)
     if args.command == "analyze":
-        return cmd_analyze(args.input, args.out, args.jobs, args.order,
-                           args.family)
+        return cmd_analyze(args.input, args.out, args.order, args.family)
     return cmd_examples(args.corpus)
 
 

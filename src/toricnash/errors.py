@@ -79,6 +79,10 @@ class NonMonomialResidue(ToricNashError):
     """A reduced minor has two or more terms; upstream data is corrupt."""
 
 
+class InvalidExponent(ToricNashError):
+    """An exponent vector is not a list of N non-negative integers."""
+
+
 class TorusSingular(ToricNashError):
     """Jacobian rank drops on the dense torus; upstream data is corrupt."""
 

@@ -17,14 +17,16 @@ Zero loci of the resulting monomial ideals and the singular locus itself
 are unions of torus-orbit closures; an OrbitSet records which of the two
 one-dimensional closures are present (the origin always is, the dense
 torus never).
+
+One Analysis is one subset sweep: analyze reads the singular locus, every
+subset's minors, the verdict and its witness from it, and singular_locus,
+search_all_subsets, verify_dichotomy and dim1_selector run one sweep each.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
 from .errors import (
@@ -44,53 +46,49 @@ from .semigroup import ValidatedSemigroup
 # --- exact integer linear algebra -------------------------------------------
 
 
+def _bareiss(m: list) -> tuple:
+    """Fraction-free (Bareiss) row echelon form of m, in place.
+
+    Returns (rank, sign), sign being the parity of the row swaps.  Every
+    entry left behind is an integer minor of the input, so each division
+    is exact.
+    """
+    nrows = len(m)
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1:]:
+            f = row[col]
+            for j in range(col + 1, len(top)):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, sign
+
+
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)
     if n == 0:
         return 1
     m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    rank, sign = _bareiss(m)
+    return sign * m[-1][-1] if rank == n else 0
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    return _bareiss([list(row) for row in rows])[0]
 
 
 # --- exponent difference matrix ----------------------------------------------
@@ -208,9 +206,7 @@ def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
     return out
 
 
-def nash_ideal(family_subset: Sequence[Binomial],
-               ideal: ToricIdeal,
-               stats: Optional[dict] = None) -> list:
+def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
     """Monomial generators of the minor ideal of an r-element subset.
 
     The subset must have full generic rank; otherwise no minor survives and
@@ -222,24 +218,31 @@ def nash_ideal(family_subset: Sequence[Binomial],
             f"need {vs.r} binomials, got {len(family_subset)}")
     if rank(family_subset) < vs.r:
         raise RankDeficient("difference matrix rank below codimension")
-    return [mono for _, _, mono in subset_minors(family_subset, ideal, stats)]
+    return [mono for _, _, mono in subset_minors(family_subset, ideal)]
 
 
-def nash_ideal_classes(family_subset: Sequence[Binomial],
-                       ideal: ToricIdeal) -> frozenset:
-    """Normal-form exponents of the minor monomials (coefficients dropped).
+def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
+    """Normal-form exponents of the monomials with exponents exps.
 
     Congruent monomials share a normal form, so this is the canonical way
     to compare a computed minor set against a printed one.
     """
     out = set()
-    for mono in nash_ideal(family_subset, ideal):
-        nf = normal_form(Polynomial.from_monomial(1, mono.exp), ideal.gb)
+    for exp in exps:
+        nf = normal_form(Polynomial.from_monomial(1, exp), ideal.gb)
         term = nf.single_term()
         if term is None:
-            raise NonMonomialResidue("monomial class with a non-monomial NF")
+            raise NonMonomialResidue(
+                f"monomial class of {exp} with a non-monomial NF")
         out.add(term.exp)
     return frozenset(out)
+
+
+def nash_ideal_classes(family_subset: Sequence[Binomial],
+                       ideal: ToricIdeal) -> frozenset:
+    """Normal-form exponents of the minor monomials (coefficients dropped)."""
+    return monomial_classes(
+        [mono.exp for mono in nash_ideal(family_subset, ideal)], ideal)
 
 
 # --- orbit sets ---------------------------------------------------------------
@@ -332,38 +335,42 @@ def _jacobian_rank_at(family: Sequence[Binomial], point,
     return int_rank(rows)
 
 
-def singular_locus(ideal: ToricIdeal,
-                   family: Optional[Sequence[Binomial]] = None) -> SingularLocus:
-    """Per-orbit Jacobian rank test, cross-checked against the minor ideal.
+def _sweep(ideal: ToricIdeal, tested: Sequence[Binomial],
+           searched: Sequence[Binomial],
+           stats: Optional[dict] = None) -> tuple:
+    """(singular locus, reports): the rank test on tested, then one sweep.
 
-    An orbit is singular when the Jacobian of the generating family drops
-    below codimension at its representative.  The same answer must come out
-    of the zero locus of all r x r minors over all r-row subsets of the
+    An orbit is singular when the Jacobian of tested drops below
+    codimension at its representative.  The sweep reports every r-subset of
+    searched, in subset-index order.  By the Jacobian criterion all their
+    minors together must vanish on the same orbits, for any generating
     family; disagreement is an internal error.
     """
     vs = ideal.semigroup
-    fam = tuple(family) if family is not None else ideal.minimal_gens
-    reps = orbit_representatives(vs)
-    r = vs.r
-    if _jacobian_rank_at(fam, reps["torus"], vs.N) < r:
+    drops = {name: _jacobian_rank_at(tested, point, vs.N) < vs.r
+             for name, point in orbit_representatives(vs).items()}
+    if drops["torus"]:
         raise TorusSingular("Jacobian rank drops on the dense torus")
-    has_o1 = _jacobian_rank_at(fam, reps["O1"], vs.N) < r
-    has_o2 = _jacobian_rank_at(fam, reps["O2"], vs.N) < r
-    origin_singular = _jacobian_rank_at(fam, reps["origin"], vs.N) < r
-
-    monomials: List[Monomial] = []
-    for subset in itertools.combinations(range(len(fam)), r):
-        chosen = [fam[i] for i in subset]
-        if rank(chosen) < r:
-            continue
-        monomials.extend(m for _, _, m in subset_minors(chosen, ideal))
-    if not monomials:
+    sigma = OrbitSet(drops["O1"], drops["O2"])
+    reports = [_subset_report(ideal, searched, subset, sigma, stats)
+               for subset in itertools.combinations(range(len(searched)),
+                                                    vs.r)]
+    loci = [rep.zero_locus for rep in reports if rep.rank_ok]
+    if not loci:
         raise TorusSingular("no subset of the family reaches full rank")
-    alt = zero_locus(monomials, vs)
-    if (alt.has_O1, alt.has_O2) != (has_o1, has_o2):
+    if OrbitSet(all(z.has_O1 for z in loci),
+                all(z.has_O2 for z in loci)) != sigma:
         raise InvariantViolation(
             "rank test and minor ideal disagree about the singular locus")
-    return SingularLocus(OrbitSet(has_o1, has_o2), origin_singular)
+    return SingularLocus(sigma, drops["origin"]), reports
+
+
+def singular_locus(ideal: ToricIdeal,
+                   family: Optional[Sequence[Binomial]] = None) -> SingularLocus:
+    """Per-orbit Jacobian rank test of the family (the minimal generators by
+    default), cross-checked against the zero locus of its minors."""
+    fam = tuple(family) if family is not None else ideal.minimal_gens
+    return _sweep(ideal, fam, fam)[0]
 
 
 # --- exhaustive search and verdicts -------------------------------------------
@@ -404,20 +411,9 @@ def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
     return NashReport(subset, True, minors, locus, locus == sigma)
 
 
-def search_all_subsets(ideal: ToricIdeal, family: str = "minimal",
-                       jobs: int = 1,
-                       stats: Optional[dict] = None) -> list:
+def search_all_subsets(ideal: ToricIdeal, family: str = "minimal") -> list:
     """Reports for every r-subset of the family, in subset-index order."""
-    vs = ideal.semigroup
-    fam = _family(ideal, family)
-    sigma = singular_locus(ideal).orbits
-    subsets = list(itertools.combinations(range(len(fam)), vs.r))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(
-                lambda s: _subset_report(ideal, fam, s, sigma, stats),
-                subsets))
-    return [_subset_report(ideal, fam, s, sigma, stats) for s in subsets]
+    return _sweep(ideal, ideal.minimal_gens, _family(ideal, family))[1]
 
 
 def classify_ci(ideal: ToricIdeal) -> tuple:
@@ -426,53 +422,38 @@ def classify_ci(ideal: ToricIdeal) -> tuple:
     return (n == 3, ideal.s_min == n - 2)
 
 
-def dim1_selector(ideal: ToricIdeal, family: str = "minimal") -> NashReport:
-    """Constructive witness subset when the singular locus has dimension 1.
+def _witness(reports: Sequence[NashReport], sigma: OrbitSet,
+             vs: ValidatedSemigroup) -> NashReport:
+    """The first full-rank report that must cut out a one-dimensional sigma.
 
-    When both one-dimensional closures are singular any full-rank subset
-    works.  When only the z-axis closure is singular there must be a subset
-    with a minor supported purely on the x block, and symmetrically; the
-    scan below finds it and its zero locus necessarily equals the singular
-    locus.
+    When both closures are singular that is any full-rank report.  When
+    only the z-axis closure is, it is one with a minor supported purely on
+    the x block, and symmetrically.
     """
-    vs = ideal.semigroup
-    sig = singular_locus(ideal)
-    sigma = sig.orbits
-    if sigma.dimension != 1:
+    both = sigma.has_O1 and sigma.has_O2
+    block = set(vs.x_indices if sigma.has_O1 else vs.z_indices)
+    for report in reports:
+        supports = ({i for i, e in enumerate(m.exp) if e}
+                    for _, _, m in report.minors)
+        if report.rank_ok and (both or any(s and s <= block for s in supports)):
+            if not report.equals_sigma:
+                raise TheoremViolation(
+                    f"subset {report.subset} should cut out the singular "
+                    f"locus but its zero locus differs")
+            return report
+    raise WitnessNotFound("no full-rank subset reaches the singular locus"
+                          if both else "no subset carries a minor supported "
+                          "on the opposite edge block")
+
+
+def dim1_selector(ideal: ToricIdeal, family: str = "minimal") -> NashReport:
+    """Constructive witness subset when the singular locus has dimension 1;
+    its zero locus necessarily equals the singular locus."""
+    sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family))
+    if sig.orbits.dimension != 1:
         raise SigmaDimensionError(
             "witness construction requires a one-dimensional singular locus")
-    fam = _family(ideal, family)
-    subsets = itertools.combinations(range(len(fam)), vs.r)
-
-    if sigma.has_O1 and sigma.has_O2:
-        for subset in subsets:
-            report = _subset_report(ideal, fam, subset, sigma, None)
-            if report.rank_ok:
-                if not report.equals_sigma:
-                    raise TheoremViolation(
-                        f"subset {subset} misses the doubly singular locus")
-                return report
-        raise WitnessNotFound("no subset reaches full rank")
-
-    block = list(vs.x_indices) if sigma.has_O1 else list(vs.z_indices)
-    for subset in subsets:
-        chosen = [fam[i] for i in subset]
-        if rank(chosen) < vs.r:
-            continue
-        for sel in itertools.combinations(range(vs.N), 2):
-            mono = minor_monomial_formula(chosen, sel, ideal)
-            if mono is None:
-                continue
-            support = [i for i, e in enumerate(mono.exp) if e]
-            if support and all(i in block for i in support):
-                report = _subset_report(ideal, fam, subset, sigma, None)
-                if not report.equals_sigma:
-                    raise TheoremViolation(
-                        f"subset {subset} has a pure edge minor but its "
-                        f"zero locus differs from the singular locus")
-                return report
-    raise WitnessNotFound(
-        "no subset carries a minor supported on the opposite edge block")
+    return _witness(reports, sig.orbits, ideal.semigroup)
 
 
 @dataclass(frozen=True)
@@ -492,24 +473,38 @@ class TheoremVerdict:
     witness: Optional[tuple]
 
 
-def verify_dichotomy(ideal: ToricIdeal, family: str = "minimal",
-                     jobs: int = 1,
-                     stats: Optional[dict] = None) -> TheoremVerdict:
-    """Predict the search outcome from the singular locus and verify it.
+@dataclass(frozen=True)
+class Analysis:
+    """Everything one sweep yields; fallbacks counts the minors evaluated
+    symbolically because their closed form had a negative exponent."""
 
-    A one-dimensional singular locus guarantees a witness subset (both
-    closures singular: every subset works).  A zero-dimensional one on a
-    non-complete-intersection guarantees there is none.  Complete
-    intersections with point singular locus, and smooth-origin inputs, are
-    out of scope and reported without assertion.
+    sigma: SingularLocus
+    is_hypersurface: bool
+    is_complete_intersection: bool
+    reports: tuple
+    verdict: TheoremVerdict
+    fallbacks: int
+
+
+def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
+    """Singular locus, subset reports, verdict and witness from one sweep.
+
+    The rank test uses the minimal generators, the sweep the family
+    ("minimal" or "groebner").  The verdict predicts the search outcome
+    from the singular locus and checks it: a one-dimensional singular locus
+    guarantees a witness subset (both closures singular: every subset
+    works), a zero-dimensional one on a non-complete-intersection
+    guarantees there is none.  Complete intersections with point singular
+    locus, and smooth-origin inputs, are out of scope and not asserted.
     """
-    sig = singular_locus(ideal)
+    stats: dict = {}
+    sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family),
+                          stats)
     is_hyp, is_ci = classify_ci(ideal)
-    if not sig.origin_singular:
-        return TheoremVerdict(sig.orbits, is_hyp, is_ci,
-                              "out_of_scope", "out_of_scope", None)
     sigma = sig.orbits
-    if sigma.dimension == 0:
+    if not sig.origin_singular:
+        predicted = "out_of_scope"
+    elif sigma.dimension == 0:
         if is_ci and not is_hyp:
             raise TheoremViolation(
                 "complete intersection with isolated singular origin in "
@@ -521,34 +516,33 @@ def verify_dichotomy(ideal: ToricIdeal, family: str = "minimal",
     else:
         predicted = "exists_equal"
 
-    if predicted == "out_of_scope":
-        return TheoremVerdict(sigma, is_hyp, is_ci,
-                              "out_of_scope", "out_of_scope", None)
-
-    reports = search_all_subsets(ideal, family, jobs, stats)
-    valid = [r for r in reports if r.rank_ok]
-    if not valid:
-        raise InvariantViolation("no subset of a generating family reaches "
-                                 "full rank")
-    equal = [r for r in valid if r.equals_sigma]
-    if not equal:
-        observed = "never_equal"
-    elif sigma.has_O1 and sigma.has_O2:
-        observed = "always_equal" if len(equal) == len(valid) else "exists_equal"
-    else:
-        # a single one-dimensional closure: the claim being tested is bare
-        # existence, so extra matching subsets do not change the category
-        observed = "exists_equal"
-
-    witness = None
-    if observed in ("exists_equal", "always_equal"):
-        if predicted == "exists_equal":
-            witness = dim1_selector(ideal, family).subset
+    observed, witness = predicted, None
+    if predicted != "out_of_scope":
+        valid = [r for r in reports if r.rank_ok]
+        equal = [r for r in valid if r.equals_sigma]
+        if not equal:
+            observed = "never_equal"
+        elif len(equal) == len(valid) and predicted == "always_equal":
+            observed = "always_equal"
         else:
-            witness = equal[0].subset
+            # with a single one-dimensional closure the claim being tested
+            # is bare existence, so extra matching subsets do not change
+            # the category; with both, one subset that misses fails it
+            observed = "exists_equal"
+        if observed != "never_equal":
+            witness = (_witness(reports, sigma, ideal.semigroup)
+                       if predicted == "exists_equal" else equal[0]).subset
+        if predicted != observed:
+            raise TheoremViolation(
+                f"predicted {predicted} but observed {observed} for generators "
+                f"{[tuple(p) for p in ideal.semigroup.gens.points]}")
+    verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
+                             witness)
+    return Analysis(sig, is_hyp, is_ci, tuple(reports), verdict,
+                    stats.get("formula_fallbacks", 0))
 
-    if predicted != observed:
-        raise TheoremViolation(
-            f"predicted {predicted} but observed {observed} for generators "
-            f"{[tuple(p) for p in ideal.semigroup.gens.points]}")
-    return TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed, witness)
+
+def verify_dichotomy(ideal: ToricIdeal,
+                     family: str = "minimal") -> TheoremVerdict:
+    """The verdict of analyze(ideal, family); raises on a mismatch."""
+    return analyze(ideal, family).verdict

@@ -129,6 +129,31 @@ def det_along_row(matrix, row):
     return acc
 
 
+def fraction_rank(rows):
+    """Rank over the rationals by Gaussian elimination in Fractions
+    (independent of the library's fraction-free elimination)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
 def in_integer_span(basis, v):
     """Solve v = sum c_i basis_i over the rationals; True when the unique
     solution is integral."""

@@ -1,13 +1,17 @@
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from toricnash import nash
 from toricnash.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VIOLATION,
     InputError,
+    InputSpec,
     build_report,
     main,
     parse_input,
@@ -117,7 +121,7 @@ class TestAnalyzeCommand:
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
         main(["analyze", "--input", path, "--out", str(out1)])
-        main(["analyze", "--input", path, "--out", str(out2), "--jobs", "4"])
+        main(["analyze", "--input", path, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_text_and_json_from_same_report(self, tmp_path):
@@ -173,3 +177,72 @@ class TestExamplesCommand:
 
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("entry", [None, ["a", 0, 0, 0], [1, 0, 0],
+                                       [1, -1, 0, 0], [True, 0, 0, 0]])
+    def test_malformed_minor_fixture_fails(self, tmp_path, capsys, entry):
+        doc = _bundled("a_origin_only.json")
+        doc["expected"]["minor_fixtures"][0]["monomials"][0] = entry
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION
+        assert "broken.json: FAIL (InvalidExponent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pair", [None, [[1, 0, 1, 0]],
+                                      [[1, 0, 1, 0], [1, 0, 1, 0]],
+                                      [[1, 0, 1, 0], [0, "2", 0, 0]]])
+    def test_malformed_ideal_fails(self, tmp_path, capsys, pair):
+        doc = _bundled("a_origin_only.json")
+        doc["expected"]["ideal"][0] = pair
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION
+        assert "broken.json: FAIL (InvalidExponent" in capsys.readouterr().out
+
+    def test_degrevlex_copy_passes(self, tmp_path, capsys):
+        for name in ("a_origin_only.json", "c_one_edge.json"):
+            doc = _bundled(name)
+            assert doc.get("order", "lex") == "lex"
+            doc["order"] = "degrevlex"
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_OK
+        assert "2/2 examples pass" in capsys.readouterr().out
+
+
+def _bundled(name):
+    from importlib import resources
+    root = resources.files("toricnash").joinpath("fixtures")
+    return json.loads(root.joinpath(name).read_text())
+
+
+CYC6 = [(1, j) for j in range(6)]
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize("gens", [sup.FIXTURE_B, sup.FIXTURE_C, CYC6])
+    def test_one_report_per_subset(self, monkeypatch, gens):
+        calls = Counter()
+        inner = nash._subset_report
+
+        def counted(ideal, fam, subset, sigma, stats):
+            calls[subset] += 1
+            return inner(ideal, fam, subset, sigma, stats)
+
+        monkeypatch.setattr(nash, "_subset_report", counted)
+        rep = build_report(InputSpec(tuple(gens)))
+        fam = rep.ideal.minimal_gens
+        subsets = itertools.combinations(range(len(fam)), rep.semigroup.r)
+        assert calls == Counter(subsets)
+
+    @pytest.mark.parametrize("gens", [sup.FIXTURE_B, sup.FIXTURE_C, CYC6])
+    def test_groebner_family_same_sigma(self, gens):
+        minimal = build_report(InputSpec(tuple(gens)))
+        groebner = build_report(InputSpec(tuple(gens), family="groebner"))
+        assert groebner.analysis.sigma == minimal.analysis.sigma
+
+    def test_fallback_count_cyc6(self):
+        # the count the report gave when every analysis ran several sweeps
+        # and only the search's own sweep was counted
+        rep = build_report(InputSpec(tuple(CYC6)))
+        assert rep.warnings == ["minor formula fell back to the symbolic "
+                                "determinant 922 times"]

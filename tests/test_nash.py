@@ -13,6 +13,7 @@ from toricnash.errors import (
 from toricnash.ideal import normal_form, toric_ideal
 from toricnash.nash import (
     OrbitSet,
+    analyze,
     classify_ci,
     difference_matrix,
     dim1_selector,
@@ -26,6 +27,7 @@ from toricnash.nash import (
     rank,
     search_all_subsets,
     singular_locus,
+    subset_minors,
     verify_dichotomy,
     zero_locus,
 )
@@ -64,6 +66,24 @@ class TestIntLinearAlgebra:
         assert int_rank([[1, 2], [2, 4]]) == 1
         assert int_rank([[1, 0], [0, 1], [1, 1]]) == 2
         assert int_rank([[0, 0]]) == 0
+
+    def test_rank_against_fraction_oracle(self):
+        rng = random.Random(17)
+        shapes = [(n, n) for n in range(1, 6)] + [(2, 5), (3, 7), (1, 4),
+                                                  (5, 2), (7, 3), (4, 1)]
+        for rows, cols in shapes:
+            for _ in range(40):
+                m = [[rng.randint(-5, 5) for _ in range(cols)]
+                     for _ in range(rows)]
+                if rows > 1 and rng.random() < 0.5:
+                    # force a dependency: one row a combination of two others
+                    a, b = rng.randrange(rows), rng.randrange(rows)
+                    ka, kb = rng.randint(-3, 3), rng.randint(-3, 3)
+                    m[rng.randrange(rows)] = [ka * x + kb * y for x, y
+                                              in zip(m[a], m[b])]
+                assert int_rank(m) == sup.fraction_rank(m), m
+            zero = [[0] * cols for _ in range(rows)]
+            assert int_rank(zero) == sup.fraction_rank(zero) == 0
 
 
 class TestDifferenceMatrix:
@@ -279,11 +299,6 @@ class TestSearch:
         assert locus == OrbitSet(False, True)
         assert locus == singular_locus(ideal).orbits
 
-    def test_jobs_deterministic(self, fixture_b):
-        _, ideal = fixture_b
-        assert search_all_subsets(ideal, jobs=1) == \
-            search_all_subsets(ideal, jobs=3)
-
     def test_groebner_family(self, fixture_a):
         _, ideal = fixture_a
         reports = search_all_subsets(ideal, family="groebner")
@@ -315,6 +330,31 @@ class TestDim1Selector:
         assert any(
             set(i for i, e in enumerate(m.exp) if e) <= z
             for _, _, m in report.minors)
+
+
+class TestAnalysis:
+    def test_matches_entry_points(self, fixture_a, fixture_b, fixture_c):
+        for _, ideal in (fixture_a, fixture_b, fixture_c):
+            for family in ("minimal", "groebner"):
+                a = analyze(ideal, family)
+                assert a.sigma == singular_locus(ideal)
+                assert list(a.reports) == search_all_subsets(ideal, family)
+                assert a.verdict == verify_dichotomy(ideal, family)
+                assert (a.is_hypersurface, a.is_complete_intersection) == \
+                    classify_ci(ideal)
+
+    def test_witness_is_dim1_selector(self, fixture_b, fixture_c):
+        for _, ideal in (fixture_b, fixture_c):
+            assert analyze(ideal).verdict.witness == \
+                dim1_selector(ideal).subset
+
+    def test_fallbacks_counted_once(self, fixture_a):
+        _, ideal = fixture_a
+        stats = {}
+        for report in search_all_subsets(ideal):
+            subset_minors([ideal.minimal_gens[i] for i in report.subset],
+                          ideal, stats)
+        assert analyze(ideal).fallbacks == stats["formula_fallbacks"] > 0
 
 
 class TestClassifyCI:
