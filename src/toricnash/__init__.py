@@ -35,7 +35,6 @@ from .errors import (
     NonMonomialResidue,
     NotARelation,
     NotMinimal,
-    NotSameEdge,
     NotSquare,
     RankDeficient,
     SigmaDimensionError,
@@ -51,14 +50,11 @@ from .ideal import (
     LatticeBasis,
     ToricIdeal,
     buchberger,
-    edge_relation,
     ideal_member,
     lattice_kernel,
     minimal_generators,
     normal_form,
     same_ideal,
-    saturate_all,
-    saturate_variable,
     toric_ideal,
 )
 from .nash import (

@@ -7,6 +7,7 @@ means larger monomial.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -29,7 +30,7 @@ def exp_lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 
 def exp_divides(a: ExponentVector, b: ExponentVector) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ pairs, required), "order" ("lex" or "degrevlex"), "names" (one string per
 generator) and "family" ("minimal" or "groebner").  Floats are rejected
 outright; coordinates must be exact integers.
 
-Exit codes: 0 success, 1 input parse error, 2 validation failure,
-3 dichotomy or bundled-example violation.
+Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
+2 validation failure, 3 dichotomy or bundled-example violation.
 """
 from __future__ import annotations
 
@@ -265,16 +265,17 @@ def report_text(rep: RunReport) -> str:
 
 
 def _load_corpus(corpus_dir: Optional[str]) -> list:
-    docs = []
     if corpus_dir is not None:
-        paths = sorted(Path(corpus_dir).glob("*.json"))
-        for p in paths:
-            docs.append((p.name, json.loads(p.read_text())))
+        paths = Path(corpus_dir).glob("*.json")
     else:
         root = resources.files("toricnash").joinpath("fixtures")
-        for p in sorted(root.iterdir(), key=lambda q: q.name):
-            if p.name.endswith(".json"):
-                docs.append((p.name, json.loads(p.read_text())))
+        paths = (p for p in root.iterdir() if p.name.endswith(".json"))
+    docs = []
+    for p in sorted(paths, key=lambda q: q.name):
+        try:
+            docs.append((p.name, json.loads(p.read_text())))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise InputError(f"{p.name}: {exc}")
     return docs
 
 
@@ -370,7 +371,7 @@ def cmd_examples(corpus_dir: Optional[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         docs = _load_corpus(corpus_dir)
-    except OSError as exc:
+    except (OSError, InputError) as exc:
         print(f"cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not docs:
@@ -395,7 +396,7 @@ def cmd_examples(corpus_dir: Optional[str], out=None) -> int:
 def _read_spec(path: str) -> InputSpec:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     return parse_input(text)
 
@@ -442,8 +443,12 @@ def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
         return EXIT_VALIDATION
     print(report_text(rep), end="", file=out)
     if out_path:
-        Path(out_path).write_text(
-            json.dumps(report_json(rep), indent=2, sort_keys=True) + "\n")
+        try:
+            Path(out_path).write_text(
+                json.dumps(report_json(rep), indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     return EXIT_OK
 
 

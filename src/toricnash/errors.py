@@ -59,12 +59,6 @@ class NotSquare(ToricNashError):
     """Determinant of a non-square matrix requested."""
 
 
-# --- ideal layer ----------------------------------------------------------
-
-class NotSameEdge(ToricNashError):
-    """Edge relation requested for indices outside one edge block."""
-
-
 # --- minor / singular-locus analysis -------------------------------------
 
 class NotARelation(ToricNashError):

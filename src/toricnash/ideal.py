@@ -5,7 +5,11 @@ generator matrix.  It is computed the standard way: take the ideal of a
 kernel basis, then saturate with respect to every variable.  Everything in
 sight is a pure difference of two monomials, and S-polynomials and
 reductions of such differences stay differences, so the Buchberger loop
-below never touches a general polynomial.
+below never touches a general polynomial.  It skips a pair when the two
+leading terms are coprime, and by the chain criterion: when a third
+element's leading term divides the lcm of the pair's and neither pair it
+forms with the two is still pending (Cox-Little-O'Shea, Ideals, Varieties,
+and Algorithms, section 2.9).
 
 Saturation by one variable recomputes the basis under a graded reverse-lex
 order that ranks the variable last and then strips the common variable
@@ -13,14 +17,23 @@ power from every element.  That trick requires the ideal to be homogeneous
 for the (strictly positive) degree weights attached to the order, which
 holds for every ideal this library builds: the weights come from a vector
 that pairs strictly positively with all semigroup generators.
+
+Minimal generators need no Groebner basis.  A binomial x^u - x^v lies in
+the ideal of a set of binomials exactly when u reaches v by moves
+x^plus <-> x^minus of the set (Diaconis-Sturmfels, Ann. Statist. 26, 1998;
+Sturmfels, Groebner Bases and Convex Polytopes, ch. 4).  Every move keeps
+the weighted degree, and with strictly positive weights only finitely many
+monomials share a degree, so that fiber is finite and the search ends.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import le, mul
 from typing import Iterable, List, Optional, Sequence
 
 from .algebra import (
@@ -35,8 +48,8 @@ from .algebra import (
     lex_order,
     oriented_binomial,
 )
-from .errors import InvariantViolation, NotSameEdge
-from .semigroup import ValidatedSemigroup, primitive
+from .errors import InvariantViolation
+from .semigroup import ValidatedSemigroup
 
 # --- integer kernel --------------------------------------------------------
 
@@ -183,15 +196,13 @@ def _monomial_nf(exp, elements) -> tuple:
     Rewrites by the first applicable element until irreducible; each step
     strictly decreases the monomial, so this terminates.
     """
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for b in elements:
-            if exp_divides(b.plus, exp):
-                exp = exp_add(exp_sub(exp, b.plus), b.minus)
-                changed = True
+            if all(map(le, b.plus, exp)):
+                exp = tuple(e - p + m for e, p, m in zip(exp, b.plus, b.minus))
                 break
-    return exp
+        else:
+            return exp
 
 
 def _reduce_binomial(u, v, elements, order) -> Optional[Binomial]:
@@ -225,7 +236,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal spanned by gens.
 
     Pair selection follows the normal strategy (smallest lcm of leading
-    terms first); pairs with coprime leading terms are skipped.
+    terms first).  A pair (i, j) is skipped when its leading terms are
+    coprime, or by the chain criterion: some other element k has a leading
+    term dividing their lcm, and neither (i, k) nor (j, k) is still pending.
     """
     basis: List[Binomial] = []
     seen = set()
@@ -236,22 +249,34 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
             basis.append(ob)
 
     heap: list = []
+    pending = set()  # pairs (i, j), i < j, not yet popped from the heap
     counter = itertools.count()
 
     def push_pairs(j: int) -> None:
         for i in range(j):
             lcm = exp_lcm(basis[i].plus, basis[j].plus)
-            heapq.heappush(heap, (order.key(lcm), next(counter), i, j))
+            heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
+            pending.add((i, j))
+
+    def chained(i: int, j: int, lcm) -> bool:
+        for k, h in enumerate(basis):
+            if (k != i and k != j and all(map(le, h.plus, lcm))
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
+        pending.remove((i, j))
         f, g = basis[i], basis[j]
-        if exp_add(f.plus, g.plus) == exp_lcm(f.plus, g.plus):
+        if exp_add(f.plus, g.plus) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        lcm = exp_lcm(f.plus, g.plus)
+        if chained(i, j, lcm):
+            continue
         u = exp_add(exp_sub(lcm, f.plus), f.minus)
         v = exp_add(exp_sub(lcm, g.plus), g.minus)
         rem = _reduce_binomial(u, v, basis, order)
@@ -353,46 +378,56 @@ def _saturate_elements(elements: Sequence[Binomial], nvars: int,
             return current
 
 
-def saturate_variable(gb: GroebnerBasis, var: int,
-                      weights: Optional[Sequence[int]] = None) -> GroebnerBasis:
-    """Basis of (I : var^infinity), returned under the original order.
-
-    Recomputes the basis under a graded reverse-lex order ranking var last,
-    divides every element by the common var power of its two terms, and
-    reduces again.  Requires I homogeneous for the given strictly positive
-    weights (total degree when weights is None).
-    """
-    stripped, _ = _saturate_elements_once(gb.elements, var, gb.nvars, weights)
-    return buchberger(stripped, gb.order)
-
-
-def saturate_all(gb: GroebnerBasis,
-                 weights: Optional[Sequence[int]] = None) -> GroebnerBasis:
-    """Saturation with respect to the product of all variables."""
-    return buchberger(_saturate_elements(gb.elements, gb.nvars, weights),
-                      gb.order)
-
-
 # --- minimal generators and the full pipeline --------------------------------
 
 
-def minimal_generators(gb: GroebnerBasis) -> tuple:
+def _connected(start, goal, moves) -> bool:
+    """True when x^start reaches x^goal by moves (a, b): x^a -> x^b.
+
+    Breadth-first search over the monomials reachable from start; it ends
+    only when that set is finite.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        exp = queue.popleft()
+        for a, b in moves:
+            if all(map(le, a, exp)):
+                nxt = tuple(e - x + y for e, x, y in zip(exp, a, b))
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return False
+
+
+def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
     """Irredundant generating subset of the reduced basis.
 
-    Prunes in increasing leading-term order; an element is dropped when it
-    lies in the ideal of the remaining ones (fresh basis each test).  For
+    Prunes in increasing leading-term order; an element b is dropped when
+    x^b.plus reaches x^b.minus by moves x^h.plus <-> x^h.minus of the other
+    kept elements h, which holds exactly when b lies in their ideal.  For
     these positively graded ideals any irredundant subset has the minimal
-    possible cardinality.  Membership is order-independent, so the interior
-    tests run under degrevlex, which is much cheaper than lex here.
+    possible cardinality.
+
+    The search runs over the fiber of b, the monomials of its weighted
+    degree, which every move keeps.  That fiber is finite only when the
+    weights are strictly positive and every element is homogeneous for
+    them; both are checked first, and a failure raises InvariantViolation
+    instead of starting a search that might not end.
     """
-    test_order = TermOrder("degrevlex", tuple(range(gb.nvars)))
+    if len(weights) != gb.nvars or any(w <= 0 for w in weights):
+        raise InvariantViolation("degree weights are not strictly positive")
+    for b in gb.elements:
+        if sum(map(mul, weights, b.plus)) != sum(map(mul, weights, b.minus)):
+            raise InvariantViolation(
+                "basis element is not homogeneous for the degree weights")
     kept = sorted(gb.elements, key=lambda b: gb.order.key(b.plus))
     for b in list(kept):
-        others = [h for h in kept if h is not b]
-        if not others:
-            continue
-        sub = buchberger(others, test_order)
-        if ideal_member(Polynomial.from_binomial(b), sub):
+        moves = [m for h in kept if h is not b
+                 for m in ((h.plus, h.minus), (h.minus, h.plus))]
+        if _connected(b.plus, b.minus, moves):
             kept.remove(b)
     return tuple(kept)
 
@@ -441,7 +476,7 @@ def toric_ideal(vs: ValidatedSemigroup,
             gens.append(b)
     saturated = _saturate_elements(gens, vs.N, vs.degree_weights)
     gb = buchberger(saturated, order)
-    mingens = minimal_generators(gb)
+    mingens = minimal_generators(gb, vs.degree_weights)
     _check_no_unit_sides(gb.elements)
     # mingens must generate the same ideal as the full basis
     regenerated = buchberger(mingens, order)
@@ -449,48 +484,3 @@ def toric_ideal(vs: ValidatedSemigroup,
         raise InvariantViolation("pruned generators span a smaller ideal")
     return ToricIdeal(vs, gb, mingens)
 
-
-def edge_relation(vs: ValidatedSemigroup, block: str, i: int, j: int,
-                  order: Optional[TermOrder] = None,
-                  ideal: Optional[ToricIdeal] = None) -> Binomial:
-    """Minimal pure relation between two generators on one edge.
-
-    block is "edge1" or "edge2"; i and j index into that block.  With
-    multiples k_i, k_j of the primitive ray the relation is
-    var_i^(k_j/g) - var_j^(k_i/g), g = gcd(k_i, k_j).  Membership is
-    checked against the defining map directly, and against ideal when one
-    is supplied.
-    """
-    if block == "edge1":
-        idx = list(vs.x_indices)
-        ray = vs.classification.ray1
-    elif block == "edge2":
-        idx = list(vs.z_indices)
-        ray = vs.classification.ray2
-    else:
-        raise NotSameEdge(f"unknown edge block {block!r}")
-    if i == j or not (0 <= i < len(idx)) or not (0 <= j < len(idx)):
-        raise NotSameEdge(f"indices {i}, {j} do not select two distinct "
-                          f"generators of {block}")
-    order = order or lex_order(vs.N)
-    gi, gj = vs.gens.points[idx[i]], vs.gens.points[idx[j]]
-    ki = gi.u // ray.u if ray.u else gi.v // ray.v
-    kj = gj.u // ray.u if ray.u else gj.v // ray.v
-    g = gcd(ki, kj)
-    a = [0] * vs.N
-    b = [0] * vs.N
-    a[idx[i]] = kj // g
-    b[idx[j]] = ki // g
-    rel = oriented_binomial(tuple(a), tuple(b), order)
-    if rel is None:
-        raise NotSameEdge("generators coincide")
-    diff = rel.difference()
-    pts = vs.gens.points
-    acc = (sum(c * p.u for c, p in zip(diff, pts)),
-           sum(c * p.v for c, p in zip(diff, pts)))
-    if acc != (0, 0):
-        raise InvariantViolation("edge relation fails the defining map")
-    if ideal is not None and not ideal_member(Polynomial.from_binomial(rel),
-                                              ideal.gb):
-        raise InvariantViolation("edge relation not in the computed ideal")
-    return rel

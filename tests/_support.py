@@ -1,12 +1,15 @@
 """Shared fixtures data, random input generation, and independent oracles."""
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import le
 
 import toricnash as tn
-from toricnash.algebra import Binomial, Polynomial
+from toricnash.algebra import Binomial, Polynomial, exp_lcm, oriented_binomial
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
 FIXTURE_B = [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
@@ -152,6 +155,87 @@ def fraction_rank(rows):
         if rank == len(m):
             break
     return rank
+
+
+def _rewrite(exp, elements):
+    """Normal form of one monomial: rewrite by the first element whose
+    leading term divides it, until none does."""
+    changed = True
+    while changed:
+        changed = False
+        for b in elements:
+            if all(map(le, b.plus, exp)):
+                exp = tuple(e - p + m for e, p, m in zip(exp, b.plus, b.minus))
+                changed = True
+                break
+    return exp
+
+
+def plain_buchberger(gens, order):
+    """Reduced Groebner basis by Buchberger's loop with the coprime
+    criterion only: every other pair's S-binomial is reduced (independent
+    of the library's chain criterion)."""
+    basis = []
+    for b in gens:
+        ob = oriented_binomial(b.plus, b.minus, order)
+        if ob is not None and ob not in basis:
+            basis.append(ob)
+    heap = []
+    counter = itertools.count()
+
+    def push_pairs(j):
+        for i in range(j):
+            lcm = exp_lcm(basis[i].plus, basis[j].plus)
+            heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, _, i, j, lcm = heapq.heappop(heap)
+        f, g = basis[i], basis[j]
+        if all(x == 0 or y == 0 for x, y in zip(f.plus, g.plus)):
+            continue
+        u = tuple(c - p + m for c, p, m in zip(lcm, f.plus, f.minus))
+        v = tuple(c - p + m for c, p, m in zip(lcm, g.plus, g.minus))
+        rem = oriented_binomial(_rewrite(u, basis), _rewrite(v, basis), order)
+        if rem is not None:
+            basis.append(rem)
+            push_pairs(len(basis) - 1)
+
+    basis.sort(key=lambda b: order.key(b.plus))
+    kept = []
+    for b in basis:
+        if not any(all(map(le, k.plus, b.plus)) for k in kept):
+            kept.append(b)
+    reduced = [oriented_binomial(b.plus, _rewrite(b.minus, kept), order)
+               for b in kept]
+    reduced.sort(key=lambda b: order.key(b.plus))
+    return tn.GroebnerBasis(order, tuple(reduced))
+
+
+def membership_minimal_generators(gb):
+    """Irredundant subset of a reduced basis by ideal membership: prune in
+    increasing leading-term order, dropping an element that lies in the
+    ideal of the other kept ones (a fresh degrevlex basis per test)."""
+    test_order = tn.degrevlex_order(gb.nvars)
+    kept = sorted(gb.elements, key=lambda b: gb.order.key(b.plus))
+    for b in list(kept):
+        others = [h for h in kept if h is not b]
+        if others and tn.ideal_member(Polynomial.from_binomial(b),
+                                      plain_buchberger(others, test_order)):
+            kept.remove(b)
+    return tuple(kept)
+
+
+def random_binomial_family(rng, nvars, size):
+    """size binomials in nvars variables with exponents 0..2."""
+    family = []
+    while len(family) < size:
+        plus = tuple(rng.randint(0, 2) for _ in range(nvars))
+        minus = tuple(rng.randint(0, 2) for _ in range(nvars))
+        if plus != minus:
+            family.append(Binomial(plus, minus))
+    return family
 
 
 def in_integer_span(basis, v):

@@ -83,6 +83,14 @@ class TestValidateCommand:
         assert main(["validate", "--input", "/nonexistent.json"]) == \
             EXIT_PARSE
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"generators": [[1, 0]], "names": ["\xe9"]}')
+        assert main(["validate", "--input", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot read")
+        assert err.count("\n") == 1
+
 
 class TestAnalyzeCommand:
     def test_fixture_a_report(self, tmp_path, capsys):
@@ -132,6 +140,16 @@ class TestAnalyzeCommand:
         assert f"s_min={doc['ideal']['s_min']}" in text
         assert doc["verdict"]["predicted"] in text
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        out_path = tmp_path / "missing" / "r.json"
+        assert main(["analyze", "--input", path, "--out", str(out_path)]) \
+            == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out_path}")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_validation_failure(self, tmp_path, capsys):
         path = write_input(tmp_path, {"generators": [[2, 0], [0, 2]]})
         assert main(["analyze", "--input", path]) == EXIT_VALIDATION
@@ -177,6 +195,15 @@ class TestExamplesCommand:
 
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
+
+    def test_invalid_json_in_corpus(self, tmp_path, capsys):
+        (tmp_path / "good.json").write_text(
+            json.dumps(_bundled("a_origin_only.json")))
+        (tmp_path / "torn.json").write_text('{"generators": [[1, 0]')
+        assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot read corpus: torn.json")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", [None, ["a", 0, 0, 0], [1, 0, 0],
                                        [1, -1, 0, 0], [True, 0, 0, 0]])

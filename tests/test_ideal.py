@@ -1,4 +1,6 @@
+import hashlib
 import random
+from math import gcd
 
 import pytest
 
@@ -8,17 +10,16 @@ from toricnash.algebra import (
     degrevlex_order,
     lex_order,
 )
-from toricnash.errors import NotSameEdge
+from toricnash.errors import InvariantViolation
 from toricnash.ideal import (
+    GroebnerBasis,
+    _saturate_elements,
     buchberger,
-    edge_relation,
     ideal_member,
     lattice_kernel,
     minimal_generators,
     normal_form,
     same_ideal,
-    saturate_all,
-    saturate_variable,
     toric_ideal,
 )
 from toricnash.semigroup import generator_set, validate
@@ -116,20 +117,40 @@ class TestBuchberger:
             gb = buchberger(elems, ideal.gb.order)
             assert gb.elements == ideal.gb.elements
 
+    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
+    def test_matches_plain_buchberger(self, order_of):
+        # random binomial families, which need be neither prime nor
+        # homogeneous, plus two fixed non-prime ones
+        rng = random.Random(3)
+        families = [[Binomial((2, 0, 0), (0, 2, 0))],
+                    [Binomial((1, 1, 0), (1, 0, 1)),
+                     Binomial((0, 2, 0), (0, 0, 2))]]
+        for _ in range(120):
+            families.append(sup.random_binomial_family(
+                rng, rng.choice((3, 4)), rng.randint(2, 4)))
+        for fam in families:
+            order = order_of(fam[0].nvars)
+            assert buchberger(fam, order).elements == \
+                sup.plain_buchberger(fam, order).elements
+
+
+def _saturated_basis(gens, order, weights=None):
+    """The path toric_ideal takes: saturate, then one final basis."""
+    return buchberger(_saturate_elements(gens, order.nvars, weights), order)
+
 
 class TestSaturation:
     def test_strip_common_factor(self):
         order = lex_order(3)
-        # x1*x2 - x1*x3 saturated at x1 leaves x2 - x3
-        gb = buchberger([Binomial((1, 1, 0), (1, 0, 1))], order)
-        sat = saturate_variable(gb, 0)
+        # x1*x2 - x1*x3 saturated leaves x2 - x3
+        sat = _saturated_basis([Binomial((1, 1, 0), (1, 0, 1))], order)
         assert [(b.plus, b.minus) for b in sat.elements] == \
             [((0, 1, 0), (0, 0, 1))]
 
     def test_fixed_point(self, fixture_a):
         _, ideal = fixture_a
         weights = ideal.semigroup.degree_weights
-        sat = saturate_all(ideal.gb, weights)
+        sat = _saturated_basis(ideal.gb.elements, ideal.order, weights)
         assert sat.elements == ideal.gb.elements
 
     def test_lattice_basis_saturates_to_full_ideal(self, fixture_a):
@@ -140,7 +161,7 @@ class TestSaturation:
         # than the saturated one
         gens = [binomial_from_vector(v, order)
                 for v in ((1, -2, 1, 0), (0, 1, -2, 1))]
-        gb = saturate_all(buchberger(gens, order), vs.degree_weights)
+        gb = _saturated_basis(gens, order, vs.degree_weights)
         assert gb.elements == ideal.gb.elements
         # the middle relation only appears after saturation
         missing = Polynomial.from_binomial(Binomial((1, 0, 0, 1), (0, 1, 1, 0)))
@@ -153,7 +174,7 @@ class TestSaturation:
         from toricnash.algebra import binomial_from_vector
         gens = [binomial_from_vector(v, order)
                 for v in lattice_kernel(vs).vectors]
-        gb = saturate_all(buchberger(gens, order), vs.degree_weights)
+        gb = _saturated_basis(gens, order, vs.degree_weights)
         assert gb.elements == ideal.gb.elements
 
 
@@ -267,43 +288,75 @@ class TestNormalForm:
                     (sup.pi(vs, a) == sup.pi(vs, b))
 
 
+# the surfaces of the benchmark's ideal workload
+IDEAL_BENCH = [
+    [(11, 0), (12, 0), (13, 0), (1, 1), (0, 11)],
+    [(7, 0), (8, 0), (9, 0), (10, 0), (1, 1), (0, 7)],
+    [(2, 0), (1, 2), (4, 2), (4, 3), (1, 3)],
+    [(2, 0), (1, 4), (3, 2), (4, 3), (0, 2)],
+]
+
+S7 = [(5, 0), (6, 0), (7, 0), (0, 5), (0, 6), (0, 7), (1, 1)]
+
+
 class TestMinimalGenerators:
     def test_counts(self, fixture_a, fixture_c):
-        assert len(minimal_generators(fixture_a[1].gb)) == 3
-        assert len(minimal_generators(fixture_c[1].gb)) == 4
+        for (vs, ideal), count in ((fixture_a, 3), (fixture_c, 4)):
+            assert len(minimal_generators(ideal.gb, vs.degree_weights)) == \
+                count
 
     def test_principal(self):
         vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
         ideal = toric_ideal(vs)
         assert ideal.s_min == 1
 
+    def test_matches_membership_oracle(self, population):
+        surfaces = [ideal for _, ideal in population]
+        surfaces += [sup.build(points)[1] for points in IDEAL_BENCH]
+        for ideal in surfaces:
+            assert ideal.minimal_gens == \
+                sup.membership_minimal_generators(ideal.gb)
+
+    def test_non_homogeneous_basis_raises(self):
+        # x1^2 - x2 joins monomials of different unit-weight degree, so
+        # the search would not stay inside one finite fiber
+        gb = GroebnerBasis(lex_order(3), (Binomial((2, 0, 0), (0, 1, 0)),
+                                          Binomial((0, 1, 1), (0, 0, 3))))
+        with pytest.raises(InvariantViolation):
+            minimal_generators(gb, (1, 1, 1))
+
+    def test_s7(self):
+        ideal = toric_ideal(validate(generator_set(S7)))
+        assert ideal.s_min == 19
+        assert len(ideal.gb) == 45
+        # digest recorded with the Buchberger loop of sup.plain_buchberger
+        # and the pruning of sup.membership_minimal_generators
+        digest = hashlib.sha256(
+            repr((ideal.gb.elements, ideal.minimal_gens)).encode()).hexdigest()
+        assert digest == ("f9e00da097d6a486e3f5522d88ec6013"
+                          "c4239e5a959a08979a1dd7e9a269b7dc")
+
+
+def _edge_relation(vs, idx, i, j):
+    """x_i^(k_j/g) - x_j^(k_i/g) for g_i = k_i * ray, g_j = k_j * ray."""
+    pts = vs.gens.points
+    ki = gcd(pts[idx[i]].u, pts[idx[i]].v)
+    kj = gcd(pts[idx[j]].u, pts[idx[j]].v)
+    g = gcd(ki, kj)
+    plus = [0] * vs.N
+    minus = [0] * vs.N
+    plus[idx[i]] = kj // g
+    minus[idx[j]] = ki // g
+    return Binomial(tuple(plus), tuple(minus))
+
 
 class TestEdgeRelation:
-    def test_edge1_fixture_b(self, fixture_b):
-        vs, ideal = fixture_b
-        rel = edge_relation(vs, "edge1", 0, 1, ideal=ideal)
-        # 3*(2,0) == 2*(3,0): x1^3 - x2^2
-        assert (rel.plus, rel.minus) == ((3, 0, 0, 0, 0), (0, 2, 0, 0, 0))
-
-    def test_edge2_fixture_b(self, fixture_b):
-        vs, ideal = fixture_b
-        rel = edge_relation(vs, "edge2", 0, 1, ideal=ideal)
-        assert (rel.plus, rel.minus) == ((0, 0, 0, 5, 0), (0, 0, 0, 0, 4))
-
-    def test_bad_indices(self, fixture_b):
-        vs, _ = fixture_b
-        with pytest.raises(NotSameEdge):
-            edge_relation(vs, "edge1", 0, 0)
-        with pytest.raises(NotSameEdge):
-            edge_relation(vs, "edge2", 0, 5)
-        with pytest.raises(NotSameEdge):
-            edge_relation(vs, "interior", 0, 1)
-
     def test_members_of_ideal(self, population):
         for vs, ideal in population:
-            for block, count in (("edge1", vs.l), ("edge2", vs.n)):
-                for i in range(count):
-                    for j in range(i + 1, count):
-                        rel = edge_relation(vs, block, i, j, ideal=ideal)
+            for idx in (vs.x_indices, vs.z_indices):
+                for i in range(len(idx)):
+                    for j in range(i + 1, len(idx)):
+                        rel = _edge_relation(vs, idx, i, j)
+                        assert sup.pi(vs, rel.plus) == sup.pi(vs, rel.minus)
                         assert ideal_member(
                             Polynomial.from_binomial(rel), ideal.gb)
