@@ -33,7 +33,6 @@ from .errors import (
     LatticeNotFull,
     LengthMismatch,
     NonMonomialResidue,
-    NotARelation,
     NotMinimal,
     NotSquare,
     RankDeficient,
@@ -53,20 +52,19 @@ from .ideal import (
     ideal_member,
     lattice_kernel,
     minimal_generators,
+    monomial_nf,
     normal_form,
     same_ideal,
     toric_ideal,
 )
 from .nash import (
     Analysis,
-    DifferenceMatrix,
     NashReport,
     OrbitSet,
     SingularLocus,
     TheoremVerdict,
     analyze,
     classify_ci,
-    difference_matrix,
     dim1_selector,
     minor_monomial_formula,
     minor_symbolic,

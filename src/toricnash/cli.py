@@ -36,19 +36,20 @@ from .algebra import (
 )
 from .errors import InvalidExponent, TheoremViolation, ToricNashError
 from .ideal import ToricIdeal, same_ideal, toric_ideal
-from .nash import (
+# dim1_selector, search_all_subsets, singular_locus and verify_dichotomy
+# are not called here; bench/tracing.py wraps them at this module too
+from .nash import (  # noqa: F401
     Analysis,
     OrbitSet,
     analyze,
-    classify_ci,
     dim1_selector,
     monomial_classes,
+    nash_ideal,
     nash_ideal_classes,
     search_all_subsets,
     singular_locus,
     verify_dichotomy,
     zero_locus,
-    nash_ideal,
 )
 from .semigroup import ValidatedSemigroup, generator_set, validate
 
@@ -323,18 +324,19 @@ def _check_fixture(name: str, doc: dict, out) -> list:
         problems.append(f"ideal mismatch; computed basis {computed}")
     if "s_min" in exp and ideal.s_min != exp["s_min"]:
         problems.append(f"s_min {ideal.s_min} != {exp['s_min']}")
-    sig = singular_locus(ideal)
+    a = analyze(ideal)
+    sig = a.sigma
     if _orbit_json(sig.orbits) != exp["sigma"]:
         problems.append(f"sigma {_orbit_json(sig.orbits)} != {exp['sigma']}")
     if sig.origin_singular != exp.get("origin_singular", True):
         problems.append("origin singularity flag mismatch")
-    is_hyp, is_ci = classify_ci(ideal)
+    is_hyp, is_ci = a.is_hypersurface, a.is_complete_intersection
     if "hypersurface" in exp and is_hyp != exp["hypersurface"]:
         problems.append(f"hypersurface flag {is_hyp}")
     if "complete_intersection" in exp and \
             is_ci != exp["complete_intersection"]:
         problems.append(f"complete intersection flag {is_ci}")
-    verdict = verify_dichotomy(ideal)
+    verdict = a.verdict
     if [verdict.predicted, verdict.observed] != \
             [exp["verdict"]["predicted"], exp["verdict"]["observed"]]:
         problems.append(f"verdict {verdict.predicted}/{verdict.observed} != "
@@ -347,8 +349,8 @@ def _check_fixture(name: str, doc: dict, out) -> list:
             problems.append(f"minor fixture {i}: classes {sorted(got)} != "
                             f"{sorted(want)}")
     if exp.get("all_rank_valid_equal_sigma"):
-        reports = search_all_subsets(ideal)
-        bad = [r.subset for r in reports if r.rank_ok and not r.equals_sigma]
+        bad = [r.subset for r in a.reports
+               if r.rank_ok and not r.equals_sigma]
         if bad:
             problems.append(f"subsets with V != sigma: {bad}")
     if "witness_rows" in exp:
@@ -357,7 +359,7 @@ def _check_fixture(name: str, doc: dict, out) -> list:
         if locus != sig.orbits:
             problems.append("witness rows do not cut out sigma")
     if exp.get("dim1_witness"):
-        report = dim1_selector(ideal)
+        report = a.dim1_witness(vs)
         if not report.equals_sigma:
             problems.append("constructed witness does not match sigma")
     status = "pass" if not problems else "FAIL"

@@ -61,10 +61,6 @@ class NotSquare(ToricNashError):
 
 # --- minor / singular-locus analysis -------------------------------------
 
-class NotARelation(ToricNashError):
-    """A binomial's exponent difference is not a kernel vector."""
-
-
 class RankDeficient(ToricNashError):
     """Chosen binomials have Jacobian rank below the codimension."""
 

@@ -190,11 +190,17 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _monomial_nf(exp, elements) -> tuple:
-    """Normal form of a single monomial exponent against binomials.
+def monomial_nf(exp, elements) -> tuple:
+    """Exponent of the normal form of x^exp against the binomials elements.
 
-    Rewrites by the first applicable element until irreducible; each step
-    strictly decreases the monomial, so this terminates.
+    Rewrites x^exp by the first element whose leading exponent plus divides
+    it, to x^(exp - plus + minus), until no element applies; each step
+    strictly decreases the monomial, so this terminates.  Every element is
+    a pure difference x^plus - x^minus, so the normal form of a monomial is
+    again one monomial with coefficient 1, and against a Groebner basis
+    (gb.elements) it is the unique one: normal_form of x^exp has the single
+    term x^monomial_nf(exp, gb.elements).  Normal forms are linear, so a
+    polynomial reduces term by term through this function.
     """
     while True:
         for b in elements:
@@ -207,8 +213,8 @@ def _monomial_nf(exp, elements) -> tuple:
 
 def _reduce_binomial(u, v, elements, order) -> Optional[Binomial]:
     """Remainder of x^u - x^v on division by binomials; None when zero."""
-    u = _monomial_nf(u, elements)
-    v = _monomial_nf(v, elements)
+    u = monomial_nf(u, elements)
+    v = monomial_nf(v, elements)
     return oriented_binomial(u, v, order)
 
 
@@ -222,7 +228,7 @@ def _autoreduce(elements: List[Binomial], order: TermOrder) -> List[Binomial]:
         kept.append(b)
     out: List[Binomial] = list(kept)
     for i, b in enumerate(out):
-        minus = _monomial_nf(b.minus, out)
+        minus = monomial_nf(b.minus, out)
         if minus != b.minus:
             nb = oriented_binomial(b.plus, minus, order)
             if nb is None:

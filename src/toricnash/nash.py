@@ -9,9 +9,13 @@ difference matrix and the monomial has exponent
     (sum of leading exponents over the chosen rows) - (1,...,1) + indicator(K)
 
 where K is the pair of deleted columns.  When that exponent has a negative
-entry the congruence class is still a monomial class; the symbolic
-determinant reduced to normal form recovers a valid representative, and
-that fallback is what minor_monomial_formula does.
+entry the congruence class is still a monomial class, and
+minor_monomial_formula recovers a representative without symbolic algebra:
+a sparse integer Laplace expansion of the minor ({exponent: coefficient},
+entries read from the binomials' exponents) reduced term by term with the
+monomial normal form of the Groebner basis.  minor_symbolic, the symbolic
+determinant reduced to normal form, stays as the reference the tests hold
+it against.
 
 Zero loci of the resulting monomial ideals and the singular locus itself
 are unions of torus-orbit closures; an OrbitSet records which of the two
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
@@ -33,14 +38,14 @@ from .errors import (
     EmptyIdeal,
     InvariantViolation,
     NonMonomialResidue,
-    NotARelation,
+    NotSquare,
     RankDeficient,
     SigmaDimensionError,
     TheoremViolation,
     TorusSingular,
     WitnessNotFound,
 )
-from .ideal import ToricIdeal, normal_form
+from .ideal import ToricIdeal, monomial_nf, normal_form
 from .semigroup import ValidatedSemigroup
 
 # --- exact integer linear algebra -------------------------------------------
@@ -91,35 +96,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss([list(row) for row in rows])[0]
 
 
-# --- exponent difference matrix ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Rows are the exponent differences (plus - minus) of a binomial family."""
-
-    rows: tuple
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def difference_matrix(family: Sequence[Binomial],
-                      vs: ValidatedSemigroup) -> DifferenceMatrix:
-    """Difference rows of family, verified against the defining map of vs."""
-    pts = vs.gens.points
-    rows = []
-    for b in family:
-        row = b.difference()
-        acc = (sum(c * p.u for c, p in zip(row, pts)),
-               sum(c * p.v for c, p in zip(row, pts)))
-        if acc != (0, 0):
-            raise NotARelation(
-                f"binomial difference {row} is not a relation")
-        rows.append(row)
-    return DifferenceMatrix(tuple(rows))
-
-
 def rank(family: Sequence[Binomial]) -> int:
     """Generic Jacobian rank of the family: the rank of its difference rows."""
     return int_rank([b.difference() for b in family])
@@ -155,14 +131,71 @@ def minor_symbolic(family_subset: Sequence[Binomial], selection,
     return reduced
 
 
+def _partials(b: Binomial, var: int) -> tuple:
+    """Terms (exponent, coefficient) of the derivative of b by x_var:
+    plus_var x^(plus - e_var) - minus_var x^(minus - e_var)."""
+    return tuple((exp[:var] + (exp[var] - 1,) + exp[var + 1:], sign * exp[var])
+                 for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
+
+
+def jacobian_minor_terms(family_subset: Sequence[Binomial],
+                         cols: Sequence[int]) -> dict:
+    """Unreduced Jacobian minor of the rows family_subset over the columns
+    cols, as {exponent: coefficient} without zero coefficients.
+
+    Laplace expansion along the rows, entries read from the exponents by
+    _partials.  The minor of the rows below a row depends only on the
+    columns still free, so it is memoised by their tuple: at most 2^r
+    states for r rows.  Equals algebra.determinant of the derivative
+    matrix, term for term.
+    """
+    n = len(family_subset)
+    if n != len(cols) or n == 0:
+        raise NotSquare(f"matrix is {n}x{len(cols)}")
+    entries = [[_partials(b, c) for c in cols] for b in family_subset]
+    memo: dict = {}
+
+    def minor(free: tuple) -> dict:
+        got = memo.get(free)
+        if got is not None:
+            return got
+        row = entries[n - len(free)]
+        if len(free) == 1:
+            out = dict(row[free[0]])
+        else:
+            out = {}
+            for k, j in enumerate(free):
+                if not row[j]:
+                    continue
+                sub = minor(free[:k] + free[k + 1:])
+                for e1, c1 in row[j]:
+                    if k % 2:
+                        c1 = -c1
+                    for e2, c2 in sub.items():
+                        e = tuple(map(add, e1, e2))
+                        out[e] = out.get(e, 0) + c1 * c2
+            out = {e: c for e, c in out.items() if c}
+        memo[free] = out
+        return out
+
+    return minor(tuple(range(n)))
+
+
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
                            ideal: ToricIdeal,
-                           stats: Optional[dict] = None) -> Optional[Monomial]:
+                           stats: Optional[dict] = None,
+                           nf_memo: Optional[dict] = None
+                           ) -> Optional[Monomial]:
     """Minor as det(R_K) times a monomial; None when the minor vanishes.
 
-    Uses the closed combinatorial form when its exponent is nonnegative,
-    otherwise falls back to the symbolic determinant and records the event
-    in stats["formula_fallbacks"].
+    Uses the closed combinatorial form when its exponent is nonnegative.
+    Otherwise it records the event in stats["formula_fallbacks"] and
+    evaluates the minor exactly with integers: jacobian_minor_terms, then
+    each term's monomial normal form, looked up in nf_memo (exponent ->
+    normal-form exponent for this ideal's basis; a local dict when None).
+    The reduced minor must be a single term with coefficient det(R_K):
+    more terms raise NonMonomialResidue, zero or another coefficient
+    InvariantViolation.
     """
     vs = ideal.semigroup
     sel = _normalize_selection(selection, vs.N)
@@ -179,28 +212,43 @@ def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
         return Monomial(det_rk, tuple(exp))
     if stats is not None:
         stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
-    reduced = minor_symbolic(family_subset, sel, ideal)
-    term = reduced.single_term()
-    if term is None:
+    if nf_memo is None:
+        nf_memo = {}
+    elements = ideal.gb.elements
+    reduced: dict = {}
+    for e, c in jacobian_minor_terms(family_subset, cols).items():
+        nf = nf_memo.get(e)
+        if nf is None:
+            nf = nf_memo[e] = monomial_nf(e, elements)
+        reduced[nf] = reduced.get(nf, 0) + c
+    reduced = {e: c for e, c in reduced.items() if c}
+    if len(reduced) > 1:
+        raise NonMonomialResidue(
+            f"minor reduced to {len(reduced)} terms for columns {sel}")
+    if not reduced:
         raise InvariantViolation(
             "nonzero coefficient minor reduced to zero")
-    if term.coeff != det_rk:
+    ((nf, coeff),) = reduced.items()
+    if coeff != det_rk:
         raise InvariantViolation(
             "reduced minor coefficient differs from the difference-matrix "
             "determinant")
-    return term
+    return Monomial(coeff, nf)
 
 
 def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
-                  stats: Optional[dict] = None) -> list:
+                  stats: Optional[dict] = None,
+                  nf_memo: Optional[dict] = None) -> list:
     """All nonvanishing minors of the subset as (selection, det, monomial).
 
     The monomial coefficient always equals the deleted-column determinant,
-    on either evaluation path, so it doubles as the det entry.
+    on either evaluation path, so it doubles as the det entry.  nf_memo is
+    passed on to minor_monomial_formula.
     """
     out = []
     for sel in itertools.combinations(range(ideal.semigroup.N), 2):
-        mono = minor_monomial_formula(family_subset, sel, ideal, stats)
+        mono = minor_monomial_formula(family_subset, sel, ideal, stats,
+                                      nf_memo)
         if mono is not None:
             out.append((sel, mono.coeff, mono))
     return out
@@ -227,15 +275,8 @@ def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
     Congruent monomials share a normal form, so this is the canonical way
     to compare a computed minor set against a printed one.
     """
-    out = set()
-    for exp in exps:
-        nf = normal_form(Polynomial.from_monomial(1, exp), ideal.gb)
-        term = nf.single_term()
-        if term is None:
-            raise NonMonomialResidue(
-                f"monomial class of {exp} with a non-monomial NF")
-        out.add(term.exp)
-    return frozenset(out)
+    return frozenset(monomial_nf(tuple(exp), ideal.gb.elements)
+                     for exp in exps)
 
 
 def nash_ideal_classes(family_subset: Sequence[Binomial],
@@ -342,9 +383,10 @@ def _sweep(ideal: ToricIdeal, tested: Sequence[Binomial],
 
     An orbit is singular when the Jacobian of tested drops below
     codimension at its representative.  The sweep reports every r-subset of
-    searched, in subset-index order.  By the Jacobian criterion all their
-    minors together must vanish on the same orbits, for any generating
-    family; disagreement is an internal error.
+    searched, in subset-index order, sharing one memo of monomial normal
+    forms.  By the Jacobian criterion all their minors together must vanish
+    on the same orbits, for any generating family; disagreement is an
+    internal error.
     """
     vs = ideal.semigroup
     drops = {name: _jacobian_rank_at(tested, point, vs.N) < vs.r
@@ -352,7 +394,8 @@ def _sweep(ideal: ToricIdeal, tested: Sequence[Binomial],
     if drops["torus"]:
         raise TorusSingular("Jacobian rank drops on the dense torus")
     sigma = OrbitSet(drops["O1"], drops["O2"])
-    reports = [_subset_report(ideal, searched, subset, sigma, stats)
+    nf_memo: dict = {}
+    reports = [_subset_report(ideal, searched, subset, sigma, stats, nf_memo)
                for subset in itertools.combinations(range(len(searched)),
                                                     vs.r)]
     loci = [rep.zero_locus for rep in reports if rep.rank_ok]
@@ -401,12 +444,13 @@ def _family(ideal: ToricIdeal, which: str) -> tuple:
 
 
 def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
-                   sigma: OrbitSet, stats: Optional[dict]) -> NashReport:
+                   sigma: OrbitSet, stats: Optional[dict],
+                   nf_memo: dict) -> NashReport:
     vs = ideal.semigroup
     chosen = [fam[i] for i in subset]
     if rank(chosen) < vs.r:
         return NashReport(subset, False, (), None, None)
-    minors = tuple(subset_minors(chosen, ideal, stats))
+    minors = tuple(subset_minors(chosen, ideal, stats, nf_memo))
     locus = zero_locus([m for _, _, m in minors], vs)
     return NashReport(subset, True, minors, locus, locus == sigma)
 
@@ -446,14 +490,19 @@ def _witness(reports: Sequence[NashReport], sigma: OrbitSet,
                           "on the opposite edge block")
 
 
+def _dim1_witness(sig: SingularLocus, reports: Sequence[NashReport],
+                  vs: ValidatedSemigroup) -> NashReport:
+    if sig.orbits.dimension != 1:
+        raise SigmaDimensionError(
+            "witness construction requires a one-dimensional singular locus")
+    return _witness(reports, sig.orbits, vs)
+
+
 def dim1_selector(ideal: ToricIdeal, family: str = "minimal") -> NashReport:
     """Constructive witness subset when the singular locus has dimension 1;
     its zero locus necessarily equals the singular locus."""
     sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family))
-    if sig.orbits.dimension != 1:
-        raise SigmaDimensionError(
-            "witness construction requires a one-dimensional singular locus")
-    return _witness(reports, sig.orbits, ideal.semigroup)
+    return _dim1_witness(sig, reports, ideal.semigroup)
 
 
 @dataclass(frozen=True)
@@ -475,8 +524,12 @@ class TheoremVerdict:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything one sweep yields; fallbacks counts the minors evaluated
-    symbolically because their closed form had a negative exponent."""
+    """Everything one sweep yields.
+
+    fallbacks counts the minors whose closed form had a negative exponent;
+    minor_monomial_formula evaluates those by the sparse integer Laplace
+    expansion, reduced term by term to one monomial.
+    """
 
     sigma: SingularLocus
     is_hypersurface: bool
@@ -484,6 +537,11 @@ class Analysis:
     reports: tuple
     verdict: TheoremVerdict
     fallbacks: int
+
+    def dim1_witness(self, vs: ValidatedSemigroup) -> NashReport:
+        """The report dim1_selector returns for the same ideal and family,
+        read from this analysis; vs is the ideal's semigroup."""
+        return _dim1_witness(self.sigma, self.reports, vs)
 
 
 def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:

@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -226,6 +227,38 @@ class TestExamplesCommand:
             EXIT_VIOLATION
         assert "broken.json: FAIL (InvalidExponent" in capsys.readouterr().out
 
+    def test_dim1_witness_on_point_locus_fails(self, tmp_path, capsys):
+        doc = _bundled("a_origin_only.json")
+        doc["expected"]["dim1_witness"] = True
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL (SigmaDimensionError: witness construction "
+            "requires a one-dimensional singular locus)\n"
+            "0/1 examples pass\n")
+
+    @pytest.mark.parametrize("name", ["a_origin_only.json",
+                                      "b_two_edges.json", "c_one_edge.json"])
+    def test_one_sweep_per_fixture(self, tmp_path, capsys, monkeypatch,
+                                   name):
+        doc = _bundled(name)
+        (tmp_path / name).write_text(json.dumps(doc))
+        ideal = build_report(InputSpec(
+            tuple(map(tuple, doc["generators"])), doc["order"])).ideal
+        r = ideal.semigroup.r
+        calls = Counter()
+        inner = nash._subset_report
+
+        def counted(ideal, fam, subset, *rest):
+            calls[subset] += 1
+            return inner(ideal, fam, subset, *rest)
+
+        monkeypatch.setattr(nash, "_subset_report", counted)
+        assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_OK
+        assert sum(calls.values()) == comb(ideal.s_min, r)
+        assert calls == Counter(itertools.combinations(range(ideal.s_min), r))
+
     def test_degrevlex_copy_passes(self, tmp_path, capsys):
         for name in ("a_origin_only.json", "c_one_edge.json"):
             doc = _bundled(name)
@@ -251,9 +284,9 @@ class TestOneSweep:
         calls = Counter()
         inner = nash._subset_report
 
-        def counted(ideal, fam, subset, sigma, stats):
+        def counted(ideal, fam, subset, *rest):
             calls[subset] += 1
-            return inner(ideal, fam, subset, sigma, stats)
+            return inner(ideal, fam, subset, *rest)
 
         monkeypatch.setattr(nash, "_subset_report", counted)
         rep = build_report(InputSpec(tuple(gens)))

@@ -1,24 +1,34 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 import toricnash as tn
-from toricnash.algebra import Binomial, Monomial, Polynomial
+from toricnash import algebra, ideal as ideal_mod, nash
+from toricnash.algebra import (
+    Monomial,
+    Polynomial,
+    degrevlex_order,
+    derivative,
+    determinant,
+    lex_order,
+)
 from toricnash.errors import (
-    NotARelation,
+    InvariantViolation,
+    NonMonomialResidue,
     RankDeficient,
     SigmaDimensionError,
 )
-from toricnash.ideal import normal_form, toric_ideal
+from toricnash.ideal import GroebnerBasis, monomial_nf, normal_form, toric_ideal
 from toricnash.nash import (
     OrbitSet,
     analyze,
     classify_ci,
-    difference_matrix,
     dim1_selector,
     int_det,
     int_rank,
+    jacobian_minor_terms,
     minor_monomial_formula,
     minor_symbolic,
     nash_ideal,
@@ -86,28 +96,6 @@ class TestIntLinearAlgebra:
             assert int_rank(zero) == sup.fraction_rank(zero) == 0
 
 
-class TestDifferenceMatrix:
-    def test_fixture_a_rows(self, fixture_a):
-        vs, _ = fixture_a
-        dm = difference_matrix(A_ROWS, vs)
-        assert dm.rows == ((1, -2, 1, 0), (1, -1, -1, 1), (0, 1, -2, 1))
-
-    def test_single_edge_binomial(self, fixture_b):
-        vs, _ = fixture_b
-        dm = difference_matrix(
-            [Binomial((3, 0, 0, 0, 0), (0, 2, 0, 0, 0))], vs)
-        assert dm.rows == ((3, -2, 0, 0, 0),)
-
-    def test_empty_family(self, fixture_a):
-        vs, _ = fixture_a
-        assert difference_matrix([], vs).rows == ()
-
-    def test_not_a_relation(self, fixture_a):
-        vs, _ = fixture_a
-        with pytest.raises(NotARelation):
-            difference_matrix([Binomial((1, 0, 0, 0), (0, 1, 0, 0))], vs)
-
-
 class TestRank:
     def test_full_family(self):
         assert rank(A_ROWS) == 2
@@ -158,6 +146,97 @@ class TestMinors:
                 else:
                     poly = Polynomial.from_monomial(fast.coeff, fast.exp)
                     assert normal_form(poly, ideal.gb) == sym
+
+
+EXISTS = [(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)]
+CYC6 = [(1, j) for j in range(6)]
+
+
+class TestSparseMinor:
+    @pytest.mark.parametrize("points", [sup.FIXTURE_A, sup.FIXTURE_B,
+                                        sup.FIXTURE_C, EXISTS])
+    def test_laplace_equals_determinant(self, points):
+        # every r-subset of the minimal generators, full rank or not, and
+        # every deleted column pair: the unreduced minor, term for term
+        vs, ideal = sup.build(points)
+        fam = ideal.minimal_gens
+        checked = 0
+        for subset in itertools.combinations(fam, vs.r):
+            for sel in itertools.combinations(range(vs.N), 2):
+                cols = [i for i in range(vs.N) if i not in sel]
+                det = determinant([[derivative(f, i) for i in cols]
+                                   for f in subset])
+                assert jacobian_minor_terms(subset, cols) == det.terms, \
+                    (points, subset, sel)
+                checked += 1
+        assert checked == (len(list(itertools.combinations(fam, vs.r)))
+                           * vs.N * (vs.N - 1) // 2)
+
+    def test_non_square_refused(self):
+        with pytest.raises(tn.NotSquare):
+            jacobian_minor_terms(A_ROWS[:1], [1, 2])
+        with pytest.raises(tn.NotSquare):
+            jacobian_minor_terms([], [])
+
+    @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
+    def test_monomial_nf_matches_normal_form(self, make_order):
+        rng = random.Random(31)
+        for points in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C, EXISTS):
+            vs = validate(generator_set(points))
+            ideal = toric_ideal(vs, make_order(vs.N))
+            for _ in range(200):
+                exp = tuple(rng.randint(0, 6) for _ in range(vs.N))
+                want = normal_form(Polynomial.from_monomial(1, exp),
+                                   ideal.gb).single_term().exp
+                assert monomial_nf(exp, ideal.gb.elements) == want, exp
+
+    @pytest.mark.parametrize("points", [CYC6, sup.FIXTURE_B])
+    def test_analyze_without_symbolic_algebra(self, monkeypatch, points):
+        _, ideal = sup.build(points)
+        expected = analyze(ideal)
+        assert expected.fallbacks > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic algebra in the sweep")
+
+        for module, name in ((algebra, "determinant"), (nash, "determinant"),
+                             (nash, "minor_symbolic"),
+                             (ideal_mod, "normal_form"),
+                             (nash, "normal_form")):
+            monkeypatch.setattr(module, name, refuse)
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        assert analyze(ideal) == expected
+
+    # rows f1, f2 of fixture A without columns 0 and 3: the closed form has
+    # a negative exponent, so the minor goes through the integer path, and
+    # its two unreduced terms x2^2 and x1x3 share one normal form
+    def test_fallback_checks_non_monomial(self, fixture_a):
+        _, ideal = fixture_a
+        bare = GroebnerBasis(ideal.order, ())  # nothing reduces
+        with pytest.raises(NonMonomialResidue):
+            minor_monomial_formula(A_ROWS[:2], (0, 3),
+                                   dataclasses.replace(ideal, gb=bare))
+
+    def test_fallback_checks_zero(self, fixture_a, monkeypatch):
+        _, ideal = fixture_a
+        monkeypatch.setattr(nash, "jacobian_minor_terms", lambda *a: {})
+        with pytest.raises(InvariantViolation, match="reduced to zero"):
+            minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
+
+    def test_fallback_checks_coefficient(self, fixture_a, monkeypatch):
+        _, ideal = fixture_a
+        monkeypatch.setattr(nash, "jacobian_minor_terms", lambda *a: {
+            e: 2 * c for e, c in jacobian_minor_terms(*a).items()})
+        with pytest.raises(InvariantViolation, match="coefficient differs"):
+            minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
+
+    def test_nf_memo_filled(self, fixture_a):
+        _, ideal = fixture_a
+        memo = {}
+        mono = minor_monomial_formula(A_ROWS[:2], (0, 3), ideal, None, memo)
+        assert memo and set(memo.values()) == {mono.exp}
+        assert minor_monomial_formula(A_ROWS[:2], (0, 3), ideal) == mono
 
 
 class TestNashIdeal:
