@@ -9,13 +9,16 @@ difference matrix and the monomial has exponent
     (sum of leading exponents over the chosen rows) - (1,...,1) + indicator(K)
 
 where K is the pair of deleted columns.  When that exponent has a negative
-entry the congruence class is still a monomial class, and
-minor_monomial_formula recovers a representative without symbolic algebra:
-a sparse integer Laplace expansion of the minor ({exponent: coefficient},
-entries read from the binomials' exponents) reduced term by term with the
-monomial normal form of the Groebner basis.  minor_symbolic, the symbolic
-determinant reduced to normal form, stays as the reference the tests hold
-it against.
+entry the congruence class is still a monomial class, and a representative
+is recovered without symbolic algebra: a sparse integer Laplace expansion
+of the minor ({exponent: coefficient}, entries read from the binomials'
+exponents) reduced term by term with the monomial normal form of the
+Groebner basis.  subset_minors evaluates all C(N, 2) minors of one subset
+from data built once for it, with Laplace memos keyed by column tuples
+that every column pair shares; its integer minors also decide full rank.
+minor_monomial_formula is the same evaluation for one pair.
+minor_symbolic, the symbolic determinant reduced to normal form, stays as
+the reference the tests hold it against.
 
 Zero loci of the resulting monomial ideals and the singular locus itself
 are unions of torus-orbit closures; an OrbitSet records which of the two
@@ -29,6 +32,7 @@ search_all_subsets, verify_dichotomy and dim1_selector run one sweep each.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
@@ -82,8 +86,12 @@ def _bareiss(m: list) -> tuple:
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant by fraction-free (Bareiss) elimination; NotSquare unless
+    every row has as many entries as there are rows."""
     n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise NotSquare(f"matrix is {n}x{len(row)}")
     if n == 0:
         return 1
     m = [list(row) for row in matrix]
@@ -138,120 +146,177 @@ def _partials(b: Binomial, var: int) -> tuple:
                  for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
 
 
+def _int_minor(rows: list, cols: tuple, memo: dict) -> int:
+    """Determinant of the last len(cols) rows over the columns cols.
+
+    Laplace expansion along the first of those rows; a value depends only on
+    cols, so memo is keyed by the column tuple and shared by every column
+    selection of the same rows.
+    """
+    got = memo.get(cols)
+    if got is not None:
+        return got
+    row = rows[len(rows) - len(cols)]
+    if len(cols) == 1:
+        out = row[cols[0]]
+    else:
+        out = 0
+        for k, j in enumerate(cols):
+            if row[j]:
+                sub = _int_minor(rows, cols[:k] + cols[k + 1:], memo)
+                out += -row[j] * sub if k % 2 else row[j] * sub
+    memo[cols] = out
+    return out
+
+
+def _minor_terms(entries: list, cols: tuple, memo: dict) -> dict:
+    """Unreduced Jacobian minor of the last len(cols) rows over the columns
+    cols, as {exponent: coefficient} without zero coefficients.
+
+    entries[i][j] holds the _partials terms of row i by x_j.  The same
+    Laplace expansion as _int_minor, with memo keyed by the column tuple.
+    """
+    got = memo.get(cols)
+    if got is not None:
+        return got
+    row = entries[len(entries) - len(cols)]
+    if len(cols) == 1:
+        out = dict(row[cols[0]])
+    else:
+        out = {}
+        for k, j in enumerate(cols):
+            if not row[j]:
+                continue
+            sub = _minor_terms(entries, cols[:k] + cols[k + 1:], memo)
+            for e1, c1 in row[j]:
+                if k % 2:
+                    c1 = -c1
+                for e2, c2 in sub.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+    memo[cols] = out
+    return out
+
+
+def _partials_table(family: Sequence[Binomial]) -> list:
+    return [[_partials(b, j) for j in range(b.nvars)] for b in family]
+
+
 def jacobian_minor_terms(family_subset: Sequence[Binomial],
                          cols: Sequence[int]) -> dict:
     """Unreduced Jacobian minor of the rows family_subset over the columns
     cols, as {exponent: coefficient} without zero coefficients.
 
-    Laplace expansion along the rows, entries read from the exponents by
-    _partials.  The minor of the rows below a row depends only on the
-    columns still free, so it is memoised by their tuple: at most 2^r
-    states for r rows.  Equals algebra.determinant of the derivative
-    matrix, term for term.
+    The Laplace expansion subset_minors uses, entries read from the
+    exponents by _partials, with a memo of its own: at most 2^r states for
+    r rows.  Equals algebra.determinant of the derivative matrix, term for
+    term.
     """
     n = len(family_subset)
     if n != len(cols) or n == 0:
         raise NotSquare(f"matrix is {n}x{len(cols)}")
-    entries = [[_partials(b, c) for c in cols] for b in family_subset]
-    memo: dict = {}
+    return _minor_terms(_partials_table(family_subset), tuple(cols), {})
 
-    def minor(free: tuple) -> dict:
-        got = memo.get(free)
-        if got is not None:
-            return got
-        row = entries[n - len(free)]
-        if len(free) == 1:
-            out = dict(row[free[0]])
-        else:
-            out = {}
-            for k, j in enumerate(free):
-                if not row[j]:
-                    continue
-                sub = minor(free[:k] + free[k + 1:])
-                for e1, c1 in row[j]:
-                    if k % 2:
-                        c1 = -c1
-                    for e2, c2 in sub.items():
-                        e = tuple(map(add, e1, e2))
-                        out[e] = out.get(e, 0) + c1 * c2
-            out = {e: c for e, c in out.items() if c}
-        memo[free] = out
-        return out
 
-    return minor(tuple(range(n)))
+def _minors(family_subset: Sequence[Binomial], selections,
+            ideal: ToricIdeal, nf_memo: Optional[dict]) -> tuple:
+    """(minors, fallbacks) for the column pairs selections of one subset.
+
+    The difference rows, the closed-form base exponent and (on the first
+    negative closed form) the table of partials are built once.  Two
+    Laplace memos keyed by column tuples, one over the integer rows giving
+    det(R_K) and one over the partials giving the unreduced minors, let
+    every pair reuse the lower-row minors of the others; they are freed on
+    return.
+    """
+    vs = ideal.semigroup
+    if len(family_subset) != vs.r:
+        raise NotSquare(f"need {vs.r} binomials for {vs.N} variables, "
+                        f"got {len(family_subset)}")
+    rows = [b.difference() for b in family_subset]
+    # the closed form of pair (a, b) is base + e_a + e_b
+    base = [sum(col) - 1 for col in zip(*[b.plus for b in family_subset])]
+    dets: dict = {}
+    terms: dict = {}
+    entries = None
+    if nf_memo is None:
+        nf_memo = {}
+    elements = ideal.gb.elements
+    out = []
+    fallbacks = 0
+    for sel in selections:
+        a, b = sel
+        cols = tuple(c for c in range(vs.N) if c != a and c != b)
+        det_rk = _int_minor(rows, cols, dets)
+        if not det_rk:
+            continue
+        exp = base.copy()
+        exp[a] += 1
+        exp[b] += 1
+        if min(exp) >= 0:
+            out.append((sel, det_rk, Monomial(det_rk, tuple(exp))))
+            continue
+        fallbacks += 1
+        if entries is None:
+            entries = _partials_table(family_subset)
+        reduced: dict = {}
+        for e, c in _minor_terms(entries, cols, terms).items():
+            nf = nf_memo.get(e)
+            if nf is None:
+                nf = nf_memo[e] = monomial_nf(e, elements)
+            reduced[nf] = reduced.get(nf, 0) + c
+        reduced = {e: c for e, c in reduced.items() if c}
+        if len(reduced) > 1:
+            raise NonMonomialResidue(
+                f"minor reduced to {len(reduced)} terms for columns {sel}")
+        if not reduced:
+            raise InvariantViolation(
+                "nonzero coefficient minor reduced to zero")
+        ((nf, coeff),) = reduced.items()
+        if coeff != det_rk:
+            raise InvariantViolation(
+                "reduced minor coefficient differs from the difference-matrix "
+                "determinant")
+        out.append((sel, det_rk, Monomial(coeff, nf)))
+    return out, fallbacks
 
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
                            ideal: ToricIdeal,
-                           stats: Optional[dict] = None,
                            nf_memo: Optional[dict] = None
                            ) -> Optional[Monomial]:
     """Minor as det(R_K) times a monomial; None when the minor vanishes.
 
-    Uses the closed combinatorial form when its exponent is nonnegative.
-    Otherwise it records the event in stats["formula_fallbacks"] and
-    evaluates the minor exactly with integers: jacobian_minor_terms, then
-    each term's monomial normal form, looked up in nf_memo (exponent ->
-    normal-form exponent for this ideal's basis; a local dict when None).
-    The reduced minor must be a single term with coefficient det(R_K):
-    more terms raise NonMonomialResidue, zero or another coefficient
-    InvariantViolation.
+    The evaluation subset_minors makes, for the one pair selection.  Uses
+    the closed combinatorial form when its exponent is nonnegative.
+    Otherwise it evaluates the minor exactly with integers (the Laplace
+    expansion of jacobian_minor_terms), then reduces each term by its
+    monomial normal form, looked up in nf_memo (exponent -> normal-form
+    exponent for this ideal's basis; a local dict when None).  The reduced
+    minor must be a single term with coefficient det(R_K): more terms raise
+    NonMonomialResidue, zero or another coefficient InvariantViolation.
+    NotSquare when family_subset does not have r = N - 2 binomials.
     """
-    vs = ideal.semigroup
-    sel = _normalize_selection(selection, vs.N)
-    cols = [i for i in range(vs.N) if i not in sel]
-    rows = [b.difference() for b in family_subset]
-    det_rk = int_det([[row[c] for c in cols] for row in rows])
-    if det_rk == 0:
-        return None
-    exp = []
-    for i in range(vs.N):
-        e = sum(b.plus[i] for b in family_subset) - 1 + (1 if i in sel else 0)
-        exp.append(e)
-    if min(exp) >= 0:
-        return Monomial(det_rk, tuple(exp))
-    if stats is not None:
-        stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
-    if nf_memo is None:
-        nf_memo = {}
-    elements = ideal.gb.elements
-    reduced: dict = {}
-    for e, c in jacobian_minor_terms(family_subset, cols).items():
-        nf = nf_memo.get(e)
-        if nf is None:
-            nf = nf_memo[e] = monomial_nf(e, elements)
-        reduced[nf] = reduced.get(nf, 0) + c
-    reduced = {e: c for e, c in reduced.items() if c}
-    if len(reduced) > 1:
-        raise NonMonomialResidue(
-            f"minor reduced to {len(reduced)} terms for columns {sel}")
-    if not reduced:
-        raise InvariantViolation(
-            "nonzero coefficient minor reduced to zero")
-    ((nf, coeff),) = reduced.items()
-    if coeff != det_rk:
-        raise InvariantViolation(
-            "reduced minor coefficient differs from the difference-matrix "
-            "determinant")
-    return Monomial(coeff, nf)
+    sel = _normalize_selection(selection, ideal.semigroup.N)
+    minors, _ = _minors(family_subset, (sel,), ideal, nf_memo)
+    return minors[0][2] if minors else None
 
 
 def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
-                  stats: Optional[dict] = None,
-                  nf_memo: Optional[dict] = None) -> list:
-    """All nonvanishing minors of the subset as (selection, det, monomial).
+                  nf_memo: Optional[dict] = None) -> tuple:
+    """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
 
-    The monomial coefficient always equals the deleted-column determinant,
-    on either evaluation path, so it doubles as the det entry.  nf_memo is
-    passed on to minor_monomial_formula.
+    minors lists the nonvanishing minors as (selection, det, monomial) in
+    pair order, the monomial coefficient being det(R_K); fallbacks counts
+    those whose closed form had a negative exponent.  Every pair is
+    evaluated as by minor_monomial_formula, from data built once for the
+    subset (see _minors); the subset has full rank r exactly when minors
+    is not empty.  nf_memo and NotSquare as in minor_monomial_formula.
     """
-    out = []
-    for sel in itertools.combinations(range(ideal.semigroup.N), 2):
-        mono = minor_monomial_formula(family_subset, sel, ideal, stats,
-                                      nf_memo)
-        if mono is not None:
-            out.append((sel, mono.coeff, mono))
-    return out
+    return _minors(family_subset,
+                   itertools.combinations(range(ideal.semigroup.N), 2),
+                   ideal, nf_memo)
 
 
 def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
@@ -264,9 +329,10 @@ def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
     if len(family_subset) != vs.r:
         raise RankDeficient(
             f"need {vs.r} binomials, got {len(family_subset)}")
-    if rank(family_subset) < vs.r:
+    minors, _ = subset_minors(family_subset, ideal)
+    if not minors:
         raise RankDeficient("difference matrix rank below codimension")
-    return [mono for _, _, mono in subset_minors(family_subset, ideal)]
+    return [mono for _, _, mono in minors]
 
 
 def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
@@ -371,14 +437,16 @@ class SingularLocus:
 
 def _jacobian_rank_at(family: Sequence[Binomial], point,
                       nvars: int) -> int:
-    rows = [[derivative(f, i).evaluate(point) for i in range(nvars)]
+    """Rank of the Jacobian of family at the integer point, each entry
+    evaluated from its _partials terms."""
+    rows = [[sum(c * math.prod(map(pow, point, e))
+                 for e, c in _partials(f, i)) for i in range(nvars)]
             for f in family]
     return int_rank(rows)
 
 
 def _sweep(ideal: ToricIdeal, tested: Sequence[Binomial],
-           searched: Sequence[Binomial],
-           stats: Optional[dict] = None) -> tuple:
+           searched: Sequence[Binomial]) -> tuple:
     """(singular locus, reports): the rank test on tested, then one sweep.
 
     An orbit is singular when the Jacobian of tested drops below
@@ -395,7 +463,7 @@ def _sweep(ideal: ToricIdeal, tested: Sequence[Binomial],
         raise TorusSingular("Jacobian rank drops on the dense torus")
     sigma = OrbitSet(drops["O1"], drops["O2"])
     nf_memo: dict = {}
-    reports = [_subset_report(ideal, searched, subset, sigma, stats, nf_memo)
+    reports = [_subset_report(ideal, searched, subset, sigma, nf_memo)
                for subset in itertools.combinations(range(len(searched)),
                                                     vs.r)]
     loci = [rep.zero_locus for rep in reports if rep.rank_ok]
@@ -425,7 +493,8 @@ class NashReport:
 
     minors holds (selection, det, monomial) triples for the nonvanishing
     minors; zero_locus and equals_sigma are None when the subset never
-    reaches full rank.
+    reaches full rank.  fallbacks counts the minors whose closed form had
+    a negative exponent.
     """
 
     subset: tuple
@@ -433,6 +502,7 @@ class NashReport:
     minors: tuple
     zero_locus: Optional[OrbitSet]
     equals_sigma: Optional[bool]
+    fallbacks: int
 
 
 def _family(ideal: ToricIdeal, which: str) -> tuple:
@@ -444,15 +514,15 @@ def _family(ideal: ToricIdeal, which: str) -> tuple:
 
 
 def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
-                   sigma: OrbitSet, stats: Optional[dict],
-                   nf_memo: dict) -> NashReport:
-    vs = ideal.semigroup
-    chosen = [fam[i] for i in subset]
-    if rank(chosen) < vs.r:
-        return NashReport(subset, False, (), None, None)
-    minors = tuple(subset_minors(chosen, ideal, stats, nf_memo))
-    locus = zero_locus([m for _, _, m in minors], vs)
-    return NashReport(subset, True, minors, locus, locus == sigma)
+                   sigma: OrbitSet, nf_memo: dict) -> NashReport:
+    minors, fallbacks = subset_minors([fam[i] for i in subset], ideal,
+                                      nf_memo)
+    if not minors:
+        # no r x r minor survives: the subset is below full rank
+        return NashReport(subset, False, (), None, None, 0)
+    locus = zero_locus([m for _, _, m in minors], ideal.semigroup)
+    return NashReport(subset, True, tuple(minors), locus, locus == sigma,
+                      fallbacks)
 
 
 def search_all_subsets(ideal: ToricIdeal, family: str = "minimal") -> list:
@@ -526,9 +596,9 @@ class TheoremVerdict:
 class Analysis:
     """Everything one sweep yields.
 
-    fallbacks counts the minors whose closed form had a negative exponent;
-    minor_monomial_formula evaluates those by the sparse integer Laplace
-    expansion, reduced term by term to one monomial.
+    fallbacks counts the minors whose closed form had a negative exponent,
+    summed over the reports; subset_minors evaluates those by the sparse
+    integer Laplace expansion, reduced term by term to one monomial.
     """
 
     sigma: SingularLocus
@@ -555,9 +625,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     guarantees there is none.  Complete intersections with point singular
     locus, and smooth-origin inputs, are out of scope and not asserted.
     """
-    stats: dict = {}
-    sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family),
-                          stats)
+    sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family))
     is_hyp, is_ci = classify_ci(ideal)
     sigma = sig.orbits
     if not sig.origin_singular:
@@ -597,7 +665,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
                              witness)
     return Analysis(sig, is_hyp, is_ci, tuple(reports), verdict,
-                    stats.get("formula_fallbacks", 0))
+                    sum(r.fallbacks for r in reports))
 
 
 def verify_dichotomy(ideal: ToricIdeal,

@@ -6,10 +6,20 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import le
+from operator import add, le
+from typing import Optional, Sequence
 
 import toricnash as tn
-from toricnash.algebra import Binomial, Polynomial, exp_lcm, oriented_binomial
+from toricnash.algebra import (
+    Binomial,
+    Monomial,
+    Polynomial,
+    exp_lcm,
+    oriented_binomial,
+)
+from toricnash.errors import InvariantViolation, NonMonomialResidue, NotSquare
+from toricnash.ideal import ToricIdeal, monomial_nf
+from toricnash.nash import _normalize_selection, int_det
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
 FIXTURE_B = [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
@@ -225,6 +235,130 @@ def membership_minimal_generators(gb):
                                       plain_buchberger(others, test_order)):
             kept.remove(b)
     return tuple(kept)
+
+
+# The per-pair minor evaluation: every column pair rebuilds the subset's
+# difference rows, closed form and partials, takes det(R_K) from a fresh
+# Bareiss elimination, and runs a Laplace expansion memoised by positions.
+
+
+def _partials(b: Binomial, var: int) -> tuple:
+    """Terms (exponent, coefficient) of the derivative of b by x_var:
+    plus_var x^(plus - e_var) - minus_var x^(minus - e_var)."""
+    return tuple((exp[:var] + (exp[var] - 1,) + exp[var + 1:], sign * exp[var])
+                 for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
+
+
+def per_pair_minor_terms(family_subset: Sequence[Binomial],
+                         cols: Sequence[int]) -> dict:
+    """Unreduced Jacobian minor of the rows family_subset over the columns
+    cols, as {exponent: coefficient} without zero coefficients.
+
+    Laplace expansion along the rows, entries read from the exponents by
+    _partials.  The minor of the rows below a row depends only on the
+    columns still free, so it is memoised by their tuple: at most 2^r
+    states for r rows.  Equals algebra.determinant of the derivative
+    matrix, term for term.
+    """
+    n = len(family_subset)
+    if n != len(cols) or n == 0:
+        raise NotSquare(f"matrix is {n}x{len(cols)}")
+    entries = [[_partials(b, c) for c in cols] for b in family_subset]
+    memo: dict = {}
+
+    def minor(free: tuple) -> dict:
+        got = memo.get(free)
+        if got is not None:
+            return got
+        row = entries[n - len(free)]
+        if len(free) == 1:
+            out = dict(row[free[0]])
+        else:
+            out = {}
+            for k, j in enumerate(free):
+                if not row[j]:
+                    continue
+                sub = minor(free[:k] + free[k + 1:])
+                for e1, c1 in row[j]:
+                    if k % 2:
+                        c1 = -c1
+                    for e2, c2 in sub.items():
+                        e = tuple(map(add, e1, e2))
+                        out[e] = out.get(e, 0) + c1 * c2
+            out = {e: c for e, c in out.items() if c}
+        memo[free] = out
+        return out
+
+    return minor(tuple(range(n)))
+
+
+def per_pair_minor(family_subset: Sequence[Binomial], selection,
+                   ideal: ToricIdeal,
+                   stats: Optional[dict] = None,
+                   nf_memo: Optional[dict] = None
+                   ) -> Optional[Monomial]:
+    """Minor as det(R_K) times a monomial; None when the minor vanishes.
+
+    Uses the closed combinatorial form when its exponent is nonnegative.
+    Otherwise it records the event in stats["formula_fallbacks"] and
+    evaluates the minor exactly with integers: per_pair_minor_terms, then
+    each term's monomial normal form, looked up in nf_memo (exponent ->
+    normal-form exponent for this ideal's basis; a local dict when None).
+    The reduced minor must be a single term with coefficient det(R_K):
+    more terms raise NonMonomialResidue, zero or another coefficient
+    InvariantViolation.
+    """
+    vs = ideal.semigroup
+    sel = _normalize_selection(selection, vs.N)
+    cols = [i for i in range(vs.N) if i not in sel]
+    rows = [b.difference() for b in family_subset]
+    det_rk = int_det([[row[c] for c in cols] for row in rows])
+    if det_rk == 0:
+        return None
+    exp = []
+    for i in range(vs.N):
+        e = sum(b.plus[i] for b in family_subset) - 1 + (1 if i in sel else 0)
+        exp.append(e)
+    if min(exp) >= 0:
+        return Monomial(det_rk, tuple(exp))
+    if stats is not None:
+        stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
+    if nf_memo is None:
+        nf_memo = {}
+    elements = ideal.gb.elements
+    reduced: dict = {}
+    for e, c in per_pair_minor_terms(family_subset, cols).items():
+        nf = nf_memo.get(e)
+        if nf is None:
+            nf = nf_memo[e] = monomial_nf(e, elements)
+        reduced[nf] = reduced.get(nf, 0) + c
+    reduced = {e: c for e, c in reduced.items() if c}
+    if len(reduced) > 1:
+        raise NonMonomialResidue(
+            f"minor reduced to {len(reduced)} terms for columns {sel}")
+    if not reduced:
+        raise InvariantViolation(
+            "nonzero coefficient minor reduced to zero")
+    ((nf, coeff),) = reduced.items()
+    if coeff != det_rk:
+        raise InvariantViolation(
+            "reduced minor coefficient differs from the difference-matrix "
+            "determinant")
+    return Monomial(coeff, nf)
+
+
+def per_pair_subset_minors(family_subset: Sequence[Binomial],
+                           ideal: ToricIdeal,
+                           nf_memo: Optional[dict] = None) -> tuple:
+    """(minors, fallbacks) in the shape of nash.subset_minors, one
+    per_pair_minor call per column pair."""
+    stats: dict = {}
+    out = []
+    for sel in itertools.combinations(range(ideal.semigroup.N), 2):
+        mono = per_pair_minor(family_subset, sel, ideal, stats, nf_memo)
+        if mono is not None:
+            out.append((sel, mono.coeff, mono))
+    return out, stats.get("formula_fallbacks", 0)
 
 
 def random_binomial_family(rng, nvars, size):

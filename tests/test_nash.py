@@ -17,12 +17,14 @@ from toricnash.algebra import (
 from toricnash.errors import (
     InvariantViolation,
     NonMonomialResidue,
+    NotSquare,
     RankDeficient,
     SigmaDimensionError,
 )
 from toricnash.ideal import GroebnerBasis, monomial_nf, normal_form, toric_ideal
 from toricnash.nash import (
     OrbitSet,
+    _jacobian_rank_at,
     analyze,
     classify_ci,
     dim1_selector,
@@ -53,6 +55,12 @@ class TestIntLinearAlgebra:
         assert int_det([[1, -2], [1, -1]]) == 1
         assert int_det([[2, 0], [0, 3]]) == 6
         assert int_det([[1, 2], [2, 4]]) == 0
+
+    @pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]],
+                                        [[1, 2], [3]], [[1, 2], [3, 4, 5]]])
+    def test_det_not_square(self, matrix):
+        with pytest.raises(NotSquare):
+            int_det(matrix)
 
     def test_det_against_permutation_expansion(self):
         rng = random.Random(9)
@@ -129,10 +137,25 @@ class TestMinors:
         assert reduced == Polynomial.from_monomial(1, (0, 0, 2, 0))
 
     def test_fallback_recorded(self, fixture_a):
+        # rows f1, f2 of fixture A: the closed form (1,-1,0,0) + e_a + e_b
+        # is negative unless column 1 is deleted, and the three pairs
+        # (0,2), (0,3), (2,3) all have a nonzero determinant
         _, ideal = fixture_a
-        stats = {}
-        minor_monomial_formula(A_ROWS[:2], (0, 2), ideal, stats)
-        assert stats.get("formula_fallbacks") == 1
+        minors, fallbacks = subset_minors(A_ROWS[:2], ideal)
+        assert fallbacks == 3
+        negative = [sel for sel, _, _ in minors if 1 not in sel]
+        assert negative == [(0, 2), (0, 3), (2, 3)]
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_subset_size_refused(self, fixture_a, size):
+        # fixture A has r = 2; with f2 alone and columns (1, 2) deleted
+        # the closed form is nonnegative, so no Laplace expansion refuses it
+        _, ideal = fixture_a
+        rows = (A_ROWS[1:2] if size == 1 else A_ROWS[:size])
+        with pytest.raises(NotSquare):
+            minor_monomial_formula(rows, (1, 2), ideal)
+        with pytest.raises(NotSquare):
+            subset_minors(rows, ideal)
 
     def test_oracle_equivalence_fixture_a(self, fixture_a):
         _, ideal = fixture_a
@@ -204,39 +227,120 @@ class TestSparseMinor:
                              (ideal_mod, "normal_form"),
                              (nash, "normal_form")):
             monkeypatch.setattr(module, name, refuse)
-        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__",
+                     "__init__", "evaluate"):
             monkeypatch.setattr(Polynomial, name, refuse)
+        monkeypatch.setattr(nash, "derivative", refuse)
         assert analyze(ideal) == expected
+
+    def test_jacobian_rank_from_exponents(self, population):
+        # the rank at a point from the exponents equals the rank of the
+        # evaluated derivative polynomials: the orbit points of every
+        # population member (both families), and seeded random families
+        # at seeded random integer points
+        def derivative_rank(family, point, nvars):
+            return int_rank([[derivative(f, i).evaluate(point)
+                              for i in range(nvars)] for f in family])
+
+        cases = []
+        for vs, ideal in population:
+            for fam in (ideal.minimal_gens, ideal.gb.elements):
+                cases += [(fam, point, vs.N) for point
+                          in orbit_representatives(vs).values()]
+        rng = random.Random(41)
+        for _ in range(200):
+            nvars = rng.randint(2, 5)
+            fam = sup.random_binomial_family(rng, nvars, rng.randint(1, 4))
+            point = tuple(rng.randint(-2, 2) for _ in range(nvars))
+            cases.append((fam, point, nvars))
+        for fam, point, nvars in cases:
+            assert _jacobian_rank_at(fam, point, nvars) == \
+                derivative_rank(fam, point, nvars), (fam, point)
 
     # rows f1, f2 of fixture A without columns 0 and 3: the closed form has
     # a negative exponent, so the minor goes through the integer path, and
-    # its two unreduced terms x2^2 and x1x3 share one normal form
+    # its two unreduced terms x2^2 and x1x3 share one normal form; each
+    # check must be reached through both entry points
+    @staticmethod
+    def _entry_points(ideal):
+        yield lambda: minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
+        yield lambda: subset_minors(A_ROWS[:2], ideal)
+
     def test_fallback_checks_non_monomial(self, fixture_a):
         _, ideal = fixture_a
         bare = GroebnerBasis(ideal.order, ())  # nothing reduces
-        with pytest.raises(NonMonomialResidue):
-            minor_monomial_formula(A_ROWS[:2], (0, 3),
-                                   dataclasses.replace(ideal, gb=bare))
+        for evaluate in self._entry_points(
+                dataclasses.replace(ideal, gb=bare)):
+            with pytest.raises(NonMonomialResidue):
+                evaluate()
 
     def test_fallback_checks_zero(self, fixture_a, monkeypatch):
         _, ideal = fixture_a
-        monkeypatch.setattr(nash, "jacobian_minor_terms", lambda *a: {})
-        with pytest.raises(InvariantViolation, match="reduced to zero"):
-            minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
+        # no partials: every Laplace expansion is the zero polynomial,
+        # while det(R_K) still comes from the difference rows
+        monkeypatch.setattr(nash, "_partials", lambda b, var: ())
+        for evaluate in self._entry_points(ideal):
+            with pytest.raises(InvariantViolation, match="reduced to zero"):
+                evaluate()
 
     def test_fallback_checks_coefficient(self, fixture_a, monkeypatch):
         _, ideal = fixture_a
-        monkeypatch.setattr(nash, "jacobian_minor_terms", lambda *a: {
-            e: 2 * c for e, c in jacobian_minor_terms(*a).items()})
-        with pytest.raises(InvariantViolation, match="coefficient differs"):
-            minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
+        partials = nash._partials
+        monkeypatch.setattr(nash, "_partials", lambda b, var: tuple(
+            (e, 2 * c) for e, c in partials(b, var)))
+        for evaluate in self._entry_points(ideal):
+            with pytest.raises(InvariantViolation,
+                               match="coefficient differs"):
+                evaluate()
 
     def test_nf_memo_filled(self, fixture_a):
         _, ideal = fixture_a
         memo = {}
-        mono = minor_monomial_formula(A_ROWS[:2], (0, 3), ideal, None, memo)
+        mono = minor_monomial_formula(A_ROWS[:2], (0, 3), ideal,
+                                      nf_memo=memo)
         assert memo and set(memo.values()) == {mono.exp}
         assert minor_monomial_formula(A_ROWS[:2], (0, 3), ideal) == mono
+
+
+# the surfaces of the sweep benchmark, under their term orders
+SWEEP_SURFACES = [(CYC6, lex_order), (CYC6, degrevlex_order),
+                  (EXISTS, lex_order),
+                  ([(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)], degrevlex_order)]
+
+
+class TestSubsetMinors:
+    @staticmethod
+    def _inputs(group, fixture_a, fixture_b, fixture_c, population):
+        if group == "fixtures":
+            return [fixture_a, fixture_b, fixture_c]
+        if group == "sweep":
+            out = []
+            for points, make_order in SWEEP_SURFACES:
+                vs = validate(generator_set(points))
+                out.append((vs, toric_ideal(vs, make_order(vs.N))))
+            return out
+        return population
+
+    @pytest.mark.parametrize("group", ["fixtures", "sweep", "population"])
+    def test_matches_per_pair_oracle(self, group, fixture_a, fixture_b,
+                                     fixture_c, population):
+        # same minors in the same order and the same fallback count as one
+        # per-pair evaluation per column pair, on every r-subset of both
+        # families, with one normal-form memo per sweep as _sweep keeps it
+        subsets = fallbacks = 0
+        for vs, ideal in self._inputs(group, fixture_a, fixture_b,
+                                      fixture_c, population):
+            for fam in (ideal.minimal_gens, ideal.gb.elements):
+                memo, oracle_memo = {}, {}
+                for chosen in itertools.combinations(fam, vs.r):
+                    got = subset_minors(chosen, ideal, memo)
+                    assert got == sup.per_pair_subset_minors(
+                        chosen, ideal, oracle_memo), chosen
+                    assert bool(got[0]) == (rank(chosen) == vs.r)
+                    subsets += 1
+                    fallbacks += got[1]
+                assert memo == oracle_memo
+        assert subsets and fallbacks
 
 
 class TestNashIdeal:
@@ -429,11 +533,12 @@ class TestAnalysis:
 
     def test_fallbacks_counted_once(self, fixture_a):
         _, ideal = fixture_a
-        stats = {}
-        for report in search_all_subsets(ideal):
-            subset_minors([ideal.minimal_gens[i] for i in report.subset],
-                          ideal, stats)
-        assert analyze(ideal).fallbacks == stats["formula_fallbacks"] > 0
+        reports = search_all_subsets(ideal)
+        counted = sum(
+            subset_minors([ideal.minimal_gens[i] for i in r.subset], ideal)[1]
+            for r in reports)
+        assert analyze(ideal).fallbacks == \
+            sum(r.fallbacks for r in reports) == counted > 0
 
 
 class TestClassifyCI:
