@@ -46,7 +46,6 @@ from .errors import (
 )
 from .ideal import (
     GroebnerBasis,
-    LatticeBasis,
     ToricIdeal,
     buchberger,
     ideal_member,

@@ -201,12 +201,6 @@ class Polynomial:
     def items(self) -> Iterator:
         return iter(self.terms.items())
 
-    def leading_term(self, order: TermOrder) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=order.key)
-        return Monomial(self.terms[exp], exp)
-
     def single_term(self) -> Optional[Monomial]:
         """The unique term if there is exactly one, else None."""
         if len(self.terms) != 1:

@@ -54,16 +54,6 @@ from .semigroup import ValidatedSemigroup
 # --- integer kernel --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Integer basis of the relation lattice of the generator matrix."""
-
-    vectors: tuple
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
 def _row_reduce_column(rows: List[List[int]], pivot_row: int, col: int) -> bool:
     """Clear column col below pivot_row with unimodular row operations.
 
@@ -133,8 +123,9 @@ def _lll_reduce(vectors: Sequence[Sequence[int]]) -> list:
     return [tuple(v) for v in b]
 
 
-def lattice_kernel(vs: ValidatedSemigroup) -> LatticeBasis:
-    """Basis of all integer vectors v with sum(v_i * generator_i) == 0.
+def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
+    """Basis, as a tuple of vectors, of all integer vectors v with
+    sum(v_i * generator_i) == 0.
 
     Row-reduces the generator columns of [generators | identity]; rows whose
     generator part vanishes carry the kernel vectors in the identity part.
@@ -169,7 +160,7 @@ def lattice_kernel(vs: ValidatedSemigroup) -> LatticeBasis:
             raise InvariantViolation("kernel vector fails the relation check")
     if len(basis) != s - 2:
         raise InvariantViolation("kernel rank is not s - 2")
-    return LatticeBasis(tuple(basis))
+    return tuple(basis)
 
 
 # --- binomial Groebner engine -----------------------------------------------
@@ -342,46 +333,32 @@ def same_ideal(fam_a: Sequence[Binomial], fam_b: Sequence[Binomial],
 # --- saturation --------------------------------------------------------------
 
 
-def _saturate_elements_once(elements: Sequence[Binomial], var: int, nvars: int,
-                            weights: Optional[Sequence[int]]) -> tuple:
-    """One variable saturation step on a raw binomial list.
-
-    Returns (new elements, True when any power was stripped).  The output
-    is a basis of (ideal : var^infinity) under the step's own order.
-    """
-    ranking = tuple(j for j in range(nvars) if j != var) + (var,)
-    sat_order = TermOrder("degrevlex", ranking,
-                          None if weights is None else tuple(weights))
-    lowered = buchberger(elements, sat_order)
-    stripped = []
-    changed = False
-    for b in lowered.elements:
-        k = min(b.plus[var], b.minus[var])
-        if k:
-            plus = b.plus[:var] + (b.plus[var] - k,) + b.plus[var + 1:]
-            minus = b.minus[:var] + (b.minus[var] - k,) + b.minus[var + 1:]
-            b = Binomial(plus, minus)
-            changed = True
-        stripped.append(b)
-    return stripped, changed
-
-
 def _saturate_elements(elements: Sequence[Binomial], nvars: int,
                        weights: Optional[Sequence[int]]) -> list:
     """Generators of (ideal : (product of all variables)^infinity).
 
-    Sweeps the variables until a full pass strips nothing.  All work stays
-    in the cheap graded reverse-lex orders; callers convert to their target
-    order once at the end.
+    One pass over the variables: the step for var recomputes the basis
+    under a graded reverse-lex order that ranks var last and strips the
+    common power of var from every element, which gives (ideal :
+    var^infinity), and (I : x_i^infinity) : x_j^infinity = I : (x_i
+    x_j)^infinity.  All work stays in the cheap graded reverse-lex orders;
+    callers convert to their target order once at the end.
     """
     current = list(elements)
-    while True:
-        changed = False
-        for var in range(nvars):
-            current, c = _saturate_elements_once(current, var, nvars, weights)
-            changed = changed or c
-        if not changed:
-            return current
+    for var in range(nvars):
+        ranking = tuple(j for j in range(nvars) if j != var) + (var,)
+        sat_order = TermOrder("degrevlex", ranking,
+                              None if weights is None else tuple(weights))
+        stripped = []
+        for b in buchberger(current, sat_order).elements:
+            k = min(b.plus[var], b.minus[var])
+            if k:
+                plus = b.plus[:var] + (b.plus[var] - k,) + b.plus[var + 1:]
+                minus = b.minus[:var] + (b.minus[var] - k,) + b.minus[var + 1:]
+                b = Binomial(plus, minus)
+            stripped.append(b)
+        current = stripped
+    return current
 
 
 # --- minimal generators and the full pipeline --------------------------------
@@ -474,9 +451,8 @@ def toric_ideal(vs: ValidatedSemigroup,
     order = order or lex_order(vs.N)
     if order.nvars != vs.N:
         raise InvariantViolation("term order has the wrong variable count")
-    kernel = lattice_kernel(vs)
     gens = []
-    for v in kernel.vectors:
+    for v in lattice_kernel(vs):
         b = binomial_from_vector(v, order)
         if b is not None:
             gens.append(b)

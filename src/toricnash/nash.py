@@ -3,20 +3,25 @@
 For a toric surface in N variables with defining binomials f_1,...,f_s and
 codimension r = N - 2, every r x r minor of the Jacobian of r chosen
 binomials is, modulo the defining ideal, an integer times a single
-monomial.  The integer is the corresponding minor of the exponent
+monomial.  The integer is the corresponding minor det(R_K) of the exponent
 difference matrix and the monomial has exponent
 
     (sum of leading exponents over the chosen rows) - (1,...,1) + indicator(K)
 
-where K is the pair of deleted columns.  When that exponent has a negative
-entry the congruence class is still a monomial class, and a representative
-is recovered without symbolic algebra: a sparse integer Laplace expansion
-of the minor ({exponent: coefficient}, entries read from the binomials'
-exponents) reduced term by term with the monomial normal form of the
-Groebner basis.  subset_minors evaluates all C(N, 2) minors of one subset
-from data built once for it, with Laplace memos keyed by column tuples
-that every column pair shares; its integer minors also decide full rank.
-minor_monomial_formula is the same evaluation for one pair.
+where K = {a, b} is the pair of deleted columns.  The difference rows are
+relations of the generators g_j, so by Pluecker duality every det(R_K) is
+c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S of the subset: one integer
+determinant per subset gives all of them, and c_S != 0 exactly when the
+subset has full rank.  (The minor ideal is x^(D_S) times the logarithmic
+Jacobian ideal; Gonzalez Perez-Teissier, RACSAM 108, 2014.)  When the
+closed-form exponent has a negative entry the congruence class is still a
+monomial class, and a representative is recovered without symbolic
+algebra: a sparse integer Laplace expansion of the minor ({exponent:
+coefficient}, entries read from the binomials' exponents) reduced term by
+term with the monomial normal form of the Groebner basis; its coefficient
+must be det(R_K).  subset_minors evaluates all C(N, 2) minors of one
+subset from data built once for it (see _minors); minor_monomial_formula
+is the same evaluation for one pair.
 minor_symbolic, the symbolic determinant reduced to normal form, stays as
 the reference the tests hold it against.
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
@@ -50,7 +55,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .ideal import ToricIdeal, monomial_nf, normal_form
-from .semigroup import ValidatedSemigroup
+from .semigroup import ValidatedSemigroup, cross
 
 # --- exact integer linear algebra -------------------------------------------
 
@@ -146,35 +151,14 @@ def _partials(b: Binomial, var: int) -> tuple:
                  for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
 
 
-def _int_minor(rows: list, cols: tuple, memo: dict) -> int:
-    """Determinant of the last len(cols) rows over the columns cols.
-
-    Laplace expansion along the first of those rows; a value depends only on
-    cols, so memo is keyed by the column tuple and shared by every column
-    selection of the same rows.
-    """
-    got = memo.get(cols)
-    if got is not None:
-        return got
-    row = rows[len(rows) - len(cols)]
-    if len(cols) == 1:
-        out = row[cols[0]]
-    else:
-        out = 0
-        for k, j in enumerate(cols):
-            if row[j]:
-                sub = _int_minor(rows, cols[:k] + cols[k + 1:], memo)
-                out += -row[j] * sub if k % 2 else row[j] * sub
-    memo[cols] = out
-    return out
-
-
 def _minor_terms(entries: list, cols: tuple, memo: dict) -> dict:
     """Unreduced Jacobian minor of the last len(cols) rows over the columns
     cols, as {exponent: coefficient} without zero coefficients.
 
-    entries[i][j] holds the _partials terms of row i by x_j.  The same
-    Laplace expansion as _int_minor, with memo keyed by the column tuple.
+    entries[i][j] holds the _partials terms of row i by x_j.  Laplace
+    expansion along the first of those rows; a value depends only on cols,
+    so memo is keyed by the column tuple and shared by every column
+    selection of the same rows.
     """
     got = memo.get(cols)
     if got is not None:
@@ -223,21 +207,39 @@ def _minors(family_subset: Sequence[Binomial], selections,
             ideal: ToricIdeal, nf_memo: Optional[dict]) -> tuple:
     """(minors, fallbacks) for the column pairs selections of one subset.
 
-    The difference rows, the closed-form base exponent and (on the first
-    negative closed form) the table of partials are built once.  Two
-    Laplace memos keyed by column tuples, one over the integer rows giving
-    det(R_K) and one over the partials giving the unreduced minors, let
-    every pair reuse the lower-row minors of the others; they are freed on
-    return.
+    Every difference row must be a relation of the generators g_j (pair to
+    zero with both coordinates).  Then, by Pluecker duality, the minor of
+    the rows without the columns K = {a, b} is
+    det(R_K) = c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S.  c_S comes
+    from the single int_det of the subset, over the columns 1..N-2: the
+    reference pair (0, N - 1) joins an edge-1 and an edge-2 generator, so
+    det(g_0, g_(N-1)) != 0.  c_S == 0 means the subset is below full rank.
+    A row that is not a relation, or a reference minor that
+    det(g_0, g_(N-1)) does not divide, raises InvariantViolation.  The
+    closed-form base exponent is built once, the table of partials on the
+    first negative closed form; a Laplace memo over the partials, keyed by
+    column tuples, lets the fallback pairs share lower-row minors and is
+    freed on return.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
         raise NotSquare(f"need {vs.r} binomials for {vs.N} variables, "
                         f"got {len(family_subset)}")
+    pts = vs.gens.points
     rows = [b.difference() for b in family_subset]
+    for row in rows:
+        if any(sum(map(mul, row, coord)) for coord in zip(*pts)):
+            raise InvariantViolation(
+                "difference row is not a relation of the generators")
+    c_s, rest = divmod(int_det([row[1:-1] for row in rows]),
+                       (-1) ** (vs.N - 1) * cross(pts[0], pts[-1]))
+    if rest:
+        raise InvariantViolation(
+            "reference minor is not a multiple of det(g_0, g_(N-1))")
+    if not c_s:
+        return [], 0
     # the closed form of pair (a, b) is base + e_a + e_b
     base = [sum(col) - 1 for col in zip(*[b.plus for b in family_subset])]
-    dets: dict = {}
     terms: dict = {}
     entries = None
     if nf_memo is None:
@@ -247,10 +249,10 @@ def _minors(family_subset: Sequence[Binomial], selections,
     fallbacks = 0
     for sel in selections:
         a, b = sel
-        cols = tuple(c for c in range(vs.N) if c != a and c != b)
-        det_rk = _int_minor(rows, cols, dets)
+        det_rk = cross(pts[a], pts[b])
         if not det_rk:
             continue
+        det_rk *= -c_s if (a + b) % 2 else c_s
         exp = base.copy()
         exp[a] += 1
         exp[b] += 1
@@ -260,6 +262,7 @@ def _minors(family_subset: Sequence[Binomial], selections,
         fallbacks += 1
         if entries is None:
             entries = _partials_table(family_subset)
+        cols = tuple(c for c in range(vs.N) if c != a and c != b)
         reduced: dict = {}
         for e, c in _minor_terms(entries, cols, terms).items():
             nf = nf_memo.get(e)
@@ -276,8 +279,8 @@ def _minors(family_subset: Sequence[Binomial], selections,
         ((nf, coeff),) = reduced.items()
         if coeff != det_rk:
             raise InvariantViolation(
-                "reduced minor coefficient differs from the difference-matrix "
-                "determinant")
+                "reduced minor coefficient differs from det(R_K) = "
+                "c_S (-1)^(a+b) det(g_a, g_b)")
         out.append((sel, det_rk, Monomial(coeff, nf)))
     return out, fallbacks
 
@@ -288,14 +291,16 @@ def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
                            ) -> Optional[Monomial]:
     """Minor as det(R_K) times a monomial; None when the minor vanishes.
 
-    The evaluation subset_minors makes, for the one pair selection.  Uses
-    the closed combinatorial form when its exponent is nonnegative.
-    Otherwise it evaluates the minor exactly with integers (the Laplace
-    expansion of jacobian_minor_terms), then reduces each term by its
+    The evaluation subset_minors makes, for the one pair selection: det(R_K)
+    from c_S and det(g_a, g_b) (see _minors), then the closed combinatorial
+    form when its exponent is nonnegative.  Otherwise it evaluates the
+    minor exactly with integers (the Laplace expansion of
+    jacobian_minor_terms), then reduces each term by its
     monomial normal form, looked up in nf_memo (exponent -> normal-form
     exponent for this ideal's basis; a local dict when None).  The reduced
     minor must be a single term with coefficient det(R_K): more terms raise
-    NonMonomialResidue, zero or another coefficient InvariantViolation.
+    NonMonomialResidue, zero or another coefficient InvariantViolation, as
+    does a difference row that is not a relation of the generators.
     NotSquare when family_subset does not have r = N - 2 binomials.
     """
     sel = _normalize_selection(selection, ideal.semigroup.N)
@@ -310,9 +315,10 @@ def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
     minors lists the nonvanishing minors as (selection, det, monomial) in
     pair order, the monomial coefficient being det(R_K); fallbacks counts
     those whose closed form had a negative exponent.  Every pair is
-    evaluated as by minor_monomial_formula, from data built once for the
-    subset (see _minors); the subset has full rank r exactly when minors
-    is not empty.  nf_memo and NotSquare as in minor_monomial_formula.
+    evaluated as by minor_monomial_formula, from one int_det of the subset
+    (c_S, see _minors); the subset has full rank r exactly when c_S != 0,
+    and then minors is not empty.  nf_memo, InvariantViolation and
+    NotSquare as in minor_monomial_formula.
     """
     return _minors(family_subset,
                    itertools.combinations(range(ideal.semigroup.N), 2),
@@ -518,7 +524,7 @@ def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
     minors, fallbacks = subset_minors([fam[i] for i in subset], ideal,
                                       nf_memo)
     if not minors:
-        # no r x r minor survives: the subset is below full rank
+        # c_S == 0: the subset is below full rank
         return NashReport(subset, False, (), None, None, 0)
     locus = zero_locus([m for _, _, m in minors], ideal.semigroup)
     return NashReport(subset, True, tuple(minors), locus, locus == sigma,
@@ -598,7 +604,8 @@ class Analysis:
 
     fallbacks counts the minors whose closed form had a negative exponent,
     summed over the reports; subset_minors evaluates those by the sparse
-    integer Laplace expansion, reduced term by term to one monomial.
+    integer Laplace expansion, reduced term by term to one monomial whose
+    coefficient must be the Pluecker value c_S (-1)^(a+b) det(g_a, g_b).
     """
 
     sigma: SingularLocus

@@ -198,27 +198,28 @@ def semigroup_membership(p, gens: GeneratorSet) -> bool:
     A strictly positive dual vector w caps every coefficient at
     w.p // w.gen, so the search tree is finite.
     """
-    p = LatticePoint(*p)
     w = interior_dual_vector(gens)
     pts = gens.points
-    wg = [dot(w, g) for g in pts]
+    return _member(pts, w, [dot(w, g) for g in pts], 0, LatticePoint(*p))
 
-    def rec(k: int, target: LatticePoint) -> bool:
-        if target == (0, 0):
-            return True
-        if k == len(pts):
-            return False
-        wt = dot(w, target)
-        if wt < 0:
-            return False
-        g = pts[k]
-        for lam in range(wt // wg[k], -1, -1):
-            if rec(k + 1, LatticePoint(target.u - lam * g.u,
-                                       target.v - lam * g.v)):
-                return True
+
+def _member(pts: tuple, w: LatticePoint, wg: list, k: int,
+            target: LatticePoint) -> bool:
+    """True when target is a nonnegative integer combination of pts[k:];
+    wg[i] is w . pts[i] for the strictly positive dual vector w."""
+    if target == (0, 0):
+        return True
+    if k == len(pts):
         return False
-
-    return rec(0, p)
+    wt = dot(w, target)
+    if wt < 0:
+        return False
+    g = pts[k]
+    for lam in range(wt // wg[k], -1, -1):
+        if _member(pts, w, wg, k + 1, LatticePoint(target.u - lam * g.u,
+                                                   target.v - lam * g.v)):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,6 @@ class ValidatedSemigroup:
     gens: GeneratorSet
     classification: ConeClassification
     permutation: tuple
-    dual_vector: LatticePoint
     degree_weights: tuple
 
     @property
@@ -268,13 +268,6 @@ class ValidatedSemigroup:
     @property
     def z_indices(self) -> range:
         return range(self.l + self.m, self.N)
-
-    def block_of(self, var: int) -> str:
-        if var < self.l:
-            return "x"
-        if var < self.l + self.m:
-            return "y"
-        return "z"
 
 
 def validate(gens: GeneratorSet) -> ValidatedSemigroup:
@@ -312,4 +305,4 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
         tuple(range(l + m, len(pts))))
     w = interior_dual_vector(canonical)
     weights = tuple(dot(w, p) for p in canonical.points)
-    return ValidatedSemigroup(canonical, ordered, perm, w, weights)
+    return ValidatedSemigroup(canonical, ordered, perm, weights)

@@ -10,6 +10,7 @@ from toricnash.algebra import (
     degrevlex_order,
     lex_order,
 )
+from toricnash import ideal as ideal_mod
 from toricnash.errors import InvariantViolation
 from toricnash.ideal import (
     GroebnerBasis,
@@ -32,7 +33,7 @@ class TestLatticeKernel:
         vs, _ = fixture_a
         basis = lattice_kernel(vs)
         assert len(basis) == 2
-        for v in basis.vectors:
+        for v in basis:
             assert sup.pi(vs, [max(x, 0) for x in v]) == \
                 sup.pi(vs, [max(-x, 0) for x in v])
 
@@ -40,13 +41,13 @@ class TestLatticeKernel:
         vs, _ = fixture_a
         basis = lattice_kernel(vs)
         for v in ((1, -2, 1, 0), (0, 1, -2, 1), (1, -1, -1, 1)):
-            assert sup.in_integer_span(basis.vectors, v)
+            assert sup.in_integer_span(basis, v)
 
     def test_rank_one_case(self):
         vs = validate(generator_set([(1, 0), (1, 2), (1, 1)]))
         basis = lattice_kernel(vs)
         assert len(basis) == 1
-        assert basis.vectors[0] in ((1, -2, 1), (-1, 2, -1))
+        assert basis[0] in ((1, -2, 1), (-1, 2, -1))
 
     def test_spans_brute_force_kernel(self, population):
         # every small integer relation must lie in the span of the basis
@@ -61,7 +62,7 @@ class TestLatticeKernel:
                 if sum(c * p.u for c, p in zip(v, pts)) == 0 and \
                         sum(c * p.v for c, p in zip(v, pts)) == 0:
                     if any(v):
-                        assert sup.in_integer_span(basis.vectors, v)
+                        assert sup.in_integer_span(basis, v)
                         checked += 1
             if checked > 40:
                 break
@@ -70,7 +71,7 @@ class TestLatticeKernel:
     def test_content_one(self, population):
         from math import gcd
         for vs, _ in population:
-            for v in lattice_kernel(vs).vectors:
+            for v in lattice_kernel(vs):
                 g = 0
                 for x in v:
                     g = gcd(g, abs(x))
@@ -173,9 +174,27 @@ class TestSaturation:
         order = lex_order(4)
         from toricnash.algebra import binomial_from_vector
         gens = [binomial_from_vector(v, order)
-                for v in lattice_kernel(vs).vectors]
+                for v in lattice_kernel(vs)]
         gb = _saturated_basis(gens, order, vs.degree_weights)
         assert gb.elements == ideal.gb.elements
+
+    def test_one_pass(self, fixture_b, monkeypatch):
+        # (I : x_i^inf) : x_j^inf = I : (x_i x_j)^inf, so one Buchberger
+        # per variable saturates; a confirming second pass is dead work
+        vs, ideal = fixture_b
+        from toricnash.algebra import binomial_from_vector
+        gens = [binomial_from_vector(v, ideal.order)
+                for v in lattice_kernel(vs)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return buchberger(*args)
+
+        monkeypatch.setattr(ideal_mod, "buchberger", counted)
+        sat = _saturate_elements(gens, vs.N, vs.degree_weights)
+        assert len(calls) == vs.N
+        assert buchberger(sat, ideal.order).elements == ideal.gb.elements
 
 
 class TestToricIdeal:

@@ -7,6 +7,7 @@ import pytest
 import toricnash as tn
 from toricnash import algebra, ideal as ideal_mod, nash
 from toricnash.algebra import (
+    Binomial,
     Monomial,
     Polynomial,
     degrevlex_order,
@@ -156,6 +157,29 @@ class TestMinors:
             minor_monomial_formula(rows, (1, 2), ideal)
         with pytest.raises(NotSquare):
             subset_minors(rows, ideal)
+
+    def test_rows_off_the_lattice_refused(self, fixture_a):
+        # x1 - x2 is no relation of fixture A's generators (1,0), (1,1), so
+        # the Pluecker identity det(R_K) = c_S (-1)^(a+b) det(g_a, g_b)
+        # does not hold for these rows
+        _, ideal = fixture_a
+        rows = [A_ROWS[0], Binomial((1, 0, 0, 0), (0, 1, 0, 0))]
+        with pytest.raises(InvariantViolation, match="not a relation"):
+            subset_minors(rows, ideal)
+        with pytest.raises(InvariantViolation, match="not a relation"):
+            minor_monomial_formula(rows, (2, 3), ideal)
+
+    def test_inexact_reference_minor_refused(self, fixture_a):
+        # doubled generators keep every relation but span an index-4
+        # sublattice: det(g_0, g_3) = 12 no longer divides the reference
+        # minor of rows f1, f2, so c_S would not be an integer
+        vs, ideal = fixture_a
+        doubled = tn.GeneratorSet(tuple(tn.LatticePoint(2 * p.u, 2 * p.v)
+                                        for p in vs.gens.points))
+        bad = dataclasses.replace(
+            ideal, semigroup=dataclasses.replace(vs, gens=doubled))
+        with pytest.raises(InvariantViolation, match="not a multiple"):
+            subset_minors(A_ROWS[:2], bad)
 
     def test_oracle_equivalence_fixture_a(self, fixture_a):
         _, ideal = fixture_a
@@ -341,6 +365,29 @@ class TestSubsetMinors:
                     fallbacks += got[1]
                 assert memo == oracle_memo
         assert subsets and fallbacks
+
+    def test_one_int_det_per_subset(self, fixture_b, monkeypatch):
+        # c_S is the only integer determinant of a subset, and the
+        # partials Laplace expansion starts only at fallback pairs
+        vs, ideal = fixture_b
+        dets, tops = [], []
+        minor_terms = nash._minor_terms
+
+        def counted_det(matrix):
+            dets.append(matrix)
+            return int_det(matrix)
+
+        def counted_terms(entries, cols, memo):
+            if len(cols) == vs.r:
+                tops.append(cols)
+            return minor_terms(entries, cols, memo)
+
+        monkeypatch.setattr(nash, "int_det", counted_det)
+        monkeypatch.setattr(nash, "_minor_terms", counted_terms)
+        subsets = list(itertools.combinations(ideal.gb.elements, vs.r))
+        fallbacks = sum(subset_minors(chosen, ideal)[1] for chosen in subsets)
+        assert len(dets) == len(subsets)
+        assert len(tops) == fallbacks > 0
 
 
 class TestNashIdeal:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -149,6 +150,17 @@ class TestMembership:
                 p = (rng.randint(0, 8), rng.randint(0, 8))
                 assert semigroup_membership(p, gens) == \
                     sup.brute_membership(p, pts)
+
+    def test_no_reference_cycle(self):
+        # a call leaves nothing for the cyclic garbage collector
+        gens = generator_set(sup.FIXTURE_A)
+        gc.collect()
+        gc.disable()
+        try:
+            assert semigroup_membership((3, 5), gens)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_dual_vector_strictly_positive(self):
         for pts in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
