@@ -237,6 +237,55 @@ def membership_minimal_generators(gb):
     return tuple(kept)
 
 
+# The oracle for ideal._lll_reduce: textbook LLL over Fraction, which
+# recomputes the whole orthogonalization after every change of the basis.
+
+
+def fraction_lll(vectors: Sequence[Sequence[int]]) -> list:
+    """Size-reduce an integer lattice basis (textbook LLL, delta = 3/4).
+
+    Plain elimination leaves kernel vectors with needlessly large entries,
+    which makes every basis computation downstream explode; short vectors
+    keep them cheap.  Dimensions here are tiny, so the quadratic
+    re-orthogonalization below costs nothing.
+    """
+    b = [list(v) for v in vectors]
+    n = len(b)
+    if n <= 1:
+        return [tuple(v) for v in b]
+
+    def fdot(u, v):
+        return sum(Fraction(x) * y for x, y in zip(u, v))
+
+    def gso():
+        gs, mu, norms = [], [[Fraction(0)] * n for _ in range(n)], []
+        for i in range(n):
+            w = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = fdot(b[i], gs[j]) / norms[j]
+                w = [x - mu[i][j] * y for x, y in zip(w, gs[j])]
+            gs.append(w)
+            norms.append(fdot(w, w))
+        return gs, mu, norms
+
+    delta = Fraction(3, 4)
+    gs, mu, norms = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                gs, mu, norms = gso()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            gs, mu, norms = gso()
+            k = max(k - 1, 1)
+    return [tuple(v) for v in b]
+
+
 # The per-pair minor evaluation: every column pair rebuilds the subset's
 # difference rows, closed form and partials, takes det(R_K) from a fresh
 # Bareiss elimination, and runs a Laplace expansion memoised by positions.

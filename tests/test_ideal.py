@@ -1,6 +1,7 @@
 import hashlib
 import random
 from math import gcd
+from operator import le
 
 import pytest
 
@@ -14,6 +15,7 @@ from toricnash import ideal as ideal_mod
 from toricnash.errors import InvariantViolation
 from toricnash.ideal import (
     GroebnerBasis,
+    _lll_reduce,
     _saturate_elements,
     buchberger,
     ideal_member,
@@ -76,6 +78,63 @@ class TestLatticeKernel:
                 for x in v:
                     g = gcd(g, abs(x))
                 assert g == 1
+
+
+class TestLLL:
+    # mu is an exact half-odd tie (3/2 or -3/2) in each of these; rounding
+    # -3/2 up instead of to even changes the reduced basis of the second
+    # and fourth
+    TIES = [[(2, 0), (3, 1)], [(2, 0), (-3, 1)], [(4, 0), (-6, 1)],
+            [(2, 0, 0), (0, 1, 0), (-3, 0, 1)]]
+
+    def test_matches_fraction_gram_schmidt(self):
+        rng = random.Random(11)
+        bases = list(self.TIES)
+        while len(bases) < 400:
+            n = rng.randint(1, 5)
+            v = [tuple(rng.randint(-9, 9) for _ in range(rng.randint(n, 6)))
+                 for _ in range(n)]
+            if len(set(map(len, v))) == 1 and sup.fraction_rank(v) == n:
+                bases.append(v)
+        for v in bases:
+            assert _lll_reduce(v) == sup.fraction_lll(v)
+
+    def test_half_even_ties(self):
+        assert _lll_reduce(self.TIES[1]) == [(1, 1), (1, -1)]
+        assert _lll_reduce(self.TIES[2]) == [(2, 1), (0, -2)]
+
+    def test_kernel_inputs(self, population, monkeypatch):
+        inputs = []
+
+        def recorded(vectors):
+            inputs.append([tuple(v) for v in vectors])
+            return _lll_reduce(vectors)
+
+        monkeypatch.setattr(ideal_mod, "_lll_reduce", recorded)
+        surfaces = [vs for vs, _ in population]
+        surfaces += [validate(generator_set(p)) for p in IDEAL_BENCH + [S7]]
+        for vs in surfaces:
+            lattice_kernel(vs)
+        assert len(inputs) == len(surfaces)
+        for v in inputs:
+            assert _lll_reduce(v) == sup.fraction_lll(v)
+
+    def test_dependent_basis_raises(self):
+        with pytest.raises(InvariantViolation):
+            _lll_reduce([(1, 2, 0), (2, 4, 0)])
+
+    def test_kernels_unchanged(self, fixture_a, fixture_b, fixture_c):
+        s7 = validate(generator_set(S7))
+        assert lattice_kernel(fixture_a[0]) == (
+            (1, -2, 1, 0), (1, -1, -1, 1))
+        assert lattice_kernel(fixture_b[0]) == (
+            (1, 0, -1, -1, 2), (2, 0, -2, 3, 0), (3, -2, 0, 0, 0))
+        assert lattice_kernel(fixture_c[0]) == (
+            (1, -2, -2, 2), (1, -2, 3, -1))
+        assert lattice_kernel(s7) == (
+            (0, 1, -1, 1, -3, 0, 2), (0, 1, -1, 1, 1, -1, 0),
+            (1, -2, 1, 0, 0, 0, 0), (1, -1, 0, 1, 0, 1, -1),
+            (2, 1, -2, -2, -1, 0, 1))
 
 
 class TestBuchberger:
@@ -354,6 +413,114 @@ class TestMinimalGenerators:
             repr((ideal.gb.elements, ideal.minimal_gens)).encode()).hexdigest()
         assert digest == ("f9e00da097d6a486e3f5522d88ec6013"
                           "c4239e5a959a08979a1dd7e9a269b7dc")
+
+
+def _step(exp, a, c):
+    return tuple(e - x + y for e, x, y in zip(exp, a, c))
+
+
+def _cut_last(path, start, moves, dropped):
+    return path[:-1]
+
+
+def _non_dividing(path, start, moves, dropped):
+    # an allowed move out and straight back, from a monomial it does not
+    # divide: without the divisibility check the replay would still pass
+    for a, c in moves:
+        if not all(map(le, a, start)):
+            return [(a, c), (c, a)] + path
+    return None
+
+
+def _dropped_earlier(path, start, moves, dropped):
+    # a detour through an element that was dropped before this one
+    exp = start
+    for i, move in enumerate(path):
+        for p, q in dropped:
+            if all(map(le, p, exp)):
+                return path[:i] + [(p, q), (q, p)] + path[i:]
+        exp = _step(exp, *move)
+    return None
+
+
+class TestPruningCertificate:
+    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
+    def test_regeneration_oracle(self, population, order_of):
+        surfaces = [vs for vs, _ in population]
+        surfaces += [validate(generator_set(p)) for p in IDEAL_BENCH + [S7]]
+        for vs in surfaces:
+            ideal = toric_ideal(vs, order_of(vs.N))
+            assert buchberger(ideal.minimal_gens, ideal.order).elements == \
+                ideal.gb.elements
+
+    def test_paths_are_walks(self, fixture_b):
+        # each returned path is a walk from plus to minus by the given moves
+        _, ideal = fixture_b
+        found = 0
+        for b in ideal.gb.elements:
+            moves = [m for h in ideal.gb.elements if h is not b
+                     for m in ((h.plus, h.minus), (h.minus, h.plus))]
+            path = ideal_mod._connected(b.plus, b.minus, moves)
+            if path is None:
+                continue
+            found += 1
+            exp = b.plus
+            for a, c in path:
+                assert (a, c) in moves and all(map(le, a, exp))
+                exp = _step(exp, a, c)
+            assert exp == b.minus
+        assert found
+
+    def test_buchberger_count(self, fixture_a, fixture_b, fixture_c,
+                              monkeypatch):
+        # N saturation steps and the final basis; no regeneration
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return buchberger(*args)
+
+        monkeypatch.setattr(ideal_mod, "buchberger", counted)
+        for vs, ideal in (fixture_a, fixture_b, fixture_c):
+            calls.clear()
+            rebuilt = toric_ideal(vs)
+            assert len(calls) == vs.N + 1
+            assert rebuilt.gb == ideal.gb
+            assert rebuilt.minimal_gens == ideal.minimal_gens
+
+    @pytest.mark.parametrize("mutate",
+                             [_cut_last, _non_dividing, _dropped_earlier])
+    def test_mutated_path_raises(self, mutate, population, fixture_b,
+                                 fixture_c, monkeypatch):
+        # every path _connected returns goes through mutate, which sees the
+        # moves of the elements dropped so far; pruning itself is unchanged
+        real = ideal_mod._connected
+        changed = 0
+        for vs in [fixture_b[0], fixture_c[0]] + \
+                [vs for vs, _ in population]:
+            dropped, mutated = [], []
+
+            def connected(start, goal, moves):
+                path = real(start, goal, moves)
+                if path is None:
+                    return None
+                new = mutate(path, start, moves, dropped)
+                dropped.extend(((start, goal), (goal, start)))
+                if new is None:
+                    return path
+                mutated.append(new)
+                return new
+
+            monkeypatch.setattr(ideal_mod, "_connected", connected)
+            try:
+                toric_ideal(vs)
+            except InvariantViolation as exc:
+                assert mutated
+                assert str(exc) == "pruned generators span a smaller ideal"
+                changed += 1
+            else:
+                assert not mutated
+        assert changed >= 5
 
 
 def _edge_relation(vs, idx, i, j):
