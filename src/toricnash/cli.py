@@ -177,10 +177,10 @@ def report_json(rep: RunReport) -> dict:
         subsets.append({
             "subset": list(r.subset),
             "rank_ok": r.rank_ok,
-            "minors": [{"K": list(sel), "det": det,
+            "minors": [{"K": list(sel), "det": m.coeff,
                         "exp": list(m.exp), "coeff": m.coeff,
                         "str": monomial_str(m.coeff, m.exp, names)}
-                       for sel, det, m in r.minors],
+                       for sel, m in r.minors],
             "zero_locus": _orbit_json(r.zero_locus),
             "equals_sigma": r.equals_sigma,
         })
@@ -206,8 +206,8 @@ def report_json(rep: RunReport) -> dict:
         },
         "sigma": _orbit_json(a.sigma.orbits),
         "origin_singular": a.sigma.origin_singular,
-        "ci": {"is_hypersurface": a.is_hypersurface,
-               "is_complete_intersection": a.is_complete_intersection},
+        "ci": {"is_hypersurface": a.verdict.is_hypersurface,
+               "is_complete_intersection": a.verdict.is_complete_intersection},
         "subsets": subsets,
         "verdict": {
             "predicted": a.verdict.predicted,
@@ -237,9 +237,10 @@ def report_text(rep: RunReport) -> str:
         lines.append(f"  {binomial_str(b, names)}")
     lines.append(f"singular locus: {a.sigma.orbits.describe()}"
                  f" (origin singular: {'yes' if a.sigma.origin_singular else 'no'})")
-    lines.append(f"hypersurface: {'yes' if a.is_hypersurface else 'no'}; "
+    v = a.verdict
+    lines.append(f"hypersurface: {'yes' if v.is_hypersurface else 'no'}; "
                  f"complete intersection: "
-                 f"{'yes' if a.is_complete_intersection else 'no'}")
+                 f"{'yes' if v.is_complete_intersection else 'no'}")
     valid = [r for r in a.reports if r.rank_ok]
     lines.append(f"subsets: {len(a.reports)} of size r={vs.r} "
                  f"({len(valid)} with full rank)")
@@ -248,7 +249,7 @@ def report_text(rep: RunReport) -> str:
             lines.append(f"  {list(r.subset)}: rank deficient, skipped")
             continue
         mons = ", ".join(monomial_str(m.coeff, m.exp, names)
-                         for _, _, m in r.minors)
+                         for _, m in r.minors)
         eq = "yes" if r.equals_sigma else "no"
         lines.append(f"  {list(r.subset)}: V = {r.zero_locus.describe()}; "
                      f"equals sigma: {eq}")
@@ -306,37 +307,39 @@ def _nf_exponents(exps, ideal) -> frozenset:
                             ideal)
 
 
-def _check_fixture(name: str, doc: dict, out) -> list:
-    """Run one bundled example; returns a list of mismatch strings."""
-    problems = []
-    spec = parse_input(json.dumps(
-        {k: doc[k] for k in ("generators", "order", "names") if k in doc}))
+def _check_fixture(name: str, doc, out) -> list:
+    """Run one bundled example through build_report; returns a list of
+    mismatch strings.  InputError when doc or its "expected" entry is not
+    an object."""
+    if not isinstance(doc, dict):
+        raise InputError("example document is not an object")
     exp = doc["expected"]
-    vs = validate(generator_set(spec.generators))
+    if not isinstance(exp, dict):
+        raise InputError('"expected" is not an object')
+    problems = []
+    rep = build_report(parse_input(json.dumps(
+        {k: doc[k] for k in ("generators", "order", "names") if k in doc})))
+    vs, ideal, a = rep.semigroup, rep.ideal, rep.analysis
     if [vs.l, vs.m, vs.n] != exp["blocks"]:
         problems.append(f"blocks {[vs.l, vs.m, vs.n]} != {exp['blocks']}")
-    order = _term_order(spec, vs)
-    ideal = toric_ideal(vs, order)
     expected_binomials = _binomials_from_pairs(exp["ideal"], vs.N)
-    if not same_ideal(ideal.gb.elements, expected_binomials, order):
-        computed = [binomial_str(b, _canonical_names(spec, vs))
-                    for b in ideal.gb.elements]
+    if not same_ideal(ideal.gb.elements, expected_binomials, ideal.order):
+        computed = [binomial_str(b, rep.names) for b in ideal.gb.elements]
         problems.append(f"ideal mismatch; computed basis {computed}")
     if "s_min" in exp and ideal.s_min != exp["s_min"]:
         problems.append(f"s_min {ideal.s_min} != {exp['s_min']}")
-    a = analyze(ideal)
     sig = a.sigma
     if _orbit_json(sig.orbits) != exp["sigma"]:
         problems.append(f"sigma {_orbit_json(sig.orbits)} != {exp['sigma']}")
     if sig.origin_singular != exp.get("origin_singular", True):
         problems.append("origin singularity flag mismatch")
-    is_hyp, is_ci = a.is_hypersurface, a.is_complete_intersection
+    verdict = a.verdict
+    is_hyp, is_ci = verdict.is_hypersurface, verdict.is_complete_intersection
     if "hypersurface" in exp and is_hyp != exp["hypersurface"]:
         problems.append(f"hypersurface flag {is_hyp}")
     if "complete_intersection" in exp and \
             is_ci != exp["complete_intersection"]:
         problems.append(f"complete intersection flag {is_ci}")
-    verdict = a.verdict
     if [verdict.predicted, verdict.observed] != \
             [exp["verdict"]["predicted"], exp["verdict"]["observed"]]:
         problems.append(f"verdict {verdict.predicted}/{verdict.observed} != "

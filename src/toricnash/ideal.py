@@ -33,7 +33,6 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
 from operator import le, mul
 from typing import Iterable, List, Optional, Sequence
 
@@ -140,6 +139,8 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
 
     Row-reduces the generator columns of [generators | identity]; rows whose
     generator part vanishes carry the kernel vectors in the identity part.
+    The row operations are unimodular, so these rows are a basis of the
+    saturated lattice and each vector is primitive.
     The result is LLL-reduced so the binomials it seeds stay small.
     """
     pts = vs.gens.points
@@ -153,10 +154,6 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
     basis = []
     for row in _lll_reduce([row[2:] for row in rows[pivot:]]):
         v = list(row)
-        g = 0
-        for x in v:
-            g = gcd(g, abs(x))
-        v = [x // g for x in v]
         for x in v:
             if x != 0:
                 if x < 0:

@@ -20,8 +20,9 @@ algebra: a sparse integer Laplace expansion of the minor ({exponent:
 coefficient}, entries read from the binomials' exponents) reduced term by
 term with the monomial normal form of the Groebner basis; its coefficient
 must be det(R_K).  subset_minors evaluates all C(N, 2) minors of one
-subset from data built once for it (see _minors); minor_monomial_formula
-is the same evaluation for one pair.
+subset from data built once for it, each as (selection, monomial) with the
+monomial coefficient det(R_K); minor_monomial_formula reads one pair from
+it.
 minor_symbolic, the symbolic determinant reduced to normal form, stays as
 the reference the tests hold it against.
 
@@ -203,9 +204,13 @@ def jacobian_minor_terms(family_subset: Sequence[Binomial],
     return _minor_terms(_partials_table(family_subset), tuple(cols), {})
 
 
-def _minors(family_subset: Sequence[Binomial], selections,
-            ideal: ToricIdeal, nf_memo: Optional[dict]) -> tuple:
-    """(minors, fallbacks) for the column pairs selections of one subset.
+def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
+                  nf_memo: Optional[dict] = None) -> tuple:
+    """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
+
+    minors lists the nonvanishing minors as (selection, monomial) in pair
+    order, the monomial coefficient being det(R_K); fallbacks counts those
+    whose closed form had a negative exponent.
 
     Every difference row must be a relation of the generators g_j (pair to
     zero with both coordinates).  Then, by Pluecker duality, the minor of
@@ -213,13 +218,20 @@ def _minors(family_subset: Sequence[Binomial], selections,
     det(R_K) = c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S.  c_S comes
     from the single int_det of the subset, over the columns 1..N-2: the
     reference pair (0, N - 1) joins an edge-1 and an edge-2 generator, so
-    det(g_0, g_(N-1)) != 0.  c_S == 0 means the subset is below full rank.
-    A row that is not a relation, or a reference minor that
-    det(g_0, g_(N-1)) does not divide, raises InvariantViolation.  The
-    closed-form base exponent is built once, the table of partials on the
-    first negative closed form; a Laplace memo over the partials, keyed by
-    column tuples, lets the fallback pairs share lower-row minors and is
-    freed on return.
+    det(g_0, g_(N-1)) != 0.  The subset has full rank r exactly when
+    c_S != 0, and then minors is not empty.  A row that is not a relation,
+    or a reference minor that det(g_0, g_(N-1)) does not divide, raises
+    InvariantViolation; NotSquare when family_subset does not have r
+    binomials.
+
+    A pair whose closed-form exponent is negative is evaluated exactly with
+    integers (the Laplace expansion of jacobian_minor_terms), each term
+    reduced by its monomial normal form, looked up in nf_memo (exponent ->
+    normal-form exponent for this ideal's basis; a local dict when None).
+    The result must be one term with coefficient det(R_K): more terms raise
+    NonMonomialResidue, zero or another coefficient InvariantViolation.
+    The table of partials is built on the first such pair; a Laplace memo
+    keyed by column tuples lets those pairs share lower-row minors.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
@@ -247,7 +259,7 @@ def _minors(family_subset: Sequence[Binomial], selections,
     elements = ideal.gb.elements
     out = []
     fallbacks = 0
-    for sel in selections:
+    for sel in itertools.combinations(range(vs.N), 2):
         a, b = sel
         det_rk = cross(pts[a], pts[b])
         if not det_rk:
@@ -257,7 +269,7 @@ def _minors(family_subset: Sequence[Binomial], selections,
         exp[a] += 1
         exp[b] += 1
         if min(exp) >= 0:
-            out.append((sel, det_rk, Monomial(det_rk, tuple(exp))))
+            out.append((sel, Monomial(det_rk, tuple(exp))))
             continue
         fallbacks += 1
         if entries is None:
@@ -281,48 +293,20 @@ def _minors(family_subset: Sequence[Binomial], selections,
             raise InvariantViolation(
                 "reduced minor coefficient differs from det(R_K) = "
                 "c_S (-1)^(a+b) det(g_a, g_b)")
-        out.append((sel, det_rk, Monomial(coeff, nf)))
+        out.append((sel, Monomial(coeff, nf)))
     return out, fallbacks
 
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
-                           ideal: ToricIdeal,
-                           nf_memo: Optional[dict] = None
-                           ) -> Optional[Monomial]:
+                           ideal: ToricIdeal) -> Optional[Monomial]:
     """Minor as det(R_K) times a monomial; None when the minor vanishes.
 
-    The evaluation subset_minors makes, for the one pair selection: det(R_K)
-    from c_S and det(g_a, g_b) (see _minors), then the closed combinatorial
-    form when its exponent is nonnegative.  Otherwise it evaluates the
-    minor exactly with integers (the Laplace expansion of
-    jacobian_minor_terms), then reduces each term by its
-    monomial normal form, looked up in nf_memo (exponent -> normal-form
-    exponent for this ideal's basis; a local dict when None).  The reduced
-    minor must be a single term with coefficient det(R_K): more terms raise
-    NonMonomialResidue, zero or another coefficient InvariantViolation, as
-    does a difference row that is not a relation of the generators.
-    NotSquare when family_subset does not have r = N - 2 binomials.
+    The monomial subset_minors gives the pair selection, with its checks
+    and errors; ValueError when selection is not a pair of distinct
+    columns.
     """
     sel = _normalize_selection(selection, ideal.semigroup.N)
-    minors, _ = _minors(family_subset, (sel,), ideal, nf_memo)
-    return minors[0][2] if minors else None
-
-
-def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
-                  nf_memo: Optional[dict] = None) -> tuple:
-    """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
-
-    minors lists the nonvanishing minors as (selection, det, monomial) in
-    pair order, the monomial coefficient being det(R_K); fallbacks counts
-    those whose closed form had a negative exponent.  Every pair is
-    evaluated as by minor_monomial_formula, from one int_det of the subset
-    (c_S, see _minors); the subset has full rank r exactly when c_S != 0,
-    and then minors is not empty.  nf_memo, InvariantViolation and
-    NotSquare as in minor_monomial_formula.
-    """
-    return _minors(family_subset,
-                   itertools.combinations(range(ideal.semigroup.N), 2),
-                   ideal, nf_memo)
+    return dict(subset_minors(family_subset, ideal)[0]).get(sel)
 
 
 def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
@@ -338,7 +322,7 @@ def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
     minors, _ = subset_minors(family_subset, ideal)
     if not minors:
         raise RankDeficient("difference matrix rank below codimension")
-    return [mono for _, _, mono in minors]
+    return [mono for _, mono in minors]
 
 
 def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
@@ -497,10 +481,10 @@ def singular_locus(ideal: ToricIdeal,
 class NashReport:
     """Outcome for one r-subset of the generating family.
 
-    minors holds (selection, det, monomial) triples for the nonvanishing
-    minors; zero_locus and equals_sigma are None when the subset never
-    reaches full rank.  fallbacks counts the minors whose closed form had
-    a negative exponent.
+    minors holds (selection, monomial) pairs for the nonvanishing minors,
+    as subset_minors gives them; zero_locus and equals_sigma are None when
+    the subset never reaches full rank.  fallbacks counts the minors whose
+    closed form had a negative exponent.
     """
 
     subset: tuple
@@ -526,7 +510,7 @@ def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
     if not minors:
         # c_S == 0: the subset is below full rank
         return NashReport(subset, False, (), None, None, 0)
-    locus = zero_locus([m for _, _, m in minors], ideal.semigroup)
+    locus = zero_locus([m for _, m in minors], ideal.semigroup)
     return NashReport(subset, True, tuple(minors), locus, locus == sigma,
                       fallbacks)
 
@@ -554,7 +538,7 @@ def _witness(reports: Sequence[NashReport], sigma: OrbitSet,
     block = set(vs.x_indices if sigma.has_O1 else vs.z_indices)
     for report in reports:
         supports = ({i for i, e in enumerate(m.exp) if e}
-                    for _, _, m in report.minors)
+                    for _, m in report.minors)
         if report.rank_ok and (both or any(s and s <= block for s in supports)):
             if not report.equals_sigma:
                 raise TheoremViolation(
@@ -606,11 +590,10 @@ class Analysis:
     summed over the reports; subset_minors evaluates those by the sparse
     integer Laplace expansion, reduced term by term to one monomial whose
     coefficient must be the Pluecker value c_S (-1)^(a+b) det(g_a, g_b).
+    The hypersurface and complete-intersection flags are the verdict's.
     """
 
     sigma: SingularLocus
-    is_hypersurface: bool
-    is_complete_intersection: bool
     reports: tuple
     verdict: TheoremVerdict
     fallbacks: int
@@ -671,7 +654,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
                 f"{[tuple(p) for p in ideal.semigroup.gens.points]}")
     verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
                              witness)
-    return Analysis(sig, is_hyp, is_ci, tuple(reports), verdict,
+    return Analysis(sig, tuple(reports), verdict,
                     sum(r.fallbacks for r in reports))
 
 

@@ -206,7 +206,8 @@ def semigroup_membership(p, gens: GeneratorSet) -> bool:
 def _member(pts: tuple, w: LatticePoint, wg: list, k: int,
             target: LatticePoint) -> bool:
     """True when target is a nonnegative integer combination of pts[k:];
-    wg[i] is w . pts[i] for the strictly positive dual vector w."""
+    wg[i] is w . pts[i] for the strictly positive dual vector w.  With one
+    generator g left, target must be lam g for lam = w.target / w.g."""
     if target == (0, 0):
         return True
     if k == len(pts):
@@ -215,6 +216,9 @@ def _member(pts: tuple, w: LatticePoint, wg: list, k: int,
     if wt < 0:
         return False
     g = pts[k]
+    if k == len(pts) - 1:
+        lam, rest = divmod(wt, wg[k])
+        return not rest and target == (lam * g.u, lam * g.v)
     for lam in range(wt // wg[k], -1, -1):
         if _member(pts, w, wg, k + 1, LatticePoint(target.u - lam * g.u,
                                                    target.v - lam * g.v)):
@@ -226,14 +230,18 @@ def _member(pts: tuple, w: LatticePoint, wg: list, k: int,
 class ValidatedSemigroup:
     """A validated generator set in canonical block order.
 
-    permutation maps canonical positions to input positions:
+    l, m and n count the edge-1, interior and edge-2 generators, which
+    occupy the canonical positions in that order.  permutation maps
+    canonical positions to input positions:
     gens.points[i] == original.points[permutation[i]].
     degree_weights are the pairings w . generator for the interior dual
     vector w; every binomial relation is homogeneous for them.
     """
 
     gens: GeneratorSet
-    classification: ConeClassification
+    l: int
+    m: int
+    n: int
     permutation: tuple
     degree_weights: tuple
 
@@ -244,18 +252,6 @@ class ValidatedSemigroup:
     @property
     def r(self) -> int:
         return self.N - 2
-
-    @property
-    def l(self) -> int:
-        return self.classification.l
-
-    @property
-    def m(self) -> int:
-        return self.classification.m
-
-    @property
-    def n(self) -> int:
-        return self.classification.n
 
     @property
     def x_indices(self) -> range:
@@ -275,7 +271,9 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
 
     Raising order: cone shape first (so a single generator reports
     ConeNotTwoDimensional, not a count problem), then lattice fullness,
-    generator count, and minimality.
+    generator count, and minimality.  The cone's extreme rays are unique,
+    so one interior dual vector w of gens bounds every minimality search
+    and gives the degree weights.
     """
     cls = classify_generators(gens)
     if cls.l == 0 or cls.n == 0:
@@ -286,9 +284,10 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
         raise TooFewGenerators(
             f"need at least 3 generators, got {len(gens)}")
     pts = gens.points
+    w = interior_dual_vector(gens)
+    wg = [dot(w, p) for p in pts]
     for i, p in enumerate(pts):
-        rest = GeneratorSet(tuple(q for j, q in enumerate(pts) if j != i))
-        if semigroup_membership(p, rest):
+        if _member(pts[:i] + pts[i + 1:], w, wg[:i] + wg[i + 1:], 0, p):
             raise NotMinimal(i, p)
 
     def edge_key(i):
@@ -298,11 +297,5 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
             + tuple(sorted(cls.interior_indices, key=lambda i: pts[i]))
             + tuple(sorted(cls.edge2_indices, key=edge_key)))
     canonical = GeneratorSet(tuple(pts[i] for i in perm))
-    l, m = cls.l, cls.m
-    ordered = ConeClassification(
-        cls.ray1, cls.ray2,
-        tuple(range(l)), tuple(range(l, l + m)),
-        tuple(range(l + m, len(pts))))
-    w = interior_dual_vector(canonical)
-    weights = tuple(dot(w, p) for p in canonical.points)
-    return ValidatedSemigroup(canonical, ordered, perm, weights)
+    return ValidatedSemigroup(canonical, cls.l, cls.m, cls.n, perm,
+                              tuple(wg[i] for i in perm))

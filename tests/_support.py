@@ -406,7 +406,7 @@ def per_pair_subset_minors(family_subset: Sequence[Binomial],
     for sel in itertools.combinations(range(ideal.semigroup.N), 2):
         mono = per_pair_minor(family_subset, sel, ideal, stats, nf_memo)
         if mono is not None:
-            out.append((sel, mono.coeff, mono))
+            out.append((sel, mono))
     return out, stats.get("formula_fallbacks", 0)
 
 

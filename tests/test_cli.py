@@ -227,6 +227,19 @@ class TestExamplesCommand:
             EXIT_VIOLATION
         assert "broken.json: FAIL (InvalidExponent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("part", ["document", "expected"])
+    def test_malformed_document_fails(self, tmp_path, capsys, part):
+        # valid JSON that is not an object, at the top or under "expected"
+        doc = _bundled("a_origin_only.json")
+        if part == "document":
+            doc = 5
+        else:
+            doc["expected"] = []
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION
+        assert "broken.json: FAIL (InputError" in capsys.readouterr().out
+
     def test_dim1_witness_on_point_locus_fails(self, tmp_path, capsys):
         doc = _bundled("a_origin_only.json")
         doc["expected"]["dim1_witness"] = True

@@ -144,7 +144,7 @@ class TestMinors:
         _, ideal = fixture_a
         minors, fallbacks = subset_minors(A_ROWS[:2], ideal)
         assert fallbacks == 3
-        negative = [sel for sel, _, _ in minors if 1 not in sel]
+        negative = [sel for sel, _ in minors if 1 not in sel]
         assert negative == [(0, 2), (0, 3), (2, 3)]
 
     @pytest.mark.parametrize("size", [1, 3])
@@ -318,12 +318,16 @@ class TestSparseMinor:
                 evaluate()
 
     def test_nf_memo_filled(self, fixture_a):
+        # the memo holds the normal forms of the fallback pairs' terms,
+        # and reusing it, or leaving it out, gives the same minors
         _, ideal = fixture_a
         memo = {}
-        mono = minor_monomial_formula(A_ROWS[:2], (0, 3), ideal,
-                                      nf_memo=memo)
-        assert memo and set(memo.values()) == {mono.exp}
-        assert minor_monomial_formula(A_ROWS[:2], (0, 3), ideal) == mono
+        minors, fallbacks = subset_minors(A_ROWS[:2], ideal, memo)
+        fallback_exps = {m.exp for sel, m in minors if 1 not in sel}
+        assert fallbacks == len(fallback_exps) == 3
+        assert memo and set(memo.values()) == fallback_exps
+        assert subset_minors(A_ROWS[:2], ideal, memo) == \
+            subset_minors(A_ROWS[:2], ideal) == (minors, fallbacks)
 
 
 # the surfaces of the sweep benchmark, under their term orders
@@ -559,7 +563,7 @@ class TestDim1Selector:
         z = set(vs.z_indices)
         assert any(
             set(i for i, e in enumerate(m.exp) if e) <= z
-            for _, _, m in report.minors)
+            for _, m in report.minors)
 
 
 class TestAnalysis:
@@ -570,7 +574,8 @@ class TestAnalysis:
                 assert a.sigma == singular_locus(ideal)
                 assert list(a.reports) == search_all_subsets(ideal, family)
                 assert a.verdict == verify_dichotomy(ideal, family)
-                assert (a.is_hypersurface, a.is_complete_intersection) == \
+                assert (a.verdict.is_hypersurface,
+                        a.verdict.is_complete_intersection) == \
                     classify_ci(ideal)
 
     def test_witness_is_dim1_selector(self, fixture_b, fixture_c):

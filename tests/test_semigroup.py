@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from toricnash import semigroup
 from toricnash.errors import (
     ConeNotStrictlyConvex,
     ConeNotTwoDimensional,
@@ -231,6 +232,44 @@ class TestValidate:
     def test_degree_weights_positive(self, population):
         for vs, _ in population:
             assert all(w >= 1 for w in vs.degree_weights)
+
+    def test_one_dual_vector(self, population, monkeypatch):
+        # one w of the input order bounds every minimality search and gives
+        # the weights interior_dual_vector yields for the canonical order
+        inner = semigroup.interior_dual_vector
+        calls = []
+
+        def counted(gens):
+            calls.append(gens)
+            return inner(gens)
+
+        monkeypatch.setattr(semigroup, "interior_dual_vector", counted)
+        for vs, _ in population:
+            shuffled = generator_set(vs.gens.points[::-1])
+            calls.clear()
+            again = validate(shuffled)
+            assert calls == [shuffled]
+            w = inner(vs.gens)
+            assert again.degree_weights == vs.degree_weights == \
+                tuple(w.u * p.u + w.v * p.v for p in vs.gens.points)
+
+    def test_minimality_search_linear_on_one_edge(self, monkeypatch):
+        # (b, b) = b (1, 0) + b (0, 1): for each coefficient of (1, 0) the
+        # last generator decides by exact division, so the search makes
+        # about b calls instead of b^2 / 2
+        b = 300
+        inner = semigroup._member
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(semigroup, "_member", counted)
+        with pytest.raises(NotMinimal) as exc:
+            validate(generator_set([(1, 0), (0, 1), (b, b)]))
+        assert exc.value.point == (b, b)
+        assert len(calls) <= 2 * b
 
     def test_empty_interior_block_accepted(self):
         vs = validate(generator_set([(2, 0), (3, 0), (0, 1)]))
