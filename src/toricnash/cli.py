@@ -128,7 +128,6 @@ class RunReport:
     """Everything one analysis produced; both output formats render this."""
 
     spec: InputSpec
-    semigroup: ValidatedSemigroup
     names: list
     ideal: ToricIdeal
     analysis: Analysis
@@ -156,7 +155,7 @@ def build_report(spec: InputSpec) -> RunReport:
     if a.fallbacks:
         warnings.append(f"minor formula fell back to the symbolic "
                         f"determinant {a.fallbacks} times")
-    return RunReport(spec, vs, _canonical_names(spec, vs), ideal, a, warnings)
+    return RunReport(spec, _canonical_names(spec, vs), ideal, a, warnings)
 
 
 def _orbit_json(o: Optional[OrbitSet]):
@@ -171,7 +170,7 @@ def _binomial_json(b: Binomial, names) -> dict:
 
 
 def report_json(rep: RunReport) -> dict:
-    vs, names, a = rep.semigroup, rep.names, rep.analysis
+    vs, names, a = rep.ideal.semigroup, rep.names, rep.analysis
     subsets = []
     for r in a.reports:
         subsets.append({
@@ -220,7 +219,7 @@ def report_json(rep: RunReport) -> dict:
 
 
 def report_text(rep: RunReport) -> str:
-    vs, names, a = rep.semigroup, rep.names, rep.analysis
+    vs, names, a = rep.ideal.semigroup, rep.names, rep.analysis
     lines = []
     blocks = " | ".join(
         " ".join(str(tuple(vs.gens.points[i])) for i in idx) or "-"
@@ -307,19 +306,23 @@ def _nf_exponents(exps, ideal) -> frozenset:
                             ideal)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} is not an object")
+    return value
+
+
 def _check_fixture(name: str, doc, out) -> list:
     """Run one bundled example through build_report; returns a list of
-    mismatch strings.  InputError when doc or its "expected" entry is not
-    an object."""
-    if not isinstance(doc, dict):
-        raise InputError("example document is not an object")
-    exp = doc["expected"]
-    if not isinstance(exp, dict):
-        raise InputError('"expected" is not an object')
+    mismatch strings.  InputError when doc, its "expected" or "verdict"
+    entry or a minor fixture is not an object, or "minor_fixtures" is not a
+    list."""
+    exp = _object(_object(doc, "example document")["expected"], '"expected"')
     problems = []
     rep = build_report(parse_input(json.dumps(
         {k: doc[k] for k in ("generators", "order", "names") if k in doc})))
-    vs, ideal, a = rep.semigroup, rep.ideal, rep.analysis
+    ideal, a = rep.ideal, rep.analysis
+    vs = ideal.semigroup
     if [vs.l, vs.m, vs.n] != exp["blocks"]:
         problems.append(f"blocks {[vs.l, vs.m, vs.n]} != {exp['blocks']}")
     expected_binomials = _binomials_from_pairs(exp["ideal"], vs.N)
@@ -340,11 +343,16 @@ def _check_fixture(name: str, doc, out) -> list:
     if "complete_intersection" in exp and \
             is_ci != exp["complete_intersection"]:
         problems.append(f"complete intersection flag {is_ci}")
+    exp_verdict = _object(exp["verdict"], '"verdict"')
     if [verdict.predicted, verdict.observed] != \
-            [exp["verdict"]["predicted"], exp["verdict"]["observed"]]:
+            [exp_verdict["predicted"], exp_verdict["observed"]]:
         problems.append(f"verdict {verdict.predicted}/{verdict.observed} != "
                         f"{exp['verdict']}")
-    for i, mf in enumerate(exp.get("minor_fixtures", [])):
+    minor_fixtures = exp.get("minor_fixtures", [])
+    if not isinstance(minor_fixtures, list):
+        raise InputError('"minor_fixtures" is not a list')
+    for i, mf in enumerate(minor_fixtures):
+        mf = _object(mf, f"minor fixture {i}")
         rows = _binomials_from_pairs(mf["rows"], vs.N)
         got = nash_ideal_classes(rows, ideal)
         want = _nf_exponents(mf["monomials"], ideal)
@@ -362,8 +370,7 @@ def _check_fixture(name: str, doc, out) -> list:
         if locus != sig.orbits:
             problems.append("witness rows do not cut out sigma")
     if exp.get("dim1_witness"):
-        report = a.dim1_witness(vs)
-        if not report.equals_sigma:
+        if not a.dim1_witness().equals_sigma:
             problems.append("constructed witness does not match sigma")
     status = "pass" if not problems else "FAIL"
     print(f"{name}: {status}", file=out)

@@ -31,9 +31,10 @@ are unions of torus-orbit closures; an OrbitSet records which of the two
 one-dimensional closures are present (the origin always is, the dense
 torus never).
 
-One Analysis is one subset sweep: analyze reads the singular locus, every
-subset's minors, the verdict and its witness from it, and singular_locus,
-search_all_subsets, verify_dichotomy and dim1_selector run one sweep each.
+analyze is the only code that sweeps: one Analysis holds the singular
+locus, every subset's minors, the verdict and the witness, found once.
+singular_locus, search_all_subsets, dim1_selector and verify_dichotomy each
+read one field of an analyze call and raise what it raises.
 """
 from __future__ import annotations
 
@@ -435,45 +436,6 @@ def _jacobian_rank_at(family: Sequence[Binomial], point,
     return int_rank(rows)
 
 
-def _sweep(ideal: ToricIdeal, tested: Sequence[Binomial],
-           searched: Sequence[Binomial]) -> tuple:
-    """(singular locus, reports): the rank test on tested, then one sweep.
-
-    An orbit is singular when the Jacobian of tested drops below
-    codimension at its representative.  The sweep reports every r-subset of
-    searched, in subset-index order, sharing one memo of monomial normal
-    forms.  By the Jacobian criterion all their minors together must vanish
-    on the same orbits, for any generating family; disagreement is an
-    internal error.
-    """
-    vs = ideal.semigroup
-    drops = {name: _jacobian_rank_at(tested, point, vs.N) < vs.r
-             for name, point in orbit_representatives(vs).items()}
-    if drops["torus"]:
-        raise TorusSingular("Jacobian rank drops on the dense torus")
-    sigma = OrbitSet(drops["O1"], drops["O2"])
-    nf_memo: dict = {}
-    reports = [_subset_report(ideal, searched, subset, sigma, nf_memo)
-               for subset in itertools.combinations(range(len(searched)),
-                                                    vs.r)]
-    loci = [rep.zero_locus for rep in reports if rep.rank_ok]
-    if not loci:
-        raise TorusSingular("no subset of the family reaches full rank")
-    if OrbitSet(all(z.has_O1 for z in loci),
-                all(z.has_O2 for z in loci)) != sigma:
-        raise InvariantViolation(
-            "rank test and minor ideal disagree about the singular locus")
-    return SingularLocus(sigma, drops["origin"]), reports
-
-
-def singular_locus(ideal: ToricIdeal,
-                   family: Optional[Sequence[Binomial]] = None) -> SingularLocus:
-    """Per-orbit Jacobian rank test of the family (the minimal generators by
-    default), cross-checked against the zero locus of its minors."""
-    fam = tuple(family) if family is not None else ideal.minimal_gens
-    return _sweep(ideal, fam, fam)[0]
-
-
 # --- exhaustive search and verdicts -------------------------------------------
 
 
@@ -495,14 +457,6 @@ class NashReport:
     fallbacks: int
 
 
-def _family(ideal: ToricIdeal, which: str) -> tuple:
-    if which == "minimal":
-        return ideal.minimal_gens
-    if which == "groebner":
-        return ideal.gb.elements
-    raise ValueError(f"unknown family {which!r}")
-
-
 def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
                    sigma: OrbitSet, nf_memo: dict) -> NashReport:
     minors, fallbacks = subset_minors([fam[i] for i in subset], ideal,
@@ -513,11 +467,6 @@ def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
     locus = zero_locus([m for _, m in minors], ideal.semigroup)
     return NashReport(subset, True, tuple(minors), locus, locus == sigma,
                       fallbacks)
-
-
-def search_all_subsets(ideal: ToricIdeal, family: str = "minimal") -> list:
-    """Reports for every r-subset of the family, in subset-index order."""
-    return _sweep(ideal, ideal.minimal_gens, _family(ideal, family))[1]
 
 
 def classify_ci(ideal: ToricIdeal) -> tuple:
@@ -550,28 +499,13 @@ def _witness(reports: Sequence[NashReport], sigma: OrbitSet,
                           "on the opposite edge block")
 
 
-def _dim1_witness(sig: SingularLocus, reports: Sequence[NashReport],
-                  vs: ValidatedSemigroup) -> NashReport:
-    if sig.orbits.dimension != 1:
-        raise SigmaDimensionError(
-            "witness construction requires a one-dimensional singular locus")
-    return _witness(reports, sig.orbits, vs)
-
-
-def dim1_selector(ideal: ToricIdeal, family: str = "minimal") -> NashReport:
-    """Constructive witness subset when the singular locus has dimension 1;
-    its zero locus necessarily equals the singular locus."""
-    sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family))
-    return _dim1_witness(sig, reports, ideal.semigroup)
-
-
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Predicted versus observed shape of the minor-ideal search.
 
     predicted/observed range over always_equal, exists_equal, never_equal
     and out_of_scope; for in-scope inputs the two must agree, and
-    verify_dichotomy raises rather than returning a mismatch.
+    analyze raises rather than returning a mismatch.
     """
 
     sigma: OrbitSet
@@ -586,6 +520,8 @@ class TheoremVerdict:
 class Analysis:
     """Everything one sweep yields.
 
+    witness is the report _witness finds when the singular locus is
+    one-dimensional (None otherwise); the verdict's witness is its subset.
     fallbacks counts the minors whose closed form had a negative exponent,
     summed over the reports; subset_minors evaluates those by the sparse
     integer Laplace expansion, reduced term by term to one monomial whose
@@ -596,45 +532,80 @@ class Analysis:
     sigma: SingularLocus
     reports: tuple
     verdict: TheoremVerdict
+    witness: Optional[NashReport]
     fallbacks: int
 
-    def dim1_witness(self, vs: ValidatedSemigroup) -> NashReport:
-        """The report dim1_selector returns for the same ideal and family,
-        read from this analysis; vs is the ideal's semigroup."""
-        return _dim1_witness(self.sigma, self.reports, vs)
+    def dim1_witness(self) -> NashReport:
+        """The witness report; SigmaDimensionError unless the singular
+        locus is one-dimensional."""
+        if self.witness is None:
+            raise SigmaDimensionError(
+                "witness construction requires a one-dimensional singular "
+                "locus")
+        return self.witness
 
 
 def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     """Singular locus, subset reports, verdict and witness from one sweep.
 
-    The rank test uses the minimal generators, the sweep the family
-    ("minimal" or "groebner").  The verdict predicts the search outcome
-    from the singular locus and checks it: a one-dimensional singular locus
-    guarantees a witness subset (both closures singular: every subset
-    works), a zero-dimensional one on a non-complete-intersection
-    guarantees there is none.  Complete intersections with point singular
-    locus, and smooth-origin inputs, are out of scope and not asserted.
+    An orbit is singular when the Jacobian of the minimal generators drops
+    below codimension r at its representative.  The sweep reports every
+    r-subset of the family ("minimal" or "groebner"; ValueError otherwise),
+    in subset-index order, sharing one memo of monomial normal forms.  By
+    the Jacobian criterion all their minors together must vanish on the
+    same orbits, for any generating family; disagreement raises
+    InvariantViolation.
+
+    The verdict predicts the search outcome from the singular locus and
+    checks it: a one-dimensional singular locus guarantees a witness subset
+    (both closures singular: every subset works), a zero-dimensional one on
+    a non-complete-intersection guarantees there is none.  Complete
+    intersections with point singular locus, and smooth-origin inputs, are
+    out of scope and not asserted.  A mismatch raises TheoremViolation; so
+    does a witness whose zero locus differs from the singular locus, and
+    WitnessNotFound a one-dimensional singular locus without one.
     """
-    sig, reports = _sweep(ideal, ideal.minimal_gens, _family(ideal, family))
+    if family == "minimal":
+        fam = ideal.minimal_gens
+    elif family == "groebner":
+        fam = ideal.gb.elements
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    vs = ideal.semigroup
+    drops = {name: _jacobian_rank_at(ideal.minimal_gens, point, vs.N) < vs.r
+             for name, point in orbit_representatives(vs).items()}
+    if drops["torus"]:
+        raise TorusSingular("Jacobian rank drops on the dense torus")
+    sigma = OrbitSet(drops["O1"], drops["O2"])
+    nf_memo: dict = {}
+    reports = tuple(_subset_report(ideal, fam, subset, sigma, nf_memo)
+                    for subset in itertools.combinations(range(len(fam)),
+                                                         vs.r))
+    valid = [r for r in reports if r.rank_ok]
+    if not valid:
+        raise TorusSingular("no subset of the family reaches full rank")
+    if OrbitSet(all(r.zero_locus.has_O1 for r in valid),
+                all(r.zero_locus.has_O2 for r in valid)) != sigma:
+        raise InvariantViolation(
+            "rank test and minor ideal disagree about the singular locus")
+
     is_hyp, is_ci = classify_ci(ideal)
-    sigma = sig.orbits
-    if not sig.origin_singular:
+    if not drops["origin"]:
         predicted = "out_of_scope"
     elif sigma.dimension == 0:
         if is_ci and not is_hyp:
             raise TheoremViolation(
                 "complete intersection with isolated singular origin in "
-                f"{ideal.semigroup.N} > 3 variables; this should be "
-                "impossible and needs investigation")
+                f"{vs.N} > 3 variables; this should be impossible and needs "
+                "investigation")
         predicted = "out_of_scope" if is_ci else "never_equal"
     elif sigma.has_O1 and sigma.has_O2:
         predicted = "always_equal"
     else:
         predicted = "exists_equal"
 
-    observed, witness = predicted, None
+    observed = predicted
     if predicted != "out_of_scope":
-        valid = [r for r in reports if r.rank_ok]
         equal = [r for r in valid if r.equals_sigma]
         if not equal:
             observed = "never_equal"
@@ -645,17 +616,37 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
             # is bare existence, so extra matching subsets do not change
             # the category; with both, one subset that misses fails it
             observed = "exists_equal"
-        if observed != "never_equal":
-            witness = (_witness(reports, sigma, ideal.semigroup)
-                       if predicted == "exists_equal" else equal[0]).subset
         if predicted != observed:
             raise TheoremViolation(
                 f"predicted {predicted} but observed {observed} for generators "
-                f"{[tuple(p) for p in ideal.semigroup.gens.points]}")
+                f"{[tuple(p) for p in vs.gens.points]}")
+    witness = _witness(reports, sigma, vs) if sigma.dimension == 1 else None
     verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
-                             witness)
-    return Analysis(sig, tuple(reports), verdict,
-                    sum(r.fallbacks for r in reports))
+                             witness and witness.subset)
+    return Analysis(SingularLocus(sigma, drops["origin"]), reports, verdict,
+                    witness, sum(r.fallbacks for r in reports))
+
+
+# --- entry points: reads of one analysis --------------------------------------
+
+
+def singular_locus(ideal: ToricIdeal) -> SingularLocus:
+    """The singular locus analyze(ideal) finds, cross-checked against the
+    zero locus of the minors; raises what analyze raises."""
+    return analyze(ideal).sigma
+
+
+def search_all_subsets(ideal: ToricIdeal, family: str = "minimal") -> list:
+    """Reports for every r-subset of the family, in subset-index order, as
+    analyze(ideal, family) gives them; raises what analyze raises."""
+    return list(analyze(ideal, family).reports)
+
+
+def dim1_selector(ideal: ToricIdeal, family: str = "minimal") -> NashReport:
+    """The witness subset of analyze(ideal, family) when the singular locus
+    has dimension 1 (SigmaDimensionError otherwise); its zero locus
+    necessarily equals the singular locus."""
+    return analyze(ideal, family).dim1_witness()
 
 
 def verify_dichotomy(ideal: ToricIdeal,

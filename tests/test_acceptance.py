@@ -25,6 +25,7 @@ from toricnash.nash import (
     rank,
     search_all_subsets,
     singular_locus,
+    subset_minors,
     verify_dichotomy,
     zero_locus,
 )
@@ -126,14 +127,21 @@ def test_criterion_6_formula_oracle_equivalence(
     pairs_checked = 0
     for vs, ideal in inputs:
         fam = ideal.minimal_gens
+        pairs = list(itertools.combinations(range(vs.N), 2))
+        gens_repr = [tuple(p) for p in vs.gens.points]
         for subset in itertools.combinations(range(len(fam)), vs.r):
             chosen = [fam[i] for i in subset]
             if rank(chosen) < vs.r:
                 continue
-            for sel in itertools.combinations(range(vs.N), 2):
+            # one evaluation of the subset serves all of its pairs;
+            # minor_monomial_formula must read the same entry for one of them
+            minors = dict(subset_minors(chosen, ideal)[0])
+            sel = pairs[sum(subset) % len(pairs)]
+            assert minor_monomial_formula(chosen, sel, ideal) == \
+                minors.get(sel), f"{gens_repr} subset {subset} K {sel}"
+            for sel in pairs:
                 sym = minor_symbolic(chosen, sel, ideal)
-                fast = minor_monomial_formula(chosen, sel, ideal)
-                gens_repr = [tuple(p) for p in vs.gens.points]
+                fast = minors.get(sel)
                 if fast is None:
                     assert sym.is_zero(), \
                         f"{gens_repr} subset {subset} K {sel}"

@@ -227,14 +227,22 @@ class TestExamplesCommand:
             EXIT_VIOLATION
         assert "broken.json: FAIL (InvalidExponent" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("part", ["document", "expected"])
-    def test_malformed_document_fails(self, tmp_path, capsys, part):
-        # valid JSON that is not an object, at the top or under "expected"
+    @pytest.mark.parametrize("part, value", [
+        ("document", 5), ("expected", []), ("verdict", []),
+        ("minor_fixtures", 5), ("minor_fixtures", [5])],
+        ids=["document", "expected", "verdict", "minor_fixtures",
+             "minor_fixture"])
+    def test_malformed_document_fails(self, tmp_path, capsys, part, value):
+        # valid JSON of the wrong shape: a document, "expected" or
+        # "verdict" that is not an object, "minor_fixtures" that is not a
+        # list of objects
         doc = _bundled("a_origin_only.json")
         if part == "document":
-            doc = 5
+            doc = value
+        elif part == "expected":
+            doc["expected"] = value
         else:
-            doc["expected"] = []
+            doc["expected"][part] = value
         (tmp_path / "broken.json").write_text(json.dumps(doc))
         assert main(["examples", "--corpus", str(tmp_path)]) == \
             EXIT_VIOLATION
@@ -304,7 +312,8 @@ class TestOneSweep:
         monkeypatch.setattr(nash, "_subset_report", counted)
         rep = build_report(InputSpec(tuple(gens)))
         fam = rep.ideal.minimal_gens
-        subsets = itertools.combinations(range(len(fam)), rep.semigroup.r)
+        r = rep.ideal.semigroup.r
+        subsets = itertools.combinations(range(len(fam)), r)
         assert calls == Counter(subsets)
 
     @pytest.mark.parametrize("gens", [sup.FIXTURE_B, sup.FIXTURE_C, CYC6])

@@ -21,6 +21,7 @@ from toricnash.errors import (
     NotSquare,
     RankDeficient,
     SigmaDimensionError,
+    TheoremViolation,
 )
 from toricnash.ideal import GroebnerBasis, monomial_nf, normal_form, toric_ideal
 from toricnash.nash import (
@@ -354,7 +355,7 @@ class TestSubsetMinors:
                                      fixture_c, population):
         # same minors in the same order and the same fallback count as one
         # per-pair evaluation per column pair, on every r-subset of both
-        # families, with one normal-form memo per sweep as _sweep keeps it
+        # families, with one normal-form memo per sweep as analyze keeps it
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
@@ -506,10 +507,17 @@ class TestSingularLocus:
         assert singular_locus(ideal).orbits == OrbitSet(False, True)
 
     def test_family_independent(self, population):
-        for _, ideal in population[:10]:
-            a = singular_locus(ideal, ideal.minimal_gens)
-            b = singular_locus(ideal, ideal.gb.elements)
-            assert a == b
+        # the rank test on the Groebner basis finds the same singular
+        # locus, and the Groebner sweep agrees with it
+        for vs, ideal in population[:10]:
+            sig = singular_locus(ideal)
+            assert analyze(ideal, "groebner").sigma == sig
+            drops = {name: _jacobian_rank_at(ideal.gb.elements, point, vs.N)
+                     < vs.r
+                     for name, point in orbit_representatives(vs).items()}
+            assert drops == {"torus": False, "O1": sig.orbits.has_O1,
+                             "O2": sig.orbits.has_O2,
+                             "origin": sig.origin_singular}
 
 
 class TestSearch:
@@ -582,6 +590,33 @@ class TestAnalysis:
         for _, ideal in (fixture_b, fixture_c):
             assert analyze(ideal).verdict.witness == \
                 dim1_selector(ideal).subset
+
+    def test_entry_points_raise_what_analyze_raises(self, fixture_a,
+                                                    monkeypatch):
+        # fixture A reported as a complete intersection: a point singular
+        # locus in 4 variables contradicts the theorem
+        _, ideal = fixture_a
+        monkeypatch.setattr(nash, "classify_ci", lambda ideal: (False, True))
+        for read in (singular_locus, search_all_subsets, verify_dichotomy):
+            with pytest.raises(TheoremViolation):
+                read(ideal)
+
+    def test_witness_found_once(self, fixture_b, fixture_c, monkeypatch):
+        calls = []
+        inner = nash._witness
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(nash, "_witness", counted)
+        for _, ideal in (fixture_b, fixture_c):
+            calls.clear()
+            a = analyze(ideal)
+            assert len(calls) == 1
+            assert a.dim1_witness() is a.witness
+            assert a.verdict.witness == a.witness.subset
+            assert len(calls) == 1
 
     def test_fallbacks_counted_once(self, fixture_a):
         _, ideal = fixture_a
