@@ -12,15 +12,12 @@ from .algebra import (
     Polynomial,
     TermOrder,
     binomial_str,
-    compare,
     degrevlex_order,
     derivative,
     determinant,
-    evaluate,
     lex_order,
     monomial_str,
     oriented_binomial,
-    polynomial_str,
 )
 from .errors import (
     ConeNotStrictlyConvex,
@@ -53,7 +50,6 @@ from .ideal import (
     minimal_generators,
     monomial_nf,
     normal_form,
-    same_ideal,
     toric_ideal,
 )
 from .nash import (
@@ -77,12 +73,10 @@ from .nash import (
     zero_locus,
 )
 from .semigroup import (
-    ConeClassification,
     GeneratorSet,
     LatticePoint,
     ValidatedSemigroup,
     check_generates_Z2,
-    classify_generators,
     compute_cone_rays,
     generator_set,
     semigroup_membership,

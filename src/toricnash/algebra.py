@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import LengthMismatch, NotSquare
 
@@ -87,18 +87,6 @@ def degrevlex_order(n: int, weights: Optional[Sequence[int]] = None) -> TermOrde
                      None if weights is None else tuple(weights))
 
 
-def compare(a: ExponentVector, b: ExponentVector, order: TermOrder) -> int:
-    """-1, 0 or 1 as x^a is below, equal to or above x^b in the order."""
-    if len(a) != len(b):
-        raise LengthMismatch("exponent vectors of unequal length")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 class Monomial(NamedTuple):
     """A nonzero integer multiple of a single power product."""
 
@@ -139,11 +127,12 @@ class Binomial:
 
 def oriented_binomial(a: ExponentVector, b: ExponentVector,
                       order: TermOrder) -> Optional[Binomial]:
-    """Binomial x^a - x^b with the leading side first; None when a == b."""
-    c = compare(a, b, order)
-    if c == 0:
+    """Binomial x^a - x^b with the larger order.key first; None when a == b.
+    order.key raises LengthMismatch for a side of the wrong length."""
+    ka, kb = order.key(a), order.key(b)
+    if ka == kb:
         return None
-    return Binomial(a, b) if c > 0 else Binomial(b, a)
+    return Binomial(a, b) if ka > kb else Binomial(b, a)
 
 
 def binomial_from_vector(v: Sequence[int], order: TermOrder) -> Optional[Binomial]:
@@ -178,10 +167,6 @@ class Polynomial:
     def from_binomial(cls, b: Binomial) -> "Polynomial":
         return cls({b.plus: 1, b.minus: -1})
 
-    @classmethod
-    def constant(cls, c: int, nvars: int) -> "Polynomial":
-        return cls({(0,) * nvars: c})
-
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -197,16 +182,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def items(self) -> Iterator:
-        return iter(self.terms.items())
-
-    def single_term(self) -> Optional[Monomial]:
-        """The unique term if there is exactly one, else None."""
-        if len(self.terms) != 1:
-            return None
-        ((exp, coeff),) = self.terms.items()
-        return Monomial(coeff, exp)
 
     # -- arithmetic ---------------------------------------------------------
     def __neg__(self) -> "Polynomial":
@@ -274,10 +249,6 @@ def derivative(f: Binomial, var: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def evaluate(p: Polynomial, point: Sequence[int]) -> int:
-    return p.evaluate(point)
-
-
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Symbolic determinant by cofactor expansion along the first row.
 
@@ -329,20 +300,3 @@ def monomial_str(coeff: int, exp: ExponentVector, names: Sequence[str]) -> str:
 
 def binomial_str(b: Binomial, names: Sequence[str]) -> str:
     return f"{monomial_str(1, b.plus, names)} - {monomial_str(1, b.minus, names)}"
-
-
-def polynomial_str(p: Polynomial, names: Sequence[str],
-                   order: Optional[TermOrder] = None) -> str:
-    if p.is_zero():
-        return "0"
-    exps = list(p.terms)
-    order = order or lex_order(len(exps[0]))
-    exps.sort(key=order.key, reverse=True)
-    out = monomial_str(p.terms[exps[0]], exps[0], names)
-    for exp in exps[1:]:
-        c = p.terms[exp]
-        if c < 0:
-            out += f" - {monomial_str(-c, exp, names)}"
-        else:
-            out += f" + {monomial_str(c, exp, names)}"
-    return out

@@ -185,9 +185,6 @@ class GroebnerBasis:
     def nvars(self) -> int:
         return self.order.nvars
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def monomial_nf(exp, elements) -> tuple:
     """Exponent of the normal form of x^exp against the binomials elements.
@@ -208,13 +205,6 @@ def monomial_nf(exp, elements) -> tuple:
                 break
         else:
             return exp
-
-
-def _reduce_binomial(u, v, elements, order) -> Optional[Binomial]:
-    """Remainder of x^u - x^v on division by binomials; None when zero."""
-    u = monomial_nf(u, elements)
-    v = monomial_nf(v, elements)
-    return oriented_binomial(u, v, order)
 
 
 def _autoreduce(elements: List[Binomial], order: TermOrder) -> List[Binomial]:
@@ -244,6 +234,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     terms first).  A pair (i, j) is skipped when its leading terms are
     coprime, or by the chain criterion: some other element k has a leading
     term dividing their lcm, and neither (i, k) nor (j, k) is still pending.
+    A pair's S-binomial x^u - x^v leaves x^monomial_nf(u) - x^monomial_nf(v)
+    against the current basis, oriented, or nothing when the two agree.
     """
     basis: List[Binomial] = []
     seen = set()
@@ -282,9 +274,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
             continue  # coprime leading terms: S-polynomial reduces to zero
         if chained(i, j, lcm):
             continue
-        u = exp_add(exp_sub(lcm, f.plus), f.minus)
-        v = exp_add(exp_sub(lcm, g.plus), g.minus)
-        rem = _reduce_binomial(u, v, basis, order)
+        u = monomial_nf(exp_add(exp_sub(lcm, f.plus), f.minus), basis)
+        v = monomial_nf(exp_add(exp_sub(lcm, g.plus), g.minus), basis)
+        rem = oriented_binomial(u, v, order)
         if rem is not None:
             basis.append(rem)
             push_pairs(len(basis) - 1)
@@ -328,14 +320,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
     return normal_form(p, gb).is_zero()
-
-
-def same_ideal(fam_a: Sequence[Binomial], fam_b: Sequence[Binomial],
-               order: TermOrder) -> bool:
-    """Ideal equality through reduced-basis equality under one order."""
-    ga = buchberger(fam_a, order)
-    gb = buchberger(fam_b, order)
-    return ga.elements == gb.elements
 
 
 # --- saturation --------------------------------------------------------------

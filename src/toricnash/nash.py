@@ -120,11 +120,14 @@ def rank(family: Sequence[Binomial]) -> int:
 
 
 def _normalize_selection(selection, nvars: int) -> tuple:
-    a, b = sorted(selection)
-    if a == b or not (0 <= a < nvars) or not (0 <= b < nvars):
-        raise ValueError(f"column selection {selection} invalid for "
-                         f"{nvars} variables")
-    return (a, b)
+    try:
+        a, b = sorted(selection)
+        if a != b and 0 <= a and b < nvars:
+            return (a, b)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"column selection {selection} invalid for "
+                     f"{nvars} variables")
 
 
 def minor_symbolic(family_subset: Sequence[Binomial], selection,

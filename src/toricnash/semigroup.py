@@ -21,6 +21,7 @@ from .errors import (
     ConeNotTwoDimensional,
     EmptyEdge,
     InvalidGeneratorSet,
+    InvariantViolation,
     LatticeNotFull,
     NotMinimal,
     TooFewGenerators,
@@ -81,34 +82,6 @@ def generator_set(pairs: Sequence[Sequence[int]]) -> GeneratorSet:
     return GeneratorSet(tuple(pts))
 
 
-@dataclass(frozen=True)
-class ConeClassification:
-    """Edge/interior partition of a generator set.
-
-    ray1 and ray2 are the primitive extreme-ray directions with ray1
-    preceding ray2 counterclockwise.  Index lists refer to the generator
-    set the classification was computed from.
-    """
-
-    ray1: LatticePoint
-    ray2: LatticePoint
-    edge1_indices: tuple
-    interior_indices: tuple
-    edge2_indices: tuple
-
-    @property
-    def l(self) -> int:
-        return len(self.edge1_indices)
-
-    @property
-    def m(self) -> int:
-        return len(self.interior_indices)
-
-    @property
-    def n(self) -> int:
-        return len(self.edge2_indices)
-
-
 def compute_cone_rays(gens: GeneratorSet) -> tuple:
     """Primitive extreme rays of the cone, counterclockwise order.
 
@@ -138,21 +111,6 @@ def compute_cone_rays(gens: GeneratorSet) -> tuple:
     raise ConeNotStrictlyConvex("the cone spanned contains a line")
 
 
-def classify_generators(gens: GeneratorSet) -> ConeClassification:
-    """Assign each generator to edge 1, the interior, or edge 2."""
-    ray1, ray2 = compute_cone_rays(gens)
-    edge1, interior, edge2 = [], [], []
-    for i, p in enumerate(gens.points):
-        if cross(ray1, p) == 0:
-            edge1.append(i)
-        elif cross(p, ray2) == 0:
-            edge2.append(i)
-        else:
-            interior.append(i)
-    return ConeClassification(ray1, ray2, tuple(edge1), tuple(interior),
-                              tuple(edge2))
-
-
 def check_generates_Z2(gens: GeneratorSet) -> bool:
     """True when the generators span the full lattice: the gcd of all 2x2
     minors of the generator matrix is 1."""
@@ -166,12 +124,23 @@ def check_generates_Z2(gens: GeneratorSet) -> bool:
     return g == 1
 
 
+def _dual_vector(ray1: LatticePoint, ray2: LatticePoint,
+                 pts: tuple) -> LatticePoint:
+    """Sum of the inward edge normals of the cone from ray1 counterclockwise
+    to ray2; InvariantViolation unless w . p > 0 for every p in pts."""
+    w = LatticePoint(ray2.v - ray1.v, ray1.u - ray2.u)
+    if not all(dot(w, p) > 0 for p in pts):
+        raise InvariantViolation("dual vector is not positive on a generator")
+    return w
+
+
 def interior_dual_vector(gens: GeneratorSet) -> LatticePoint:
     """An integer vector w with w . g > 0 for every generator.
 
     For a strictly convex two-dimensional cone the sum of the two inward
-    edge normals works; for generators on a single ray the primitive
-    direction itself works.  Raises UnboundedSearch when no such w exists.
+    edge normals of compute_cone_rays' rays works, checked as in validate;
+    for generators on a single ray the primitive direction itself works.
+    Raises UnboundedSearch when no such w exists.
     """
     pts = gens.points
     dirs = {primitive(p) for p in pts}
@@ -186,10 +155,7 @@ def interior_dual_vector(gens: GeneratorSet) -> LatticePoint:
         ray1, ray2 = compute_cone_rays(gens)
     except ConeNotStrictlyConvex:
         raise UnboundedSearch("cone is not strictly convex")
-    # inward normals: rotate ray1 counterclockwise, ray2 clockwise
-    w = LatticePoint(-ray1.v + ray2.v, ray1.u - ray2.u)
-    assert all(dot(w, p) > 0 for p in pts)
-    return w
+    return _dual_vector(ray1, ray2, pts)
 
 
 def semigroup_membership(p, gens: GeneratorSet) -> bool:
@@ -271,20 +237,26 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
 
     Raising order: cone shape first (so a single generator reports
     ConeNotTwoDimensional, not a count problem), then lattice fullness,
-    generator count, and minimality.  The cone's extreme rays are unique,
-    so one interior dual vector w of gens bounds every minimality search
-    and gives the degree weights.
+    generator count, and minimality.  One compute_cone_rays call gives the
+    two extreme rays: generators on ray1 form edge 1, those on ray2 edge 2,
+    the rest the interior.  The same rays give the interior dual vector w,
+    checked positive on every generator, which bounds every minimality
+    search and gives the degree weights.
     """
-    cls = classify_generators(gens)
-    if cls.l == 0 or cls.n == 0:
+    ray1, ray2 = compute_cone_rays(gens)
+    pts = gens.points
+    edge1 = [i for i, p in enumerate(pts) if cross(ray1, p) == 0]
+    edge2 = [i for i, p in enumerate(pts) if cross(p, ray2) == 0]
+    interior = [i for i, p in enumerate(pts)
+                if cross(ray1, p) and cross(p, ray2)]
+    if not edge1 or not edge2:
         raise EmptyEdge("an edge of the cone carries no generator")
     if not check_generates_Z2(gens):
         raise LatticeNotFull("generators span a proper sublattice")
     if len(gens) < 3:
         raise TooFewGenerators(
             f"need at least 3 generators, got {len(gens)}")
-    pts = gens.points
-    w = interior_dual_vector(gens)
+    w = _dual_vector(ray1, ray2, pts)
     wg = [dot(w, p) for p in pts]
     for i, p in enumerate(pts):
         if _member(pts[:i] + pts[i + 1:], w, wg[:i] + wg[i + 1:], 0, p):
@@ -293,9 +265,9 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     def edge_key(i):
         return norm2(pts[i])
 
-    perm = (tuple(sorted(cls.edge1_indices, key=edge_key))
-            + tuple(sorted(cls.interior_indices, key=lambda i: pts[i]))
-            + tuple(sorted(cls.edge2_indices, key=edge_key)))
+    perm = (tuple(sorted(edge1, key=edge_key))
+            + tuple(sorted(interior, key=lambda i: pts[i]))
+            + tuple(sorted(edge2, key=edge_key)))
     canonical = GeneratorSet(tuple(pts[i] for i in perm))
-    return ValidatedSemigroup(canonical, cls.l, cls.m, cls.n, perm,
-                              tuple(wg[i] for i in perm))
+    return ValidatedSemigroup(canonical, len(edge1), len(interior),
+                              len(edge2), perm, tuple(wg[i] for i in perm))

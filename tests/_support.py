@@ -72,9 +72,9 @@ def pi(vs, alpha):
 
 def nf_exponent(exp, ideal):
     nf = tn.normal_form(Polynomial.from_monomial(1, tuple(exp)), ideal.gb)
-    term = nf.single_term()
-    assert term is not None, f"monomial class of {exp} has non-monomial NF"
-    return term.exp
+    assert len(nf.terms) == 1, f"monomial class of {exp} has non-monomial NF"
+    (term,) = nf.terms
+    return term
 
 
 def nf_classes(exps, ideal):

@@ -138,6 +138,13 @@ class TestMinors:
         reduced = minor_symbolic(A_ROWS[:2], (2, 3), ideal)
         assert reduced == Polynomial.from_monomial(1, (0, 0, 2, 0))
 
+    @pytest.mark.parametrize("selection", [5, (0, 1, 2), (1, 1), (0, 9)])
+    def test_invalid_selection(self, fixture_a, selection):
+        _, ideal = fixture_a
+        for minor in (minor_monomial_formula, minor_symbolic):
+            with pytest.raises(ValueError, match="column selection"):
+                minor(A_ROWS[:2], selection, ideal)
+
     def test_fallback_recorded(self, fixture_a):
         # rows f1, f2 of fixture A: the closed form (1,-1,0,0) + e_a + e_b
         # is negative unless column 1 is deleted, and the three pairs
@@ -234,8 +241,8 @@ class TestSparseMinor:
             ideal = toric_ideal(vs, make_order(vs.N))
             for _ in range(200):
                 exp = tuple(rng.randint(0, 6) for _ in range(vs.N))
-                want = normal_form(Polynomial.from_monomial(1, exp),
-                                   ideal.gb).single_term().exp
+                (want,) = normal_form(Polynomial.from_monomial(1, exp),
+                                      ideal.gb).terms
                 assert monomial_nf(exp, ideal.gb.elements) == want, exp
 
     @pytest.mark.parametrize("points", [CYC6, sup.FIXTURE_B])

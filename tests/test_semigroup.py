@@ -8,6 +8,7 @@ from toricnash.errors import (
     ConeNotStrictlyConvex,
     ConeNotTwoDimensional,
     InvalidGeneratorSet,
+    InvariantViolation,
     LatticeNotFull,
     NotMinimal,
     TooFewGenerators,
@@ -15,7 +16,6 @@ from toricnash.errors import (
 )
 from toricnash.semigroup import (
     check_generates_Z2,
-    classify_generators,
     compute_cone_rays,
     generator_set,
     interior_dual_vector,
@@ -72,19 +72,21 @@ class TestConeRays:
 
 class TestClassification:
     def test_fixture_a_blocks(self):
-        cls = classify_generators(generator_set(sup.FIXTURE_A))
-        assert (cls.l, cls.m, cls.n) == (1, 2, 1)
-        assert cls.edge1_indices == (0,)
-        assert cls.interior_indices == (1, 2)
-        assert cls.edge2_indices == (3,)
+        vs = validate(generator_set(sup.FIXTURE_A))
+        assert (vs.l, vs.m, vs.n) == (1, 2, 1)
+        assert vs.permutation == (0, 1, 2, 3)
+        # reversed input: edge 1 is input 3, the interior sorts (1, 1) first
+        vs = validate(generator_set(sup.FIXTURE_A[::-1]))
+        assert (vs.l, vs.m, vs.n) == (1, 2, 1)
+        assert vs.permutation == (3, 2, 1, 0)
 
     def test_fixture_b_blocks(self):
-        cls = classify_generators(generator_set(sup.FIXTURE_B))
-        assert (cls.l, cls.m, cls.n) == (2, 1, 2)
+        vs = validate(generator_set(sup.FIXTURE_B))
+        assert (vs.l, vs.m, vs.n) == (2, 1, 2)
 
     def test_fixture_c_blocks(self):
-        cls = classify_generators(generator_set(sup.FIXTURE_C))
-        assert (cls.l, cls.m, cls.n) == (1, 1, 2)
+        vs = validate(generator_set(sup.FIXTURE_C))
+        assert (vs.l, vs.m, vs.n) == (1, 1, 2)
 
 
 class TestLatticeFullness:
@@ -234,24 +236,37 @@ class TestValidate:
             assert all(w >= 1 for w in vs.degree_weights)
 
     def test_one_dual_vector(self, population, monkeypatch):
-        # one w of the input order bounds every minimality search and gives
-        # the weights interior_dual_vector yields for the canonical order
-        inner = semigroup.interior_dual_vector
+        # one cone computation gives the blocks and the w of the input order
+        # that bounds every minimality search and gives the weights
+        # interior_dual_vector yields for the canonical order
+        inner = semigroup.compute_cone_rays
         calls = []
 
         def counted(gens):
             calls.append(gens)
             return inner(gens)
 
-        monkeypatch.setattr(semigroup, "interior_dual_vector", counted)
+        monkeypatch.setattr(semigroup, "compute_cone_rays", counted)
         for vs, _ in population:
             shuffled = generator_set(vs.gens.points[::-1])
             calls.clear()
             again = validate(shuffled)
             assert calls == [shuffled]
-            w = inner(vs.gens)
+            w = interior_dual_vector(vs.gens)
             assert again.degree_weights == vs.degree_weights == \
                 tuple(w.u * p.u + w.v * p.v for p in vs.gens.points)
+
+    def test_dual_vector_checked(self, monkeypatch):
+        # clockwise rays give a w that pairs negatively with every
+        # generator; the check is a raise, so it also holds under python -O
+        inner = semigroup.compute_cone_rays
+        monkeypatch.setattr(semigroup, "compute_cone_rays",
+                            lambda gens: inner(gens)[::-1])
+        gens = generator_set(sup.FIXTURE_A)
+        with pytest.raises(InvariantViolation):
+            validate(gens)
+        with pytest.raises(InvariantViolation):
+            interior_dual_vector(gens)
 
     def test_minimality_search_linear_on_one_edge(self, monkeypatch):
         # (b, b) = b (1, 0) + b (0, 1): for each coefficient of (1, 0) the
