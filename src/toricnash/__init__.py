@@ -22,7 +22,6 @@ from .algebra import (
 from .errors import (
     ConeNotStrictlyConvex,
     ConeNotTwoDimensional,
-    EmptyEdge,
     EmptyIdeal,
     InvalidExponent,
     InvalidGeneratorSet,

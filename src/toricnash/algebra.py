@@ -25,7 +25,7 @@ def exp_sub(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 
 
 def exp_lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_divides(a: ExponentVector, b: ExponentVector) -> bool:

@@ -41,10 +41,6 @@ class LatticeNotFull(ToricNashError):
     """The generators span a proper sublattice of the integer plane."""
 
 
-class EmptyEdge(ToricNashError):
-    """No generator on one of the two cone edges after classification."""
-
-
 class UnboundedSearch(ToricNashError):
     """No strictly positive dual vector: membership search has no bound."""
 

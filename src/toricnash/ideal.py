@@ -5,11 +5,15 @@ generator matrix.  It is computed the standard way: take the ideal of a
 kernel basis, then saturate with respect to every variable.  Everything in
 sight is a pure difference of two monomials, and S-polynomials and
 reductions of such differences stay differences, so the Buchberger loop
-below never touches a general polynomial.  It skips a pair when the two
-leading terms are coprime, and by the chain criterion: when a third
-element's leading term divides the lcm of the pair's and neither pair it
-forms with the two is still pending (Cox-Little-O'Shea, Ideals, Varieties,
-and Algorithms, section 2.9).
+below never touches a general polynomial.  Its pairs are managed by the
+Gebauer-Moller update (Gebauer-Moller, On an installation of Buchberger's
+algorithm, J. Symbolic Comput. 6, 1988; Becker-Weispfenning, Groebner
+Bases, 1993, procedure UPDATE): each new element deletes the pending pairs
+its leading term makes redundant (criterion B), enters only the new pairs
+whose lcm no other new pair's lcm divides and whose leading terms are not
+coprime (criteria M and F), and retires from the live list every element
+whose leading term its own divides.  S-binomials reduce against the live
+list only, which stays small, and the live list is the basis at the end.
 
 Saturation by one variable recomputes the basis under a graded reverse-lex
 order that ranks the variable last and then strips the common variable
@@ -33,7 +37,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import le, mul
+from operator import itemgetter, le, mul
 from typing import Iterable, List, Optional, Sequence
 
 from .algebra import (
@@ -230,58 +234,76 @@ def _autoreduce(elements: List[Binomial], order: TermOrder) -> List[Binomial]:
 def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal spanned by gens.
 
-    Pair selection follows the normal strategy (smallest lcm of leading
-    terms first).  A pair (i, j) is skipped when its leading terms are
-    coprime, or by the chain criterion: some other element k has a leading
-    term dividing their lcm, and neither (i, k) nor (j, k) is still pending.
+    Buchberger's algorithm with the Gebauer-Moller pair update
+    (Gebauer-Moller, On an installation of Buchberger's algorithm, J.
+    Symbolic Comput. 6, 1988; Becker-Weispfenning, Groebner Bases, 1993,
+    procedure UPDATE).  The loop keeps a live list of elements, and each
+    pending pair holds its two elements and the lcm of their leading terms.
+    Pair selection follows the normal strategy (smallest lcm first).  Every
+    input, then every nonzero remainder h, joins through update(h):
+
+    - B: a pending pair (f, g) goes when LT(h) divides its lcm and both
+      lcm(f, h) and lcm(g, h) differ from that lcm;
+    - M, F: of the new pairs (g, h), g live, one goes when the lcm of
+      another divides its lcm, and of several with equal lcms only one
+      stays; after that the pairs with coprime leading terms go;
+    - live elements whose leading term LT(h) divides leave the live list,
+      and h joins it.
+
     A pair's S-binomial x^u - x^v leaves x^monomial_nf(u) - x^monomial_nf(v)
-    against the current basis, oriented, or nothing when the two agree.
+    against the live list, oriented, or nothing when the two agree.  The
+    live list is then a Groebner basis, and _autoreduce makes it reduced.
     """
-    basis: List[Binomial] = []
+    live: List[Binomial] = []
+    heap: list = []  # (order.key(lcm), tiebreak, f, g, lcm)
+    counter = itertools.count()
+
+    def update(h: Binomial) -> None:
+        hp = h.plus
+        if heap:
+            kept = [e for e in heap
+                    if not (all(map(le, hp, e[4]))
+                            and exp_lcm(e[2].plus, hp) != e[4]
+                            and exp_lcm(e[3].plus, hp) != e[4])]
+            if len(kept) != len(heap):
+                heap[:] = kept
+                heapq.heapify(heap)
+        hdeg = sum(hp)
+        new = []
+        for g in live:
+            lcm = exp_lcm(g.plus, hp)
+            deg = sum(lcm)
+            new.append((deg, deg != sum(g.plus) + hdeg, lcm, g))
+        # a proper divisor has a smaller degree, so it comes first; of equal
+        # lcms the coprime pair comes first and the others are dropped
+        new.sort(key=itemgetter(0, 1))
+        minimal: list = []
+        for _, not_coprime, lcm, g in new:
+            if any(all(map(le, m, lcm)) for m in minimal):
+                continue
+            minimal.append(lcm)
+            if not_coprime:
+                heapq.heappush(heap,
+                               (order.key(lcm), next(counter), g, h, lcm))
+        live[:] = [g for g in live if not all(map(le, hp, g.plus))]
+        live.append(h)
+
     seen = set()
     for b in gens:
         ob = oriented_binomial(b.plus, b.minus, order)
         if ob is not None and (ob.plus, ob.minus) not in seen:
             seen.add((ob.plus, ob.minus))
-            basis.append(ob)
-
-    heap: list = []
-    pending = set()  # pairs (i, j), i < j, not yet popped from the heap
-    counter = itertools.count()
-
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            lcm = exp_lcm(basis[i].plus, basis[j].plus)
-            heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
-            pending.add((i, j))
-
-    def chained(i: int, j: int, lcm) -> bool:
-        for k, h in enumerate(basis):
-            if (k != i and k != j and all(map(le, h.plus, lcm))
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending):
-                return True
-        return False
-
-    for j in range(len(basis)):
-        push_pairs(j)
+            update(ob)
 
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        pending.remove((i, j))
-        f, g = basis[i], basis[j]
-        if exp_add(f.plus, g.plus) == lcm:
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        if chained(i, j, lcm):
-            continue
-        u = monomial_nf(exp_add(exp_sub(lcm, f.plus), f.minus), basis)
-        v = monomial_nf(exp_add(exp_sub(lcm, g.plus), g.minus), basis)
+        _, _, f, g, lcm = heapq.heappop(heap)
+        u = monomial_nf(exp_add(exp_sub(lcm, f.plus), f.minus), live)
+        v = monomial_nf(exp_add(exp_sub(lcm, g.plus), g.minus), live)
         rem = oriented_binomial(u, v, order)
         if rem is not None:
-            basis.append(rem)
-            push_pairs(len(basis) - 1)
+            update(rem)
 
-    return GroebnerBasis(order, tuple(_autoreduce(basis, order)))
+    return GroebnerBasis(order, tuple(_autoreduce(live, order)))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -19,7 +19,6 @@ from typing import NamedTuple, Sequence
 from .errors import (
     ConeNotStrictlyConvex,
     ConeNotTwoDimensional,
-    EmptyEdge,
     InvalidGeneratorSet,
     InvariantViolation,
     LatticeNotFull,
@@ -239,9 +238,10 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     ConeNotTwoDimensional, not a count problem), then lattice fullness,
     generator count, and minimality.  One compute_cone_rays call gives the
     two extreme rays: generators on ray1 form edge 1, those on ray2 edge 2,
-    the rest the interior.  The same rays give the interior dual vector w,
-    checked positive on every generator, which bounds every minimality
-    search and gives the degree weights.
+    the rest the interior.  Both rays are generator directions, so an empty
+    edge is an InvariantViolation.  The same rays give the interior dual
+    vector w, checked positive on every generator, which bounds every
+    minimality search and gives the degree weights.
     """
     ray1, ray2 = compute_cone_rays(gens)
     pts = gens.points
@@ -250,7 +250,7 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     interior = [i for i, p in enumerate(pts)
                 if cross(ray1, p) and cross(p, ray2)]
     if not edge1 or not edge2:
-        raise EmptyEdge("an edge of the cone carries no generator")
+        raise InvariantViolation("a cone ray carries no generator")
     if not check_generates_Z2(gens):
         raise LatticeNotFull("generators span a proper sublattice")
     if len(gens) < 3:

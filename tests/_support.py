@@ -184,7 +184,7 @@ def _rewrite(exp, elements):
 def plain_buchberger(gens, order):
     """Reduced Groebner basis by Buchberger's loop with the coprime
     criterion only: every other pair's S-binomial is reduced (independent
-    of the library's chain criterion)."""
+    of the library's Gebauer-Moller pair update)."""
     basis = []
     for b in gens:
         ob = oriented_binomial(b.plus, b.minus, order)
@@ -221,6 +221,33 @@ def plain_buchberger(gens, order):
                for b in kept]
     reduced.sort(key=lambda b: order.key(b.plus))
     return tn.GroebnerBasis(order, tuple(reduced))
+
+
+def assert_reduced_groebner(gens, gb):
+    """Check that gb is a reduced Groebner basis containing gens, by
+    _rewrite alone (independent of the engine that built gb): every input
+    binomial and every S-binomial of gb reduces to zero, every element is
+    oriented by gb.order, and no leading term divides a term of another
+    element."""
+    order = gb.order
+    elements = gb.elements
+    for b in gens:
+        assert _rewrite(b.plus, elements) == _rewrite(b.minus, elements), \
+            f"input {b} does not reduce to zero"
+    for f, g in itertools.combinations(elements, 2):
+        lcm = exp_lcm(f.plus, g.plus)
+        u = tuple(c - p + m for c, p, m in zip(lcm, f.plus, f.minus))
+        v = tuple(c - p + m for c, p, m in zip(lcm, g.plus, g.minus))
+        assert _rewrite(u, elements) == _rewrite(v, elements), \
+            f"S-binomial of {f} and {g} does not reduce to zero"
+    for i, b in enumerate(elements):
+        assert order.key(b.plus) > order.key(b.minus), f"{b} not oriented"
+        for j, c in enumerate(elements):
+            if i != j:
+                assert not all(map(le, c.plus, b.plus)), \
+                    f"leading term of {c} divides that of {b}"
+                assert not all(map(le, c.plus, b.minus)), \
+                    f"leading term of {c} divides the trailing term of {b}"
 
 
 def membership_minimal_generators(gb):

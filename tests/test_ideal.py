@@ -21,6 +21,7 @@ from toricnash.ideal import (
     ideal_member,
     lattice_kernel,
     minimal_generators,
+    monomial_nf,
     normal_form,
     toric_ideal,
 )
@@ -191,6 +192,47 @@ class TestBuchberger:
             order = order_of(fam[0].nvars)
             assert buchberger(fam, order).elements == \
                 sup.plain_buchberger(fam, order).elements
+
+    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
+    def test_toric_calls_match_oracles(self, monkeypatch, order_of):
+        # every Buchberger call of toric_ideal: the weighted-degrevlex
+        # saturation steps and the final basis, on real toric inputs
+        calls = []
+
+        def recording(gens, order):
+            gens = list(gens)
+            gb = buchberger(gens, order)
+            calls.append((gens, gb))
+            return gb
+
+        monkeypatch.setattr(ideal_mod, "buchberger", recording)
+        surfaces = ([sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C]
+                    + IDEAL_BENCH + [IDEAL_LEFT_OUT])
+        for points in surfaces:
+            vs = validate(generator_set(points))
+            toric_ideal(vs, order_of(vs.N))
+        assert len(calls) == sum(len(p) + 1 for p in surfaces)
+        for gens, gb in calls:
+            assert gb.elements == \
+                sup.plain_buchberger(gens, gb.order).elements
+            sup.assert_reduced_groebner(gens, gb)
+
+    def test_reduces_against_live_list_only(self, monkeypatch):
+        # an element whose leading term a later element's leading term
+        # divides has left the live list; no reduction may use it
+        lists = []
+
+        def recording(exp, elements):
+            lists.append(list(elements))
+            return monomial_nf(exp, elements)
+
+        monkeypatch.setattr(ideal_mod, "monomial_nf", recording)
+        toric_ideal(validate(generator_set(IDEAL_BENCH[2])))
+        assert lists
+        for elements in lists:
+            for i, b in enumerate(elements):
+                assert not any(all(map(le, c.plus, b.plus))
+                               for c in elements[i + 1:])
 
 
 def _saturated_basis(gens, order, weights=None):
@@ -372,6 +414,8 @@ IDEAL_BENCH = [
     [(2, 0), (1, 2), (4, 2), (4, 3), (1, 3)],
     [(2, 0), (1, 4), (3, 2), (4, 3), (0, 2)],
 ]
+# the lex surface that workload leaves out
+IDEAL_LEFT_OUT = [(2, 0), (1, 4), (3, 2), (4, 3), (0, 4)]
 
 S7 = [(5, 0), (6, 0), (7, 0), (0, 5), (0, 6), (0, 7), (1, 1)]
 

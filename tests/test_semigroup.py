@@ -15,6 +15,7 @@ from toricnash.errors import (
     UnboundedSearch,
 )
 from toricnash.semigroup import (
+    LatticePoint,
     check_generates_Z2,
     compute_cone_rays,
     generator_set,
@@ -267,6 +268,15 @@ class TestValidate:
             validate(gens)
         with pytest.raises(InvariantViolation):
             interior_dual_vector(gens)
+
+    def test_empty_edge_is_invariant_violation(self, monkeypatch):
+        # both rays come from generator directions; a ray that no
+        # generator lies on is a bug, not an invalid input
+        inner = semigroup.compute_cone_rays
+        monkeypatch.setattr(semigroup, "compute_cone_rays",
+                            lambda gens: (LatticePoint(2, 1), inner(gens)[1]))
+        with pytest.raises(InvariantViolation):
+            validate(generator_set(sup.FIXTURE_A))
 
     def test_minimality_search_linear_on_one_edge(self, monkeypatch):
         # (b, b) = b (1, 0) + b (0, 1): for each coefficient of (1, 0) the
