@@ -102,7 +102,8 @@ class Binomial:
     """A pure difference of monomials x^plus - x^minus, plus != minus.
 
     By convention plus is the leading exponent under whatever order the
-    surrounding computation uses; construct through oriented() to enforce it.
+    surrounding computation uses; construct through oriented_binomial() to
+    enforce it.
     """
 
     plus: ExponentVector

@@ -12,8 +12,10 @@ Bases, 1993, procedure UPDATE): each new element deletes the pending pairs
 its leading term makes redundant (criterion B), enters only the new pairs
 whose lcm no other new pair's lcm divides and whose leading terms are not
 coprime (criteria M and F), and retires from the live list every element
-whose leading term its own divides.  S-binomials reduce against the live
-list only, which stays small, and the live list is the basis at the end.
+whose leading term its own divides.  Every binomial, input or S-binomial,
+is reduced against the live list before it joins, so the live list stays
+small with minimal leading terms, and with its trailing terms reduced it
+is the reduced basis at the end.
 
 Saturation by one variable recomputes the basis under a graded reverse-lex
 order that ranks the variable last and then strips the common variable
@@ -52,7 +54,7 @@ from .algebra import (
     lex_order,
     oriented_binomial,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, LengthMismatch
 from .semigroup import ValidatedSemigroup
 
 # --- integer kernel --------------------------------------------------------
@@ -211,26 +213,6 @@ def monomial_nf(exp, elements) -> tuple:
             return exp
 
 
-def _autoreduce(elements: List[Binomial], order: TermOrder) -> List[Binomial]:
-    """Minimize leading terms, then reduce every trailing term."""
-    elements = sorted(set(elements), key=lambda b: order.key(b.plus))
-    kept: List[Binomial] = []
-    for b in elements:
-        if any(exp_divides(k.plus, b.plus) for k in kept):
-            continue
-        kept.append(b)
-    out: List[Binomial] = list(kept)
-    for i, b in enumerate(out):
-        minus = monomial_nf(b.minus, out)
-        if minus != b.minus:
-            nb = oriented_binomial(b.plus, minus, order)
-            if nb is None:
-                raise InvariantViolation("basis element reduced to zero")
-            out[i] = nb
-    out.sort(key=lambda b: order.key(b.plus))
-    return out
-
-
 def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal spanned by gens.
 
@@ -239,8 +221,12 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     Symbolic Comput. 6, 1988; Becker-Weispfenning, Groebner Bases, 1993,
     procedure UPDATE).  The loop keeps a live list of elements, and each
     pending pair holds its two elements and the lcm of their leading terms.
-    Pair selection follows the normal strategy (smallest lcm first).  Every
-    input, then every nonzero remainder h, joins through update(h):
+    Pair selection follows the normal strategy (smallest lcm first).
+
+    Every binomial enters the same way, the inputs first and then each
+    pair's S-binomial: x^u - x^v leaves h = x^monomial_nf(u) -
+    x^monomial_nf(v) against the live list, oriented, or nothing when the
+    two agree.  A nonzero h joins through update(h):
 
     - B: a pending pair (f, g) goes when LT(h) divides its lcm and both
       lcm(f, h) and lcm(g, h) differ from that lcm;
@@ -250,9 +236,12 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     - live elements whose leading term LT(h) divides leave the live list,
       and h joins it.
 
-    A pair's S-binomial x^u - x^v leaves x^monomial_nf(u) - x^monomial_nf(v)
-    against the live list, oriented, or nothing when the two agree.  The
-    live list is then a Groebner basis, and _autoreduce makes it reduced.
+    LT(h) is a normal form, so no live leading term divides it, and update
+    retires the live elements whose leading term it divides: the leading
+    terms stay minimal.  At the end the live list is a Groebner basis, and
+    replacing each trailing term by its normal form, which is never larger,
+    makes it the reduced one.  An input whose length differs from the
+    variable count raises LengthMismatch before it is reduced.
     """
     live: List[Binomial] = []
     heap: list = []  # (order.key(lcm), tiebreak, f, g, lcm)
@@ -288,22 +277,31 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
         live[:] = [g for g in live if not all(map(le, hp, g.plus))]
         live.append(h)
 
-    seen = set()
+    def enter(u, v) -> None:
+        h = oriented_binomial(monomial_nf(u, live), monomial_nf(v, live),
+                              order)
+        if h is not None:
+            update(h)
+
     for b in gens:
-        ob = oriented_binomial(b.plus, b.minus, order)
-        if ob is not None and (ob.plus, ob.minus) not in seen:
-            seen.add((ob.plus, ob.minus))
-            update(ob)
+        # monomial_nf's zip would silently cut a longer input short
+        if b.nvars != order.nvars:
+            raise LengthMismatch(
+                f"binomial length {b.nvars} != {order.nvars} variables")
+        enter(b.plus, b.minus)
 
     while heap:
         _, _, f, g, lcm = heapq.heappop(heap)
-        u = monomial_nf(exp_add(exp_sub(lcm, f.plus), f.minus), live)
-        v = monomial_nf(exp_add(exp_sub(lcm, g.plus), g.minus), live)
-        rem = oriented_binomial(u, v, order)
-        if rem is not None:
-            update(rem)
+        enter(exp_add(exp_sub(lcm, f.plus), f.minus),
+              exp_add(exp_sub(lcm, g.plus), g.minus))
 
-    return GroebnerBasis(order, tuple(_autoreduce(live, order)))
+    out = []
+    for b in sorted(live, key=lambda b: order.key(b.plus)):
+        minus = monomial_nf(b.minus, live)
+        if minus == b.plus:
+            raise InvariantViolation("basis element reduced to zero")
+        out.append(Binomial(b.plus, minus))
+    return GroebnerBasis(order, tuple(out))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:

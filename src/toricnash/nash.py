@@ -192,22 +192,6 @@ def _partials_table(family: Sequence[Binomial]) -> list:
     return [[_partials(b, j) for j in range(b.nvars)] for b in family]
 
 
-def jacobian_minor_terms(family_subset: Sequence[Binomial],
-                         cols: Sequence[int]) -> dict:
-    """Unreduced Jacobian minor of the rows family_subset over the columns
-    cols, as {exponent: coefficient} without zero coefficients.
-
-    The Laplace expansion subset_minors uses, entries read from the
-    exponents by _partials, with a memo of its own: at most 2^r states for
-    r rows.  Equals algebra.determinant of the derivative matrix, term for
-    term.
-    """
-    n = len(family_subset)
-    if n != len(cols) or n == 0:
-        raise NotSquare(f"matrix is {n}x{len(cols)}")
-    return _minor_terms(_partials_table(family_subset), tuple(cols), {})
-
-
 def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
                   nf_memo: Optional[dict] = None) -> tuple:
     """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
@@ -229,7 +213,7 @@ def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
     binomials.
 
     A pair whose closed-form exponent is negative is evaluated exactly with
-    integers (the Laplace expansion of jacobian_minor_terms), each term
+    integers (the Laplace expansion _minor_terms), each term
     reduced by its monomial normal form, looked up in nf_memo (exponent ->
     normal-form exponent for this ideal's basis; a local dict when None).
     The result must be one term with coefficient det(R_K): more terms raise

@@ -12,7 +12,7 @@ from toricnash.algebra import (
     lex_order,
 )
 from toricnash import ideal as ideal_mod
-from toricnash.errors import InvariantViolation
+from toricnash.errors import InvariantViolation, LengthMismatch
 from toricnash.ideal import (
     GroebnerBasis,
     _lll_reduce,
@@ -177,21 +177,43 @@ class TestBuchberger:
             gb = buchberger(elems, ideal.gb.order)
             assert gb.elements == ideal.gb.elements
 
+    def test_wrong_length_input_refused(self):
+        # the first input is live when the second arrives; reducing the
+        # second against it would cut its sides to three entries
+        gens = [Binomial((1, 0, 0), (0, 1, 0)),
+                Binomial((1, 0, 0, 1), (1, 1, 0, 0))]
+        with pytest.raises(LengthMismatch):
+            buchberger(gens, lex_order(3))
+
     @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
     def test_matches_plain_buchberger(self, order_of):
         # random binomial families, which need be neither prime nor
-        # homogeneous, plus two fixed non-prime ones
+        # homogeneous, plus fixed ones: two non-prime, then inputs that
+        # reduce on entry against the inputs before them
         rng = random.Random(3)
-        families = [[Binomial((2, 0, 0), (0, 2, 0))],
-                    [Binomial((1, 1, 0), (1, 0, 1)),
-                     Binomial((0, 2, 0), (0, 0, 2))]]
+        families = [
+            [Binomial((2, 0, 0), (0, 2, 0))],
+            [Binomial((1, 1, 0), (1, 0, 1)), Binomial((0, 2, 0), (0, 0, 2))],
+            # a duplicated input
+            [Binomial((1, 1, 0), (0, 0, 2)), Binomial((0, 2, 1), (1, 0, 0)),
+             Binomial((1, 1, 0), (0, 0, 2))],
+            # one binomial in both orientations
+            [Binomial((2, 0, 1), (0, 1, 0)), Binomial((0, 1, 0), (2, 0, 1))],
+            # the later input's leading term divides the earlier one's
+            [Binomial((2, 1, 0), (0, 0, 1)), Binomial((1, 1, 0), (0, 1, 1))],
+            # the third input reduces to zero
+            [Binomial((1, 0, 0), (0, 1, 0)), Binomial((0, 1, 0), (0, 0, 1)),
+             Binomial((1, 0, 0), (0, 0, 1))],
+            [],
+        ]
         for _ in range(120):
             families.append(sup.random_binomial_family(
                 rng, rng.choice((3, 4)), rng.randint(2, 4)))
         for fam in families:
-            order = order_of(fam[0].nvars)
-            assert buchberger(fam, order).elements == \
-                sup.plain_buchberger(fam, order).elements
+            order = order_of(fam[0].nvars if fam else 3)
+            gb = buchberger(fam, order)
+            assert gb.elements == sup.plain_buchberger(fam, order).elements
+            sup.assert_reduced_groebner(fam, gb)
 
     @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
     def test_toric_calls_match_oracles(self, monkeypatch, order_of):

@@ -1,6 +1,7 @@
 """Checks that read source files with ast instead of importing them."""
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,3 +28,34 @@ def test_bench_bindings_resolve():
     for module, attr, _ in bindings:
         mod = importlib.import_module(f"toricnash.{module}")
         assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
+
+
+
+def test_module_level_names_are_used():
+    # a function or class nothing refers to is dead code; a private one
+    # must be used by the library itself, not only by the tests
+    files = {path: path.read_text().splitlines()
+             for top in ("src", "tests", "bench")
+             for path in sorted((ROOT / top).rglob("*.py"))}
+    unused, private_unused_in_src = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            # the definition itself, decorators included, is no reference
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            word = re.compile(rf"\b{node.name}\b")
+            users = [where for where, lines in files.items()
+                     if any(word.search(line)
+                            for i, line in enumerate(lines, 1)
+                            if where != path
+                            or not first <= i <= node.end_lineno)]
+            if not users:
+                unused.append(node.name)
+            elif node.name.startswith("_") and not any(
+                    PACKAGE.parent in where.parents for where in users):
+                private_unused_in_src.append(node.name)
+    assert unused == []
+    assert private_unused_in_src == []
