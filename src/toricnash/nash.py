@@ -16,13 +16,20 @@ subset has full rank.  (The minor ideal is x^(D_S) times the logarithmic
 Jacobian ideal; Gonzalez Perez-Teissier, RACSAM 108, 2014.)  When the
 closed-form exponent has a negative entry the congruence class is still a
 monomial class, and a representative is recovered without symbolic
-algebra: a sparse integer Laplace expansion of the minor ({exponent:
-coefficient}, entries read from the binomials' exponents) reduced term by
-term with the monomial normal form of the Groebner basis; its coefficient
-must be det(R_K).  subset_minors evaluates all C(N, 2) minors of one
-subset from data built once for it, each as (selection, monomial) with the
-monomial coefficient det(R_K); minor_monomial_formula reads one pair from
-it.
+algebra: a sparse integer Laplace expansion of the minor along its last
+row ({exponent: coefficient}, entries read from the binomials' exponents),
+every term reduced with the monomial normal form of the Groebner basis as
+it is built, level by level (NF(a b) = NF(a NF(b)), so this is exact); the
+result must be one term whose coefficient is det(R_K).  The sub-minors of
+the first k rows are memoised by their column tuple, and the memo of a
+level stays valid while the subset's first k rows do: in
+itertools.combinations order consecutive subsets share all but their last
+rows.  One sweep context per family (_Sweep) holds the difference rows,
+each checked to be a relation once, the column-pair table, the partials,
+the normal-form memo and that stack of Laplace memos.  subset_minors is a
+sweep of one subset: it evaluates all C(N, 2) minors, each as
+(selection, monomial) with the monomial coefficient det(R_K);
+minor_monomial_formula reads one pair from it.
 minor_symbolic, the symbolic determinant reduced to normal form, stays as
 the reference the tests hold it against.
 
@@ -156,40 +163,153 @@ def _partials(b: Binomial, var: int) -> tuple:
                  for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
 
 
-def _minor_terms(entries: list, cols: tuple, memo: dict) -> dict:
-    """Unreduced Jacobian minor of the last len(cols) rows over the columns
-    cols, as {exponent: coefficient} without zero coefficients.
+def _minor_terms(entries: list, cols: tuple, memos: list, elements,
+                 nf_memo: dict) -> dict:
+    """Normal form of the Jacobian minor of the first len(cols) rows over
+    the columns cols, as {exponent: coefficient} without zero coefficients.
 
     entries[i][j] holds the _partials terms of row i by x_j.  Laplace
-    expansion along the first of those rows; a value depends only on cols,
-    so memo is keyed by the column tuple and shared by every column
-    selection of the same rows.
+    expansion along the last of those rows; each term is reduced against
+    elements as it is built, its normal form looked up in nf_memo
+    (exponent -> normal-form exponent, filled as it goes).  The sub-minors
+    it multiplies are themselves reduced, which is exact:
+    NF(a b) = NF(a NF(b)).  A sub-minor of the first k >= 2 rows depends
+    only on those rows and its columns, so it is stored in memos[k] under
+    its column tuple, as (exponent, coefficient) pairs, and later minors of
+    the same leading rows share it; an entry of the first row is multiplied
+    as read.  With no elements every normal form is the identity and this
+    is the plain integer expansion.
     """
-    got = memo.get(cols)
-    if got is not None:
-        return got
-    row = entries[len(entries) - len(cols)]
-    if len(cols) == 1:
-        out = dict(row[cols[0]])
-    else:
-        out = {}
-        for k, j in enumerate(cols):
-            if not row[j]:
-                continue
-            sub = _minor_terms(entries, cols[:k] + cols[k + 1:], memo)
-            for e1, c1 in row[j]:
-                if k % 2:
-                    c1 = -c1
-                for e2, c2 in sub.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-    memo[cols] = out
-    return out
+    k = len(cols)
+    row = entries[k - 1]
+    out: dict = {}
+    for i, j in enumerate(cols):
+        terms = row[j]
+        if not terms:
+            continue
+        rest = cols[:i] + cols[i + 1:]
+        if k == 1:
+            sub = (((0,) * len(terms[0][0]), 1),)  # the minor of no rows
+        elif k == 2:
+            sub = entries[0][rest[0]]
+        else:
+            sub = memos[k - 1].get(rest)
+            if sub is None:
+                sub = memos[k - 1][rest] = tuple(_minor_terms(
+                    entries, rest, memos, elements, nf_memo).items())
+        odd = (i + k - 1) % 2
+        for e1, c1 in terms:
+            if odd:
+                c1 = -c1
+            for e2, c2 in sub:
+                e = tuple(map(add, e1, e2))
+                nf = nf_memo.get(e)
+                if nf is None:
+                    nf = nf_memo[e] = monomial_nf(e, elements)
+                out[nf] = out.get(nf, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _partials_table(family: Sequence[Binomial]) -> list:
     return [[_partials(b, j) for j in range(b.nvars)] for b in family]
+
+
+class _Sweep:
+    """What every r-subset of one family shares in a sweep, built once.
+
+    rows are the family's difference rows and related[i] whether row i is
+    a relation of the generators; pairs lists (selection, kept columns,
+    (-1)^(a+b) det(g_a, g_b)) for every column pair (a, b) with a nonzero
+    determinant, in pair order.  The table of partials is built on the
+    first fallback pair of the sweep.  memos[k] (2 <= k < r) holds the
+    reduced Laplace sub-minors of the first k rows of the last subset that
+    needed one: they stay valid while its first k indices do, so subsets
+    in itertools.combinations order share all but their last levels.
+    """
+
+    def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial],
+                 nf_memo: dict):
+        vs = ideal.semigroup
+        pts = vs.gens.points
+        self.family = family
+        self.elements = ideal.gb.elements
+        self.nf_memo = nf_memo
+        self.rows = [b.difference() for b in family]
+        self.related = [not any(sum(map(mul, row, coord))
+                                for coord in zip(*pts)) for row in self.rows]
+        self.reference = (-1) ** (vs.N - 1) * cross(pts[0], pts[-1])
+        self.pairs = []
+        for a, b in itertools.combinations(range(vs.N), 2):
+            det_ab = cross(pts[a], pts[b])
+            if det_ab:
+                self.pairs.append(((a, b), tuple(
+                    c for c in range(vs.N) if c != a and c != b),
+                    -det_ab if (a + b) % 2 else det_ab))
+        self.partials = None
+        self.memos = [{} for _ in range(vs.r)]
+        self.prefix = ()
+
+    def _entries(self, subset: tuple) -> list:
+        """Partials rows of subset; drops the memo levels whose rows
+        differ from those of the last subset that read them."""
+        if self.partials is None:
+            self.partials = _partials_table(self.family)
+        p = 0
+        while p < len(self.prefix) and self.prefix[p] == subset[p]:
+            p += 1
+        for memo in self.memos[p + 1:]:
+            memo.clear()
+        self.prefix = subset
+        return [self.partials[i] for i in subset]
+
+    def minors(self, subset: tuple) -> tuple:
+        """(minors, fallbacks) of the family rows at the indices subset, as
+        subset_minors gives them."""
+        if not all(self.related[i] for i in subset):
+            raise InvariantViolation(
+                "difference row is not a relation of the generators")
+        c_s, rest = divmod(int_det([self.rows[i][1:-1] for i in subset]),
+                           self.reference)
+        if rest:
+            raise InvariantViolation(
+                "reference minor is not a multiple of det(g_0, g_(N-1))")
+        if not c_s:
+            return [], 0
+        # the closed form of pair (a, b) is base + e_a + e_b
+        base = [sum(col) - 1
+                for col in zip(*[self.family[i].plus for i in subset])]
+        # ... which is nonnegative when every negative entry is -1 at a or b
+        neg = [i for i, e in enumerate(base) if e < 0]
+        entries = None
+        out = []
+        fallbacks = 0
+        for sel, cols, det_ab in self.pairs:
+            det_rk = c_s * det_ab
+            if all(base[i] == -1 and i in sel for i in neg):
+                a, b = sel
+                exp = base.copy()
+                exp[a] += 1
+                exp[b] += 1
+                out.append((sel, Monomial(det_rk, tuple(exp))))
+                continue
+            fallbacks += 1
+            if entries is None:
+                entries = self._entries(subset)
+            reduced = _minor_terms(entries, cols, self.memos, self.elements,
+                                   self.nf_memo)
+            if len(reduced) > 1:
+                raise NonMonomialResidue(
+                    f"minor reduced to {len(reduced)} terms for columns {sel}")
+            if not reduced:
+                raise InvariantViolation(
+                    "nonzero coefficient minor reduced to zero")
+            ((nf, coeff),) = reduced.items()
+            if coeff != det_rk:
+                raise InvariantViolation(
+                    "reduced minor coefficient differs from det(R_K) = "
+                    "c_S (-1)^(a+b) det(g_a, g_b)")
+            out.append((sel, Monomial(coeff, nf)))
+        return out, fallbacks
 
 
 def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
@@ -213,76 +333,24 @@ def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
     binomials.
 
     A pair whose closed-form exponent is negative is evaluated exactly with
-    integers (the Laplace expansion _minor_terms), each term
-    reduced by its monomial normal form, looked up in nf_memo (exponent ->
-    normal-form exponent for this ideal's basis; a local dict when None).
-    The result must be one term with coefficient det(R_K): more terms raise
+    integers: the Laplace expansion _minor_terms along the last row, each
+    term reduced to normal form as it is built (normal-form exponents
+    looked up in nf_memo, exponent -> normal-form exponent for this ideal's
+    basis; a local dict when None), its reduced sub-minors of the leading
+    rows memoised by column tuple so the pairs share them.  The result must
+    be one term with coefficient det(R_K): more terms raise
     NonMonomialResidue, zero or another coefficient InvariantViolation.
-    The table of partials is built on the first such pair; a Laplace memo
-    keyed by column tuples lets those pairs share lower-row minors.
+    This is a sweep over the one subset: analyze runs the same code over
+    every subset of a family, and there consecutive subsets also share the
+    sub-minors of their common leading rows.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
         raise NotSquare(f"need {vs.r} binomials for {vs.N} variables, "
                         f"got {len(family_subset)}")
-    pts = vs.gens.points
-    rows = [b.difference() for b in family_subset]
-    for row in rows:
-        if any(sum(map(mul, row, coord)) for coord in zip(*pts)):
-            raise InvariantViolation(
-                "difference row is not a relation of the generators")
-    c_s, rest = divmod(int_det([row[1:-1] for row in rows]),
-                       (-1) ** (vs.N - 1) * cross(pts[0], pts[-1]))
-    if rest:
-        raise InvariantViolation(
-            "reference minor is not a multiple of det(g_0, g_(N-1))")
-    if not c_s:
-        return [], 0
-    # the closed form of pair (a, b) is base + e_a + e_b
-    base = [sum(col) - 1 for col in zip(*[b.plus for b in family_subset])]
-    terms: dict = {}
-    entries = None
     if nf_memo is None:
         nf_memo = {}
-    elements = ideal.gb.elements
-    out = []
-    fallbacks = 0
-    for sel in itertools.combinations(range(vs.N), 2):
-        a, b = sel
-        det_rk = cross(pts[a], pts[b])
-        if not det_rk:
-            continue
-        det_rk *= -c_s if (a + b) % 2 else c_s
-        exp = base.copy()
-        exp[a] += 1
-        exp[b] += 1
-        if min(exp) >= 0:
-            out.append((sel, Monomial(det_rk, tuple(exp))))
-            continue
-        fallbacks += 1
-        if entries is None:
-            entries = _partials_table(family_subset)
-        cols = tuple(c for c in range(vs.N) if c != a and c != b)
-        reduced: dict = {}
-        for e, c in _minor_terms(entries, cols, terms).items():
-            nf = nf_memo.get(e)
-            if nf is None:
-                nf = nf_memo[e] = monomial_nf(e, elements)
-            reduced[nf] = reduced.get(nf, 0) + c
-        reduced = {e: c for e, c in reduced.items() if c}
-        if len(reduced) > 1:
-            raise NonMonomialResidue(
-                f"minor reduced to {len(reduced)} terms for columns {sel}")
-        if not reduced:
-            raise InvariantViolation(
-                "nonzero coefficient minor reduced to zero")
-        ((nf, coeff),) = reduced.items()
-        if coeff != det_rk:
-            raise InvariantViolation(
-                "reduced minor coefficient differs from det(R_K) = "
-                "c_S (-1)^(a+b) det(g_a, g_b)")
-        out.append((sel, Monomial(coeff, nf)))
-    return out, fallbacks
+    return _Sweep(ideal, family_subset, nf_memo).minors(tuple(range(vs.r)))
 
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
@@ -379,20 +447,21 @@ def zero_locus(monomials: Sequence[Monomial],
     A monomial vanishes on the z-axis orbit exactly when it involves an x
     or y variable, and on the x-axis orbit exactly when it involves a y or
     z variable; the whole set vanishes on an orbit when every monomial
-    does.
+    does.  The blocks are contiguous (x, then y, then z), so each test is
+    one slice of the exponent.
     """
     if not monomials:
         raise EmptyIdeal("no monomials given")
-    xy = list(vs.x_indices) + list(vs.y_indices)
-    yz = list(vs.y_indices) + list(vs.z_indices)
+    l, lm = vs.l, vs.l + vs.m
     has_o1 = True
     has_o2 = True
     for mono in monomials:
-        if mono.is_constant():
+        exp = mono.exp
+        if not any(exp):
             raise InvariantViolation("constant minor: empty zero locus")
-        if not any(mono.exp[i] for i in xy):
+        if not any(exp[:lm]):
             has_o1 = False
-        if not any(mono.exp[i] for i in yz):
+        if not any(exp[l:]):
             has_o2 = False
     return OrbitSet(has_o1, has_o2)
 
@@ -444,14 +513,13 @@ class NashReport:
     fallbacks: int
 
 
-def _subset_report(ideal: ToricIdeal, fam: Sequence[Binomial], subset: tuple,
-                   sigma: OrbitSet, nf_memo: dict) -> NashReport:
-    minors, fallbacks = subset_minors([fam[i] for i in subset], ideal,
-                                      nf_memo)
+def _subset_report(vs: ValidatedSemigroup, sweep: _Sweep, subset: tuple,
+                   sigma: OrbitSet) -> NashReport:
+    minors, fallbacks = sweep.minors(subset)
     if not minors:
         # c_S == 0: the subset is below full rank
         return NashReport(subset, False, (), None, None, 0)
-    locus = zero_locus([m for _, m in minors], ideal.semigroup)
+    locus = zero_locus([m for _, m in minors], vs)
     return NashReport(subset, True, tuple(minors), locus, locus == sigma,
                       fallbacks)
 
@@ -510,8 +578,8 @@ class Analysis:
     witness is the report _witness finds when the singular locus is
     one-dimensional (None otherwise); the verdict's witness is its subset.
     fallbacks counts the minors whose closed form had a negative exponent,
-    summed over the reports; subset_minors evaluates those by the sparse
-    integer Laplace expansion, reduced term by term to one monomial whose
+    summed over the reports; the sweep evaluates those by the sparse
+    integer Laplace expansion, reduced as it is built to one monomial whose
     coefficient must be the Pluecker value c_S (-1)^(a+b) det(g_a, g_b).
     The hypersurface and complete-intersection flags are the verdict's.
     """
@@ -538,7 +606,8 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     An orbit is singular when the Jacobian of the minimal generators drops
     below codimension r at its representative.  The sweep reports every
     r-subset of the family ("minimal" or "groebner"; ValueError otherwise),
-    in subset-index order, sharing one memo of monomial normal forms.  By
+    in subset-index order, from one _Sweep of the family: its rows, column
+    pairs, partials, normal-form memo and Laplace memos are shared.  By
     the Jacobian criterion all their minors together must vanish on the
     same orbits, for any generating family; disagreement raises
     InvariantViolation.
@@ -564,8 +633,8 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     if drops["torus"]:
         raise TorusSingular("Jacobian rank drops on the dense torus")
     sigma = OrbitSet(drops["O1"], drops["O2"])
-    nf_memo: dict = {}
-    reports = tuple(_subset_report(ideal, fam, subset, sigma, nf_memo)
+    sweep = _Sweep(ideal, fam, {})
+    reports = tuple(_subset_report(vs, sweep, subset, sigma)
                     for subset in itertools.combinations(range(len(fam)),
                                                          vs.r))
     valid = [r for r in reports if r.rank_ok]

@@ -17,9 +17,14 @@ from toricnash.algebra import (
     exp_lcm,
     oriented_binomial,
 )
-from toricnash.errors import InvariantViolation, NonMonomialResidue, NotSquare
+from toricnash.errors import (
+    EmptyIdeal,
+    InvariantViolation,
+    NonMonomialResidue,
+    NotSquare,
+)
 from toricnash.ideal import ToricIdeal, monomial_nf
-from toricnash.nash import _normalize_selection, int_det
+from toricnash.nash import OrbitSet, _normalize_selection, int_det
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
 FIXTURE_B = [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
@@ -435,6 +440,81 @@ def per_pair_subset_minors(family_subset: Sequence[Binomial],
         if mono is not None:
             out.append((sel, mono))
     return out, stats.get("formula_fallbacks", 0)
+
+
+def index_zero_locus(monomials, vs) -> OrbitSet:
+    """The orbit test of nash.zero_locus by index lists: a monomial
+    vanishes on the z-axis orbit when it has an x or y variable, on the
+    x-axis orbit when it has a y or z variable; Monomial.is_constant
+    refuses a constant minor."""
+    if not monomials:
+        raise EmptyIdeal("no monomials given")
+    xy = list(vs.x_indices) + list(vs.y_indices)
+    yz = list(vs.y_indices) + list(vs.z_indices)
+    has_o1 = has_o2 = True
+    for mono in monomials:
+        if mono.is_constant():
+            raise InvariantViolation("constant minor: empty zero locus")
+        if not any(mono.exp[i] for i in xy):
+            has_o1 = False
+        if not any(mono.exp[i] for i in yz):
+            has_o2 = False
+    return OrbitSet(has_o1, has_o2)
+
+
+# --- fiber minima: normal forms from the semigroup ----------------------------
+#
+# Under a Groebner basis of a toric ideal, the normal form of x^e is the
+# order-minimal monomial of its fiber {x^f : sum f_j g_j = sum e_j g_j}
+# (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4).  fiber_minima
+# lists each fiber from the generators alone, with no basis.
+
+
+def fiber_minima(exps, points, order) -> dict:
+    """{exp: order-minimal exponent of the fiber of deg(x^exp)} for exps,
+    the degree of x^e being sum e_j points[j]; each degree's fiber is
+    listed once, by a search over the variables that enters only states
+    from which the rest of the degree is reachable."""
+    n = len(points)
+    w = next(w for w in itertools.product(range(-3, 4), repeat=2)
+             if all(w[0] * u + w[1] * v > 0 for u, v in points))
+    wg = [w[0] * u + w[1] * v for u, v in points]
+    reach: dict = {}
+
+    def steps(j, d):
+        # the remainders d - f g_j, f = 0, 1, ..., while w . d stays >= 0
+        f, (u, v) = 0, d
+        while w[0] * u + w[1] * v >= 0:
+            yield f, (u, v)
+            f, u, v = f + 1, u - points[j][0], v - points[j][1]
+
+    def reachable(j, d):
+        if j == n:
+            return d == (0, 0)
+        got = reach.get((j, d))
+        if got is None:
+            got = reach[(j, d)] = any(reachable(j + 1, rest)
+                                      for _, rest in steps(j, d))
+        return got
+
+    def fiber(j, d):
+        if j == n:
+            yield ()
+            return
+        for f, rest in steps(j, d):
+            if reachable(j + 1, rest):
+                for tail in fiber(j + 1, rest):
+                    yield (f,) + tail
+
+    minima: dict = {}
+    out = {}
+    for e in exps:
+        d = (sum(c * p[0] for c, p in zip(e, points)),
+             sum(c * p[1] for c, p in zip(e, points)))
+        if d not in minima:
+            minima[d] = min(fiber(0, d), key=order.key)
+        out[e] = minima[d]
+    return out
 
 
 def random_binomial_family(rng, nvars, size):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -211,18 +212,27 @@ class TestSparseMinor:
                                         sup.FIXTURE_C, EXISTS])
     def test_laplace_equals_determinant(self, points):
         # every r-subset of the minimal generators, full rank or not, and
-        # every deleted column pair: the unreduced minor, term for term
+        # every deleted column pair: with an empty basis (every normal form
+        # the identity) the unreduced minor, term for term; with the
+        # Groebner basis, reduced as it is built, the normal form of the
+        # determinant
         vs, ideal = sup.build(points)
         fam = ideal.minimal_gens
+        elements = ideal.gb.elements
         checked = 0
         for subset in itertools.combinations(fam, vs.r):
+            entries = nash._partials_table(subset)
             for sel in itertools.combinations(range(vs.N), 2):
-                cols = [i for i in range(vs.N) if i not in sel]
+                cols = tuple(i for i in range(vs.N) if i not in sel)
                 det = determinant([[derivative(f, i) for i in cols]
                                    for f in subset])
-                got = nash._minor_terms(nash._partials_table(subset),
-                                        tuple(cols), {})
+                got = nash._minor_terms(entries, cols,
+                                        [{} for _ in range(vs.r)], (), {})
                 assert got == det.terms, (points, subset, sel)
+                reduced = nash._minor_terms(
+                    entries, cols, [{} for _ in range(vs.r)], elements, {})
+                assert reduced == normal_form(det, ideal.gb).terms, \
+                    (points, subset, sel)
                 checked += 1
         assert checked == (len(list(itertools.combinations(fam, vs.r)))
                            * vs.N * (vs.N - 1) // 2)
@@ -286,11 +296,13 @@ class TestSparseMinor:
     # rows f1, f2 of fixture A without columns 0 and 3: the closed form has
     # a negative exponent, so the minor goes through the integer path, and
     # its two unreduced terms x2^2 and x1x3 share one normal form; each
-    # check must be reached through both entry points
+    # check must be reached through all three entry points, the last being
+    # the sweep over every subset of the minimal generators
     @staticmethod
     def _entry_points(ideal):
         yield lambda: minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
         yield lambda: subset_minors(A_ROWS[:2], ideal)
+        yield lambda: analyze(ideal)
 
     def test_fallback_checks_non_monomial(self, fixture_a):
         _, ideal = fixture_a
@@ -302,9 +314,11 @@ class TestSparseMinor:
 
     def test_fallback_checks_zero(self, fixture_a, monkeypatch):
         _, ideal = fixture_a
-        # no partials: every Laplace expansion is the zero polynomial,
-        # while det(R_K) still comes from the difference rows
-        monkeypatch.setattr(nash, "_partials", lambda b, var: ())
+        # no partials in the sweep's table: every Laplace expansion is the
+        # zero polynomial, while det(R_K) still comes from the difference
+        # rows (and analyze's rank test still reads the real partials)
+        monkeypatch.setattr(nash, "_partials_table", lambda family: [
+            [()] * b.nvars for b in family])
         for evaluate in self._entry_points(ideal):
             with pytest.raises(InvariantViolation, match="reduced to zero"):
                 evaluate()
@@ -331,11 +345,59 @@ class TestSparseMinor:
         assert subset_minors(A_ROWS[:2], ideal, memo) == \
             subset_minors(A_ROWS[:2], ideal) == (minors, fallbacks)
 
+    @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
+    def test_nf_memo_is_fiber_minimum(self, make_order, monkeypatch):
+        # every normal form the sweep records, one per product term of its
+        # Laplace expansions, is the order-minimal monomial of its fiber,
+        # found from the generators without the basis
+        sweeps = []
+
+        class Recorded(nash._Sweep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sweeps.append(self)
+
+        monkeypatch.setattr(nash, "_Sweep", Recorded)
+        for points in (CYC6, EXISTS, SWEEP_SURFACES[3][0]):
+            vs = validate(generator_set(points))
+            ideal = toric_ideal(vs, make_order(vs.N))
+            sweeps.clear()
+            analyze(ideal)
+            (sweep,) = sweeps
+            memo = sweep.nf_memo
+            assert memo, points
+            assert memo == sup.fiber_minima(list(memo), vs.gens.points,
+                                            ideal.order), points
+
+    def test_laplace_memo_stack_bounded(self, monkeypatch):
+        # memos[k] holds at most one sub-minor per k-subset of the columns
+        vs, ideal = sweep_ideals([(CYC6, lex_order)])[0]
+        bound = sum(math.comb(vs.N, k) for k in range(2, vs.r))
+        minor_terms = nash._minor_terms
+        sizes = []
+
+        def watched(entries, cols, memos, elements, nf_memo):
+            out = minor_terms(entries, cols, memos, elements, nf_memo)
+            sizes.append(sum(map(len, memos)))
+            return out
+
+        monkeypatch.setattr(nash, "_minor_terms", watched)
+        analyze(ideal)
+        assert sizes and 0 < max(sizes) <= bound
+
 
 # the surfaces of the sweep benchmark, under their term orders
 SWEEP_SURFACES = [(CYC6, lex_order), (CYC6, degrevlex_order),
                   (EXISTS, lex_order),
                   ([(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)], degrevlex_order)]
+
+
+def sweep_ideals(surfaces=SWEEP_SURFACES):
+    out = []
+    for points, make_order in surfaces:
+        vs = validate(generator_set(points))
+        out.append((vs, toric_ideal(vs, make_order(vs.N))))
+    return out
 
 
 class TestSubsetMinors:
@@ -344,11 +406,7 @@ class TestSubsetMinors:
         if group == "fixtures":
             return [fixture_a, fixture_b, fixture_c]
         if group == "sweep":
-            out = []
-            for points, make_order in SWEEP_SURFACES:
-                vs = validate(generator_set(points))
-                out.append((vs, toric_ideal(vs, make_order(vs.N))))
-            return out
+            return sweep_ideals()
         return population
 
     @pytest.mark.parametrize("group", ["fixtures", "sweep", "population"])
@@ -356,7 +414,11 @@ class TestSubsetMinors:
                                      fixture_c, population):
         # same minors in the same order and the same fallback count as one
         # per-pair evaluation per column pair, on every r-subset of both
-        # families, with one normal-form memo per sweep as analyze keeps it
+        # families, with one normal-form memo per sweep as analyze keeps it.
+        # Every memo entry is a normal form.  With r <= 2 no sub-minor is
+        # reduced, so the memo holds every entry of the oracle's; with more
+        # rows the top minor is built from reduced sub-minors and its
+        # unreduced terms never appear, but every minor's normal form does
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
@@ -369,7 +431,36 @@ class TestSubsetMinors:
                     assert bool(got[0]) == (rank(chosen) == vs.r)
                     subsets += 1
                     fallbacks += got[1]
-                assert memo == oracle_memo
+                if vs.r <= 2:
+                    assert oracle_memo.items() <= memo.items()
+                assert set(oracle_memo.values()) <= set(memo.values())
+                assert all(nf == monomial_nf(e, ideal.gb.elements)
+                           for e, nf in memo.items())
+        assert subsets and fallbacks
+
+    @pytest.mark.parametrize("group", ["fixtures", "sweep", "population"])
+    def test_analyze_matches_per_pair_oracle(self, group, fixture_a,
+                                             fixture_b, fixture_c,
+                                             population):
+        # the sweep shares rows, pairs, partials and the sub-minors of
+        # common leading rows across subsets; subset by subset its reports
+        # hold the per-pair oracle's minors, in its order, and its fallbacks
+        subsets = fallbacks = 0
+        for vs, ideal in self._inputs(group, fixture_a, fixture_b,
+                                      fixture_c, population):
+            for family, fam in (("minimal", ideal.minimal_gens),
+                                ("groebner", ideal.gb.elements)):
+                analysis = analyze(ideal, family)
+                indices = list(itertools.combinations(range(len(fam)), vs.r))
+                assert [r.subset for r in analysis.reports] == indices
+                oracle_memo = {}
+                for report in analysis.reports:
+                    chosen = [fam[i] for i in report.subset]
+                    assert (list(report.minors), report.fallbacks) == \
+                        sup.per_pair_subset_minors(chosen, ideal,
+                                                   oracle_memo), chosen
+                    subsets += 1
+                    fallbacks += report.fallbacks
         assert subsets and fallbacks
 
     def test_one_int_det_per_subset(self, fixture_b, monkeypatch):
@@ -383,10 +474,10 @@ class TestSubsetMinors:
             dets.append(matrix)
             return int_det(matrix)
 
-        def counted_terms(entries, cols, memo):
+        def counted_terms(entries, cols, memos, elements, nf_memo):
             if len(cols) == vs.r:
                 tops.append(cols)
-            return minor_terms(entries, cols, memo)
+            return minor_terms(entries, cols, memos, elements, nf_memo)
 
         monkeypatch.setattr(nash, "int_det", counted_det)
         monkeypatch.setattr(nash, "_minor_terms", counted_terms)
@@ -454,6 +545,27 @@ class TestZeroLocus:
         vs, _ = fixture_a
         with pytest.raises(tn.EmptyIdeal):
             zero_locus([], vs)
+
+    def test_slices_match_index_lists(self):
+        # every minor of the four sweep surfaces, alone and as its subset's
+        # ideal, in both families, then a constant minor and no minor
+        checked = 0
+        for vs, ideal in sweep_ideals():
+            for family in ("minimal", "groebner"):
+                for report in analyze(ideal, family).reports:
+                    monos = [m for _, m in report.minors]
+                    for group in [[m] for m in monos] + [monos] * bool(monos):
+                        assert zero_locus(group, vs) == \
+                            sup.index_zero_locus(group, vs)
+                        checked += 1
+            constant = [Monomial(1, (1,) + (0,) * (vs.N - 1)),
+                        Monomial(3, (0,) * vs.N)]
+            for locus in (zero_locus, sup.index_zero_locus):
+                with pytest.raises(InvariantViolation, match="constant"):
+                    locus(constant, vs)
+                with pytest.raises(tn.EmptyIdeal):
+                    locus([], vs)
+        assert checked
 
     def test_vanishing_matches_evaluation(self, population):
         # the block-support reading must agree with literal evaluation at
