@@ -39,7 +39,9 @@ class TermOrder:
 
     kind is "lex" or "degrevlex".  ranking lists variable indices from most
     to least significant.  weights, when given, are strictly positive degree
-    weights used by degrevlex (None means total degree).
+    weights used by degrevlex (None means total degree).  degree is that
+    weighted degree for a weighted degrevlex order and the total degree
+    otherwise; a degrevlex key begins with it.
     """
 
     kind: str
@@ -62,6 +64,12 @@ class TermOrder:
     def nvars(self) -> int:
         return len(self.ranking)
 
+    def degree(self, exp: ExponentVector) -> int:
+        """Weighted degree under the degrevlex weights, else total degree."""
+        if self.weights is None or self.kind == "lex":
+            return sum(exp)
+        return sum(map(operator.mul, self.weights, exp))
+
     def key(self, exp: ExponentVector):
         """Sortable key; bigger key means bigger monomial."""
         if len(exp) != len(self.ranking):
@@ -69,13 +77,10 @@ class TermOrder:
                 f"exponent length {len(exp)} != {len(self.ranking)} variables")
         if self.kind == "lex":
             return tuple(exp[i] for i in self.ranking)
-        if self.weights is None:
-            deg = sum(exp)
-        else:
-            deg = sum(w * e for w, e in zip(self.weights, exp))
         # graded reverse lex: ties broken at the least significant variable
         # first, smaller exponent there meaning larger monomial
-        return (deg, tuple(-exp[i] for i in reversed(self.ranking)))
+        return (self.degree(exp),
+                tuple(-exp[i] for i in reversed(self.ranking)))
 
 
 def lex_order(n: int) -> TermOrder:

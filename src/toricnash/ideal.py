@@ -12,10 +12,17 @@ Bases, 1993, procedure UPDATE): each new element deletes the pending pairs
 its leading term makes redundant (criterion B), enters only the new pairs
 whose lcm no other new pair's lcm divides and whose leading terms are not
 coprime (criteria M and F), and retires from the live list every element
-whose leading term its own divides.  Every binomial, input or S-binomial,
-is reduced against the live list before it joins, so the live list stays
-small with minimal leading terms, and with its trailing terms reduced it
-is the reduced basis at the end.
+whose leading term its own divides.  Pairs are taken by the degree of
+their lcm first, the sugar strategy for a homogeneous ideal (Giovini,
+Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991):
+under lex it keeps high-degree S-binomials, most of which reduce to zero,
+from entering early.  Every binomial, input or S-binomial, is reduced
+against the live list before it joins, so the live list stays small with
+minimal leading terms, and with its trailing terms reduced it is the
+reduced basis at the end.
+
+Monomial normal forms scan each element as a reducer row (monomial_nf),
+built once when it joins the live list or a finished basis (reducers).
 
 Saturation by one variable recomputes the basis under a graded reverse-lex
 order that ranks the variable last and then strips the common variable
@@ -39,7 +46,8 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter, le, mul
+from functools import cached_property
+from operator import add, itemgetter, le, mul, sub
 from typing import Iterable, List, Optional, Sequence
 
 from .algebra import (
@@ -180,9 +188,21 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
 # --- binomial Groebner engine -----------------------------------------------
 
 
+def _reducer_row(b: Binomial) -> tuple:
+    """The row (i, plus[i], plus, minus - plus) that monomial_nf scans for
+    x^plus - x^minus, i being the coordinate of plus's largest entry."""
+    plus = b.plus
+    i = max(range(len(plus)), key=plus.__getitem__)
+    return (i, plus[i], plus, tuple(map(sub, b.minus, plus)))
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis of a binomial ideal under a fixed order."""
+    """A reduced Groebner basis of a binomial ideal under a fixed order.
+
+    reducers holds the reducer row of each element for monomial_nf, in
+    element order, built on first use and then kept.
+    """
 
     order: TermOrder
     elements: tuple
@@ -191,23 +211,32 @@ class GroebnerBasis:
     def nvars(self) -> int:
         return self.order.nvars
 
+    @cached_property
+    def reducers(self) -> tuple:
+        return tuple(map(_reducer_row, self.elements))
 
-def monomial_nf(exp, elements) -> tuple:
-    """Exponent of the normal form of x^exp against the binomials elements.
 
-    Rewrites x^exp by the first element whose leading exponent plus divides
-    it, to x^(exp - plus + minus), until no element applies; each step
-    strictly decreases the monomial, so this terminates.  Every element is
-    a pure difference x^plus - x^minus, so the normal form of a monomial is
-    again one monomial with coefficient 1, and against a Groebner basis
-    (gb.elements) it is the unique one: normal_form of x^exp has the single
-    term x^monomial_nf(exp, gb.elements).  Normal forms are linear, so a
-    polynomial reduces term by term through this function.
+def monomial_nf(exp, reducers) -> tuple:
+    """Exponent of the normal form of x^exp against binomials given as
+    reducer rows (i, plus[i], plus, minus - plus), as in gb.reducers.
+
+    Rewrites x^exp by the first binomial x^plus - x^minus whose leading
+    exponent plus divides it, to x^(exp + minus - plus), until none
+    applies; each step strictly decreases the monomial, so this
+    terminates.  A row (i, plus[i], plus, delta) is tested on its pivot
+    coordinate i, where plus is largest, before the full divisibility
+    test, which rejects most rows at one comparison and picks the same
+    first divisor.  Every binomial is a pure difference, so the normal form
+    of a monomial is again one monomial with coefficient 1, and against a
+    Groebner basis (gb.reducers) it is the unique one: normal_form of
+    x^exp has the single term x^monomial_nf(exp, gb.reducers).  Normal
+    forms are linear, so a polynomial reduces term by term through this
+    function.
     """
     while True:
-        for b in elements:
-            if all(map(le, b.plus, exp)):
-                exp = tuple(e - p + m for e, p, m in zip(exp, b.plus, b.minus))
+        for i, p, plus, delta in reducers:
+            if exp[i] >= p and all(map(le, plus, exp)):
+                exp = tuple(map(add, exp, delta))
                 break
         else:
             return exp
@@ -219,9 +248,14 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     Buchberger's algorithm with the Gebauer-Moller pair update
     (Gebauer-Moller, On an installation of Buchberger's algorithm, J.
     Symbolic Comput. 6, 1988; Becker-Weispfenning, Groebner Bases, 1993,
-    procedure UPDATE).  The loop keeps a live list of elements, and each
-    pending pair holds its two elements and the lcm of their leading terms.
-    Pair selection follows the normal strategy (smallest lcm first).
+    procedure UPDATE).  The loop keeps a live list of elements, as reducer
+    rows, and each pending pair holds its two rows and the lcm of their
+    leading terms.  Pairs are taken by the degree of their lcm first
+    (order.degree), then by order.key, as the sugar strategy does for a
+    homogeneous ideal (Giovini-Mora-Niesi-Robbiano-Traverso, "One sugar
+    cube, please", ISSAC 1991): a degrevlex key begins with that degree,
+    so there this is the normal strategy (smallest lcm first), and under
+    lex it keeps high-degree pairs from entering early.
 
     Every binomial enters the same way, the inputs first and then each
     pair's S-binomial: x^u - x^v leaves h = x^monomial_nf(u) -
@@ -243,26 +277,27 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     makes it the reduced one.  An input whose length differs from the
     variable count raises LengthMismatch before it is reduced.
     """
-    live: List[Binomial] = []
-    heap: list = []  # (order.key(lcm), tiebreak, f, g, lcm)
+    live: list = []  # reducer rows (i, plus[i], plus, minus - plus)
+    heap: list = []  # (degree, order.key(lcm), tiebreak, f, g, lcm)
     counter = itertools.count()
 
     def update(h: Binomial) -> None:
         hp = h.plus
         if heap:
             kept = [e for e in heap
-                    if not (all(map(le, hp, e[4]))
-                            and exp_lcm(e[2].plus, hp) != e[4]
-                            and exp_lcm(e[3].plus, hp) != e[4])]
+                    if not (all(map(le, hp, e[5]))
+                            and exp_lcm(e[3][2], hp) != e[5]
+                            and exp_lcm(e[4][2], hp) != e[5])]
             if len(kept) != len(heap):
                 heap[:] = kept
                 heapq.heapify(heap)
         hdeg = sum(hp)
+        row = _reducer_row(h)
         new = []
         for g in live:
-            lcm = exp_lcm(g.plus, hp)
+            lcm = exp_lcm(g[2], hp)
             deg = sum(lcm)
-            new.append((deg, deg != sum(g.plus) + hdeg, lcm, g))
+            new.append((deg, deg != sum(g[2]) + hdeg, lcm, g))
         # a proper divisor has a smaller degree, so it comes first; of equal
         # lcms the coprime pair comes first and the others are dropped
         new.sort(key=itemgetter(0, 1))
@@ -272,10 +307,10 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
                 continue
             minimal.append(lcm)
             if not_coprime:
-                heapq.heappush(heap,
-                               (order.key(lcm), next(counter), g, h, lcm))
-        live[:] = [g for g in live if not all(map(le, hp, g.plus))]
-        live.append(h)
+                heapq.heappush(heap, (order.degree(lcm), order.key(lcm),
+                                      next(counter), g, row, lcm))
+        live[:] = [g for g in live if not all(map(le, hp, g[2]))]
+        live.append(row)
 
     def enter(u, v) -> None:
         h = oriented_binomial(monomial_nf(u, live), monomial_nf(v, live),
@@ -284,23 +319,23 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
             update(h)
 
     for b in gens:
-        # monomial_nf's zip would silently cut a longer input short
+        # monomial_nf's map would silently cut a longer input short
         if b.nvars != order.nvars:
             raise LengthMismatch(
                 f"binomial length {b.nvars} != {order.nvars} variables")
         enter(b.plus, b.minus)
 
     while heap:
-        _, _, f, g, lcm = heapq.heappop(heap)
-        enter(exp_add(exp_sub(lcm, f.plus), f.minus),
-              exp_add(exp_sub(lcm, g.plus), g.minus))
+        *_, f, g, lcm = heapq.heappop(heap)
+        # lcm - plus + minus of each element
+        enter(tuple(map(add, lcm, f[3])), tuple(map(add, lcm, g[3])))
 
     out = []
-    for b in sorted(live, key=lambda b: order.key(b.plus)):
-        minus = monomial_nf(b.minus, live)
-        if minus == b.plus:
+    for _, _, plus, delta in sorted(live, key=lambda g: order.key(g[2])):
+        minus = monomial_nf(tuple(map(add, plus, delta)), live)
+        if minus == plus:
             raise InvariantViolation("basis element reduced to zero")
-        out.append(Binomial(b.plus, minus))
+        out.append(Binomial(plus, minus))
     return GroebnerBasis(order, tuple(out))
 
 

@@ -163,21 +163,21 @@ def _partials(b: Binomial, var: int) -> tuple:
                  for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
 
 
-def _minor_terms(entries: list, cols: tuple, memos: list, elements,
+def _minor_terms(entries: list, cols: tuple, memos: list, reducers,
                  nf_memo: dict) -> dict:
     """Normal form of the Jacobian minor of the first len(cols) rows over
     the columns cols, as {exponent: coefficient} without zero coefficients.
 
     entries[i][j] holds the _partials terms of row i by x_j.  Laplace
     expansion along the last of those rows; each term is reduced against
-    elements as it is built, its normal form looked up in nf_memo
-    (exponent -> normal-form exponent, filled as it goes).  The sub-minors
-    it multiplies are themselves reduced, which is exact:
+    the reducer rows (gb.reducers) as it is built, its normal form looked
+    up in nf_memo (exponent -> normal-form exponent, filled as it goes).
+    The sub-minors it multiplies are themselves reduced, which is exact:
     NF(a b) = NF(a NF(b)).  A sub-minor of the first k >= 2 rows depends
     only on those rows and its columns, so it is stored in memos[k] under
     its column tuple, as (exponent, coefficient) pairs, and later minors of
     the same leading rows share it; an entry of the first row is multiplied
-    as read.  With no elements every normal form is the identity and this
+    as read.  With no reducers every normal form is the identity and this
     is the plain integer expansion.
     """
     k = len(cols)
@@ -196,7 +196,7 @@ def _minor_terms(entries: list, cols: tuple, memos: list, elements,
             sub = memos[k - 1].get(rest)
             if sub is None:
                 sub = memos[k - 1][rest] = tuple(_minor_terms(
-                    entries, rest, memos, elements, nf_memo).items())
+                    entries, rest, memos, reducers, nf_memo).items())
         odd = (i + k - 1) % 2
         for e1, c1 in terms:
             if odd:
@@ -205,7 +205,7 @@ def _minor_terms(entries: list, cols: tuple, memos: list, elements,
                 e = tuple(map(add, e1, e2))
                 nf = nf_memo.get(e)
                 if nf is None:
-                    nf = nf_memo[e] = monomial_nf(e, elements)
+                    nf = nf_memo[e] = monomial_nf(e, reducers)
                 out[nf] = out.get(nf, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -220,11 +220,12 @@ class _Sweep:
     rows are the family's difference rows and related[i] whether row i is
     a relation of the generators; pairs lists (selection, kept columns,
     (-1)^(a+b) det(g_a, g_b)) for every column pair (a, b) with a nonzero
-    determinant, in pair order.  The table of partials is built on the
-    first fallback pair of the sweep.  memos[k] (2 <= k < r) holds the
-    reduced Laplace sub-minors of the first k rows of the last subset that
-    needed one: they stay valid while its first k indices do, so subsets
-    in itertools.combinations order share all but their last levels.
+    determinant, in pair order; reducers are the basis's reducer rows.  The
+    table of partials is built on the first fallback pair of the sweep.
+    memos[k] (2 <= k < r) holds the reduced Laplace sub-minors of the first
+    k rows of the last subset that needed one: they stay valid while its
+    first k indices do, so subsets in itertools.combinations order share
+    all but their last levels.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial],
@@ -232,7 +233,7 @@ class _Sweep:
         vs = ideal.semigroup
         pts = vs.gens.points
         self.family = family
-        self.elements = ideal.gb.elements
+        self.reducers = ideal.gb.reducers
         self.nf_memo = nf_memo
         self.rows = [b.difference() for b in family]
         self.related = [not any(sum(map(mul, row, coord))
@@ -295,7 +296,7 @@ class _Sweep:
             fallbacks += 1
             if entries is None:
                 entries = self._entries(subset)
-            reduced = _minor_terms(entries, cols, self.memos, self.elements,
+            reduced = _minor_terms(entries, cols, self.memos, self.reducers,
                                    self.nf_memo)
             if len(reduced) > 1:
                 raise NonMonomialResidue(
@@ -387,7 +388,7 @@ def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
     Congruent monomials share a normal form, so this is the canonical way
     to compare a computed minor set against a printed one.
     """
-    return frozenset(monomial_nf(tuple(exp), ideal.gb.elements)
+    return frozenset(monomial_nf(tuple(exp), ideal.gb.reducers)
                      for exp in exps)
 
 

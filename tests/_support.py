@@ -23,7 +23,7 @@ from toricnash.errors import (
     NonMonomialResidue,
     NotSquare,
 )
-from toricnash.ideal import ToricIdeal, monomial_nf
+from toricnash.ideal import ToricIdeal
 from toricnash.nash import OrbitSet, _normalize_selection, int_det
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
@@ -383,8 +383,9 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
     Uses the closed combinatorial form when its exponent is nonnegative.
     Otherwise it records the event in stats["formula_fallbacks"] and
     evaluates the minor exactly with integers: per_pair_minor_terms, then
-    each term's monomial normal form, looked up in nf_memo (exponent ->
-    normal-form exponent for this ideal's basis; a local dict when None).
+    each term's monomial normal form by _rewrite, not the library's
+    monomial_nf, looked up in nf_memo (exponent -> normal-form exponent for
+    this ideal's basis; a local dict when None).
     The reduced minor must be a single term with coefficient det(R_K):
     more terms raise NonMonomialResidue, zero or another coefficient
     InvariantViolation.
@@ -411,7 +412,7 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
     for e, c in per_pair_minor_terms(family_subset, cols).items():
         nf = nf_memo.get(e)
         if nf is None:
-            nf = nf_memo[e] = monomial_nf(e, elements)
+            nf = nf_memo[e] = _rewrite(e, elements)
         reduced[nf] = reduced.get(nf, 0) + c
     reduced = {e: c for e, c in reduced.items() if c}
     if len(reduced) > 1:

@@ -43,6 +43,16 @@ class TestCompare:
         assert order.key((1, 0)) > order.key((0, 4))
         assert order.key((1, 0)) < order.key((0, 6))
 
+    def test_degree(self):
+        # weighted under weighted degrevlex, total otherwise; a degrevlex
+        # key begins with it
+        exp = (2, 0, 3)
+        weighted = degrevlex_order(3, weights=(5, 1, 2))
+        assert weighted.degree(exp) == 16
+        assert degrevlex_order(3).degree(exp) == lex_order(3).degree(exp) == 5
+        for order in (weighted, degrevlex_order(3)):
+            assert order.key(exp)[0] == order.degree(exp)
+
     def test_orientation_idempotent(self):
         rng = random.Random(3)
         for _ in range(200):

@@ -244,17 +244,79 @@ class TestBuchberger:
         # divides has left the live list; no reduction may use it
         lists = []
 
-        def recording(exp, elements):
-            lists.append(list(elements))
-            return monomial_nf(exp, elements)
+        def recording(exp, reducers):
+            lists.append([plus for _, _, plus, _ in reducers])
+            return monomial_nf(exp, reducers)
 
         monkeypatch.setattr(ideal_mod, "monomial_nf", recording)
         toric_ideal(validate(generator_set(IDEAL_BENCH[2])))
         assert lists
-        for elements in lists:
-            for i, b in enumerate(elements):
-                assert not any(all(map(le, c.plus, b.plus))
-                               for c in elements[i + 1:])
+        for leading in lists:
+            for i, b_plus in enumerate(leading):
+                assert not any(all(map(le, c_plus, b_plus))
+                               for c_plus in leading[i + 1:])
+
+    def test_entries_degree_first(self, monkeypatch):
+        # pairs go by the degree of their lcm first: the final lex run of
+        # ideal-bench buchberger-a and -b enters far fewer binomials than
+        # taking the lex-smallest lcm first did (386 and 226), and the
+        # weighted-degrevlex saturation steps, whose keys already begin
+        # with that degree, enter exactly as many as they did then
+        runs = []
+        orient, run_buchberger = ideal_mod.oriented_binomial, buchberger
+
+        def counting(u, v, order):
+            runs[-1][1] += 1
+            return orient(u, v, order)
+
+        def recording(gens, order):
+            runs.append([order.kind, 0])
+            return run_buchberger(gens, order)
+
+        monkeypatch.setattr(ideal_mod, "oriented_binomial", counting)
+        monkeypatch.setattr(ideal_mod, "buchberger", recording)
+        entered = []
+        for points in IDEAL_BENCH[2:]:
+            runs.clear()
+            toric_ideal(validate(generator_set(points)))
+            entered.append([tuple(run) for run in runs])
+        a, b = entered
+        assert a[:-1] == [("degrevlex", n) for n in (14, 16, 22, 28, 26)]
+        assert a[-1][0] == b[-1][0] == "lex"
+        assert a[-1][1] <= 120
+        assert b[-1][1] <= 60
+
+
+class TestReducerRows:
+    @staticmethod
+    def _bases(population, order_of):
+        surfaces = [vs for vs, _ in population]
+        surfaces += [validate(generator_set(p)) for p in
+                     (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C)]
+        return [toric_ideal(vs, order_of(vs.N)).gb for vs in surfaces]
+
+    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
+    def test_monomial_nf_matches_rewrite(self, population, order_of):
+        # the pivot prefilter picks the same first divisor as the plain
+        # scan of sup._rewrite, so every normal form agrees
+        rng = random.Random(14)
+        for gb in self._bases(population, order_of):
+            for _ in range(40):
+                exp = tuple(rng.randint(0, 6) for _ in range(gb.nvars))
+                assert monomial_nf(exp, gb.reducers) == \
+                    sup._rewrite(exp, gb.elements), (gb, exp)
+
+    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
+    def test_rows_describe_elements(self, population, order_of):
+        # one row per element, in order; the pivot is a largest entry of
+        # plus and positive, so the prefilter never rejects a divisor
+        for gb in self._bases(population, order_of):
+            assert len(gb.reducers) == len(gb.elements)
+            for (i, p, plus, delta), b in zip(gb.reducers, gb.elements):
+                assert plus == b.plus
+                assert tuple(x + d for x, d in zip(plus, delta)) == b.minus
+                assert p == plus[i] == max(plus) > 0
+            assert gb.reducers is gb.reducers
 
 
 def _saturated_basis(gens, order, weights=None):

@@ -218,7 +218,7 @@ class TestSparseMinor:
         # determinant
         vs, ideal = sup.build(points)
         fam = ideal.minimal_gens
-        elements = ideal.gb.elements
+        reducers = ideal.gb.reducers
         checked = 0
         for subset in itertools.combinations(fam, vs.r):
             entries = nash._partials_table(subset)
@@ -230,7 +230,7 @@ class TestSparseMinor:
                                         [{} for _ in range(vs.r)], (), {})
                 assert got == det.terms, (points, subset, sel)
                 reduced = nash._minor_terms(
-                    entries, cols, [{} for _ in range(vs.r)], elements, {})
+                    entries, cols, [{} for _ in range(vs.r)], reducers, {})
                 assert reduced == normal_form(det, ideal.gb).terms, \
                     (points, subset, sel)
                 checked += 1
@@ -247,7 +247,7 @@ class TestSparseMinor:
                 exp = tuple(rng.randint(0, 6) for _ in range(vs.N))
                 (want,) = normal_form(Polynomial.from_monomial(1, exp),
                                       ideal.gb).terms
-                assert monomial_nf(exp, ideal.gb.elements) == want, exp
+                assert monomial_nf(exp, ideal.gb.reducers) == want, exp
 
     @pytest.mark.parametrize("points", [CYC6, sup.FIXTURE_B])
     def test_analyze_without_symbolic_algebra(self, monkeypatch, points):
@@ -434,7 +434,7 @@ class TestSubsetMinors:
                 if vs.r <= 2:
                     assert oracle_memo.items() <= memo.items()
                 assert set(oracle_memo.values()) <= set(memo.values())
-                assert all(nf == monomial_nf(e, ideal.gb.elements)
+                assert all(nf == monomial_nf(e, ideal.gb.reducers)
                            for e, nf in memo.items())
         assert subsets and fallbacks
 
