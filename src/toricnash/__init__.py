@@ -37,7 +37,6 @@ from .errors import (
     TooFewGenerators,
     ToricNashError,
     TorusSingular,
-    UnboundedSearch,
     WitnessNotFound,
 )
 from .ideal import (

@@ -87,9 +87,8 @@ def lex_order(n: int) -> TermOrder:
     return TermOrder("lex", tuple(range(n)))
 
 
-def degrevlex_order(n: int, weights: Optional[Sequence[int]] = None) -> TermOrder:
-    return TermOrder("degrevlex", tuple(range(n)),
-                     None if weights is None else tuple(weights))
+def degrevlex_order(n: int) -> TermOrder:
+    return TermOrder("degrevlex", tuple(range(n)))
 
 
 class Monomial(NamedTuple):
@@ -106,9 +105,8 @@ class Monomial(NamedTuple):
 class Binomial:
     """A pure difference of monomials x^plus - x^minus, plus != minus.
 
-    By convention plus is the leading exponent under whatever order the
-    surrounding computation uses; construct through oriented_binomial() to
-    enforce it.
+    In a Groebner basis plus is the leading exponent under the basis's
+    order (oriented_binomial); an input to buchberger need not be oriented.
     """
 
     plus: ExponentVector
@@ -141,11 +139,11 @@ def oriented_binomial(a: ExponentVector, b: ExponentVector,
     return Binomial(a, b) if ka > kb else Binomial(b, a)
 
 
-def binomial_from_vector(v: Sequence[int], order: TermOrder) -> Optional[Binomial]:
-    """x^{v+} - x^{v-} from an integer vector, oriented under order."""
-    plus = tuple(x if x > 0 else 0 for x in v)
-    minus = tuple(-x if x < 0 else 0 for x in v)
-    return oriented_binomial(plus, minus, order)
+def binomial_from_vector(v: Sequence[int]) -> Binomial:
+    """x^{v+} - x^{v-} from a nonzero integer vector, unoriented: plus is
+    the positive part, whichever side an order would put first."""
+    return Binomial(tuple(x if x > 0 else 0 for x in v),
+                    tuple(-x if x < 0 else 0 for x in v))
 
 
 class Polynomial:

@@ -148,13 +148,8 @@ def build_report(spec: InputSpec) -> RunReport:
     vs = validate(generator_set(spec.generators))
     ideal = toric_ideal(vs, _term_order(spec, vs))
     a = analyze(ideal, spec.family)
-    warnings = []
-    if not a.sigma.origin_singular:
-        warnings.append("origin is a smooth point; the dichotomy does not "
-                        "apply to this input")
-    if a.fallbacks:
-        warnings.append(f"minor formula fell back to the symbolic "
-                        f"determinant {a.fallbacks} times")
+    warnings = ([f"minor formula fell back to the symbolic determinant "
+                 f"{a.fallbacks} times"] if a.fallbacks else [])
     return RunReport(spec, _canonical_names(spec, vs), ideal, a, warnings)
 
 

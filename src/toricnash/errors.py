@@ -41,10 +41,6 @@ class LatticeNotFull(ToricNashError):
     """The generators span a proper sublattice of the integer plane."""
 
 
-class UnboundedSearch(ToricNashError):
-    """No strictly positive dual vector: membership search has no bound."""
-
-
 # --- polynomial arithmetic ----------------------------------------------
 
 class LengthMismatch(ToricNashError):

@@ -381,7 +381,7 @@ def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
 
 
 def _saturate_elements(elements: Sequence[Binomial], nvars: int,
-                       weights: Optional[Sequence[int]]) -> list:
+                       weights: Sequence[int]) -> list:
     """Generators of (ideal : (product of all variables)^infinity).
 
     One pass over the variables: the step for var recomputes the basis
@@ -394,8 +394,7 @@ def _saturate_elements(elements: Sequence[Binomial], nvars: int,
     current = list(elements)
     for var in range(nvars):
         ranking = tuple(j for j in range(nvars) if j != var) + (var,)
-        sat_order = TermOrder("degrevlex", ranking,
-                              None if weights is None else tuple(weights))
+        sat_order = TermOrder("degrevlex", ranking, tuple(weights))
         stripped = []
         for b in buchberger(current, sat_order).elements:
             k = min(b.plus[var], b.minus[var])
@@ -531,11 +530,7 @@ def toric_ideal(vs: ValidatedSemigroup,
     order = order or lex_order(vs.N)
     if order.nvars != vs.N:
         raise InvariantViolation("term order has the wrong variable count")
-    gens = []
-    for v in lattice_kernel(vs):
-        b = binomial_from_vector(v, order)
-        if b is not None:
-            gens.append(b)
+    gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
     saturated = _saturate_elements(gens, vs.N, vs.degree_weights)
     gb = buchberger(saturated, order)
     mingens = minimal_generators(gb, vs.degree_weights)

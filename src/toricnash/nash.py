@@ -55,6 +55,7 @@ from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
 from .errors import (
     EmptyIdeal,
     InvariantViolation,
+    LengthMismatch,
     NonMonomialResidue,
     NotSquare,
     RankDeficient,
@@ -386,10 +387,15 @@ def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
     """Normal-form exponents of the monomials with exponents exps.
 
     Congruent monomials share a normal form, so this is the canonical way
-    to compare a computed minor set against a printed one.
+    to compare a computed minor set against a printed one.  An exponent of
+    the wrong length raises LengthMismatch (monomial_nf does not check).
     """
-    return frozenset(monomial_nf(tuple(exp), ideal.gb.reducers)
-                     for exp in exps)
+    n, out = ideal.semigroup.N, set()
+    for exp in exps:
+        if len(exp) != n:
+            raise LengthMismatch(f"exponent length {len(exp)} != {n}")
+        out.add(monomial_nf(tuple(exp), ideal.gb.reducers))
+    return frozenset(out)
 
 
 def nash_ideal_classes(family_subset: Sequence[Binomial],
@@ -449,7 +455,7 @@ def zero_locus(monomials: Sequence[Monomial],
     or y variable, and on the x-axis orbit exactly when it involves a y or
     z variable; the whole set vanishes on an orbit when every monomial
     does.  The blocks are contiguous (x, then y, then z), so each test is
-    one slice of the exponent.
+    one slice of an exponent, which must have length N (LengthMismatch).
     """
     if not monomials:
         raise EmptyIdeal("no monomials given")
@@ -458,6 +464,8 @@ def zero_locus(monomials: Sequence[Monomial],
     has_o2 = True
     for mono in monomials:
         exp = mono.exp
+        if len(exp) != vs.N:
+            raise LengthMismatch(f"exponent length {len(exp)} != {vs.N}")
         if not any(exp):
             raise InvariantViolation("constant minor: empty zero locus")
         if not any(exp[:lm]):
@@ -474,9 +482,9 @@ def zero_locus(monomials: Sequence[Monomial],
 class SingularLocus:
     """Orbit-set shape of the singular locus plus the origin flag.
 
-    origin_singular False would mean the smooth-origin hypothesis fails;
-    validated minimal generators make that impossible, but the check is
-    performed honestly and surfaced rather than assumed.
+    origin_singular is always True: every basis element has two sides of
+    degree at least 2, so the Jacobian vanishes at the origin, and analyze
+    raises InvariantViolation when it reads full rank there.
     """
 
     orbits: OrbitSet
@@ -531,20 +539,17 @@ def classify_ci(ideal: ToricIdeal) -> tuple:
     return (n == 3, ideal.s_min == n - 2)
 
 
-def _witness(reports: Sequence[NashReport], sigma: OrbitSet,
-             vs: ValidatedSemigroup) -> NashReport:
+def _witness(reports: Sequence[NashReport], sigma: OrbitSet) -> NashReport:
     """The first full-rank report that must cut out a one-dimensional sigma.
 
     When both closures are singular that is any full-rank report.  When
     only the z-axis closure is, it is one with a minor supported purely on
-    the x block, and symmetrically.
+    the x block, and symmetrically: exactly a zero locus inside sigma, as
+    zero_locus read the same minors and refused constant ones.
     """
     both = sigma.has_O1 and sigma.has_O2
-    block = set(vs.x_indices if sigma.has_O1 else vs.z_indices)
     for report in reports:
-        supports = ({i for i, e in enumerate(m.exp) if e}
-                    for _, m in report.minors)
-        if report.rank_ok and (both or any(s and s <= block for s in supports)):
+        if report.rank_ok and sigma.contains(report.zero_locus):
             if not report.equals_sigma:
                 raise TheoremViolation(
                     f"subset {report.subset} should cut out the singular "
@@ -605,22 +610,23 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     """Singular locus, subset reports, verdict and witness from one sweep.
 
     An orbit is singular when the Jacobian of the minimal generators drops
-    below codimension r at its representative.  The sweep reports every
-    r-subset of the family ("minimal" or "groebner"; ValueError otherwise),
-    in subset-index order, from one _Sweep of the family: its rows, column
-    pairs, partials, normal-form memo and Laplace memos are shared.  By
-    the Jacobian criterion all their minors together must vanish on the
-    same orbits, for any generating family; disagreement raises
-    InvariantViolation.
+    below codimension r at its representative; full rank at the origin (no
+    side has degree below 2) raises InvariantViolation, a drop on the torus
+    TorusSingular.  The sweep reports every r-subset of the family
+    ("minimal" or "groebner"; ValueError otherwise), in subset-index order,
+    from one _Sweep of the family: its rows, column pairs, partials,
+    normal-form memo and Laplace memos are shared.  By the Jacobian
+    criterion all their minors together must vanish on the same orbits,
+    for any generating family; disagreement raises InvariantViolation.
 
     The verdict predicts the search outcome from the singular locus and
     checks it: a one-dimensional singular locus guarantees a witness subset
     (both closures singular: every subset works), a zero-dimensional one on
     a non-complete-intersection guarantees there is none.  Complete
-    intersections with point singular locus, and smooth-origin inputs, are
-    out of scope and not asserted.  A mismatch raises TheoremViolation; so
-    does a witness whose zero locus differs from the singular locus, and
-    WitnessNotFound a one-dimensional singular locus without one.
+    intersections with point singular locus are out of scope and not
+    asserted.  A mismatch raises TheoremViolation; so does a witness whose
+    zero locus differs from the singular locus, and WitnessNotFound a
+    one-dimensional singular locus without one.
     """
     if family == "minimal":
         fam = ideal.minimal_gens
@@ -633,6 +639,9 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
              for name, point in orbit_representatives(vs).items()}
     if drops["torus"]:
         raise TorusSingular("Jacobian rank drops on the dense torus")
+    if not drops["origin"]:
+        raise InvariantViolation("Jacobian has full rank at the origin; "
+                                 "a relation has a side of degree below 2")
     sigma = OrbitSet(drops["O1"], drops["O2"])
     sweep = _Sweep(ideal, fam, {})
     reports = tuple(_subset_report(vs, sweep, subset, sigma)
@@ -647,9 +656,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
             "rank test and minor ideal disagree about the singular locus")
 
     is_hyp, is_ci = classify_ci(ideal)
-    if not drops["origin"]:
-        predicted = "out_of_scope"
-    elif sigma.dimension == 0:
+    if sigma.dimension == 0:
         if is_ci and not is_hyp:
             raise TheoremViolation(
                 "complete intersection with isolated singular origin in "
@@ -677,11 +684,11 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
             raise TheoremViolation(
                 f"predicted {predicted} but observed {observed} for generators "
                 f"{[tuple(p) for p in vs.gens.points]}")
-    witness = _witness(reports, sigma, vs) if sigma.dimension == 1 else None
+    witness = _witness(reports, sigma) if sigma.dimension == 1 else None
     verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
                              witness and witness.subset)
-    return Analysis(SingularLocus(sigma, drops["origin"]), reports, verdict,
-                    witness, sum(r.fallbacks for r in reports))
+    return Analysis(SingularLocus(sigma, True), reports, verdict, witness,
+                    sum(r.fallbacks for r in reports))
 
 
 # --- entry points: reads of one analysis --------------------------------------

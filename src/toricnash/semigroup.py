@@ -24,7 +24,6 @@ from .errors import (
     LatticeNotFull,
     NotMinimal,
     TooFewGenerators,
-    UnboundedSearch,
 )
 
 
@@ -133,39 +132,15 @@ def _dual_vector(ray1: LatticePoint, ray2: LatticePoint,
     return w
 
 
-def interior_dual_vector(gens: GeneratorSet) -> LatticePoint:
-    """An integer vector w with w . g > 0 for every generator.
+def semigroup_membership(p, vs: ValidatedSemigroup) -> bool:
+    """Decide p in the semigroup of vs by bounded exhaustive search.
 
-    For a strictly convex two-dimensional cone the sum of the two inward
-    edge normals of compute_cone_rays' rays works, checked as in validate;
-    for generators on a single ray the primitive direction itself works.
-    Raises UnboundedSearch when no such w exists.
-    """
-    pts = gens.points
-    dirs = {primitive(p) for p in pts}
-    if all(cross(next(iter(dirs)), d) == 0 for d in dirs):
-        d = next(iter(dirs))
-        if all(dot(d, p) > 0 for p in pts):
-            return d
-        if all(dot(d, p) < 0 for p in pts):
-            return LatticePoint(-d.u, -d.v)
-        raise UnboundedSearch("generators point in opposite directions")
-    try:
-        ray1, ray2 = compute_cone_rays(gens)
-    except ConeNotStrictlyConvex:
-        raise UnboundedSearch("cone is not strictly convex")
-    return _dual_vector(ray1, ray2, pts)
-
-
-def semigroup_membership(p, gens: GeneratorSet) -> bool:
-    """Decide p in the semigroup of gens by bounded exhaustive search.
-
-    A strictly positive dual vector w caps every coefficient at
-    w.p // w.gen, so the search tree is finite.
-    """
-    w = interior_dual_vector(gens)
-    pts = gens.points
-    return _member(pts, w, [dot(w, g) for g in pts], 0, LatticePoint(*p))
+    The first and last canonical points lie on validate's two rays, so they
+    give its dual vector w, paired to vs.degree_weights; w is strictly
+    positive, which caps every coefficient at w.p // w.gen."""
+    pts = vs.gens.points
+    w = _dual_vector(primitive(pts[0]), primitive(pts[-1]), pts)
+    return _member(pts, w, vs.degree_weights, 0, LatticePoint(*p))
 
 
 def _member(pts: tuple, w: LatticePoint, wg: list, k: int,

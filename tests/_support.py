@@ -463,6 +463,35 @@ def index_zero_locus(monomials, vs) -> OrbitSet:
     return OrbitSet(has_o1, has_o2)
 
 
+def full_rank_at_origin(monkeypatch):
+    """Make analyze read a Jacobian of full rank r = nvars - 2 at the
+    origin; every other point keeps its true rank."""
+    inner = tn.nash._jacobian_rank_at
+
+    def rank_at(family, point, nvars):
+        return nvars - 2 if not any(point) else inner(family, point, nvars)
+
+    monkeypatch.setattr(tn.nash, "_jacobian_rank_at", rank_at)
+
+
+def support_witness(reports, sigma, vs):
+    """The witness by minor supports, an oracle for nash._witness: for a
+    one-dimensional sigma, the first full-rank report when both closures
+    are singular, else the first with a minor supported on the x block
+    (sigma has only O1) or on the z block (only O2); None otherwise."""
+    if sigma.dimension != 1:
+        return None
+    both = sigma.has_O1 and sigma.has_O2
+    block = set(vs.x_indices if sigma.has_O1 else vs.z_indices)
+    for report in reports:
+        supports = ({i for i, e in enumerate(m.exp) if e}
+                    for _, m in report.minors)
+        if report.rank_ok and (both or any(s and s <= block
+                                           for s in supports)):
+            return report
+    return None
+
+
 # --- fiber minima: normal forms from the semigroup ----------------------------
 #
 # Under a Groebner basis of a toric ideal, the normal form of x^e is the

@@ -189,9 +189,7 @@ def test_criterion_8_membership_oracle(fixture_a, fixture_b, fixture_c):
 def test_criterion_9_dichotomy_sweep(population):
     counts = {}
     for vs, ideal in population:
-        sig = singular_locus(ideal)
-        if not sig.origin_singular:
-            continue
+        assert singular_locus(ideal).origin_singular
         try:
             verdict = verify_dichotomy(ideal)
         except TheoremViolation as exc:

@@ -6,6 +6,7 @@ from toricnash.algebra import (
     Binomial,
     Monomial,
     Polynomial,
+    TermOrder,
     degrevlex_order,
     derivative,
     determinant,
@@ -39,7 +40,7 @@ class TestCompare:
         assert order.key((0, 0, 3)) > order.key((1, 1, 0))
 
     def test_weighted_degrevlex(self):
-        order = degrevlex_order(2, weights=(5, 1))
+        order = TermOrder("degrevlex", (0, 1), (5, 1))
         assert order.key((1, 0)) > order.key((0, 4))
         assert order.key((1, 0)) < order.key((0, 6))
 
@@ -47,7 +48,7 @@ class TestCompare:
         # weighted under weighted degrevlex, total otherwise; a degrevlex
         # key begins with it
         exp = (2, 0, 3)
-        weighted = degrevlex_order(3, weights=(5, 1, 2))
+        weighted = TermOrder("degrevlex", (0, 1, 2), (5, 1, 2))
         assert weighted.degree(exp) == 16
         assert degrevlex_order(3).degree(exp) == lex_order(3).degree(exp) == 5
         for order in (weighted, degrevlex_order(3)):

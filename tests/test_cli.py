@@ -156,6 +156,12 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", path]) == EXIT_VALIDATION
         assert "LatticeNotFull" in capsys.readouterr().err
 
+    def test_full_rank_origin_exits_2(self, tmp_path, capsys, monkeypatch):
+        sup.full_rank_at_origin(monkeypatch)
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_C})
+        assert main(["analyze", "--input", path]) == EXIT_VALIDATION == 2
+        assert "InvariantViolation" in capsys.readouterr().err
+
     def test_degrevlex_order_flag(self, tmp_path, capsys):
         path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
         assert main(["analyze", "--input", path,

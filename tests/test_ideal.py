@@ -319,7 +319,7 @@ class TestReducerRows:
             assert gb.reducers is gb.reducers
 
 
-def _saturated_basis(gens, order, weights=None):
+def _saturated_basis(gens, order, weights):
     """The path toric_ideal takes: saturate, then one final basis."""
     return buchberger(_saturate_elements(gens, order.nvars, weights), order)
 
@@ -328,7 +328,8 @@ class TestSaturation:
     def test_strip_common_factor(self):
         order = lex_order(3)
         # x1*x2 - x1*x3 saturated leaves x2 - x3
-        sat = _saturated_basis([Binomial((1, 1, 0), (1, 0, 1))], order)
+        sat = _saturated_basis([Binomial((1, 1, 0), (1, 0, 1))], order,
+                               (1, 1, 1))
         assert [(b.plus, b.minus) for b in sat.elements] == \
             [((0, 1, 0), (0, 0, 1))]
 
@@ -344,7 +345,7 @@ class TestSaturation:
         from toricnash.algebra import binomial_from_vector
         # a specific kernel basis whose binomial ideal is strictly smaller
         # than the saturated one
-        gens = [binomial_from_vector(v, order)
+        gens = [binomial_from_vector(v)
                 for v in ((1, -2, 1, 0), (0, 1, -2, 1))]
         gb = _saturated_basis(gens, order, vs.degree_weights)
         assert gb.elements == ideal.gb.elements
@@ -357,18 +358,19 @@ class TestSaturation:
         vs, ideal = fixture_a
         order = lex_order(4)
         from toricnash.algebra import binomial_from_vector
-        gens = [binomial_from_vector(v, order)
-                for v in lattice_kernel(vs)]
+        gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         gb = _saturated_basis(gens, order, vs.degree_weights)
         assert gb.elements == ideal.gb.elements
+        # kernel binomials enter unoriented: either side first gives it
+        flipped = [Binomial(b.minus, b.plus) for b in gens]
+        assert _saturated_basis(flipped, order, vs.degree_weights) == gb
 
     def test_one_pass(self, fixture_b, monkeypatch):
         # (I : x_i^inf) : x_j^inf = I : (x_i x_j)^inf, so one Buchberger
         # per variable saturates; a confirming second pass is dead work
         vs, ideal = fixture_b
         from toricnash.algebra import binomial_from_vector
-        gens = [binomial_from_vector(v, ideal.order)
-                for v in lattice_kernel(vs)]
+        gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         calls = []
 
         def counted(*args):

@@ -18,6 +18,7 @@ from toricnash.algebra import (
 )
 from toricnash.errors import (
     InvariantViolation,
+    LengthMismatch,
     NonMonomialResidue,
     NotSquare,
     RankDeficient,
@@ -35,6 +36,7 @@ from toricnash.nash import (
     int_rank,
     minor_monomial_formula,
     minor_symbolic,
+    monomial_classes,
     nash_ideal,
     nash_ideal_classes,
     orbit_representatives,
@@ -444,13 +446,19 @@ class TestSubsetMinors:
                                              population):
         # the sweep shares rows, pairs, partials and the sub-minors of
         # common leading rows across subsets; subset by subset its reports
-        # hold the per-pair oracle's minors, in its order, and its fallbacks
-        subsets = fallbacks = 0
+        # hold the per-pair oracle's minors, in its order, and its fallbacks.
+        # The witness read from the zero-locus flags is the one the minor
+        # supports give, and the origin is singular on every input
+        subsets = fallbacks = witnesses = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
             for family, fam in (("minimal", ideal.minimal_gens),
                                 ("groebner", ideal.gb.elements)):
                 analysis = analyze(ideal, family)
+                assert analysis.sigma.origin_singular
+                assert analysis.witness == sup.support_witness(
+                    analysis.reports, analysis.sigma.orbits, vs)
+                witnesses += analysis.witness is not None
                 indices = list(itertools.combinations(range(len(fam)), vs.r))
                 assert [r.subset for r in analysis.reports] == indices
                 oracle_memo = {}
@@ -461,7 +469,7 @@ class TestSubsetMinors:
                                                    oracle_memo), chosen
                     subsets += 1
                     fallbacks += report.fallbacks
-        assert subsets and fallbacks
+        assert subsets and fallbacks and witnesses
 
     def test_one_int_det_per_subset(self, fixture_b, monkeypatch):
         # c_S is the only integer determinant of a subset, and the
@@ -533,6 +541,16 @@ class TestZeroLocus:
         vs, _ = fixture_a
         locus = zero_locus([Monomial(1, (3, 0, 0, 0))], vs)
         assert locus == OrbitSet(True, False)
+
+    @pytest.mark.parametrize("exp", [(0, 2, 0), (0, 0, 0, 0, 5)])
+    def test_wrong_length_refused(self, fixture_a, exp):
+        # the block slices and monomial_nf's map would cut it short or
+        # read it as another monomial
+        vs, ideal = fixture_a
+        with pytest.raises(LengthMismatch):
+            zero_locus([Monomial(1, exp)], vs)
+        with pytest.raises(LengthMismatch):
+            monomial_classes([exp], ideal)
 
     def test_origin_only_pattern(self, fixture_a):
         vs, _ = fixture_a
@@ -730,6 +748,15 @@ class TestAnalysis:
             assert a.dim1_witness() is a.witness
             assert a.verdict.witness == a.witness.subset
             assert len(calls) == 1
+
+    def test_full_rank_origin_is_invariant_violation(self, fixture_c,
+                                                      monkeypatch):
+        # every relation has two sides of degree at least 2, so the
+        # Jacobian vanishes at the origin; full rank there is a bug
+        _, ideal = fixture_c
+        sup.full_rank_at_origin(monkeypatch)
+        with pytest.raises(InvariantViolation):
+            analyze(ideal)
 
     def test_fallbacks_counted_once(self, fixture_a):
         _, ideal = fixture_a

@@ -12,14 +12,12 @@ from toricnash.errors import (
     LatticeNotFull,
     NotMinimal,
     TooFewGenerators,
-    UnboundedSearch,
 )
 from toricnash.semigroup import (
     LatticePoint,
     check_generates_Z2,
     compute_cone_rays,
     generator_set,
-    interior_dual_vector,
     semigroup_membership,
     validate,
 )
@@ -120,57 +118,71 @@ class TestLatticeFullness:
             assert check_generates_Z2(generator_set(pts)) == (g == 1)
 
 
+def validated(points):
+    return validate(generator_set(points))
+
+
 class TestMembership:
     def test_simple_sum(self):
-        gens = generator_set(sup.FIXTURE_A)
-        assert semigroup_membership((2, 2), gens)
+        assert semigroup_membership((2, 2), validated(sup.FIXTURE_A))
 
     def test_unreachable(self):
-        gens = generator_set([(1, 1), (1, 2), (1, 3)])
-        assert not semigroup_membership((1, 0), gens)
+        vs = validated([(1, 1), (1, 2), (1, 3)])
+        assert not semigroup_membership((1, 0), vs)
 
     def test_fixture_b_unreachable(self):
-        gens = generator_set(sup.FIXTURE_B)
-        assert not semigroup_membership((0, 1), gens)
-
-    def test_unbounded(self):
-        with pytest.raises(UnboundedSearch):
-            semigroup_membership((0, 0), generator_set([(1, 0), (-1, 0)]))
+        assert not semigroup_membership((0, 1), validated(sup.FIXTURE_B))
 
     def test_random_combinations_are_members(self):
         rng = random.Random(7)
-        gens = generator_set(sup.FIXTURE_C)
+        vs = validated(sup.FIXTURE_C)
+        pts = vs.gens.points
         for _ in range(30):
-            lam = [rng.randint(0, 2) for _ in gens.points]
-            p = (sum(a * g.u for a, g in zip(lam, gens.points)),
-                 sum(a * g.v for a, g in zip(lam, gens.points)))
-            assert semigroup_membership(p, gens)
+            lam = [rng.randint(0, 2) for _ in pts]
+            p = (sum(a * g.u for a, g in zip(lam, pts)),
+                 sum(a * g.v for a, g in zip(lam, pts)))
+            assert semigroup_membership(p, vs)
 
     def test_against_bfs_oracle(self):
         rng = random.Random(13)
         for pts in (sup.FIXTURE_A, sup.FIXTURE_C, [(2, 1), (1, 1), (1, 3)]):
-            gens = generator_set(pts)
+            vs = validated(pts)
             for _ in range(25):
                 p = (rng.randint(0, 8), rng.randint(0, 8))
-                assert semigroup_membership(p, gens) == \
+                assert semigroup_membership(p, vs) == \
                     sup.brute_membership(p, pts)
 
     def test_no_reference_cycle(self):
         # a call leaves nothing for the cyclic garbage collector
-        gens = generator_set(sup.FIXTURE_A)
+        vs = validated(sup.FIXTURE_A)
         gc.collect()
         gc.disable()
         try:
-            assert semigroup_membership((3, 5), gens)
+            assert semigroup_membership((3, 5), vs)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_dual_vector_strictly_positive(self):
+    def test_dual_vector_strictly_positive(self, monkeypatch):
+        # the search bounds its coefficients with validate's dual vector,
+        # whose pairings with the canonical points are the degree weights
+        inner = semigroup._member
+        calls = []
+
+        def counted(pts, w, wg, k, target):
+            calls.append((pts, w, wg))
+            return inner(pts, w, wg, k, target)
+
+        monkeypatch.setattr(semigroup, "_member", counted)
         for pts in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
-            gens = generator_set(pts)
-            w = interior_dual_vector(gens)
-            assert all(w.u * p.u + w.v * p.v > 0 for p in gens.points)
+            vs = validated(pts)
+            calls.clear()
+            semigroup_membership((4, 7), vs)
+            gens, w, wg = calls[0]
+            assert gens == vs.gens.points
+            assert wg == vs.degree_weights == \
+                tuple(w.u * p.u + w.v * p.v for p in gens)
+            assert all(x > 0 for x in wg)
 
 
 class TestValidate:
@@ -238,8 +250,8 @@ class TestValidate:
 
     def test_one_dual_vector(self, population, monkeypatch):
         # one cone computation gives the blocks and the w of the input order
-        # that bounds every minimality search and gives the weights
-        # interior_dual_vector yields for the canonical order
+        # that bounds every minimality search and gives the weights, the
+        # same for every input order
         inner = semigroup.compute_cone_rays
         calls = []
 
@@ -253,9 +265,7 @@ class TestValidate:
             calls.clear()
             again = validate(shuffled)
             assert calls == [shuffled]
-            w = interior_dual_vector(vs.gens)
-            assert again.degree_weights == vs.degree_weights == \
-                tuple(w.u * p.u + w.v * p.v for p in vs.gens.points)
+            assert again.degree_weights == vs.degree_weights
 
     def test_dual_vector_checked(self, monkeypatch):
         # clockwise rays give a w that pairs negatively with every
@@ -263,11 +273,8 @@ class TestValidate:
         inner = semigroup.compute_cone_rays
         monkeypatch.setattr(semigroup, "compute_cone_rays",
                             lambda gens: inner(gens)[::-1])
-        gens = generator_set(sup.FIXTURE_A)
         with pytest.raises(InvariantViolation):
-            validate(gens)
-        with pytest.raises(InvariantViolation):
-            interior_dual_vector(gens)
+            validate(generator_set(sup.FIXTURE_A))
 
     def test_empty_edge_is_invariant_violation(self, monkeypatch):
         # both rays come from generator directions; a ray that no
