@@ -37,7 +37,6 @@ from .errors import (
     TooFewGenerators,
     ToricNashError,
     TorusSingular,
-    WitnessNotFound,
 )
 from .ideal import (
     GroebnerBasis,

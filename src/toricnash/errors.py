@@ -82,9 +82,5 @@ class TheoremViolation(ToricNashError):
     counterexample, and both must be reported loudly."""
 
 
-class WitnessNotFound(TheoremViolation):
-    """No minor subset with the guaranteed shape exists."""
-
-
 class InvariantViolation(ToricNashError):
     """An internal cross-check failed; indicates a bug in this library."""

@@ -39,7 +39,9 @@ one-dimensional closures are present (the origin always is, the dense
 torus never).
 
 analyze is the only code that sweeps: one Analysis holds the singular
-locus, every subset's minors, the verdict and the witness, found once.
+locus, every subset's minors, the verdict and the witness, the first
+subset the verdict check found cutting out a one-dimensional singular
+locus.
 singular_locus, search_all_subsets, dim1_selector and verify_dichotomy each
 read one field of an analyze call and raise what it raises.
 """
@@ -62,7 +64,6 @@ from .errors import (
     SigmaDimensionError,
     TheoremViolation,
     TorusSingular,
-    WitnessNotFound,
 )
 from .ideal import ToricIdeal, monomial_nf, normal_form
 from .semigroup import ValidatedSemigroup, cross
@@ -221,7 +222,8 @@ class _Sweep:
     rows are the family's difference rows and related[i] whether row i is
     a relation of the generators; pairs lists (selection, kept columns,
     (-1)^(a+b) det(g_a, g_b)) for every column pair (a, b) with a nonzero
-    determinant, in pair order; reducers are the basis's reducer rows.  The
+    determinant, in pair order; reducers are the basis's reducer rows and
+    nf_memo maps each exponent the sweep reduced to its normal form.  The
     table of partials is built on the first fallback pair of the sweep.
     memos[k] (2 <= k < r) holds the reduced Laplace sub-minors of the first
     k rows of the last subset that needed one: they stay valid while its
@@ -229,13 +231,12 @@ class _Sweep:
     all but their last levels.
     """
 
-    def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial],
-                 nf_memo: dict):
+    def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
         vs = ideal.semigroup
         pts = vs.gens.points
         self.family = family
         self.reducers = ideal.gb.reducers
-        self.nf_memo = nf_memo
+        self.nf_memo = {}
         self.rows = [b.difference() for b in family]
         self.related = [not any(sum(map(mul, row, coord))
                                 for coord in zip(*pts)) for row in self.rows]
@@ -314,8 +315,8 @@ class _Sweep:
         return out, fallbacks
 
 
-def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
-                  nf_memo: Optional[dict] = None) -> tuple:
+def subset_minors(family_subset: Sequence[Binomial],
+                  ideal: ToricIdeal) -> tuple:
     """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
 
     minors lists the nonvanishing minors as (selection, monomial) in pair
@@ -336,10 +337,9 @@ def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
 
     A pair whose closed-form exponent is negative is evaluated exactly with
     integers: the Laplace expansion _minor_terms along the last row, each
-    term reduced to normal form as it is built (normal-form exponents
-    looked up in nf_memo, exponent -> normal-form exponent for this ideal's
-    basis; a local dict when None), its reduced sub-minors of the leading
-    rows memoised by column tuple so the pairs share them.  The result must
+    term reduced to normal form as it is built (normal forms memoised by
+    exponent for the call), its reduced sub-minors of the leading rows
+    memoised by column tuple so the pairs share them.  The result must
     be one term with coefficient det(R_K): more terms raise
     NonMonomialResidue, zero or another coefficient InvariantViolation.
     This is a sweep over the one subset: analyze runs the same code over
@@ -350,9 +350,7 @@ def subset_minors(family_subset: Sequence[Binomial], ideal: ToricIdeal,
     if len(family_subset) != vs.r:
         raise NotSquare(f"need {vs.r} binomials for {vs.N} variables, "
                         f"got {len(family_subset)}")
-    if nf_memo is None:
-        nf_memo = {}
-    return _Sweep(ideal, family_subset, nf_memo).minors(tuple(range(vs.r)))
+    return _Sweep(ideal, family_subset).minors(tuple(range(vs.r)))
 
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
@@ -370,13 +368,9 @@ def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
 def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
     """Monomial generators of the minor ideal of an r-element subset.
 
-    The subset must have full generic rank; otherwise no minor survives and
-    the choice is invalid.
+    NotSquare (from subset_minors) unless the subset has r binomials;
+    RankDeficient when it is below full generic rank, so no minor survives.
     """
-    vs = ideal.semigroup
-    if len(family_subset) != vs.r:
-        raise RankDeficient(
-            f"need {vs.r} binomials, got {len(family_subset)}")
     minors, _ = subset_minors(family_subset, ideal)
     if not minors:
         raise RankDeficient("difference matrix rank below codimension")
@@ -539,27 +533,6 @@ def classify_ci(ideal: ToricIdeal) -> tuple:
     return (n == 3, ideal.s_min == n - 2)
 
 
-def _witness(reports: Sequence[NashReport], sigma: OrbitSet) -> NashReport:
-    """The first full-rank report that must cut out a one-dimensional sigma.
-
-    When both closures are singular that is any full-rank report.  When
-    only the z-axis closure is, it is one with a minor supported purely on
-    the x block, and symmetrically: exactly a zero locus inside sigma, as
-    zero_locus read the same minors and refused constant ones.
-    """
-    both = sigma.has_O1 and sigma.has_O2
-    for report in reports:
-        if report.rank_ok and sigma.contains(report.zero_locus):
-            if not report.equals_sigma:
-                raise TheoremViolation(
-                    f"subset {report.subset} should cut out the singular "
-                    f"locus but its zero locus differs")
-            return report
-    raise WitnessNotFound("no full-rank subset reaches the singular locus"
-                          if both else "no subset carries a minor supported "
-                          "on the opposite edge block")
-
-
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Predicted versus observed shape of the minor-ideal search.
@@ -581,8 +554,9 @@ class TheoremVerdict:
 class Analysis:
     """Everything one sweep yields.
 
-    witness is the report _witness finds when the singular locus is
-    one-dimensional (None otherwise); the verdict's witness is its subset.
+    witness is the first report whose zero locus equals a one-dimensional
+    singular locus (None when it is a point); the verdict's witness is its
+    subset.
     fallbacks counts the minors whose closed form had a negative exponent,
     summed over the reports; the sweep evaluates those by the sparse
     integer Laplace expansion, reduced as it is built to one monomial whose
@@ -624,9 +598,9 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     (both closures singular: every subset works), a zero-dimensional one on
     a non-complete-intersection guarantees there is none.  Complete
     intersections with point singular locus are out of scope and not
-    asserted.  A mismatch raises TheoremViolation; so does a witness whose
-    zero locus differs from the singular locus, and WitnessNotFound a
-    one-dimensional singular locus without one.
+    asserted.  A mismatch raises TheoremViolation, so a one-dimensional
+    singular locus has a report whose zero locus equals it; the witness is
+    the first one.
     """
     if family == "minimal":
         fam = ideal.minimal_gens
@@ -643,7 +617,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
         raise InvariantViolation("Jacobian has full rank at the origin; "
                                  "a relation has a side of degree below 2")
     sigma = OrbitSet(drops["O1"], drops["O2"])
-    sweep = _Sweep(ideal, fam, {})
+    sweep = _Sweep(ideal, fam)
     reports = tuple(_subset_report(vs, sweep, subset, sigma)
                     for subset in itertools.combinations(range(len(fam)),
                                                          vs.r))
@@ -668,9 +642,9 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     else:
         predicted = "exists_equal"
 
+    equal = [r for r in valid if r.equals_sigma]
     observed = predicted
     if predicted != "out_of_scope":
-        equal = [r for r in valid if r.equals_sigma]
         if not equal:
             observed = "never_equal"
         elif len(equal) == len(valid) and predicted == "always_equal":
@@ -684,7 +658,8 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
             raise TheoremViolation(
                 f"predicted {predicted} but observed {observed} for generators "
                 f"{[tuple(p) for p in vs.gens.points]}")
-    witness = _witness(reports, sigma) if sigma.dimension == 1 else None
+    # a one-dimensional sigma predicts a match, which the check above found
+    witness = equal[0] if sigma.dimension == 1 else None
     verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
                              witness and witness.subset)
     return Analysis(SingularLocus(sigma, True), reports, verdict, witness,

@@ -475,7 +475,7 @@ def full_rank_at_origin(monkeypatch):
 
 
 def support_witness(reports, sigma, vs):
-    """The witness by minor supports, an oracle for nash._witness: for a
+    """The witness by minor supports, an oracle for Analysis.witness: for a
     one-dimensional sigma, the first full-rank report when both closures
     are singular, else the first with a minor supported on the x block
     (sigma has only O1) or on the z block (only O2); None otherwise."""

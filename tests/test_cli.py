@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from toricnash import nash
+from toricnash import cli, nash
 from toricnash.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -264,6 +264,29 @@ class TestExamplesCommand:
             "broken.json: FAIL (SigmaDimensionError: witness construction "
             "requires a one-dimensional singular locus)\n"
             "0/1 examples pass\n")
+
+    def test_unknown_family_fails(self, tmp_path, capsys):
+        doc = _bundled("a_origin_only.json")
+        doc["family"] = "foo"
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION
+        assert "broken.json: FAIL (InputError" in capsys.readouterr().out
+
+    def test_family_is_analysed(self, tmp_path, capsys, monkeypatch):
+        doc = _bundled("c_one_edge.json")
+        doc["family"] = "groebner"
+        (tmp_path / "c_one_edge.json").write_text(json.dumps(doc))
+        families = []
+        inner = cli.build_report
+
+        def spy(spec):
+            families.append(spec.family)
+            return inner(spec)
+
+        monkeypatch.setattr(cli, "build_report", spy)
+        assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_OK
+        assert families == ["groebner"]
 
     @pytest.mark.parametrize("name", ["a_origin_only.json",
                                       "b_two_edges.json", "c_one_edge.json"])

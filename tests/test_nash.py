@@ -160,13 +160,16 @@ class TestMinors:
     @pytest.mark.parametrize("size", [1, 3])
     def test_wrong_subset_size_refused(self, fixture_a, size):
         # fixture A has r = 2; with f2 alone and columns (1, 2) deleted
-        # the closed form is nonnegative, so no Laplace expansion refuses it
+        # the closed form is nonnegative, so no Laplace expansion refuses
+        # it.  nash_ideal raises the same error, not RankDeficient
         _, ideal = fixture_a
         rows = (A_ROWS[1:2] if size == 1 else A_ROWS[:size])
         with pytest.raises(NotSquare):
             minor_monomial_formula(rows, (1, 2), ideal)
         with pytest.raises(NotSquare):
             subset_minors(rows, ideal)
+        with pytest.raises(NotSquare):
+            nash_ideal(rows, ideal)
 
     def test_rows_off_the_lattice_refused(self, fixture_a):
         # x1 - x2 is no relation of fixture A's generators (1,0), (1,1), so
@@ -336,15 +339,16 @@ class TestSparseMinor:
                 evaluate()
 
     def test_nf_memo_filled(self, fixture_a):
-        # the memo holds the normal forms of the fallback pairs' terms,
-        # and reusing it, or leaving it out, gives the same minors
+        # the sweep's memo holds the normal forms of the fallback pairs'
+        # terms, and reusing it, or starting afresh, gives the same minors
         _, ideal = fixture_a
-        memo = {}
-        minors, fallbacks = subset_minors(A_ROWS[:2], ideal, memo)
+        sweep = nash._Sweep(ideal, A_ROWS[:2])
+        minors, fallbacks = sweep.minors((0, 1))
+        memo = sweep.nf_memo
         fallback_exps = {m.exp for sel, m in minors if 1 not in sel}
         assert fallbacks == len(fallback_exps) == 3
         assert memo and set(memo.values()) == fallback_exps
-        assert subset_minors(A_ROWS[:2], ideal, memo) == \
+        assert sweep.minors((0, 1)) == \
             subset_minors(A_ROWS[:2], ideal) == (minors, fallbacks)
 
     @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
@@ -415,24 +419,28 @@ class TestSubsetMinors:
     def test_matches_per_pair_oracle(self, group, fixture_a, fixture_b,
                                      fixture_c, population):
         # same minors in the same order and the same fallback count as one
-        # per-pair evaluation per column pair, on every r-subset of both
-        # families, with one normal-form memo per sweep as analyze keeps it.
-        # Every memo entry is a normal form.  With r <= 2 no sub-minor is
-        # reduced, so the memo holds every entry of the oracle's; with more
-        # rows the top minor is built from reduced sub-minors and its
-        # unreduced terms never appear, but every minor's normal form does
+        # per-pair evaluation per column pair, and as a sweep of the subset
+        # alone, on every r-subset of both families, through one sweep per
+        # family as analyze runs it.  Every entry of the sweep's memo is a
+        # normal form.  With r <= 2 no sub-minor is reduced, so the memo
+        # holds every entry of the oracle's; with more rows the top minor
+        # is built from reduced sub-minors and its unreduced terms never
+        # appear, but every minor's normal form does
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
             for fam in (ideal.minimal_gens, ideal.gb.elements):
-                memo, oracle_memo = {}, {}
-                for chosen in itertools.combinations(fam, vs.r):
-                    got = subset_minors(chosen, ideal, memo)
+                sweep, oracle_memo = nash._Sweep(ideal, fam), {}
+                for idx in itertools.combinations(range(len(fam)), vs.r):
+                    chosen = tuple(fam[i] for i in idx)
+                    got = sweep.minors(idx)
                     assert got == sup.per_pair_subset_minors(
                         chosen, ideal, oracle_memo), chosen
+                    assert got == subset_minors(chosen, ideal), chosen
                     assert bool(got[0]) == (rank(chosen) == vs.r)
                     subsets += 1
                     fallbacks += got[1]
+                memo = sweep.nf_memo
                 if vs.r <= 2:
                     assert oracle_memo.items() <= memo.items()
                 assert set(oracle_memo.values()) <= set(memo.values())
@@ -732,22 +740,14 @@ class TestAnalysis:
             with pytest.raises(TheoremViolation):
                 read(ideal)
 
-    def test_witness_found_once(self, fixture_b, fixture_c, monkeypatch):
-        calls = []
-        inner = nash._witness
-
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(nash, "_witness", counted)
+    def test_witness_found_once(self, fixture_b, fixture_c):
+        # the witness is the first report the verdict check found equal to
+        # sigma, and every read of it returns that one report
         for _, ideal in (fixture_b, fixture_c):
-            calls.clear()
             a = analyze(ideal)
-            assert len(calls) == 1
+            assert a.witness is next(r for r in a.reports if r.equals_sigma)
             assert a.dim1_witness() is a.witness
             assert a.verdict.witness == a.witness.subset
-            assert len(calls) == 1
 
     def test_full_rank_origin_is_invariant_violation(self, fixture_c,
                                                       monkeypatch):
