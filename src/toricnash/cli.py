@@ -10,7 +10,9 @@ Three commands:
 Input files are JSON documents with keys "generators" (list of integer
 pairs, required), "order" ("lex" or "degrevlex"), "names" (one string per
 generator) and "family" ("minimal" or "groebner").  Floats are rejected
-outright; coordinates must be exact integers.
+outright; coordinates must be exact integers.  The names are printed in
+the relations and minors, so each must be distinct, nonempty and free of
+whitespace and of the characters * ^ + -.
 
 Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
 2 validation failure, 3 dichotomy or bundled-example violation.
@@ -116,6 +118,12 @@ def parse_input(text: str) -> InputSpec:
             raise InputError('"names" must be a list of strings')
         if len(names) != len(gens):
             raise InputError('"names" must have one entry per generator')
+        for name in names:
+            if not name or any(c.isspace() or c in "*^+-" for c in name):
+                raise InputError(f'"names" entry {name!r} is empty or holds '
+                                 "whitespace or one of * ^ + -")
+        if len(set(names)) != len(names):
+            raise InputError('"names" must be distinct')
         names = tuple(names)
     return InputSpec(tuple(tuple(g) for g in gens), order, names, family)
 

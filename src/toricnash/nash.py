@@ -24,9 +24,15 @@ result must be one term whose coefficient is det(R_K).  The sub-minors of
 the first k rows are memoised by their column tuple, and the memo of a
 level stays valid while the subset's first k rows do: in
 itertools.combinations order consecutive subsets share all but their last
-rows.  One sweep context per family (_Sweep) holds the difference rows,
+rows.  With deg x^e = sum_j e_j g_j in Z^2, every term of the minor has
+the degree D = T_S + g_a + g_b, T_S = deg x^(D_S), and monomials of one
+degree are congruent modulo the toric ideal, so they share one normal
+form.  So the expansion, with its three checks, runs once per degree: on
+the first fallback minor of each D in a sweep.  Every later fallback of
+that D is the memoised normal form times det(R_K), as a closed-form minor
+is.  One sweep context per family (_Sweep) holds the difference rows,
 each checked to be a relation once, the column-pair table, the partials,
-the normal-form memo and that stack of Laplace memos.  subset_minors is a
+the normal-form memos and that stack of Laplace memos.  subset_minors is a
 sweep of one subset: it evaluates all C(N, 2) minors, each as
 (selection, monomial) with the monomial coefficient det(R_K);
 minor_monomial_formula reads one pair from it.
@@ -219,12 +225,16 @@ def _partials_table(family: Sequence[Binomial]) -> list:
 class _Sweep:
     """What every r-subset of one family shares in a sweep, built once.
 
-    rows are the family's difference rows and related[i] whether row i is
-    a relation of the generators; pairs lists (selection, kept columns,
-    (-1)^(a+b) det(g_a, g_b)) for every column pair (a, b) with a nonzero
-    determinant, in pair order; reducers are the basis's reducer rows and
-    nf_memo maps each exponent the sweep reduced to its normal form.  The
-    table of partials is built on the first fallback pair of the sweep.
+    rows are the family's difference rows, coords the two coordinate
+    vectors of the generators and related[i] whether row i is a relation
+    of the generators; pairs lists (selection, kept columns,
+    (-1)^(a+b) det(g_a, g_b), g_a + g_b) for every column pair (a, b) with
+    a nonzero determinant, in pair order; reducers are the basis's reducer
+    rows and nf_memo maps each exponent the sweep reduced to its normal
+    form.  deg_memo maps the degree D of each fallback minor the sweep
+    expanded to the normal form it checked; a later fallback minor of that
+    degree is read from it.  The table of partials is built on the first
+    fallback pair the sweep expands.
     memos[k] (2 <= k < r) holds the reduced Laplace sub-minors of the first
     k rows of the last subset that needed one: they stay valid while its
     first k indices do, so subsets in itertools.combinations order share
@@ -238,8 +248,10 @@ class _Sweep:
         self.reducers = ideal.gb.reducers
         self.nf_memo = {}
         self.rows = [b.difference() for b in family]
+        self.coords = tuple(zip(*pts))
         self.related = [not any(sum(map(mul, row, coord))
-                                for coord in zip(*pts)) for row in self.rows]
+                                for coord in self.coords)
+                        for row in self.rows]
         self.reference = (-1) ** (vs.N - 1) * cross(pts[0], pts[-1])
         self.pairs = []
         for a, b in itertools.combinations(range(vs.N), 2):
@@ -247,7 +259,9 @@ class _Sweep:
             if det_ab:
                 self.pairs.append(((a, b), tuple(
                     c for c in range(vs.N) if c != a and c != b),
-                    -det_ab if (a + b) % 2 else det_ab))
+                    -det_ab if (a + b) % 2 else det_ab,
+                    tuple(map(add, pts[a], pts[b]))))
+        self.deg_memo = {}
         self.partials = None
         self.memos = [{} for _ in range(vs.r)]
         self.prefix = ()
@@ -283,10 +297,10 @@ class _Sweep:
                 for col in zip(*[self.family[i].plus for i in subset])]
         # ... which is nonnegative when every negative entry is -1 at a or b
         neg = [i for i, e in enumerate(base) if e < 0]
-        entries = None
+        t_s = None
         out = []
         fallbacks = 0
-        for sel, cols, det_ab in self.pairs:
+        for sel, cols, det_ab, deg_ab in self.pairs:
             det_rk = c_s * det_ab
             if all(base[i] == -1 and i in sel for i in neg):
                 a, b = sel
@@ -296,22 +310,28 @@ class _Sweep:
                 out.append((sel, Monomial(det_rk, tuple(exp))))
                 continue
             fallbacks += 1
-            if entries is None:
-                entries = self._entries(subset)
-            reduced = _minor_terms(entries, cols, self.memos, self.reducers,
-                                   self.nf_memo)
-            if len(reduced) > 1:
-                raise NonMonomialResidue(
-                    f"minor reduced to {len(reduced)} terms for columns {sel}")
-            if not reduced:
-                raise InvariantViolation(
-                    "nonzero coefficient minor reduced to zero")
-            ((nf, coeff),) = reduced.items()
-            if coeff != det_rk:
-                raise InvariantViolation(
-                    "reduced minor coefficient differs from det(R_K) = "
-                    "c_S (-1)^(a+b) det(g_a, g_b)")
-            out.append((sel, Monomial(coeff, nf)))
+            if t_s is None:
+                # T_S = sum_j base_j g_j; every term has degree T_S + g_a + g_b
+                t_s = [sum(map(mul, base, coord)) for coord in self.coords]
+            degree = (t_s[0] + deg_ab[0], t_s[1] + deg_ab[1])
+            nf = self.deg_memo.get(degree)
+            if nf is None:
+                reduced = _minor_terms(self._entries(subset), cols,
+                                       self.memos, self.reducers, self.nf_memo)
+                if len(reduced) > 1:
+                    raise NonMonomialResidue(
+                        f"minor reduced to {len(reduced)} terms "
+                        f"for columns {sel}")
+                if not reduced:
+                    raise InvariantViolation(
+                        "nonzero coefficient minor reduced to zero")
+                ((nf, coeff),) = reduced.items()
+                if coeff != det_rk:
+                    raise InvariantViolation(
+                        "reduced minor coefficient differs from det(R_K) = "
+                        "c_S (-1)^(a+b) det(g_a, g_b)")
+                self.deg_memo[degree] = nf
+            out.append((sel, Monomial(det_rk, nf)))
         return out, fallbacks
 
 
@@ -335,16 +355,20 @@ def subset_minors(family_subset: Sequence[Binomial],
     InvariantViolation; NotSquare when family_subset does not have r
     binomials.
 
-    A pair whose closed-form exponent is negative is evaluated exactly with
-    integers: the Laplace expansion _minor_terms along the last row, each
+    A pair whose closed-form exponent is negative (a fallback) is evaluated
+    exactly with integers, once per degree D = T_S + g_a + g_b of its
+    terms: the Laplace expansion _minor_terms along the last row, each
     term reduced to normal form as it is built (normal forms memoised by
     exponent for the call), its reduced sub-minors of the leading rows
     memoised by column tuple so the pairs share them.  The result must
     be one term with coefficient det(R_K): more terms raise
     NonMonomialResidue, zero or another coefficient InvariantViolation.
+    A later fallback of the same degree has the same normal form, since
+    monomials of one degree are congruent, and coefficient det(R_K).
     This is a sweep over the one subset: analyze runs the same code over
     every subset of a family, and there consecutive subsets also share the
-    sub-minors of their common leading rows.
+    sub-minors of their common leading rows and the normal form of each
+    degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
@@ -558,9 +582,11 @@ class Analysis:
     singular locus (None when it is a point); the verdict's witness is its
     subset.
     fallbacks counts the minors whose closed form had a negative exponent,
-    summed over the reports; the sweep evaluates those by the sparse
-    integer Laplace expansion, reduced as it is built to one monomial whose
-    coefficient must be the Pluecker value c_S (-1)^(a+b) det(g_a, g_b).
+    summed over the reports.  The sweep evaluates the first of those of
+    each degree by the sparse integer Laplace expansion, reduced as it is
+    built to one monomial whose coefficient must be the Pluecker value
+    c_S (-1)^(a+b) det(g_a, g_b); the later ones of that degree reuse its
+    checked normal form, with that Pluecker value as coefficient.
     The hypersurface and complete-intersection flags are the verdict's.
     """
 
@@ -589,7 +615,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     TorusSingular.  The sweep reports every r-subset of the family
     ("minimal" or "groebner"; ValueError otherwise), in subset-index order,
     from one _Sweep of the family: its rows, column pairs, partials,
-    normal-form memo and Laplace memos are shared.  By the Jacobian
+    normal-form memos and Laplace memos are shared.  By the Jacobian
     criterion all their minors together must vanish on the same orbits,
     for any generating family; disagreement raises InvariantViolation.
 

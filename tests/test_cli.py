@@ -48,6 +48,15 @@ class TestParseInput:
         with pytest.raises(InputError):
             parse_input('{"generators": [[1, 0], [0, 1]], "names": ["x"]}')
 
+    @pytest.mark.parametrize("names", [
+        ["a", "a", "b"], ["", "", ""], ["x", "", "z"], ["x", "y z", "w"],
+        ["x", "y\t", "w"], ["x*", "y", "z"], ["x", "y^2", "z"],
+        ["x+", "y", "z"], ["x", "y", "-z"]])
+    def test_ambiguous_names(self, names):
+        with pytest.raises(InputError):
+            parse_input(json.dumps({"generators": [[1, 0], [1, 1], [1, 2]],
+                                    "names": names}))
+
     def test_unknown_key(self):
         with pytest.raises(InputError):
             parse_input('{"generators": [[1, 0]], "extra": 1}')
@@ -79,6 +88,15 @@ class TestValidateCommand:
     def test_malformed(self, tmp_path, capsys):
         path = write_input(tmp_path, {"generators": "nope"})
         assert main(["validate", "--input", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("names", [["a", "a", "b"], ["", "", ""]])
+    def test_ambiguous_names_exit_1(self, tmp_path, capsys, names):
+        # the relation x*z - y^2 would print as a*b - a^2, or as * - ^2
+        path = write_input(tmp_path, {"generators": [[1, 0], [1, 1], [1, 2]],
+                                      "names": names})
+        for command in ("validate", "analyze"):
+            assert main([command, "--input", path]) == EXIT_PARSE
+            assert "names" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--input", "/nonexistent.json"]) == \

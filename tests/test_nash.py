@@ -421,14 +421,16 @@ class TestSubsetMinors:
         # same minors in the same order and the same fallback count as one
         # per-pair evaluation per column pair, and as a sweep of the subset
         # alone, on every r-subset of both families, through one sweep per
-        # family as analyze runs it.  Every entry of the sweep's memo is a
-        # normal form.  With r <= 2 no sub-minor is reduced, so the memo
-        # holds every entry of the oracle's; with more rows the top minor
-        # is built from reduced sub-minors and its unreduced terms never
-        # appear, but every minor's normal form does
+        # family as analyze runs it.  Every minor has the degree
+        # sum_(f in S) deg(f.plus) - sum_j g_j + g_a + g_b, and every
+        # fallback minor's exponent is the sweep's normal form of that
+        # degree.  Every entry of the sweep's memo is a normal form, and
+        # every minor's normal form the oracle found is among them
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
+            pts = vs.gens.points
+            ones_u, ones_v = sup.pi(vs, (1,) * vs.N)
             for fam in (ideal.minimal_gens, ideal.gb.elements):
                 sweep, oracle_memo = nash._Sweep(ideal, fam), {}
                 for idx in itertools.combinations(range(len(fam)), vs.r):
@@ -438,11 +440,25 @@ class TestSubsetMinors:
                         chosen, ideal, oracle_memo), chosen
                     assert got == subset_minors(chosen, ideal), chosen
                     assert bool(got[0]) == (rank(chosen) == vs.r)
+                    t_u = sum(sup.pi(vs, f.plus)[0] for f in chosen) - ones_u
+                    t_v = sum(sup.pi(vs, f.plus)[1] for f in chosen) - ones_v
+                    base = [sum(col) - 1
+                            for col in zip(*(f.plus for f in chosen))]
+                    expanded = 0
+                    for (a, b), mono in got[0]:
+                        degree = (t_u + pts[a].u + pts[b].u,
+                                  t_v + pts[a].v + pts[b].v)
+                        assert sup.pi(vs, mono.exp) == degree, (chosen, a, b)
+                        if any(e + (i in (a, b)) < 0
+                               for i, e in enumerate(base)):
+                            # the closed form is negative: a fallback
+                            expanded += 1
+                            assert mono.exp == sweep.deg_memo[degree] == \
+                                monomial_nf(mono.exp, ideal.gb.reducers)
+                    assert expanded == got[1], chosen
                     subsets += 1
                     fallbacks += got[1]
                 memo = sweep.nf_memo
-                if vs.r <= 2:
-                    assert oracle_memo.items() <= memo.items()
                 assert set(oracle_memo.values()) <= set(memo.values())
                 assert all(nf == monomial_nf(e, ideal.gb.reducers)
                            for e, nf in memo.items())
@@ -501,6 +517,32 @@ class TestSubsetMinors:
         fallbacks = sum(subset_minors(chosen, ideal)[1] for chosen in subsets)
         assert len(dets) == len(subsets)
         assert len(tops) == fallbacks > 0
+
+    @pytest.mark.parametrize("make_order, fallbacks, expansions",
+                             [(lex_order, 922, 19),
+                              (degrevlex_order, 2116, 21)])
+    def test_one_laplace_expansion_per_degree(self, make_order, fallbacks,
+                                              expansions, monkeypatch):
+        # one sweep over every subset of cyc6 expands the first fallback
+        # minor of each degree; later minors of that degree read the
+        # sweep's memo and still count as fallbacks
+        ((vs, ideal),) = sweep_ideals([(CYC6, make_order)])
+        tops = []
+        minor_terms = nash._minor_terms
+
+        def counted_terms(entries, cols, memos, elements, nf_memo):
+            if len(cols) == vs.r:
+                tops.append(cols)
+            return minor_terms(entries, cols, memos, elements, nf_memo)
+
+        monkeypatch.setattr(nash, "_minor_terms", counted_terms)
+        fam = ideal.minimal_gens
+        sweep = nash._Sweep(ideal, fam)
+        assert sum(sweep.minors(idx)[1] for idx in itertools.combinations(
+            range(len(fam)), vs.r)) == fallbacks
+        assert len(tops) == len(sweep.deg_memo) == expansions
+        assert analyze(ideal).fallbacks == fallbacks
+        assert len(tops) == 2 * expansions
 
 
 class TestNashIdeal:
