@@ -2,7 +2,8 @@
 
 The defining ideal of the surface is the lattice ideal of the kernel of the
 generator matrix.  It is computed the standard way: take the ideal of a
-kernel basis, then saturate with respect to every variable.  Everything in
+kernel basis, then saturate it, here by only the one or two variables that
+the basis forces (_saturate_elements says why that is exact).  Everything in
 sight is a pure difference of two monomials, and S-polynomials and
 reductions of such differences stay differences, so the Buchberger loop
 below never touches a general polynomial.  Its pairs are managed by the
@@ -380,9 +381,39 @@ def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
 # --- saturation --------------------------------------------------------------
 
 
-def _saturate_elements(elements: Sequence[Binomial], nvars: int,
+def _forcing_variables(basis: Sequence[Binomial], nvars: int) -> tuple:
+    """The variables to saturate lattice-basis binomials by: the first
+    single variable that forces, else the first pair, else all nvars.
+
+    sigma forces when its closure, which adds every variable of one side
+    of a basis binomial once all of the other side's are in it, reaches
+    all nvars variables; at most O(nvars^2) closures are taken.
+    """
+    supports = [(frozenset(i for i, e in enumerate(b.plus) if e),
+                 frozenset(i for i, e in enumerate(b.minus) if e))
+                for b in basis]
+
+    def forces(sigma) -> bool:
+        closed = set(sigma)
+        grown = True
+        while grown:
+            grown = False
+            for plus, minus in supports:
+                if (plus <= closed) != (minus <= closed):
+                    closed |= plus | minus
+                    grown = True
+        return len(closed) == nvars
+
+    for sigma in itertools.chain(((i,) for i in range(nvars)),
+                                 itertools.combinations(range(nvars), 2)):
+        if forces(sigma):
+            return sigma
+    return tuple(range(nvars))
+
+
+def _saturate_elements(elements: Sequence[Binomial], variables: Iterable[int],
                        weights: Sequence[int]) -> list:
-    """Generators of (ideal : (product of all variables)^infinity).
+    """Generators of (ideal : (product of the given variables)^infinity).
 
     One pass over the variables: the step for var recomputes the basis
     under a graded reverse-lex order that ranks var last and strips the
@@ -390,9 +421,17 @@ def _saturate_elements(elements: Sequence[Binomial], nvars: int,
     var^infinity), and (I : x_i^infinity) : x_j^infinity = I : (x_i
     x_j)^infinity.  All work stays in the cheap graded reverse-lex orders;
     callers convert to their target order once at the end.
+
+    For the binomials of a basis B of the lattice L, the variables
+    _forcing_variables gives suffice (Hosten-Sturmfels, GRIN, IPCO 1995):
+    I_B and I_L agree once every variable is inverted; if sigma forces,
+    every point of V(I_B) with x_sigma != 0 lies in the torus, so no
+    associated prime of I_B[x_sigma^-1] contains a variable, each is a
+    nonzerodivisor modulo it, and I_B : x_sigma^infinity = I_L.
     """
+    nvars = len(weights)
     current = list(elements)
-    for var in range(nvars):
+    for var in variables:
         ranking = tuple(j for j in range(nvars) if j != var) + (var,)
         sat_order = TermOrder("degrevlex", ranking, tuple(weights))
         stripped = []
@@ -523,15 +562,17 @@ def toric_ideal(vs: ValidatedSemigroup,
                 order: Optional[TermOrder] = None) -> ToricIdeal:
     """Defining ideal of the toric surface of vs under the given order.
 
-    N + 1 Buchberger runs (N saturation steps, the final basis); the
-    minimal generators are certified by minimal_generators' path replay,
+    |sigma| + 1 Buchberger runs (saturation by the one or two variables
+    sigma that the lattice basis forces, the final basis); the minimal
+    generators are certified by minimal_generators' path replay,
     and recomputing the basis from them is a test oracle only.
     """
     order = order or lex_order(vs.N)
     if order.nvars != vs.N:
         raise InvariantViolation("term order has the wrong variable count")
     gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
-    saturated = _saturate_elements(gens, vs.N, vs.degree_weights)
+    saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
+                                   vs.degree_weights)
     gb = buchberger(saturated, order)
     mingens = minimal_generators(gb, vs.degree_weights)
     _check_no_unit_sides(gb.elements)

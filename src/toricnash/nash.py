@@ -295,14 +295,19 @@ class _Sweep:
         # the closed form of pair (a, b) is base + e_a + e_b
         base = [sum(col) - 1
                 for col in zip(*[self.family[i].plus for i in subset])]
-        # ... which is nonnegative when every negative entry is -1 at a or b
+        # ... which is nonnegative when every negative entry is -1 at a or b:
+        # every pair when none is negative, no pair when one is below -1 or
+        # more than two are, else the pairs holding the first and last
         neg = [i for i, e in enumerate(base) if e < 0]
+        every = not neg
+        some = len(neg) <= 2 and all(base[i] == -1 for i in neg)
+        first, last = (neg[0], neg[-1]) if neg else (None, None)
         t_s = None
         out = []
         fallbacks = 0
         for sel, cols, det_ab, deg_ab in self.pairs:
             det_rk = c_s * det_ab
-            if all(base[i] == -1 and i in sel for i in neg):
+            if every or some and first in sel and last in sel:
                 a, b = sel
                 exp = base.copy()
                 exp[a] += 1
@@ -477,13 +482,13 @@ def zero_locus(monomials: Sequence[Monomial],
     """
     if not monomials:
         raise EmptyIdeal("no monomials given")
-    l, lm = vs.l, vs.l + vs.m
+    l, lm, n = vs.l, vs.l + vs.m, vs.N
     has_o1 = True
     has_o2 = True
     for mono in monomials:
         exp = mono.exp
-        if len(exp) != vs.N:
-            raise LengthMismatch(f"exponent length {len(exp)} != {vs.N}")
+        if len(exp) != n:
+            raise LengthMismatch(f"exponent length {len(exp)} != {n}")
         if not any(exp):
             raise InvariantViolation("constant minor: empty zero locus")
         if not any(exp[:lm]):

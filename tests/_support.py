@@ -14,7 +14,10 @@ from toricnash.algebra import (
     Binomial,
     Monomial,
     Polynomial,
+    binomial_from_vector,
+    degrevlex_order,
     exp_lcm,
+    lex_order,
     oriented_binomial,
 )
 from toricnash.errors import (
@@ -23,7 +26,13 @@ from toricnash.errors import (
     NonMonomialResidue,
     NotSquare,
 )
-from toricnash.ideal import ToricIdeal
+from toricnash.ideal import (
+    ToricIdeal,
+    _forcing_variables,
+    _saturate_elements,
+    lattice_kernel,
+    minimal_generators,
+)
 from toricnash.nash import OrbitSet, _normalize_selection, int_det
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
@@ -267,6 +276,47 @@ def membership_minimal_generators(gb):
                                       plain_buchberger(others, test_order)):
             kept.remove(b)
     return tuple(kept)
+
+
+def full_saturation_ideal(vs, order) -> ToricIdeal:
+    """toric_ideal with the kernel binomials saturated by every variable,
+    not only by the ones they force: the oracle for _forcing_variables."""
+    gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
+    gb = tn.buchberger(
+        _saturate_elements(gens, range(vs.N), vs.degree_weights), order)
+    return ToricIdeal(vs, gb, minimal_generators(gb, vs.degree_weights))
+
+
+def box_semigroups(max_coord, sizes) -> list:
+    """Every valid semigroup of k generators in [0, max_coord]^2, for each
+    k in sizes."""
+    box = [(u, v) for u in range(max_coord + 1) for v in range(max_coord + 1)
+           if (u, v) != (0, 0)]
+    out = []
+    for k in sizes:
+        for pts in itertools.combinations(box, k):
+            try:
+                out.append(tn.validate(tn.generator_set(list(pts))))
+            except tn.ToricNashError:
+                continue
+    return out
+
+
+def check_forcing_saturation(surfaces) -> int:
+    """Assert that toric_ideal saturates each surface by at most two
+    variables and equals full_saturation_ideal under lex and degrevlex;
+    returns the number of surfaces."""
+    count = 0
+    for vs in surfaces:
+        gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
+        assert len(_forcing_variables(gens, vs.N)) <= 2, vs.gens.points
+        for order_of in (lex_order, degrevlex_order):
+            ideal = tn.toric_ideal(vs, order_of(vs.N))
+            full = full_saturation_ideal(vs, order_of(vs.N))
+            assert ideal.gb.elements == full.gb.elements, vs.gens.points
+            assert ideal.minimal_gens == full.minimal_gens, vs.gens.points
+        count += 1
+    return count
 
 
 # The oracle for ideal._lll_reduce: textbook LLL over Fraction, which

@@ -8,6 +8,7 @@ import pytest
 from toricnash.algebra import (
     Binomial,
     Polynomial,
+    binomial_from_vector,
     degrevlex_order,
     lex_order,
 )
@@ -15,6 +16,7 @@ from toricnash import ideal as ideal_mod
 from toricnash.errors import InvariantViolation, LengthMismatch
 from toricnash.ideal import (
     GroebnerBasis,
+    _forcing_variables,
     _lll_reduce,
     _saturate_elements,
     buchberger,
@@ -218,7 +220,9 @@ class TestBuchberger:
     @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
     def test_toric_calls_match_oracles(self, monkeypatch, order_of):
         # every Buchberger call of toric_ideal: the weighted-degrevlex
-        # saturation steps and the final basis, on real toric inputs
+        # saturation steps and the final basis, on real toric inputs;
+        # |sigma| + 1 calls each, sigma being two variables on fixture C
+        # and the first two surfaces of IDEAL_BENCH and one on the rest
         calls = []
 
         def recording(gens, order):
@@ -233,7 +237,7 @@ class TestBuchberger:
         for points in surfaces:
             vs = validate(generator_set(points))
             toric_ideal(vs, order_of(vs.N))
-        assert len(calls) == sum(len(p) + 1 for p in surfaces)
+        assert len(calls) == 19
         for gens, gb in calls:
             assert gb.elements == \
                 sup.plain_buchberger(gens, gb.order).elements
@@ -259,9 +263,8 @@ class TestBuchberger:
     def test_entries_degree_first(self, monkeypatch):
         # pairs go by the degree of their lcm first: the final lex run of
         # ideal-bench buchberger-a and -b enters far fewer binomials than
-        # taking the lex-smallest lcm first did (386 and 226), and the
-        # weighted-degrevlex saturation steps, whose keys already begin
-        # with that degree, enter exactly as many as they did then
+        # taking the lex-smallest lcm first did (386 and 226); x_4 forces
+        # on both, so one weighted-degrevlex saturation step precedes it
         runs = []
         orient, run_buchberger = ideal_mod.oriented_binomial, buchberger
 
@@ -281,7 +284,8 @@ class TestBuchberger:
             toric_ideal(validate(generator_set(points)))
             entered.append([tuple(run) for run in runs])
         a, b = entered
-        assert a[:-1] == [("degrevlex", n) for n in (14, 16, 22, 28, 26)]
+        assert a[:-1] == [("degrevlex", 24)]
+        assert b[:-1] == [("degrevlex", 16)]
         assert a[-1][0] == b[-1][0] == "lex"
         assert a[-1][1] <= 120
         assert b[-1][1] <= 60
@@ -321,7 +325,8 @@ class TestReducerRows:
 
 def _saturated_basis(gens, order, weights):
     """The path toric_ideal takes: saturate, then one final basis."""
-    return buchberger(_saturate_elements(gens, order.nvars, weights), order)
+    return buchberger(
+        _saturate_elements(gens, range(order.nvars), weights), order)
 
 
 class TestSaturation:
@@ -378,9 +383,40 @@ class TestSaturation:
             return buchberger(*args)
 
         monkeypatch.setattr(ideal_mod, "buchberger", counted)
-        sat = _saturate_elements(gens, vs.N, vs.degree_weights)
+        sat = _saturate_elements(gens, range(vs.N), vs.degree_weights)
         assert len(calls) == vs.N
         assert buchberger(sat, ideal.order).elements == ideal.gb.elements
+
+    def test_forcing_criterion(self, fixture_a):
+        # on the hand basis above, x_2 forces: x_2 != 0 makes x_1 x_3 and
+        # then x_2 x_4 nonzero; x_1, x_4 and the pair of them do not, and
+        # saturating by them misses the middle relation
+        vs, ideal = fixture_a
+        gens = [binomial_from_vector(v)
+                for v in ((1, -2, 1, 0), (0, 1, -2, 1))]
+        assert _forcing_variables(gens, 4) == (1,)
+        missing = Polynomial.from_binomial(Binomial((1, 0, 0, 1), (0, 1, 1, 0)))
+        for sigma, found in (((1,), True), ((0,), False), ((3,), False),
+                             ((0, 3), False)):
+            gb = buchberger(_saturate_elements(gens, sigma, vs.degree_weights),
+                            ideal.order)
+            assert ideal_member(missing, gb) == found
+            assert (gb.elements == ideal.gb.elements) == found
+
+    def test_forcing_pair(self):
+        # no single variable forces on this surface of the sweep workload
+        vs = validate(generator_set([(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)]))
+        gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
+        assert _forcing_variables(gens, vs.N) == (0, 2)
+        assert sup.check_forcing_saturation([vs]) == 1
+
+    def test_matches_full_saturation(self, population):
+        # saturating by the forced variables gives the ideal that
+        # saturating by all of them does, under lex and degrevlex
+        surfaces = [vs for vs, _ in population]
+        assert sup.check_forcing_saturation(surfaces) == len(surfaces)
+        assert sup.check_forcing_saturation(
+            sup.box_semigroups(3, (5,))) == 578
 
 
 class TestToricIdeal:
@@ -602,7 +638,7 @@ class TestPruningCertificate:
 
     def test_buchberger_count(self, fixture_a, fixture_b, fixture_c,
                               monkeypatch):
-        # N saturation steps and the final basis; no regeneration
+        # |sigma| saturation steps and the final basis; no regeneration
         calls = []
 
         def counted(*args):
@@ -610,10 +646,11 @@ class TestPruningCertificate:
             return buchberger(*args)
 
         monkeypatch.setattr(ideal_mod, "buchberger", counted)
-        for vs, ideal in (fixture_a, fixture_b, fixture_c):
+        for (vs, ideal), count in ((fixture_a, 2), (fixture_b, 2),
+                                   (fixture_c, 3)):
             calls.clear()
             rebuilt = toric_ideal(vs)
-            assert len(calls) == vs.N + 1
+            assert len(calls) == count
             assert rebuilt.gb == ideal.gb
             assert rebuilt.minimal_gens == ideal.minimal_gens
 
