@@ -59,6 +59,13 @@ class TermOrder:
                 raise LengthMismatch("weights length differs from variable count")
             if any(w <= 0 for w in self.weights):
                 raise ValueError("degree weights must be strictly positive")
+        # key's getters; itemgetter() raises and itemgetter(i) returns a
+        # scalar, and a ranking of at most one variable is the identity
+        ranked, backward = ((operator.itemgetter(*self.ranking),
+                             operator.itemgetter(*reversed(self.ranking)))
+                            if n > 1 else (tuple, tuple))
+        object.__setattr__(self, "_ranked", ranked)
+        object.__setattr__(self, "_reversed", backward)
 
     @property
     def nvars(self) -> int:
@@ -71,16 +78,17 @@ class TermOrder:
         return sum(map(operator.mul, self.weights, exp))
 
     def key(self, exp: ExponentVector):
-        """Sortable key; bigger key means bigger monomial."""
+        """Sortable key; bigger key means bigger monomial.  Lex: the
+        exponents in ranking order; degrevlex: the degree, then the negated
+        exponents from the least significant variable.  A getter accepts a
+        longer exponent, so the length is checked first (LengthMismatch)."""
         if len(exp) != len(self.ranking):
             raise LengthMismatch(
                 f"exponent length {len(exp)} != {len(self.ranking)} variables")
         if self.kind == "lex":
-            return tuple(exp[i] for i in self.ranking)
-        # graded reverse lex: ties broken at the least significant variable
-        # first, smaller exponent there meaning larger monomial
+            return self._ranked(exp)
         return (self.degree(exp),
-                tuple(-exp[i] for i in reversed(self.ranking)))
+                tuple(map(operator.neg, self._reversed(exp))))
 
 
 def lex_order(n: int) -> TermOrder:

@@ -54,7 +54,6 @@ read one field of an analyze call and raise what it raises.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import add, mul
 from typing import Optional, Sequence
@@ -516,11 +515,26 @@ class SingularLocus:
 
 def _jacobian_rank_at(family: Sequence[Binomial], point,
                       nvars: int) -> int:
-    """Rank of the Jacobian of family at the integer point, each entry
-    evaluated from its _partials terms."""
-    rows = [[sum(c * math.prod(map(pow, point, e))
-                 for e, c in _partials(f, i)) for i in range(nvars)]
-            for f in family]
+    """Rank of the Jacobian of family at a 0/1 point of length nvars
+    (ValueError for another entry, LengthMismatch for another length).
+
+    With Z the zero set of the point, the partial a_i x^(a - e_i) of x^a
+    is a_i there when sum_{k in Z} a_k == [i in Z], else 0 (exact: 0^0 ==
+    1).  So each row comes from its side sums zp, zm; a binomial with
+    zp > 1 and zm > 1 has a zero row and is skipped, as every row of a
+    valid input is at the origin."""
+    if len(point) != nvars:
+        raise LengthMismatch(f"point length {len(point)} != {nvars}")
+    if not set(point) <= {0, 1}:
+        raise ValueError(f"point {point} has an entry outside {{0, 1}}")
+    inz = [1 - x for x in point]
+    rows = []
+    for f in family:
+        zp = sum(map(mul, inz, f.plus))
+        zm = sum(map(mul, inz, f.minus))
+        if zp < 2 or zm < 2:
+            rows.append([(p if zp == z else 0) - (m if zm == z else 0)
+                         for p, m, z in zip(f.plus, f.minus, inz)])
     return int_rank(rows)
 
 
@@ -615,7 +629,8 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     """Singular locus, subset reports, verdict and witness from one sweep.
 
     An orbit is singular when the Jacobian of the minimal generators drops
-    below codimension r at its representative; full rank at the origin (no
+    below codimension r at its 0/1 representative, the rank read from
+    exponent supports (_jacobian_rank_at); full rank at the origin (no
     side has degree below 2) raises InvariantViolation, a drop on the torus
     TorusSingular.  The sweep reports every r-subset of the family
     ("minimal" or "groebner"; ValueError otherwise), in subset-index order,

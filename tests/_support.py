@@ -16,6 +16,7 @@ from toricnash.algebra import (
     Polynomial,
     binomial_from_vector,
     degrevlex_order,
+    derivative,
     exp_lcm,
     lex_order,
     oriented_binomial,
@@ -23,6 +24,7 @@ from toricnash.algebra import (
 from toricnash.errors import (
     EmptyIdeal,
     InvariantViolation,
+    LengthMismatch,
     NonMonomialResidue,
     NotSquare,
 )
@@ -33,7 +35,14 @@ from toricnash.ideal import (
     lattice_kernel,
     minimal_generators,
 )
-from toricnash.nash import OrbitSet, _normalize_selection, int_det
+from toricnash.nash import (
+    OrbitSet,
+    _jacobian_rank_at,
+    _normalize_selection,
+    int_det,
+    int_rank,
+    orbit_representatives,
+)
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
 FIXTURE_B = [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
@@ -317,6 +326,44 @@ def check_forcing_saturation(surfaces) -> int:
             assert ideal.minimal_gens == full.minimal_gens, vs.gens.points
         count += 1
     return count
+
+
+def derivative_rank(family, point, nvars) -> int:
+    """Rank of the Jacobian of family at the point, from the evaluated
+    derivative polynomials: the oracle for nash._jacobian_rank_at."""
+    return int_rank([[derivative(f, i).evaluate(point) for i in range(nvars)]
+                     for f in family])
+
+
+def check_singular_locus(surfaces) -> int:
+    """Assert that _jacobian_rank_at equals derivative_rank at the four
+    orbit points of each surface, for the minimal generators and the
+    Groebner basis under lex and degrevlex; returns the number of
+    surfaces."""
+    count = 0
+    for vs in surfaces:
+        points = orbit_representatives(vs).values()
+        for order_of in (lex_order, degrevlex_order):
+            ideal = tn.toric_ideal(vs, order_of(vs.N))
+            for fam in (ideal.minimal_gens, ideal.gb.elements):
+                for point in points:
+                    assert _jacobian_rank_at(fam, point, vs.N) == \
+                        derivative_rank(fam, point, vs.N), \
+                        (vs.gens.points, point)
+        count += 1
+    return count
+
+
+def reference_key(order, exp) -> tuple:
+    """TermOrder.key by generator expressions over the ranking: the oracle
+    for its getters."""
+    if len(exp) != order.nvars:
+        raise LengthMismatch("exponent length differs from variable count")
+    if order.kind == "lex":
+        return tuple(exp[i] for i in order.ranking)
+    weights = order.weights or (1,) * order.nvars
+    return (sum(w * e for w, e in zip(weights, exp)),
+            tuple(-exp[i] for i in reversed(order.ranking)))
 
 
 # The oracle for ideal._lll_reduce: textbook LLL over Fraction, which

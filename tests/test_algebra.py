@@ -54,6 +54,29 @@ class TestCompare:
         for order in (weighted, degrevlex_order(3)):
             assert order.key(exp)[0] == order.degree(exp)
 
+    def test_key_matches_reference(self):
+        # the getter keys equal the generator-expression keys and sort
+        # alike; a shorter or longer exponent is refused, not truncated
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            weights = rng.choice(
+                [None, tuple(rng.randint(1, 4) for _ in range(n))])
+            order = TermOrder(rng.choice(["lex", "degrevlex"]),
+                              tuple(rng.sample(range(n), n)), weights)
+            exps = [tuple(rng.randint(0, 3) for _ in range(n))
+                    for _ in range(12)]
+            assert [order.key(e) for e in exps] == \
+                [sup.reference_key(order, e) for e in exps]
+            assert sorted(exps, key=order.key) == \
+                sorted(exps, key=lambda e: sup.reference_key(order, e))
+            for bad in (exps[0][:-1], exps[0] + (0,)):
+                with pytest.raises(LengthMismatch):
+                    order.key(bad)
+        for kind in ("lex", "degrevlex"):
+            assert TermOrder(kind, ()).key(()) == \
+                sup.reference_key(TermOrder(kind, ()), ())
+
     def test_orientation_idempotent(self):
         rng = random.Random(3)
         for _ in range(200):

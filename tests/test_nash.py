@@ -275,14 +275,10 @@ class TestSparseMinor:
         assert analyze(ideal) == expected
 
     def test_jacobian_rank_from_exponents(self, population):
-        # the rank at a point from the exponents equals the rank of the
-        # evaluated derivative polynomials: the orbit points of every
-        # population member (both families), and seeded random families
-        # at seeded random integer points
-        def derivative_rank(family, point, nvars):
-            return int_rank([[derivative(f, i).evaluate(point)
-                              for i in range(nvars)] for f in family])
-
+        # the rank at a 0/1 point from the exponent supports equals the
+        # rank of the evaluated derivative polynomials: the orbit points of
+        # every population member (both families), and seeded random
+        # families at every point of {0,1}^nvars
         cases = []
         for vs, ideal in population:
             for fam in (ideal.minimal_gens, ideal.gb.elements):
@@ -292,11 +288,19 @@ class TestSparseMinor:
         for _ in range(200):
             nvars = rng.randint(2, 5)
             fam = sup.random_binomial_family(rng, nvars, rng.randint(1, 4))
-            point = tuple(rng.randint(-2, 2) for _ in range(nvars))
-            cases.append((fam, point, nvars))
+            cases += [(fam, point, nvars) for point
+                      in itertools.product((0, 1), repeat=nvars)]
         for fam, point, nvars in cases:
             assert _jacobian_rank_at(fam, point, nvars) == \
-                derivative_rank(fam, point, nvars), (fam, point)
+                sup.derivative_rank(fam, point, nvars), (fam, point)
+        # other points are outside the support rule's domain
+        fam = population[0][1].minimal_gens
+        for entry in (2, -1):
+            point = (entry,) + (1,) * (fam[0].nvars - 1)
+            with pytest.raises(ValueError):
+                _jacobian_rank_at(fam, point, len(point))
+        with pytest.raises(LengthMismatch):
+            _jacobian_rank_at(fam, point[1:], len(point))
 
     # rows f1, f2 of fixture A without columns 0 and 3: the closed form has
     # a negative exponent, so the minor goes through the integer path, and
