@@ -125,7 +125,7 @@ class Binomial:
             raise LengthMismatch("binomial sides of unequal length")
         if self.plus == self.minus:
             raise ValueError("zero binomial")
-        if any(e < 0 for e in self.plus) or any(e < 0 for e in self.minus):
+        if min(self.plus) < 0 or min(self.minus) < 0:
             raise ValueError("negative exponent in binomial")
 
     @property

@@ -20,22 +20,19 @@ algebra: a sparse integer Laplace expansion of the minor along its last
 row ({exponent: coefficient}, entries read from the binomials' exponents),
 every term reduced with the monomial normal form of the Groebner basis as
 it is built, level by level (NF(a b) = NF(a NF(b)), so this is exact); the
-result must be one term whose coefficient is det(R_K).  The sub-minors of
-the first k rows are memoised by their column tuple, and the memo of a
-level stays valid while the subset's first k rows do: in
-itertools.combinations order consecutive subsets share all but their last
-rows.  With deg x^e = sum_j e_j g_j in Z^2, every term of the minor has
-the degree D = T_S + g_a + g_b, T_S = deg x^(D_S), and monomials of one
-degree are congruent modulo the toric ideal, so they share one normal
-form.  So the expansion, with its three checks, runs once per degree: on
-the first fallback minor of each D in a sweep.  Every later fallback of
-that D is the memoised normal form times det(R_K), as a closed-form minor
-is.  One sweep context per family (_Sweep) holds the difference rows,
-each checked to be a relation once, the column-pair table, the partials,
-the normal-form memos and that stack of Laplace memos.  subset_minors is a
-sweep of one subset: it evaluates all C(N, 2) minors, each as
-(selection, monomial) with the monomial coefficient det(R_K);
-minor_monomial_formula reads one pair from it.
+result must be one term whose coefficient is det(R_K).  The sub-minors
+are memoised by their rows and columns.  With deg x^e = sum_j e_j g_j in
+Z^2, every term of the minor has the degree D = T_S + g_a + g_b,
+T_S = deg x^(D_S), and monomials of one degree are congruent modulo the
+toric ideal, so they share one normal form.  So the expansion, with its
+three checks, runs once per degree: on the first fallback minor of each D
+in a sweep.  Every later fallback of that D is the memoised normal form
+times det(R_K), as a closed-form minor is.  One sweep context per family
+(_Sweep) holds the difference rows, each checked to be a relation once,
+the column-pair table, the partials, the normal-form memos and the
+sub-minor memo.  subset_minors is a sweep of one subset: it evaluates all
+C(N, 2) minors, each as (selection, monomial) with the monomial
+coefficient det(R_K); minor_monomial_formula reads one pair from it.
 minor_symbolic, the symbolic determinant reduced to normal form, stays as
 the reference the tests hold it against.
 
@@ -170,25 +167,25 @@ def _partials(b: Binomial, var: int) -> tuple:
                  for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
 
 
-def _minor_terms(entries: list, cols: tuple, memos: list, reducers,
-                 nf_memo: dict) -> dict:
-    """Normal form of the Jacobian minor of the first len(cols) rows over
-    the columns cols, as {exponent: coefficient} without zero coefficients.
+def _minor_terms(partials: list, rows: tuple, cols: tuple, memo: dict,
+                 reducers, nf_memo: dict) -> dict:
+    """Normal form of the Jacobian minor of the family rows rows over the
+    columns cols, as {exponent: coefficient} without zero coefficients.
 
-    entries[i][j] holds the _partials terms of row i by x_j.  Laplace
-    expansion along the last of those rows; each term is reduced against
+    partials[i][j] holds the _partials terms of family row i by x_j.
+    Laplace expansion along the last of rows; each term is reduced against
     the reducer rows (gb.reducers) as it is built, its normal form looked
     up in nf_memo (exponent -> normal-form exponent, filled as it goes).
     The sub-minors it multiplies are themselves reduced, which is exact:
-    NF(a b) = NF(a NF(b)).  A sub-minor of the first k >= 2 rows depends
-    only on those rows and its columns, so it is stored in memos[k] under
-    its column tuple, as (exponent, coefficient) pairs, and later minors of
-    the same leading rows share it; an entry of the first row is multiplied
-    as read.  With no reducers every normal form is the identity and this
+    NF(a b) = NF(a NF(b)).  A sub-minor of k >= 2 rows depends only on its
+    rows and columns, so it is stored in memo under (rows, columns), as
+    (exponent, coefficient) pairs; an entry of a single row is read from
+    partials.  With no reducers every normal form is the identity and this
     is the plain integer expansion.
     """
     k = len(cols)
-    row = entries[k - 1]
+    row = partials[rows[-1]]
+    lead = rows[:-1]
     out: dict = {}
     for i, j in enumerate(cols):
         terms = row[j]
@@ -198,12 +195,12 @@ def _minor_terms(entries: list, cols: tuple, memos: list, reducers,
         if k == 1:
             sub = (((0,) * len(terms[0][0]), 1),)  # the minor of no rows
         elif k == 2:
-            sub = entries[0][rest[0]]
+            sub = partials[lead[0]][rest[0]]
         else:
-            sub = memos[k - 1].get(rest)
+            sub = memo.get((lead, rest))
             if sub is None:
-                sub = memos[k - 1][rest] = tuple(_minor_terms(
-                    entries, rest, memos, reducers, nf_memo).items())
+                sub = memo[lead, rest] = tuple(_minor_terms(
+                    partials, lead, rest, memo, reducers, nf_memo).items())
         odd = (i + k - 1) % 2
         for e1, c1 in terms:
             if odd:
@@ -224,20 +221,17 @@ def _partials_table(family: Sequence[Binomial]) -> list:
 class _Sweep:
     """What every r-subset of one family shares in a sweep, built once.
 
-    rows are the family's difference rows, coords the two coordinate
-    vectors of the generators and related[i] whether row i is a relation
-    of the generators; pairs lists (selection, kept columns,
-    (-1)^(a+b) det(g_a, g_b), g_a + g_b) for every column pair (a, b) with
-    a nonzero determinant, in pair order; reducers are the basis's reducer
-    rows and nf_memo maps each exponent the sweep reduced to its normal
-    form.  deg_memo maps the degree D of each fallback minor the sweep
-    expanded to the normal form it checked; a later fallback minor of that
-    degree is read from it.  The table of partials is built on the first
-    fallback pair the sweep expands.
-    memos[k] (2 <= k < r) holds the reduced Laplace sub-minors of the first
-    k rows of the last subset that needed one: they stay valid while its
-    first k indices do, so subsets in itertools.combinations order share
-    all but their last levels.
+    rows are the family's difference rows, each checked here to be a
+    relation of the generators, coords the two coordinate vectors of the
+    generators and partials the _partials table of the family; pairs lists
+    (selection, kept columns, (-1)^(a+b) det(g_a, g_b), g_a + g_b) for
+    every column pair (a, b) with a nonzero determinant, in pair order;
+    reducers are the basis's reducer rows and nf_memo maps each exponent
+    the sweep reduced to its normal form.  deg_memo maps the degree D of
+    each fallback minor the sweep expanded to the normal form it checked;
+    a later fallback minor of that degree is read from it.  memo holds the
+    reduced Laplace sub-minors under their (rows, columns), whatever the
+    order in which subsets are visited.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
@@ -248,9 +242,10 @@ class _Sweep:
         self.nf_memo = {}
         self.rows = [b.difference() for b in family]
         self.coords = tuple(zip(*pts))
-        self.related = [not any(sum(map(mul, row, coord))
-                                for coord in self.coords)
-                        for row in self.rows]
+        if any(sum(map(mul, row, coord))
+               for row in self.rows for coord in self.coords):
+            raise InvariantViolation(
+                "difference row is not a relation of the generators")
         self.reference = (-1) ** (vs.N - 1) * cross(pts[0], pts[-1])
         self.pairs = []
         for a, b in itertools.combinations(range(vs.N), 2):
@@ -261,29 +256,12 @@ class _Sweep:
                     -det_ab if (a + b) % 2 else det_ab,
                     tuple(map(add, pts[a], pts[b]))))
         self.deg_memo = {}
-        self.partials = None
-        self.memos = [{} for _ in range(vs.r)]
-        self.prefix = ()
-
-    def _entries(self, subset: tuple) -> list:
-        """Partials rows of subset; drops the memo levels whose rows
-        differ from those of the last subset that read them."""
-        if self.partials is None:
-            self.partials = _partials_table(self.family)
-        p = 0
-        while p < len(self.prefix) and self.prefix[p] == subset[p]:
-            p += 1
-        for memo in self.memos[p + 1:]:
-            memo.clear()
-        self.prefix = subset
-        return [self.partials[i] for i in subset]
+        self.partials = _partials_table(family)
+        self.memo = {}
 
     def minors(self, subset: tuple) -> tuple:
         """(minors, fallbacks) of the family rows at the indices subset, as
         subset_minors gives them."""
-        if not all(self.related[i] for i in subset):
-            raise InvariantViolation(
-                "difference row is not a relation of the generators")
         c_s, rest = divmod(int_det([self.rows[i][1:-1] for i in subset]),
                            self.reference)
         if rest:
@@ -320,8 +298,8 @@ class _Sweep:
             degree = (t_s[0] + deg_ab[0], t_s[1] + deg_ab[1])
             nf = self.deg_memo.get(degree)
             if nf is None:
-                reduced = _minor_terms(self._entries(subset), cols,
-                                       self.memos, self.reducers, self.nf_memo)
+                reduced = _minor_terms(self.partials, subset, cols, self.memo,
+                                       self.reducers, self.nf_memo)
                 if len(reduced) > 1:
                     raise NonMonomialResidue(
                         f"minor reduced to {len(reduced)} terms "
@@ -363,16 +341,14 @@ def subset_minors(family_subset: Sequence[Binomial],
     exactly with integers, once per degree D = T_S + g_a + g_b of its
     terms: the Laplace expansion _minor_terms along the last row, each
     term reduced to normal form as it is built (normal forms memoised by
-    exponent for the call), its reduced sub-minors of the leading rows
-    memoised by column tuple so the pairs share them.  The result must
-    be one term with coefficient det(R_K): more terms raise
-    NonMonomialResidue, zero or another coefficient InvariantViolation.
-    A later fallback of the same degree has the same normal form, since
-    monomials of one degree are congruent, and coefficient det(R_K).
-    This is a sweep over the one subset: analyze runs the same code over
-    every subset of a family, and there consecutive subsets also share the
-    sub-minors of their common leading rows and the normal form of each
-    degree.
+    exponent), its reduced sub-minors memoised by rows and columns so the
+    pairs share them.  The result must be one term with coefficient
+    det(R_K): more terms raise NonMonomialResidue, zero or another
+    coefficient InvariantViolation.  A later fallback of the same degree
+    has the same normal form, since monomials of one degree are congruent,
+    and coefficient det(R_K).  This is a sweep over the one subset:
+    analyze runs the same code over every subset of a family, and there
+    the subsets also share sub-minors and the normal form of each degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
@@ -635,7 +611,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     TorusSingular.  The sweep reports every r-subset of the family
     ("minimal" or "groebner"; ValueError otherwise), in subset-index order,
     from one _Sweep of the family: its rows, column pairs, partials,
-    normal-form memos and Laplace memos are shared.  By the Jacobian
+    normal-form memos and sub-minor memo are shared.  By the Jacobian
     criterion all their minors together must vanish on the same orbits,
     for any generating family; disagreement raises InvariantViolation.
 

@@ -38,6 +38,7 @@ from toricnash.ideal import (
 from toricnash.nash import (
     OrbitSet,
     _jacobian_rank_at,
+    _Sweep,
     _normalize_selection,
     int_det,
     int_rank,
@@ -350,6 +351,29 @@ def check_singular_locus(surfaces) -> int:
                     assert _jacobian_rank_at(fam, point, vs.N) == \
                         derivative_rank(fam, point, vs.N), \
                         (vs.gens.points, point)
+        count += 1
+    return count
+
+
+def check_sweep_order(surfaces, seed=0) -> int:
+    """Assert that one _Sweep over the r-subsets of the minimal generators
+    and of the Groebner basis, under lex and degrevlex, visited in a
+    shuffled order, gives each subset the minors of
+    per_pair_subset_minors; returns the number of surfaces."""
+    rng = random.Random(seed)
+    count = 0
+    for vs in surfaces:
+        for order_of in (lex_order, degrevlex_order):
+            ideal = tn.toric_ideal(vs, order_of(vs.N))
+            oracle_memo: dict = {}
+            for fam in (ideal.minimal_gens, ideal.gb.elements):
+                subsets = list(itertools.combinations(range(len(fam)), vs.r))
+                rng.shuffle(subsets)
+                sweep = _Sweep(ideal, fam)
+                for idx in subsets:
+                    chosen = [fam[i] for i in idx]
+                    assert sweep.minors(idx) == per_pair_subset_minors(
+                        chosen, ideal, oracle_memo), (vs.gens.points, idx)
         count += 1
     return count
 

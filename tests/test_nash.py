@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import random
 
 import pytest
@@ -181,6 +180,8 @@ class TestMinors:
             subset_minors(rows, ideal)
         with pytest.raises(InvariantViolation, match="not a relation"):
             minor_monomial_formula(rows, (2, 3), ideal)
+        with pytest.raises(InvariantViolation, match="not a relation"):
+            nash._Sweep(ideal, rows)
 
     def test_inexact_reference_minor_refused(self, fixture_a):
         # doubled generators keep every relation but span an index-4
@@ -225,17 +226,17 @@ class TestSparseMinor:
         fam = ideal.minimal_gens
         reducers = ideal.gb.reducers
         checked = 0
+        rows = tuple(range(vs.r))
         for subset in itertools.combinations(fam, vs.r):
-            entries = nash._partials_table(subset)
+            partials = nash._partials_table(subset)
             for sel in itertools.combinations(range(vs.N), 2):
                 cols = tuple(i for i in range(vs.N) if i not in sel)
                 det = determinant([[derivative(f, i) for i in cols]
                                    for f in subset])
-                got = nash._minor_terms(entries, cols,
-                                        [{} for _ in range(vs.r)], (), {})
+                got = nash._minor_terms(partials, rows, cols, {}, (), {})
                 assert got == det.terms, (points, subset, sel)
                 reduced = nash._minor_terms(
-                    entries, cols, [{} for _ in range(vs.r)], reducers, {})
+                    partials, rows, cols, {}, reducers, {})
                 assert reduced == normal_form(det, ideal.gb).terms, \
                     (points, subset, sel)
                 checked += 1
@@ -379,21 +380,32 @@ class TestSparseMinor:
             assert memo == sup.fiber_minima(list(memo), vs.gens.points,
                                             ideal.order), points
 
-    def test_laplace_memo_stack_bounded(self, monkeypatch):
-        # memos[k] holds at most one sub-minor per k-subset of the columns
-        vs, ideal = sweep_ideals([(CYC6, lex_order)])[0]
-        bound = sum(math.comb(vs.N, k) for k in range(2, vs.r))
+    @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
+    def test_sub_minors_expanded_once_in_any_order(self, make_order,
+                                                   monkeypatch):
+        # the memo is keyed by (rows, columns): no sub-minor is expanded
+        # twice in one sweep, and visiting the subsets in shuffled order
+        # gives the same minors as itertools.combinations order
+        ((vs, ideal),) = sweep_ideals([(CYC6, make_order)])
+        fam = ideal.minimal_gens
+        subsets = list(itertools.combinations(range(len(fam)), vs.r))
         minor_terms = nash._minor_terms
-        sizes = []
+        calls = []
 
-        def watched(entries, cols, memos, elements, nf_memo):
-            out = minor_terms(entries, cols, memos, elements, nf_memo)
-            sizes.append(sum(map(len, memos)))
-            return out
+        def watched(partials, rows, cols, memo, reducers, nf_memo):
+            calls.append((rows, cols))
+            return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
 
         monkeypatch.setattr(nash, "_minor_terms", watched)
-        analyze(ideal)
-        assert sizes and 0 < max(sizes) <= bound
+        sweep = nash._Sweep(ideal, fam)
+        ordered = {idx: sweep.minors(idx) for idx in subsets}
+        assert any(len(rows) < vs.r for rows, _ in calls)
+        assert len(set(calls)) == len(calls)
+        assert len(sweep.memo) == sum(len(rows) < vs.r for rows, _ in calls)
+        shuffled = subsets.copy()
+        random.Random(5).shuffle(shuffled)
+        sweep = nash._Sweep(ideal, fam)
+        assert {idx: sweep.minors(idx) for idx in shuffled} == ordered
 
 
 # the surfaces of the sweep benchmark, under their term orders
@@ -510,10 +522,10 @@ class TestSubsetMinors:
             dets.append(matrix)
             return int_det(matrix)
 
-        def counted_terms(entries, cols, memos, elements, nf_memo):
+        def counted_terms(partials, rows, cols, memo, reducers, nf_memo):
             if len(cols) == vs.r:
                 tops.append(cols)
-            return minor_terms(entries, cols, memos, elements, nf_memo)
+            return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
 
         monkeypatch.setattr(nash, "int_det", counted_det)
         monkeypatch.setattr(nash, "_minor_terms", counted_terms)
@@ -534,10 +546,10 @@ class TestSubsetMinors:
         tops = []
         minor_terms = nash._minor_terms
 
-        def counted_terms(entries, cols, memos, elements, nf_memo):
+        def counted_terms(partials, rows, cols, memo, reducers, nf_memo):
             if len(cols) == vs.r:
                 tops.append(cols)
-            return minor_terms(entries, cols, memos, elements, nf_memo)
+            return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
 
         monkeypatch.setattr(nash, "_minor_terms", counted_terms)
         fam = ideal.minimal_gens
