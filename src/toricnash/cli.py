@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     Binomial,
+    Monomial,
     TermOrder,
     binomial_str,
     default_names,
@@ -133,13 +134,38 @@ def parse_input(text: str) -> InputSpec:
 
 @dataclass
 class RunReport:
-    """Everything one analysis produced; both output formats render this."""
+    """Everything one analysis produced; both output formats render this.
+
+    bodies maps each exponent rendered so far, a minor's or a binomial
+    side's, to monomial_str(1, exp, names), so each is rendered once for
+    both outputs."""
 
     spec: InputSpec
     names: list
     ideal: ToricIdeal
     analysis: Analysis
     warnings: list = field(default_factory=list)
+    bodies: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def body(self, exp: tuple) -> str:
+        """monomial_str(1, exp, names), from bodies."""
+        body = self.bodies.get(exp)
+        if body is None:
+            body = self.bodies[exp] = monomial_str(1, exp, self.names)
+        return body
+
+    def binomial_str(self, b: Binomial) -> str:
+        """binomial_str(b, names), its two sides read from bodies."""
+        return f"{self.body(b.plus)} - {self.body(b.minus)}"
+
+    def minor_str(self, m: Monomial) -> str:
+        """monomial_str(m.coeff, m.exp, names): the body of m.exp with the
+        coefficient put in front by monomial_str's rules.  No report holds
+        a constant minor (zero_locus refuses one), so no body stands for a
+        bare coefficient."""
+        body, c = self.body(m.exp), m.coeff
+        return body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}"
 
 
 def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
@@ -167,13 +193,13 @@ def _orbit_json(o: Optional[OrbitSet]):
     return {"O1": o.has_O1, "O2": o.has_O2}
 
 
-def _binomial_json(b: Binomial, names) -> dict:
+def _binomial_json(b: Binomial, rep: RunReport) -> dict:
     return {"plus": list(b.plus), "minus": list(b.minus),
-            "str": binomial_str(b, names)}
+            "str": rep.binomial_str(b)}
 
 
 def report_json(rep: RunReport) -> dict:
-    vs, names, a = rep.ideal.semigroup, rep.names, rep.analysis
+    vs, a = rep.ideal.semigroup, rep.analysis
     subsets = []
     for r in a.reports:
         subsets.append({
@@ -181,7 +207,7 @@ def report_json(rep: RunReport) -> dict:
             "rank_ok": r.rank_ok,
             "minors": [{"K": list(sel), "det": m.coeff,
                         "exp": list(m.exp), "coeff": m.coeff,
-                        "str": monomial_str(m.coeff, m.exp, names)}
+                        "str": rep.minor_str(m)}
                        for sel, m in r.minors],
             "zero_locus": _orbit_json(r.zero_locus),
             "equals_sigma": r.equals_sigma,
@@ -201,9 +227,9 @@ def report_json(rep: RunReport) -> dict:
         "ideal": {
             "order": rep.spec.order,
             "s_min": rep.ideal.s_min,
-            "minimal_generators": [_binomial_json(b, names)
+            "minimal_generators": [_binomial_json(b, rep)
                                    for b in rep.ideal.minimal_gens],
-            "groebner_basis": [_binomial_json(b, names)
+            "groebner_basis": [_binomial_json(b, rep)
                                for b in rep.ideal.gb.elements],
         },
         "sigma": _orbit_json(a.sigma.orbits),
@@ -222,7 +248,7 @@ def report_json(rep: RunReport) -> dict:
 
 
 def report_text(rep: RunReport) -> str:
-    vs, names, a = rep.ideal.semigroup, rep.names, rep.analysis
+    vs, a = rep.ideal.semigroup, rep.analysis
     lines = []
     blocks = " | ".join(
         " ".join(str(tuple(vs.gens.points[i])) for i in idx) or "-"
@@ -233,10 +259,10 @@ def report_text(rep: RunReport) -> str:
     lines.append(f"term order: {rep.spec.order}")
     lines.append(f"minimal generators (s_min={rep.ideal.s_min}):")
     for b in rep.ideal.minimal_gens:
-        lines.append(f"  {binomial_str(b, names)}")
+        lines.append(f"  {rep.binomial_str(b)}")
     lines.append(f"groebner basis ({len(rep.ideal.gb.elements)} elements):")
     for b in rep.ideal.gb.elements:
-        lines.append(f"  {binomial_str(b, names)}")
+        lines.append(f"  {rep.binomial_str(b)}")
     lines.append(f"singular locus: {a.sigma.orbits.describe()}"
                  " (origin singular: yes)")
     v = a.verdict
@@ -250,8 +276,7 @@ def report_text(rep: RunReport) -> str:
         if not r.rank_ok:
             lines.append(f"  {list(r.subset)}: rank deficient, skipped")
             continue
-        mons = ", ".join(monomial_str(m.coeff, m.exp, names)
-                         for _, m in r.minors)
+        mons = ", ".join(rep.minor_str(m) for _, m in r.minors)
         eq = "yes" if r.equals_sigma else "no"
         lines.append(f"  {list(r.subset)}: V = {r.zero_locus.describe()}; "
                      f"equals sigma: {eq}")

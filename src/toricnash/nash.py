@@ -10,16 +10,20 @@ difference matrix and the monomial has exponent
 
 where K = {a, b} is the pair of deleted columns.  The difference rows are
 relations of the generators g_j, so by Pluecker duality every det(R_K) is
-c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S of the subset: one integer
-determinant per subset gives all of them, and c_S != 0 exactly when the
-subset has full rank.  (The minor ideal is x^(D_S) times the logarithmic
-Jacobian ideal; Gonzalez Perez-Teissier, RACSAM 108, 2014.)  When the
-closed-form exponent has a negative entry the congruence class is still a
-monomial class, and a representative is recovered without symbolic
-algebra: a sparse integer Laplace expansion of the minor along its last
-row ({exponent: coefficient}, entries read from the binomials' exponents),
-every term reduced with the monomial normal form of the Groebner basis as
-it is built, level by level (NF(a b) = NF(a NF(b)), so this is exact); the
+c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S of the subset, and
+c_S != 0 exactly when the subset has full rank.  c_S is the minor of the
+columns 1..N-2 over (-1)^(N-1) det(g_0, g_(N-1)); that minor is the
+signed dot product of the subset's last row with the minors of its first
+r - 1 rows, which the subsets sharing those rows share.  They are built
+one row at a time by Laplace expansion and memoised by their rows.  (The
+minor ideal is x^(D_S) times the logarithmic Jacobian ideal; Gonzalez
+Perez-Teissier, RACSAM 108, 2014.)  When the closed-form exponent has a
+negative entry the congruence class is still a monomial class, and a
+representative is recovered without symbolic algebra: a sparse integer
+Laplace expansion of the minor along its last row ({exponent:
+coefficient}, entries read from the binomials' exponents), every term
+reduced with the monomial normal form of the Groebner basis as it is
+built, level by level (NF(a b) = NF(a NF(b)), so this is exact); the
 result must be one term whose coefficient is det(R_K).  The sub-minors
 are memoised by their rows and columns.  With deg x^e = sum_j e_j g_j in
 Z^2, every term of the minor has the degree D = T_S + g_a + g_b,
@@ -29,10 +33,11 @@ three checks, runs once per degree: on the first fallback minor of each D
 in a sweep.  Every later fallback of that D is the memoised normal form
 times det(R_K), as a closed-form minor is.  One sweep context per family
 (_Sweep) holds the difference rows, each checked to be a relation once,
-the column-pair table, the partials, the normal-form memos and the
-sub-minor memo.  subset_minors is a sweep of one subset: it evaluates all
-C(N, 2) minors, each as (selection, monomial) with the monomial
-coefficient det(R_K); minor_monomial_formula reads one pair from it.
+the column-pair table, the partials, the normal-form memos, the
+sub-minor memo and the prefix minors of c_S.  subset_minors is a sweep of
+one subset: it evaluates all C(N, 2) minors, each as (selection,
+monomial) with the monomial coefficient det(R_K); minor_monomial_formula
+reads one pair from it.
 minor_symbolic, the symbolic determinant reduced to normal form, stays as
 the reference the tests hold it against.
 
@@ -101,20 +106,6 @@ def _bareiss(m: list) -> tuple:
         if rank == nrows:
             break
     return rank, sign
-
-
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination; NotSquare unless
-    every row has as many entries as there are rows."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise NotSquare(f"matrix is {n}x{len(row)}")
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    rank, sign = _bareiss(m)
-    return sign * m[-1][-1] if rank == n else 0
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -231,7 +222,11 @@ class _Sweep:
     each fallback minor the sweep expanded to the normal form it checked;
     a later fallback minor of that degree is read from it.  memo holds the
     reduced Laplace sub-minors under their (rows, columns), whatever the
-    order in which subsets are visited.
+    order in which subsets are visited.  wedges holds the _wedge entry of
+    each prefix of family rows; cofactors lists (sign, column, the other
+    inner columns) for each inner column 1..N-2 of a subset's last row, so
+    the numerator of c_S is a signed dot product with the wedge of the
+    first r - 1 rows.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
@@ -258,20 +253,63 @@ class _Sweep:
         self.deg_memo = {}
         self.partials = _partials_table(family)
         self.memo = {}
+        self.inner = inner = tuple(range(1, vs.N - 1))
+        self.cofactors = [(-1 if (vs.r - 1 + p) % 2 else 1, j,
+                           inner[:p] + inner[p + 1:])
+                          for p, j in enumerate(inner)]
+        self.wedges = {}
+
+    def _wedge(self, prefix: tuple) -> tuple:
+        """(minors, sums) of the family rows at the indices prefix, k of
+        them: minors maps every k-subset of the inner columns 1..N-2 (a
+        sorted tuple) to that minor of the difference rows, sums holds the
+        column sums of the rows' plus sides.  Built from the entry of
+        prefix[:-1] by Laplace expansion along the last row and memoised
+        in wedges under prefix, whatever the order of the subsets."""
+        entry = self.wedges.get(prefix)
+        if entry is None:
+            i = prefix[-1]
+            row, plus = self.rows[i], self.family[i].plus
+            k = len(prefix)
+            if k == 1:
+                entry = {(j,): row[j] for j in self.inner}, plus
+            else:
+                prev, sums = self._wedge(prefix[:-1])
+                minors = {}
+                for cols in itertools.combinations(self.inner, k):
+                    acc = 0
+                    for p, j in enumerate(cols):
+                        if row[j]:
+                            term = row[j] * prev[cols[:p] + cols[p + 1:]]
+                            acc += -term if (k - 1 + p) % 2 else term
+                    minors[cols] = acc
+                entry = minors, tuple(map(add, sums, plus))
+            self.wedges[prefix] = entry
+        return entry
 
     def minors(self, subset: tuple) -> tuple:
         """(minors, fallbacks) of the family rows at the indices subset, as
         subset_minors gives them."""
-        c_s, rest = divmod(int_det([self.rows[i][1:-1] for i in subset]),
-                           self.reference)
+        i = subset[-1]
+        last, plus = self.rows[i], self.family[i].plus
+        if len(subset) == 1:
+            # N = 3: the reference minor is the one inner entry
+            numerator, sums = last[1], None
+        else:
+            wedge, sums = self._wedge(subset[:-1])
+            numerator = 0
+            for sign, j, cols in self.cofactors:
+                if last[j]:
+                    numerator += sign * last[j] * wedge[cols]
+        c_s, rest = divmod(numerator, self.reference)
         if rest:
             raise InvariantViolation(
                 "reference minor is not a multiple of det(g_0, g_(N-1))")
         if not c_s:
             return [], 0
         # the closed form of pair (a, b) is base + e_a + e_b
-        base = [sum(col) - 1
-                for col in zip(*[self.family[i].plus for i in subset])]
+        base = ([e - 1 for e in plus] if sums is None
+                else [s + e - 1 for s, e in zip(sums, plus)])
         # ... which is nonnegative when every negative entry is -1 at a or b:
         # every pair when none is negative, no pair when one is below -1 or
         # more than two are, else the pairs holding the first and last
@@ -329,13 +367,13 @@ def subset_minors(family_subset: Sequence[Binomial],
     zero with both coordinates).  Then, by Pluecker duality, the minor of
     the rows without the columns K = {a, b} is
     det(R_K) = c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S.  c_S comes
-    from the single int_det of the subset, over the columns 1..N-2: the
-    reference pair (0, N - 1) joins an edge-1 and an edge-2 generator, so
-    det(g_0, g_(N-1)) != 0.  The subset has full rank r exactly when
-    c_S != 0, and then minors is not empty.  A row that is not a relation,
-    or a reference minor that det(g_0, g_(N-1)) does not divide, raises
-    InvariantViolation; NotSquare when family_subset does not have r
-    binomials.
+    from the minor over the columns 1..N-2, expanded along the subset's
+    last row: the reference pair (0, N - 1) joins an edge-1 and an edge-2
+    generator, so det(g_0, g_(N-1)) != 0.  The subset has full rank r
+    exactly when c_S != 0, and then minors is not empty.  A row that is not
+    a relation, or a reference minor that det(g_0, g_(N-1)) does not
+    divide, raises InvariantViolation; NotSquare when family_subset does
+    not have r binomials.
 
     A pair whose closed-form exponent is negative (a fallback) is evaluated
     exactly with integers, once per degree D = T_S + g_a + g_b of its

@@ -39,8 +39,8 @@ from toricnash.nash import (
     OrbitSet,
     _jacobian_rank_at,
     _Sweep,
+    _bareiss,
     _normalize_selection,
-    int_det,
     int_rank,
     orbit_representatives,
 )
@@ -164,6 +164,21 @@ def det_along_row(matrix, row):
         cof = entry * det_along_row(sub, 0)
         acc = acc + cof if (row + j) % 2 == 0 else acc - cof
     return acc
+
+
+def int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination; NotSquare unless
+    every row has as many entries as there are rows.  The oracle for the
+    sweep's c_S numerator and the det(R_K) of per_pair_minor."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise NotSquare(f"matrix is {n}x{len(row)}")
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    rank, sign = _bareiss(m)
+    return sign * m[-1][-1] if rank == n else 0
 
 
 def fraction_rank(rows):
@@ -376,6 +391,48 @@ def check_sweep_order(surfaces, seed=0) -> int:
                         chosen, ideal, oracle_memo), (vs.gens.points, idx)
         count += 1
     return count
+
+
+def check_prefix_wedges(ideal, seed=0) -> tuple:
+    """Assert, for one _Sweep over the r-subsets of the minimal generators
+    and one over those of the Groebner basis, each visited in a shuffled
+    order, that the reference minor behind c_S is int_det of the subset's
+    difference rows over the columns 1..N-2: zero exactly when minors is
+    empty, else every minor's coefficient times the sweep's reference is
+    that minor times (-1)^(a+b) det(g_a, g_b).  Then every memoised
+    prefix entry must hold int_det of its rows over each choice of inner
+    columns and the column sums of their plus sides.  Returns (subsets,
+    rank-deficient subsets)."""
+    vs, rng = ideal.semigroup, random.Random(seed)
+    pts = vs.gens.points
+    inner = range(1, vs.N - 1)
+    subsets = zeros = 0
+    for fam in (ideal.minimal_gens, ideal.gb.elements):
+        rows = [b.difference() for b in fam]
+        order = list(itertools.combinations(range(len(fam)), vs.r))
+        rng.shuffle(order)
+        sweep = _Sweep(ideal, fam)
+        for idx in order:
+            numerator = int_det([[rows[i][c] for c in inner] for i in idx])
+            minors, _ = sweep.minors(idx)
+            assert bool(minors) == bool(numerator), (pts, idx)
+            for (a, b), mono in minors:
+                det_ab = (-1) ** (a + b) * (pts[a].u * pts[b].v
+                                            - pts[a].v * pts[b].u)
+                assert mono.coeff * sweep.reference == numerator * det_ab, \
+                    (pts, idx, (a, b))
+            subsets += 1
+            zeros += not numerator
+        assert sweep.wedges or vs.r == 1
+        for prefix, (wedge, sums) in sweep.wedges.items():
+            assert sorted(wedge) == list(
+                itertools.combinations(inner, len(prefix)))
+            for cols, value in wedge.items():
+                assert value == int_det([[rows[i][c] for c in cols]
+                                         for i in prefix]), (prefix, cols)
+            assert tuple(sums) == tuple(map(sum, zip(
+                *(fam[i].plus for i in prefix))))
+    return subsets, zeros
 
 
 def reference_key(order, exp) -> tuple:

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from toricnash import cli, nash
+from toricnash.algebra import binomial_str, monomial_str
 from toricnash.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -375,3 +376,60 @@ class TestOneSweep:
         rep = build_report(InputSpec(tuple(CYC6)))
         assert rep.warnings == ["minor formula fell back to the symbolic "
                                 "determinant 922 times"]
+
+
+# the surfaces of the sweep benchmark, then the three fixtures
+RENDERED = [(CYC6, "lex"), (CYC6, "degrevlex"),
+            ([(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)], "lex"),
+            ([(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)], "degrevlex"),
+            (sup.FIXTURE_A, "lex"), (sup.FIXTURE_B, "lex"),
+            (sup.FIXTURE_C, "lex")]
+
+
+class TestRenderOnce:
+    def test_matches_monomial_str(self):
+        # every minor and binomial of the report renders as monomial_str
+        # and binomial_str do, with the default and with custom names, in
+        # both outputs; the minors reach the coefficients 1, -1 and
+        # |c| > 1
+        coeffs = set()
+        for gens, order in RENDERED:
+            for names in (None, tuple(f"g{i}'" for i in range(len(gens)))):
+                rep = build_report(InputSpec(tuple(gens), order, names))
+                text, doc = report_text(rep), report_json(rep)
+                for r, entry in zip(rep.analysis.reports, doc["subsets"]):
+                    want = [monomial_str(m.coeff, m.exp, rep.names)
+                            for _, m in r.minors]
+                    assert [rep.minor_str(m) for _, m in r.minors] == want
+                    assert [m["str"] for m in entry["minors"]] == want
+                    if r.rank_ok:
+                        assert f"      minors: {', '.join(want)}\n" in text
+                    coeffs.update(m.coeff for _, m in r.minors)
+                for key, fam in (("minimal_generators",
+                                  rep.ideal.minimal_gens),
+                                 ("groebner_basis", rep.ideal.gb.elements)):
+                    want = [binomial_str(b, rep.names) for b in fam]
+                    assert [rep.binomial_str(b) for b in fam] == want
+                    assert [b["str"] for b in doc["ideal"][key]] == want
+                    assert all(f"  {w}\n" in text for w in want)
+        assert {1, -1} <= coeffs
+        assert any(abs(c) > 1 for c in coeffs)
+
+    def test_each_exponent_rendered_once(self, monkeypatch):
+        # report_text and report_json of one report call monomial_str
+        # once for each exponent they print, a minor's or a binomial
+        # side's
+        calls = Counter()
+
+        def counted(coeff, exp, names):
+            calls[coeff, exp] += 1
+            return monomial_str(coeff, exp, names)
+
+        monkeypatch.setattr(cli, "monomial_str", counted)
+        rep = build_report(InputSpec(tuple(CYC6)))
+        report_text(rep)
+        report_json(rep)
+        exps = {m.exp for r in rep.analysis.reports for _, m in r.minors}
+        exps.update(e for b in rep.ideal.minimal_gens + rep.ideal.gb.elements
+                    for e in (b.plus, b.minus))
+        assert calls == Counter((1, e) for e in exps)

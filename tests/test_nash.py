@@ -31,7 +31,6 @@ from toricnash.nash import (
     analyze,
     classify_ci,
     dim1_selector,
-    int_det,
     int_rank,
     minor_monomial_formula,
     minor_symbolic,
@@ -55,15 +54,15 @@ A_ROWS = sup.binomials(sup.IDEAL_A)  # paper order: f1, f2, f3
 
 class TestIntLinearAlgebra:
     def test_det_examples(self):
-        assert int_det([[1, -2], [1, -1]]) == 1
-        assert int_det([[2, 0], [0, 3]]) == 6
-        assert int_det([[1, 2], [2, 4]]) == 0
+        assert sup.int_det([[1, -2], [1, -1]]) == 1
+        assert sup.int_det([[2, 0], [0, 3]]) == 6
+        assert sup.int_det([[1, 2], [2, 4]]) == 0
 
     @pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]],
                                         [[1, 2], [3]], [[1, 2], [3, 4, 5]]])
     def test_det_not_square(self, matrix):
         with pytest.raises(NotSquare):
-            int_det(matrix)
+            sup.int_det(matrix)
 
     def test_det_against_permutation_expansion(self):
         rng = random.Random(9)
@@ -81,7 +80,7 @@ class TestIntLinearAlgebra:
                 for i in range(n):
                     prod *= m[i][perm[i]]
                 brute += prod
-            assert int_det(m) == brute
+            assert sup.int_det(m) == brute
 
     def test_rank(self):
         assert int_rank([[1, 2], [2, 4]]) == 1
@@ -511,28 +510,91 @@ class TestSubsetMinors:
                     fallbacks += report.fallbacks
         assert subsets and fallbacks and witnesses
 
-    def test_one_int_det_per_subset(self, fixture_b, monkeypatch):
-        # c_S is the only integer determinant of a subset, and the
-        # partials Laplace expansion starts only at fallback pairs
+    def test_one_wedge_per_prefix(self, fixture_b, monkeypatch):
+        # c_S reads the minors of the subset's first r - 1 rows from the
+        # sweep's wedges: each prefix is built once, in whatever order the
+        # subsets come, and no determinant runs.  The partials Laplace
+        # expansion starts once per degree in the shared sweep, and in a
+        # sweep of one subset only at its fallback pairs
         vs, ideal = fixture_b
-        dets, tops = [], []
-        minor_terms = nash._minor_terms
+        built, tops = [], []
+        wedge, minor_terms = nash._Sweep._wedge, nash._minor_terms
 
-        def counted_det(matrix):
-            dets.append(matrix)
-            return int_det(matrix)
+        def counted_wedge(self, prefix):
+            if prefix not in self.wedges:
+                built.append(prefix)
+            return wedge(self, prefix)
 
         def counted_terms(partials, rows, cols, memo, reducers, nf_memo):
             if len(cols) == vs.r:
                 tops.append(cols)
             return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
 
-        monkeypatch.setattr(nash, "int_det", counted_det)
+        def no_determinant(*args):
+            raise AssertionError("a determinant ran in the sweep")
+
+        monkeypatch.setattr(nash._Sweep, "_wedge", counted_wedge)
         monkeypatch.setattr(nash, "_minor_terms", counted_terms)
-        subsets = list(itertools.combinations(ideal.gb.elements, vs.r))
-        fallbacks = sum(subset_minors(chosen, ideal)[1] for chosen in subsets)
-        assert len(dets) == len(subsets)
+        monkeypatch.setattr(nash, "_bareiss", no_determinant)
+        monkeypatch.setattr(nash, "determinant", no_determinant)
+        fam = ideal.gb.elements
+        subsets = list(itertools.combinations(range(len(fam)), vs.r))
+        shuffled = subsets.copy()
+        random.Random(3).shuffle(shuffled)
+        sweep = nash._Sweep(ideal, fam)
+        for idx in shuffled:
+            sweep.minors(idx)
+        prefixes = {idx[:k] for idx in subsets for k in range(1, vs.r)}
+        assert sorted(built) == sorted(prefixes) == sorted(sweep.wedges)
+        assert len(tops) == len(sweep.deg_memo) > 0
+        tops.clear()
+        fallbacks = sum(subset_minors([fam[i] for i in idx], ideal)[1]
+                        for idx in subsets)
         assert len(tops) == fallbacks > 0
+
+    @pytest.mark.parametrize("group", ["fixture_b", "cyc6", "box5"])
+    def test_prefix_wedges_match_int_det(self, group, fixture_b):
+        # the reference minor of every subset, visited in shuffled order,
+        # is int_det of its rows over the columns 1..N-2, zero for the
+        # rank-deficient ones, and every memoised prefix minor is int_det
+        # of its rows and columns
+        if group == "fixture_b":
+            ideals = [fixture_b[1]]
+        elif group == "cyc6":
+            ideals = [ideal for _, ideal in sweep_ideals(SWEEP_SURFACES[:2])]
+        else:
+            ideals = [toric_ideal(vs, lex_order(vs.N))
+                      for vs in sup.box_semigroups(3, (5,))]
+        subsets = zeros = 0
+        for seed, ideal in enumerate(ideals):
+            checked, deficient = sup.check_prefix_wedges(ideal, seed)
+            subsets += checked
+            zeros += deficient
+        assert subsets > zeros > 0
+
+    @pytest.mark.parametrize("points", [sup.FIXTURE_B, CYC6])
+    def test_inexact_prefix_numerator_refused(self, points):
+        # doubled generators keep every relation but multiply
+        # det(g_0, g_(N-1)) by 4; a subset whose reference minor it no
+        # longer divides raises, one whose minor it divides does not
+        vs, ideal = sup.build(points)
+        doubled = tn.GeneratorSet(tuple(tn.LatticePoint(2 * p.u, 2 * p.v)
+                                        for p in vs.gens.points))
+        bad = dataclasses.replace(
+            ideal, semigroup=dataclasses.replace(vs, gens=doubled))
+        fam = ideal.gb.elements
+        rows = [b.difference() for b in fam]
+        sweep = nash._Sweep(bad, fam)
+        raised = 0
+        for idx in itertools.combinations(range(len(fam)), vs.r):
+            numerator = sup.int_det([rows[i][1:-1] for i in idx])
+            if numerator % sweep.reference:
+                with pytest.raises(InvariantViolation, match="not a multiple"):
+                    sweep.minors(idx)
+                raised += 1
+            else:
+                sweep.minors(idx)
+        assert raised > 0
 
     @pytest.mark.parametrize("make_order, fallbacks, expansions",
                              [(lex_order, 922, 19),
@@ -591,7 +653,7 @@ class TestNashIdeal:
                 chosen = [fam[i] for i in subset]
                 rows = [b.difference() for b in chosen]
                 some = any(
-                    int_det([[row[c] for c in range(vs.N) if c not in sel]
+                    sup.int_det([[row[c] for c in range(vs.N) if c not in sel]
                              for row in rows]) != 0
                     for sel in itertools.combinations(range(vs.N), 2))
                 assert some == (rank(chosen) == vs.r)
