@@ -302,7 +302,12 @@ def monomial_str(coeff: int, exp: ExponentVector, names: Sequence[str]) -> str:
             parts.append(f"{name}^{e}")
     if not parts:
         return str(coeff)
-    body = "*".join(parts)
+    return _scaled_str(coeff, "*".join(parts))
+
+
+def _scaled_str(coeff: int, body: str) -> str:
+    """coeff times the nonconstant monomial body: the body alone for 1, a
+    leading minus for -1, else coeff*body."""
     if coeff == 1:
         return body
     if coeff == -1:

@@ -31,6 +31,7 @@ from .algebra import (
     Binomial,
     Monomial,
     TermOrder,
+    _scaled_str,
     binomial_str,
     default_names,
     lex_order,
@@ -161,11 +162,10 @@ class RunReport:
 
     def minor_str(self, m: Monomial) -> str:
         """monomial_str(m.coeff, m.exp, names): the body of m.exp with the
-        coefficient put in front by monomial_str's rules.  No report holds
-        a constant minor (zero_locus refuses one), so no body stands for a
-        bare coefficient."""
-        body, c = self.body(m.exp), m.coeff
-        return body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}"
+        coefficient put in front by monomial_str's rule, _scaled_str.  No
+        report holds a constant minor (zero_locus refuses one), so no body
+        stands for a bare coefficient."""
+        return _scaled_str(m.coeff, self.body(m.exp))
 
 
 def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:

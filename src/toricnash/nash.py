@@ -15,29 +15,29 @@ c_S != 0 exactly when the subset has full rank.  c_S is the minor of the
 columns 1..N-2 over (-1)^(N-1) det(g_0, g_(N-1)); that minor is the
 signed dot product of the subset's last row with the minors of its first
 r - 1 rows, which the subsets sharing those rows share.  They are built
-one row at a time by Laplace expansion and memoised by their rows.  (The
-minor ideal is x^(D_S) times the logarithmic Jacobian ideal; Gonzalez
-Perez-Teissier, RACSAM 108, 2014.)  When the closed-form exponent has a
-negative entry the congruence class is still a monomial class, and a
-representative is recovered without symbolic algebra: a sparse integer
-Laplace expansion of the minor along its last row ({exponent:
-coefficient}, entries read from the binomials' exponents), every term
-reduced with the monomial normal form of the Groebner basis as it is
-built, level by level (NF(a b) = NF(a NF(b)), so this is exact); the
-result must be one term whose coefficient is det(R_K).  The sub-minors
-are memoised by their rows and columns.  With deg x^e = sum_j e_j g_j in
-Z^2, every term of the minor has the degree D = T_S + g_a + g_b,
-T_S = deg x^(D_S), and monomials of one degree are congruent modulo the
-toric ideal, so they share one normal form.  So the expansion, with its
-three checks, runs once per degree: on the first fallback minor of each D
-in a sweep.  Every later fallback of that D is the memoised normal form
-times det(R_K), as a closed-form minor is.  One sweep context per family
-(_Sweep) holds the difference rows, each checked to be a relation once,
-the column-pair table, the partials, the normal-form memos, the
-sub-minor memo and the prefix minors of c_S.  subset_minors is a sweep of
-one subset: it evaluates all C(N, 2) minors, each as (selection,
-monomial) with the monomial coefficient det(R_K); minor_monomial_formula
-reads one pair from it.
+one row at a time by Laplace expansion from the minor of no rows, 1, and
+memoised by their rows.  (The minor ideal is x^(D_S) times the
+logarithmic Jacobian ideal; Gonzalez Perez-Teissier, RACSAM 108, 2014.)
+When the closed-form exponent has a negative entry the congruence class
+is still a monomial class, and a representative is recovered without
+symbolic algebra: a sparse integer Laplace expansion of the minor along
+its last row ({exponent: coefficient}, entries read from the binomials'
+exponents), every term reduced with the monomial normal form of the
+Groebner basis as it is built, level by level (NF(a b) = NF(a NF(b)), so
+this is exact); the result must be one term whose coefficient is
+det(R_K).  The sub-minors are memoised by their rows and columns.  With
+deg x^e = sum_j e_j g_j in Z^2, every term of the minor has the degree
+D = T_S + g_a + g_b, T_S = deg x^(D_S), and monomials of one degree are
+congruent modulo the toric ideal, so they share one normal form.  So the
+expansion, with its three checks, runs once per degree: on the first
+fallback minor of each D in a sweep.  Every later fallback of that D is
+the memoised normal form times det(R_K), as a closed-form minor is.  One
+sweep context per family (_Sweep) holds the difference rows, each
+checked to be a relation once, the column-pair table, the partials, the
+normal form of each degree, the sub-minor memo and the prefix minors of
+c_S.  subset_minors is a sweep of one subset: it evaluates all C(N, 2)
+minors, each as (selection, monomial) with the monomial coefficient
+det(R_K); minor_monomial_formula reads one pair from it.
 minor_symbolic, the symbolic determinant reduced to normal form, stays as
 the reference the tests hold it against.
 
@@ -159,16 +159,15 @@ def _partials(b: Binomial, var: int) -> tuple:
 
 
 def _minor_terms(partials: list, rows: tuple, cols: tuple, memo: dict,
-                 reducers, nf_memo: dict) -> dict:
+                 reducers) -> dict:
     """Normal form of the Jacobian minor of the family rows rows over the
     columns cols, as {exponent: coefficient} without zero coefficients.
 
     partials[i][j] holds the _partials terms of family row i by x_j.
     Laplace expansion along the last of rows; each term is reduced against
-    the reducer rows (gb.reducers) as it is built, its normal form looked
-    up in nf_memo (exponent -> normal-form exponent, filled as it goes).
-    The sub-minors it multiplies are themselves reduced, which is exact:
-    NF(a b) = NF(a NF(b)).  A sub-minor of k >= 2 rows depends only on its
+    the reducer rows (gb.reducers) as it is built.  The sub-minors it
+    multiplies are themselves reduced, which is exact: NF(a b) =
+    NF(a NF(b)).  A sub-minor of k >= 2 rows depends only on its
     rows and columns, so it is stored in memo under (rows, columns), as
     (exponent, coefficient) pairs; an entry of a single row is read from
     partials.  With no reducers every normal form is the identity and this
@@ -191,16 +190,13 @@ def _minor_terms(partials: list, rows: tuple, cols: tuple, memo: dict,
             sub = memo.get((lead, rest))
             if sub is None:
                 sub = memo[lead, rest] = tuple(_minor_terms(
-                    partials, lead, rest, memo, reducers, nf_memo).items())
+                    partials, lead, rest, memo, reducers).items())
         odd = (i + k - 1) % 2
         for e1, c1 in terms:
             if odd:
                 c1 = -c1
             for e2, c2 in sub:
-                e = tuple(map(add, e1, e2))
-                nf = nf_memo.get(e)
-                if nf is None:
-                    nf = nf_memo[e] = monomial_nf(e, reducers)
+                nf = monomial_nf(tuple(map(add, e1, e2)), reducers)
                 out[nf] = out.get(nf, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -217,24 +213,27 @@ class _Sweep:
     generators and partials the _partials table of the family; pairs lists
     (selection, kept columns, (-1)^(a+b) det(g_a, g_b), g_a + g_b) for
     every column pair (a, b) with a nonzero determinant, in pair order;
-    reducers are the basis's reducer rows and nf_memo maps each exponent
-    the sweep reduced to its normal form.  deg_memo maps the degree D of
+    reducers are the basis's reducer rows.  deg_memo maps the degree D of
     each fallback minor the sweep expanded to the normal form it checked;
     a later fallback minor of that degree is read from it.  memo holds the
     reduced Laplace sub-minors under their (rows, columns), whatever the
     order in which subsets are visited.  wedges holds the _wedge entry of
-    each prefix of family rows; cofactors lists (sign, column, the other
-    inner columns) for each inner column 1..N-2 of a subset's last row, so
-    the numerator of c_S is a signed dot product with the wedge of the
-    first r - 1 rows.
+    each prefix of family rows, the empty prefix () included; cofactors
+    lists (sign, column, the other inner columns) for each inner column
+    1..N-2 of a subset's last row, so the numerator of c_S is a signed dot
+    product with the wedge of the first r - 1 rows.  A binomial of another
+    length than N raises LengthMismatch, before any row is checked.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
         vs = ideal.semigroup
         pts = vs.gens.points
+        for b in family:
+            if b.nvars != vs.N:
+                raise LengthMismatch(
+                    f"binomial has {b.nvars} variables, not {vs.N}")
         self.family = family
         self.reducers = ideal.gb.reducers
-        self.nf_memo = {}
         self.rows = [b.difference() for b in family]
         self.coords = tuple(zip(*pts))
         if any(sum(map(mul, row, coord))
@@ -257,7 +256,7 @@ class _Sweep:
         self.cofactors = [(-1 if (vs.r - 1 + p) % 2 else 1, j,
                            inner[:p] + inner[p + 1:])
                           for p, j in enumerate(inner)]
-        self.wedges = {}
+        self.wedges = {(): ({(): 1}, (0,) * vs.N)}
 
     def _wedge(self, prefix: tuple) -> tuple:
         """(minors, sums) of the family rows at the indices prefix, k of
@@ -265,26 +264,23 @@ class _Sweep:
         sorted tuple) to that minor of the difference rows, sums holds the
         column sums of the rows' plus sides.  Built from the entry of
         prefix[:-1] by Laplace expansion along the last row and memoised
-        in wedges under prefix, whatever the order of the subsets."""
+        in wedges under prefix, whatever the order of the subsets; the
+        chain starts at the entry of (), the minor 1 of no rows."""
         entry = self.wedges.get(prefix)
         if entry is None:
             i = prefix[-1]
             row, plus = self.rows[i], self.family[i].plus
             k = len(prefix)
-            if k == 1:
-                entry = {(j,): row[j] for j in self.inner}, plus
-            else:
-                prev, sums = self._wedge(prefix[:-1])
-                minors = {}
-                for cols in itertools.combinations(self.inner, k):
-                    acc = 0
-                    for p, j in enumerate(cols):
-                        if row[j]:
-                            term = row[j] * prev[cols[:p] + cols[p + 1:]]
-                            acc += -term if (k - 1 + p) % 2 else term
-                    minors[cols] = acc
-                entry = minors, tuple(map(add, sums, plus))
-            self.wedges[prefix] = entry
+            prev, sums = self._wedge(prefix[:-1])
+            minors = {}
+            for cols in itertools.combinations(self.inner, k):
+                acc = 0
+                for p, j in enumerate(cols):
+                    if row[j]:
+                        term = row[j] * prev[cols[:p] + cols[p + 1:]]
+                        acc += -term if (k - 1 + p) % 2 else term
+                minors[cols] = acc
+            entry = self.wedges[prefix] = minors, tuple(map(add, sums, plus))
         return entry
 
     def minors(self, subset: tuple) -> tuple:
@@ -292,15 +288,11 @@ class _Sweep:
         subset_minors gives them."""
         i = subset[-1]
         last, plus = self.rows[i], self.family[i].plus
-        if len(subset) == 1:
-            # N = 3: the reference minor is the one inner entry
-            numerator, sums = last[1], None
-        else:
-            wedge, sums = self._wedge(subset[:-1])
-            numerator = 0
-            for sign, j, cols in self.cofactors:
-                if last[j]:
-                    numerator += sign * last[j] * wedge[cols]
+        wedge, sums = self._wedge(subset[:-1])
+        numerator = 0
+        for sign, j, cols in self.cofactors:
+            if last[j]:
+                numerator += sign * last[j] * wedge[cols]
         c_s, rest = divmod(numerator, self.reference)
         if rest:
             raise InvariantViolation(
@@ -308,8 +300,7 @@ class _Sweep:
         if not c_s:
             return [], 0
         # the closed form of pair (a, b) is base + e_a + e_b
-        base = ([e - 1 for e in plus] if sums is None
-                else [s + e - 1 for s, e in zip(sums, plus)])
+        base = [s + e - 1 for s, e in zip(sums, plus)]
         # ... which is nonnegative when every negative entry is -1 at a or b:
         # every pair when none is negative, no pair when one is below -1 or
         # more than two are, else the pairs holding the first and last
@@ -337,7 +328,7 @@ class _Sweep:
             nf = self.deg_memo.get(degree)
             if nf is None:
                 reduced = _minor_terms(self.partials, subset, cols, self.memo,
-                                       self.reducers, self.nf_memo)
+                                       self.reducers)
                 if len(reduced) > 1:
                     raise NonMonomialResidue(
                         f"minor reduced to {len(reduced)} terms "
@@ -373,20 +364,21 @@ def subset_minors(family_subset: Sequence[Binomial],
     exactly when c_S != 0, and then minors is not empty.  A row that is not
     a relation, or a reference minor that det(g_0, g_(N-1)) does not
     divide, raises InvariantViolation; NotSquare when family_subset does
-    not have r binomials.
+    not have r binomials, then LengthMismatch when one of them does not
+    have N variables.
 
     A pair whose closed-form exponent is negative (a fallback) is evaluated
     exactly with integers, once per degree D = T_S + g_a + g_b of its
     terms: the Laplace expansion _minor_terms along the last row, each
-    term reduced to normal form as it is built (normal forms memoised by
-    exponent), its reduced sub-minors memoised by rows and columns so the
-    pairs share them.  The result must be one term with coefficient
-    det(R_K): more terms raise NonMonomialResidue, zero or another
-    coefficient InvariantViolation.  A later fallback of the same degree
-    has the same normal form, since monomials of one degree are congruent,
-    and coefficient det(R_K).  This is a sweep over the one subset:
-    analyze runs the same code over every subset of a family, and there
-    the subsets also share sub-minors and the normal form of each degree.
+    term reduced to normal form as it is built, its reduced sub-minors
+    memoised by rows and columns so the pairs share them.  The result must
+    be one term with coefficient det(R_K): more terms raise
+    NonMonomialResidue, zero or another coefficient InvariantViolation.
+    A later fallback of the same degree has the same normal form, since
+    monomials of one degree are congruent, and coefficient det(R_K).  This
+    is a sweep over the one subset: analyze runs the same code over every
+    subset of a family, and there the subsets also share sub-minors and
+    the normal form of each degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
@@ -649,9 +641,10 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     TorusSingular.  The sweep reports every r-subset of the family
     ("minimal" or "groebner"; ValueError otherwise), in subset-index order,
     from one _Sweep of the family: its rows, column pairs, partials,
-    normal-form memos and sub-minor memo are shared.  By the Jacobian
-    criterion all their minors together must vanish on the same orbits,
-    for any generating family; disagreement raises InvariantViolation.
+    normal form of each degree and sub-minor memo are shared.  By the
+    Jacobian criterion all their minors together must vanish on the same
+    orbits, for any generating family; disagreement raises
+    InvariantViolation.
 
     The verdict predicts the search outcome from the singular locus and
     checks it: a one-dimensional singular locus guarantees a witness subset

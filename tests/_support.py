@@ -327,10 +327,11 @@ def box_semigroups(max_coord, sizes) -> list:
     return out
 
 
-def check_forcing_saturation(surfaces) -> int:
+def check_toric_ideals(surfaces) -> int:
     """Assert that toric_ideal saturates each surface by at most two
-    variables and equals full_saturation_ideal under lex and degrevlex;
-    returns the number of surfaces."""
+    variables and equals full_saturation_ideal under lex and degrevlex,
+    and that check_orbit_ranks holds for each of those ideals; returns the
+    number of surfaces."""
     count = 0
     for vs in surfaces:
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
@@ -340,6 +341,7 @@ def check_forcing_saturation(surfaces) -> int:
             full = full_saturation_ideal(vs, order_of(vs.N))
             assert ideal.gb.elements == full.gb.elements, vs.gens.points
             assert ideal.minimal_gens == full.minimal_gens, vs.gens.points
+            check_orbit_ranks(ideal)
         count += 1
     return count
 
@@ -351,23 +353,15 @@ def derivative_rank(family, point, nvars) -> int:
                      for f in family])
 
 
-def check_singular_locus(surfaces) -> int:
+def check_orbit_ranks(ideal) -> None:
     """Assert that _jacobian_rank_at equals derivative_rank at the four
-    orbit points of each surface, for the minimal generators and the
-    Groebner basis under lex and degrevlex; returns the number of
-    surfaces."""
-    count = 0
-    for vs in surfaces:
-        points = orbit_representatives(vs).values()
-        for order_of in (lex_order, degrevlex_order):
-            ideal = tn.toric_ideal(vs, order_of(vs.N))
-            for fam in (ideal.minimal_gens, ideal.gb.elements):
-                for point in points:
-                    assert _jacobian_rank_at(fam, point, vs.N) == \
-                        derivative_rank(fam, point, vs.N), \
-                        (vs.gens.points, point)
-        count += 1
-    return count
+    orbit points of the surface, for the minimal generators and the
+    Groebner basis of ideal."""
+    vs = ideal.semigroup
+    for fam in (ideal.minimal_gens, ideal.gb.elements):
+        for point in orbit_representatives(vs).values():
+            assert _jacobian_rank_at(fam, point, vs.N) == \
+                derivative_rank(fam, point, vs.N), (vs.gens.points, point)
 
 
 def check_sweep_order(surfaces, seed=0) -> int:
@@ -380,7 +374,6 @@ def check_sweep_order(surfaces, seed=0) -> int:
     for vs in surfaces:
         for order_of in (lex_order, degrevlex_order):
             ideal = tn.toric_ideal(vs, order_of(vs.N))
-            oracle_memo: dict = {}
             for fam in (ideal.minimal_gens, ideal.gb.elements):
                 subsets = list(itertools.combinations(range(len(fam)), vs.r))
                 rng.shuffle(subsets)
@@ -388,7 +381,7 @@ def check_sweep_order(surfaces, seed=0) -> int:
                 for idx in subsets:
                     chosen = [fam[i] for i in idx]
                     assert sweep.minors(idx) == per_pair_subset_minors(
-                        chosen, ideal, oracle_memo), (vs.gens.points, idx)
+                        chosen, ideal), (vs.gens.points, idx)
         count += 1
     return count
 
@@ -399,9 +392,10 @@ def check_prefix_wedges(ideal, seed=0) -> tuple:
     order, that the reference minor behind c_S is int_det of the subset's
     difference rows over the columns 1..N-2: zero exactly when minors is
     empty, else every minor's coefficient times the sweep's reference is
-    that minor times (-1)^(a+b) det(g_a, g_b).  Then every memoised
-    prefix entry must hold int_det of its rows over each choice of inner
-    columns and the column sums of their plus sides.  Returns (subsets,
+    that minor times (-1)^(a+b) det(g_a, g_b).  Then the sweep must have
+    memoised exactly the prefixes of the subsets, the empty one included,
+    each holding int_det of its rows over each choice of inner columns
+    and the column sums of their plus sides.  Returns (subsets,
     rank-deficient subsets)."""
     vs, rng = ideal.semigroup, random.Random(seed)
     pts = vs.gens.points
@@ -423,15 +417,16 @@ def check_prefix_wedges(ideal, seed=0) -> tuple:
                     (pts, idx, (a, b))
             subsets += 1
             zeros += not numerator
-        assert sweep.wedges or vs.r == 1
+        assert set(sweep.wedges) == {idx[:k] for idx in order
+                                     for k in range(vs.r)}
         for prefix, (wedge, sums) in sweep.wedges.items():
             assert sorted(wedge) == list(
                 itertools.combinations(inner, len(prefix)))
             for cols, value in wedge.items():
                 assert value == int_det([[rows[i][c] for c in cols]
                                          for i in prefix]), (prefix, cols)
-            assert tuple(sums) == tuple(map(sum, zip(
-                *(fam[i].plus for i in prefix))))
+            assert sums == tuple(sum(fam[i].plus[c] for i in prefix)
+                                 for c in range(vs.N)), prefix
     return subsets, zeros
 
 
@@ -553,17 +548,14 @@ def per_pair_minor_terms(family_subset: Sequence[Binomial],
 
 def per_pair_minor(family_subset: Sequence[Binomial], selection,
                    ideal: ToricIdeal,
-                   stats: Optional[dict] = None,
-                   nf_memo: Optional[dict] = None
-                   ) -> Optional[Monomial]:
+                   stats: Optional[dict] = None) -> Optional[Monomial]:
     """Minor as det(R_K) times a monomial; None when the minor vanishes.
 
     Uses the closed combinatorial form when its exponent is nonnegative.
     Otherwise it records the event in stats["formula_fallbacks"] and
     evaluates the minor exactly with integers: per_pair_minor_terms, then
     each term's monomial normal form by _rewrite, not the library's
-    monomial_nf, looked up in nf_memo (exponent -> normal-form exponent for
-    this ideal's basis; a local dict when None).
+    monomial_nf.
     The reduced minor must be a single term with coefficient det(R_K):
     more terms raise NonMonomialResidue, zero or another coefficient
     InvariantViolation.
@@ -583,14 +575,10 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
         return Monomial(det_rk, tuple(exp))
     if stats is not None:
         stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
-    if nf_memo is None:
-        nf_memo = {}
     elements = ideal.gb.elements
     reduced: dict = {}
     for e, c in per_pair_minor_terms(family_subset, cols).items():
-        nf = nf_memo.get(e)
-        if nf is None:
-            nf = nf_memo[e] = _rewrite(e, elements)
+        nf = _rewrite(e, elements)
         reduced[nf] = reduced.get(nf, 0) + c
     reduced = {e: c for e, c in reduced.items() if c}
     if len(reduced) > 1:
@@ -608,14 +596,13 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
 
 
 def per_pair_subset_minors(family_subset: Sequence[Binomial],
-                           ideal: ToricIdeal,
-                           nf_memo: Optional[dict] = None) -> tuple:
+                           ideal: ToricIdeal) -> tuple:
     """(minors, fallbacks) in the shape of nash.subset_minors, one
     per_pair_minor call per column pair."""
     stats: dict = {}
     out = []
     for sel in itertools.combinations(range(ideal.semigroup.N), 2):
-        mono = per_pair_minor(family_subset, sel, ideal, stats, nf_memo)
+        mono = per_pair_minor(family_subset, sel, ideal, stats)
         if mono is not None:
             out.append((sel, mono))
     return out, stats.get("formula_fallbacks", 0)

@@ -408,15 +408,15 @@ class TestSaturation:
         vs = validate(generator_set([(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)]))
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         assert _forcing_variables(gens, vs.N) == (0, 2)
-        assert sup.check_forcing_saturation([vs]) == 1
+        assert sup.check_toric_ideals([vs]) == 1
 
     def test_matches_full_saturation(self, population):
         # saturating by the forced variables gives the ideal that
-        # saturating by all of them does, under lex and degrevlex
+        # saturating by all of them does, under lex and degrevlex, and the
+        # orbit-point ranks of those ideals match polynomial evaluation
         surfaces = [vs for vs, _ in population]
-        assert sup.check_forcing_saturation(surfaces) == len(surfaces)
-        assert sup.check_forcing_saturation(
-            sup.box_semigroups(3, (5,))) == 578
+        assert sup.check_toric_ideals(surfaces) == len(surfaces)
+        assert sup.check_toric_ideals(sup.box_semigroups(3, (5,))) == 578
 
 
 class TestToricIdeal:

@@ -169,6 +169,29 @@ class TestMinors:
         with pytest.raises(NotSquare):
             nash_ideal(rows, ideal)
 
+    @pytest.mark.parametrize("resize", [lambda e: e + (0,),
+                                        lambda e: e[:-1]],
+                             ids=["long", "short"])
+    def test_wrong_binomial_length_refused(self, fixture_a, resize):
+        # a binomial one variable too long would be cut short by the
+        # relation check's map, one too short would fail it as a row that
+        # is no relation; both are refused by length first.  A subset of
+        # the wrong size is still NotSquare
+        _, ideal = fixture_a
+        fam = ideal.minimal_gens
+        bad = Binomial(resize(fam[0].plus), resize(fam[0].minus))
+        rows = [bad, fam[1]]
+        with pytest.raises(LengthMismatch):
+            subset_minors(rows, ideal)
+        with pytest.raises(LengthMismatch):
+            nash_ideal_classes(rows, ideal)
+        with pytest.raises(LengthMismatch):
+            minor_monomial_formula(rows, (0, 1), ideal)
+        with pytest.raises(LengthMismatch):
+            nash._Sweep(ideal, [fam[0], bad, fam[1]])
+        with pytest.raises(NotSquare):
+            subset_minors([bad], ideal)
+
     def test_rows_off_the_lattice_refused(self, fixture_a):
         # x1 - x2 is no relation of fixture A's generators (1,0), (1,1), so
         # the Pluecker identity det(R_K) = c_S (-1)^(a+b) det(g_a, g_b)
@@ -232,10 +255,10 @@ class TestSparseMinor:
                 cols = tuple(i for i in range(vs.N) if i not in sel)
                 det = determinant([[derivative(f, i) for i in cols]
                                    for f in subset])
-                got = nash._minor_terms(partials, rows, cols, {}, (), {})
+                got = nash._minor_terms(partials, rows, cols, {}, ())
                 assert got == det.terms, (points, subset, sel)
                 reduced = nash._minor_terms(
-                    partials, rows, cols, {}, reducers, {})
+                    partials, rows, cols, {}, reducers)
                 assert reduced == normal_form(det, ideal.gb).terms, \
                     (points, subset, sel)
                 checked += 1
@@ -342,24 +365,12 @@ class TestSparseMinor:
                                match="coefficient differs"):
                 evaluate()
 
-    def test_nf_memo_filled(self, fixture_a):
-        # the sweep's memo holds the normal forms of the fallback pairs'
-        # terms, and reusing it, or starting afresh, gives the same minors
-        _, ideal = fixture_a
-        sweep = nash._Sweep(ideal, A_ROWS[:2])
-        minors, fallbacks = sweep.minors((0, 1))
-        memo = sweep.nf_memo
-        fallback_exps = {m.exp for sel, m in minors if 1 not in sel}
-        assert fallbacks == len(fallback_exps) == 3
-        assert memo and set(memo.values()) == fallback_exps
-        assert sweep.minors((0, 1)) == \
-            subset_minors(A_ROWS[:2], ideal) == (minors, fallbacks)
-
     @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
-    def test_nf_memo_is_fiber_minimum(self, make_order, monkeypatch):
-        # every normal form the sweep records, one per product term of its
-        # Laplace expansions, is the order-minimal monomial of its fiber,
-        # found from the generators without the basis
+    def test_deg_memo_is_fiber_minimum(self, make_order, monkeypatch):
+        # the normal form the sweep records for each fallback degree is the
+        # order-minimal monomial of that degree's fiber, found from the
+        # generators without the basis; a second pass over the subsets
+        # reads the memos and gives the same minors
         sweeps = []
 
         class Recorded(nash._Sweep):
@@ -372,12 +383,17 @@ class TestSparseMinor:
             vs = validate(generator_set(points))
             ideal = toric_ideal(vs, make_order(vs.N))
             sweeps.clear()
-            analyze(ideal)
+            analysis = analyze(ideal)
             (sweep,) = sweeps
-            memo = sweep.nf_memo
+            memo = sweep.deg_memo
             assert memo, points
-            assert memo == sup.fiber_minima(list(memo), vs.gens.points,
-                                            ideal.order), points
+            assert all(sup.pi(vs, nf) == degree
+                       for degree, nf in memo.items()), points
+            nfs = list(memo.values())
+            assert sup.fiber_minima(nfs, vs.gens.points, ideal.order) == \
+                {nf: nf for nf in nfs}, points
+            assert [sweep.minors(r.subset) for r in analysis.reports] == \
+                [(list(r.minors), r.fallbacks) for r in analysis.reports]
 
     @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
     def test_sub_minors_expanded_once_in_any_order(self, make_order,
@@ -391,9 +407,9 @@ class TestSparseMinor:
         minor_terms = nash._minor_terms
         calls = []
 
-        def watched(partials, rows, cols, memo, reducers, nf_memo):
+        def watched(partials, rows, cols, memo, reducers):
             calls.append((rows, cols))
-            return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
+            return minor_terms(partials, rows, cols, memo, reducers)
 
         monkeypatch.setattr(nash, "_minor_terms", watched)
         sweep = nash._Sweep(ideal, fam)
@@ -439,20 +455,19 @@ class TestSubsetMinors:
         # family as analyze runs it.  Every minor has the degree
         # sum_(f in S) deg(f.plus) - sum_j g_j + g_a + g_b, and every
         # fallback minor's exponent is the sweep's normal form of that
-        # degree.  Every entry of the sweep's memo is a normal form, and
-        # every minor's normal form the oracle found is among them
+        # degree
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
             pts = vs.gens.points
             ones_u, ones_v = sup.pi(vs, (1,) * vs.N)
             for fam in (ideal.minimal_gens, ideal.gb.elements):
-                sweep, oracle_memo = nash._Sweep(ideal, fam), {}
+                sweep = nash._Sweep(ideal, fam)
                 for idx in itertools.combinations(range(len(fam)), vs.r):
                     chosen = tuple(fam[i] for i in idx)
                     got = sweep.minors(idx)
                     assert got == sup.per_pair_subset_minors(
-                        chosen, ideal, oracle_memo), chosen
+                        chosen, ideal), chosen
                     assert got == subset_minors(chosen, ideal), chosen
                     assert bool(got[0]) == (rank(chosen) == vs.r)
                     t_u = sum(sup.pi(vs, f.plus)[0] for f in chosen) - ones_u
@@ -473,10 +488,6 @@ class TestSubsetMinors:
                     assert expanded == got[1], chosen
                     subsets += 1
                     fallbacks += got[1]
-                memo = sweep.nf_memo
-                assert set(oracle_memo.values()) <= set(memo.values())
-                assert all(nf == monomial_nf(e, ideal.gb.reducers)
-                           for e, nf in memo.items())
         assert subsets and fallbacks
 
     @pytest.mark.parametrize("group", ["fixtures", "sweep", "population"])
@@ -500,22 +511,21 @@ class TestSubsetMinors:
                 witnesses += analysis.witness is not None
                 indices = list(itertools.combinations(range(len(fam)), vs.r))
                 assert [r.subset for r in analysis.reports] == indices
-                oracle_memo = {}
                 for report in analysis.reports:
                     chosen = [fam[i] for i in report.subset]
                     assert (list(report.minors), report.fallbacks) == \
-                        sup.per_pair_subset_minors(chosen, ideal,
-                                                   oracle_memo), chosen
+                        sup.per_pair_subset_minors(chosen, ideal), chosen
                     subsets += 1
                     fallbacks += report.fallbacks
         assert subsets and fallbacks and witnesses
 
     def test_one_wedge_per_prefix(self, fixture_b, monkeypatch):
         # c_S reads the minors of the subset's first r - 1 rows from the
-        # sweep's wedges: each prefix is built once, in whatever order the
-        # subsets come, and no determinant runs.  The partials Laplace
-        # expansion starts once per degree in the shared sweep, and in a
-        # sweep of one subset only at its fallback pairs
+        # sweep's wedges: each prefix is built once from the seeded empty
+        # one, in whatever order the subsets come, and no determinant runs.
+        # The partials Laplace expansion starts once per degree in the
+        # shared sweep, and in a sweep of one subset only at its fallback
+        # pairs
         vs, ideal = fixture_b
         built, tops = [], []
         wedge, minor_terms = nash._Sweep._wedge, nash._minor_terms
@@ -525,10 +535,10 @@ class TestSubsetMinors:
                 built.append(prefix)
             return wedge(self, prefix)
 
-        def counted_terms(partials, rows, cols, memo, reducers, nf_memo):
+        def counted_terms(partials, rows, cols, memo, reducers):
             if len(cols) == vs.r:
                 tops.append(cols)
-            return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
+            return minor_terms(partials, rows, cols, memo, reducers)
 
         def no_determinant(*args):
             raise AssertionError("a determinant ran in the sweep")
@@ -545,7 +555,8 @@ class TestSubsetMinors:
         for idx in shuffled:
             sweep.minors(idx)
         prefixes = {idx[:k] for idx in subsets for k in range(1, vs.r)}
-        assert sorted(built) == sorted(prefixes) == sorted(sweep.wedges)
+        assert sorted(built) == sorted(prefixes)
+        assert sorted(sweep.wedges) == sorted(prefixes | {()})
         assert len(tops) == len(sweep.deg_memo) > 0
         tops.clear()
         fallbacks = sum(subset_minors([fam[i] for i in idx], ideal)[1]
@@ -608,10 +619,10 @@ class TestSubsetMinors:
         tops = []
         minor_terms = nash._minor_terms
 
-        def counted_terms(partials, rows, cols, memo, reducers, nf_memo):
+        def counted_terms(partials, rows, cols, memo, reducers):
             if len(cols) == vs.r:
                 tops.append(cols)
-            return minor_terms(partials, rows, cols, memo, reducers, nf_memo)
+            return minor_terms(partials, rows, cols, memo, reducers)
 
         monkeypatch.setattr(nash, "_minor_terms", counted_terms)
         fam = ideal.minimal_gens
