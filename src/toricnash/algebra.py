@@ -37,8 +37,8 @@ def exp_divides(a: ExponentVector, b: ExponentVector) -> bool:
 class TermOrder:
     """A monomial order on a fixed number of variables.
 
-    kind is "lex" or "degrevlex".  ranking lists variable indices from most
-    to least significant.  weights, when given, are strictly positive degree
+    kind is a name in ORDERS.  ranking lists variable indices from most to
+    least significant.  weights, when given, are strictly positive degree
     weights used by degrevlex (None means total degree).  degree is that
     weighted degree for a weighted degrevlex order and the total degree
     otherwise; a degrevlex key begins with it.
@@ -49,7 +49,7 @@ class TermOrder:
     weights: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("lex", "degrevlex"):
+        if not (isinstance(self.kind, str) and self.kind in ORDERS):
             raise ValueError(f"unknown term order kind {self.kind!r}")
         n = len(self.ranking)
         if sorted(self.ranking) != list(range(n)):
@@ -97,6 +97,9 @@ def lex_order(n: int) -> TermOrder:
 
 def degrevlex_order(n: int) -> TermOrder:
     return TermOrder("degrevlex", tuple(range(n)))
+
+
+ORDERS = {"lex": lex_order, "degrevlex": degrevlex_order}  # n -> TermOrder
 
 
 class Monomial(NamedTuple):

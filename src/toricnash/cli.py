@@ -22,20 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .algebra import (
+    ORDERS,
     Binomial,
     Monomial,
-    TermOrder,
     _scaled_str,
-    binomial_str,
     default_names,
-    lex_order,
-    degrevlex_order,
     monomial_str,
 )
 from .errors import InvalidExponent, TheoremViolation, ToricNashError
@@ -43,6 +40,7 @@ from .ideal import ToricIdeal, buchberger, toric_ideal
 # dim1_selector, search_all_subsets, singular_locus and verify_dichotomy
 # are not called here; bench/tracing.py wraps them at this module too
 from .nash import (  # noqa: F401
+    FAMILIES,
     Analysis,
     OrbitSet,
     analyze,
@@ -72,12 +70,24 @@ class InputError(Exception):
 
 @dataclass(frozen=True)
 class InputSpec:
-    """Parsed analysis request."""
+    """Parsed analysis request; its fields are the input keys.  An order
+    or family that is not a name in ORDERS or FAMILIES raises InputError,
+    also when it is not a string."""
 
     generators: tuple
     order: str = "lex"
     names: Optional[tuple] = None
     family: str = "minimal"
+
+    def __post_init__(self):
+        for key, choices in (("order", ORDERS), ("family", FAMILIES)):
+            value = getattr(self, key)
+            if not (isinstance(value, str) and value in choices):
+                quoted = " or ".join(f'"{name}"' for name in choices)
+                raise InputError(f"{key} must be {quoted}, got {value!r}")
+
+
+_KEYS = [f.name for f in fields(InputSpec)]
 
 
 def _reject_float(text: str):
@@ -94,8 +104,7 @@ def parse_input(text: str) -> InputSpec:
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object")
-    allowed = {"generators", "order", "names", "family"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(_KEYS)
     if unknown:
         raise InputError(f"unknown keys: {sorted(unknown)}")
     gens = doc.get("generators")
@@ -106,14 +115,8 @@ def parse_input(text: str) -> InputSpec:
                 or not all(isinstance(c, int) and not isinstance(c, bool)
                            for c in g)):
             raise InputError(f"generator {g!r} is not an integer pair")
-    order = doc.get("order", "lex")
-    if order not in ("lex", "degrevlex"):
-        raise InputError(f'order must be "lex" or "degrevlex", got {order!r}')
-    family = doc.get("family", "minimal")
-    if family not in ("minimal", "groebner"):
-        raise InputError(
-            f'family must be "minimal" or "groebner", got {family!r}')
-    names = doc.get("names")
+    spec = InputSpec(**doc)  # InputSpec's defaults for absent keys
+    names = spec.names
     if names is not None:
         if (not isinstance(names, list)
                 or not all(isinstance(s, str) for s in names)):
@@ -127,7 +130,7 @@ def parse_input(text: str) -> InputSpec:
         if len(set(names)) != len(names):
             raise InputError('"names" must be distinct')
         names = tuple(names)
-    return InputSpec(tuple(tuple(g) for g in gens), order, names, family)
+    return replace(spec, generators=tuple(tuple(g) for g in gens), names=names)
 
 
 # --- report ------------------------------------------------------------------
@@ -174,13 +177,9 @@ def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
     return [spec.names[vs.permutation[i]] for i in range(vs.N)]
 
 
-def _term_order(spec: InputSpec, vs: ValidatedSemigroup) -> TermOrder:
-    return (lex_order if spec.order == "lex" else degrevlex_order)(vs.N)
-
-
 def build_report(spec: InputSpec) -> RunReport:
     vs = validate(generator_set(spec.generators))
-    ideal = toric_ideal(vs, _term_order(spec, vs))
+    ideal = toric_ideal(vs, ORDERS[spec.order](vs.N))
     a = analyze(ideal, spec.family)
     warnings = ([f"minor formula fell back to the symbolic determinant "
                  f"{a.fallbacks} times"] if a.fallbacks else [])
@@ -346,38 +345,30 @@ def _check_fixture(name: str, doc, out) -> list:
     entry or a minor fixture is not an object, or "minor_fixtures" is not a
     list."""
     exp = _object(_object(doc, "example document")["expected"], '"expected"')
-    problems = []
     rep = build_report(parse_input(json.dumps(
-        {k: doc[k] for k in ("generators", "order", "names", "family")
-         if k in doc})))
+        {key: doc[key] for key in _KEYS if key in doc})))
     ideal, a = rep.ideal, rep.analysis
-    vs = ideal.semigroup
-    if [vs.l, vs.m, vs.n] != exp["blocks"]:
-        problems.append(f"blocks {[vs.l, vs.m, vs.n]} != {exp['blocks']}")
+    vs, sig, v = ideal.semigroup, a.sigma, a.verdict
+    # blocks, sigma and verdict are required (KeyError), origin_singular
+    # defaults to True, the other scalars are compared when given
+    exp_verdict = _object(exp["verdict"], '"verdict"')
+    expected = {"origin_singular": True, **exp, "blocks": exp["blocks"],
+                "sigma": exp["sigma"], "verdict": [exp_verdict["predicted"],
+                                                   exp_verdict["observed"]]}
+    actual = {"blocks": [vs.l, vs.m, vs.n], "s_min": ideal.s_min,
+              "sigma": _orbit_json(sig.orbits),
+              "origin_singular": sig.origin_singular,
+              "hypersurface": v.is_hypersurface,
+              "complete_intersection": v.is_complete_intersection,
+              "verdict": [v.predicted, v.observed]}
+    problems = [f"{key} {value} != {expected[key]}"
+                for key, value in actual.items()
+                if key in expected and value != expected[key]]
     expected_binomials = _binomials_from_pairs(exp["ideal"], vs.N)
     if buchberger(expected_binomials, ideal.order).elements != \
             ideal.gb.elements:
-        computed = [binomial_str(b, rep.names) for b in ideal.gb.elements]
+        computed = [rep.binomial_str(b) for b in ideal.gb.elements]
         problems.append(f"ideal mismatch; computed basis {computed}")
-    if "s_min" in exp and ideal.s_min != exp["s_min"]:
-        problems.append(f"s_min {ideal.s_min} != {exp['s_min']}")
-    sig = a.sigma
-    if _orbit_json(sig.orbits) != exp["sigma"]:
-        problems.append(f"sigma {_orbit_json(sig.orbits)} != {exp['sigma']}")
-    if sig.origin_singular != exp.get("origin_singular", True):
-        problems.append("origin singularity flag mismatch")
-    verdict = a.verdict
-    is_hyp, is_ci = verdict.is_hypersurface, verdict.is_complete_intersection
-    if "hypersurface" in exp and is_hyp != exp["hypersurface"]:
-        problems.append(f"hypersurface flag {is_hyp}")
-    if "complete_intersection" in exp and \
-            is_ci != exp["complete_intersection"]:
-        problems.append(f"complete intersection flag {is_ci}")
-    exp_verdict = _object(exp["verdict"], '"verdict"')
-    if [verdict.predicted, verdict.observed] != \
-            [exp_verdict["predicted"], exp_verdict["observed"]]:
-        problems.append(f"verdict {verdict.predicted}/{verdict.observed} != "
-                        f"{exp['verdict']}")
     minor_fixtures = exp.get("minor_fixtures", [])
     if not isinstance(minor_fixtures, list):
         raise InputError('"minor_fixtures" is not a list')
@@ -467,9 +458,8 @@ def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
     out = out if out is not None else sys.stdout
     try:
         spec = _read_spec(path)
-        if order is not None or family is not None:
-            spec = InputSpec(spec.generators, order or spec.order,
-                             spec.names, family or spec.family)
+        spec = replace(spec, order=order or spec.order,
+                       family=family or spec.family)
     except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -506,9 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_an = sub.add_parser("analyze", help="run the full analysis")
     p_an.add_argument("--input", required=True, help="input JSON file")
     p_an.add_argument("--out", help="write a JSON report here")
-    p_an.add_argument("--order", choices=("lex", "degrevlex"),
+    p_an.add_argument("--order", choices=ORDERS,
                       help="override the term order")
-    p_an.add_argument("--family", choices=("minimal", "groebner"),
+    p_an.add_argument("--family", choices=FAMILIES,
                       help="override the relation family searched")
 
     p_ex = sub.add_parser("examples", help="run the bundled example corpus")

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Optional, Sequence
 
 from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
@@ -132,14 +132,22 @@ def _normalize_selection(selection, nvars: int) -> tuple:
                      f"{nvars} variables")
 
 
+def _check_lengths(family: Sequence[Binomial], n: int):
+    for b in family:
+        if b.nvars != n:
+            raise LengthMismatch(f"binomial has {b.nvars} variables, not {n}")
+
+
 def minor_symbolic(family_subset: Sequence[Binomial], selection,
                    ideal: ToricIdeal) -> Polynomial:
     """Jacobian minor with the two selected columns deleted, reduced.
 
-    The reduced result must be zero or a single term; anything else means
-    the inputs do not define a toric surface and is raised loudly.
+    A binomial of another length than N raises LengthMismatch first.  The
+    reduced result must be zero or a single term; anything else means the
+    inputs do not define a toric surface and raises NonMonomialResidue.
     """
     vs = ideal.semigroup
+    _check_lengths(family_subset, vs.N)
     sel = _normalize_selection(selection, vs.N)
     cols = [i for i in range(vs.N) if i not in sel]
     matrix = [[derivative(f, i) for i in cols] for f in family_subset]
@@ -228,10 +236,7 @@ class _Sweep:
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
         vs = ideal.semigroup
         pts = vs.gens.points
-        for b in family:
-            if b.nvars != vs.N:
-                raise LengthMismatch(
-                    f"binomial has {b.nvars} variables, not {vs.N}")
+        _check_lengths(family, vs.N)
         self.family = family
         self.reducers = ideal.gb.reducers
         self.rows = [b.difference() for b in family]
@@ -631,6 +636,10 @@ class Analysis:
         return self.witness
 
 
+FAMILIES = {"minimal": attrgetter("minimal_gens"),  # ideal -> family
+            "groebner": attrgetter("gb.elements")}
+
+
 def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     """Singular locus, subset reports, verdict and witness from one sweep.
 
@@ -638,8 +647,8 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     below codimension r at its 0/1 representative, the rank read from
     exponent supports (_jacobian_rank_at); full rank at the origin (no
     side has degree below 2) raises InvariantViolation, a drop on the torus
-    TorusSingular.  The sweep reports every r-subset of the family
-    ("minimal" or "groebner"; ValueError otherwise), in subset-index order,
+    TorusSingular.  The sweep reports every r-subset of the family (a
+    name in FAMILIES; ValueError otherwise), in subset-index order,
     from one _Sweep of the family: its rows, column pairs, partials,
     normal form of each degree and sub-minor memo are shared.  By the
     Jacobian criterion all their minors together must vanish on the same
@@ -655,12 +664,9 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     singular locus has a report whose zero locus equals it; the witness is
     the first one.
     """
-    if family == "minimal":
-        fam = ideal.minimal_gens
-    elif family == "groebner":
-        fam = ideal.gb.elements
-    else:
+    if not (isinstance(family, str) and family in FAMILIES):
         raise ValueError(f"unknown family {family!r}")
+    fam = FAMILIES[family](ideal)
     vs = ideal.semigroup
     drops = {name: _jacobian_rank_at(ideal.minimal_gens, point, vs.N) < vs.r
              for name, point in orbit_representatives(vs).items()}

@@ -93,6 +93,32 @@ class TestCompare:
             assert order.key(ob.plus) > order.key(ob.minus)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("args, error", [
+        (("grlex", (0, 1)), ValueError),
+        ((["lex"], (0, 1)), ValueError),
+        (("lex", (0, 0)), ValueError),
+        (("lex", (1, 2)), ValueError),
+        (("degrevlex", (0, 1), (1, 1, 1)), LengthMismatch),
+        (("degrevlex", (0, 1), (1, 0)), ValueError),
+        (("degrevlex", (0, 1), (2, -1)), ValueError)],
+        ids=["unknown_kind", "unhashable_kind", "repeated_rank", "ranking_out_of_range",
+             "weights_length", "zero_weight", "negative_weight"])
+    def test_term_order(self, args, error):
+        with pytest.raises(error):
+            TermOrder(*args)
+
+    @pytest.mark.parametrize("plus, minus, error", [
+        ((1, 0), (0, 1, 0), LengthMismatch),
+        ((1, 2), (1, 2), ValueError),
+        ((1, -1), (0, 0), ValueError),
+        ((1, 0), (0, -2), ValueError)],
+        ids=["unequal_lengths", "zero", "negative_plus", "negative_minus"])
+    def test_binomial(self, plus, minus, error):
+        with pytest.raises(error):
+            Binomial(plus, minus)
+
+
 class TestDerivative:
     # Jacobian entries of x1*x3 - x2^2 and x1*x4 - x2*x3 in 4 variables
     def test_interior_variable(self):

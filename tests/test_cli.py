@@ -20,8 +20,14 @@ from toricnash.cli import (
     report_json,
     report_text,
 )
+from toricnash.errors import TheoremViolation
 
 import _support as sup
+
+
+# the scalar expectations of an example document
+SCALARS = ["blocks", "s_min", "sigma", "origin_singular", "hypersurface",
+           "complete_intersection", "verdict"]
 
 
 def write_input(tmp_path, doc, name="input.json"):
@@ -65,6 +71,24 @@ class TestParseInput:
     def test_not_json(self):
         with pytest.raises(InputError):
             parse_input("generators = 1")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"generators"', "null"])
+    def test_top_level_not_object(self, text):
+        with pytest.raises(InputError, match="^top level must be an object$"):
+            parse_input(text)
+
+    @pytest.mark.parametrize("point", [[1], [1, 0, 2], [1, True], [1, "0"],
+                                       {"u": 1, "v": 0}, 7])
+    def test_generator_not_integer_pair(self, point):
+        with pytest.raises(InputError, match="is not an integer pair$"):
+            parse_input(json.dumps({"generators": [[1, 0], point]}))
+
+    @pytest.mark.parametrize("names", ["xyz", ["x", 2, "z"], {"x": 1}])
+    def test_names_not_list_of_strings(self, names):
+        with pytest.raises(InputError,
+                           match='^"names" must be a list of strings$'):
+            parse_input(json.dumps({"generators": [[1, 0], [1, 1], [1, 2]],
+                                    "names": names}))
 
 
 class TestValidateCommand:
@@ -193,6 +217,45 @@ class TestAnalyzeCommand:
                      "--family", "groebner"]) == EXIT_OK
         assert "predicted=exists_equal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("order", ["lex"],
+         'order must be "lex" or "degrevlex", got [\'lex\']'),
+        ("family", {"minimal": 1},
+         'family must be "minimal" or "groebner", got {\'minimal\': 1}')])
+    def test_non_string_choice_exits_1(self, tmp_path, capsys, key, value,
+                                       message):
+        # a value that cannot be a dict key is refused like any unknown name
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A,
+                                      key: value})
+        assert main(["analyze", "--input", path]) == EXIT_PARSE == 1
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize("order, family, message", [
+        ("grlex", None, 'order must be "lex" or "degrevlex", got \'grlex\''),
+        (None, "graver",
+         'family must be "minimal" or "groebner", got \'graver\'')])
+    def test_unknown_override_exits_1(self, tmp_path, capsys, order, family,
+                                      message):
+        # an override is checked like the document's own value
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        assert cli.cmd_analyze(path, None, order, family) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("",
+                                                f"parse error: {message}\n")
+
+    def test_theorem_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        def violated(ideal, family):
+            raise TheoremViolation("predicted never_equal but observed "
+                                   "exists_equal")
+
+        monkeypatch.setattr(cli, "analyze", violated)
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        assert main(["analyze", "--input", path]) == EXIT_VIOLATION == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("dichotomy violation: predicted never_equal "
+                                "but observed exists_equal\n")
+
 
 class TestExamplesCommand:
     def test_bundled_corpus_passes(self, capsys):
@@ -218,6 +281,62 @@ class TestExamplesCommand:
         (tmp_path / "broken.json").write_text(json.dumps(doc))
         assert main(["examples", "--corpus", str(tmp_path)]) == \
             EXIT_VIOLATION
+        # the computed basis is printed with the input's names
+        rep = build_report(parse_input(json.dumps(
+            {key: doc[key] for key in ("generators", "order", "names")})))
+        computed = [binomial_str(b, rep.names) for b in rep.ideal.gb.elements]
+        assert capsys.readouterr().out == (
+            f"broken.json: FAIL\n  ideal mismatch; computed basis {computed}"
+            "\n0/1 examples pass\n")
+
+    # one corrupted scalar expectation of fixture A each, with the line
+    # that reports it
+    @pytest.mark.parametrize("key, value, line", [
+        ("blocks", [2, 1, 1], "blocks [1, 2, 1] != [2, 1, 1]"),
+        ("s_min", 4, "s_min 3 != 4"),
+        ("sigma", {"O1": True, "O2": False},
+         "sigma {'O1': False, 'O2': False} != {'O1': True, 'O2': False}"),
+        ("origin_singular", False, "origin_singular True != False"),
+        ("hypersurface", True, "hypersurface False != True"),
+        ("complete_intersection", True,
+         "complete_intersection False != True"),
+        ("verdict", {"predicted": "exists_equal", "observed": "never_equal"},
+         "verdict ['never_equal', 'never_equal'] != "
+         "['exists_equal', 'never_equal']")], ids=SCALARS)
+    def test_corrupted_scalar_reported(self, tmp_path, capsys, key, value,
+                                       line):
+        doc = _bundled("a_origin_only.json")
+        doc["expected"][key] = value
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            f"broken.json: FAIL\n  {line}\n0/1 examples pass\n")
+
+    @pytest.mark.parametrize("key", SCALARS)
+    def test_only_blocks_sigma_verdict_required(self, tmp_path, capsys,
+                                                key):
+        doc = _bundled("a_origin_only.json")
+        del doc["expected"][key]
+        (tmp_path / "a.json").write_text(json.dumps(doc))
+        code = main(["examples", "--corpus", str(tmp_path)])
+        out = capsys.readouterr().out
+        if key in ("blocks", "sigma", "verdict"):
+            assert code == EXIT_VIOLATION
+            assert out.startswith(f"a.json: FAIL (KeyError: '{key}')\n")
+        else:
+            assert code == EXIT_OK
+            assert out == "a.json: pass\n1/1 examples pass\n"
+
+    def test_monomials_not_a_list_fails(self, tmp_path, capsys):
+        doc = _bundled("a_origin_only.json")
+        doc["expected"]["minor_fixtures"][0]["monomials"] = 5
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL (InvalidExponent: 5 is not a list of exponent "
+            "vectors)\n0/1 examples pass\n")
 
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE

@@ -191,6 +191,12 @@ class TestMinors:
             nash._Sweep(ideal, [fam[0], bad, fam[1]])
         with pytest.raises(NotSquare):
             subset_minors([bad], ideal)
+        # the symbolic oracle refuses it before any derivative, with the
+        # sweep's message
+        for sel in ((0, 1), (2, 3)):
+            with pytest.raises(LengthMismatch, match=(
+                    f"binomial has {bad.nvars} variables, not 4")):
+                minor_symbolic(rows, sel, ideal)
 
     def test_rows_off_the_lattice_refused(self, fixture_a):
         # x1 - x2 is no relation of fixture A's generators (1,0), (1,1), so
@@ -343,6 +349,14 @@ class TestSparseMinor:
                 dataclasses.replace(ideal, gb=bare)):
             with pytest.raises(NonMonomialResidue):
                 evaluate()
+
+    def test_symbolic_checks_non_monomial(self, fixture_a):
+        # the oracle's own check: over an empty basis the determinant keeps
+        # both of its terms
+        _, ideal = fixture_a
+        bare = dataclasses.replace(ideal, gb=GroebnerBasis(ideal.order, ()))
+        with pytest.raises(NonMonomialResidue, match="2 terms"):
+            minor_symbolic(A_ROWS[:2], (0, 3), bare)
 
     def test_fallback_checks_zero(self, fixture_a, monkeypatch):
         _, ideal = fixture_a
@@ -855,6 +869,13 @@ class TestAnalysis:
                 assert (a.verdict.is_hypersurface,
                         a.verdict.is_complete_intersection) == \
                     classify_ci(ideal)
+
+    @pytest.mark.parametrize("family", ["graver", "", ["minimal"], None])
+    def test_unknown_family_refused(self, fixture_a, family):
+        # a family not in FAMILIES, also one that cannot be a dict key
+        _, ideal = fixture_a
+        with pytest.raises(ValueError, match="unknown family"):
+            analyze(ideal, family)
 
     def test_witness_is_dim1_selector(self, fixture_b, fixture_c):
         for _, ideal in (fixture_b, fixture_c):

@@ -38,6 +38,11 @@ class TestGeneratorSet:
         with pytest.raises(InvalidGeneratorSet):
             generator_set([(1, 0), (0.5, 1)])
 
+    @pytest.mark.parametrize("point", [(1, 2, 3), (1,), 5, None])
+    def test_non_pair_rejected(self, point):
+        with pytest.raises(InvalidGeneratorSet, match="not a coordinate pair"):
+            generator_set([(1, 0), point])
+
 
 class TestConeRays:
     def test_fixture_a(self):
@@ -47,6 +52,10 @@ class TestConeRays:
     def test_fixture_b(self):
         rays = compute_cone_rays(generator_set(sup.FIXTURE_B))
         assert rays == ((1, 0), (0, 1))
+
+    def test_empty_set(self):
+        with pytest.raises(InvalidGeneratorSet, match="empty generator set"):
+            compute_cone_rays(generator_set([]))
 
     def test_single_generator(self):
         with pytest.raises(ConeNotTwoDimensional):

@@ -59,3 +59,31 @@ def test_module_level_names_are_used():
                 private_unused_in_src.append(node.name)
     assert unused == []
     assert private_unused_in_src == []
+
+
+def test_choice_names_listed_once():
+    # the term order names and the family names are listed together in a
+    # literal only in the table that owns them, so a new order or family
+    # is added in one place; every other site reads the table
+    owners = {("lex", "degrevlex"): ("algebra.py", "ORDERS"),
+              ("minimal", "groebner"): ("nash.py", "FAMILIES")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assigned = {id(node.value): node.targets[0].id for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                items = node.elts
+            elif isinstance(node, ast.Dict):
+                items = node.keys
+            else:
+                continue
+            strings = {item.value for item in items
+                       if isinstance(item, ast.Constant)}
+            where = assigned.get(id(node), f"line {node.lineno}")
+            found += [(names, path.name, where)
+                      for names in owners if strings.issuperset(names)]
+    assert sorted(found) == sorted(
+        (names, *owner) for names, owner in owners.items())
