@@ -11,12 +11,10 @@ from .algebra import (
     Monomial,
     Polynomial,
     TermOrder,
-    binomial_str,
     degrevlex_order,
     derivative,
     determinant,
     lex_order,
-    monomial_str,
     oriented_binomial,
 )
 from .errors import (

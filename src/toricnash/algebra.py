@@ -186,17 +186,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
     def __neg__(self) -> "Polynomial":
@@ -215,9 +209,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            return Polynomial({e: c * other for e, c in self.terms.items()})
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -228,8 +220,6 @@ class Polynomial:
                 else:
                     out.pop(e, None)
         return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, point: Sequence[int]) -> int:
         total = 0
@@ -285,38 +275,3 @@ def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         cof = entry * determinant(minor)
         acc = acc + cof if j % 2 == 0 else acc - cof
     return acc
-
-
-# --- rendering -------------------------------------------------------------
-
-def default_names(l: int, m: int, n: int) -> list:
-    """Block variable names x1..xl, y1..ym, z1..zn."""
-    return ([f"x{i + 1}" for i in range(l)]
-            + [f"y{j + 1}" for j in range(m)]
-            + [f"z{k + 1}" for k in range(n)])
-
-
-def monomial_str(coeff: int, exp: ExponentVector, names: Sequence[str]) -> str:
-    parts = []
-    for name, e in zip(names, exp):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    if not parts:
-        return str(coeff)
-    return _scaled_str(coeff, "*".join(parts))
-
-
-def _scaled_str(coeff: int, body: str) -> str:
-    """coeff times the nonconstant monomial body: the body alone for 1, a
-    leading minus for -1, else coeff*body."""
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    return f"{coeff}*{body}"
-
-
-def binomial_str(b: Binomial, names: Sequence[str]) -> str:
-    return f"{monomial_str(1, b.plus, names)} - {monomial_str(1, b.minus, names)}"

@@ -15,7 +15,12 @@ the relations and minors, so each must be distinct, nonempty and free of
 whitespace and of the characters * ^ + -.
 
 Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
-2 validation failure, 3 dichotomy or bundled-example violation.
+2 validation failure, 3 dichotomy or bundled-example violation.  main
+maps every failure to its exit code and stderr line: the commands raise
+InputError (1), TheoremViolation (3) or another ToricNashError (2).  Only
+the failures with a message of their own are handled where they happen:
+an unwritable --out, an unreadable or empty corpus and a failing example.
+Every string a report prints is made in this module.
 """
 from __future__ import annotations
 
@@ -27,14 +32,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algebra import (
-    ORDERS,
-    Binomial,
-    Monomial,
-    _scaled_str,
-    default_names,
-    monomial_str,
-)
+from .algebra import ORDERS, Binomial, Monomial
 from .errors import InvalidExponent, TheoremViolation, ToricNashError
 from .ideal import ToricIdeal, buchberger, toric_ideal
 # dim1_selector, search_all_subsets, singular_locus and verify_dichotomy
@@ -136,12 +134,19 @@ def parse_input(text: str) -> InputSpec:
 # --- report ------------------------------------------------------------------
 
 
+def monomial_str(exp: tuple, names: Sequence[str]) -> str:
+    """x^exp over names, as name or name^e factors joined by *; "1" for
+    the zero exponent."""
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(names, exp) if e]) or "1"
+
+
 @dataclass
 class RunReport:
     """Everything one analysis produced; both output formats render this.
 
     bodies maps each exponent rendered so far, a minor's or a binomial
-    side's, to monomial_str(1, exp, names), so each is rendered once for
+    side's, to monomial_str(exp, names), so each is rendered once for
     both outputs."""
 
     spec: InputSpec
@@ -153,27 +158,35 @@ class RunReport:
                          compare=False)
 
     def body(self, exp: tuple) -> str:
-        """monomial_str(1, exp, names), from bodies."""
+        """monomial_str(exp, names), from bodies."""
         body = self.bodies.get(exp)
         if body is None:
-            body = self.bodies[exp] = monomial_str(1, exp, self.names)
+            body = self.bodies[exp] = monomial_str(exp, self.names)
         return body
 
     def binomial_str(self, b: Binomial) -> str:
-        """binomial_str(b, names), its two sides read from bodies."""
+        """x^plus - x^minus, its two sides read from bodies."""
         return f"{self.body(b.plus)} - {self.body(b.minus)}"
 
     def minor_str(self, m: Monomial) -> str:
-        """monomial_str(m.coeff, m.exp, names): the body of m.exp with the
-        coefficient put in front by monomial_str's rule, _scaled_str.  No
-        report holds a constant minor (zero_locus refuses one), so no body
-        stands for a bare coefficient."""
-        return _scaled_str(m.coeff, self.body(m.exp))
+        """The body of m.exp alone for the coefficient 1, -body for -1,
+        coeff*body otherwise.  No report holds a constant minor
+        (zero_locus refuses one), so no body is a bare "1"."""
+        body = self.body(m.exp)
+        if m.coeff == 1:
+            return body
+        if m.coeff == -1:
+            return f"-{body}"
+        return f"{m.coeff}*{body}"
 
 
 def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
+    """The input's names in canonical variable order, by default x1..xl,
+    y1..ym, z1..zn."""
     if spec.names is None:
-        return default_names(vs.l, vs.m, vs.n)
+        return [f"{block}{i + 1}"
+                for block, size in zip("xyz", (vs.l, vs.m, vs.n))
+                for i in range(size)]
     return [spec.names[vs.permutation[i]] for i in range(vs.N)]
 
 
@@ -190,6 +203,13 @@ def _orbit_json(o: Optional[OrbitSet]):
     if o is None:
         return None
     return {"O1": o.has_O1, "O2": o.has_O2}
+
+
+def _orbit_text(o: OrbitSet) -> str:
+    """The closures in o, then the origin, joined by " u "."""
+    return " u ".join([name for name, has in (("closure(O1)", o.has_O1),
+                                              ("closure(O2)", o.has_O2))
+                       if has] + ["{0}"])
 
 
 def _binomial_json(b: Binomial, rep: RunReport) -> dict:
@@ -262,7 +282,7 @@ def report_text(rep: RunReport) -> str:
     lines.append(f"groebner basis ({len(rep.ideal.gb.elements)} elements):")
     for b in rep.ideal.gb.elements:
         lines.append(f"  {rep.binomial_str(b)}")
-    lines.append(f"singular locus: {a.sigma.orbits.describe()}"
+    lines.append(f"singular locus: {_orbit_text(a.sigma.orbits)}"
                  " (origin singular: yes)")
     v = a.verdict
     lines.append(f"hypersurface: {'yes' if v.is_hypersurface else 'no'}; "
@@ -277,7 +297,7 @@ def report_text(rep: RunReport) -> str:
             continue
         mons = ", ".join(rep.minor_str(m) for _, m in r.minors)
         eq = "yes" if r.equals_sigma else "no"
-        lines.append(f"  {list(r.subset)}: V = {r.zero_locus.describe()}; "
+        lines.append(f"  {list(r.subset)}: V = {_orbit_text(r.zero_locus)}; "
                      f"equals sigma: {eq}")
         lines.append(f"      minors: {mons}")
     lines.append(f"verdict: predicted={a.verdict.predicted} "
@@ -435,17 +455,7 @@ def _read_spec(path: str) -> InputSpec:
 
 def cmd_validate(path: str, out=None) -> int:
     out = out if out is not None else sys.stdout
-    try:
-        spec = _read_spec(path)
-    except InputError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        vs = validate(generator_set(spec.generators))
-    except ToricNashError as exc:
-        print(f"validation failed: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+    vs = validate(generator_set(_read_spec(path).generators))
     print(f"l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}", file=out)
     print("canonical generators: "
           + " ".join(str(tuple(p)) for p in vs.gens.points), file=out)
@@ -456,22 +466,9 @@ def cmd_validate(path: str, out=None) -> int:
 def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
                 family: Optional[str], out=None) -> int:
     out = out if out is not None else sys.stdout
-    try:
-        spec = _read_spec(path)
-        spec = replace(spec, order=order or spec.order,
-                       family=family or spec.family)
-    except InputError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rep = build_report(spec)
-    except TheoremViolation as exc:
-        print(f"dichotomy violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except ToricNashError as exc:
-        print(f"validation failed: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = _read_spec(path)
+    rep = build_report(replace(spec, order=order or spec.order,
+                               family=family or spec.family))
     print(report_text(rep), end="", file=out)
     if out_path:
         try:
@@ -506,11 +503,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                        "(defaults to the bundled set)")
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.input)
-    if args.command == "analyze":
-        return cmd_analyze(args.input, args.out, args.order, args.family)
-    return cmd_examples(args.corpus)
+    try:
+        if args.command == "validate":
+            return cmd_validate(args.input)
+        if args.command == "analyze":
+            return cmd_analyze(args.input, args.out, args.order, args.family)
+        return cmd_examples(args.corpus)
+    except InputError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except TheoremViolation as exc:
+        print(f"dichotomy violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except ToricNashError as exc:
+        print(f"validation failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -565,11 +565,13 @@ def toric_ideal(vs: ValidatedSemigroup,
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
     sigma that the lattice basis forces, the final basis); the minimal
     generators are certified by minimal_generators' path replay,
-    and recomputing the basis from them is a test oracle only.
+    and recomputing the basis from them is a test oracle only.  An order
+    in another number of variables than N raises LengthMismatch.
     """
     order = order or lex_order(vs.N)
     if order.nvars != vs.N:
-        raise InvariantViolation("term order has the wrong variable count")
+        raise LengthMismatch(
+            f"term order has {order.nvars} variables, not {vs.N}")
     gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
     saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
                                    vs.degree_weights)

@@ -460,15 +460,6 @@ class OrbitSet:
     def contains(self, other: "OrbitSet") -> bool:
         return (other.has_O1 <= self.has_O1) and (other.has_O2 <= self.has_O2)
 
-    def describe(self) -> str:
-        parts = []
-        if self.has_O1:
-            parts.append("closure(O1)")
-        if self.has_O2:
-            parts.append("closure(O2)")
-        parts.append("{0}")
-        return " u ".join(parts)
-
 
 def orbit_representatives(vs: ValidatedSemigroup) -> dict:
     l, m, n = vs.l, vs.m, vs.n

@@ -628,6 +628,24 @@ def index_zero_locus(monomials, vs) -> OrbitSet:
     return OrbitSet(has_o1, has_o2)
 
 
+def reference_monomial_str(coeff: int, exp, names) -> str:
+    """coeff * x^exp as a report prints it, written apart from cli: the
+    factors name or name^e joined by *, then the coefficient in front
+    unless it is 1 (a bare minus for -1); a constant is its coefficient."""
+    body = ""
+    for name, e in zip(names, exp):
+        if e:
+            body += ("*" if body else "") + name + (f"^{e}" if e > 1 else "")
+    if not body:
+        return str(coeff)
+    return {1: body, -1: "-" + body}.get(coeff, f"{coeff}*{body}")
+
+
+def reference_binomial_str(b: Binomial, names) -> str:
+    return (f"{reference_monomial_str(1, b.plus, names)} - "
+            f"{reference_monomial_str(1, b.minus, names)}")
+
+
 def full_rank_at_origin(monkeypatch):
     """Make analyze read a Jacobian of full rank r = nvars - 2 at the
     origin; every other point keeps its true rank."""

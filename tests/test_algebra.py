@@ -11,7 +11,6 @@ from toricnash.algebra import (
     derivative,
     determinant,
     lex_order,
-    monomial_str,
     oriented_binomial,
 )
 from toricnash.errors import LengthMismatch, NotSquare
@@ -205,11 +204,6 @@ class TestEvaluate:
 
 
 class TestRendering:
-    def test_monomial(self):
-        assert monomial_str(-3, (2, 0, 1), ["x", "y", "z"]) == "-3*x^2*z"
-        assert monomial_str(1, (0, 0, 0), ["x", "y", "z"]) == "1"
-        assert monomial_str(-1, (1, 0, 0), ["x", "y", "z"]) == "-x"
-
     def test_monomial_tuple(self):
         m = Monomial(2, (1, 1))
         assert not m.is_constant()

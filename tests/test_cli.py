@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from toricnash import cli, nash
-from toricnash.algebra import binomial_str, monomial_str
+from toricnash.algebra import Monomial
 from toricnash.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -236,12 +236,14 @@ class TestAnalyzeCommand:
          'family must be "minimal" or "groebner", got \'graver\'')])
     def test_unknown_override_exits_1(self, tmp_path, capsys, order, family,
                                       message):
-        # an override is checked like the document's own value
+        # an override is checked like the document's own value: InputError,
+        # which main maps to exit 1 (argparse's choices stop these values
+        # before main, so the command is called directly)
         path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
-        assert cli.cmd_analyze(path, None, order, family) == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("",
-                                                f"parse error: {message}\n")
+        with pytest.raises(InputError) as info:
+            cli.cmd_analyze(path, None, order, family)
+        assert str(info.value) == message
+        assert capsys.readouterr().out == ""
 
     def test_theorem_violation_exits_3(self, tmp_path, capsys, monkeypatch):
         def violated(ideal, family):
@@ -284,7 +286,8 @@ class TestExamplesCommand:
         # the computed basis is printed with the input's names
         rep = build_report(parse_input(json.dumps(
             {key: doc[key] for key in ("generators", "order", "names")})))
-        computed = [binomial_str(b, rep.names) for b in rep.ideal.gb.elements]
+        computed = [sup.reference_binomial_str(b, rep.names)
+                    for b in rep.ideal.gb.elements]
         assert capsys.readouterr().out == (
             f"broken.json: FAIL\n  ideal mismatch; computed basis {computed}"
             "\n0/1 examples pass\n")
@@ -337,6 +340,43 @@ class TestExamplesCommand:
         assert capsys.readouterr().out == (
             "broken.json: FAIL (InvalidExponent: 5 is not a list of exponent "
             "vectors)\n0/1 examples pass\n")
+
+    def test_minor_fixture_of_another_class_reported(self, tmp_path, capsys):
+        # x1^2 replaced by x4^2 in the expected minors of f1, f2
+        doc = _bundled("a_origin_only.json")
+        doc["expected"]["minor_fixtures"][0]["monomials"][0] = [0, 0, 0, 2]
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL\n  minor fixture 0: classes [(0, 0, 2, 0), "
+            "(0, 1, 1, 0), (0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)] != "
+            "[(0, 0, 0, 2), (0, 0, 2, 0), (0, 1, 1, 0), (0, 2, 0, 0), "
+            "(1, 1, 0, 0)]\n0/1 examples pass\n")
+
+    def test_subsets_off_sigma_reported(self, tmp_path, capsys):
+        # fixture C has a single closure in sigma; four of its full-rank
+        # subsets cut out something else
+        doc = _bundled("c_one_edge.json")
+        doc["expected"]["all_rank_valid_equal_sigma"] = True
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL\n  subsets with V != sigma: [(0, 3), (1, 2), "
+            "(1, 3), (2, 3)]\n0/1 examples pass\n")
+
+    def test_witness_rows_off_sigma_reported(self, tmp_path, capsys):
+        # the rows of subset (0, 3), whose zero locus is not sigma
+        doc = _bundled("c_one_edge.json")
+        ideal = doc["expected"]["ideal"]
+        doc["expected"]["witness_rows"] = [ideal[0], ideal[3]]
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL\n  witness rows do not cut out sigma\n"
+            "0/1 examples pass\n")
 
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
@@ -505,19 +545,29 @@ RENDERED = [(CYC6, "lex"), (CYC6, "degrevlex"),
             (sup.FIXTURE_C, "lex")]
 
 
+class TestRendering:
+    def test_monomial(self):
+        rep = cli.RunReport(None, ["x", "y", "z"], None, None)
+        assert rep.minor_str(Monomial(-3, (2, 0, 1))) == "-3*x^2*z"
+        assert rep.minor_str(Monomial(-1, (1, 0, 0))) == "-x"
+        assert rep.minor_str(Monomial(1, (0, 1, 1))) == "y*z"
+        assert cli.monomial_str((0, 0, 0), ["x", "y", "z"]) == "1"
+
+
 class TestRenderOnce:
     def test_matches_monomial_str(self):
-        # every minor and binomial of the report renders as monomial_str
-        # and binomial_str do, with the default and with custom names, in
-        # both outputs; the minors reach the coefficients 1, -1 and
-        # |c| > 1
+        # every minor and binomial of the report renders as the reference
+        # renderer of _support does, with the default and with custom
+        # names, in both outputs; the minors reach the coefficients 1, -1
+        # and |c| > 1
         coeffs = set()
         for gens, order in RENDERED:
             for names in (None, tuple(f"g{i}'" for i in range(len(gens)))):
                 rep = build_report(InputSpec(tuple(gens), order, names))
                 text, doc = report_text(rep), report_json(rep)
                 for r, entry in zip(rep.analysis.reports, doc["subsets"]):
-                    want = [monomial_str(m.coeff, m.exp, rep.names)
+                    want = [sup.reference_monomial_str(m.coeff, m.exp,
+                                                       rep.names)
                             for _, m in r.minors]
                     assert [rep.minor_str(m) for _, m in r.minors] == want
                     assert [m["str"] for m in entry["minors"]] == want
@@ -527,7 +577,8 @@ class TestRenderOnce:
                 for key, fam in (("minimal_generators",
                                   rep.ideal.minimal_gens),
                                  ("groebner_basis", rep.ideal.gb.elements)):
-                    want = [binomial_str(b, rep.names) for b in fam]
+                    want = [sup.reference_binomial_str(b, rep.names)
+                            for b in fam]
                     assert [rep.binomial_str(b) for b in fam] == want
                     assert [b["str"] for b in doc["ideal"][key]] == want
                     assert all(f"  {w}\n" in text for w in want)
@@ -539,10 +590,11 @@ class TestRenderOnce:
         # once for each exponent they print, a minor's or a binomial
         # side's
         calls = Counter()
+        inner = cli.monomial_str
 
-        def counted(coeff, exp, names):
-            calls[coeff, exp] += 1
-            return monomial_str(coeff, exp, names)
+        def counted(exp, names):
+            calls[exp] += 1
+            return inner(exp, names)
 
         monkeypatch.setattr(cli, "monomial_str", counted)
         rep = build_report(InputSpec(tuple(CYC6)))
@@ -551,4 +603,4 @@ class TestRenderOnce:
         exps = {m.exp for r in rep.analysis.reports for _, m in r.minors}
         exps.update(e for b in rep.ideal.minimal_gens + rep.ideal.gb.elements
                     for e in (b.plus, b.minus))
-        assert calls == Counter((1, e) for e in exps)
+        assert calls == Counter(exps)

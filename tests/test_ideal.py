@@ -437,6 +437,16 @@ class TestToricIdeal:
             .elements == ideal.gb.elements
         assert ideal.s_min == 4
 
+    @pytest.mark.parametrize("order, message", [
+        (lex_order(4), "term order has 4 variables, not 3"),
+        (degrevlex_order(2), "term order has 2 variables, not 3")])
+    def test_order_of_wrong_length_refused(self, order, message):
+        # the caller's mistake, not a failed internal check
+        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        with pytest.raises(LengthMismatch) as info:
+            toric_ideal(vs, order)
+        assert str(info.value) == message
+
     def test_degrevlex_defines_same_ideal(self, fixture_a):
         vs, ideal = fixture_a
         other = toric_ideal(vs, degrevlex_order(vs.N))

@@ -23,6 +23,7 @@ from toricnash.errors import (
     RankDeficient,
     SigmaDimensionError,
     TheoremViolation,
+    TorusSingular,
 )
 from toricnash.ideal import GroebnerBasis, monomial_nf, normal_form, toric_ideal
 from toricnash.nash import (
@@ -297,8 +298,8 @@ class TestSparseMinor:
                              (ideal_mod, "normal_form"),
                              (nash, "normal_form")):
             monkeypatch.setattr(module, name, refuse)
-        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__",
-                     "__init__", "evaluate"):
+        for name in ("__add__", "__sub__", "__mul__", "__neg__", "__init__",
+                     "evaluate"):
             monkeypatch.setattr(Polynomial, name, refuse)
         monkeypatch.setattr(nash, "derivative", refuse)
         assert analyze(ideal) == expected
@@ -909,6 +910,50 @@ class TestAnalysis:
         sup.full_rank_at_origin(monkeypatch)
         with pytest.raises(InvariantViolation):
             analyze(ideal)
+
+    def test_rank_drop_on_torus_refused(self, fixture_c, monkeypatch):
+        _, ideal = fixture_c
+        monkeypatch.setattr(nash, "_jacobian_rank_at", lambda *args: 0)
+        with pytest.raises(TorusSingular,
+                           match="^Jacobian rank drops on the dense torus$"):
+            analyze(ideal)
+
+    def test_no_full_rank_subset_refused(self, fixture_c, monkeypatch):
+        # every subset reported below full rank (c_S == 0)
+        _, ideal = fixture_c
+        monkeypatch.setattr(nash._Sweep, "minors",
+                            lambda self, subset: ([], 0))
+        with pytest.raises(TorusSingular, match="^no subset of the family "
+                                                "reaches full rank$"):
+            analyze(ideal)
+
+    def test_rank_and_minors_disagree(self, fixture_a, monkeypatch):
+        # a rank drop read at the O1 point only: sigma gains closure(O1),
+        # which the minors' zero loci do not contain
+        vs, ideal = fixture_a
+        o1 = orbit_representatives(vs)["O1"]
+        inner = nash._jacobian_rank_at
+
+        def rank_at(family, point, nvars):
+            return 0 if point == o1 else inner(family, point, nvars)
+
+        monkeypatch.setattr(nash, "_jacobian_rank_at", rank_at)
+        with pytest.raises(InvariantViolation, match="^rank test and minor "
+                                                     "ideal disagree"):
+            analyze(ideal)
+
+    def test_verdict_mismatch_is_theorem_violation(self, monkeypatch):
+        # the hypersurface xz - y^2 read as no complete intersection: a
+        # point singular locus then predicts no match, but the one subset
+        # cuts out the origin
+        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        ideal = toric_ideal(vs)
+        monkeypatch.setattr(nash, "classify_ci", lambda ideal: (False, False))
+        with pytest.raises(TheoremViolation) as info:
+            analyze(ideal)
+        assert str(info.value) == (
+            "predicted never_equal but observed exists_equal for generators "
+            "[(1, 0), (1, 1), (1, 2)]")
 
     def test_fallbacks_counted_once(self, fixture_a):
         _, ideal = fixture_a

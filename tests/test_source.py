@@ -17,6 +17,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_private_names_imported_across_modules():
+    # a name starting with _ is its module's own; a rule that another
+    # module of the package needs gets a public name or moves to its one
+    # owner
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or node.module.split(".")[0] == PACKAGE.name)
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_bench_bindings_resolve():
     # bench/tracing.py wraps these names; a deleted one breaks the bench
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
