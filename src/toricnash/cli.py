@@ -314,6 +314,8 @@ def report_text(rep: RunReport) -> str:
 
 def _load_corpus(corpus_dir: Optional[str]) -> list:
     if corpus_dir is not None:
+        if not Path(corpus_dir).is_dir():
+            raise InputError(f"{corpus_dir}: not a directory")
         paths = Path(corpus_dir).glob("*.json")
     else:
         root = resources.files("toricnash").joinpath("fixtures")

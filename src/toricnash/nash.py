@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from operator import add, attrgetter, mul
 from typing import Optional, Sequence
 
@@ -73,7 +74,7 @@ from .errors import (
     TorusSingular,
 )
 from .ideal import ToricIdeal, monomial_nf, normal_form
-from .semigroup import ValidatedSemigroup, cross
+from .semigroup import ValidatedSemigroup, cross, primitive
 
 # --- exact integer linear algebra -------------------------------------------
 
@@ -438,7 +439,7 @@ def nash_ideal_classes(family_subset: Sequence[Binomial],
         [mono.exp for mono in nash_ideal(family_subset, ideal)], ideal)
 
 
-# --- orbit sets ---------------------------------------------------------------
+# --- orbit sets and the singular locus ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -461,14 +462,29 @@ class OrbitSet:
         return (other.has_O1 <= self.has_O1) and (other.has_O2 <= self.has_O2)
 
 
-def orbit_representatives(vs: ValidatedSemigroup) -> dict:
-    l, m, n = vs.l, vs.m, vs.n
-    return {
-        "torus": (1,) * vs.N,
-        "O1": (0,) * (l + m) + (1,) * n,
-        "O2": (1,) * l + (0,) * (m + n),
-        "origin": (0,) * vs.N,
-    }
+def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
+    """The one-dimensional orbit closures in the singular locus, read off
+    the generators on the cone's two edge rays.
+
+    Let rho be an edge ray with primitive vector u, m_i u the generators
+    on it, S_rho the part of the semigroup S on rho and w, the height, the
+    primitive functional that vanishes on rho and is nonnegative on the
+    cone (cross(u1, p) on edge 1, cross(p, u2) on edge 2).  The orbit of
+    rho is smooth exactly when the localisation S + Z S_rho is Z x N
+    (Cox-Little-Schenck, Toric Varieties, ch. 1 and 3).  Its height-0
+    part is Z gcd(m_i) u; heights of generators are nonnegative and add
+    up, so an element of height 1 is one generator of height 1 plus
+    height-0 ones.  So the orbit is singular exactly when gcd(m_i) != 1
+    or no generator has height 1.  O2 is the orbit of the edge-1 (x
+    block) ray, O1 that of the edge-2 (z block) ray.
+    """
+    pts = vs.gens.points
+    u1, u2 = primitive(pts[0]), primitive(pts[-1])
+    o1 = (gcd(*(gcd(*p) for p in pts[vs.l + vs.m:])) != 1
+          or all(cross(p, u2) != 1 for p in pts))
+    o2 = (gcd(*(gcd(*p) for p in pts[:vs.l])) != 1
+          or all(cross(u1, p) != 1 for p in pts))
+    return OrbitSet(o1, o2)
 
 
 def zero_locus(monomials: Sequence[Monomial],
@@ -499,45 +515,17 @@ def zero_locus(monomials: Sequence[Monomial],
     return OrbitSet(has_o1, has_o2)
 
 
-# --- singular locus -----------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class SingularLocus:
     """Orbit-set shape of the singular locus plus the origin flag.
 
     origin_singular is always True: every basis element has two sides of
-    degree at least 2, so the Jacobian vanishes at the origin, and analyze
-    raises InvariantViolation when it reads full rank there.
+    degree at least 2 (toric_ideal raises InvariantViolation otherwise),
+    so the Jacobian vanishes at the origin.
     """
 
     orbits: OrbitSet
     origin_singular: bool
-
-
-def _jacobian_rank_at(family: Sequence[Binomial], point,
-                      nvars: int) -> int:
-    """Rank of the Jacobian of family at a 0/1 point of length nvars
-    (ValueError for another entry, LengthMismatch for another length).
-
-    With Z the zero set of the point, the partial a_i x^(a - e_i) of x^a
-    is a_i there when sum_{k in Z} a_k == [i in Z], else 0 (exact: 0^0 ==
-    1).  So each row comes from its side sums zp, zm; a binomial with
-    zp > 1 and zm > 1 has a zero row and is skipped, as every row of a
-    valid input is at the origin."""
-    if len(point) != nvars:
-        raise LengthMismatch(f"point length {len(point)} != {nvars}")
-    if not set(point) <= {0, 1}:
-        raise ValueError(f"point {point} has an entry outside {{0, 1}}")
-    inz = [1 - x for x in point]
-    rows = []
-    for f in family:
-        zp = sum(map(mul, inz, f.plus))
-        zm = sum(map(mul, inz, f.minus))
-        if zp < 2 or zm < 2:
-            rows.append([(p if zp == z else 0) - (m if zm == z else 0)
-                         for p, m, z in zip(f.plus, f.minus, inz)])
-    return int_rank(rows)
 
 
 # --- exhaustive search and verdicts -------------------------------------------
@@ -634,17 +622,18 @@ FAMILIES = {"minimal": attrgetter("minimal_gens"),  # ideal -> family
 def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     """Singular locus, subset reports, verdict and witness from one sweep.
 
-    An orbit is singular when the Jacobian of the minimal generators drops
-    below codimension r at its 0/1 representative, the rank read from
-    exponent supports (_jacobian_rank_at); full rank at the origin (no
-    side has degree below 2) raises InvariantViolation, a drop on the torus
-    TorusSingular.  The sweep reports every r-subset of the family (a
-    name in FAMILIES; ValueError otherwise), in subset-index order,
-    from one _Sweep of the family: its rows, column pairs, partials,
-    normal form of each degree and sub-minor memo are shared.  By the
-    Jacobian criterion all their minors together must vanish on the same
-    orbits, for any generating family; disagreement raises
-    InvariantViolation.
+    sigma is read off the cone's two edges (singular_orbits).  The sweep
+    reports every r-subset of the family (a name in FAMILIES; ValueError
+    otherwise), in subset-index order, from one _Sweep of the family: its
+    rows, column pairs, partials, normal form of each degree and sub-minor
+    memo are shared.  By the Jacobian criterion all their minors together
+    vanish on exactly sigma, for any generating family; disagreement
+    raises InvariantViolation.  On the torus the Jacobian is the
+    difference matrix, whose rank is the same for both families (their
+    rows span one lattice), so a rank drop there makes every c_S zero and
+    raises TorusSingular.  A Jacobian row survives at the origin only for
+    a side of degree below 2, which toric_ideal (degree 1) and
+    minimal_generators (degree 0) refuse.
 
     The verdict predicts the search outcome from the singular locus and
     checks it: a one-dimensional singular locus guarantees a witness subset
@@ -659,14 +648,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
         raise ValueError(f"unknown family {family!r}")
     fam = FAMILIES[family](ideal)
     vs = ideal.semigroup
-    drops = {name: _jacobian_rank_at(ideal.minimal_gens, point, vs.N) < vs.r
-             for name, point in orbit_representatives(vs).items()}
-    if drops["torus"]:
-        raise TorusSingular("Jacobian rank drops on the dense torus")
-    if not drops["origin"]:
-        raise InvariantViolation("Jacobian has full rank at the origin; "
-                                 "a relation has a side of degree below 2")
-    sigma = OrbitSet(drops["O1"], drops["O2"])
+    sigma = singular_orbits(vs)
     sweep = _Sweep(ideal, fam)
     reports = tuple(_subset_report(vs, sweep, subset, sigma)
                     for subset in itertools.combinations(range(len(fam)),
@@ -677,7 +659,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     if OrbitSet(all(r.zero_locus.has_O1 for r in valid),
                 all(r.zero_locus.has_O2 for r in valid)) != sigma:
         raise InvariantViolation(
-            "rank test and minor ideal disagree about the singular locus")
+            "edge rule and minor ideal disagree about the singular locus")
 
     is_hyp, is_ci = classify_ci(ideal)
     if sigma.dimension == 0:

@@ -139,31 +139,33 @@ def semigroup_membership(p, vs: ValidatedSemigroup) -> bool:
     give its dual vector w, paired to vs.degree_weights; w is strictly
     positive, which caps every coefficient at w.p // w.gen."""
     pts = vs.gens.points
-    w = _dual_vector(primitive(pts[0]), primitive(pts[-1]), pts)
-    return _member(pts, w, vs.degree_weights, 0, LatticePoint(*p))
+    rays = primitive(pts[0]), primitive(pts[-1])
+    w = _dual_vector(*rays, pts)
+    return _member(pts, rays, w, vs.degree_weights, 0, LatticePoint(*p), {})
 
 
-def _member(pts: tuple, w: LatticePoint, wg: list, k: int,
-            target: LatticePoint) -> bool:
-    """True when target is a nonnegative integer combination of pts[k:];
-    wg[i] is w . pts[i] for the strictly positive dual vector w.  With one
-    generator g left, target must be lam g for lam = w.target / w.g."""
+def _member(pts: tuple, rays: tuple, w: LatticePoint, wg: list, k: int,
+            target: LatticePoint, memo: dict) -> bool:
+    """True when target is a nonnegative integer combination of pts[k:],
+    which lie in the cone of rays; wg[i] is w . pts[i] for the strictly
+    positive dual vector w.  memo holds each (k, target) decided.  With
+    one generator g left, target must be lam g for lam = w.target / w.g."""
     if target == (0, 0):
         return True
-    if k == len(pts):
+    if k == len(pts) or cross(rays[0], target) < 0 \
+            or cross(target, rays[1]) < 0:
         return False
-    wt = dot(w, target)
-    if wt < 0:
-        return False
-    g = pts[k]
+    wt, g = dot(w, target), pts[k]
     if k == len(pts) - 1:
         lam, rest = divmod(wt, wg[k])
         return not rest and target == (lam * g.u, lam * g.v)
-    for lam in range(wt // wg[k], -1, -1):
-        if _member(pts, w, wg, k + 1, LatticePoint(target.u - lam * g.u,
-                                                   target.v - lam * g.v)):
-            return True
-    return False
+    found = memo.get((k, target))
+    if found is None:
+        found = memo[k, target] = any(
+            _member(pts, rays, w, wg, k + 1, LatticePoint(
+                target.u - lam * g.u, target.v - lam * g.v), memo)
+            for lam in range(wt // wg[k], -1, -1))
+    return found
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,8 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     w = _dual_vector(ray1, ray2, pts)
     wg = [dot(w, p) for p in pts]
     for i, p in enumerate(pts):
-        if _member(pts[:i] + pts[i + 1:], w, wg[:i] + wg[i + 1:], 0, p):
+        if _member(pts[:i] + pts[i + 1:], (ray1, ray2), w,
+                   wg[:i] + wg[i + 1:], 0, p, {}):
             raise NotMinimal(i, p)
 
     def edge_key(i):

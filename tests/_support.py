@@ -37,12 +37,11 @@ from toricnash.ideal import (
 )
 from toricnash.nash import (
     OrbitSet,
-    _jacobian_rank_at,
     _Sweep,
     _bareiss,
     _normalize_selection,
     int_rank,
-    orbit_representatives,
+    singular_orbits,
 )
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
@@ -346,22 +345,57 @@ def check_toric_ideals(surfaces) -> int:
     return count
 
 
+def orbit_representatives(vs) -> dict:
+    """A 0/1 point of each torus orbit of the surface."""
+    l, m, n = vs.l, vs.m, vs.n
+    return {
+        "torus": (1,) * vs.N,
+        "O1": (0,) * (l + m) + (1,) * n,
+        "O2": (1,) * l + (0,) * (m + n),
+        "origin": (0,) * vs.N,
+    }
+
+
 def derivative_rank(family, point, nvars) -> int:
     """Rank of the Jacobian of family at the point, from the evaluated
-    derivative polynomials: the oracle for nash._jacobian_rank_at."""
+    derivative polynomials."""
     return int_rank([[derivative(f, i).evaluate(point) for i in range(nvars)]
                      for f in family])
 
 
+def derivative_drops(family, vs) -> dict:
+    """For each orbit point, whether derivative_rank of family drops below
+    the codimension r there: the Jacobian definition of the singular
+    locus, the oracle for nash.singular_orbits."""
+    return {name: derivative_rank(family, point, vs.N) < vs.r
+            for name, point in orbit_representatives(vs).items()}
+
+
 def check_orbit_ranks(ideal) -> None:
-    """Assert that _jacobian_rank_at equals derivative_rank at the four
-    orbit points of the surface, for the minimal generators and the
-    Groebner basis of ideal."""
+    """Assert that the Jacobians of the minimal generators and of the
+    Groebner basis of ideal have full rank on the torus, drop at the
+    origin, and drop at O1 and O2 exactly where singular_orbits says."""
     vs = ideal.semigroup
+    sigma = singular_orbits(vs)
+    expected = {"torus": False, "O1": sigma.has_O1, "O2": sigma.has_O2,
+                "origin": True}
     for fam in (ideal.minimal_gens, ideal.gb.elements):
-        for point in orbit_representatives(vs).values():
-            assert _jacobian_rank_at(fam, point, vs.N) == \
-                derivative_rank(fam, point, vs.N), (vs.gens.points, point)
+        assert derivative_drops(fam, vs) == expected, vs.gens.points
+
+
+def cyclic_quotient(n, q) -> list:
+    """The Hilbert basis of cone((1, 0), (q, n)) for coprime 0 < q < n:
+    the nonzero points of the parallelogram the two rays span that are no
+    sum of two nonzero points of the cone.  A summand of a point of the
+    parallelogram lies in it too, so only its points are tried.  (u, v)
+    lies in the cone when v >= 0 and n u - q v >= 0."""
+    def in_cone(u, v):
+        return v >= 0 and n * u - q * v >= 0
+
+    cell = [(u, v) for u in range(q + 2) for v in range(n + 1)
+            if (u, v) != (0, 0) and in_cone(u, v) and n * u - q * v <= n]
+    return [p for p in cell if not any(
+        a != p and in_cone(p[0] - a[0], p[1] - a[1]) for a in cell)]
 
 
 def check_sweep_order(surfaces, seed=0) -> int:
@@ -646,15 +680,11 @@ def reference_binomial_str(b: Binomial, names) -> str:
             f"{reference_monomial_str(1, b.minus, names)}")
 
 
-def full_rank_at_origin(monkeypatch):
-    """Make analyze read a Jacobian of full rank r = nvars - 2 at the
-    origin; every other point keeps its true rank."""
-    inner = tn.nash._jacobian_rank_at
-
-    def rank_at(family, point, nvars):
-        return nvars - 2 if not any(point) else inner(family, point, nvars)
-
-    monkeypatch.setattr(tn.nash, "_jacobian_rank_at", rank_at)
+def disagreeing_sigma(monkeypatch):
+    """Make analyze read sigma as the closure of O1 alone; the minors of
+    fixture A, whose sigma is the origin, do not vanish on it."""
+    monkeypatch.setattr(tn.nash, "singular_orbits",
+                        lambda vs: OrbitSet(True, False))
 
 
 def support_witness(reports, sigma, vs):

@@ -199,11 +199,14 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", path]) == EXIT_VALIDATION
         assert "LatticeNotFull" in capsys.readouterr().err
 
-    def test_full_rank_origin_exits_2(self, tmp_path, capsys, monkeypatch):
-        sup.full_rank_at_origin(monkeypatch)
-        path = write_input(tmp_path, {"generators": sup.FIXTURE_C})
+    def test_invariant_violation_exits_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        sup.disagreeing_sigma(monkeypatch)
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
         assert main(["analyze", "--input", path]) == EXIT_VALIDATION == 2
-        assert "InvariantViolation" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "validation failed: InvariantViolation: edge rule and minor "
+            "ideal disagree about the singular locus\n")
 
     def test_degrevlex_order_flag(self, tmp_path, capsys):
         path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
@@ -380,6 +383,22 @@ class TestExamplesCommand:
 
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "no example documents found\n"
+
+    def test_missing_corpus(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["examples", "--corpus", str(missing)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"cannot read corpus: {missing}: not a directory\n"
+        assert captured.out == ""
+
+    def test_corpus_is_a_file(self, tmp_path, capsys):
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        assert main(["examples", "--corpus", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot read corpus: {path}: not a directory\n"
+        assert captured.out == ""
 
     def test_invalid_json_in_corpus(self, tmp_path, capsys):
         (tmp_path / "good.json").write_text(

@@ -13,9 +13,10 @@ from toricnash.algebra import (
     lex_order,
 )
 from toricnash import ideal as ideal_mod
-from toricnash.errors import InvariantViolation, LengthMismatch
+from toricnash.errors import InvariantViolation, LengthMismatch, NotMinimal
 from toricnash.ideal import (
     GroebnerBasis,
+    _check_no_unit_sides,
     _forcing_variables,
     _lll_reduce,
     _saturate_elements,
@@ -27,7 +28,7 @@ from toricnash.ideal import (
     normal_form,
     toric_ideal,
 )
-from toricnash.semigroup import generator_set, validate
+from toricnash.semigroup import ValidatedSemigroup, generator_set, validate
 
 import _support as sup
 
@@ -458,6 +459,28 @@ class TestToricIdeal:
             for b in ideal.minimal_gens:
                 assert sum(b.plus) >= 2
                 assert sum(b.minus) >= 2
+
+    def test_unit_side_refused(self):
+        # a side of degree 1 leaves a Jacobian row at the origin; this
+        # check is what keeps the origin in the singular locus
+        sound = sup.binomials(sup.IDEAL_A)
+        _check_no_unit_sides(sound)
+        for bad in (Binomial((0, 1, 0, 0), (1, 0, 1, 0)),
+                    Binomial((2, 0, 0, 0), (0, 0, 0, 1))):
+            with pytest.raises(InvariantViolation, match="^relation with a "
+                                                         "bare-variable side"):
+                _check_no_unit_sides(sound + [bad])
+
+    def test_unit_side_refused_by_toric_ideal(self):
+        # generators validate refuses: (2, 1) = (1, 0) + (1, 1), so the
+        # basis holds y2 - x1 y1, whose side y2 has degree 1
+        gens = generator_set([(1, 0), (1, 1), (2, 1), (0, 1)])
+        with pytest.raises(NotMinimal):
+            validate(gens)
+        vs = ValidatedSemigroup(gens, 1, 2, 1, (0, 1, 2, 3), (1, 2, 3, 1))
+        with pytest.raises(InvariantViolation, match="^relation with a "
+                                                     "bare-variable side"):
+            toric_ideal(vs)
 
     def test_minimal_gens_irredundant(self, population):
         for _, ideal in population[:12]:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,7 +30,6 @@ from toricnash.errors import (
 from toricnash.ideal import GroebnerBasis, monomial_nf, normal_form, toric_ideal
 from toricnash.nash import (
     OrbitSet,
-    _jacobian_rank_at,
     analyze,
     classify_ci,
     dim1_selector,
@@ -38,10 +39,10 @@ from toricnash.nash import (
     monomial_classes,
     nash_ideal,
     nash_ideal_classes,
-    orbit_representatives,
     rank,
     search_all_subsets,
     singular_locus,
+    singular_orbits,
     subset_minors,
     verify_dichotomy,
     zero_locus,
@@ -304,33 +305,13 @@ class TestSparseMinor:
         monkeypatch.setattr(nash, "derivative", refuse)
         assert analyze(ideal) == expected
 
-    def test_jacobian_rank_from_exponents(self, population):
-        # the rank at a 0/1 point from the exponent supports equals the
-        # rank of the evaluated derivative polynomials: the orbit points of
-        # every population member (both families), and seeded random
-        # families at every point of {0,1}^nvars
-        cases = []
-        for vs, ideal in population:
-            for fam in (ideal.minimal_gens, ideal.gb.elements):
-                cases += [(fam, point, vs.N) for point
-                          in orbit_representatives(vs).values()]
-        rng = random.Random(41)
-        for _ in range(200):
-            nvars = rng.randint(2, 5)
-            fam = sup.random_binomial_family(rng, nvars, rng.randint(1, 4))
-            cases += [(fam, point, nvars) for point
-                      in itertools.product((0, 1), repeat=nvars)]
-        for fam, point, nvars in cases:
-            assert _jacobian_rank_at(fam, point, nvars) == \
-                sup.derivative_rank(fam, point, nvars), (fam, point)
-        # other points are outside the support rule's domain
-        fam = population[0][1].minimal_gens
-        for entry in (2, -1):
-            point = (entry,) + (1,) * (fam[0].nvars - 1)
-            with pytest.raises(ValueError):
-                _jacobian_rank_at(fam, point, len(point))
-        with pytest.raises(LengthMismatch):
-            _jacobian_rank_at(fam, point[1:], len(point))
+    def test_singular_orbits_match_jacobian_ranks(self, population):
+        # the edge rule gives the orbits where the Jacobian of the
+        # evaluated derivative polynomials drops below r, for both families
+        # of every population member, with full rank on the torus and a
+        # drop at the origin
+        for _, ideal in population:
+            sup.check_orbit_ranks(ideal)
 
     # rows f1, f2 of fixture A without columns 0 and 3: the closed form has
     # a negative exponent, so the minor goes through the integer path, and
@@ -363,7 +344,7 @@ class TestSparseMinor:
         _, ideal = fixture_a
         # no partials in the sweep's table: every Laplace expansion is the
         # zero polynomial, while det(R_K) still comes from the difference
-        # rows (and analyze's rank test still reads the real partials)
+        # rows
         monkeypatch.setattr(nash, "_partials_table", lambda family: [
             [()] * b.nvars for b in family])
         for evaluate in self._entry_points(ideal):
@@ -743,7 +724,7 @@ class TestZeroLocus:
         # the block-support reading must agree with literal evaluation at
         # the orbit representatives
         for vs, ideal in population[:10]:
-            reps = orbit_representatives(vs)
+            reps = sup.orbit_representatives(vs)
             fam = ideal.minimal_gens
             for subset in itertools.combinations(range(len(fam)), vs.r):
                 chosen = [fam[i] for i in subset]
@@ -762,7 +743,7 @@ class TestZeroLocus:
     def test_congruent_monomials_same_pattern(self, population):
         # normal forms never change the zero pattern at representatives
         for vs, ideal in population[:10]:
-            reps = orbit_representatives(vs)
+            reps = sup.orbit_representatives(vs)
             fam = ideal.minimal_gens
             for subset in itertools.combinations(range(len(fam)), vs.r):
                 chosen = [fam[i] for i in subset]
@@ -792,17 +773,36 @@ class TestSingularLocus:
         assert singular_locus(ideal).orbits == OrbitSet(False, True)
 
     def test_family_independent(self, population):
-        # the rank test on the Groebner basis finds the same singular
-        # locus, and the Groebner sweep agrees with it
+        # the Jacobian of the Groebner basis drops on the same orbits, and
+        # the Groebner sweep agrees with it
         for vs, ideal in population[:10]:
             sig = singular_locus(ideal)
             assert analyze(ideal, "groebner").sigma == sig
-            drops = {name: _jacobian_rank_at(ideal.gb.elements, point, vs.N)
-                     < vs.r
-                     for name, point in orbit_representatives(vs).items()}
-            assert drops == {"torus": False, "O1": sig.orbits.has_O1,
-                             "O2": sig.orbits.has_O2,
-                             "origin": sig.origin_singular}
+            assert sup.derivative_drops(ideal.gb.elements, vs) == {
+                "torus": False, "O1": sig.orbits.has_O1,
+                "O2": sig.orbits.has_O2, "origin": sig.origin_singular}
+
+    def test_cyclic_quotients(self):
+        # the 45 normal surfaces 1/n(1, q), 2 <= n <= 12: Wahl's count
+        # s_min = C(N - 1, 2), a point singular locus by the edge rule and
+        # by the Jacobian, and, where the listing is small, no witness for
+        # N >= 4 (out of scope for the hypersurfaces, N = 3)
+        cases = [(n, q) for n in range(2, 13) for q in range(1, n)
+                 if math.gcd(n, q) == 1]
+        assert len(cases) == 45
+        verdicts = Counter()
+        for n, q in cases:
+            vs, ideal = sup.build(sup.cyclic_quotient(n, q))
+            assert ideal.s_min == math.comb(vs.N - 1, 2), (n, q)
+            assert singular_orbits(vs) == OrbitSet(False, False), (n, q)
+            sup.check_orbit_ranks(ideal)
+            if math.comb(ideal.s_min, vs.r) <= 200:
+                verdict = verify_dichotomy(ideal)
+                expected = "never_equal" if vs.N >= 4 else "out_of_scope"
+                assert (verdict.predicted, verdict.observed) == \
+                    (expected, expected), (n, q)
+                verdicts[expected] += 1
+        assert verdicts["never_equal"] and verdicts["out_of_scope"]
 
 
 class TestSearch:
@@ -902,22 +902,6 @@ class TestAnalysis:
             assert a.dim1_witness() is a.witness
             assert a.verdict.witness == a.witness.subset
 
-    def test_full_rank_origin_is_invariant_violation(self, fixture_c,
-                                                      monkeypatch):
-        # every relation has two sides of degree at least 2, so the
-        # Jacobian vanishes at the origin; full rank there is a bug
-        _, ideal = fixture_c
-        sup.full_rank_at_origin(monkeypatch)
-        with pytest.raises(InvariantViolation):
-            analyze(ideal)
-
-    def test_rank_drop_on_torus_refused(self, fixture_c, monkeypatch):
-        _, ideal = fixture_c
-        monkeypatch.setattr(nash, "_jacobian_rank_at", lambda *args: 0)
-        with pytest.raises(TorusSingular,
-                           match="^Jacobian rank drops on the dense torus$"):
-            analyze(ideal)
-
     def test_no_full_rank_subset_refused(self, fixture_c, monkeypatch):
         # every subset reported below full rank (c_S == 0)
         _, ideal = fixture_c
@@ -928,17 +912,11 @@ class TestAnalysis:
             analyze(ideal)
 
     def test_rank_and_minors_disagree(self, fixture_a, monkeypatch):
-        # a rank drop read at the O1 point only: sigma gains closure(O1),
-        # which the minors' zero loci do not contain
-        vs, ideal = fixture_a
-        o1 = orbit_representatives(vs)["O1"]
-        inner = nash._jacobian_rank_at
-
-        def rank_at(family, point, nvars):
-            return 0 if point == o1 else inner(family, point, nvars)
-
-        monkeypatch.setattr(nash, "_jacobian_rank_at", rank_at)
-        with pytest.raises(InvariantViolation, match="^rank test and minor "
+        # the edge rule read as closure(O1) alone, which the minors' zero
+        # loci do not contain
+        _, ideal = fixture_a
+        sup.disagreeing_sigma(monkeypatch)
+        with pytest.raises(InvariantViolation, match="^edge rule and minor "
                                                      "ideal disagree"):
             analyze(ideal)
 

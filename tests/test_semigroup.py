@@ -1,5 +1,7 @@
 import gc
+import itertools
 import random
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from toricnash.semigroup import (
     check_generates_Z2,
     compute_cone_rays,
     generator_set,
+    primitive,
     semigroup_membership,
     validate,
 )
@@ -174,21 +177,23 @@ class TestMembership:
 
     def test_dual_vector_strictly_positive(self, monkeypatch):
         # the search bounds its coefficients with validate's dual vector,
-        # whose pairings with the canonical points are the degree weights
+        # whose pairings with the canonical points are the degree weights,
+        # and prunes by the rays of the first and last canonical points
         inner = semigroup._member
         calls = []
 
-        def counted(pts, w, wg, k, target):
-            calls.append((pts, w, wg))
-            return inner(pts, w, wg, k, target)
+        def counted(pts, rays, w, wg, k, target, memo):
+            calls.append((pts, rays, w, wg))
+            return inner(pts, rays, w, wg, k, target, memo)
 
         monkeypatch.setattr(semigroup, "_member", counted)
         for pts in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
             vs = validated(pts)
             calls.clear()
             semigroup_membership((4, 7), vs)
-            gens, w, wg = calls[0]
+            gens, rays, w, wg = calls[0]
             assert gens == vs.gens.points
+            assert rays == (primitive(gens[0]), primitive(gens[-1]))
             assert wg == vs.degree_weights == \
                 tuple(w.u * p.u + w.v * p.v for p in gens)
             assert all(x > 0 for x in wg)
@@ -311,6 +316,39 @@ class TestValidate:
             validate(generator_set([(1, 0), (0, 1), (b, b)]))
         assert exc.value.point == (b, b)
         assert len(calls) <= 2 * b
+
+    @pytest.mark.parametrize("edge", [5, 7])
+    def test_long_edge_validates_fast(self, edge):
+        # generators (1, 0)..(1, edge - 1) and (0, 200), (0, 201): a target
+        # outside the cone is refused at once, so the search stays small
+        gens = generator_set([(1, j) for j in range(edge)]
+                             + [(0, 200), (0, 201)])
+        start = time.perf_counter()
+        vs = validate(gens)
+        assert time.perf_counter() - start < 1
+        assert (vs.l, vs.m, vs.n) == (1, edge - 1, 2)
+
+    def test_minimality_matches_bfs_on_box(self):
+        # the first generator validate finds in the semigroup of the
+        # others, on every 3-5 point set of [0,3]^2 that reaches the
+        # minimality check, is the first the breadth-first oracle finds
+        box = [(u, v) for u in range(4) for v in range(4) if (u, v) != (0, 0)]
+        refused = 0
+        for k in range(3, 6):
+            for pts in itertools.combinations(box, k):
+                try:
+                    validate(generator_set(pts))
+                    found = None
+                except NotMinimal as exc:
+                    found = exc.index
+                    refused += 1
+                except (ConeNotTwoDimensional, LatticeNotFull):
+                    continue
+                expected = next((i for i, p in enumerate(pts)
+                                 if sup.brute_membership(
+                                     p, pts[:i] + pts[i + 1:], cap=3)), None)
+                assert found == expected, pts
+        assert refused
 
     def test_empty_interior_block_accepted(self):
         vs = validate(generator_set([(2, 0), (3, 0), (0, 1)]))
