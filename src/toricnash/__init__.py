@@ -15,7 +15,6 @@ from .algebra import (
     derivative,
     determinant,
     lex_order,
-    oriented_binomial,
 )
 from .errors import (
     ConeNotStrictlyConvex,

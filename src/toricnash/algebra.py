@@ -108,16 +108,14 @@ class Monomial(NamedTuple):
     coeff: int
     exp: ExponentVector
 
-    def is_constant(self) -> bool:
-        return all(e == 0 for e in self.exp)
-
 
 @dataclass(frozen=True)
 class Binomial:
     """A pure difference of monomials x^plus - x^minus, plus != minus.
 
     In a Groebner basis plus is the leading exponent under the basis's
-    order (oriented_binomial); an input to buchberger need not be oriented.
+    order (the larger order.key); an input to buchberger need not be
+    oriented.
     """
 
     plus: ExponentVector
@@ -138,16 +136,6 @@ class Binomial:
     def difference(self) -> tuple:
         """Exponent difference plus - minus (a kernel vector for relations)."""
         return exp_sub(self.plus, self.minus)
-
-
-def oriented_binomial(a: ExponentVector, b: ExponentVector,
-                      order: TermOrder) -> Optional[Binomial]:
-    """Binomial x^a - x^b with the larger order.key first; None when a == b.
-    order.key raises LengthMismatch for a side of the wrong length."""
-    ka, kb = order.key(a), order.key(b)
-    if ka == kb:
-        return None
-    return Binomial(a, b) if ka > kb else Binomial(b, a)
 
 
 def binomial_from_vector(v: Sequence[int]) -> Binomial:

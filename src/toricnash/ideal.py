@@ -22,6 +22,16 @@ against the live list before it joins, so the live list stays small with
 minimal leading terms, and with its trailing terms reduced it is the
 reduced basis at the end.
 
+The final run of toric_ideal starts from generators of the lattice ideal
+I_L, which is saturated, so it also passes the degree weights: pairs then
+go by weighted degree, and a pair whose S-binomial x^u - x^v has sides
+sharing a variable is never queued.  That S-binomial is x^min(u, v) times
+an element of I_L of lower weighted degree, which by induction on the
+degree already has a standard representation (the criterion of completion
+procedures for lattice ideals: Hemmecke-Malkin, J. Symbolic Comput. 44,
+2009; buchberger gives the argument).  Saturation runs work on ideals that
+are not yet saturated and never skip.
+
 Monomial normal forms scan each element as a reducer row (monomial_nf),
 built once when it joins the live list or a finished basis (reducers).
 
@@ -61,7 +71,6 @@ from .algebra import (
     exp_lcm,
     exp_sub,
     lex_order,
-    oriented_binomial,
 )
 from .errors import InvariantViolation, LengthMismatch
 from .semigroup import ValidatedSemigroup
@@ -189,12 +198,11 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
 # --- binomial Groebner engine -----------------------------------------------
 
 
-def _reducer_row(b: Binomial) -> tuple:
+def _reducer_row(plus, minus) -> tuple:
     """The row (i, plus[i], plus, minus - plus) that monomial_nf scans for
     x^plus - x^minus, i being the coordinate of plus's largest entry."""
-    plus = b.plus
     i = max(range(len(plus)), key=plus.__getitem__)
-    return (i, plus[i], plus, tuple(map(sub, b.minus, plus)))
+    return (i, plus[i], plus, tuple(map(sub, minus, plus)))
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,7 @@ class GroebnerBasis:
 
     @cached_property
     def reducers(self) -> tuple:
-        return tuple(map(_reducer_row, self.elements))
+        return tuple(_reducer_row(b.plus, b.minus) for b in self.elements)
 
 
 def monomial_nf(exp, reducers) -> tuple:
@@ -243,7 +251,9 @@ def monomial_nf(exp, reducers) -> tuple:
             return exp
 
 
-def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
+def buchberger(gens: Iterable[Binomial], order: TermOrder,
+               lattice_weights: Optional[Sequence[int]] = None
+               ) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal spanned by gens.
 
     Buchberger's algorithm with the Gebauer-Moller pair update
@@ -252,22 +262,27 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     procedure UPDATE).  The loop keeps a live list of elements, as reducer
     rows, and each pending pair holds its two rows and the lcm of their
     leading terms.  Pairs are taken by the degree of their lcm first
-    (order.degree), then by order.key, as the sugar strategy does for a
+    (order.degree, or the lattice_weights degree sum(w_j lcm_j) when
+    those are given), then by order.key, as the sugar strategy does for a
     homogeneous ideal (Giovini-Mora-Niesi-Robbiano-Traverso, "One sugar
     cube, please", ISSAC 1991): a degrevlex key begins with that degree,
     so there this is the normal strategy (smallest lcm first), and under
     lex it keeps high-degree pairs from entering early.
 
     Every binomial enters the same way, the inputs first and then each
-    pair's S-binomial: x^u - x^v leaves h = x^monomial_nf(u) -
-    x^monomial_nf(v) against the live list, oriented, or nothing when the
-    two agree.  A nonzero h joins through update(h):
+    pair's S-binomial: x^u - x^v leaves x^monomial_nf(u) - x^monomial_nf(v)
+    against the live list, oriented by order.key, or nothing when the two
+    agree.  A nonzero h joins through update(LT(h), TT(h)), TT being the
+    trailing term:
 
     - B: a pending pair (f, g) goes when LT(h) divides its lcm and both
       lcm(f, h) and lcm(g, h) differ from that lcm;
     - M, F: of the new pairs (g, h), g live, one goes when the lcm of
       another divides its lcm, and of several with equal lcms only one
       stays; after that the pairs with coprime leading terms go;
+    - with lattice_weights, a new pair whose S-binomial sides lcm - LT(g)
+      + TT(g) and lcm - LT(h) + TT(h) share a variable is not queued
+      either, but its lcm still counts for criterion M;
     - live elements whose leading term LT(h) divides leave the live list,
       and h joins it.
 
@@ -277,13 +292,46 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     replacing each trailing term by its normal form, which is never larger,
     makes it the reduced one.  An input whose length differs from the
     variable count raises LengthMismatch before it is reduced.
+
+    The common-factor skip (as in the completion procedures for lattice
+    ideals, Hemmecke-Malkin, Computing generating sets of lattice ideals
+    and Markov bases of lattices, J. Symbolic Comput. 44, 2009) is exact
+    only for gens that generate a lattice ideal I_L and are homogeneous
+    for the strictly positive lattice_weights w.  By induction on the
+    w-degree d, the final basis is a Groebner basis in every degree below
+    d.  A skipped pair of degree d has the S-binomial x^u - x^v = x^m
+    (x^(u-m) - x^(v-m)) with m = min(u, v) != 0.  The quotient lies in I_L,
+    the ideal gens generate, because u - v lies in L; it has degree below
+    d, so it has a standard representation, and times x^m that is a
+    standard representation of the S-binomial with every term below the
+    lcm.  On
+    an unsaturated ideal the skip loses elements (the kernel binomials of
+    (2,0),(3,0),(1,1),(0,1) under lex give 2 elements instead of 4), so
+    saturation runs never pass lattice_weights.  A lattice_weights of the
+    wrong length raises LengthMismatch and a non-positive entry
+    InvariantViolation.
     """
+    key = order.key
+    skip_common = lattice_weights is not None
+    if not skip_common:
+        degree = order.degree
+    else:
+        weights = tuple(lattice_weights)
+        if len(weights) != order.nvars:
+            raise LengthMismatch(
+                f"{len(weights)} lattice weights != {order.nvars} variables")
+        if any(w <= 0 for w in weights):
+            raise InvariantViolation(
+                "lattice weights are not strictly positive")
+
+        def degree(exp) -> int:
+            return sum(map(mul, weights, exp))
+
     live: list = []  # reducer rows (i, plus[i], plus, minus - plus)
     heap: list = []  # (degree, order.key(lcm), tiebreak, f, g, lcm)
     counter = itertools.count()
 
-    def update(h: Binomial) -> None:
-        hp = h.plus
+    def update(hp, hm) -> None:
         if heap:
             kept = [e for e in heap
                     if not (all(map(le, hp, e[5]))
@@ -293,7 +341,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
                 heap[:] = kept
                 heapq.heapify(heap)
         hdeg = sum(hp)
-        row = _reducer_row(h)
+        row = _reducer_row(hp, hm)
+        hdelta = row[3]
         new = []
         for g in live:
             lcm = exp_lcm(g[2], hp)
@@ -304,20 +353,26 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
         new.sort(key=itemgetter(0, 1))
         minimal: list = []
         for _, not_coprime, lcm, g in new:
-            if any(all(map(le, m, lcm)) for m in minimal):
-                continue
-            minimal.append(lcm)
-            if not_coprime:
-                heapq.heappush(heap, (order.degree(lcm), order.key(lcm),
-                                      next(counter), g, row, lcm))
+            for m in minimal:
+                if all(map(le, m, lcm)):
+                    break
+            else:
+                minimal.append(lcm)
+                if not_coprime and not (
+                        skip_common and any(map(min, map(add, lcm, g[3]),
+                                                map(add, lcm, hdelta)))):
+                    heapq.heappush(heap, (degree(lcm), key(lcm),
+                                          next(counter), g, row, lcm))
         live[:] = [g for g in live if not all(map(le, hp, g[2]))]
         live.append(row)
 
     def enter(u, v) -> None:
-        h = oriented_binomial(monomial_nf(u, live), monomial_nf(v, live),
-                              order)
-        if h is not None:
-            update(h)
+        a, b = monomial_nf(u, live), monomial_nf(v, live)
+        if a != b:
+            if key(a) > key(b):
+                update(a, b)
+            else:
+                update(b, a)
 
     for b in gens:
         # monomial_nf's map would silently cut a longer input short
@@ -332,7 +387,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
         enter(tuple(map(add, lcm, f[3])), tuple(map(add, lcm, g[3])))
 
     out = []
-    for _, _, plus, delta in sorted(live, key=lambda g: order.key(g[2])):
+    for _, _, plus, delta in sorted(live, key=lambda g: key(g[2])):
         minus = monomial_nf(tuple(map(add, plus, delta)), live)
         if minus == plus:
             raise InvariantViolation("basis element reduced to zero")
@@ -563,7 +618,9 @@ def toric_ideal(vs: ValidatedSemigroup,
     """Defining ideal of the toric surface of vs under the given order.
 
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
-    sigma that the lattice basis forces, the final basis); the minimal
+    sigma that the lattice basis forces, then the final basis, which
+    passes vs.degree_weights as lattice_weights since its input generates
+    the lattice ideal); the minimal
     generators are certified by minimal_generators' path replay,
     and recomputing the basis from them is a test oracle only.  An order
     in another number of variables than N raises LengthMismatch.
@@ -575,7 +632,7 @@ def toric_ideal(vs: ValidatedSemigroup,
     gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
     saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
                                    vs.degree_weights)
-    gb = buchberger(saturated, order)
+    gb = buchberger(saturated, order, vs.degree_weights)
     mingens = minimal_generators(gb, vs.degree_weights)
     _check_no_unit_sides(gb.elements)
     return ToricIdeal(vs, gb, mingens)

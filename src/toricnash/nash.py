@@ -643,6 +643,20 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     asserted.  A mismatch raises TheoremViolation, so a one-dimensional
     singular locus has a report whose zero locus equals it; the witness is
     the first one.
+
+    The two complete-intersection branches stay as checks, though the
+    answer is known for both:
+    - N = 3 with a point sigma (out_of_scope): the one subset is the whole
+      ideal, so by the Jacobian criterion its minors cut out sigma, and
+      the answer is yes.
+    - N >= 4 with a point sigma (TheoremViolation) cannot occur.  A
+      complete intersection is Cohen-Macaulay, and a two-dimensional
+      Cohen-Macaulay ring with an isolated singularity satisfies R1 and
+      S2, so it is normal (Serre's criterion; Matsumura, Commutative Ring
+      Theory, Thm 23.8).  A normal toric surface is a cyclic quotient with
+      s_min = C(N-1, 2) (Riemenschneider, Math. Ann. 209, 1974; Wahl,
+      Ann. Sci. ENS 10, 1977), which exceeds N - 2 for N >= 4, so it is
+      not a complete intersection.
     """
     if not (isinstance(family, str) and family in FAMILIES):
         raise ValueError(f"unknown family {family!r}")

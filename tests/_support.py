@@ -19,7 +19,6 @@ from toricnash.algebra import (
     derivative,
     exp_lcm,
     lex_order,
-    oriented_binomial,
 )
 from toricnash.errors import (
     EmptyIdeal,
@@ -219,6 +218,15 @@ def _rewrite(exp, elements):
     return exp
 
 
+def oriented_binomial(a, b, order) -> Optional[Binomial]:
+    """Binomial x^a - x^b with the larger order.key first; None when a == b.
+    order.key raises LengthMismatch for a side of the wrong length."""
+    ka, kb = order.key(a), order.key(b)
+    if ka == kb:
+        return None
+    return Binomial(a, b) if ka > kb else Binomial(b, a)
+
+
 def plain_buchberger(gens, order):
     """Reduced Groebner basis by Buchberger's loop with the coprime
     criterion only: every other pair's S-binomial is reduced (independent
@@ -323,6 +331,27 @@ def box_semigroups(max_coord, sizes) -> list:
                 out.append(tn.validate(tn.generator_set(list(pts))))
             except tn.ToricNashError:
                 continue
+    return out
+
+
+def random_semigroups(seed, max_coord, sizes, count) -> list:
+    """count distinct valid semigroups of k points of [0, max_coord]^2,
+    k drawn from sizes, in the order a generator seeded with seed first
+    draws them."""
+    rng = random.Random(seed)
+    box = [(u, v) for u in range(max_coord + 1) for v in range(max_coord + 1)
+           if (u, v) != (0, 0)]
+    sizes = list(sizes)
+    seen, out = set(), []
+    while len(out) < count:
+        pts = sorted(rng.sample(box, rng.choice(sizes)))
+        if tuple(pts) in seen:
+            continue
+        seen.add(tuple(pts))
+        try:
+            out.append(tn.validate(tn.generator_set(pts)))
+        except tn.ToricNashError:
+            continue
     return out
 
 
@@ -642,18 +671,22 @@ def per_pair_subset_minors(family_subset: Sequence[Binomial],
     return out, stats.get("formula_fallbacks", 0)
 
 
+def is_constant(mono: Monomial) -> bool:
+    return all(e == 0 for e in mono.exp)
+
+
 def index_zero_locus(monomials, vs) -> OrbitSet:
     """The orbit test of nash.zero_locus by index lists: a monomial
     vanishes on the z-axis orbit when it has an x or y variable, on the
-    x-axis orbit when it has a y or z variable; Monomial.is_constant
-    refuses a constant minor."""
+    x-axis orbit when it has a y or z variable; is_constant refuses a
+    constant minor."""
     if not monomials:
         raise EmptyIdeal("no monomials given")
     xy = list(vs.x_indices) + list(vs.y_indices)
     yz = list(vs.y_indices) + list(vs.z_indices)
     has_o1 = has_o2 = True
     for mono in monomials:
-        if mono.is_constant():
+        if is_constant(mono):
             raise InvariantViolation("constant minor: empty zero locus")
         if not any(mono.exp[i] for i in xy):
             has_o1 = False

@@ -11,7 +11,6 @@ from toricnash.algebra import (
     derivative,
     determinant,
     lex_order,
-    oriented_binomial,
 )
 from toricnash.errors import LengthMismatch, NotSquare
 
@@ -28,11 +27,11 @@ class TestCompare:
 
     def test_equal(self):
         assert lex_order(2).key((0, 0)) == lex_order(2).key((0, 0))
-        assert oriented_binomial((0, 0), (0, 0), lex_order(2)) is None
+        assert sup.oriented_binomial((0, 0), (0, 0), lex_order(2)) is None
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            oriented_binomial((1, 0), (1, 0, 0), lex_order(2))
+            sup.oriented_binomial((1, 0), (1, 0, 0), lex_order(2))
 
     def test_degrevlex_degree_first(self):
         order = degrevlex_order(3)
@@ -83,11 +82,11 @@ class TestCompare:
             order = rng.choice([lex_order(n), degrevlex_order(n)])
             a = tuple(rng.randint(0, 4) for _ in range(n))
             b = tuple(rng.randint(0, 4) for _ in range(n))
-            ob = oriented_binomial(a, b, order)
+            ob = sup.oriented_binomial(a, b, order)
             if ob is None:
                 assert a == b
                 continue
-            again = oriented_binomial(ob.plus, ob.minus, order)
+            again = sup.oriented_binomial(ob.plus, ob.minus, order)
             assert again == ob
             assert order.key(ob.plus) > order.key(ob.minus)
 
@@ -206,5 +205,5 @@ class TestEvaluate:
 class TestRendering:
     def test_monomial_tuple(self):
         m = Monomial(2, (1, 1))
-        assert not m.is_constant()
-        assert Monomial(5, (0, 0)).is_constant()
+        assert not sup.is_constant(m)
+        assert sup.is_constant(Monomial(5, (0, 0)))

@@ -223,13 +223,14 @@ class TestBuchberger:
         # every Buchberger call of toric_ideal: the weighted-degrevlex
         # saturation steps and the final basis, on real toric inputs;
         # |sigma| + 1 calls each, sigma being two variables on fixture C
-        # and the first two surfaces of IDEAL_BENCH and one on the rest
+        # and the first two surfaces of IDEAL_BENCH and one on the rest;
+        # only the final run passes lattice_weights
         calls = []
 
-        def recording(gens, order):
+        def recording(gens, order, lattice_weights=None):
             gens = list(gens)
-            gb = buchberger(gens, order)
-            calls.append((gens, gb))
+            gb = buchberger(gens, order, lattice_weights)
+            calls.append((gens, gb, lattice_weights))
             return gb
 
         monkeypatch.setattr(ideal_mod, "buchberger", recording)
@@ -238,8 +239,10 @@ class TestBuchberger:
         for points in surfaces:
             vs = validate(generator_set(points))
             toric_ideal(vs, order_of(vs.N))
+            assert calls[-1][2] == vs.degree_weights
         assert len(calls) == 19
-        for gens, gb in calls:
+        assert sum(w is not None for _, _, w in calls) == len(surfaces)
+        for gens, gb, _ in calls:
             assert gb.elements == \
                 sup.plain_buchberger(gens, gb.order).elements
             sup.assert_reduced_groebner(gens, gb)
@@ -262,34 +265,88 @@ class TestBuchberger:
                                for c_plus in leading[i + 1:])
 
     def test_entries_degree_first(self, monkeypatch):
-        # pairs go by the degree of their lcm first: the final lex run of
-        # ideal-bench buchberger-a and -b enters far fewer binomials than
-        # taking the lex-smallest lcm first did (386 and 226); x_4 forces
-        # on both, so one weighted-degrevlex saturation step precedes it
+        # pairs go by the degree of their lcm first and, in the final run,
+        # skip S-binomials whose sides share a variable: the final lex run
+        # of ideal-bench buchberger-a and -b enters 30 and 15 binomials
+        # (386 and 226 taking the lex-smallest lcm first, 95 and 46
+        # without the skip); x_4 forces on both, so one weighted-degrevlex
+        # saturation step precedes it.  Each entry takes two monomial_nf
+        # calls and each returned element one more.
         runs = []
-        orient, run_buchberger = ideal_mod.oriented_binomial, buchberger
+        nf, run_buchberger = monomial_nf, buchberger
 
-        def counting(u, v, order):
+        def counting(exp, reducers):
             runs[-1][1] += 1
-            return orient(u, v, order)
+            return nf(exp, reducers)
 
-        def recording(gens, order):
+        def recording(gens, order, lattice_weights=None):
             runs.append([order.kind, 0])
-            return run_buchberger(gens, order)
+            gb = run_buchberger(gens, order, lattice_weights)
+            runs[-1][1] -= len(gb.elements)
+            return gb
 
-        monkeypatch.setattr(ideal_mod, "oriented_binomial", counting)
+        monkeypatch.setattr(ideal_mod, "monomial_nf", counting)
         monkeypatch.setattr(ideal_mod, "buchberger", recording)
         entered = []
         for points in IDEAL_BENCH[2:]:
             runs.clear()
             toric_ideal(validate(generator_set(points)))
-            entered.append([tuple(run) for run in runs])
+            entered.append([(kind, calls / 2) for kind, calls in runs])
         a, b = entered
-        assert a[:-1] == [("degrevlex", 24)]
-        assert b[:-1] == [("degrevlex", 16)]
-        assert a[-1][0] == b[-1][0] == "lex"
-        assert a[-1][1] <= 120
-        assert b[-1][1] <= 60
+        assert a == [("degrevlex", 24), ("lex", 30)]
+        assert b == [("degrevlex", 16), ("lex", 15)]
+
+
+class TestLatticeWeights:
+    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
+    def test_final_runs_match_plain_buchberger(self, monkeypatch, order_of):
+        # every final-run input toric_ideal builds for the 3-5 point sets
+        # of [0,3]^2: the skip changes no basis
+        finals = []
+
+        def recording(gens, order, lattice_weights=None):
+            gens = list(gens)
+            if lattice_weights is not None:
+                finals.append((gens, order, lattice_weights))
+            return buchberger(gens, order, lattice_weights)
+
+        monkeypatch.setattr(ideal_mod, "buchberger", recording)
+        surfaces = sup.box_semigroups(3, range(3, 6))
+        for vs in surfaces:
+            toric_ideal(vs, order_of(vs.N))
+        assert len(finals) == len(surfaces) == 1332
+        for gens, order, weights in finals:
+            gb = buchberger(gens, order, weights)
+            assert gb.elements == sup.plain_buchberger(gens, order).elements
+            sup.assert_reduced_groebner(gens, gb)
+
+    def test_unsaturated_input_loses_elements(self):
+        # the precondition is real: on the kernel binomials of
+        # (2,0),(3,0),(1,1),(0,1), before saturation, the skip drops two
+        # of the four basis elements
+        vs = validate(generator_set([(2, 0), (3, 0), (1, 1), (0, 1)]))
+        gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
+        order = lex_order(vs.N)
+        plain = buchberger(gens, order)
+        assert plain.elements == sup.plain_buchberger(gens, order).elements
+        assert len(plain.elements) == 4
+        skipped = buchberger(gens, order, vs.degree_weights)
+        assert len(skipped.elements) == 2
+        saturated = _saturate_elements(
+            gens, _forcing_variables(gens, vs.N), vs.degree_weights)
+        assert buchberger(saturated, order, vs.degree_weights).elements == \
+            buchberger(saturated, order).elements
+
+    @pytest.mark.parametrize("weights, error", [
+        ((1, 2, 3), LengthMismatch),
+        ((1, 2, 3, 4, 5), LengthMismatch),
+        ((1, 0, 1, 1), InvariantViolation),
+        ((1, 2, -1, 1), InvariantViolation),
+    ])
+    def test_bad_weights_refused(self, weights, error):
+        gens = sup.binomials(sup.IDEAL_A)
+        with pytest.raises(error):
+            buchberger(gens, lex_order(4), weights)
 
 
 class TestReducerRows:
