@@ -98,7 +98,7 @@ def parse_input(text: str) -> InputSpec:
         doc = json.loads(text, parse_float=_reject_float)
     except InputError:
         raise
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an oversize integer
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object")

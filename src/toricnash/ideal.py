@@ -39,8 +39,8 @@ Saturation by one variable recomputes the basis under a graded reverse-lex
 order that ranks the variable last and then strips the common variable
 power from every element.  That trick requires the ideal to be homogeneous
 for the (strictly positive) degree weights attached to the order, which
-holds for every ideal this library builds: the weights come from a vector
-that pairs strictly positively with all semigroup generators.
+holds for every ideal this library builds: the weights are the
+generators' height sums, positive on the cone (semigroup.validate).
 
 Minimal generators need no Groebner basis.  A binomial x^u - x^v lies in
 the ideal of a set of binomials exactly when u reaches v by moves

@@ -74,7 +74,7 @@ from .errors import (
     TorusSingular,
 )
 from .ideal import ToricIdeal, monomial_nf, normal_form
-from .semigroup import ValidatedSemigroup, cross, primitive
+from .semigroup import ValidatedSemigroup, cross
 
 # --- exact integer linear algebra -------------------------------------------
 
@@ -476,10 +476,10 @@ def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
     up, so an element of height 1 is one generator of height 1 plus
     height-0 ones.  So the orbit is singular exactly when gcd(m_i) != 1
     or no generator has height 1.  O2 is the orbit of the edge-1 (x
-    block) ray, O1 that of the edge-2 (z block) ray.
+    block) ray, O1 that of the edge-2 (z block) ray; u1, u2 are vs.rays.
     """
     pts = vs.gens.points
-    u1, u2 = primitive(pts[0]), primitive(pts[-1])
+    u1, u2 = vs.rays
     o1 = (gcd(*(gcd(*p) for p in pts[vs.l + vs.m:])) != 1
           or all(cross(p, u2) != 1 for p in pts))
     o2 = (gcd(*(gcd(*p) for p in pts[:vs.l])) != 1

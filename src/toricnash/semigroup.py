@@ -7,7 +7,7 @@ reordered into the canonical block layout
 
     edge-1 block (x) | interior block (y) | edge-2 block (z)
 
-with edge blocks sorted by increasing squared norm and the interior block
+with edge blocks sorted outward from the origin and the interior block
 sorted lexicographically, so downstream output is reproducible.
 """
 from __future__ import annotations
@@ -36,17 +36,9 @@ def cross(a: LatticePoint, b: LatticePoint) -> int:
     return a.u * b.v - a.v * b.u
 
 
-def dot(a: LatticePoint, b: LatticePoint) -> int:
-    return a.u * b.u + a.v * b.v
-
-
 def primitive(p: LatticePoint) -> LatticePoint:
     g = gcd(p.u, p.v)
     return LatticePoint(p.u // g, p.v // g)
-
-
-def norm2(p: LatticePoint) -> int:
-    return p.u * p.u + p.v * p.v
 
 
 @dataclass(frozen=True)
@@ -122,49 +114,36 @@ def check_generates_Z2(gens: GeneratorSet) -> bool:
     return g == 1
 
 
-def _dual_vector(ray1: LatticePoint, ray2: LatticePoint,
-                 pts: tuple) -> LatticePoint:
-    """Sum of the inward edge normals of the cone from ray1 counterclockwise
-    to ray2; InvariantViolation unless w . p > 0 for every p in pts."""
-    w = LatticePoint(ray2.v - ray1.v, ray1.u - ray2.u)
-    if not all(dot(w, p) > 0 for p in pts):
-        raise InvariantViolation("dual vector is not positive on a generator")
-    return w
-
-
 def semigroup_membership(p, vs: ValidatedSemigroup) -> bool:
-    """Decide p in the semigroup of vs by bounded exhaustive search.
-
-    The first and last canonical points lie on validate's two rays, so they
-    give its dual vector w, paired to vs.degree_weights; w is strictly
-    positive, which caps every coefficient at w.p // w.gen."""
-    pts = vs.gens.points
-    rays = primitive(pts[0]), primitive(pts[-1])
-    w = _dual_vector(*rays, pts)
-    return _member(pts, rays, w, vs.degree_weights, 0, LatticePoint(*p), {})
+    """Decide p in the semigroup of vs by bounded exhaustive search between
+    vs.rays."""
+    return _member(vs.gens.points, vs.rays, 0, LatticePoint(*p), {})
 
 
-def _member(pts: tuple, rays: tuple, w: LatticePoint, wg: list, k: int,
-            target: LatticePoint, memo: dict) -> bool:
+def _member(pts: tuple, rays: tuple, k: int, target: LatticePoint,
+            memo: dict) -> bool:
     """True when target is a nonnegative integer combination of pts[k:],
-    which lie in the cone of rays; wg[i] is w . pts[i] for the strictly
-    positive dual vector w.  memo holds each (k, target) decided.  With
-    one generator g left, target must be lam g for lam = w.target / w.g."""
+    which lie in the cone of rays.  A generator's heights are
+    cross(rays[0], .) and cross(., rays[1]); a coefficient of g above
+    h(target) // h(g) for a height with h(g) > 0 leaves the cone, and the
+    last generator must give target exactly.  memo holds each (k, target)
+    decided."""
     if target == (0, 0):
         return True
-    if k == len(pts) or cross(rays[0], target) < 0 \
-            or cross(target, rays[1]) < 0:
+    t1, t2 = cross(rays[0], target), cross(target, rays[1])
+    if k == len(pts) or t1 < 0 or t2 < 0:
         return False
-    wt, g = dot(w, target), pts[k]
+    g = pts[k]
+    top = min(t // h for t, h in ((t1, cross(rays[0], g)),
+                                  (t2, cross(g, rays[1]))) if h)
     if k == len(pts) - 1:
-        lam, rest = divmod(wt, wg[k])
-        return not rest and target == (lam * g.u, lam * g.v)
+        return target == (top * g.u, top * g.v)
     found = memo.get((k, target))
     if found is None:
         found = memo[k, target] = any(
-            _member(pts, rays, w, wg, k + 1, LatticePoint(
+            _member(pts, rays, k + 1, LatticePoint(
                 target.u - lam * g.u, target.v - lam * g.v), memo)
-            for lam in range(wt // wg[k], -1, -1))
+            for lam in range(top, -1, -1))
     return found
 
 
@@ -176,8 +155,8 @@ class ValidatedSemigroup:
     occupy the canonical positions in that order.  permutation maps
     canonical positions to input positions:
     gens.points[i] == original.points[permutation[i]].
-    degree_weights are the pairings w . generator for the interior dual
-    vector w; every binomial relation is homogeneous for them.
+    degree_weights are the generators' height sums (see validate); every
+    binomial relation is homogeneous for them.
     """
 
     gens: GeneratorSet
@@ -186,6 +165,12 @@ class ValidatedSemigroup:
     n: int
     permutation: tuple
     degree_weights: tuple
+
+    @property
+    def rays(self) -> tuple:
+        """Primitive edge rays of the cone, counterclockwise."""
+        pts = self.gens.points
+        return primitive(pts[0]), primitive(pts[-1])
 
     @property
     def N(self) -> int:
@@ -214,18 +199,18 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     Raising order: cone shape first (so a single generator reports
     ConeNotTwoDimensional, not a count problem), then lattice fullness,
     generator count, and minimality.  One compute_cone_rays call gives the
-    two extreme rays: generators on ray1 form edge 1, those on ray2 edge 2,
-    the rest the interior.  Both rays are generator directions, so an empty
-    edge is an InvariantViolation.  The same rays give the interior dual
-    vector w, checked positive on every generator, which bounds every
-    minimality search and gives the degree weights.
+    two extreme rays and so each generator's heights cross(ray1, p) and
+    cross(p, ray2): a zero height puts it on that edge, the rest form the
+    interior.  Both rays are generator directions, so an empty edge is an
+    InvariantViolation.  The height sums, checked positive, are the degree
+    weights and order each edge outward.
     """
     ray1, ray2 = compute_cone_rays(gens)
     pts = gens.points
-    edge1 = [i for i, p in enumerate(pts) if cross(ray1, p) == 0]
-    edge2 = [i for i, p in enumerate(pts) if cross(p, ray2) == 0]
-    interior = [i for i, p in enumerate(pts)
-                if cross(ray1, p) and cross(p, ray2)]
+    heights = [(cross(ray1, p), cross(p, ray2)) for p in pts]
+    edge1 = [i for i, h in enumerate(heights) if not h[0]]
+    edge2 = [i for i, h in enumerate(heights) if not h[1]]
+    interior = [i for i, h in enumerate(heights) if all(h)]
     if not edge1 or not edge2:
         raise InvariantViolation("a cone ray carries no generator")
     if not check_generates_Z2(gens):
@@ -233,19 +218,16 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     if len(gens) < 3:
         raise TooFewGenerators(
             f"need at least 3 generators, got {len(gens)}")
-    w = _dual_vector(ray1, ray2, pts)
-    wg = [dot(w, p) for p in pts]
+    weights = [h1 + h2 for h1, h2 in heights]
+    if min(weights) <= 0:
+        raise InvariantViolation("a height sum is not positive")
     for i, p in enumerate(pts):
-        if _member(pts[:i] + pts[i + 1:], (ray1, ray2), w,
-                   wg[:i] + wg[i + 1:], 0, p, {}):
+        if _member(pts[:i] + pts[i + 1:], (ray1, ray2), 0, p, {}):
             raise NotMinimal(i, p)
 
-    def edge_key(i):
-        return norm2(pts[i])
-
-    perm = (tuple(sorted(edge1, key=edge_key))
+    perm = (tuple(sorted(edge1, key=weights.__getitem__))
             + tuple(sorted(interior, key=lambda i: pts[i]))
-            + tuple(sorted(edge2, key=edge_key)))
+            + tuple(sorted(edge2, key=weights.__getitem__)))
     canonical = GeneratorSet(tuple(pts[i] for i in perm))
-    return ValidatedSemigroup(canonical, len(edge1), len(interior),
-                              len(edge2), perm, tuple(wg[i] for i in perm))
+    return ValidatedSemigroup(canonical, len(edge1), len(interior), len(edge2),
+                              perm, tuple(weights[i] for i in perm))

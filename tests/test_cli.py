@@ -127,6 +127,17 @@ class TestValidateCommand:
         assert main(["validate", "--input", "/nonexistent.json"]) == \
             EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_oversize_integer_is_parse_error(self, tmp_path, capsys, command):
+        # json raises a bare ValueError past the integer digit limit
+        path = tmp_path / "big.json"
+        path.write_text('{"generators": [[1, 0], [0, 1], [%s, 1]]}'
+                        % ("1" * 5000))
+        assert main([command, "--input", str(path)]) == EXIT_PARSE == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: invalid JSON: ")
+        assert err.count("\n") == 1
+
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"generators": [[1, 0]], "names": ["\xe9"]}')

@@ -19,6 +19,7 @@ from toricnash.semigroup import (
     LatticePoint,
     check_generates_Z2,
     compute_cone_rays,
+    cross,
     generator_set,
     primitive,
     semigroup_membership,
@@ -134,6 +135,31 @@ def validated(points):
     return validate(generator_set(points))
 
 
+def assert_minimality_matches_bfs(coords, sizes, cap):
+    """The first generator validate finds in the semigroup of the others,
+    on every set of the given sizes in the box coords^2 that reaches the
+    minimality check, is the first the breadth-first oracle finds; cap
+    must bound every partial sum of a representation of a generator."""
+    box = [(u, v) for u in coords for v in coords if (u, v) != (0, 0)]
+    refused = 0
+    for k in sizes:
+        for pts in itertools.combinations(box, k):
+            try:
+                validate(generator_set(pts))
+                found = None
+            except NotMinimal as exc:
+                found = exc.index
+                refused += 1
+            except (ConeNotTwoDimensional, ConeNotStrictlyConvex,
+                    LatticeNotFull):
+                continue
+            expected = next((i for i, p in enumerate(pts)
+                             if sup.brute_membership(
+                                 p, pts[:i] + pts[i + 1:], cap=cap)), None)
+            assert found == expected, pts
+    assert refused
+
+
 class TestMembership:
     def test_simple_sum(self):
         assert semigroup_membership((2, 2), validated(sup.FIXTURE_A))
@@ -176,27 +202,27 @@ class TestMembership:
             gc.enable()
 
     def test_dual_vector_strictly_positive(self, monkeypatch):
-        # the search bounds its coefficients with validate's dual vector,
-        # whose pairings with the canonical points are the degree weights,
-        # and prunes by the rays of the first and last canonical points
+        # the search runs over the canonical points between vs.rays, the
+        # rays of the first and last canonical points; the degree weights,
+        # the pairings with the dual vector, are the height sums
         inner = semigroup._member
         calls = []
 
-        def counted(pts, rays, w, wg, k, target, memo):
-            calls.append((pts, rays, w, wg))
-            return inner(pts, rays, w, wg, k, target, memo)
+        def counted(pts, rays, k, target, memo):
+            calls.append((pts, rays))
+            return inner(pts, rays, k, target, memo)
 
         monkeypatch.setattr(semigroup, "_member", counted)
         for pts in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
             vs = validated(pts)
             calls.clear()
             semigroup_membership((4, 7), vs)
-            gens, rays, w, wg = calls[0]
+            gens, rays = calls[0]
             assert gens == vs.gens.points
-            assert rays == (primitive(gens[0]), primitive(gens[-1]))
-            assert wg == vs.degree_weights == \
-                tuple(w.u * p.u + w.v * p.v for p in gens)
-            assert all(x > 0 for x in wg)
+            assert rays == vs.rays == (primitive(gens[0]), primitive(gens[-1]))
+            assert vs.degree_weights == tuple(
+                cross(rays[0], p) + cross(p, rays[1]) for p in gens)
+            assert all(x > 0 for x in vs.degree_weights)
 
 
 class TestValidate:
@@ -263,9 +289,9 @@ class TestValidate:
             assert all(w >= 1 for w in vs.degree_weights)
 
     def test_one_dual_vector(self, population, monkeypatch):
-        # one cone computation gives the blocks and the w of the input order
-        # that bounds every minimality search and gives the weights, the
-        # same for every input order
+        # one cone computation gives the heights that make the blocks,
+        # bound every minimality search and sum to the weights, the same
+        # for every input order
         inner = semigroup.compute_cone_rays
         calls = []
 
@@ -282,8 +308,8 @@ class TestValidate:
             assert again.degree_weights == vs.degree_weights
 
     def test_dual_vector_checked(self, monkeypatch):
-        # clockwise rays give a w that pairs negatively with every
-        # generator; the check is a raise, so it also holds under python -O
+        # clockwise rays give every generator a negative height sum; the
+        # check is a raise, so it also holds under python -O
         inner = semigroup.compute_cone_rays
         monkeypatch.setattr(semigroup, "compute_cone_rays",
                             lambda gens: inner(gens)[::-1])
@@ -317,38 +343,33 @@ class TestValidate:
         assert exc.value.point == (b, b)
         assert len(calls) <= 2 * b
 
-    @pytest.mark.parametrize("edge", [5, 7])
-    def test_long_edge_validates_fast(self, edge):
-        # generators (1, 0)..(1, edge - 1) and (0, 200), (0, 201): a target
-        # outside the cone is refused at once, so the search stays small
-        gens = generator_set([(1, j) for j in range(edge)]
-                             + [(0, 200), (0, 201)])
+    @pytest.mark.parametrize("points, blocks", [
+        pytest.param([(1, j) for j in range(5)] + [(0, 200), (0, 201)],
+                     (1, 4, 2), id="5"),
+        pytest.param([(1, j) for j in range(7)] + [(0, 200), (0, 201)],
+                     (1, 6, 2), id="7"),
+        pytest.param([(1, 0), (1, 1), (0, 10**6), (0, 10**6 + 1)],
+                     (1, 1, 2), id="b=10**6"),
+        pytest.param([(1, 0), (1, 1), (0, 10**9), (0, 10**9 + 1)],
+                     (1, 1, 2), id="b=10**9")])
+    def test_long_edge_validates_fast(self, points, blocks):
+        # a target outside the cone is refused at once, and the heights
+        # cap each coefficient independently of the coordinates' size, so
+        # the search stays small
         start = time.perf_counter()
-        vs = validate(gens)
+        vs = validate(generator_set(points))
         assert time.perf_counter() - start < 1
-        assert (vs.l, vs.m, vs.n) == (1, edge - 1, 2)
+        assert (vs.l, vs.m, vs.n) == blocks
 
     def test_minimality_matches_bfs_on_box(self):
-        # the first generator validate finds in the semigroup of the
-        # others, on every 3-5 point set of [0,3]^2 that reaches the
-        # minimality check, is the first the breadth-first oracle finds
-        box = [(u, v) for u in range(4) for v in range(4) if (u, v) != (0, 0)]
-        refused = 0
-        for k in range(3, 6):
-            for pts in itertools.combinations(box, k):
-                try:
-                    validate(generator_set(pts))
-                    found = None
-                except NotMinimal as exc:
-                    found = exc.index
-                    refused += 1
-                except (ConeNotTwoDimensional, LatticeNotFull):
-                    continue
-                expected = next((i for i, p in enumerate(pts)
-                                 if sup.brute_membership(
-                                     p, pts[:i] + pts[i + 1:], cap=3)), None)
-                assert found == expected, pts
-        assert refused
+        # partial sums stay below the target in both coordinates
+        assert_minimality_matches_bfs(range(4), range(3, 6), cap=3)
+
+    def test_minimality_matches_bfs_around_origin(self):
+        # cones outside the first quadrant; partial sums stay in the
+        # parallelogram spanned along the rays from 0 to the target, whose
+        # corners reach 8 here: (-2, -2) = 4 (-2, 1) + 6 (1, -1)
+        assert_minimality_matches_bfs(range(-2, 3), range(3, 5), cap=8)
 
     def test_empty_interior_block_accepted(self):
         vs = validate(generator_set([(2, 0), (3, 0), (0, 1)]))
