@@ -58,7 +58,6 @@ from .nash import (
     minor_monomial_formula,
     minor_symbolic,
     nash_ideal,
-    nash_ideal_classes,
     rank,
     search_all_subsets,
     singular_locus,

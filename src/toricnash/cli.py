@@ -11,8 +11,9 @@ Input files are JSON documents with keys "generators" (list of integer
 pairs, required), "order" ("lex" or "degrevlex"), "names" (one string per
 generator) and "family" ("minimal" or "groebner").  Floats are rejected
 outright; coordinates must be exact integers.  The names are printed in
-the relations and minors, so each must be distinct, nonempty and free of
-whitespace and of the characters * ^ + -.
+the relations and minors, so each must be distinct, nonempty, free of
+whitespace and of the characters * ^ + -, and must not start with a digit,
+which would read as a coefficient.
 
 Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
 2 validation failure, 3 dichotomy or bundled-example violation.  main
@@ -45,7 +46,6 @@ from .nash import (  # noqa: F401
     dim1_selector,
     monomial_classes,
     nash_ideal,
-    nash_ideal_classes,
     search_all_subsets,
     singular_locus,
     verify_dichotomy,
@@ -122,9 +122,11 @@ def parse_input(text: str) -> InputSpec:
         if len(names) != len(gens):
             raise InputError('"names" must have one entry per generator')
         for name in names:
-            if not name or any(c.isspace() or c in "*^+-" for c in name):
-                raise InputError(f'"names" entry {name!r} is empty or holds '
-                                 "whitespace or one of * ^ + -")
+            if (not name or name[0].isdigit()
+                    or any(c.isspace() or c in "*^+-" for c in name)):
+                raise InputError(f'"names" entry {name!r} is empty, starts '
+                                 "with a digit or holds whitespace or one of "
+                                 "* ^ + -")
         if len(set(names)) != len(names):
             raise InputError('"names" must be distinct')
         names = tuple(names)
@@ -194,8 +196,9 @@ def build_report(spec: InputSpec) -> RunReport:
     vs = validate(generator_set(spec.generators))
     ideal = toric_ideal(vs, ORDERS[spec.order](vs.N))
     a = analyze(ideal, spec.family)
+    fallbacks = sum(r.fallbacks for r in a.reports)
     warnings = ([f"minor formula fell back to the symbolic determinant "
-                 f"{a.fallbacks} times"] if a.fallbacks else [])
+                 f"{fallbacks} times"] if fallbacks else [])
     return RunReport(spec, _canonical_names(spec, vs), ideal, a, warnings)
 
 
@@ -397,7 +400,8 @@ def _check_fixture(name: str, doc, out) -> list:
     for i, mf in enumerate(minor_fixtures):
         mf = _object(mf, f"minor fixture {i}")
         rows = _binomials_from_pairs(mf["rows"], vs.N)
-        got = nash_ideal_classes(rows, ideal)
+        got = monomial_classes([m.exp for m in nash_ideal(rows, ideal)],
+                               ideal)
         want = _nf_exponents(mf["monomials"], ideal)
         if got != want:
             problems.append(f"minor fixture {i}: classes {sorted(got)} != "

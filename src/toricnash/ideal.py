@@ -1,55 +1,17 @@
 """Lattice kernels, binomial Groebner bases, and the toric ideal pipeline.
 
-The defining ideal of the surface is the lattice ideal of the kernel of the
-generator matrix.  It is computed the standard way: take the ideal of a
-kernel basis, then saturate it, here by only the one or two variables that
-the basis forces (_saturate_elements says why that is exact).  Everything in
-sight is a pure difference of two monomials, and S-polynomials and
-reductions of such differences stay differences, so the Buchberger loop
-below never touches a general polynomial.  Its pairs are managed by the
-Gebauer-Moller update (Gebauer-Moller, On an installation of Buchberger's
-algorithm, J. Symbolic Comput. 6, 1988; Becker-Weispfenning, Groebner
-Bases, 1993, procedure UPDATE): each new element deletes the pending pairs
-its leading term makes redundant (criterion B), enters only the new pairs
-whose lcm no other new pair's lcm divides and whose leading terms are not
-coprime (criteria M and F), and retires from the live list every element
-whose leading term its own divides.  Pairs are taken by the degree of
-their lcm first, the sugar strategy for a homogeneous ideal (Giovini,
-Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991):
-under lex it keeps high-degree S-binomials, most of which reduce to zero,
-from entering early.  Every binomial, input or S-binomial, is reduced
-against the live list before it joins, so the live list stays small with
-minimal leading terms, and with its trailing terms reduced it is the
-reduced basis at the end.
+The defining ideal of the surface is the lattice ideal I_L of the kernel L
+of the generator matrix.  toric_ideal builds it in four steps:
 
-The final run of toric_ideal starts from generators of the lattice ideal
-I_L, which is saturated, so it also passes the degree weights: pairs then
-go by weighted degree, and a pair whose S-binomial x^u - x^v has sides
-sharing a variable is never queued.  That S-binomial is x^min(u, v) times
-an element of I_L of lower weighted degree, which by induction on the
-degree already has a standard representation (the criterion of completion
-procedures for lattice ideals: Hemmecke-Malkin, J. Symbolic Comput. 44,
-2009; buchberger gives the argument).  Saturation runs work on ideals that
-are not yet saturated and never skip.
+- lattice_kernel: an LLL-reduced basis of L;
+- _saturate_elements: the ideal of the basis binomials, saturated by the
+  one or two variables that _forcing_variables finds;
+- buchberger: the reduced Groebner basis under the requested order, with
+  monomial_nf as its reduction;
+- minimal_generators: an irredundant generating subset of that basis.
 
-Monomial normal forms scan each element as a reducer row (monomial_nf),
-built once when it joins the live list or a finished basis (reducers).
-
-Saturation by one variable recomputes the basis under a graded reverse-lex
-order that ranks the variable last and then strips the common variable
-power from every element.  That trick requires the ideal to be homogeneous
-for the (strictly positive) degree weights attached to the order, which
-holds for every ideal this library builds: the weights are the
-generators' height sums, positive on the cone (semigroup.validate).
-
-Minimal generators need no Groebner basis.  A binomial x^u - x^v lies in
-the ideal of a set of binomials exactly when u reaches v by moves
-x^plus <-> x^minus of the set (Diaconis-Sturmfels, Ann. Statist. 26, 1998;
-Sturmfels, Groebner Bases and Convex Polytopes, ch. 4).  Every move keeps
-the weighted degree, and with strictly positive weights only finitely many
-monomials share a degree, so that fiber is finite and the search ends.
-Replaying the path recorded for each dropped element certifies the
-pruning; recomputing the basis from the pruned set is a test oracle only.
+normal_form divides a general polynomial by a basis, for ideal_member and
+for nash.minor_symbolic.
 """
 from __future__ import annotations
 
@@ -256,7 +218,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
                ) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal spanned by gens.
 
-    Buchberger's algorithm with the Gebauer-Moller pair update
+    Every binomial it meets is a pure difference of two monomials, and so
+    are its S-binomials and reductions, so it never touches a general
+    polynomial.  Buchberger's algorithm with the Gebauer-Moller pair update
     (Gebauer-Moller, On an installation of Buchberger's algorithm, J.
     Symbolic Comput. 6, 1988; Becker-Weispfenning, Groebner Bases, 1993,
     procedure UPDATE).  The loop keeps a live list of elements, as reducer
@@ -475,7 +439,11 @@ def _saturate_elements(elements: Sequence[Binomial], variables: Iterable[int],
     common power of var from every element, which gives (ideal :
     var^infinity), and (I : x_i^infinity) : x_j^infinity = I : (x_i
     x_j)^infinity.  All work stays in the cheap graded reverse-lex orders;
-    callers convert to their target order once at the end.
+    callers convert to their target order once at the end.  Stripping the
+    power of var is exact only for an ideal that is homogeneous for the
+    strictly positive weights of those orders, which holds for every ideal
+    this library builds: the weights are the generators' height sums,
+    positive on the cone (semigroup.validate).
 
     For the binomials of a basis B of the lattice L, the variables
     _forcing_variables gives suffice (Hosten-Sturmfels, GRIN, IPCO 1995):
@@ -538,9 +506,11 @@ def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
 
     Prunes in increasing leading-term order; an element b is dropped when
     x^b.plus reaches x^b.minus by moves x^h.plus <-> x^h.minus of the other
-    kept elements h, which holds exactly when b lies in their ideal.  For
-    these positively graded ideals any irredundant subset has the minimal
-    possible cardinality.
+    kept elements h, which holds exactly when b lies in their ideal
+    (Diaconis-Sturmfels, Ann. Statist. 26, 1998; Sturmfels, Groebner Bases
+    and Convex Polytopes, ch. 4), so no Groebner basis of the kept elements
+    is needed.  For these positively graded ideals any irredundant subset
+    has the minimal possible cardinality.
 
     The search runs over the fiber of b, the monomials of its weighted
     degree, which every move keeps.  That fiber is finite only when the

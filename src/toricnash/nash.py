@@ -1,57 +1,17 @@
-"""Jacobian minors, orbit zero loci, the singular locus, and the dichotomy.
+"""Jacobian minors of r = N - 2 chosen binomials, their zero loci, the
+singular locus and the dichotomy verdict.
 
-For a toric surface in N variables with defining binomials f_1,...,f_s and
-codimension r = N - 2, every r x r minor of the Jacobian of r chosen
-binomials is, modulo the defining ideal, an integer times a single
-monomial.  The integer is the corresponding minor det(R_K) of the exponent
-difference matrix and the monomial has exponent
-
-    (sum of leading exponents over the chosen rows) - (1,...,1) + indicator(K)
-
-where K = {a, b} is the pair of deleted columns.  The difference rows are
-relations of the generators g_j, so by Pluecker duality every det(R_K) is
-c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S of the subset, and
-c_S != 0 exactly when the subset has full rank.  c_S is the minor of the
-columns 1..N-2 over (-1)^(N-1) det(g_0, g_(N-1)); that minor is the
-signed dot product of the subset's last row with the minors of its first
-r - 1 rows, which the subsets sharing those rows share.  They are built
-one row at a time by Laplace expansion from the minor of no rows, 1, and
-memoised by their rows.  (The minor ideal is x^(D_S) times the
-logarithmic Jacobian ideal; Gonzalez Perez-Teissier, RACSAM 108, 2014.)
-When the closed-form exponent has a negative entry the congruence class
-is still a monomial class, and a representative is recovered without
-symbolic algebra: a sparse integer Laplace expansion of the minor along
-its last row ({exponent: coefficient}, entries read from the binomials'
-exponents), every term reduced with the monomial normal form of the
-Groebner basis as it is built, level by level (NF(a b) = NF(a NF(b)), so
-this is exact); the result must be one term whose coefficient is
-det(R_K).  The sub-minors are memoised by their rows and columns.  With
-deg x^e = sum_j e_j g_j in Z^2, every term of the minor has the degree
-D = T_S + g_a + g_b, T_S = deg x^(D_S), and monomials of one degree are
-congruent modulo the toric ideal, so they share one normal form.  So the
-expansion, with its three checks, runs once per degree: on the first
-fallback minor of each D in a sweep.  Every later fallback of that D is
-the memoised normal form times det(R_K), as a closed-form minor is.  One
-sweep context per family (_Sweep) holds the difference rows, each
-checked to be a relation once, the column-pair table, the partials, the
-normal form of each degree, the sub-minor memo and the prefix minors of
-c_S.  subset_minors is a sweep of one subset: it evaluates all C(N, 2)
-minors, each as (selection, monomial) with the monomial coefficient
-det(R_K); minor_monomial_formula reads one pair from it.
-minor_symbolic, the symbolic determinant reduced to normal form, stays as
-the reference the tests hold it against.
-
-Zero loci of the resulting monomial ideals and the singular locus itself
-are unions of torus-orbit closures; an OrbitSet records which of the two
-one-dimensional closures are present (the origin always is, the dense
-torus never).
-
-analyze is the only code that sweeps: one Analysis holds the singular
-locus, every subset's minors, the verdict and the witness, the first
-subset the verdict check found cutting out a one-dimensional singular
-locus.
-singular_locus, search_all_subsets, dim1_selector and verify_dichotomy each
-read one field of an analyze call and raise what it raises.
+- Minors: subset_minors evaluates every minor of one r-subset with a
+  _Sweep, whose minors method says why each result is exact;
+  minor_monomial_formula reads one pair of it and nash_ideal its
+  monomials.  minor_symbolic, the symbolic determinant reduced to normal
+  form, is the reference the tests hold them against.
+- Orbit sets: zero loci and the singular locus are unions of torus-orbit
+  closures (OrbitSet); singular_orbits reads the singular ones off the
+  cone's two edges.
+- Verdicts: analyze is the only code that sweeps a whole family, into one
+  Analysis; singular_locus, search_all_subsets, dim1_selector and
+  verify_dichotomy each read one field of it.
 """
 from __future__ import annotations
 
@@ -222,16 +182,14 @@ class _Sweep:
     generators and partials the _partials table of the family; pairs lists
     (selection, kept columns, (-1)^(a+b) det(g_a, g_b), g_a + g_b) for
     every column pair (a, b) with a nonzero determinant, in pair order;
-    reducers are the basis's reducer rows.  deg_memo maps the degree D of
-    each fallback minor the sweep expanded to the normal form it checked;
-    a later fallback minor of that degree is read from it.  memo holds the
-    reduced Laplace sub-minors under their (rows, columns), whatever the
-    order in which subsets are visited.  wedges holds the _wedge entry of
-    each prefix of family rows, the empty prefix () included; cofactors
-    lists (sign, column, the other inner columns) for each inner column
-    1..N-2 of a subset's last row, so the numerator of c_S is a signed dot
-    product with the wedge of the first r - 1 rows.  A binomial of another
-    length than N raises LengthMismatch, before any row is checked.
+    reducers are the basis's reducer rows.  deg_memo maps each degree D
+    the sweep expanded to its checked normal form, memo the reduced
+    Laplace sub-minors under their (rows, columns) and wedges the _wedge
+    entry of each prefix of family rows, () included, whatever the order in
+    which subsets are visited.  cofactors lists (sign, column, the other
+    inner columns) for each inner column 1..N-2 of a subset's last row.  A
+    binomial of another length than N raises LengthMismatch, before any
+    row is checked.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
@@ -291,7 +249,38 @@ class _Sweep:
 
     def minors(self, subset: tuple) -> tuple:
         """(minors, fallbacks) of the family rows at the indices subset, as
-        subset_minors gives them."""
+        subset_minors gives them.
+
+        Closed form.  Modulo the toric ideal x^minus = x^plus, so x_j times
+        the derivative of x^plus - x^minus by x_j is (plus_j - minus_j)
+        x^plus, and the minor without the columns K = {a, b} times
+        x^(1 - e_a - e_b), 1 = (1, ..., 1), is det(R_K) x^(sum of the rows'
+        plus sides).  The ideal is prime and holds no monomial, so the minor
+        is det(R_K) x^(D_S + e_a + e_b), D_S = (sum of the plus sides) - 1,
+        whenever that exponent is nonnegative.  (The minor ideal is x^(D_S)
+        times the logarithmic Jacobian ideal; Gonzalez Perez-Teissier,
+        RACSAM 108, 2014.)
+
+        Pluecker.  The rows are relations of the generators g_j, so by
+        Pluecker duality every det(R_K) is c_S (-1)^(a+b) det(g_a, g_b) for
+        one integer c_S, and the subset has full rank r exactly when
+        c_S != 0; then minors is not empty.  c_S is the minor over the
+        columns 1..N-2, the signed dot product of the last row with the
+        _wedge of the others, divided by (-1)^(N-1) det(g_0, g_(N-1)),
+        which is nonzero since g_0 and g_(N-1) lie on the two edges; a
+        remainder raises InvariantViolation.
+
+        Fallbacks.  With deg x^e = sum_j e_j g_j in Z^2, every term of the
+        minor has the degree D = T_S + g_a + g_b, T_S = deg x^(D_S), and
+        monomials of one degree are congruent modulo the toric ideal
+        (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4), so they
+        share one normal form.  A pair whose closed form has a negative
+        entry (a fallback) is expanded exactly by _minor_terms, once per D
+        in the sweep; the result must be one term whose coefficient is
+        det(R_K): more terms raise NonMonomialResidue, zero or another
+        coefficient InvariantViolation.  Every later fallback of D is the
+        normal form kept in deg_memo times det(R_K).
+        """
         i = subset[-1]
         last, plus = self.rows[i], self.family[i].plus
         wedge, sums = self._wedge(subset[:-1])
@@ -305,14 +294,15 @@ class _Sweep:
                 "reference minor is not a multiple of det(g_0, g_(N-1))")
         if not c_s:
             return [], 0
-        # the closed form of pair (a, b) is base + e_a + e_b
+        # base is D_S, at least -1 as the plus sides are nonnegative, so the
+        # closed form base + e_a + e_b is nonnegative exactly when (a, b)
+        # holds every negative entry: every pair when none is negative, no
+        # pair when more than two are, else the pairs holding the first and
+        # last
         base = [s + e - 1 for s, e in zip(sums, plus)]
-        # ... which is nonnegative when every negative entry is -1 at a or b:
-        # every pair when none is negative, no pair when one is below -1 or
-        # more than two are, else the pairs holding the first and last
         neg = [i for i, e in enumerate(base) if e < 0]
         every = not neg
-        some = len(neg) <= 2 and all(base[i] == -1 for i in neg)
+        some = len(neg) <= 2
         first, last = (neg[0], neg[-1]) if neg else (None, None)
         t_s = None
         out = []
@@ -328,7 +318,7 @@ class _Sweep:
                 continue
             fallbacks += 1
             if t_s is None:
-                # T_S = sum_j base_j g_j; every term has degree T_S + g_a + g_b
+                # T_S = sum_j base_j g_j
                 t_s = [sum(map(mul, base, coord)) for coord in self.coords]
             degree = (t_s[0] + deg_ab[0], t_s[1] + deg_ab[1])
             nf = self.deg_memo.get(degree)
@@ -357,34 +347,16 @@ def subset_minors(family_subset: Sequence[Binomial],
     """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
 
     minors lists the nonvanishing minors as (selection, monomial) in pair
-    order, the monomial coefficient being det(R_K); fallbacks counts those
-    whose closed form had a negative exponent.
-
-    Every difference row must be a relation of the generators g_j (pair to
-    zero with both coordinates).  Then, by Pluecker duality, the minor of
-    the rows without the columns K = {a, b} is
-    det(R_K) = c_S (-1)^(a+b) det(g_a, g_b) for one integer c_S.  c_S comes
-    from the minor over the columns 1..N-2, expanded along the subset's
-    last row: the reference pair (0, N - 1) joins an edge-1 and an edge-2
-    generator, so det(g_0, g_(N-1)) != 0.  The subset has full rank r
-    exactly when c_S != 0, and then minors is not empty.  A row that is not
-    a relation, or a reference minor that det(g_0, g_(N-1)) does not
-    divide, raises InvariantViolation; NotSquare when family_subset does
-    not have r binomials, then LengthMismatch when one of them does not
-    have N variables.
-
-    A pair whose closed-form exponent is negative (a fallback) is evaluated
-    exactly with integers, once per degree D = T_S + g_a + g_b of its
-    terms: the Laplace expansion _minor_terms along the last row, each
-    term reduced to normal form as it is built, its reduced sub-minors
-    memoised by rows and columns so the pairs share them.  The result must
-    be one term with coefficient det(R_K): more terms raise
-    NonMonomialResidue, zero or another coefficient InvariantViolation.
-    A later fallback of the same degree has the same normal form, since
-    monomials of one degree are congruent, and coefficient det(R_K).  This
-    is a sweep over the one subset: analyze runs the same code over every
-    subset of a family, and there the subsets also share sub-minors and
-    the normal form of each degree.
+    order: selection is the pair K of deleted columns and the monomial's
+    coefficient the integer minor det(R_K) of the difference rows; it is
+    empty exactly when the subset is below full rank.  fallbacks counts the
+    minors whose closed form had a negative exponent.  _Sweep.minors gives
+    the arguments and its checks' errors; a row that is not a relation of
+    the generators raises InvariantViolation.  NotSquare when family_subset
+    does not have r binomials, then LengthMismatch when one of them does
+    not have N variables.  This is a sweep of the one subset; analyze
+    sweeps every subset of a family, which then share sub-minors and the
+    normal form of each degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
@@ -430,13 +402,6 @@ def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
             raise LengthMismatch(f"exponent length {len(exp)} != {n}")
         out.add(monomial_nf(tuple(exp), ideal.gb.reducers))
     return frozenset(out)
-
-
-def nash_ideal_classes(family_subset: Sequence[Binomial],
-                       ideal: ToricIdeal) -> frozenset:
-    """Normal-form exponents of the minor monomials (coefficients dropped)."""
-    return monomial_classes(
-        [mono.exp for mono in nash_ideal(family_subset, ideal)], ideal)
 
 
 # --- orbit sets and the singular locus ---------------------------------------
@@ -519,9 +484,9 @@ def zero_locus(monomials: Sequence[Monomial],
 class SingularLocus:
     """Orbit-set shape of the singular locus plus the origin flag.
 
-    origin_singular is always True: every basis element has two sides of
-    degree at least 2 (toric_ideal raises InvariantViolation otherwise),
-    so the Jacobian vanishes at the origin.
+    origin_singular is always True: a Jacobian row survives at the origin
+    only for a side of degree below 2, which toric_ideal (degree 1) and
+    minimal_generators (degree 0) refuse with InvariantViolation.
     """
 
     orbits: OrbitSet
@@ -575,7 +540,6 @@ class TheoremVerdict:
     analyze raises rather than returning a mismatch.
     """
 
-    sigma: OrbitSet
     is_hypersurface: bool
     is_complete_intersection: bool
     predicted: str
@@ -590,20 +554,12 @@ class Analysis:
     witness is the first report whose zero locus equals a one-dimensional
     singular locus (None when it is a point); the verdict's witness is its
     subset.
-    fallbacks counts the minors whose closed form had a negative exponent,
-    summed over the reports.  The sweep evaluates the first of those of
-    each degree by the sparse integer Laplace expansion, reduced as it is
-    built to one monomial whose coefficient must be the Pluecker value
-    c_S (-1)^(a+b) det(g_a, g_b); the later ones of that degree reuse its
-    checked normal form, with that Pluecker value as coefficient.
-    The hypersurface and complete-intersection flags are the verdict's.
     """
 
     sigma: SingularLocus
     reports: tuple
     verdict: TheoremVerdict
     witness: Optional[NashReport]
-    fallbacks: int
 
     def dim1_witness(self) -> NashReport:
         """The witness report; SigmaDimensionError unless the singular
@@ -624,16 +580,13 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
 
     sigma is read off the cone's two edges (singular_orbits).  The sweep
     reports every r-subset of the family (a name in FAMILIES; ValueError
-    otherwise), in subset-index order, from one _Sweep of the family: its
-    rows, column pairs, partials, normal form of each degree and sub-minor
-    memo are shared.  By the Jacobian criterion all their minors together
-    vanish on exactly sigma, for any generating family; disagreement
-    raises InvariantViolation.  On the torus the Jacobian is the
-    difference matrix, whose rank is the same for both families (their
-    rows span one lattice), so a rank drop there makes every c_S zero and
-    raises TorusSingular.  A Jacobian row survives at the origin only for
-    a side of degree below 2, which toric_ideal (degree 1) and
-    minimal_generators (degree 0) refuse.
+    otherwise), in subset-index order, from one _Sweep of the family.  By
+    the Jacobian criterion all their minors together vanish on exactly
+    sigma, for any generating family; disagreement raises
+    InvariantViolation.  On the torus the Jacobian is the difference
+    matrix, whose rank is the same for both families (their rows span one
+    lattice), so a rank drop there makes every c_S zero and raises
+    TorusSingular.
 
     The verdict predicts the search outcome from the singular locus and
     checks it: a one-dimensional singular locus guarantees a witness subset
@@ -706,10 +659,9 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
                 f"{[tuple(p) for p in vs.gens.points]}")
     # a one-dimensional sigma predicts a match, which the check above found
     witness = equal[0] if sigma.dimension == 1 else None
-    verdict = TheoremVerdict(sigma, is_hyp, is_ci, predicted, observed,
+    verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed,
                              witness and witness.subset)
-    return Analysis(SingularLocus(sigma, True), reports, verdict, witness,
-                    sum(r.fallbacks for r in reports))
+    return Analysis(SingularLocus(sigma, True), reports, verdict, witness)
 
 
 # --- entry points: reads of one analysis --------------------------------------

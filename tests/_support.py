@@ -40,6 +40,8 @@ from toricnash.nash import (
     _bareiss,
     _normalize_selection,
     int_rank,
+    monomial_classes,
+    nash_ideal,
     singular_orbits,
 )
 
@@ -101,6 +103,13 @@ def nf_exponent(exp, ideal):
 
 def nf_classes(exps, ideal):
     return frozenset(nf_exponent(e, ideal) for e in exps)
+
+
+def minor_classes(rows, ideal):
+    """Normal-form exponents of the minor monomials of rows, coefficients
+    dropped: monomial_classes over nash_ideal."""
+    return monomial_classes([mono.exp for mono in nash_ideal(rows, ideal)],
+                            ideal)
 
 
 # --- independent oracles -----------------------------------------------------

@@ -21,7 +21,6 @@ from toricnash.nash import (
     minor_monomial_formula,
     minor_symbolic,
     nash_ideal,
-    nash_ideal_classes,
     rank,
     search_all_subsets,
     singular_locus,
@@ -57,7 +56,7 @@ def test_criterion_2_minor_fixtures(fixture_a):
     rows = sup.binomials(sup.IDEAL_A)
     for (i, j), printed in (((0, 1), sup.J12), ((0, 2), sup.J13),
                             ((1, 2), sup.J23)):
-        got = nash_ideal_classes([rows[i], rows[j]], ideal)
+        got = sup.minor_classes([rows[i], rows[j]], ideal)
         assert got == sup.nf_classes(printed, ideal), \
             f"rows {(i + 1, j + 1)}: {sorted(got)}"
     dt = _elapsed_ok(t0, 1.0, "criterion 2")

@@ -58,7 +58,7 @@ class TestParseInput:
     @pytest.mark.parametrize("names", [
         ["a", "a", "b"], ["", "", ""], ["x", "", "z"], ["x", "y z", "w"],
         ["x", "y\t", "w"], ["x*", "y", "z"], ["x", "y^2", "z"],
-        ["x+", "y", "z"], ["x", "y", "-z"]])
+        ["x+", "y", "z"], ["x", "y", "-z"], ["2", "x", "y"]])
     def test_ambiguous_names(self, names):
         with pytest.raises(InputError):
             parse_input(json.dumps({"generators": [[1, 0], [1, 1], [1, 2]],
@@ -114,9 +114,11 @@ class TestValidateCommand:
         path = write_input(tmp_path, {"generators": "nope"})
         assert main(["validate", "--input", path]) == EXIT_PARSE
 
-    @pytest.mark.parametrize("names", [["a", "a", "b"], ["", "", ""]])
+    @pytest.mark.parametrize("names", [["a", "a", "b"], ["", "", ""],
+                                       ["2", "x", "y"]])
     def test_ambiguous_names_exit_1(self, tmp_path, capsys, names):
-        # the relation x*z - y^2 would print as a*b - a^2, or as * - ^2
+        # the relation x*z - y^2 would print as a*b - a^2, as * - ^2, or
+        # as 2*y - x^2, whose 2 reads as a coefficient
         path = write_input(tmp_path, {"generators": [[1, 0], [1, 1], [1, 2]],
                                       "names": names})
         for command in ("validate", "analyze"):

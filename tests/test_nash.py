@@ -17,6 +17,7 @@ from toricnash.algebra import (
     determinant,
     lex_order,
 )
+from toricnash.cli import InputSpec, build_report
 from toricnash.errors import (
     InvariantViolation,
     LengthMismatch,
@@ -38,7 +39,6 @@ from toricnash.nash import (
     minor_symbolic,
     monomial_classes,
     nash_ideal,
-    nash_ideal_classes,
     rank,
     search_all_subsets,
     singular_locus,
@@ -186,7 +186,7 @@ class TestMinors:
         with pytest.raises(LengthMismatch):
             subset_minors(rows, ideal)
         with pytest.raises(LengthMismatch):
-            nash_ideal_classes(rows, ideal)
+            nash_ideal(rows, ideal)
         with pytest.raises(LengthMismatch):
             minor_monomial_formula(rows, (0, 1), ideal)
         with pytest.raises(LengthMismatch):
@@ -289,7 +289,7 @@ class TestSparseMinor:
     def test_analyze_without_symbolic_algebra(self, monkeypatch, points):
         _, ideal = sup.build(points)
         expected = analyze(ideal)
-        assert expected.fallbacks > 0
+        assert sum(r.fallbacks for r in expected.reports) > 0
 
         def refuse(*args, **kwargs):
             raise AssertionError("symbolic algebra in the sweep")
@@ -626,24 +626,24 @@ class TestSubsetMinors:
         assert sum(sweep.minors(idx)[1] for idx in itertools.combinations(
             range(len(fam)), vs.r)) == fallbacks
         assert len(tops) == len(sweep.deg_memo) == expansions
-        assert analyze(ideal).fallbacks == fallbacks
+        assert sum(r.fallbacks for r in analyze(ideal).reports) == fallbacks
         assert len(tops) == 2 * expansions
 
 
 class TestNashIdeal:
     def test_j12(self, fixture_a):
         _, ideal = fixture_a
-        assert nash_ideal_classes(A_ROWS[:2], ideal) == \
+        assert sup.minor_classes(A_ROWS[:2], ideal) == \
             sup.nf_classes(sup.J12, ideal)
 
     def test_j13(self, fixture_a):
         _, ideal = fixture_a
-        assert nash_ideal_classes([A_ROWS[0], A_ROWS[2]], ideal) == \
+        assert sup.minor_classes([A_ROWS[0], A_ROWS[2]], ideal) == \
             sup.nf_classes(sup.J13, ideal)
 
     def test_j23(self, fixture_a):
         _, ideal = fixture_a
-        assert nash_ideal_classes(A_ROWS[1:], ideal) == \
+        assert sup.minor_classes(A_ROWS[1:], ideal) == \
             sup.nf_classes(sup.J23, ideal)
 
     def test_rank_deficient(self, fixture_a):
@@ -934,13 +934,19 @@ class TestAnalysis:
             "[(1, 0), (1, 1), (1, 2)]")
 
     def test_fallbacks_counted_once(self, fixture_a):
+        # each report's count is its subset's, and the report's one warning
+        # line gives their sum, which the per-pair oracle counts alike
         _, ideal = fixture_a
         reports = search_all_subsets(ideal)
-        counted = sum(
-            subset_minors([ideal.minimal_gens[i] for i in r.subset], ideal)[1]
-            for r in reports)
-        assert analyze(ideal).fallbacks == \
-            sum(r.fallbacks for r in reports) == counted > 0
+        rows = [[ideal.minimal_gens[i] for i in r.subset] for r in reports]
+        assert [r.fallbacks for r in reports] == \
+            [subset_minors(chosen, ideal)[1] for chosen in rows]
+        oracle = sum(sup.per_pair_subset_minors(chosen, ideal)[1]
+                     for chosen in rows)
+        assert sum(r.fallbacks for r in reports) == oracle > 0
+        rep = build_report(InputSpec(tuple(sup.FIXTURE_A)))
+        assert rep.warnings == [f"minor formula fell back to the symbolic "
+                                f"determinant {oracle} times"]
 
 
 class TestClassifyCI:
@@ -996,8 +1002,9 @@ class TestVerdicts:
         # degenerates gracefully
         vs = validate(generator_set([(2, 0), (3, 0), (0, 1)]))
         ideal = toric_ideal(vs)
-        v = verify_dichotomy(ideal)
-        assert v.sigma == OrbitSet(True, False)
+        analysis = analyze(ideal)
+        v = analysis.verdict
+        assert analysis.sigma.orbits == OrbitSet(True, False)
         assert (v.predicted, v.observed) == ("exists_equal", "exists_equal")
         assert dim1_selector(ideal).equals_sigma
 
