@@ -122,11 +122,9 @@ def parse_input(text: str) -> InputSpec:
         if len(names) != len(gens):
             raise InputError('"names" must have one entry per generator')
         for name in names:
-            if (not name or name[0].isdigit()
-                    or any(c.isspace() or c in "*^+-" for c in name)):
-                raise InputError(f'"names" entry {name!r} is empty, starts '
-                                 "with a digit or holds whitespace or one of "
-                                 "* ^ + -")
+            if not name.isidentifier():
+                raise InputError(f'"names" entry {name!r} is not an '
+                                 "identifier")
         if len(set(names)) != len(names):
             raise InputError('"names" must be distinct')
         names = tuple(names)
@@ -262,8 +260,7 @@ def report_json(rep: RunReport) -> dict:
         "verdict": {
             "predicted": a.verdict.predicted,
             "observed": a.verdict.observed,
-            "witness": (list(a.verdict.witness)
-                        if a.verdict.witness is not None else None),
+            "witness": a.witness and list(a.witness.subset),
         },
         "warnings": list(rep.warnings),
     }
@@ -305,8 +302,7 @@ def report_text(rep: RunReport) -> str:
         lines.append(f"      minors: {mons}")
     lines.append(f"verdict: predicted={a.verdict.predicted} "
                  f"observed={a.verdict.observed}"
-                 + (f" witness={list(a.verdict.witness)}"
-                    if a.verdict.witness is not None else ""))
+                 + (f" witness={list(a.witness.subset)}" if a.witness else ""))
     for w in rep.warnings:
         lines.append(f"warning: {w}")
     return "\n".join(lines) + "\n"

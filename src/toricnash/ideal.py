@@ -226,8 +226,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     procedure UPDATE).  The loop keeps a live list of elements, as reducer
     rows, and each pending pair holds its two rows and the lcm of their
     leading terms.  Pairs are taken by the degree of their lcm first
-    (order.degree, or the lattice_weights degree sum(w_j lcm_j) when
-    those are given), then by order.key, as the sugar strategy does for a
+    (order.degree), then by order.key, as the sugar strategy does for a
     homogeneous ideal (Giovini-Mora-Niesi-Robbiano-Traverso, "One sugar
     cube, please", ISSAC 1991): a degrevlex key begins with that degree,
     so there this is the normal strategy (smallest lcm first), and under
@@ -275,11 +274,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     wrong length raises LengthMismatch and a non-positive entry
     InvariantViolation.
     """
-    key = order.key
+    key, degree = order.key, order.degree
     skip_common = lattice_weights is not None
-    if not skip_common:
-        degree = order.degree
-    else:
+    if skip_common:
         weights = tuple(lattice_weights)
         if len(weights) != order.nvars:
             raise LengthMismatch(
@@ -287,9 +284,6 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
         if any(w <= 0 for w in weights):
             raise InvariantViolation(
                 "lattice weights are not strictly positive")
-
-        def degree(exp) -> int:
-            return sum(map(mul, weights, exp))
 
     live: list = []  # reducer rows (i, plus[i], plus, minus - plus)
     heap: list = []  # (degree, order.key(lcm), tiebreak, f, g, lcm)

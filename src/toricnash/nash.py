@@ -170,6 +170,19 @@ def _minor_terms(partials: list, rows: tuple, cols: tuple, memo: dict,
     return {e: c for e, c in out.items() if c}
 
 
+def _laplace(row: Sequence[int], minors: dict, cols: tuple) -> int:
+    """Integer minor over the columns cols of some rows with row appended
+    last, by Laplace expansion along row; minors maps each sorted
+    (len(cols) - 1)-subset of cols to that minor of the other rows."""
+    k = len(cols)
+    acc = 0
+    for p, j in enumerate(cols):
+        if row[j]:
+            term = row[j] * minors[cols[:p] + cols[p + 1:]]
+            acc += -term if (k - 1 + p) % 2 else term
+    return acc
+
+
 def _partials_table(family: Sequence[Binomial]) -> list:
     return [[_partials(b, j) for j in range(b.nvars)] for b in family]
 
@@ -186,10 +199,9 @@ class _Sweep:
     the sweep expanded to its checked normal form, memo the reduced
     Laplace sub-minors under their (rows, columns) and wedges the _wedge
     entry of each prefix of family rows, () included, whatever the order in
-    which subsets are visited.  cofactors lists (sign, column, the other
-    inner columns) for each inner column 1..N-2 of a subset's last row.  A
-    binomial of another length than N raises LengthMismatch, before any
-    row is checked.
+    which subsets are visited; inner are the columns 1..N-2.  A binomial
+    of another length than N raises LengthMismatch, before any row is
+    checked.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
@@ -216,10 +228,7 @@ class _Sweep:
         self.deg_memo = {}
         self.partials = _partials_table(family)
         self.memo = {}
-        self.inner = inner = tuple(range(1, vs.N - 1))
-        self.cofactors = [(-1 if (vs.r - 1 + p) % 2 else 1, j,
-                           inner[:p] + inner[p + 1:])
-                          for p, j in enumerate(inner)]
+        self.inner = tuple(range(1, vs.N - 1))
         self.wedges = {(): ({(): 1}, (0,) * vs.N)}
 
     def _wedge(self, prefix: tuple) -> tuple:
@@ -227,23 +236,16 @@ class _Sweep:
         them: minors maps every k-subset of the inner columns 1..N-2 (a
         sorted tuple) to that minor of the difference rows, sums holds the
         column sums of the rows' plus sides.  Built from the entry of
-        prefix[:-1] by Laplace expansion along the last row and memoised
-        in wedges under prefix, whatever the order of the subsets; the
-        chain starts at the entry of (), the minor 1 of no rows."""
+        prefix[:-1] by Laplace expansion along the last row (_laplace) and
+        memoised in wedges under prefix, whatever the order of the subsets;
+        the chain starts at the entry of (), the minor 1 of no rows."""
         entry = self.wedges.get(prefix)
         if entry is None:
             i = prefix[-1]
             row, plus = self.rows[i], self.family[i].plus
-            k = len(prefix)
             prev, sums = self._wedge(prefix[:-1])
-            minors = {}
-            for cols in itertools.combinations(self.inner, k):
-                acc = 0
-                for p, j in enumerate(cols):
-                    if row[j]:
-                        term = row[j] * prev[cols[:p] + cols[p + 1:]]
-                        acc += -term if (k - 1 + p) % 2 else term
-                minors[cols] = acc
+            minors = {cols: _laplace(row, prev, cols) for cols in
+                      itertools.combinations(self.inner, len(prefix))}
             entry = self.wedges[prefix] = minors, tuple(map(add, sums, plus))
         return entry
 
@@ -265,7 +267,7 @@ class _Sweep:
         Pluecker duality every det(R_K) is c_S (-1)^(a+b) det(g_a, g_b) for
         one integer c_S, and the subset has full rank r exactly when
         c_S != 0; then minors is not empty.  c_S is the minor over the
-        columns 1..N-2, the signed dot product of the last row with the
+        columns 1..N-2, the _laplace step of the last row on the
         _wedge of the others, divided by (-1)^(N-1) det(g_0, g_(N-1)),
         which is nonzero since g_0 and g_(N-1) lie on the two edges; a
         remainder raises InvariantViolation.
@@ -284,11 +286,7 @@ class _Sweep:
         i = subset[-1]
         last, plus = self.rows[i], self.family[i].plus
         wedge, sums = self._wedge(subset[:-1])
-        numerator = 0
-        for sign, j, cols in self.cofactors:
-            if last[j]:
-                numerator += sign * last[j] * wedge[cols]
-        c_s, rest = divmod(numerator, self.reference)
+        c_s, rest = divmod(_laplace(last, wedge, self.inner), self.reference)
         if rest:
             raise InvariantViolation(
                 "reference minor is not a multiple of det(g_0, g_(N-1))")
@@ -544,7 +542,6 @@ class TheoremVerdict:
     is_complete_intersection: bool
     predicted: str
     observed: str
-    witness: Optional[tuple]
 
 
 @dataclass(frozen=True)
@@ -552,8 +549,7 @@ class Analysis:
     """Everything one sweep yields.
 
     witness is the first report whose zero locus equals a one-dimensional
-    singular locus (None when it is a point); the verdict's witness is its
-    subset.
+    singular locus (None when it is a point).
     """
 
     sigma: SingularLocus
@@ -659,8 +655,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
                 f"{[tuple(p) for p in vs.gens.points]}")
     # a one-dimensional sigma predicts a match, which the check above found
     witness = equal[0] if sigma.dimension == 1 else None
-    verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed,
-                             witness and witness.subset)
+    verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed)
     return Analysis(SingularLocus(sigma, True), reports, verdict, witness)
 
 

@@ -75,30 +75,24 @@ def generator_set(pairs: Sequence[Sequence[int]]) -> GeneratorSet:
 def compute_cone_rays(gens: GeneratorSet) -> tuple:
     """Primitive extreme rays of the cone, counterclockwise order.
 
-    Raises ConeNotTwoDimensional when all generators are collinear and
-    ConeNotStrictlyConvex when the cone contains a line (angular width of
-    pi or more).
+    Ray 1 is the first generator with every generator on its
+    counterclockwise side (cross(ray1, q) >= 0), ray 2 the first with every
+    generator on its clockwise side.  Raises ConeNotTwoDimensional when all
+    generators are collinear and ConeNotStrictlyConvex when the cone
+    contains a line (angular width of pi or more): then a ray is missing
+    or cross(ray1, ray2) <= 0.
     """
     pts = gens.points
     if not pts:
         raise InvalidGeneratorSet("empty generator set")
-    dirs = []
-    for p in pts:
-        d = primitive(p)
-        if d not in dirs:
-            dirs.append(d)
-    if all(cross(dirs[0], d) == 0 for d in dirs):
+    if all(cross(pts[0], q) == 0 for q in pts):
         raise ConeNotTwoDimensional(
             "all generators lie on one line through the origin")
-    # Scan ordered direction pairs for a counterclockwise wedge of angular
-    # width below pi containing every generator.
-    for d1 in dirs:
-        for d2 in dirs:
-            if cross(d1, d2) <= 0:
-                continue
-            if all(cross(d1, p) >= 0 and cross(p, d2) >= 0 for p in pts):
-                return d1, d2
-    raise ConeNotStrictlyConvex("the cone spanned contains a line")
+    ray1 = next((p for p in pts if all(cross(p, q) >= 0 for q in pts)), None)
+    ray2 = next((p for p in pts if all(cross(q, p) >= 0 for q in pts)), None)
+    if ray1 is None or ray2 is None or cross(ray1, ray2) <= 0:
+        raise ConeNotStrictlyConvex("the cone spanned contains a line")
+    return primitive(ray1), primitive(ray2)
 
 
 def check_generates_Z2(gens: GeneratorSet) -> bool:

@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import add, le
 from typing import Optional, Sequence
@@ -21,7 +22,10 @@ from toricnash.algebra import (
     lex_order,
 )
 from toricnash.errors import (
+    ConeNotStrictlyConvex,
+    ConeNotTwoDimensional,
     EmptyIdeal,
+    InvalidGeneratorSet,
     InvariantViolation,
     LengthMismatch,
     NonMonomialResidue,
@@ -44,6 +48,7 @@ from toricnash.nash import (
     nash_ideal,
     singular_orbits,
 )
+from toricnash.semigroup import cross, primitive
 
 FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
 FIXTURE_B = [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
@@ -456,6 +461,62 @@ def check_sweep_order(surfaces, seed=0) -> int:
                         chosen, ideal), (vs.gens.points, idx)
         count += 1
     return count
+
+
+def pair_scan_cone_rays(gens) -> tuple:
+    """Reference for compute_cone_rays: the first ordered pair of distinct
+    generator directions whose counterclockwise wedge, of angular width
+    below pi, holds every generator; raises what compute_cone_rays
+    raises."""
+    pts = gens.points
+    if not pts:
+        raise InvalidGeneratorSet("empty generator set")
+    dirs = []
+    for p in pts:
+        d = primitive(p)
+        if d not in dirs:
+            dirs.append(d)
+    if all(cross(dirs[0], d) == 0 for d in dirs):
+        raise ConeNotTwoDimensional("collinear")
+    for d1 in dirs:
+        for d2 in dirs:
+            if cross(d1, d2) > 0 and all(
+                    cross(d1, p) >= 0 and cross(p, d2) >= 0 for p in pts):
+                return d1, d2
+    raise ConeNotStrictlyConvex("the cone spanned contains a line")
+
+
+# GL2(Z) maps as (first row, second row): two reflections, one of which
+# leaves the first quadrant, a quarter turn, which leaves it too, and shears
+GL2_MAPS = [((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((0, -1), (1, 0)),
+            ((1, 1), (0, 1)), ((2, 1), (1, 1)), ((1, 0), (-3, 1))]
+
+
+def check_gl2_invariance(surfaces, seed=0) -> Counter:
+    """Assert that analyze under lex reads the same surface off each
+    surface's generators mapped by one GL2_MAPS entry, drawn with a
+    generator seeded with seed, and shuffled: N, s_min, the predicted and
+    observed verdicts and sigma agree, with O1 and O2 swapped when the map
+    has determinant -1 (it swaps the cone's two edges).  Returns how
+    often each map was drawn."""
+    rng = random.Random(seed)
+    drawn = Counter()
+    for vs in surfaces:
+        (a, b), (c, d) = m = rng.choice(GL2_MAPS)
+        drawn[m] += 1
+        pts = [(a * u + b * v, c * u + d * v) for u, v in vs.gens.points]
+        rng.shuffle(pts)
+        image = tn.validate(tn.generator_set(pts))
+        ideal, mapped = tn.toric_ideal(vs), tn.toric_ideal(image)
+        before, after = tn.analyze(ideal), tn.analyze(mapped)
+        sigma = before.sigma.orbits
+        if a * d - b * c == -1:
+            sigma = OrbitSet(sigma.has_O2, sigma.has_O1)
+        assert (image.N, mapped.s_min, after.verdict.predicted,
+                after.verdict.observed, after.sigma.orbits) == \
+            (vs.N, ideal.s_min, before.verdict.predicted,
+             before.verdict.observed, sigma), (vs.gens.points, m)
+    return drawn
 
 
 def check_prefix_wedges(ideal, seed=0) -> tuple:

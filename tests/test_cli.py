@@ -58,7 +58,8 @@ class TestParseInput:
     @pytest.mark.parametrize("names", [
         ["a", "a", "b"], ["", "", ""], ["x", "", "z"], ["x", "y z", "w"],
         ["x", "y\t", "w"], ["x*", "y", "z"], ["x", "y^2", "z"],
-        ["x+", "y", "z"], ["x", "y", "-z"], ["2", "x", "y"]])
+        ["x+", "y", "z"], ["x", "y", "-z"], ["2", "x", "y"],
+        ["x/2", "y", "z"], [".5", "x", "y"]])
     def test_ambiguous_names(self, names):
         with pytest.raises(InputError):
             parse_input(json.dumps({"generators": [[1, 0], [1, 1], [1, 2]],
@@ -115,10 +116,12 @@ class TestValidateCommand:
         assert main(["validate", "--input", path]) == EXIT_PARSE
 
     @pytest.mark.parametrize("names", [["a", "a", "b"], ["", "", ""],
-                                       ["2", "x", "y"]])
+                                       ["2", "x", "y"], ["x/2", "y", "z"],
+                                       [".5", "x", "y"]])
     def test_ambiguous_names_exit_1(self, tmp_path, capsys, names):
-        # the relation x*z - y^2 would print as a*b - a^2, as * - ^2, or
-        # as 2*y - x^2, whose 2 reads as a coefficient
+        # the relation x*z - y^2 would print as a*b - a^2, as * - ^2, as
+        # 2*y - x^2, whose 2 reads as a coefficient, as x/2*z - y^2, or as
+        # .5*y - x^2
         path = write_input(tmp_path, {"generators": [[1, 0], [1, 1], [1, 2]],
                                       "names": names})
         for command in ("validate", "analyze"):

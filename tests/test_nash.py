@@ -17,7 +17,7 @@ from toricnash.algebra import (
     determinant,
     lex_order,
 )
-from toricnash.cli import InputSpec, build_report
+from toricnash.cli import InputSpec, build_report, report_json
 from toricnash.errors import (
     InvariantViolation,
     LengthMismatch,
@@ -880,7 +880,7 @@ class TestAnalysis:
 
     def test_witness_is_dim1_selector(self, fixture_b, fixture_c):
         for _, ideal in (fixture_b, fixture_c):
-            assert analyze(ideal).verdict.witness == \
+            assert analyze(ideal).witness.subset == \
                 dim1_selector(ideal).subset
 
     def test_entry_points_raise_what_analyze_raises(self, fixture_a,
@@ -895,12 +895,16 @@ class TestAnalysis:
 
     def test_witness_found_once(self, fixture_b, fixture_c):
         # the witness is the first report the verdict check found equal to
-        # sigma, and every read of it returns that one report
-        for _, ideal in (fixture_b, fixture_c):
+        # sigma, every read of it returns that one report, and the report's
+        # verdict names its subset
+        for gens, (_, ideal) in ((sup.FIXTURE_B, fixture_b),
+                                 (sup.FIXTURE_C, fixture_c)):
             a = analyze(ideal)
             assert a.witness is next(r for r in a.reports if r.equals_sigma)
             assert a.dim1_witness() is a.witness
-            assert a.verdict.witness == a.witness.subset
+            rep = build_report(InputSpec(tuple(gens)))
+            assert report_json(rep)["verdict"]["witness"] == \
+                list(a.witness.subset)
 
     def test_no_full_rank_subset_refused(self, fixture_c, monkeypatch):
         # every subset reported below full rank (c_S == 0)
@@ -961,21 +965,33 @@ class TestClassifyCI:
         assert classify_ci(fixture_b[1]) == (False, False)
 
 
+class TestGL2Invariance:
+    def test_mapped_surfaces_keep_their_analysis(self):
+        # every valid 3-5 point set of [0,3]^2 under a seeded GL2(Z) map and
+        # a shuffle; each map, both reflections included, is drawn
+        drawn = sup.check_gl2_invariance(sup.box_semigroups(3, range(3, 6)))
+        assert sum(drawn.values()) == 1332
+        assert set(drawn) == set(sup.GL2_MAPS)
+
+
 class TestVerdicts:
     def test_fixture_a(self, fixture_a):
-        v = verify_dichotomy(fixture_a[1])
+        a = analyze(fixture_a[1])
+        v = a.verdict
         assert (v.predicted, v.observed) == ("never_equal", "never_equal")
-        assert v.witness is None
+        assert a.witness is None
 
     def test_fixture_b(self, fixture_b):
-        v = verify_dichotomy(fixture_b[1])
+        a = analyze(fixture_b[1])
+        v = a.verdict
         assert (v.predicted, v.observed) == ("always_equal", "always_equal")
-        assert v.witness is not None
+        assert a.witness is not None
 
     def test_fixture_c(self, fixture_c):
-        v = verify_dichotomy(fixture_c[1])
+        a = analyze(fixture_c[1])
+        v = a.verdict
         assert (v.predicted, v.observed) == ("exists_equal", "exists_equal")
-        assert v.witness == (0, 1)
+        assert a.witness.subset == (0, 1)
 
     def test_hypersurface_out_of_scope(self):
         vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))

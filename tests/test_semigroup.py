@@ -13,6 +13,7 @@ from toricnash.errors import (
     InvariantViolation,
     LatticeNotFull,
     NotMinimal,
+    ToricNashError,
     TooFewGenerators,
 )
 from toricnash.semigroup import (
@@ -80,6 +81,27 @@ class TestConeRays:
     def test_rays_are_primitive(self):
         rays = compute_cone_rays(generator_set([(2, 0), (4, 6), (0, 8)]))
         assert rays == ((1, 0), (0, 1))
+
+    def test_matches_pair_scan(self):
+        # every set of 0-4 nonzero points of [-2,2]^2: the same rays or the
+        # same error class as the scan over ordered direction pairs
+        def outcome(rays_of, gens):
+            try:
+                return rays_of(gens)
+            except ToricNashError as exc:
+                return type(exc)
+
+        box = [(u, v) for u in range(-2, 3) for v in range(-2, 3)
+               if (u, v) != (0, 0)]
+        kinds = set()
+        for k in range(5):
+            for pts in itertools.combinations(box, k):
+                gens = generator_set(pts)
+                expected = outcome(sup.pair_scan_cone_rays, gens)
+                assert outcome(compute_cone_rays, gens) == expected, pts
+                kinds.add(expected if isinstance(expected, type) else tuple)
+        assert kinds == {tuple, InvalidGeneratorSet, ConeNotTwoDimensional,
+                         ConeNotStrictlyConvex}
 
 
 class TestClassification:
