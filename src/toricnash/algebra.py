@@ -16,23 +16,6 @@ from .errors import LengthMismatch, NotSquare
 ExponentVector = tuple  # tuple[int, ...], all entries >= 0
 
 
-def exp_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def exp_sub(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def exp_lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(map(max, a, b))
-
-
-def exp_divides(a: ExponentVector, b: ExponentVector) -> bool:
-    """True when x^a divides x^b."""
-    return all(map(operator.le, a, b))
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order on a fixed number of variables.
@@ -49,6 +32,11 @@ class TermOrder:
     weights: Optional[tuple] = None
 
     def __post_init__(self):
+        # stored as tuples, which compare and hash alike
+        if type(self.ranking) is not tuple:
+            object.__setattr__(self, "ranking", tuple(self.ranking))
+        if self.weights is not None and type(self.weights) is not tuple:
+            object.__setattr__(self, "weights", tuple(self.weights))
         if not (isinstance(self.kind, str) and self.kind in ORDERS):
             raise ValueError(f"unknown term order kind {self.kind!r}")
         n = len(self.ranking)
@@ -122,6 +110,11 @@ class Binomial:
     minus: ExponentVector
 
     def __post_init__(self):
+        # stored as tuples, which compare, hash and concatenate alike
+        if type(self.plus) is not tuple:
+            object.__setattr__(self, "plus", tuple(self.plus))
+        if type(self.minus) is not tuple:
+            object.__setattr__(self, "minus", tuple(self.minus))
         if len(self.plus) != len(self.minus):
             raise LengthMismatch("binomial sides of unequal length")
         if self.plus == self.minus:
@@ -135,7 +128,7 @@ class Binomial:
 
     def difference(self) -> tuple:
         """Exponent difference plus - minus (a kernel vector for relations)."""
-        return exp_sub(self.plus, self.minus)
+        return tuple(map(operator.sub, self.plus, self.minus))
 
 
 def binomial_from_vector(v: Sequence[int]) -> Binomial:
@@ -187,11 +180,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -201,12 +190,8 @@ class Polynomial:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(out)
 
     def evaluate(self, point: Sequence[int]) -> int:
@@ -229,17 +214,11 @@ def derivative(f: Binomial, var: int) -> Polynomial:
     """Partial derivative of x^plus - x^minus with respect to variable var."""
     if not 0 <= var < f.nvars:
         raise IndexError(f"variable index {var} out of range")
-    terms: dict = {}
-    for exp, sign in ((f.plus, 1), (f.minus, -1)):
-        e = exp[var]
-        if e:
-            lowered = exp[:var] + (e - 1,) + exp[var + 1:]
-            s = terms.get(lowered, 0) + sign * e
-            if s:
-                terms[lowered] = s
-            else:
-                terms.pop(lowered, None)
-    return Polynomial(terms)
+    # plus != minus, so the two lowered exponents differ
+    return Polynomial({exp[:var] + (exp[var] - 1,) + exp[var + 1:]:
+                       sign * exp[var]
+                       for exp, sign in ((f.plus, 1), (f.minus, -1))
+                       if exp[var]})
 
 
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:

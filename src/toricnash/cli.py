@@ -11,9 +11,9 @@ Input files are JSON documents with keys "generators" (list of integer
 pairs, required), "order" ("lex" or "degrevlex"), "names" (one string per
 generator) and "family" ("minimal" or "groebner").  Floats are rejected
 outright; coordinates must be exact integers.  The names are printed in
-the relations and minors, so each must be distinct, nonempty, free of
-whitespace and of the characters * ^ + -, and must not start with a digit,
-which would read as a coefficient.
+the relations and minors, so each must be distinct and a Python identifier
+(str.isidentifier(): no leading digit, which would read as a coefficient,
+and no whitespace or operator such as * / ^ + -).
 
 Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
 2 validation failure, 3 dichotomy or bundled-example violation.  main

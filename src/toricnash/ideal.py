@@ -28,10 +28,6 @@ from .algebra import (
     Polynomial,
     TermOrder,
     binomial_from_vector,
-    exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
     lex_order,
 )
 from .errors import InvariantViolation, LengthMismatch
@@ -214,8 +210,7 @@ def monomial_nf(exp, reducers) -> tuple:
 
 
 def buchberger(gens: Iterable[Binomial], order: TermOrder,
-               lattice_weights: Optional[Sequence[int]] = None
-               ) -> GroebnerBasis:
+               lattice: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal spanned by gens.
 
     Every binomial it meets is a pure difference of two monomials, and so
@@ -243,9 +238,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     - M, F: of the new pairs (g, h), g live, one goes when the lcm of
       another divides its lcm, and of several with equal lcms only one
       stays; after that the pairs with coprime leading terms go;
-    - with lattice_weights, a new pair whose S-binomial sides lcm - LT(g)
-      + TT(g) and lcm - LT(h) + TT(h) share a variable is not queued
-      either, but its lcm still counts for criterion M;
+    - with lattice, a new pair whose S-binomial sides lcm - LT(g) + TT(g)
+      and lcm - LT(h) + TT(h) share a variable is not queued either, but
+      its lcm still counts for criterion M;
     - live elements whose leading term LT(h) divides leave the live list,
       and h joins it.
 
@@ -256,34 +251,23 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     makes it the reduced one.  An input whose length differs from the
     variable count raises LengthMismatch before it is reduced.
 
-    The common-factor skip (as in the completion procedures for lattice
-    ideals, Hemmecke-Malkin, Computing generating sets of lattice ideals
-    and Markov bases of lattices, J. Symbolic Comput. 44, 2009) is exact
-    only for gens that generate a lattice ideal I_L and are homogeneous
-    for the strictly positive lattice_weights w.  By induction on the
-    w-degree d, the final basis is a Groebner basis in every degree below
-    d.  A skipped pair of degree d has the S-binomial x^u - x^v = x^m
-    (x^(u-m) - x^(v-m)) with m = min(u, v) != 0.  The quotient lies in I_L,
-    the ideal gens generate, because u - v lies in L; it has degree below
-    d, so it has a standard representation, and times x^m that is a
-    standard representation of the S-binomial with every term below the
-    lcm.  On
-    an unsaturated ideal the skip loses elements (the kernel binomials of
+    lattice=True asserts that gens generate a lattice ideal I_L and are
+    homogeneous for some strictly positive weights w; the caller vouches
+    for it, and then the common-factor skip (as in the completion
+    procedures for lattice ideals, Hemmecke-Malkin, Computing generating
+    sets of lattice ideals and Markov bases of lattices, J. Symbolic
+    Comput. 44, 2009) is exact.  By induction on the w-degree d, the final
+    basis is a Groebner basis in every degree below d.  A skipped pair of
+    degree d has the S-binomial x^u - x^v = x^m (x^(u-m) - x^(v-m)) with
+    m = min(u, v) != 0.  The quotient lies in I_L, the ideal gens
+    generate, because u - v lies in L; it has degree below d, so it has a
+    standard representation, and times x^m that is a standard
+    representation of the S-binomial with every term below the lcm.  On an
+    unsaturated ideal the skip loses elements (the kernel binomials of
     (2,0),(3,0),(1,1),(0,1) under lex give 2 elements instead of 4), so
-    saturation runs never pass lattice_weights.  A lattice_weights of the
-    wrong length raises LengthMismatch and a non-positive entry
-    InvariantViolation.
+    saturation runs leave lattice False.
     """
     key, degree = order.key, order.degree
-    skip_common = lattice_weights is not None
-    if skip_common:
-        weights = tuple(lattice_weights)
-        if len(weights) != order.nvars:
-            raise LengthMismatch(
-                f"{len(weights)} lattice weights != {order.nvars} variables")
-        if any(w <= 0 for w in weights):
-            raise InvariantViolation(
-                "lattice weights are not strictly positive")
 
     live: list = []  # reducer rows (i, plus[i], plus, minus - plus)
     heap: list = []  # (degree, order.key(lcm), tiebreak, f, g, lcm)
@@ -293,8 +277,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
         if heap:
             kept = [e for e in heap
                     if not (all(map(le, hp, e[5]))
-                            and exp_lcm(e[3][2], hp) != e[5]
-                            and exp_lcm(e[4][2], hp) != e[5])]
+                            and tuple(map(max, e[3][2], hp)) != e[5]
+                            and tuple(map(max, e[4][2], hp)) != e[5])]
             if len(kept) != len(heap):
                 heap[:] = kept
                 heapq.heapify(heap)
@@ -303,7 +287,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
         hdelta = row[3]
         new = []
         for g in live:
-            lcm = exp_lcm(g[2], hp)
+            lcm = tuple(map(max, g[2], hp))
             deg = sum(lcm)
             new.append((deg, deg != sum(g[2]) + hdeg, lcm, g))
         # a proper divisor has a smaller degree, so it comes first; of equal
@@ -317,8 +301,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             else:
                 minimal.append(lcm)
                 if not_coprime and not (
-                        skip_common and any(map(min, map(add, lcm, g[3]),
-                                                map(add, lcm, hdelta)))):
+                        lattice and any(map(min, map(add, lcm, g[3]),
+                                                 map(add, lcm, hdelta)))):
                     heapq.heappush(heap, (degree(lcm), key(lcm),
                                           next(counter), g, row, lcm))
         live[:] = [g for g in live if not all(map(le, hp, g[2]))]
@@ -368,17 +352,13 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         coeff = work.pop(exp)
         reducer = None
         for b in elements:
-            if exp_divides(b.plus, exp):
+            if all(map(le, b.plus, exp)):
                 reducer = b
                 break
         if reducer is None:
-            s = out.get(exp, 0) + coeff
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            out[exp] = out.get(exp, 0) + coeff
             continue
-        new = exp_add(exp_sub(exp, reducer.plus), reducer.minus)
+        new = tuple(map(add, map(sub, exp, reducer.plus), reducer.minus))
         s = work.get(new, 0) + coeff
         if s:
             work[new] = s
@@ -582,12 +562,12 @@ def toric_ideal(vs: ValidatedSemigroup,
     """Defining ideal of the toric surface of vs under the given order.
 
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
-    sigma that the lattice basis forces, then the final basis, which
-    passes vs.degree_weights as lattice_weights since its input generates
-    the lattice ideal); the minimal
-    generators are certified by minimal_generators' path replay,
-    and recomputing the basis from them is a test oracle only.  An order
-    in another number of variables than N raises LengthMismatch.
+    sigma that the lattice basis forces, then the final basis, with
+    lattice=True since its input generates the lattice ideal and is
+    homogeneous for vs.degree_weights); the minimal generators are
+    certified by minimal_generators' path replay, and recomputing the
+    basis from them is a test oracle only.  An order in another number of
+    variables than N raises LengthMismatch.
     """
     order = order or lex_order(vs.N)
     if order.nvars != vs.N:
@@ -596,7 +576,7 @@ def toric_ideal(vs: ValidatedSemigroup,
     gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
     saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
                                    vs.degree_weights)
-    gb = buchberger(saturated, order, vs.degree_weights)
+    gb = buchberger(saturated, order, True)
     mingens = minimal_generators(gb, vs.degree_weights)
     _check_no_unit_sides(gb.elements)
     return ToricIdeal(vs, gb, mingens)

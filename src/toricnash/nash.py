@@ -183,10 +183,6 @@ def _laplace(row: Sequence[int], minors: dict, cols: tuple) -> int:
     return acc
 
 
-def _partials_table(family: Sequence[Binomial]) -> list:
-    return [[_partials(b, j) for j in range(b.nvars)] for b in family]
-
-
 class _Sweep:
     """What every r-subset of one family shares in a sweep, built once.
 
@@ -226,7 +222,8 @@ class _Sweep:
                     -det_ab if (a + b) % 2 else det_ab,
                     tuple(map(add, pts[a], pts[b]))))
         self.deg_memo = {}
-        self.partials = _partials_table(family)
+        self.partials = [[_partials(b, j) for j in range(vs.N)]
+                         for b in family]
         self.memo = {}
         self.inner = tuple(range(1, vs.N - 1))
         self.wedges = {(): ({(): 1}, (0,) * vs.N)}

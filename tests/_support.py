@@ -18,7 +18,6 @@ from toricnash.algebra import (
     binomial_from_vector,
     degrevlex_order,
     derivative,
-    exp_lcm,
     lex_order,
 )
 from toricnash.errors import (
@@ -255,7 +254,7 @@ def plain_buchberger(gens, order):
 
     def push_pairs(j):
         for i in range(j):
-            lcm = exp_lcm(basis[i].plus, basis[j].plus)
+            lcm = tuple(map(max, basis[i].plus, basis[j].plus))
             heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
 
     for j in range(len(basis)):
@@ -295,7 +294,7 @@ def assert_reduced_groebner(gens, gb):
         assert _rewrite(b.plus, elements) == _rewrite(b.minus, elements), \
             f"input {b} does not reduce to zero"
     for f, g in itertools.combinations(elements, 2):
-        lcm = exp_lcm(f.plus, g.plus)
+        lcm = tuple(map(max, f.plus, g.plus))
         u = tuple(c - p + m for c, p, m in zip(lcm, f.plus, f.minus))
         v = tuple(c - p + m for c, p, m in zip(lcm, g.plus, g.minus))
         assert _rewrite(u, elements) == _rewrite(v, elements), \

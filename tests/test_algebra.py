@@ -13,6 +13,8 @@ from toricnash.algebra import (
     lex_order,
 )
 from toricnash.errors import LengthMismatch, NotSquare
+from toricnash.ideal import buchberger, minimal_generators
+from toricnash.nash import minor_symbolic, nash_ideal, subset_minors
 
 import _support as sup
 
@@ -117,6 +119,65 @@ class TestRefusals:
             Binomial(plus, minus)
 
 
+def _square(seq):
+    return Binomial(seq((2, 0)), seq((0, 2)))  # x^2 - y^2
+
+
+def _curve_relation(seq):
+    return [Binomial(seq((1, 0, 1)), seq((0, 2, 0)))]  # x z - y^2
+
+
+def _curve_ideal():
+    return sup.build([(1, 0), (1, 1), (1, 2)])[1]
+
+
+def _with_hash(obj):
+    return obj, hash(obj)
+
+
+# each entry point on fields given as lists (seq=list) must answer as on
+# the same fields given as tuples (seq=tuple); a list field compares
+# unequal to the tuple one and does not hash
+SEQUENCE_FIELDS = {
+    "binomial": lambda seq: _with_hash(_square(seq)),
+    "buchberger": lambda seq: buchberger(
+        [_square(seq), _square(tuple)], lex_order(2)),
+    "minimal_generators": lambda seq: minimal_generators(
+        buchberger([_square(seq)], lex_order(2)), (1, 1)),
+    "subset_minors": lambda seq: subset_minors(
+        _curve_relation(seq), _curve_ideal()),
+    "nash_ideal": lambda seq: nash_ideal(_curve_relation(seq), _curve_ideal()),
+    "minor_symbolic": lambda seq: minor_symbolic(
+        _curve_relation(seq), (0, 1), _curve_ideal()),
+    "term_order_ranking": lambda seq: _with_hash(
+        TermOrder("lex", seq((0, 1, 2)))),
+    "term_order_weights": lambda seq: _with_hash(
+        TermOrder("degrevlex", seq((0, 1)), seq((2, 1)))),
+}
+
+
+class TestSequenceFields:
+    @pytest.mark.parametrize("name", SEQUENCE_FIELDS)
+    def test_lists_act_as_tuples(self, name):
+        run = SEQUENCE_FIELDS[name]
+        assert run(list) == run(tuple)
+
+
+class TestZeroCoefficients:
+    # Polynomial's constructor is the one place zero sums are dropped; the
+    # derivative cases are in TestDerivative
+    x, y = Polynomial({(1, 0): 1}), Polynomial({(0, 1): 1})
+    p = Polynomial({(1, 0, 1): 3, (0, 2, 0): -2})
+
+    @pytest.mark.parametrize("poly, expected", [
+        (p + (-p), {}),
+        ((x + y) * (x - y), {(2, 0): 1, (0, 2): -1})],
+        ids=["sum_with_negation", "difference_of_squares"])
+    def test_no_zero_terms(self, poly, expected):
+        assert 0 not in poly.terms.values()
+        assert poly.terms == expected
+
+
 class TestDerivative:
     # Jacobian entries of x1*x3 - x2^2 and x1*x4 - x2*x3 in 4 variables
     def test_interior_variable(self):
@@ -124,12 +185,14 @@ class TestDerivative:
         assert derivative(f, 1) == Polynomial({(0, 1, 0, 0): -2})
 
     def test_absent_variable(self):
+        # absent from both sides: no term, not a zero one
         f = Binomial((1, 0, 1, 0), (0, 2, 0, 0))
-        assert derivative(f, 3).is_zero()
+        assert derivative(f, 3).terms == {}
 
     def test_leading_variable(self):
+        # on the plus side only: one term, none with coefficient zero
         f = Binomial((1, 0, 0, 1), (0, 1, 1, 0))
-        assert derivative(f, 0) == Polynomial({(0, 0, 0, 1): 1})
+        assert derivative(f, 0).terms == {(0, 0, 0, 1): 1}
 
     def test_matches_shift_coefficient(self):
         # d/dt f(p + t e_i) at t = 0, computed by binomial-theorem expansion

@@ -258,7 +258,8 @@ class TestSparseMinor:
         checked = 0
         rows = tuple(range(vs.r))
         for subset in itertools.combinations(fam, vs.r):
-            partials = nash._partials_table(subset)
+            partials = [[nash._partials(b, j) for j in range(vs.N)]
+                        for b in subset]
             for sel in itertools.combinations(range(vs.N), 2):
                 cols = tuple(i for i in range(vs.N) if i not in sel)
                 det = determinant([[derivative(f, i) for i in cols]
@@ -345,8 +346,7 @@ class TestSparseMinor:
         # no partials in the sweep's table: every Laplace expansion is the
         # zero polynomial, while det(R_K) still comes from the difference
         # rows
-        monkeypatch.setattr(nash, "_partials_table", lambda family: [
-            [()] * b.nvars for b in family])
+        monkeypatch.setattr(nash, "_partials", lambda b, var: ())
         for evaluate in self._entry_points(ideal):
             with pytest.raises(InvariantViolation, match="reduced to zero"):
                 evaluate()
