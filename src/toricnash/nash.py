@@ -436,14 +436,13 @@ def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
     up, so an element of height 1 is one generator of height 1 plus
     height-0 ones.  So the orbit is singular exactly when gcd(m_i) != 1
     or no generator has height 1.  O2 is the orbit of the edge-1 (x
-    block) ray, O1 that of the edge-2 (z block) ray; u1, u2 are vs.rays.
+    block) ray, O1 that of the edge-2 (z block) ray; u1, u2 are vs.rays,
+    and vs.heights holds each generator's two heights.
     """
     pts = vs.gens.points
-    u1, u2 = vs.rays
-    o1 = (gcd(*(gcd(*p) for p in pts[vs.l + vs.m:])) != 1
-          or all(cross(p, u2) != 1 for p in pts))
-    o2 = (gcd(*(gcd(*p) for p in pts[:vs.l])) != 1
-          or all(cross(u1, p) != 1 for p in pts))
+    h1, h2 = zip(*vs.heights)
+    o1 = gcd(*(gcd(*p) for p in pts[vs.l + vs.m:])) != 1 or 1 not in h2
+    o2 = gcd(*(gcd(*p) for p in pts[:vs.l])) != 1 or 1 not in h1
     return OrbitSet(o1, o2)
 
 

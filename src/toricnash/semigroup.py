@@ -58,18 +58,20 @@ class GeneratorSet:
         return len(self.points)
 
 
+def _point(p) -> LatticePoint:
+    """p as a LatticePoint if it is a pair of non-bool ints."""
+    try:
+        u, v = p
+    except (TypeError, ValueError):
+        raise InvalidGeneratorSet(f"not a coordinate pair: {p!r}")
+    if not isinstance(u, int) or not isinstance(v, int) \
+            or isinstance(u, bool) or isinstance(v, bool):
+        raise InvalidGeneratorSet(f"non-integer coordinates: {p!r}")
+    return LatticePoint(u, v)
+
+
 def generator_set(pairs: Sequence[Sequence[int]]) -> GeneratorSet:
-    pts = []
-    for p in pairs:
-        try:
-            u, v = p
-        except (TypeError, ValueError):
-            raise InvalidGeneratorSet(f"not a coordinate pair: {p!r}")
-        if not isinstance(u, int) or not isinstance(v, int) \
-                or isinstance(u, bool) or isinstance(v, bool):
-            raise InvalidGeneratorSet(f"non-integer coordinates: {p!r}")
-        pts.append(LatticePoint(u, v))
-    return GeneratorSet(tuple(pts))
+    return GeneratorSet(tuple(map(_point, pairs)))
 
 
 def compute_cone_rays(gens: GeneratorSet) -> tuple:
@@ -109,34 +111,34 @@ def check_generates_Z2(gens: GeneratorSet) -> bool:
 
 
 def semigroup_membership(p, vs: ValidatedSemigroup) -> bool:
-    """Decide p in the semigroup of vs by bounded exhaustive search between
-    vs.rays."""
-    return _member(vs.gens.points, vs.rays, 0, LatticePoint(*p), {})
+    """Decide p in the semigroup of vs by bounded exhaustive search in
+    heights.  p must be a pair of non-bool ints, as for generator_set,
+    else InvalidGeneratorSet."""
+    q = _point(p)
+    u1, u2 = vs.rays
+    return _member(vs.heights, 0, (cross(u1, q), cross(q, u2)), {})
 
 
-def _member(pts: tuple, rays: tuple, k: int, target: LatticePoint,
-            memo: dict) -> bool:
-    """True when target is a nonnegative integer combination of pts[k:],
-    which lie in the cone of rays.  A generator's heights are
-    cross(rays[0], .) and cross(., rays[1]); a coefficient of g above
-    h(target) // h(g) for a height with h(g) > 0 leaves the cone, and the
-    last generator must give target exactly.  memo holds each (k, target)
-    decided."""
+def _member(heights: tuple, k: int, target: tuple, memo: dict) -> bool:
+    """True when target is a nonnegative integer combination of heights[k:].
+    The heights p -> (cross(u1, p), cross(p, u2)) are linear in p with
+    determinant -cross(u1, u2) != 0, hence injective on Z^2, so the search
+    is exact in heights.  A coefficient of g above t // h for a height
+    h > 0 of g leaves the cone, and the last generator must give target
+    exactly.  memo holds each (k, target) decided."""
     if target == (0, 0):
         return True
-    t1, t2 = cross(rays[0], target), cross(target, rays[1])
-    if k == len(pts) or t1 < 0 or t2 < 0:
+    t1, t2 = target
+    if k == len(heights) or t1 < 0 or t2 < 0:
         return False
-    g = pts[k]
-    top = min(t // h for t, h in ((t1, cross(rays[0], g)),
-                                  (t2, cross(g, rays[1]))) if h)
-    if k == len(pts) - 1:
-        return target == (top * g.u, top * g.v)
+    h1, h2 = heights[k]
+    top = min(t // h for t, h in ((t1, h1), (t2, h2)) if h)
+    if k == len(heights) - 1:
+        return target == (top * h1, top * h2)
     found = memo.get((k, target))
     if found is None:
         found = memo[k, target] = any(
-            _member(pts, rays, k + 1, LatticePoint(
-                target.u - lam * g.u, target.v - lam * g.v), memo)
+            _member(heights, k + 1, (t1 - lam * h1, t2 - lam * h2), memo)
             for lam in range(top, -1, -1))
     return found
 
@@ -149,8 +151,8 @@ class ValidatedSemigroup:
     occupy the canonical positions in that order.  permutation maps
     canonical positions to input positions:
     gens.points[i] == original.points[permutation[i]].
-    degree_weights are the generators' height sums (see validate); every
-    binomial relation is homogeneous for them.
+    heights[i] is (cross(u1, p), cross(p, u2)) for p = gens.points[i] and
+    (u1, u2) = rays; their sums, degree_weights, make relations homogeneous.
     """
 
     gens: GeneratorSet
@@ -158,13 +160,17 @@ class ValidatedSemigroup:
     m: int
     n: int
     permutation: tuple
-    degree_weights: tuple
+    heights: tuple
 
     @property
     def rays(self) -> tuple:
         """Primitive edge rays of the cone, counterclockwise."""
         pts = self.gens.points
         return primitive(pts[0]), primitive(pts[-1])
+
+    @property
+    def degree_weights(self) -> tuple:
+        return tuple(map(sum, self.heights))
 
     @property
     def N(self) -> int:
@@ -201,7 +207,7 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     """
     ray1, ray2 = compute_cone_rays(gens)
     pts = gens.points
-    heights = [(cross(ray1, p), cross(p, ray2)) for p in pts]
+    heights = tuple((cross(ray1, p), cross(p, ray2)) for p in pts)
     edge1 = [i for i, h in enumerate(heights) if not h[0]]
     edge2 = [i for i, h in enumerate(heights) if not h[1]]
     interior = [i for i, h in enumerate(heights) if all(h)]
@@ -212,11 +218,11 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     if len(gens) < 3:
         raise TooFewGenerators(
             f"need at least 3 generators, got {len(gens)}")
-    weights = [h1 + h2 for h1, h2 in heights]
+    weights = list(map(sum, heights))
     if min(weights) <= 0:
         raise InvariantViolation("a height sum is not positive")
     for i, p in enumerate(pts):
-        if _member(pts[:i] + pts[i + 1:], (ray1, ray2), 0, p, {}):
+        if _member(heights[:i] + heights[i + 1:], 0, heights[i], {}):
             raise NotMinimal(i, p)
 
     perm = (tuple(sorted(edge1, key=weights.__getitem__))
@@ -224,4 +230,4 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
             + tuple(sorted(edge2, key=weights.__getitem__)))
     canonical = GeneratorSet(tuple(pts[i] for i in perm))
     return ValidatedSemigroup(canonical, len(edge1), len(interior), len(edge2),
-                              perm, tuple(weights[i] for i in perm))
+                              perm, tuple(heights[i] for i in perm))

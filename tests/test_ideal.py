@@ -522,7 +522,9 @@ class TestToricIdeal:
         gens = generator_set([(1, 0), (1, 1), (2, 1), (0, 1)])
         with pytest.raises(NotMinimal):
             validate(gens)
-        vs = ValidatedSemigroup(gens, 1, 2, 1, (0, 1, 2, 3), (1, 2, 3, 1))
+        vs = ValidatedSemigroup(gens, 1, 2, 1, (0, 1, 2, 3),
+                                ((0, 1), (1, 1), (1, 2), (1, 0)))
+        assert vs.degree_weights == (1, 2, 3, 1)
         with pytest.raises(InvariantViolation, match="^relation with a "
                                                      "bare-variable side"):
             toric_ideal(vs)

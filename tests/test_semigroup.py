@@ -208,7 +208,7 @@ class TestMembership:
         for pts in (sup.FIXTURE_A, sup.FIXTURE_C, [(2, 1), (1, 1), (1, 3)]):
             vs = validated(pts)
             for _ in range(25):
-                p = (rng.randint(0, 8), rng.randint(0, 8))
+                p = (rng.randint(-4, 8), rng.randint(-4, 8))
                 assert semigroup_membership(p, vs) == \
                     sup.brute_membership(p, pts)
 
@@ -223,28 +223,37 @@ class TestMembership:
         finally:
             gc.enable()
 
-    def test_dual_vector_strictly_positive(self, monkeypatch):
-        # the search runs over the canonical points between vs.rays, the
-        # rays of the first and last canonical points; the degree weights,
-        # the pairings with the dual vector, are the height sums
-        inner = semigroup._member
-        calls = []
-
-        def counted(pts, rays, k, target, memo):
-            calls.append((pts, rays))
-            return inner(pts, rays, k, target, memo)
-
-        monkeypatch.setattr(semigroup, "_member", counted)
-        for pts in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
-            vs = validated(pts)
-            calls.clear()
-            semigroup_membership((4, 7), vs)
-            gens, rays = calls[0]
-            assert gens == vs.gens.points
-            assert rays == vs.rays == (primitive(gens[0]), primitive(gens[-1]))
-            assert vs.degree_weights == tuple(
-                cross(rays[0], p) + cross(p, rays[1]) for p in gens)
+    def test_dual_vector_strictly_positive(self):
+        # the search runs in the heights against vs.rays, the rays of the
+        # first and last canonical points; the degree weights, the
+        # pairings with the dual vector, are the height sums; checked on
+        # the fixtures and every valid 3-5 point set of [0, 3]^2
+        box = sup.box_semigroups(3, range(3, 6))
+        assert len(box) == 1332
+        for vs in [validated(pts) for pts in (
+                sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C)] + box:
+            gens = vs.gens.points
+            u1, u2 = vs.rays
+            assert (u1, u2) == (primitive(gens[0]), primitive(gens[-1]))
+            assert vs.heights == tuple((cross(u1, p), cross(p, u2))
+                                       for p in gens)
+            assert vs.degree_weights == tuple(map(sum, vs.heights))
             assert all(x > 0 for x in vs.degree_weights)
+
+    @pytest.mark.parametrize("point", [(True, False), (2.0, 2.0),
+                                       ("a", "b"), (1, 2, 3)])
+    def test_point_rule_shared_with_generator_set(self, point):
+        # the point rule is generator_set's: a pair of non-bool ints
+        vs = validated(sup.FIXTURE_A)
+        with pytest.raises(InvalidGeneratorSet):
+            generator_set([point])
+        with pytest.raises(InvalidGeneratorSet):
+            semigroup_membership(point, vs)
+
+    def test_origin_is_member(self):
+        # generator_set refuses the origin as a generator, but it is the
+        # empty sum, so the semigroup holds it
+        assert semigroup_membership((0, 0), validated(sup.FIXTURE_B))
 
 
 class TestValidate:
@@ -327,7 +336,7 @@ class TestValidate:
             calls.clear()
             again = validate(shuffled)
             assert calls == [shuffled]
-            assert again.degree_weights == vs.degree_weights
+            assert again.heights == vs.heights
 
     def test_dual_vector_checked(self, monkeypatch):
         # clockwise rays give every generator a negative height sum; the
