@@ -211,9 +211,10 @@ class Polynomial:
 
 
 def derivative(f: Binomial, var: int) -> Polynomial:
-    """Partial derivative of x^plus - x^minus with respect to variable var."""
-    if not 0 <= var < f.nvars:
-        raise IndexError(f"variable index {var} out of range")
+    """Partial derivative of x^plus - x^minus with respect to variable var;
+    IndexError unless var is a non-bool int in range(f.nvars)."""
+    if type(var) is not int or not 0 <= var < f.nvars:
+        raise IndexError(f"variable index {var!r} out of range")
     # plus != minus, so the two lowered exponents differ
     return Polynomial({exp[:var] + (exp[var] - 1,) + exp[var + 1:]:
                        sign * exp[var]

@@ -11,7 +11,8 @@ of the generator matrix.  toric_ideal builds it in four steps:
 - minimal_generators: an irredundant generating subset of that basis.
 
 normal_form divides a general polynomial by a basis, for ideal_member and
-for nash.minor_symbolic.
+for nash.minor_symbolic.  _echelon is the library's one integer row
+elimination: lattice_kernel runs it on two columns, int_rank on all.
 """
 from __future__ import annotations
 
@@ -36,28 +37,34 @@ from .semigroup import ValidatedSemigroup
 # --- integer kernel --------------------------------------------------------
 
 
-def _row_reduce_column(rows: List[List[int]], pivot_row: int, col: int) -> bool:
-    """Clear column col below pivot_row with unimodular row operations.
+def _echelon(rows: List[List[int]], ncols: int) -> int:
+    """Bring the first ncols columns of rows to echelon form in place, by
+    row swaps and Euclid steps, and return the number of pivots.  These
+    steps can be undone over Z, so the rows keep their lattice and the
+    pivot count is the rank of those columns over Q."""
+    pivot = 0
+    for col in range(ncols):
+        piv = next((i for i in range(pivot, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[pivot], rows[piv] = rows[piv], rows[pivot]
+        for i in range(pivot + 1, len(rows)):
+            while rows[i][col] != 0:
+                a, b = rows[pivot][col], rows[i][col]
+                if abs(a) > abs(b):
+                    rows[pivot], rows[i] = rows[i], rows[pivot]
+                    continue
+                q = b // a
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot])]
+        pivot += 1
+    return pivot
 
-    Returns True when a pivot was found (and moved to pivot_row).
-    """
-    piv = None
-    for i in range(pivot_row, len(rows)):
-        if rows[i][col] != 0:
-            piv = i
-            break
-    if piv is None:
-        return False
-    rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-    for i in range(pivot_row + 1, len(rows)):
-        while rows[i][col] != 0:
-            a, b = rows[pivot_row][col], rows[i][col]
-            if abs(a) > abs(b):
-                rows[pivot_row], rows[i] = rows[i], rows[pivot_row]
-                continue
-            q = b // a
-            rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-    return True
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals: _echelon's pivot count over every column
+    of a copy of rows."""
+    m = [list(row) for row in rows]
+    return _echelon(m, len(m[0]) if m else 0)
 
 
 def _lll_reduce(vectors: Sequence[Sequence[int]]) -> list:
@@ -119,20 +126,17 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
     """Basis, as a tuple of vectors, of all integer vectors v with
     sum(v_i * generator_i) == 0.
 
-    Row-reduces the generator columns of [generators | identity]; rows whose
-    generator part vanishes carry the kernel vectors in the identity part.
-    The row operations are unimodular, so these rows are a basis of the
-    saturated lattice and each vector is primitive.
+    _echelon reduces the generator columns of [generators | identity];
+    rows whose generator part vanishes carry the kernel vectors in the
+    identity part.  The row operations are unimodular, so these rows are a
+    basis of the saturated lattice and each vector is primitive.
     The result is LLL-reduced so the binomials it seeds stay small.
     """
     pts = vs.gens.points
     s = len(pts)
     rows = [[p.u, p.v] + [1 if j == i else 0 for j in range(s)]
             for i, p in enumerate(pts)]
-    pivot = 0
-    for col in range(2):
-        if _row_reduce_column(rows, pivot, col):
-            pivot += 1
+    pivot = _echelon(rows, 2)
     basis = []
     for row in _lll_reduce([row[2:] for row in rows[pivot:]]):
         v = list(row)

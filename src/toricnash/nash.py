@@ -33,62 +33,27 @@ from .errors import (
     TheoremViolation,
     TorusSingular,
 )
-from .ideal import ToricIdeal, monomial_nf, normal_form
+from .ideal import ToricIdeal, int_rank, monomial_nf, normal_form
 from .semigroup import ValidatedSemigroup, cross
-
-# --- exact integer linear algebra -------------------------------------------
-
-
-def _bareiss(m: list) -> tuple:
-    """Fraction-free (Bareiss) row echelon form of m, in place.
-
-    Returns (rank, sign), sign being the parity of the row swaps.  Every
-    entry left behind is an integer minor of the input, so each division
-    is exact.
-    """
-    nrows = len(m)
-    rank, sign, prev = 0, 1, 1
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        top = m[rank]
-        p = top[col]
-        for row in m[rank + 1:]:
-            f = row[col]
-            for j in range(col + 1, len(top)):
-                row[j] = (row[j] * p - f * top[j]) // prev
-            row[col] = 0
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, sign
-
-
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    return _bareiss([list(row) for row in rows])[0]
-
-
-def rank(family: Sequence[Binomial]) -> int:
-    """Generic Jacobian rank of the family: the rank of its difference rows."""
-    return int_rank([b.difference() for b in family])
-
 
 # --- minors -------------------------------------------------------------------
 
 
+def rank(family: Sequence[Binomial]) -> int:
+    """Generic Jacobian rank of the family: the rank of its difference rows,
+    as ideal.int_rank counts it."""
+    return int_rank([b.difference() for b in family])
+
+
 def _normalize_selection(selection, nvars: int) -> tuple:
+    """selection as a sorted pair of distinct non-bool ints in
+    range(nvars); ValueError otherwise."""
     try:
         a, b = sorted(selection)
-        if a != b and 0 <= a and b < nvars:
-            return (a, b)
     except (TypeError, ValueError):
-        pass
+        a = b = None
+    if a != b and all(type(i) is int and 0 <= i < nvars for i in (a, b)):
+        return (a, b)
     raise ValueError(f"column selection {selection} invalid for "
                      f"{nvars} variables")
 

@@ -34,15 +34,14 @@ from toricnash.ideal import (
     ToricIdeal,
     _forcing_variables,
     _saturate_elements,
+    int_rank,
     lattice_kernel,
     minimal_generators,
 )
 from toricnash.nash import (
     OrbitSet,
     _Sweep,
-    _bareiss,
     _normalize_selection,
-    int_rank,
     monomial_classes,
     nash_ideal,
     singular_orbits,
@@ -185,16 +184,26 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
     for row in matrix:
         if len(row) != n:
             raise NotSquare(f"matrix is {n}x{len(row)}")
-    if n == 0:
-        return 1
     m = [list(row) for row in matrix]
-    rank, sign = _bareiss(m)
-    return sign * m[-1][-1] if rank == n else 0
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # each entry is a minor of the input: the division is exact
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
 def fraction_rank(rows):
     """Rank over the rationals by Gaussian elimination in Fractions
-    (independent of the library's fraction-free elimination)."""
+    (independent of the library's integer elimination, ideal._echelon)."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return 0

@@ -209,6 +209,13 @@ class TestDerivative:
             expected = sup.shift_coefficient(f, var, point, 1)
             assert derivative(f, var).evaluate(point) == expected
 
+    @pytest.mark.parametrize("var", [True, 1.0, -1, 4],
+                             ids=["bool", "float", "negative", "nvars"])
+    def test_index_not_a_variable(self, var):
+        f = Binomial((1, 0, 1, 0), (0, 2, 0, 0))
+        with pytest.raises(IndexError, match="variable index"):
+            derivative(f, var)
+
 
 class TestDeterminant:
     def test_paper_style_minor(self):
@@ -233,6 +240,10 @@ class TestDeterminant:
         one = Polynomial({(0,): 1})
         with pytest.raises(NotSquare):
             determinant([[one, one]])
+
+    def test_empty(self):
+        with pytest.raises(NotSquare, match="empty"):
+            determinant([])
 
     def test_row_swap_and_other_row_expansion(self):
         rng = random.Random(5)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from math import gcd
 from operator import le
@@ -455,6 +456,16 @@ class TestSaturation:
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         assert _forcing_variables(gens, vs.N) == (0, 2)
         assert sup.check_toric_ideals([vs]) == 1
+
+    def test_forcing_all_variables(self):
+        # x0 x1 x2 - x3 x4 x5: a closure grows only once it holds a whole
+        # side, no pair holds one, so no variable or pair forces and the
+        # fallback saturates by all six
+        sides = ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))
+        assert _forcing_variables([Binomial(*sides)], 6) == tuple(range(6))
+        assert not any(set(i for i, e in enumerate(side) if e) <= set(pair)
+                       for side in sides
+                       for pair in itertools.combinations(range(6), 2))
 
     def test_matches_full_saturation(self, population):
         # saturating by the forced variables gives the ideal that

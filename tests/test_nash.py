@@ -28,13 +28,18 @@ from toricnash.errors import (
     TheoremViolation,
     TorusSingular,
 )
-from toricnash.ideal import GroebnerBasis, monomial_nf, normal_form, toric_ideal
+from toricnash.ideal import (
+    GroebnerBasis,
+    int_rank,
+    monomial_nf,
+    normal_form,
+    toric_ideal,
+)
 from toricnash.nash import (
     OrbitSet,
     analyze,
     classify_ci,
     dim1_selector,
-    int_rank,
     minor_monomial_formula,
     minor_symbolic,
     monomial_classes,
@@ -140,7 +145,10 @@ class TestMinors:
         reduced = minor_symbolic(A_ROWS[:2], (2, 3), ideal)
         assert reduced == Polynomial.from_monomial(1, (0, 0, 2, 0))
 
-    @pytest.mark.parametrize("selection", [5, (0, 1, 2), (1, 1), (0, 9)])
+    # a selection is a pair of distinct non-bool ints in range(N), N = 4
+    @pytest.mark.parametrize("selection", [5, (0, 1, 2), (1, 1), (0, 9),
+                                           (True, 2), (0.0, 1), (0.5, 2),
+                                           (0, 4), "ab"])
     def test_invalid_selection(self, fixture_a, selection):
         _, ideal = fixture_a
         for minor in (minor_monomial_formula, minor_symbolic):
@@ -518,7 +526,8 @@ class TestSubsetMinors:
     def test_one_wedge_per_prefix(self, fixture_b, monkeypatch):
         # c_S reads the minors of the subset's first r - 1 rows from the
         # sweep's wedges: each prefix is built once from the seeded empty
-        # one, in whatever order the subsets come, and no determinant runs.
+        # one, in whatever order the subsets come, and no determinant or
+        # integer elimination runs.
         # The partials Laplace expansion starts once per degree in the
         # shared sweep, and in a sweep of one subset only at its fallback
         # pairs
@@ -541,7 +550,7 @@ class TestSubsetMinors:
 
         monkeypatch.setattr(nash._Sweep, "_wedge", counted_wedge)
         monkeypatch.setattr(nash, "_minor_terms", counted_terms)
-        monkeypatch.setattr(nash, "_bareiss", no_determinant)
+        monkeypatch.setattr(nash, "int_rank", no_determinant)
         monkeypatch.setattr(nash, "determinant", no_determinant)
         fam = ideal.gb.elements
         subsets = list(itertools.combinations(range(len(fam)), vs.r))
