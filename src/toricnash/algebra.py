@@ -8,7 +8,7 @@ means larger monomial.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import LengthMismatch, NotSquare
@@ -16,44 +16,46 @@ from .errors import LengthMismatch, NotSquare
 ExponentVector = tuple  # tuple[int, ...], all entries >= 0
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(namedtuple("TermOrder", "kind ranking weights")):
     """A monomial order on a fixed number of variables.
 
     kind is a name in ORDERS.  ranking lists variable indices from most to
     least significant.  weights, when given, are strictly positive degree
     weights used by degrevlex (None means total degree).  degree is that
     weighted degree for a weighted degrevlex order and the total degree
-    otherwise; a degrevlex key begins with it.
+    otherwise; a degrevlex key begins with it.  Ranking entries and
+    weights are non-bool ints (ValueError otherwise).
     """
 
-    kind: str
-    ranking: tuple
-    weights: Optional[tuple] = None
-
-    def __post_init__(self):
+    def __new__(cls, kind, ranking, weights=None):
         # stored as tuples, which compare and hash alike
-        if type(self.ranking) is not tuple:
-            object.__setattr__(self, "ranking", tuple(self.ranking))
-        if self.weights is not None and type(self.weights) is not tuple:
-            object.__setattr__(self, "weights", tuple(self.weights))
-        if not (isinstance(self.kind, str) and self.kind in ORDERS):
-            raise ValueError(f"unknown term order kind {self.kind!r}")
-        n = len(self.ranking)
-        if sorted(self.ranking) != list(range(n)):
+        ranking = tuple(ranking)
+        if weights is not None:
+            weights = tuple(weights)
+        if not (isinstance(kind, str) and kind in ORDERS):
+            raise ValueError(f"unknown term order kind {kind!r}")
+        n = len(ranking)
+        if not all(type(i) is int for i in ranking) \
+                or sorted(ranking) != list(range(n)):
             raise ValueError("ranking must be a permutation of the variables")
-        if self.weights is not None:
-            if len(self.weights) != n:
+        if weights is not None:
+            if len(weights) != n:
                 raise LengthMismatch("weights length differs from variable count")
-            if any(w <= 0 for w in self.weights):
+            if not all(type(w) is int for w in weights):
+                raise ValueError("degree weights must be ints")
+            if any(w <= 0 for w in weights):
                 raise ValueError("degree weights must be strictly positive")
-        # key's getters; itemgetter() raises and itemgetter(i) returns a
-        # scalar, and a ranking of at most one variable is the identity
-        ranked, backward = ((operator.itemgetter(*self.ranking),
-                             operator.itemgetter(*reversed(self.ranking)))
-                            if n > 1 else (tuple, tuple))
-        object.__setattr__(self, "_ranked", ranked)
-        object.__setattr__(self, "_reversed", backward)
+        self = super().__new__(cls, kind, ranking, weights)
+        # key's getters, kept in the instance dict; itemgetter() raises and
+        # itemgetter(i) returns a scalar, and a ranking of at most one
+        # variable is the identity
+        self._ranked, self._reversed = (
+            (operator.itemgetter(*ranking),
+             operator.itemgetter(*reversed(ranking)))
+            if n > 1 else (tuple, tuple))
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     @property
     def nvars(self) -> int:
@@ -97,30 +99,32 @@ class Monomial(NamedTuple):
     exp: ExponentVector
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """A pure difference of monomials x^plus - x^minus, plus != minus.
+class Binomial(namedtuple("Binomial", "plus minus")):
+    """A pure difference of monomials x^plus - x^minus, plus != minus,
+    with nonnegative non-bool int exponents (ValueError otherwise).
 
     In a Groebner basis plus is the leading exponent under the basis's
     order (the larger order.key); an input to buchberger need not be
     oriented.
     """
 
-    plus: ExponentVector
-    minus: ExponentVector
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, plus, minus):
         # stored as tuples, which compare, hash and concatenate alike
-        if type(self.plus) is not tuple:
-            object.__setattr__(self, "plus", tuple(self.plus))
-        if type(self.minus) is not tuple:
-            object.__setattr__(self, "minus", tuple(self.minus))
-        if len(self.plus) != len(self.minus):
+        plus, minus = tuple(plus), tuple(minus)
+        if len(plus) != len(minus):
             raise LengthMismatch("binomial sides of unequal length")
-        if self.plus == self.minus:
+        if plus == minus:
             raise ValueError("zero binomial")
-        if min(self.plus) < 0 or min(self.minus) < 0:
-            raise ValueError("negative exponent in binomial")
+        for e in plus + minus:
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} in binomial is not an int")
+            if e < 0:
+                raise ValueError("negative exponent in binomial")
+        return super().__new__(cls, plus, minus)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     @property
     def nvars(self) -> int:

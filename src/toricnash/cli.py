@@ -28,8 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
-from importlib import resources
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -66,26 +65,22 @@ class InputError(Exception):
 # --- input parsing -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(namedtuple("InputSpec", "generators order names family")):
     """Parsed analysis request; its fields are the input keys.  An order
     or family that is not a name in ORDERS or FAMILIES raises InputError,
     also when it is not a string."""
 
-    generators: tuple
-    order: str = "lex"
-    names: Optional[tuple] = None
-    family: str = "minimal"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key, choices in (("order", ORDERS), ("family", FAMILIES)):
-            value = getattr(self, key)
+    def __new__(cls, generators, order="lex", names=None, family="minimal"):
+        for key, value, choices in (("order", order, ORDERS),
+                                    ("family", family, FAMILIES)):
             if not (isinstance(value, str) and value in choices):
                 quoted = " or ".join(f'"{name}"' for name in choices)
                 raise InputError(f"{key} must be {quoted}, got {value!r}")
+        return super().__new__(cls, generators, order, names, family)
 
-
-_KEYS = [f.name for f in fields(InputSpec)]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
 
 def _reject_float(text: str):
@@ -102,7 +97,7 @@ def parse_input(text: str) -> InputSpec:
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object")
-    unknown = set(doc) - set(_KEYS)
+    unknown = set(doc) - set(InputSpec._fields)
     if unknown:
         raise InputError(f"unknown keys: {sorted(unknown)}")
     gens = doc.get("generators")
@@ -128,7 +123,8 @@ def parse_input(text: str) -> InputSpec:
         if len(set(names)) != len(names):
             raise InputError('"names" must be distinct')
         names = tuple(names)
-    return replace(spec, generators=tuple(tuple(g) for g in gens), names=names)
+    return spec._replace(generators=tuple(tuple(g) for g in gens),
+                         names=names)
 
 
 # --- report ------------------------------------------------------------------
@@ -141,7 +137,6 @@ def monomial_str(exp: tuple, names: Sequence[str]) -> str:
                      for name, e in zip(names, exp) if e]) or "1"
 
 
-@dataclass
 class RunReport:
     """Everything one analysis produced; both output formats render this.
 
@@ -149,13 +144,11 @@ class RunReport:
     side's, to monomial_str(exp, names), so each is rendered once for
     both outputs."""
 
-    spec: InputSpec
-    names: list
-    ideal: ToricIdeal
-    analysis: Analysis
-    warnings: list = field(default_factory=list)
-    bodies: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    def __init__(self, spec: InputSpec, names: list, ideal: ToricIdeal,
+                 analysis: Analysis, warnings: Sequence[str] = ()):
+        self.spec, self.names, self.ideal = spec, names, ideal
+        self.analysis, self.warnings = analysis, list(warnings)
+        self.bodies: dict = {}
 
     def body(self, exp: tuple) -> str:
         """monomial_str(exp, names), from bodies."""
@@ -317,6 +310,8 @@ def _load_corpus(corpus_dir: Optional[str]) -> list:
             raise InputError(f"{corpus_dir}: not a directory")
         paths = Path(corpus_dir).glob("*.json")
     else:
+        # imported here: on Python 3.12+ importlib.resources loads inspect
+        from importlib import resources
         root = resources.files("toricnash").joinpath("fixtures")
         paths = (p for p in root.iterdir() if p.name.endswith(".json"))
     docs = []
@@ -367,7 +362,7 @@ def _check_fixture(name: str, doc, out) -> list:
     list."""
     exp = _object(_object(doc, "example document")["expected"], '"expected"')
     rep = build_report(parse_input(json.dumps(
-        {key: doc[key] for key in _KEYS if key in doc})))
+        {key: doc[key] for key in InputSpec._fields if key in doc})))
     ideal, a = rep.ideal, rep.analysis
     vs, sig, v = ideal.semigroup, a.sigma, a.verdict
     # blocks, sigma and verdict are required (KeyError), origin_singular
@@ -469,8 +464,8 @@ def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
                 family: Optional[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     spec = _read_spec(path)
-    rep = build_report(replace(spec, order=order or spec.order,
-                               family=family or spec.family))
+    rep = build_report(spec._replace(order=order or spec.order,
+                                     family=family or spec.family))
     print(report_text(rep), end="", file=out)
     if out_path:
         try:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from operator import add, itemgetter, le, mul, sub
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Binomial,
@@ -167,16 +166,12 @@ def _reducer_row(plus, minus) -> tuple:
     return (i, plus[i], plus, tuple(map(sub, minus, plus)))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(namedtuple("GroebnerBasis", "order elements")):
     """A reduced Groebner basis of a binomial ideal under a fixed order.
 
     reducers holds the reducer row of each element for monomial_nf, in
-    element order, built on first use and then kept.
+    element order, built on first use and then kept in the instance dict.
     """
-
-    order: TermOrder
-    elements: tuple
 
     @property
     def nvars(self) -> int:
@@ -531,8 +526,7 @@ def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class ToricIdeal:
+class ToricIdeal(NamedTuple):
     """The defining binomial ideal of a validated semigroup.
 
     gb is the reduced Groebner basis under the requested order and

@@ -16,10 +16,9 @@ singular locus and the dichotomy verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import add, attrgetter, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
 from .errors import (
@@ -367,8 +366,7 @@ def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
 # --- orbit sets and the singular locus ---------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(NamedTuple):
     """A union of torus-orbit closures inside the surface.
 
     has_O1 marks the closure of the one-dimensional orbit along the z block
@@ -439,8 +437,7 @@ def zero_locus(monomials: Sequence[Monomial],
     return OrbitSet(has_o1, has_o2)
 
 
-@dataclass(frozen=True)
-class SingularLocus:
+class SingularLocus(NamedTuple):
     """Orbit-set shape of the singular locus plus the origin flag.
 
     origin_singular is always True: a Jacobian row survives at the origin
@@ -455,8 +452,7 @@ class SingularLocus:
 # --- exhaustive search and verdicts -------------------------------------------
 
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(NamedTuple):
     """Outcome for one r-subset of the generating family.
 
     minors holds (selection, monomial) pairs for the nonvanishing minors,
@@ -490,8 +486,7 @@ def classify_ci(ideal: ToricIdeal) -> tuple:
     return (n == 3, ideal.s_min == n - 2)
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Predicted versus observed shape of the minor-ideal search.
 
     predicted/observed range over always_equal, exists_equal, never_equal
@@ -505,8 +500,7 @@ class TheoremVerdict:
     observed: str
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything one sweep yields.
 
     witness is the first report whose zero locus equals a one-dimensional

@@ -12,7 +12,7 @@ sorted lexicographically, so downstream output is reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -41,18 +41,20 @@ def primitive(p: LatticePoint) -> LatticePoint:
     return LatticePoint(p.u // g, p.v // g)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """An ordered list of pairwise distinct nonzero lattice points."""
+class GeneratorSet(namedtuple("GeneratorSet", "points")):
+    """An ordered list of pairwise distinct nonzero lattice points; its
+    length is the number of points."""
 
-    points: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __new__(cls, points):
+        if len(set(points)) != len(points):
             raise InvalidGeneratorSet("duplicate generator")
-        for p in self.points:
-            if p == (0, 0):
-                raise InvalidGeneratorSet("the origin is not a generator")
+        if (0, 0) in points:
+            raise InvalidGeneratorSet("the origin is not a generator")
+        return super().__new__(cls, points)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def __len__(self) -> int:
         return len(self.points)
@@ -143,8 +145,7 @@ def _member(heights: tuple, k: int, target: tuple, memo: dict) -> bool:
     return found
 
 
-@dataclass(frozen=True)
-class ValidatedSemigroup:
+class ValidatedSemigroup(NamedTuple):
     """A validated generator set in canonical block order.
 
     l, m and n count the edge-1, interior and edge-2 generators, which

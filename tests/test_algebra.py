@@ -101,9 +101,14 @@ class TestRefusals:
         (("lex", (1, 2)), ValueError),
         (("degrevlex", (0, 1), (1, 1, 1)), LengthMismatch),
         (("degrevlex", (0, 1), (1, 0)), ValueError),
-        (("degrevlex", (0, 1), (2, -1)), ValueError)],
+        (("degrevlex", (0, 1), (2, -1)), ValueError),
+        (("lex", (True, False)), ValueError),
+        (("lex", (0.0, 1)), ValueError),
+        (("degrevlex", (0, 1), (1.5, 2)), ValueError),
+        (("degrevlex", (0, 1), (True, 2)), ValueError)],
         ids=["unknown_kind", "unhashable_kind", "repeated_rank", "ranking_out_of_range",
-             "weights_length", "zero_weight", "negative_weight"])
+             "weights_length", "zero_weight", "negative_weight", "bool_ranking",
+             "float_ranking", "float_weight", "bool_weight"])
     def test_term_order(self, args, error):
         with pytest.raises(error):
             TermOrder(*args)
@@ -112,8 +117,12 @@ class TestRefusals:
         ((1, 0), (0, 1, 0), LengthMismatch),
         ((1, 2), (1, 2), ValueError),
         ((1, -1), (0, 0), ValueError),
-        ((1, 0), (0, -2), ValueError)],
-        ids=["unequal_lengths", "zero", "negative_plus", "negative_minus"])
+        ((1, 0), (0, -2), ValueError),
+        ((1, 0), (0, 1.5), ValueError),
+        ((1.0, 0), (0, 1), ValueError),
+        ((True, 0), (0, 1), ValueError)],
+        ids=["unequal_lengths", "zero", "negative_plus", "negative_minus",
+             "float_minus", "float_plus", "bool_plus"])
     def test_binomial(self, plus, minus, error):
         with pytest.raises(error):
             Binomial(plus, minus)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -228,8 +227,7 @@ class TestMinors:
         vs, ideal = fixture_a
         doubled = tn.GeneratorSet(tuple(tn.LatticePoint(2 * p.u, 2 * p.v)
                                         for p in vs.gens.points))
-        bad = dataclasses.replace(
-            ideal, semigroup=dataclasses.replace(vs, gens=doubled))
+        bad = ideal._replace(semigroup=vs._replace(gens=doubled))
         with pytest.raises(InvariantViolation, match="not a multiple"):
             subset_minors(A_ROWS[:2], bad)
 
@@ -336,8 +334,7 @@ class TestSparseMinor:
     def test_fallback_checks_non_monomial(self, fixture_a):
         _, ideal = fixture_a
         bare = GroebnerBasis(ideal.order, ())  # nothing reduces
-        for evaluate in self._entry_points(
-                dataclasses.replace(ideal, gb=bare)):
+        for evaluate in self._entry_points(ideal._replace(gb=bare)):
             with pytest.raises(NonMonomialResidue):
                 evaluate()
 
@@ -345,7 +342,7 @@ class TestSparseMinor:
         # the oracle's own check: over an empty basis the determinant keeps
         # both of its terms
         _, ideal = fixture_a
-        bare = dataclasses.replace(ideal, gb=GroebnerBasis(ideal.order, ()))
+        bare = ideal._replace(gb=GroebnerBasis(ideal.order, ()))
         with pytest.raises(NonMonomialResidue, match="2 terms"):
             minor_symbolic(A_ROWS[:2], (0, 3), bare)
 
@@ -596,8 +593,7 @@ class TestSubsetMinors:
         vs, ideal = sup.build(points)
         doubled = tn.GeneratorSet(tuple(tn.LatticePoint(2 * p.u, 2 * p.v)
                                         for p in vs.gens.points))
-        bad = dataclasses.replace(
-            ideal, semigroup=dataclasses.replace(vs, gens=doubled))
+        bad = ideal._replace(semigroup=vs._replace(gens=doubled))
         fam = ideal.gb.elements
         rows = [b.difference() for b in fam]
         sweep = nash._Sweep(bad, fam)
