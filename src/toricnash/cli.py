@@ -141,14 +141,16 @@ class RunReport:
     """Everything one analysis produced; both output formats render this.
 
     bodies maps each exponent rendered so far, a minor's or a binomial
-    side's, to monomial_str(exp, names), so each is rendered once for
-    both outputs."""
+    side's, to monomial_str(exp, names), and minor_texts each minor
+    rendered so far to minor_str(m), so each is rendered once for both
+    outputs."""
 
     def __init__(self, spec: InputSpec, names: list, ideal: ToricIdeal,
                  analysis: Analysis, warnings: Sequence[str] = ()):
         self.spec, self.names, self.ideal = spec, names, ideal
         self.analysis, self.warnings = analysis, list(warnings)
         self.bodies: dict = {}
+        self.minor_texts: dict = {}
 
     def body(self, exp: tuple) -> str:
         """monomial_str(exp, names), from bodies."""
@@ -163,14 +165,16 @@ class RunReport:
 
     def minor_str(self, m: Monomial) -> str:
         """The body of m.exp alone for the coefficient 1, -body for -1,
-        coeff*body otherwise.  No report holds a constant minor
-        (zero_locus refuses one), so no body is a bare "1"."""
-        body = self.body(m.exp)
-        if m.coeff == 1:
-            return body
-        if m.coeff == -1:
-            return f"-{body}"
-        return f"{m.coeff}*{body}"
+        coeff*body otherwise, from minor_texts.  No report holds a
+        constant minor (zero_locus refuses one), so no body is a bare
+        "1"."""
+        text = self.minor_texts.get(m)
+        if text is None:
+            body = self.body(m.exp)
+            text = self.minor_texts[m] = (
+                body if m.coeff == 1 else
+                f"-{body}" if m.coeff == -1 else f"{m.coeff}*{body}")
+        return text
 
 
 def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
@@ -212,19 +216,22 @@ def _binomial_json(b: Binomial, rep: RunReport) -> dict:
 
 
 def report_json(rep: RunReport) -> dict:
+    """The JSON report.  "subset", "K" and "exp" are the analysis's own
+    tuples, which json writes as arrays."""
+    return _document(rep, [{
+        "subset": r.subset,
+        "rank_ok": r.rank_ok,
+        "minors": [{"K": sel, "det": m.coeff, "exp": m.exp,
+                    "coeff": m.coeff, "str": rep.minor_str(m)}
+                   for sel, m in r.minors],
+        "zero_locus": _orbit_json(r.zero_locus),
+        "equals_sigma": r.equals_sigma,
+    } for r in rep.analysis.reports])
+
+
+def _document(rep: RunReport, subsets: list) -> dict:
+    """report_json(rep) with subsets as its "subsets"."""
     vs, a = rep.ideal.semigroup, rep.analysis
-    subsets = []
-    for r in a.reports:
-        subsets.append({
-            "subset": list(r.subset),
-            "rank_ok": r.rank_ok,
-            "minors": [{"K": list(sel), "det": m.coeff,
-                        "exp": list(m.exp), "coeff": m.coeff,
-                        "str": rep.minor_str(m)}
-                       for sel, m in r.minors],
-            "zero_locus": _orbit_json(r.zero_locus),
-            "equals_sigma": r.equals_sigma,
-        })
     return {
         "input": {
             "generators": [list(g) for g in rep.spec.generators],
@@ -259,46 +266,103 @@ def report_json(rep: RunReport) -> dict:
     }
 
 
-def report_text(rep: RunReport) -> str:
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_ints(values: tuple, pad: str) -> str:
+    """json.dumps(values, indent=2) of a non-empty tuple of ints, its
+    items at the indent pad and its "]" two spaces left of them."""
+    return ("[\n" + pad + (",\n" + pad).join(map(str, values)) + "\n"
+            + pad[2:] + "]")
+
+
+def write_report_json(rep: RunReport, fh) -> None:
+    """Write json.dumps(report_json(rep), indent=2, sort_keys=True) and a
+    newline to fh, one subset entry at a time, so the document is never
+    held whole; an analysis lists at least one subset.  Everything but
+    the entries goes through json.dumps, and so does each minor's "str";
+    the text of each distinct (selection, monomial) pair is made once."""
+    head, tail = json.dumps(_document(rep, []), indent=2,
+                            sort_keys=True).split('"subsets": []')
+    minors = {}
+    fh.write(head + '"subsets": [')
+    sep = "\n"
+    for r in rep.analysis.reports:
+        texts = []
+        for pair in r.minors:
+            text = minors.get(pair)
+            if text is None:
+                sel, m = pair
+                text = minors[pair] = (
+                    '        {\n          "K": '
+                    f'{_json_ints(sel, " " * 12)},\n'
+                    f'          "coeff": {m.coeff},\n'
+                    f'          "det": {m.coeff},\n'
+                    f'          "exp": {_json_ints(m.exp, " " * 12)},\n'
+                    f'          "str": {json.dumps(rep.minor_str(m))}\n'
+                    "        }")
+            texts.append(text)
+        o = r.zero_locus
+        locus = "null" if o is None else (
+            f'{{\n        "O1": {_LITERALS[o.has_O1]},\n'
+            f'        "O2": {_LITERALS[o.has_O2]}\n      }}')
+        listed = ("[\n" + ",\n".join(texts) + "\n      ]") if texts else "[]"
+        fh.write(f'{sep}    {{\n'
+                 f'      "equals_sigma": {_LITERALS[r.equals_sigma]},\n'
+                 f'      "minors": {listed},\n'
+                 f'      "rank_ok": {_LITERALS[r.rank_ok]},\n'
+                 f'      "subset": {_json_ints(r.subset, " " * 8)},\n'
+                 f'      "zero_locus": {locus}\n'
+                 "    }")
+        sep = ",\n"
+    fh.write("\n  ]" + tail + "\n")
+
+
+def _text_lines(rep: RunReport):
+    """The lines of report_text(rep), each with its newline, as they are
+    made."""
     vs, a = rep.ideal.semigroup, rep.analysis
-    lines = []
     blocks = " | ".join(
         " ".join(str(tuple(vs.gens.points[i])) for i in idx) or "-"
         for idx in (vs.x_indices, vs.y_indices, vs.z_indices))
-    lines.append(f"semigroup: l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}")
-    lines.append(f"canonical generators: {blocks}")
-    lines.append(f"input permutation: {list(vs.permutation)}")
-    lines.append(f"term order: {rep.spec.order}")
-    lines.append(f"minimal generators (s_min={rep.ideal.s_min}):")
+    yield f"semigroup: l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}\n"
+    yield f"canonical generators: {blocks}\n"
+    yield f"input permutation: {list(vs.permutation)}\n"
+    yield f"term order: {rep.spec.order}\n"
+    yield f"minimal generators (s_min={rep.ideal.s_min}):\n"
     for b in rep.ideal.minimal_gens:
-        lines.append(f"  {rep.binomial_str(b)}")
-    lines.append(f"groebner basis ({len(rep.ideal.gb.elements)} elements):")
+        yield f"  {rep.binomial_str(b)}\n"
+    yield f"groebner basis ({len(rep.ideal.gb.elements)} elements):\n"
     for b in rep.ideal.gb.elements:
-        lines.append(f"  {rep.binomial_str(b)}")
-    lines.append(f"singular locus: {_orbit_text(a.sigma.orbits)}"
-                 " (origin singular: yes)")
+        yield f"  {rep.binomial_str(b)}\n"
+    yield (f"singular locus: {_orbit_text(a.sigma.orbits)}"
+           " (origin singular: yes)\n")
     v = a.verdict
-    lines.append(f"hypersurface: {'yes' if v.is_hypersurface else 'no'}; "
-                 f"complete intersection: "
-                 f"{'yes' if v.is_complete_intersection else 'no'}")
+    yield (f"hypersurface: {'yes' if v.is_hypersurface else 'no'}; "
+           f"complete intersection: "
+           f"{'yes' if v.is_complete_intersection else 'no'}\n")
     valid = [r for r in a.reports if r.rank_ok]
-    lines.append(f"subsets: {len(a.reports)} of size r={vs.r} "
-                 f"({len(valid)} with full rank)")
+    yield (f"subsets: {len(a.reports)} of size r={vs.r} "
+           f"({len(valid)} with full rank)\n")
     for r in a.reports:
         if not r.rank_ok:
-            lines.append(f"  {list(r.subset)}: rank deficient, skipped")
+            yield f"  {list(r.subset)}: rank deficient, skipped\n"
             continue
         mons = ", ".join(rep.minor_str(m) for _, m in r.minors)
         eq = "yes" if r.equals_sigma else "no"
-        lines.append(f"  {list(r.subset)}: V = {_orbit_text(r.zero_locus)}; "
-                     f"equals sigma: {eq}")
-        lines.append(f"      minors: {mons}")
-    lines.append(f"verdict: predicted={a.verdict.predicted} "
-                 f"observed={a.verdict.observed}"
-                 + (f" witness={list(a.witness.subset)}" if a.witness else ""))
+        yield (f"  {list(r.subset)}: V = {_orbit_text(r.zero_locus)}; "
+               f"equals sigma: {eq}\n")
+        yield f"      minors: {mons}\n"
+    yield (f"verdict: predicted={a.verdict.predicted} "
+           f"observed={a.verdict.observed}"
+           + (f" witness={list(a.witness.subset)}" if a.witness else "")
+           + "\n")
     for w in rep.warnings:
-        lines.append(f"warning: {w}")
-    return "\n".join(lines) + "\n"
+        yield f"warning: {w}\n"
+
+
+def report_text(rep: RunReport) -> str:
+    return "".join(_text_lines(rep))
 
 
 # --- bundled example corpus ----------------------------------------------------
@@ -466,15 +530,28 @@ def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
     spec = _read_spec(path)
     rep = build_report(spec._replace(order=order or spec.order,
                                      family=family or spec.family))
-    print(report_text(rep), end="", file=out)
+    out.writelines(_text_lines(rep))
     if out_path:
         try:
-            Path(out_path).write_text(
-                json.dumps(report_json(rep), indent=2, sort_keys=True) + "\n")
+            _write_out(rep, out_path)
         except OSError as exc:
             print(f"cannot write {out_path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     return EXIT_OK
+
+
+def _write_out(rep: RunReport, out_path: str) -> None:
+    """write_report_json to the file out_path.  A failure after the file
+    is opened removes it when it is a regular file, so no partial report
+    is left, and is raised again."""
+    fh = open(out_path, "w", encoding="utf-8")
+    try:
+        with fh:
+            write_report_json(rep, fh)
+    except BaseException:
+        if Path(out_path).is_file():
+            Path(out_path).unlink()
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,3 +1,5 @@
+import errno
+import io
 import itertools
 import json
 from collections import Counter
@@ -639,3 +641,143 @@ class TestRenderOnce:
         exps.update(e for b in rep.ideal.minimal_gens + rep.ideal.gb.elements
                     for e in (b.plus, b.minus))
         assert calls == Counter(exps)
+
+
+# a lex surface whose minimal family has subsets below full rank
+RANK_DEFICIENT = [(2, 0), (1, 1), (1, 2), (0, 2), (0, 3)]
+
+
+def streamed(rep) -> str:
+    buf = io.StringIO()
+    cli.write_report_json(rep, buf)
+    return buf.getvalue()
+
+
+def oracle(rep) -> str:
+    return json.dumps(report_json(rep), indent=2, sort_keys=True) + "\n"
+
+
+class TestStreamedReport:
+    # write_report_json writes the bytes of json.dumps(report_json(rep),
+    # indent=2, sort_keys=True) and a newline
+    def test_every_small_set_both_families(self):
+        sets = sup.box_semigroups(3, (3, 4))
+        for vs in sets:
+            gens = tuple(map(tuple, vs.gens.points))
+            for family in ("minimal", "groebner"):
+                rep = build_report(InputSpec(gens, family=family))
+                assert streamed(rep) == oracle(rep), (gens, family)
+        assert len(sets) == 754
+
+    def test_bundled_fixtures(self):
+        docs = cli._load_corpus(None)
+        for _, doc in docs:
+            rep = build_report(parse_input(json.dumps(
+                {key: doc[key] for key in InputSpec._fields if key in doc})))
+            assert streamed(rep) == oracle(rep)
+        assert len(docs) == 3
+
+    # the three surfaces of the sweep benchmark, each under both orders
+    @pytest.mark.parametrize("order", ["lex", "degrevlex"])
+    @pytest.mark.parametrize("gens", [gens for gens, _ in RENDERED[1:4]])
+    def test_sweep_surfaces(self, gens, order):
+        rep = build_report(InputSpec(tuple(gens), order))
+        assert streamed(rep) == oracle(rep)
+
+    @pytest.mark.parametrize("family", ["minimal", "groebner"])
+    def test_rank_deficient_subsets(self, family):
+        rep = build_report(InputSpec(tuple(RANK_DEFICIENT), family=family))
+        assert not all(r.rank_ok for r in rep.analysis.reports)
+        assert streamed(rep) == oracle(rep)
+
+    @pytest.mark.parametrize("order", ["lex", "degrevlex"])
+    def test_groebner_family(self, order):
+        # the reduced basis is larger than the minimal generators here
+        rep = build_report(InputSpec(tuple(RENDERED[2][0]), order,
+                                     family="groebner"))
+        assert len(rep.analysis.reports) > comb(len(rep.ideal.minimal_gens),
+                                                rep.ideal.semigroup.r)
+        assert streamed(rep) == oracle(rep)
+
+    def test_escaped_names(self):
+        rep = build_report(InputSpec(tuple(sup.FIXTURE_A),
+                                     names=("é", "Ω1", "x", "y")))
+        text = streamed(rep)
+        assert text == oracle(rep)
+        assert "\\u00e9" in text and "\\u03a91" in text
+        assert text.isascii()
+
+    def test_entries_hold_analysis_tuples(self):
+        # no list copies: a subset entry holds the analysis's own tuples
+        rep = build_report(InputSpec(tuple(CYC6)))
+        doc = report_json(rep)
+        for r, entry in zip(rep.analysis.reports, doc["subsets"],
+                            strict=True):
+            assert entry["subset"] is r.subset
+            for (sel, m), minor in zip(r.minors, entry["minors"],
+                                       strict=True):
+                assert minor["K"] is sel
+                assert minor["exp"] is m.exp
+
+    def test_writer_renders_each_exponent_once(self, monkeypatch):
+        # the writer reads the report's rendered minors, so the two
+        # outputs and report_json together still call monomial_str once
+        # for each exponent
+        calls = Counter()
+        inner = cli.monomial_str
+
+        def counted(exp, names):
+            calls[exp] += 1
+            return inner(exp, names)
+
+        monkeypatch.setattr(cli, "monomial_str", counted)
+        rep = build_report(InputSpec(tuple(CYC6)))
+        report_text(rep)
+        streamed(rep)
+        report_json(rep)
+        assert max(calls.values()) == 1
+
+    def test_analyze_streams_both_outputs(self, tmp_path, capsys):
+        path = write_input(tmp_path, {"generators": CYC6,
+                                      "order": "degrevlex"})
+        out_path = tmp_path / "r.json"
+        assert main(["analyze", "--input", path, "--out", str(out_path)]) \
+            == EXIT_OK
+        rep = build_report(InputSpec(tuple(CYC6), "degrevlex"))
+        assert capsys.readouterr().out == report_text(rep)
+        assert out_path.read_text() == oracle(rep)
+
+    def test_failed_write_removes_partial_file(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the disk fills after 4096 characters of the report: the partial
+        # file is removed, one line names it and the exit code is 1
+        path = write_input(tmp_path, {"generators": CYC6})
+        out_path = tmp_path / "r.json"
+        out_path.write_text("an earlier report")
+        inner = cli.write_report_json
+        sizes = []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.left = fh, 4096
+
+            def write(self, text):
+                if len(text) > self.left:
+                    self.fh.write(text[:self.left])
+                    self.fh.flush()
+                    sizes.append(out_path.stat().st_size)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.left -= len(text)
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "write_report_json",
+                            lambda rep, fh: inner(rep, FullDisk(fh)))
+        assert main(["analyze", "--input", path, "--out", str(out_path)]) \
+            == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert sizes == [4096]
+        assert not out_path.exists()
+        assert captured.err == (f"cannot write {out_path}: [Errno 28] No "
+                                "space left on device\n")
+        assert captured.out == report_text(build_report(InputSpec(
+            tuple(CYC6))))
