@@ -39,7 +39,6 @@ from .ideal import (
     GroebnerBasis,
     ToricIdeal,
     buchberger,
-    ideal_member,
     lattice_kernel,
     minimal_generators,
     monomial_nf,

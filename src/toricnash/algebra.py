@@ -159,14 +159,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls()
 
-    @classmethod
-    def from_monomial(cls, coeff: int, exp: ExponentVector) -> "Polynomial":
-        return cls({tuple(exp): coeff})
-
-    @classmethod
-    def from_binomial(cls, b: Binomial) -> "Polynomial":
-        return cls({b.plus: 1, b.minus: -1})
-
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -197,18 +189,6 @@ class Polynomial:
                 e = tuple(map(operator.add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(out)
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        total = 0
-        for exp, coeff in self.terms.items():
-            if len(exp) != len(point):
-                raise LengthMismatch("evaluation point of wrong length")
-            v = coeff
-            for e, x in zip(exp, point):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
 
     def __repr__(self) -> str:
         return f"Polynomial({self.terms!r})"

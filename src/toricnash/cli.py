@@ -21,12 +21,15 @@ maps every failure to its exit code and stderr line: the commands raise
 InputError (1), TheoremViolation (3) or another ToricNashError (2).  Only
 the failures with a message of their own are handled where they happen:
 an unwritable --out, an unreadable or empty corpus and a failing example.
+A closed stdout exits 1 without a message, after analyze writes --out.
 Every string a report prints is made in this module.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -141,16 +144,13 @@ class RunReport:
     """Everything one analysis produced; both output formats render this.
 
     bodies maps each exponent rendered so far, a minor's or a binomial
-    side's, to monomial_str(exp, names), and minor_texts each minor
-    rendered so far to minor_str(m), so each is rendered once for both
-    outputs."""
+    side's, to monomial_str(exp, names), once for both outputs."""
 
     def __init__(self, spec: InputSpec, names: list, ideal: ToricIdeal,
                  analysis: Analysis, warnings: Sequence[str] = ()):
         self.spec, self.names, self.ideal = spec, names, ideal
         self.analysis, self.warnings = analysis, list(warnings)
         self.bodies: dict = {}
-        self.minor_texts: dict = {}
 
     def body(self, exp: tuple) -> str:
         """monomial_str(exp, names), from bodies."""
@@ -165,16 +165,11 @@ class RunReport:
 
     def minor_str(self, m: Monomial) -> str:
         """The body of m.exp alone for the coefficient 1, -body for -1,
-        coeff*body otherwise, from minor_texts.  No report holds a
-        constant minor (zero_locus refuses one), so no body is a bare
-        "1"."""
-        text = self.minor_texts.get(m)
-        if text is None:
-            body = self.body(m.exp)
-            text = self.minor_texts[m] = (
-                body if m.coeff == 1 else
+        coeff*body otherwise.  No report holds a constant minor
+        (zero_locus refuses one), so no body is a bare "1"."""
+        body = self.body(m.exp)
+        return (body if m.coeff == 1 else
                 f"-{body}" if m.coeff == -1 else f"{m.coeff}*{body}")
-        return text
 
 
 def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
@@ -530,28 +525,32 @@ def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
     spec = _read_spec(path)
     rep = build_report(spec._replace(order=order or spec.order,
                                      family=family or spec.family))
-    out.writelines(_text_lines(rep))
-    if out_path:
-        try:
-            _write_out(rep, out_path)
-        except OSError as exc:
-            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    return EXIT_OK
-
-
-def _write_out(rep: RunReport, out_path: str) -> None:
-    """write_report_json to the file out_path.  A failure after the file
-    is opened removes it when it is a regular file, so no partial report
-    is left, and is raised again."""
-    fh = open(out_path, "w", encoding="utf-8")
     try:
-        with fh:
-            write_report_json(rep, fh)
-    except BaseException:
-        if Path(out_path).is_file():
-            Path(out_path).unlink()
+        out.writelines(_text_lines(rep))
+    except BrokenPipeError:  # a closed stdout ends the text, not --out
+        _write_out(rep, out_path)
         raise
+    return _write_out(rep, out_path)
+
+
+def _write_out(rep: RunReport, out_path: Optional[str]) -> int:
+    """write_report_json to out_path, if given; on an OSError one cannot-write
+    line and EXIT_PARSE.  A failure after the open removes a regular file."""
+    if not out_path:
+        return EXIT_OK
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+        try:
+            with fh:
+                write_report_json(rep, fh)
+        except BaseException:
+            if Path(out_path).is_file():
+                Path(out_path).unlink()
+            raise
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -579,10 +578,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args.input)
-        if args.command == "analyze":
-            return cmd_analyze(args.input, args.out, args.order, args.family)
-        return cmd_examples(args.corpus)
+            status = cmd_validate(args.input)
+        elif args.command == "analyze":
+            status = cmd_analyze(args.input, args.out, args.order, args.family)
+        else:
+            status = cmd_examples(args.corpus)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout was closed: send the flush at exit to os.devnull
+        with contextlib.suppress(AttributeError, OSError), \
+                open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PARSE
     except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,8 +10,8 @@ of the generator matrix.  toric_ideal builds it in four steps:
   monomial_nf as its reduction;
 - minimal_generators: an irredundant generating subset of that basis.
 
-normal_form divides a general polynomial by a basis, for ideal_member and
-for nash.minor_symbolic.  _echelon is the library's one integer row
+normal_form divides a general polynomial by a basis, for
+nash.minor_symbolic.  _echelon is the library's one integer row
 elimination: lattice_kernel runs it on two columns, int_rank on all.
 """
 from __future__ import annotations
@@ -364,10 +364,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         else:
             work.pop(new, None)
     return Polynomial(out)
-
-
-def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(p, gb).is_zero()
 
 
 # --- saturation --------------------------------------------------------------

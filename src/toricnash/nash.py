@@ -381,9 +381,6 @@ class OrbitSet(NamedTuple):
     def dimension(self) -> int:
         return 1 if (self.has_O1 or self.has_O2) else 0
 
-    def contains(self, other: "OrbitSet") -> bool:
-        return (other.has_O1 <= self.has_O1) and (other.has_O2 <= self.has_O2)
-
 
 def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
     """The one-dimensional orbit closures in the singular locus, read off

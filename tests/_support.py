@@ -98,7 +98,7 @@ def pi(vs, alpha):
 
 
 def nf_exponent(exp, ideal):
-    nf = tn.normal_form(Polynomial.from_monomial(1, tuple(exp)), ideal.gb)
+    nf = tn.normal_form(Polynomial({tuple(exp): 1}), ideal.gb)
     assert len(nf.terms) == 1, f"monomial class of {exp} has non-monomial NF"
     (term,) = nf.terms
     return term
@@ -113,6 +113,31 @@ def minor_classes(rows, ideal):
     dropped: monomial_classes over nash_ideal."""
     return monomial_classes([mono.exp for mono in nash_ideal(rows, ideal)],
                             ideal)
+
+
+def evaluate(p: Polynomial, point: Sequence[int]) -> int:
+    """p at an integer point; LengthMismatch when an exponent of p and the
+    point differ in length."""
+    total = 0
+    for exp, coeff in p.terms.items():
+        if len(exp) != len(point):
+            raise LengthMismatch("evaluation point of wrong length")
+        v = coeff
+        for e, x in zip(exp, point):
+            if e:
+                v *= x ** e
+        total += v
+    return total
+
+
+def ideal_member(p: Polynomial, gb) -> bool:
+    """Whether p lies in the ideal of the Groebner basis gb."""
+    return tn.normal_form(p, gb).is_zero()
+
+
+def contains(big: OrbitSet, small: OrbitSet) -> bool:
+    """Whether every orbit closure of small is one of big."""
+    return small.has_O1 <= big.has_O1 and small.has_O2 <= big.has_O2
 
 
 # --- independent oracles -----------------------------------------------------
@@ -326,8 +351,8 @@ def membership_minimal_generators(gb):
     kept = sorted(gb.elements, key=lambda b: gb.order.key(b.plus))
     for b in list(kept):
         others = [h for h in kept if h is not b]
-        if others and tn.ideal_member(Polynomial.from_binomial(b),
-                                      plain_buchberger(others, test_order)):
+        if others and ideal_member(Polynomial({b.plus: 1, b.minus: -1}),
+                                   plain_buchberger(others, test_order)):
             kept.remove(b)
     return tuple(kept)
 
@@ -410,8 +435,8 @@ def orbit_representatives(vs) -> dict:
 def derivative_rank(family, point, nvars) -> int:
     """Rank of the Jacobian of family at the point, from the evaluated
     derivative polynomials."""
-    return int_rank([[derivative(f, i).evaluate(point) for i in range(nvars)]
-                     for f in family])
+    return int_rank([[evaluate(derivative(f, i), point)
+                      for i in range(nvars)] for f in family])
 
 
 def derivative_drops(family, vs) -> dict:

@@ -2,8 +2,12 @@ import errno
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -781,3 +785,69 @@ class TestStreamedReport:
                                 "space left on device\n")
         assert captured.out == report_text(build_report(InputSpec(
             tuple(CYC6))))
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader is gone; like io.StringIO it has no file
+    descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def closed_stdout_args(command, path, out_path):
+    return {"validate": ["--input", path],
+            "analyze": ["--input", path, "--out", str(out_path)],
+            "examples": []}[command]
+
+
+class TestClosedStdout:
+    # a closed stdout ends the text and exits 1 with nothing on stderr;
+    # analyze still writes --out in full
+    def test_analyze_writes_out(self, tmp_path):
+        path = write_input(tmp_path, {"generators": CYC6})
+        out_path = tmp_path / "r.json"
+        with pytest.raises(BrokenPipeError):
+            cli.cmd_analyze(path, str(out_path), None, None, ClosedStdout())
+        rep = build_report(InputSpec(tuple(CYC6)))
+        assert out_path.read_text() == oracle(rep)
+
+    @pytest.mark.parametrize("command", ["validate", "analyze", "examples"])
+    def test_main_exits_1_quietly(self, tmp_path, capsys, monkeypatch,
+                                  command):
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        out_path = tmp_path / "r.json"
+        args = closed_stdout_args(command, path, out_path)
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        assert main([command, *args]) == EXIT_PARSE
+        assert capsys.readouterr().err == ""
+        if command == "analyze":
+            rep = build_report(InputSpec(tuple(sup.FIXTURE_A)))
+            assert out_path.read_text() == oracle(rep)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("command", ["validate", "analyze", "examples"])
+    def test_real_pipe(self, tmp_path, command, buffered):
+        # a pipe whose read end is closed: a block-buffered stdout fails
+        # only when main flushes it, an unbuffered one at the first write
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        out_path = tmp_path / "r.json"
+        args = closed_stdout_args(command, path, out_path)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m",
+                 "toricnash", command, *args],
+                stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_PARSE, b"")
+        if command == "analyze":
+            rep = build_report(InputSpec(tuple(sup.FIXTURE_A)))
+            assert out_path.read_text() == oracle(rep)

@@ -255,6 +255,24 @@ class TestMembership:
         # empty sum, so the semigroup holds it
         assert semigroup_membership((0, 0), validated(sup.FIXTURE_B))
 
+    def test_memo_bounds_minimality_search(self, monkeypatch):
+        # the minimality search of this valid set meets the same
+        # (k, target) many times: validate makes 13,467 _member calls
+        # with the memo and 102,370 without it; the recursion looks the
+        # name up in the module, so the patch counts every call
+        calls = []
+        inner = semigroup._member
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(semigroup, "_member", counted)
+        vs = validate(generator_set([(5, 1), (4, 2), (3, 3), (2, 4), (1, 5),
+                                     (251, 49), (253, 0), (0, 51)]))
+        assert vs.N == 8
+        assert len(calls) <= 20_000
+
 
 class TestValidate:
     def test_fixture_a(self):
