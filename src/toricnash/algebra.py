@@ -16,50 +16,35 @@ from .errors import LengthMismatch, NotSquare
 ExponentVector = tuple  # tuple[int, ...], all entries >= 0
 
 
-class TermOrder(namedtuple("TermOrder", "kind ranking weights")):
-    """A monomial order on a fixed number of variables.
+class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
+    """A monomial order on nvars variables, ranked x_0 > x_1 > ...
 
-    kind is a name in ORDERS.  ranking lists variable indices from most to
-    least significant.  weights, when given, are strictly positive degree
-    weights used by degrevlex (None means total degree).  degree is that
-    weighted degree for a weighted degrevlex order and the total degree
-    otherwise; a degrevlex key begins with it.  Ranking entries and
-    weights are non-bool ints (ValueError otherwise).
+    kind is a name in ORDERS.  weights, when given, are strictly positive
+    degree weights used by degrevlex (None means total degree).  degree is
+    that weighted degree for a weighted degrevlex order and the total
+    degree otherwise; a degrevlex key begins with it.  nvars and the
+    weights are non-bool ints, nvars nonnegative (ValueError otherwise).
     """
 
-    def __new__(cls, kind, ranking, weights=None):
-        # stored as tuples, which compare and hash alike
-        ranking = tuple(ranking)
-        if weights is not None:
+    __slots__ = ()
+
+    def __new__(cls, kind, nvars, weights=None):
+        if weights is not None:  # a tuple, which compares and hashes alike
             weights = tuple(weights)
         if not (isinstance(kind, str) and kind in ORDERS):
             raise ValueError(f"unknown term order kind {kind!r}")
-        n = len(ranking)
-        if not all(type(i) is int for i in ranking) \
-                or sorted(ranking) != list(range(n)):
-            raise ValueError("ranking must be a permutation of the variables")
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"variable count {nvars!r} is not an int >= 0")
         if weights is not None:
-            if len(weights) != n:
+            if len(weights) != nvars:
                 raise LengthMismatch("weights length differs from variable count")
             if not all(type(w) is int for w in weights):
                 raise ValueError("degree weights must be ints")
             if any(w <= 0 for w in weights):
                 raise ValueError("degree weights must be strictly positive")
-        self = super().__new__(cls, kind, ranking, weights)
-        # key's getters, kept in the instance dict; itemgetter() raises and
-        # itemgetter(i) returns a scalar, and a ranking of at most one
-        # variable is the identity
-        self._ranked, self._reversed = (
-            (operator.itemgetter(*ranking),
-             operator.itemgetter(*reversed(ranking)))
-            if n > 1 else (tuple, tuple))
-        return self
+        return super().__new__(cls, kind, nvars, weights)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
-
-    @property
-    def nvars(self) -> int:
-        return len(self.ranking)
 
     def degree(self, exp: ExponentVector) -> int:
         """Weighted degree under the degrevlex weights, else total degree."""
@@ -69,27 +54,25 @@ class TermOrder(namedtuple("TermOrder", "kind ranking weights")):
 
     def key(self, exp: ExponentVector):
         """Sortable key; bigger key means bigger monomial.  Lex: the
-        exponents in ranking order; degrevlex: the degree, then the negated
-        exponents from the least significant variable.  A getter accepts a
-        longer exponent, so the length is checked first (LengthMismatch)."""
-        if len(exp) != len(self.ranking):
+        exponents; degrevlex: the degree, then the negated exponents from
+        the last variable.  Another length raises LengthMismatch."""
+        if len(exp) != self.nvars:
             raise LengthMismatch(
-                f"exponent length {len(exp)} != {len(self.ranking)} variables")
+                f"exponent length {len(exp)} != {self.nvars} variables")
         if self.kind == "lex":
-            return self._ranked(exp)
-        return (self.degree(exp),
-                tuple(map(operator.neg, self._reversed(exp))))
+            return tuple(exp)
+        return (self.degree(exp), tuple(map(operator.neg, exp[::-1])))
 
 
 def lex_order(n: int) -> TermOrder:
-    return TermOrder("lex", tuple(range(n)))
+    return TermOrder("lex", n)
 
 
 def degrevlex_order(n: int) -> TermOrder:
-    return TermOrder("degrevlex", tuple(range(n)))
+    return TermOrder("degrevlex", n)
 
 
-ORDERS = {"lex": lex_order, "degrevlex": degrevlex_order}  # n -> TermOrder
+ORDERS = ("lex", "degrevlex")
 
 
 class Monomial(NamedTuple):

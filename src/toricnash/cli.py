@@ -35,7 +35,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algebra import ORDERS, Binomial, Monomial
+from .algebra import ORDERS, Binomial, Monomial, TermOrder
 from .errors import InvalidExponent, TheoremViolation, ToricNashError
 from .ideal import ToricIdeal, buchberger, toric_ideal
 # dim1_selector, search_all_subsets, singular_locus and verify_dichotomy
@@ -96,7 +96,7 @@ def parse_input(text: str) -> InputSpec:
         doc = json.loads(text, parse_float=_reject_float)
     except InputError:
         raise
-    except ValueError as exc:  # JSONDecodeError, or an oversize integer
+    except (ValueError, RecursionError) as exc:  # bad or deep JSON, huge int
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object")
@@ -184,7 +184,7 @@ def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
 
 def build_report(spec: InputSpec) -> RunReport:
     vs = validate(generator_set(spec.generators))
-    ideal = toric_ideal(vs, ORDERS[spec.order](vs.N))
+    ideal = toric_ideal(vs, TermOrder(spec.order, vs.N))
     a = analyze(ideal, spec.family)
     fallbacks = sum(r.fallbacks for r in a.reports)
     warnings = ([f"minor formula fell back to the symbolic determinant "
@@ -377,7 +377,7 @@ def _load_corpus(corpus_dir: Optional[str]) -> list:
     for p in sorted(paths, key=lambda q: q.name):
         try:
             docs.append((p.name, json.loads(p.read_text())))
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, deep
             raise InputError(f"{p.name}: {exc}")
     return docs
 

@@ -20,7 +20,7 @@ import heapq
 import itertools
 from collections import deque, namedtuple
 from functools import cached_property
-from operator import add, itemgetter, le, mul, sub
+from operator import add, le, mul, sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -197,8 +197,11 @@ def monomial_nf(exp, reducers) -> tuple:
     Groebner basis (gb.reducers) it is the unique one: normal_form of
     x^exp has the single term x^monomial_nf(exp, gb.reducers).  Normal
     forms are linear, so a polynomial reduces term by term through this
-    function.
+    function.  An exp whose length is not the rows' raises LengthMismatch.
     """
+    if reducers and len(exp) != len(reducers[0][2]):
+        raise LengthMismatch(f"exponent length {len(exp)} != "
+                             f"{len(reducers[0][2])} variables")
     while True:
         for i, p, plus, delta in reducers:
             if exp[i] >= p and all(map(le, plus, exp)):
@@ -248,7 +251,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     terms stay minimal.  At the end the live list is a Groebner basis, and
     replacing each trailing term by its normal form, which is never larger,
     makes it the reduced one.  An input whose length differs from the
-    variable count raises LengthMismatch before it is reduced.
+    variable count raises LengthMismatch, from key while the live list is
+    empty and from monomial_nf after that.
 
     lattice=True asserts that gens generate a lattice ideal I_L and are
     homogeneous for some strictly positive weights w; the caller vouches
@@ -291,7 +295,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             new.append((deg, deg != sum(g[2]) + hdeg, lcm, g))
         # a proper divisor has a smaller degree, so it comes first; of equal
         # lcms the coprime pair comes first and the others are dropped
-        new.sort(key=itemgetter(0, 1))
+        new.sort(key=lambda e: e[:2])
         minimal: list = []
         for _, not_coprime, lcm, g in new:
             for m in minimal:
@@ -316,10 +320,6 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
                 update(b, a)
 
     for b in gens:
-        # monomial_nf's map would silently cut a longer input short
-        if b.nvars != order.nvars:
-            raise LengthMismatch(
-                f"binomial length {b.nvars} != {order.nvars} variables")
         enter(b.plus, b.minus)
 
     while heap:
@@ -403,16 +403,17 @@ def _saturate_elements(elements: Sequence[Binomial], variables: Iterable[int],
                        weights: Sequence[int]) -> list:
     """Generators of (ideal : (product of the given variables)^infinity).
 
-    One pass over the variables: the step for var recomputes the basis
-    under a graded reverse-lex order that ranks var last and strips the
-    common power of var from every element, which gives (ideal :
-    var^infinity), and (I : x_i^infinity) : x_j^infinity = I : (x_i
-    x_j)^infinity.  All work stays in the cheap graded reverse-lex orders;
-    callers convert to their target order once at the end.  Stripping the
-    power of var is exact only for an ideal that is homogeneous for the
-    strictly positive weights of those orders, which holds for every ideal
-    this library builds: the weights are the generators' height sums,
-    positive on the cone (semigroup.validate).
+    One pass over the variables: the step for var moves var last in every
+    binomial and in the weights, recomputes the basis under the weighted
+    graded reverse-lex order, which ranks the last variable lowest, strips
+    the common power of that variable from every element and moves var
+    back, which gives (ideal : var^infinity); and (I : x_i^infinity) :
+    x_j^infinity = I : (x_i x_j)^infinity.  All work stays in the cheap
+    graded reverse-lex orders; callers convert to their target order once
+    at the end.  Stripping the power of var is exact only for an ideal
+    that is homogeneous for the strictly positive weights of those orders,
+    which holds for every ideal this library builds: the weights are the
+    generators' height sums, positive on the cone (semigroup.validate).
 
     For the binomials of a basis B of the lattice L, the variables
     _forcing_variables gives suffice (Hosten-Sturmfels, GRIN, IPCO 1995):
@@ -421,20 +422,18 @@ def _saturate_elements(elements: Sequence[Binomial], variables: Iterable[int],
     associated prime of I_B[x_sigma^-1] contains a variable, each is a
     nonzerodivisor modulo it, and I_B : x_sigma^infinity = I_L.
     """
-    nvars = len(weights)
+    weights = tuple(weights)
     current = list(elements)
     for var in variables:
-        ranking = tuple(j for j in range(nvars) if j != var) + (var,)
-        sat_order = TermOrder("degrevlex", ranking, tuple(weights))
-        stripped = []
-        for b in buchberger(current, sat_order).elements:
-            k = min(b.plus[var], b.minus[var])
-            if k:
-                plus = b.plus[:var] + (b.plus[var] - k,) + b.plus[var + 1:]
-                minus = b.minus[:var] + (b.minus[var] - k,) + b.minus[var + 1:]
-                b = Binomial(plus, minus)
-            stripped.append(b)
-        current = stripped
+        last = TermOrder("degrevlex", len(weights),
+                         weights[:var] + weights[var + 1:] + (weights[var],))
+        moved = [Binomial(*(s[:var] + s[var + 1:] + (s[var],) for s in b))
+                 for b in current]
+        current = []
+        for b in buchberger(moved, last).elements:
+            k = min(b.plus[-1], b.minus[-1])
+            current.append(
+                Binomial(*(s[:var] + (s[-1] - k,) + s[var:-1] for s in b)))
     return current
 
 

@@ -7,8 +7,8 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import add, le
-from typing import Optional, Sequence
+from operator import add, le, mul
+from typing import NamedTuple, Optional, Sequence
 
 import toricnash as tn
 from toricnash.algebra import (
@@ -366,6 +366,46 @@ def full_saturation_ideal(vs, order) -> ToricIdeal:
     return ToricIdeal(vs, gb, minimal_generators(gb, vs.degree_weights))
 
 
+class RankedDegrevlex(NamedTuple):
+    """The weighted degrevlex order that ranks the variables as ranking
+    lists them, most significant first, with the nvars, degree and key
+    that buchberger reads of an order."""
+
+    ranking: tuple
+    weights: tuple
+    kind = "degrevlex"
+
+    @property
+    def nvars(self) -> int:
+        return len(self.ranking)
+
+    def degree(self, exp) -> int:
+        return sum(map(mul, self.weights, exp))
+
+    def key(self, exp) -> tuple:
+        return reference_key(self, exp, self.ranking)
+
+
+def reference_saturation(elements, variables, weights) -> list:
+    """_saturate_elements by ranking each var last in the order in place of
+    moving it last in the binomials: buchberger under the RankedDegrevlex
+    that ranks var last, then the common power of var stripped at var.
+    The oracle for _saturate_elements."""
+    nvars = len(weights)
+    current = list(elements)
+    for var in variables:
+        order = RankedDegrevlex(
+            tuple(j for j in range(nvars) if j != var) + (var,), tuple(weights))
+        stripped = []
+        for b in tn.buchberger(current, order).elements:
+            k = min(b.plus[var], b.minus[var])
+            stripped.append(Binomial(
+                b.plus[:var] + (b.plus[var] - k,) + b.plus[var + 1:],
+                b.minus[:var] + (b.minus[var] - k,) + b.minus[var + 1:]))
+        current = stripped
+    return current
+
+
 def box_semigroups(max_coord, sizes) -> list:
     """Every valid semigroup of k generators in [0, max_coord]^2, for each
     k in sizes."""
@@ -404,13 +444,18 @@ def random_semigroups(seed, max_coord, sizes, count) -> list:
 
 def check_toric_ideals(surfaces) -> int:
     """Assert that toric_ideal saturates each surface by at most two
-    variables and equals full_saturation_ideal under lex and degrevlex,
-    and that check_orbit_ranks holds for each of those ideals; returns the
-    number of surfaces."""
+    variables, that this saturation equals reference_saturation, that the
+    ideal equals full_saturation_ideal under lex and degrevlex, and that
+    check_orbit_ranks holds for each of those ideals; returns the number
+    of surfaces."""
     count = 0
     for vs in surfaces:
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
-        assert len(_forcing_variables(gens, vs.N)) <= 2, vs.gens.points
+        sigma = _forcing_variables(gens, vs.N)
+        assert len(sigma) <= 2, vs.gens.points
+        assert _saturate_elements(gens, sigma, vs.degree_weights) == \
+            reference_saturation(gens, sigma, vs.degree_weights), \
+            vs.gens.points
         for order_of in (lex_order, degrevlex_order):
             ideal = tn.toric_ideal(vs, order_of(vs.N))
             full = full_saturation_ideal(vs, order_of(vs.N))
@@ -596,16 +641,19 @@ def check_prefix_wedges(ideal, seed=0) -> tuple:
     return subsets, zeros
 
 
-def reference_key(order, exp) -> tuple:
-    """TermOrder.key by generator expressions over the ranking: the oracle
-    for its getters."""
+def reference_key(order, exp, ranking=None) -> tuple:
+    """TermOrder.key by generator expressions over a ranking of the
+    variables, most significant first, x_0 > x_1 > ... by default: the
+    oracle for key, and the key of RankedDegrevlex."""
     if len(exp) != order.nvars:
         raise LengthMismatch("exponent length differs from variable count")
+    if ranking is None:
+        ranking = range(order.nvars)
     if order.kind == "lex":
-        return tuple(exp[i] for i in order.ranking)
+        return tuple(exp[i] for i in ranking)
     weights = order.weights or (1,) * order.nvars
     return (sum(w * e for w, e in zip(weights, exp)),
-            tuple(-exp[i] for i in reversed(order.ranking)))
+            tuple(-exp[i] for i in reversed(ranking)))
 
 
 # The oracle for ideal._lll_reduce: textbook LLL over Fraction, which

@@ -36,6 +36,10 @@ SCALARS = ["blocks", "s_min", "sigma", "origin_singular", "hypersurface",
            "complete_intersection", "verdict"]
 
 
+# a generator list nested 100,000 deep, past any recursion limit
+DEEP_DOCUMENT = '{"generators": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 def write_input(tmp_path, doc, name="input.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -144,6 +148,16 @@ class TestValidateCommand:
         path = tmp_path / "big.json"
         path.write_text('{"generators": [[1, 0], [0, 1], [%s, 1]]}'
                         % ("1" * 5000))
+        assert main([command, "--input", str(path)]) == EXIT_PARSE == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: invalid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_deep_nesting_is_parse_error(self, tmp_path, capsys, command):
+        # json raises RecursionError, not ValueError, past the stack depth
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOCUMENT)
         assert main([command, "--input", str(path)]) == EXIT_PARSE == 1
         err = capsys.readouterr().err
         assert err.startswith("parse error: invalid JSON: ")
@@ -430,6 +444,14 @@ class TestExamplesCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("cannot read corpus: torn.json")
         assert captured.err.count("\n") == 1
+
+    def test_deep_nesting_in_corpus(self, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text(DEEP_DOCUMENT)
+        assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot read corpus: deep.json: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("entry", [None, ["a", 0, 0, 0], [1, 0, 0],
                                        [1, -1, 0, 0], [True, 0, 0, 0]])

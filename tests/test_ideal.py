@@ -181,11 +181,13 @@ class TestBuchberger:
 
     def test_wrong_length_input_refused(self):
         # the first input is live when the second arrives; reducing the
-        # second against it would cut its sides to three entries
+        # second against it would cut its sides to three entries.  First,
+        # the long input meets no live element, only the order's key
         gens = [Binomial((1, 0, 0), (0, 1, 0)),
                 Binomial((1, 0, 0, 1), (1, 1, 0, 0))]
-        with pytest.raises(LengthMismatch):
-            buchberger(gens, lex_order(3))
+        for inputs in (gens, gens[::-1]):
+            with pytest.raises(LengthMismatch):
+                buchberger(inputs, lex_order(3))
 
     @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
     def test_matches_plain_buchberger(self, order_of):
@@ -367,6 +369,19 @@ class TestReducerRows:
                 assert tuple(x + d for x, d in zip(plus, delta)) == b.minus
                 assert p == plus[i] == max(plus) > 0
             assert gb.reducers is gb.reducers
+
+    def test_wrong_length_refused(self):
+        # the rows' maps stop at the shorter of exp and a row, so both
+        # exponents would be read cut short; normal_form refuses them, and
+        # so does monomial_nf
+        gb = toric_ideal(validate(generator_set([(1, 0), (1, 1), (1, 2)])),
+                         lex_order(3)).gb
+        assert gb.elements == (Binomial((1, 0, 1), (0, 2, 0)),)
+        for exp in ((2,), (1, 0, 1, 7)):
+            with pytest.raises(LengthMismatch):
+                monomial_nf(exp, gb.reducers)
+            with pytest.raises(LengthMismatch):
+                normal_form(Polynomial({exp: 1}), gb)
 
 
 def _saturated_basis(gens, order, weights):

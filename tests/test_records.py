@@ -9,7 +9,7 @@ import pytest
 
 import toricnash as tn
 from toricnash.cli import InputError, InputSpec
-from toricnash.errors import InvalidGeneratorSet
+from toricnash.errors import InvalidGeneratorSet, LengthMismatch
 
 import _support as sup
 
@@ -54,21 +54,21 @@ def test_immutable_and_equal_by_fields(record):
 
 def test_repr_names_the_fields():
     assert repr(tn.lex_order(2)) == \
-        "TermOrder(kind='lex', ranking=(0, 1), weights=None)"
+        "TermOrder(kind='lex', nvars=2, weights=None)"
     assert repr(tn.Binomial([1, 0], [0, 1])) == \
         "Binomial(plus=(1, 0), minus=(0, 1))"
 
 
 @pytest.mark.parametrize("record, change, error", [
     (tn.lex_order(2), {"kind": "grlex"}, ValueError),
-    (tn.lex_order(2), {"ranking": (0, 0)}, ValueError),
+    (tn.lex_order(2), {"nvars": -1}, ValueError),
     (tn.Binomial((1, 0), (0, 1)), {"minus": (1, 0)}, ValueError),
     (tn.Binomial((1, 0), (0, 1)), {"plus": (1, -1)}, ValueError),
     (tn.generator_set([(1, 0), (0, 1)]), {"points": ((1, 0), (1, 0))},
      InvalidGeneratorSet),
     (InputSpec(((1, 0), (0, 1))), {"order": "grlex"}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"family": None}, InputError)],
-    ids=["term_order_kind", "term_order_ranking", "binomial_zero",
+    ids=["term_order_kind", "term_order_nvars", "binomial_zero",
          "binomial_negative", "generator_set", "input_order", "input_family"])
 def test_replace_checks_as_the_constructor(record, change, error):
     with pytest.raises(error):
@@ -76,8 +76,10 @@ def test_replace_checks_as_the_constructor(record, change, error):
 
 
 def test_replace_rebuilds_term_order_key():
-    order = tn.lex_order(2)._replace(ranking=[1, 0])
-    assert order.ranking == (1, 0) and order.key((1, 2)) == (2, 1)
+    order = tn.lex_order(2)._replace(nvars=3)
+    assert order.nvars == 3 and order.key((1, 2, 0)) == (1, 2, 0)
+    with pytest.raises(LengthMismatch):
+        order.key((1, 2))
 
 
 def test_records_are_tuples_of_their_fields():
