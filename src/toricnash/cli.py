@@ -7,13 +7,13 @@ Three commands:
                        [--family minimal|groebner]
     toricnash examples [--corpus DIR]
 
-Input files are JSON documents with keys "generators" (list of integer
-pairs, required), "order" ("lex" or "degrevlex"), "names" (one string per
-generator) and "family" ("minimal" or "groebner").  Floats are rejected
-outright; coordinates must be exact integers.  The names are printed in
-the relations and minors, so each must be distinct and a Python identifier
-(str.isidentifier(): no leading digit, which would read as a coefficient,
-and no whitespace or operator such as * / ^ + -).
+Input files are UTF-8 JSON documents with keys "generators" (list of
+integer pairs, required), "order" ("lex" or "degrevlex"), "names" (one
+string per generator) and "family" ("minimal" or "groebner").  Floats
+are rejected outright; coordinates must be exact integers.  The names are
+printed in the relations and minors, so each must be distinct and a
+Python identifier (str.isidentifier(): no leading digit, which would read
+as a coefficient, and no whitespace or operator such as * / ^ + -).
 
 Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
 2 validation failure, 3 dichotomy or bundled-example violation.  main
@@ -21,8 +21,9 @@ maps every failure to its exit code and stderr line: the commands raise
 InputError (1), TheoremViolation (3) or another ToricNashError (2).  Only
 the failures with a message of their own are handled where they happen:
 an unwritable --out, an unreadable or empty corpus and a failing example.
-A closed stdout exits 1 without a message, after analyze writes --out.
-Every string a report prints is made in this module.
+analyze writes --out before its text.  A stdout closed at start or during
+the run exits 1 without a message.  Every string a report prints is made
+in this module.
 """
 from __future__ import annotations
 
@@ -364,19 +365,16 @@ def report_text(rep: RunReport) -> str:
 
 
 def _load_corpus(corpus_dir: Optional[str]) -> list:
-    if corpus_dir is not None:
-        if not Path(corpus_dir).is_dir():
-            raise InputError(f"{corpus_dir}: not a directory")
-        paths = Path(corpus_dir).glob("*.json")
-    else:
-        # imported here: on Python 3.12+ importlib.resources loads inspect
-        from importlib import resources
-        root = resources.files("toricnash").joinpath("fixtures")
-        paths = (p for p in root.iterdir() if p.name.endswith(".json"))
+    """(name, document) for each *.json in corpus_dir, by default the
+    fixtures directory beside this module, in name order."""
+    if corpus_dir is None:
+        corpus_dir = Path(__file__).with_name("fixtures")
+    if not Path(corpus_dir).is_dir():
+        raise InputError(f"{corpus_dir}: not a directory")
     docs = []
-    for p in sorted(paths, key=lambda q: q.name):
+    for p in sorted(Path(corpus_dir).glob("*.json")):
         try:
-            docs.append((p.name, json.loads(p.read_text())))
+            docs.append((p.name, json.loads(p.read_text(encoding="utf-8"))))
         except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, deep
             raise InputError(f"{p.name}: {exc}")
     return docs
@@ -414,7 +412,7 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _check_fixture(name: str, doc, out) -> list:
+def _check_fixture(name: str, doc) -> list:
     """Run one bundled example through build_report; returns a list of
     mismatch strings.  InputError when doc, its "expected" or "verdict"
     entry or a minor fixture is not an object, or "minor_fixtures" is not a
@@ -469,14 +467,13 @@ def _check_fixture(name: str, doc, out) -> list:
     if exp.get("dim1_witness"):
         a.dim1_witness()  # SigmaDimensionError unless sigma is a curve
     status = "pass" if not problems else "FAIL"
-    print(f"{name}: {status}", file=out)
+    print(f"{name}: {status}")
     for p in problems:
-        print(f"  {p}", file=out)
+        print(f"  {p}")
     return problems
 
 
-def cmd_examples(corpus_dir: Optional[str], out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_examples(corpus_dir: Optional[str]) -> int:
     try:
         docs = _load_corpus(corpus_dir)
     except (OSError, InputError) as exc:
@@ -488,13 +485,13 @@ def cmd_examples(corpus_dir: Optional[str], out=None) -> int:
     failures = 0
     for name, doc in docs:
         try:
-            problems = _check_fixture(name, doc, out)
+            problems = _check_fixture(name, doc)
         except (ToricNashError, KeyError, InputError) as exc:
-            print(f"{name}: FAIL ({type(exc).__name__}: {exc})", file=out)
+            print(f"{name}: FAIL ({type(exc).__name__}: {exc})")
             problems = [str(exc)]
         failures += bool(problems)
     total = len(docs)
-    print(f"{total - failures}/{total} examples pass", file=out)
+    print(f"{total - failures}/{total} examples pass")
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
@@ -503,34 +500,31 @@ def cmd_examples(corpus_dir: Optional[str], out=None) -> int:
 
 def _read_spec(path: str) -> InputSpec:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     return parse_input(text)
 
 
-def cmd_validate(path: str, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_validate(path: str) -> int:
     vs = validate(generator_set(_read_spec(path).generators))
-    print(f"l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}", file=out)
+    print(f"l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}")
     print("canonical generators: "
-          + " ".join(str(tuple(p)) for p in vs.gens.points), file=out)
-    print(f"input permutation: {list(vs.permutation)}", file=out)
+          + " ".join(str(tuple(p)) for p in vs.gens.points))
+    print(f"input permutation: {list(vs.permutation)}")
     return EXIT_OK
 
 
 def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
-                family: Optional[str], out=None) -> int:
-    out = out if out is not None else sys.stdout
+                family: Optional[str]) -> int:
+    """--out first, then the text, which a closed stdout can cut short."""
     spec = _read_spec(path)
     rep = build_report(spec._replace(order=order or spec.order,
                                      family=family or spec.family))
-    try:
-        out.writelines(_text_lines(rep))
-    except BrokenPipeError:  # a closed stdout ends the text, not --out
-        _write_out(rep, out_path)
-        raise
-    return _write_out(rep, out_path)
+    status = _write_out(rep, out_path)
+    for line in _text_lines(rep):
+        print(line, end="")
+    return status
 
 
 def _write_out(rep: RunReport, out_path: Optional[str]) -> int:
@@ -583,6 +577,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = cmd_analyze(args.input, args.out, args.order, args.family)
         else:
             status = cmd_examples(args.corpus)
+        if sys.stdout is None:  # fd 1 was closed at start; print wrote nothing
+            return EXIT_PARSE
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status
     except BrokenPipeError:

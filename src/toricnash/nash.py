@@ -353,14 +353,10 @@ def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
 
     Congruent monomials share a normal form, so this is the canonical way
     to compare a computed minor set against a printed one.  An exponent of
-    the wrong length raises LengthMismatch (monomial_nf does not check).
+    the wrong length raises LengthMismatch.
     """
-    n, out = ideal.semigroup.N, set()
-    for exp in exps:
-        if len(exp) != n:
-            raise LengthMismatch(f"exponent length {len(exp)} != {n}")
-        out.add(monomial_nf(tuple(exp), ideal.gb.reducers))
-    return frozenset(out)
+    reducers = ideal.gb.reducers
+    return frozenset(monomial_nf(tuple(exp), reducers) for exp in exps)
 
 
 # --- orbit sets and the singular locus ---------------------------------------

@@ -823,17 +823,25 @@ def closed_stdout_args(command, path, out_path):
             "examples": []}[command]
 
 
+def python_env(**overrides):
+    """os.environ with this checkout's src/ on PYTHONPATH and Python's
+    default stdout buffering, then overrides."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **overrides}
+
+
+def run_closed_at_start(args):
+    # sh closes fd 1 before python starts, so sys.stdout is None
+    return subprocess.run(
+        ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-X", "dev", "-W",
+         "error", "-m", "toricnash", *args],
+        stderr=subprocess.PIPE, env=python_env())
+
+
 class TestClosedStdout:
     # a closed stdout ends the text and exits 1 with nothing on stderr;
     # analyze still writes --out in full
-    def test_analyze_writes_out(self, tmp_path):
-        path = write_input(tmp_path, {"generators": CYC6})
-        out_path = tmp_path / "r.json"
-        with pytest.raises(BrokenPipeError):
-            cli.cmd_analyze(path, str(out_path), None, None, ClosedStdout())
-        rep = build_report(InputSpec(tuple(CYC6)))
-        assert out_path.read_text() == oracle(rep)
-
     @pytest.mark.parametrize("command", ["validate", "analyze", "examples"])
     def test_main_exits_1_quietly(self, tmp_path, capsys, monkeypatch,
                                   command):
@@ -855,11 +863,7 @@ class TestClosedStdout:
         path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
         out_path = tmp_path / "r.json"
         args = closed_stdout_args(command, path, out_path)
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
-        env.pop("PYTHONUNBUFFERED", None)
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = python_env(**({} if buffered else {"PYTHONUNBUFFERED": "1"}))
         read, write = os.pipe()
         os.close(read)
         try:
@@ -873,3 +877,66 @@ class TestClosedStdout:
         if command == "analyze":
             rep = build_report(InputSpec(tuple(sup.FIXTURE_A)))
             assert out_path.read_text() == oracle(rep)
+
+    @pytest.mark.parametrize("command", ["validate", "analyze", "examples"])
+    def test_closed_at_start(self, tmp_path, command):
+        # the same exit, stderr and --out as for a stdout closed mid-run
+        path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
+        out_path = tmp_path / "r.json"
+        proc = run_closed_at_start(
+            [command, *closed_stdout_args(command, path, out_path)])
+        assert (proc.returncode, proc.stderr) == (EXIT_PARSE, b"")
+        if command == "analyze":
+            rep = build_report(InputSpec(tuple(sup.FIXTURE_A)))
+            assert out_path.read_text() == oracle(rep)
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("generators, status, err", [
+        ("nope", EXIT_PARSE,
+         b'parse error: "generators" must be a non-empty list\n'),
+        ([[1, 0], [2, 0], [0, 1]], EXIT_VALIDATION,
+         b"validation failed: NotMinimal: generator (2, 0) (input index 1) "
+         b"is generated by the others\n")], ids=["parse", "validation"])
+    def test_closed_at_start_keeps_failures(self, tmp_path, command,
+                                            generators, status, err):
+        path = write_input(tmp_path, {"generators": generators})
+        proc = run_closed_at_start([command, "--input", path])
+        assert (proc.returncode, proc.stderr) == (status, err)
+
+
+class TestUtf8Input:
+    # input documents and corpus files are read as UTF-8 whatever the
+    # locale's encoding; no read or write falls back to that encoding
+    NAMES = ["\u03b1", "\u03b2", "\u03b3", "\u03b4"]
+
+    def run(self, args):
+        return subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error",
+             "-m", "toricnash", *args],
+            capture_output=True, env=python_env(PYTHONIOENCODING="utf-8"))
+
+    def test_input_document(self, tmp_path):
+        path = tmp_path / "greek.json"
+        path.write_text(json.dumps({"generators": sup.FIXTURE_A,
+                                    "names": self.NAMES}, ensure_ascii=False),
+                        encoding="utf-8")
+        out_path = tmp_path / "r.json"
+        proc = self.run(["validate", "--input", str(path)])
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        proc = self.run(["analyze", "--input", str(path),
+                         "--out", str(out_path)])
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        rep = build_report(InputSpec(tuple(sup.FIXTURE_A),
+                                     names=tuple(self.NAMES)))
+        assert proc.stdout.decode("utf-8") == report_text(rep)
+        assert out_path.read_text(encoding="utf-8") == oracle(rep)
+
+    def test_corpus(self, tmp_path):
+        doc = json.loads((Path(cli.__file__).with_name("fixtures")
+                          / "a_origin_only.json").read_text(encoding="utf-8"))
+        doc["names"] = self.NAMES
+        (tmp_path / "greek.json").write_text(
+            json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        proc = self.run(["examples", "--corpus", str(tmp_path)])
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == b"greek.json: pass\n1/1 examples pass\n"

@@ -100,3 +100,23 @@ def test_choice_names_listed_once():
                       for names in owners if strings.issuperset(names)]
     assert sorted(found) == sorted(
         (names, *owner) for names, owner in owners.items())
+
+
+def test_text_io_names_its_encoding():
+    # JSON is UTF-8 (RFC 8259); a text-mode open, read_text or write_text
+    # without encoding= uses the locale's encoding instead
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name not in ("open", "read_text", "write_text"):
+                continue
+            mode = ([k.value for k in node.keywords if k.arg == "mode"]
+                    + node.args[1:2])
+            if name == "open" and mode and "b" in ast.literal_eval(mode[0]):
+                continue
+            calls.append((f"{path.name}:{node.lineno} {name}",
+                          any(k.arg == "encoding" for k in node.keywords)))
+    assert calls
+    assert [where for where, named in calls if not named] == []
