@@ -9,7 +9,6 @@ against the singular locus.
 from .algebra import (
     Binomial,
     Monomial,
-    Polynomial,
     TermOrder,
     degrevlex_order,
     derivative,

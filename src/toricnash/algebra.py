@@ -3,13 +3,14 @@
 Exponent vectors are plain tuples of nonnegative ints of a common length.
 Coefficients are Python ints, so no overflow is possible anywhere.
 A term order is realized as a sortable key on exponent vectors: larger key
-means larger monomial.
+means larger monomial.  A polynomial is an {exponent: coefficient} dict;
+derivative and determinant return fresh ones without zero coefficients.
 """
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import LengthMismatch, NotSquare
 
@@ -125,74 +126,23 @@ def binomial_from_vector(v: Sequence[int]) -> Binomial:
                     tuple(-x if x < 0 else 0 for x in v))
 
 
-class Polynomial:
-    """Sparse integer polynomial: a map from exponent vectors to coefficients.
-
-    The zero polynomial is the empty map.  Instances are treated as
-    immutable; all arithmetic returns fresh objects.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping] = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    # -- queries -----------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    # -- arithmetic ---------------------------------------------------------
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(out)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.terms!r})"
-
-
-def derivative(f: Binomial, var: int) -> Polynomial:
-    """Partial derivative of x^plus - x^minus with respect to variable var;
-    IndexError unless var is a non-bool int in range(f.nvars)."""
+def derivative(f: Binomial, var: int) -> dict:
+    """Partial derivative of x^plus - x^minus with respect to variable var,
+    as {exponent: coefficient}; IndexError unless var is a non-bool int in
+    range(f.nvars)."""
     if type(var) is not int or not 0 <= var < f.nvars:
         raise IndexError(f"variable index {var!r} out of range")
     # plus != minus, so the two lowered exponents differ
-    return Polynomial({exp[:var] + (exp[var] - 1,) + exp[var + 1:]:
-                       sign * exp[var]
-                       for exp, sign in ((f.plus, 1), (f.minus, -1))
-                       if exp[var]})
+    return {exp[:var] + (exp[var] - 1,) + exp[var + 1:]: sign * exp[var]
+            for exp, sign in ((f.plus, 1), (f.minus, -1)) if exp[var]}
 
 
-def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
+def determinant(matrix: Sequence[Sequence[Mapping]]) -> dict:
     """Symbolic determinant by cofactor expansion along the first row.
 
-    Fine for the small, very sparse Jacobian blocks this library builds.
+    Entries are {exponent: coefficient} maps and may hold zero
+    coefficients; the result is a fresh map without them.  Fine for the
+    small, very sparse Jacobian blocks this library builds.
     """
     n = len(matrix)
     for row in matrix:
@@ -201,12 +151,15 @@ def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     if n == 0:
         raise NotSquare("empty matrix has no determinant")
     if n == 1:
-        return matrix[0][0]
-    acc = Polynomial.zero()
+        return {e: c for e, c in matrix[0][0].items() if c}
+    acc: dict = {}
     for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
+        terms = [(e, (-1) ** j * c) for e, c in entry.items() if c]
+        if not terms:
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        cof = entry * determinant(minor)
-        acc = acc + cof if j % 2 == 0 else acc - cof
-    return acc
+        for e2, c2 in determinant(minor).items():
+            for e1, c1 in terms:
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}

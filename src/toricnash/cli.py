@@ -530,7 +530,7 @@ def cmd_analyze(path: str, out_path: Optional[str], order: Optional[str],
 def _write_out(rep: RunReport, out_path: Optional[str]) -> int:
     """write_report_json to out_path, if given; on an OSError one cannot-write
     line and EXIT_PARSE.  A failure after the open removes a regular file."""
-    if not out_path:
+    if out_path is None:
         return EXIT_OK
     try:
         fh = open(out_path, "w", encoding="utf-8")

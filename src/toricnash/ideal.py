@@ -10,9 +10,10 @@ of the generator matrix.  toric_ideal builds it in four steps:
   monomial_nf as its reduction;
 - minimal_generators: an irredundant generating subset of that basis.
 
-normal_form divides a general polynomial by a basis, for
-nash.minor_symbolic.  _echelon is the library's one integer row
-elimination: lattice_kernel runs it on two columns, int_rank on all.
+normal_form divides a general polynomial, an {exponent: coefficient}
+dict, by a basis for nash.minor_symbolic and returns a fresh dict.
+_echelon is the library's one integer row elimination: lattice_kernel
+runs it on two columns, int_rank on all.
 """
 from __future__ import annotations
 
@@ -21,11 +22,10 @@ import itertools
 from collections import deque, namedtuple
 from functools import cached_property
 from operator import add, le, mul, sub
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Binomial,
-    Polynomial,
     TermOrder,
     binomial_from_vector,
     lex_order,
@@ -336,15 +336,18 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     return GroebnerBasis(order, tuple(out))
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Complete multivariate division of p by the basis.
+def normal_form(p: Mapping, gb: GroebnerBasis) -> dict:
+    """Complete multivariate division of the {exponent: coefficient} map p
+    by the basis: no term of the result is divisible by a leading term, so
+    it is the unique normal form since the basis is a Groebner basis.
 
-    The result contains no term divisible by a leading term; it is the
-    unique normal form since the basis is a Groebner basis.
+    p's zero coefficients are dropped once.  Terms leave work largest
+    first and a reduction step only makes smaller exponents, so each
+    irreducible exponent reaches out once, with a nonzero coefficient.
     """
     order = gb.order
     elements = gb.elements
-    work = dict(p.terms)
+    work = {e: c for e, c in p.items() if c}
     out: dict = {}
     while work:
         exp = max(work, key=order.key)
@@ -355,7 +358,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
                 reducer = b
                 break
         if reducer is None:
-            out[exp] = out.get(exp, 0) + coeff
+            out[exp] = coeff
             continue
         new = tuple(map(add, map(sub, exp, reducer.plus), reducer.minus))
         s = work.get(new, 0) + coeff
@@ -363,7 +366,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
             work[new] = s
         else:
             work.pop(new, None)
-    return Polynomial(out)
+    return out
 
 
 # --- saturation --------------------------------------------------------------

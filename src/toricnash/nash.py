@@ -5,7 +5,8 @@ singular locus and the dichotomy verdict.
   _Sweep, whose minors method says why each result is exact;
   minor_monomial_formula reads one pair of it and nash_ideal its
   monomials.  minor_symbolic, the symbolic determinant reduced to normal
-  form, is the reference the tests hold them against.
+  form, is the reference the tests hold them against; like _minor_terms it
+  gives a minor as a fresh {exponent: coefficient} dict.
 - Orbit sets: zero loci and the singular locus are unions of torus-orbit
   closures (OrbitSet); singular_orbits reads the singular ones off the
   cone's two edges.
@@ -20,7 +21,7 @@ from math import gcd
 from operator import add, attrgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import Binomial, Monomial, Polynomial, derivative, determinant
+from .algebra import Binomial, Monomial, derivative, determinant
 from .errors import (
     EmptyIdeal,
     InvariantViolation,
@@ -64,8 +65,9 @@ def _check_lengths(family: Sequence[Binomial], n: int):
 
 
 def minor_symbolic(family_subset: Sequence[Binomial], selection,
-                   ideal: ToricIdeal) -> Polynomial:
-    """Jacobian minor with the two selected columns deleted, reduced.
+                   ideal: ToricIdeal) -> dict:
+    """Jacobian minor with the two selected columns deleted, reduced, as a
+    fresh {exponent: coefficient} dict.
 
     A binomial of another length than N raises LengthMismatch first.  The
     reduced result must be zero or a single term; anything else means the

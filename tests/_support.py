@@ -14,7 +14,6 @@ import toricnash as tn
 from toricnash.algebra import (
     Binomial,
     Monomial,
-    Polynomial,
     binomial_from_vector,
     degrevlex_order,
     derivative,
@@ -98,9 +97,9 @@ def pi(vs, alpha):
 
 
 def nf_exponent(exp, ideal):
-    nf = tn.normal_form(Polynomial({tuple(exp): 1}), ideal.gb)
-    assert len(nf.terms) == 1, f"monomial class of {exp} has non-monomial NF"
-    (term,) = nf.terms
+    nf = tn.normal_form({tuple(exp): 1}, ideal.gb)
+    assert len(nf) == 1, f"monomial class of {exp} has non-monomial NF"
+    (term,) = nf
     return term
 
 
@@ -115,11 +114,11 @@ def minor_classes(rows, ideal):
                             ideal)
 
 
-def evaluate(p: Polynomial, point: Sequence[int]) -> int:
-    """p at an integer point; LengthMismatch when an exponent of p and the
-    point differ in length."""
+def evaluate(p: dict, point: Sequence[int]) -> int:
+    """p, an {exponent: coefficient} dict, at an integer point;
+    LengthMismatch when an exponent of p and the point differ in length."""
     total = 0
-    for exp, coeff in p.terms.items():
+    for exp, coeff in p.items():
         if len(exp) != len(point):
             raise LengthMismatch("evaluation point of wrong length")
         v = coeff
@@ -130,9 +129,9 @@ def evaluate(p: Polynomial, point: Sequence[int]) -> int:
     return total
 
 
-def ideal_member(p: Polynomial, gb) -> bool:
+def ideal_member(p: dict, gb) -> bool:
     """Whether p lies in the ideal of the Groebner basis gb."""
-    return tn.normal_form(p, gb).is_zero()
+    return not tn.normal_form(p, gb)
 
 
 def contains(big: OrbitSet, small: OrbitSet) -> bool:
@@ -185,20 +184,24 @@ def shift_coefficient(f, var, point, k):
 
 def det_along_row(matrix, row):
     """Cofactor expansion along an arbitrary row (independent of the
-    library's first-row expansion)."""
+    library's first-row expansion), of {exponent: coefficient} dicts."""
     n = len(matrix)
     if n == 1:
-        return matrix[0][0]
-    acc = Polynomial.zero()
+        return {e: c for e, c in matrix[0][0].items() if c}
+    acc: dict = {}
     for j in range(n):
         entry = matrix[row][j]
-        if entry.is_zero():
+        if not entry:
             continue
         sub = [[matrix[i][k] for k in range(n) if k != j]
                for i in range(n) if i != row]
-        cof = entry * det_along_row(sub, 0)
-        acc = acc + cof if (row + j) % 2 == 0 else acc - cof
-    return acc
+        sign = (-1) ** (row + j)
+        minor = det_along_row(sub, 0)
+        for e1, c1 in entry.items():
+            for e2, c2 in minor.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + sign * c1 * c2
+    return {e: c for e, c in acc.items() if c}
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -351,7 +354,7 @@ def membership_minimal_generators(gb):
     kept = sorted(gb.elements, key=lambda b: gb.order.key(b.plus))
     for b in list(kept):
         others = [h for h in kept if h is not b]
-        if others and ideal_member(Polynomial({b.plus: 1, b.minus: -1}),
+        if others and ideal_member({b.plus: 1, b.minus: -1},
                                    plain_buchberger(others, test_order)):
             kept.remove(b)
     return tuple(kept)

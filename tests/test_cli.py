@@ -220,15 +220,19 @@ class TestAnalyzeCommand:
         assert f"s_min={doc['ideal']['s_min']}" in text
         assert doc["verdict"]["predicted"] in text
 
-    def test_unwritable_out(self, tmp_path, capsys):
+    # "" names no file: open refuses it like a missing directory
+    @pytest.mark.parametrize("out", [Path("missing") / "r.json", ""],
+                             ids=["missing_dir", "empty"])
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, out):
         path = write_input(tmp_path, {"generators": sup.FIXTURE_A})
-        out_path = tmp_path / "missing" / "r.json"
-        assert main(["analyze", "--input", path, "--out", str(out_path)]) \
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["analyze", "--input", path, "--out", str(out)]) \
             == EXIT_PARSE
         err = capsys.readouterr().err
-        assert err.startswith(f"cannot write {out_path}")
+        assert err.startswith(f"cannot write {out}: ")
         assert err.count("\n") == 1
-        assert not out_path.exists()
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_validation_failure(self, tmp_path, capsys):
         path = write_input(tmp_path, {"generators": [[2, 0], [0, 2]]})

@@ -10,7 +10,6 @@ from toricnash import algebra, ideal as ideal_mod, nash
 from toricnash.algebra import (
     Binomial,
     Monomial,
-    Polynomial,
     degrevlex_order,
     derivative,
     determinant,
@@ -137,12 +136,12 @@ class TestMinors:
         fam = sup.binomials(sup.IDEAL_C)
         # rows 1,2; deleting the z columns leaves a singular 2x2 block
         assert minor_monomial_formula(fam[:2], (2, 3), ideal) is None
-        assert minor_symbolic(fam[:2], (2, 3), ideal).is_zero()
+        assert not minor_symbolic(fam[:2], (2, 3), ideal)
 
     def test_symbolic_known_case(self, fixture_a):
         _, ideal = fixture_a
         reduced = minor_symbolic(A_ROWS[:2], (2, 3), ideal)
-        assert reduced == Polynomial({(0, 0, 2, 0): 1})
+        assert reduced == {(0, 0, 2, 0): 1}
 
     # a selection is a pair of distinct non-bool ints in range(N), N = 4
     @pytest.mark.parametrize("selection", [5, (0, 1, 2), (1, 1), (0, 9),
@@ -239,9 +238,9 @@ class TestMinors:
                 sym = minor_symbolic(chosen, sel, ideal)
                 fast = minor_monomial_formula(chosen, sel, ideal)
                 if fast is None:
-                    assert sym.is_zero()
+                    assert not sym
                 else:
-                    poly = Polynomial({fast.exp: fast.coeff})
+                    poly = {fast.exp: fast.coeff}
                     assert normal_form(poly, ideal.gb) == sym
 
 
@@ -271,10 +270,10 @@ class TestSparseMinor:
                 det = determinant([[derivative(f, i) for i in cols]
                                    for f in subset])
                 got = nash._minor_terms(partials, rows, cols, {}, ())
-                assert got == det.terms, (points, subset, sel)
+                assert got == det, (points, subset, sel)
                 reduced = nash._minor_terms(
                     partials, rows, cols, {}, reducers)
-                assert reduced == normal_form(det, ideal.gb).terms, \
+                assert reduced == normal_form(det, ideal.gb), \
                     (points, subset, sel)
                 checked += 1
         assert checked == (len(list(itertools.combinations(fam, vs.r)))
@@ -288,7 +287,7 @@ class TestSparseMinor:
             ideal = toric_ideal(vs, make_order(vs.N))
             for _ in range(200):
                 exp = tuple(rng.randint(0, 6) for _ in range(vs.N))
-                (want,) = normal_form(Polynomial({exp: 1}), ideal.gb).terms
+                (want,) = normal_form({exp: 1}, ideal.gb)
                 assert monomial_nf(exp, ideal.gb.reducers) == want, exp
 
     @pytest.mark.parametrize("points", [CYC6, sup.FIXTURE_B])
@@ -305,8 +304,6 @@ class TestSparseMinor:
                              (ideal_mod, "normal_form"),
                              (nash, "normal_form")):
             monkeypatch.setattr(module, name, refuse)
-        for name in ("__add__", "__sub__", "__mul__", "__neg__", "__init__"):
-            monkeypatch.setattr(Polynomial, name, refuse)
         monkeypatch.setattr(nash, "derivative", refuse)
         assert analyze(ideal) == expected
 
@@ -736,10 +733,10 @@ class TestZeroLocus:
                 monos = nash_ideal(chosen, ideal)
                 locus = zero_locus(monos, vs)
                 all_o1 = all(
-                    sup.evaluate(Polynomial({m.exp: m.coeff}), reps["O1"]) == 0
+                    sup.evaluate({m.exp: m.coeff}, reps["O1"]) == 0
                     for m in monos)
                 all_o2 = all(
-                    sup.evaluate(Polynomial({m.exp: m.coeff}), reps["O2"]) == 0
+                    sup.evaluate({m.exp: m.coeff}, reps["O2"]) == 0
                     for m in monos)
                 assert locus == OrbitSet(all_o1, all_o2)
 
@@ -755,8 +752,8 @@ class TestZeroLocus:
                 for m in nash_ideal(chosen, ideal):
                     nf = sup.nf_exponent(m.exp, ideal)
                     for rep in reps.values():
-                        a = sup.evaluate(Polynomial({m.exp: 1}), rep)
-                        b = sup.evaluate(Polynomial({nf: 1}), rep)
+                        a = sup.evaluate({m.exp: 1}, rep)
+                        b = sup.evaluate({nf: 1}, rep)
                         assert (a == 0) == (b == 0)
 
 
