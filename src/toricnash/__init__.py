@@ -56,6 +56,7 @@ from .nash import (
     minor_monomial_formula,
     minor_symbolic,
     nash_ideal,
+    predict,
     rank,
     search_all_subsets,
     singular_locus,

@@ -36,7 +36,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algebra import ORDERS, Binomial, Monomial, TermOrder
+from .algebra import ORDERS, Binomial, TermOrder
 from .errors import InvalidExponent, TheoremViolation, ToricNashError
 from .ideal import ToricIdeal, buchberger, toric_ideal
 # dim1_selector, search_all_subsets, singular_locus and verify_dichotomy
@@ -164,13 +164,13 @@ class RunReport:
         """x^plus - x^minus, its two sides read from bodies."""
         return f"{self.body(b.plus)} - {self.body(b.minus)}"
 
-    def minor_str(self, m: Monomial) -> str:
-        """The body of m.exp alone for the coefficient 1, -body for -1,
-        coeff*body otherwise.  No report holds a constant minor
-        (zero_locus refuses one), so no body is a bare "1"."""
-        body = self.body(m.exp)
-        return (body if m.coeff == 1 else
-                f"-{body}" if m.coeff == -1 else f"{m.coeff}*{body}")
+    def minor_str(self, coeff: int, exp: tuple) -> str:
+        """The body of exp alone for the coefficient 1, -body for -1,
+        coeff*body otherwise.  No minor is constant (analyze's zero_locus
+        check refuses one), so no body is a bare "1"."""
+        body = self.body(exp)
+        return (body if coeff == 1 else
+                f"-{body}" if coeff == -1 else f"{coeff}*{body}")
 
 
 def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
@@ -212,17 +212,17 @@ def _binomial_json(b: Binomial, rep: RunReport) -> dict:
 
 
 def report_json(rep: RunReport) -> dict:
-    """The JSON report.  "subset", "K" and "exp" are the analysis's own
-    tuples, which json writes as arrays."""
+    """The JSON report.  "subset", "K" and "exp" are tuples of the
+    analysis and its minors, which json writes as arrays."""
     return _document(rep, [{
         "subset": r.subset,
         "rank_ok": r.rank_ok,
-        "minors": [{"K": sel, "det": m.coeff, "exp": m.exp,
-                    "coeff": m.coeff, "str": rep.minor_str(m)}
-                   for sel, m in r.minors],
+        "minors": [{"K": sel, "det": coeff, "exp": exp, "coeff": coeff,
+                    "str": rep.minor_str(coeff, exp)}
+                   for sel, coeff, exp in minors],
         "zero_locus": _orbit_json(r.zero_locus),
         "equals_sigma": r.equals_sigma,
-    } for r in rep.analysis.reports])
+    } for r, minors in zip(rep.analysis.reports, rep.analysis.minors())])
 
 
 def _document(rep: RunReport, subsets: list) -> dict:
@@ -277,26 +277,27 @@ def write_report_json(rep: RunReport, fh) -> None:
     newline to fh, one subset entry at a time, so the document is never
     held whole; an analysis lists at least one subset.  Everything but
     the entries goes through json.dumps, and so does each minor's "str";
-    the text of each distinct (selection, monomial) pair is made once."""
+    the text of each distinct (selection, coefficient, exponent) minor is
+    made once."""
     head, tail = json.dumps(_document(rep, []), indent=2,
                             sort_keys=True).split('"subsets": []')
-    minors = {}
+    a, made = rep.analysis, {}
     fh.write(head + '"subsets": [')
     sep = "\n"
-    for r in rep.analysis.reports:
+    for r, minors in zip(a.reports, a.minors()):
         texts = []
-        for pair in r.minors:
-            text = minors.get(pair)
+        for minor in minors:
+            text = made.get(minor)
             if text is None:
-                sel, m = pair
-                text = minors[pair] = (
+                sel, coeff, exp = minor
+                text = made[minor] = (
                     '        {\n          "K": '
                     f'{_json_ints(sel, " " * 12)},\n'
-                    f'          "coeff": {m.coeff},\n'
-                    f'          "det": {m.coeff},\n'
-                    f'          "exp": {_json_ints(m.exp, " " * 12)},\n'
-                    f'          "str": {json.dumps(rep.minor_str(m))}\n'
-                    "        }")
+                    f'          "coeff": {coeff},\n'
+                    f'          "det": {coeff},\n'
+                    f'          "exp": {_json_ints(exp, " " * 12)},\n'
+                    f'          "str": {json.dumps(rep.minor_str(coeff, exp))}'
+                    "\n        }")
             texts.append(text)
         o = r.zero_locus
         locus = "null" if o is None else (
@@ -340,11 +341,11 @@ def _text_lines(rep: RunReport):
     valid = [r for r in a.reports if r.rank_ok]
     yield (f"subsets: {len(a.reports)} of size r={vs.r} "
            f"({len(valid)} with full rank)\n")
-    for r in a.reports:
+    for r, minors in zip(a.reports, a.minors()):
         if not r.rank_ok:
             yield f"  {list(r.subset)}: rank deficient, skipped\n"
             continue
-        mons = ", ".join(rep.minor_str(m) for _, m in r.minors)
+        mons = ", ".join(rep.minor_str(coeff, exp) for _, coeff, exp in minors)
         eq = "yes" if r.equals_sigma else "no"
         yield (f"  {list(r.subset)}: V = {_orbit_text(r.zero_locus)}; "
                f"equals sigma: {eq}\n")

@@ -1,18 +1,20 @@
 """Jacobian minors of r = N - 2 chosen binomials, their zero loci, the
 singular locus and the dichotomy verdict.
 
-- Minors: subset_minors evaluates every minor of one r-subset with a
-  _Sweep, whose minors method says why each result is exact;
-  minor_monomial_formula reads one pair of it and nash_ideal its
-  monomials.  minor_symbolic, the symbolic determinant reduced to normal
-  form, is the reference the tests hold them against; like _minor_terms it
-  gives a minor as a fresh {exponent: coefficient} dict.
+- Minors: a _Sweep checks each r-subset down to (c_S, D_S), from which
+  _expand makes its minors (_Sweep.check says why they are exact);
+  subset_minors, minor_monomial_formula and nash_ideal read one subset.
+  minor_symbolic, the symbolic determinant reduced to normal form, is the
+  reference the tests hold them against; like _minor_terms it gives a
+  minor as a fresh {exponent: coefficient} dict.
 - Orbit sets: zero loci and the singular locus are unions of torus-orbit
   closures (OrbitSet); singular_orbits reads the singular ones off the
-  cone's two edges.
-- Verdicts: analyze is the only code that sweeps a whole family, into one
-  Analysis; singular_locus, search_all_subsets, dim1_selector and
-  verify_dichotomy each read one field of it.
+  cone's two edges, _subset_report a subset's off two height sums and
+  zero_locus, its oracle, off the minors.
+- Verdicts: predict reads the verdict off sigma and N; analyze is the only
+  code that sweeps a whole family, into one Analysis, and checks it;
+  singular_locus, search_all_subsets, dim1_selector and verify_dichotomy
+  each read one field of it.
 """
 from __future__ import annotations
 
@@ -149,6 +151,31 @@ def _laplace(row: Sequence[int], minors: dict, cols: tuple) -> int:
     return acc
 
 
+def _expand(pairs, coords, normal_forms, c_s: int, base: tuple) -> list:
+    """The minors of a full-rank subset with c_S = c_s and D_S = base, as
+    (selection, coefficient, exponent) triples in pair order, from a
+    _Sweep's pairs and coords: the closed form base + e_a + e_b, or for a
+    fallback normal_forms[T_S + g_a + g_b] (_Sweep.check)."""
+    # base >= -1, so base + e_a + e_b >= 0 exactly when (a, b) holds each
+    # negative entry: never with three, else when it holds the first, last
+    neg = [j for j, e in enumerate(base) if e < 0]
+    if neg:
+        some, first, last = len(neg) <= 2, neg[0], neg[-1]
+        t_u, t_v = [sum(map(mul, base, coord)) for coord in coords]
+    out = []
+    for sel, _, det_ab, (u, v) in pairs:
+        if not neg or some and first in sel and last in sel:
+            a, b = sel
+            exp = list(base)
+            exp[a] += 1
+            exp[b] += 1
+            exp = tuple(exp)
+        else:
+            exp = normal_forms[t_u + u, t_v + v]
+        out.append((sel, c_s * det_ab, exp))
+    return out
+
+
 class _Sweep:
     """What every r-subset of one family shares in a sweep, built once.
 
@@ -161,9 +188,9 @@ class _Sweep:
     the sweep expanded to its checked normal form, memo the reduced
     Laplace sub-minors under their (rows, columns) and wedges the _wedge
     entry of each prefix of family rows, () included, whatever the order in
-    which subsets are visited; inner are the columns 1..N-2.  A binomial
-    of another length than N raises LengthMismatch, before any row is
-    checked.
+    which subsets are visited; inner are the columns 1..N-2, and rule and
+    loci serve _subset_report.  A binomial of another length than N raises
+    LengthMismatch, before any row is checked.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
@@ -179,14 +206,18 @@ class _Sweep:
             raise InvariantViolation(
                 "difference row is not a relation of the generators")
         self.reference = (-1) ** (vs.N - 1) * cross(pts[0], pts[-1])
-        self.pairs = []
+        self.pairs = pairs = []
         for a, b in itertools.combinations(range(vs.N), 2):
             det_ab = cross(pts[a], pts[b])
             if det_ab:
-                self.pairs.append(((a, b), tuple(
+                pairs.append(((a, b), tuple(
                     c for c in range(vs.N) if c != a and c != b),
                     -det_ab if (a + b) % 2 else det_ab,
                     tuple(map(add, pts[a], pts[b]))))
+        self.rule = [(h, -min([h[a] + h[b] for (a, b), _, _, _ in pairs]))
+                     for h in zip(*vs.heights)]
+        self.loci = tuple((OrbitSet(o1, False), OrbitSet(o1, True))
+                          for o1 in (False, True))
         self.deg_memo = {}
         self.partials = [[_partials(b, j) for j in range(vs.N)]
                          for b in family]
@@ -212,9 +243,9 @@ class _Sweep:
             entry = self.wedges[prefix] = minors, tuple(map(add, sums, plus))
         return entry
 
-    def minors(self, subset: tuple) -> tuple:
-        """(minors, fallbacks) of the family rows at the indices subset, as
-        subset_minors gives them.
+    def check(self, subset: tuple) -> tuple:
+        """(c_S, D_S, number of fallback pairs) of the family rows at the
+        indices subset; D_S is None when c_S = 0.
 
         Closed form.  Modulo the toric ideal x^minus = x^plus, so x_j times
         the derivative of x^plus - x^minus by x_j is (plus_j - minus_j)
@@ -229,8 +260,8 @@ class _Sweep:
         Pluecker.  The rows are relations of the generators g_j, so by
         Pluecker duality every det(R_K) is c_S (-1)^(a+b) det(g_a, g_b) for
         one integer c_S, and the subset has full rank r exactly when
-        c_S != 0; then minors is not empty.  c_S is the minor over the
-        columns 1..N-2, the _laplace step of the last row on the
+        c_S != 0; then it has a minor for every pair.  c_S is the minor over
+        the columns 1..N-2, the _laplace step of the last row on the
         _wedge of the others, divided by (-1)^(N-1) det(g_0, g_(N-1)),
         which is nonzero since g_0 and g_(N-1) lie on the two edges; a
         remainder raises InvariantViolation.
@@ -243,8 +274,8 @@ class _Sweep:
         entry (a fallback) is expanded exactly by _minor_terms, once per D
         in the sweep; the result must be one term whose coefficient is
         det(R_K): more terms raise NonMonomialResidue, zero or another
-        coefficient InvariantViolation.  Every later fallback of D is the
-        normal form kept in deg_memo times det(R_K).
+        coefficient InvariantViolation.  The normal form is kept in
+        deg_memo, and every fallback of D is it times det(R_K).
         """
         i = subset[-1]
         last, plus = self.rows[i], self.family[i].plus
@@ -254,53 +285,45 @@ class _Sweep:
             raise InvariantViolation(
                 "reference minor is not a multiple of det(g_0, g_(N-1))")
         if not c_s:
-            return [], 0
-        # base is D_S, at least -1 as the plus sides are nonnegative, so the
-        # closed form base + e_a + e_b is nonnegative exactly when (a, b)
-        # holds every negative entry: every pair when none is negative, no
-        # pair when more than two are, else the pairs holding the first and
-        # last
-        base = [s + e - 1 for s, e in zip(sums, plus)]
-        neg = [i for i, e in enumerate(base) if e < 0]
-        every = not neg
-        some = len(neg) <= 2
-        first, last = (neg[0], neg[-1]) if neg else (None, None)
-        t_s = None
-        out = []
+            return 0, None, 0
+        base = tuple([s + e - 1 for s, e in zip(sums, plus)])
+        neg = [j for j, e in enumerate(base) if e < 0]
+        if not neg:
+            return c_s, base, 0
+        # the fallbacks, which _expand reads from normal forms
+        some, first, last = len(neg) <= 2, neg[0], neg[-1]
+        t_u, t_v = [sum(map(mul, base, coord)) for coord in self.coords]
         fallbacks = 0
-        for sel, cols, det_ab, deg_ab in self.pairs:
-            det_rk = c_s * det_ab
-            if every or some and first in sel and last in sel:
-                a, b = sel
-                exp = base.copy()
-                exp[a] += 1
-                exp[b] += 1
-                out.append((sel, Monomial(det_rk, tuple(exp))))
+        for sel, cols, det_ab, (u, v) in self.pairs:
+            if some and first in sel and last in sel:
                 continue
             fallbacks += 1
-            if t_s is None:
-                # T_S = sum_j base_j g_j
-                t_s = [sum(map(mul, base, coord)) for coord in self.coords]
-            degree = (t_s[0] + deg_ab[0], t_s[1] + deg_ab[1])
-            nf = self.deg_memo.get(degree)
-            if nf is None:
-                reduced = _minor_terms(self.partials, subset, cols, self.memo,
-                                       self.reducers)
-                if len(reduced) > 1:
-                    raise NonMonomialResidue(
-                        f"minor reduced to {len(reduced)} terms "
-                        f"for columns {sel}")
-                if not reduced:
-                    raise InvariantViolation(
-                        "nonzero coefficient minor reduced to zero")
-                ((nf, coeff),) = reduced.items()
-                if coeff != det_rk:
-                    raise InvariantViolation(
-                        "reduced minor coefficient differs from det(R_K) = "
-                        "c_S (-1)^(a+b) det(g_a, g_b)")
-                self.deg_memo[degree] = nf
-            out.append((sel, Monomial(det_rk, nf)))
-        return out, fallbacks
+            degree = (t_u + u, t_v + v)
+            if degree in self.deg_memo:
+                continue
+            reduced = _minor_terms(self.partials, subset, cols, self.memo,
+                                   self.reducers)
+            if len(reduced) > 1:
+                raise NonMonomialResidue(
+                    f"minor reduced to {len(reduced)} terms for columns {sel}")
+            if not reduced:
+                raise InvariantViolation(
+                    "nonzero coefficient minor reduced to zero")
+            ((nf, coeff),) = reduced.items()
+            if coeff != c_s * det_ab:
+                raise InvariantViolation(
+                    "reduced minor coefficient differs from det(R_K) = "
+                    "c_S (-1)^(a+b) det(g_a, g_b)")
+            self.deg_memo[degree] = nf
+        return c_s, base, fallbacks
+
+    def minors(self, subset: tuple) -> tuple:
+        """(minors, fallbacks) as subset_minors gives them: check, _expand."""
+        c_s, base, fallbacks = self.check(subset)
+        if not c_s:
+            return [], 0
+        return [(sel, Monomial(coeff, exp)) for sel, coeff, exp in _expand(
+            self.pairs, self.coords, self.deg_memo, c_s, base)], fallbacks
 
 
 def subset_minors(family_subset: Sequence[Binomial],
@@ -311,7 +334,7 @@ def subset_minors(family_subset: Sequence[Binomial],
     order: selection is the pair K of deleted columns and the monomial's
     coefficient the integer minor det(R_K) of the difference rows; it is
     empty exactly when the subset is below full rank.  fallbacks counts the
-    minors whose closed form had a negative exponent.  _Sweep.minors gives
+    minors whose closed form had a negative exponent.  _Sweep.check gives
     the arguments and its checks' errors; a row that is not a relation of
     the generators raises InvariantViolation.  NotSquare when family_subset
     does not have r binomials, then LengthMismatch when one of them does
@@ -404,23 +427,21 @@ def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
     return OrbitSet(o1, o2)
 
 
-def zero_locus(monomials: Sequence[Monomial],
-               vs: ValidatedSemigroup) -> OrbitSet:
-    """Orbit-closure decomposition of the vanishing set of the monomials.
+def zero_locus(monomials, vs: ValidatedSemigroup) -> OrbitSet:
+    """Orbit-closure decomposition of the vanishing set of the monomials,
+    an iterable of Monomials or (coefficient, exponent) pairs.
 
     A monomial vanishes on the z-axis orbit exactly when it involves an x
     or y variable, and on the x-axis orbit exactly when it involves a y or
     z variable; the whole set vanishes on an orbit when every monomial
     does.  The blocks are contiguous (x, then y, then z), so each test is
     one slice of an exponent, which must have length N (LengthMismatch).
+    No monomial raises EmptyIdeal.  It is the oracle of _subset_report's.
     """
-    if not monomials:
-        raise EmptyIdeal("no monomials given")
     l, lm, n = vs.l, vs.l + vs.m, vs.N
-    has_o1 = True
-    has_o2 = True
-    for mono in monomials:
-        exp = mono.exp
+    has_o1 = has_o2 = True
+    exp = None
+    for _, exp in monomials:
         if len(exp) != n:
             raise LengthMismatch(f"exponent length {len(exp)} != {n}")
         if not any(exp):
@@ -429,6 +450,8 @@ def zero_locus(monomials: Sequence[Monomial],
             has_o1 = False
         if not any(exp[l:]):
             has_o2 = False
+    if exp is None:
+        raise EmptyIdeal("no monomials given")
     return OrbitSet(has_o1, has_o2)
 
 
@@ -450,29 +473,64 @@ class SingularLocus(NamedTuple):
 class NashReport(NamedTuple):
     """Outcome for one r-subset of the generating family.
 
-    minors holds (selection, monomial) pairs for the nonvanishing minors,
-    as subset_minors gives them; zero_locus and equals_sigma are None when
-    the subset never reaches full rank.  fallbacks counts the minors whose
-    closed form had a negative exponent.
+    c_s, base and fallbacks are what _Sweep.check gives, from which
+    Analysis.minors makes the minors; base, zero_locus and equals_sigma
+    are None below full rank.
     """
 
     subset: tuple
-    rank_ok: bool
-    minors: tuple
+    c_s: int
+    base: Optional[tuple]
     zero_locus: Optional[OrbitSet]
     equals_sigma: Optional[bool]
     fallbacks: int
 
+    rank_ok = property(lambda self: self.c_s != 0)
 
-def _subset_report(vs: ValidatedSemigroup, sweep: _Sweep, subset: tuple,
-                   sigma: OrbitSet) -> NashReport:
-    minors, fallbacks = sweep.minors(subset)
-    if not minors:
-        # c_S == 0: the subset is below full rank
-        return NashReport(subset, False, (), None, None, 0)
-    locus = zero_locus([m for _, m in minors], vs)
-    return NashReport(subset, True, tuple(minors), locus, locus == sigma,
-                      fallbacks)
+
+def _subset_report(sigma: OrbitSet, sweep: _Sweep,
+                   subset: tuple) -> NashReport:
+    """The report of one subset, its zero locus by two integer comparisons.
+
+    With the heights h1, h2 of singular_orbits, mu the least h_a + h_b over
+    the pairs and theta = sum_j h_j - mu, a full-rank subset holds O1
+    exactly when sum_j (base_j + 1) h2_j > theta2, and O2 the same with h1:
+    each pair has a minor of degree T_S + g_a + g_b (_Sweep.check), and as
+    heights are nonnegative and h2 is 0 only on the z block, each involves
+    x or y exactly when h2(T_S) + mu2 = sum_j base_j h2_j + mu2 > 0.
+    sweep.rule holds (h, -mu) per height, sweep.loci the four loci."""
+    c_s, base, fallbacks = sweep.check(subset)
+    if not c_s:  # below full rank
+        return NashReport(subset, 0, None, None, None, 0)
+    (h1, f1), (h2, f2) = sweep.rule
+    locus = sweep.loci[sum(map(mul, base, h2)) > f2][
+        sum(map(mul, base, h1)) > f1]
+    return NashReport(subset, c_s, base, locus, locus == sigma, fallbacks)
+
+
+def predict(vs: ValidatedSemigroup) -> tuple:
+    """(sigma, predicted, answer) from singular_orbits and N alone: the
+    verdict the theorem predicts and whether some full-rank subset's zero
+    locus is sigma, which analyze checks.
+
+    - A curve sigma: always_equal when both closures are singular (every
+      subset works), else exists_equal; answer yes.
+    - A point with N = 3: out_of_scope, answer yes.  The one subset is the
+      whole ideal, so by the Jacobian criterion its minors cut out sigma.
+    - A point with N >= 4: never_equal, answer no.  Such a surface is no
+      complete intersection: that is Cohen-Macaulay, and a 2-dimensional
+      Cohen-Macaulay ring with an isolated singularity satisfies R1 and
+      S2, so it is normal (Serre's criterion; Matsumura, Commutative Ring
+      Theory, Thm 23.8); a normal toric surface is a cyclic quotient with
+      s_min = C(N-1, 2) > N - 2 (Riemenschneider, Math. Ann. 209, 1974;
+      Wahl, Ann. Sci. ENS 10, 1977).
+    """
+    sigma = singular_orbits(vs)
+    if sigma.dimension:
+        both = sigma.has_O1 and sigma.has_O2
+        return sigma, "always_equal" if both else "exists_equal", True
+    return (sigma, "out_of_scope", True) if vs.N == 3 else (
+        sigma, "never_equal", False)
 
 
 def classify_ci(ideal: ToricIdeal) -> tuple:
@@ -485,8 +543,7 @@ class TheoremVerdict(NamedTuple):
     """Predicted versus observed shape of the minor-ideal search.
 
     predicted/observed range over always_equal, exists_equal, never_equal
-    and out_of_scope; for in-scope inputs the two must agree, and
-    analyze raises rather than returning a mismatch.
+    and out_of_scope; analyze raises rather than return a mismatch.
     """
 
     is_hypersurface: bool
@@ -499,13 +556,17 @@ class Analysis(NamedTuple):
     """Everything one sweep yields.
 
     witness is the first report whose zero locus equals a one-dimensional
-    singular locus (None when it is a point).
+    singular locus (None when it is a point).  minors reads the sweep's
+    pairs, coords and normal_forms (deg_memo's items).
     """
 
     sigma: SingularLocus
     reports: tuple
     verdict: TheoremVerdict
     witness: Optional[NashReport]
+    pairs: tuple
+    coords: tuple
+    normal_forms: tuple
 
     def dim1_witness(self) -> NashReport:
         """The witness report; SigmaDimensionError unless the singular
@@ -515,6 +576,14 @@ class Analysis(NamedTuple):
                 "witness construction requires a one-dimensional singular "
                 "locus")
         return self.witness
+
+    def minors(self):
+        """One list of _expand triples per report, in order: the minors
+        _Sweep.minors gives it, empty below full rank."""
+        normal_forms = dict(self.normal_forms)
+        for r in self.reports:
+            yield _expand(self.pairs, self.coords, normal_forms, r.c_s,
+                          r.base) if r.c_s else []
 
 
 FAMILIES = {"minimal": attrgetter("minimal_gens"),  # ideal -> family
@@ -526,87 +595,70 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
 
     sigma is read off the cone's two edges (singular_orbits).  The sweep
     reports every r-subset of the family (a name in FAMILIES; ValueError
-    otherwise), in subset-index order, from one _Sweep of the family.  By
-    the Jacobian criterion all their minors together vanish on exactly
-    sigma, for any generating family; disagreement raises
-    InvariantViolation.  On the torus the Jacobian is the difference
-    matrix, whose rank is the same for both families (their rows span one
-    lattice), so a rank drop there makes every c_S zero and raises
-    TorusSingular.
+    otherwise), in subset-index order, from one _Sweep of the family
+    (_subset_report).  Their height rule is held once against zero_locus
+    of the witness's minors, else the first full-rank report's, and by the
+    Jacobian criterion all minors together vanish on exactly sigma, for
+    any generating family; a disagreement raises InvariantViolation.  On
+    the torus the Jacobian is the difference matrix, whose rank is the
+    same for both families (their rows span one lattice), so a rank drop
+    there makes every c_S zero and raises TorusSingular.
 
-    The verdict predicts the search outcome from the singular locus and
-    checks it: a one-dimensional singular locus guarantees a witness subset
-    (both closures singular: every subset works), a zero-dimensional one on
-    a non-complete-intersection guarantees there is none.  Complete
-    intersections with point singular locus are out of scope and not
-    asserted.  A mismatch raises TheoremViolation, so a one-dimensional
-    singular locus has a report whose zero locus equals it; the witness is
-    the first one.
-
-    The two complete-intersection branches stay as checks, though the
-    answer is known for both:
-    - N = 3 with a point sigma (out_of_scope): the one subset is the whole
-      ideal, so by the Jacobian criterion its minors cut out sigma, and
-      the answer is yes.
-    - N >= 4 with a point sigma (TheoremViolation) cannot occur.  A
-      complete intersection is Cohen-Macaulay, and a two-dimensional
-      Cohen-Macaulay ring with an isolated singularity satisfies R1 and
-      S2, so it is normal (Serre's criterion; Matsumura, Commutative Ring
-      Theory, Thm 23.8).  A normal toric surface is a cyclic quotient with
-      s_min = C(N-1, 2) (Riemenschneider, Math. Ann. 209, 1974; Wahl,
-      Ann. Sci. ENS 10, 1977), which exceeds N - 2 for N >= 4, so it is
-      not a complete intersection.
+    The search checks predict's verdict, and classify_ci that a point
+    sigma with N >= 4 is no complete intersection.  A mismatch raises
+    TheoremViolation, so a one-dimensional singular locus has a report
+    whose zero locus equals it; the witness is the first one.
     """
     if not (isinstance(family, str) and family in FAMILIES):
         raise ValueError(f"unknown family {family!r}")
     fam = FAMILIES[family](ideal)
     vs = ideal.semigroup
-    sigma = singular_orbits(vs)
+    sigma, predicted, _ = predict(vs)
     sweep = _Sweep(ideal, fam)
-    reports = tuple(_subset_report(vs, sweep, subset, sigma)
+    reports = tuple(_subset_report(sigma, sweep, subset)
                     for subset in itertools.combinations(range(len(fam)),
                                                          vs.r))
     valid = [r for r in reports if r.rank_ok]
     if not valid:
         raise TorusSingular("no subset of the family reaches full rank")
+    equal = [r for r in valid if r.equals_sigma]
+    # a one-dimensional sigma predicts a match, which the checks below find
+    witness = equal[0] if sigma.dimension == 1 and equal else None
+    probe = witness or valid[0]
+    minors = _expand(sweep.pairs, sweep.coords, sweep.deg_memo, probe.c_s,
+                     probe.base)
+    if zero_locus((m[1:] for m in minors), vs) != probe.zero_locus:
+        raise InvariantViolation(
+            f"height rule and zero_locus disagree on subset {probe.subset}")
     if OrbitSet(all(r.zero_locus.has_O1 for r in valid),
                 all(r.zero_locus.has_O2 for r in valid)) != sigma:
         raise InvariantViolation(
             "edge rule and minor ideal disagree about the singular locus")
 
     is_hyp, is_ci = classify_ci(ideal)
-    if sigma.dimension == 0:
-        if is_ci and not is_hyp:
-            raise TheoremViolation(
-                "complete intersection with isolated singular origin in "
-                f"{vs.N} > 3 variables; this should be impossible and needs "
-                "investigation")
-        predicted = "out_of_scope" if is_ci else "never_equal"
-    elif sigma.has_O1 and sigma.has_O2:
-        predicted = "always_equal"
+    if sigma.dimension == 0 and is_ci and not is_hyp:
+        raise TheoremViolation(
+            "complete intersection with isolated singular origin in "
+            f"{vs.N} > 3 variables; this should be impossible and needs "
+            "investigation")
+    if not equal:
+        observed = "never_equal"
+    elif predicted == "out_of_scope" or (
+            predicted == "always_equal" and len(equal) == len(valid)):
+        observed = predicted
     else:
-        predicted = "exists_equal"
-
-    equal = [r for r in valid if r.equals_sigma]
-    observed = predicted
-    if predicted != "out_of_scope":
-        if not equal:
-            observed = "never_equal"
-        elif len(equal) == len(valid) and predicted == "always_equal":
-            observed = "always_equal"
-        else:
-            # with a single one-dimensional closure the claim being tested
-            # is bare existence, so extra matching subsets do not change
-            # the category; with both, one subset that misses fails it
-            observed = "exists_equal"
-        if predicted != observed:
-            raise TheoremViolation(
-                f"predicted {predicted} but observed {observed} for generators "
-                f"{[tuple(p) for p in vs.gens.points]}")
-    # a one-dimensional sigma predicts a match, which the check above found
-    witness = equal[0] if sigma.dimension == 1 else None
+        # with a single one-dimensional closure the claim being tested is
+        # bare existence, so extra matching subsets do not change the
+        # category; with both, one subset that misses fails it
+        observed = "exists_equal"
+    if predicted != observed:
+        raise TheoremViolation(
+            f"predicted {predicted} but observed {observed} for generators "
+            f"{[tuple(p) for p in vs.gens.points]}")
     verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed)
-    return Analysis(SingularLocus(sigma, True), reports, verdict, witness)
+    return Analysis(SingularLocus(sigma, True), reports, verdict, witness,
+                    tuple(sweep.pairs), sweep.coords,
+                    tuple(sweep.deg_memo.items()))
 
 
 # --- entry points: reads of one analysis --------------------------------------

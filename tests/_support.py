@@ -41,6 +41,7 @@ from toricnash.nash import (
     OrbitSet,
     _Sweep,
     _normalize_selection,
+    _subset_report,
     monomial_classes,
     nash_ideal,
     singular_orbits,
@@ -526,7 +527,9 @@ def check_sweep_order(surfaces, seed=0) -> int:
     """Assert that one _Sweep over the r-subsets of the minimal generators
     and of the Groebner basis, under lex and degrevlex, visited in a
     shuffled order, gives each subset the minors of
-    per_pair_subset_minors; returns the number of surfaces."""
+    per_pair_subset_minors, and each full-rank subset the zero locus of
+    those minors by the height rule of _subset_report; returns the number
+    of surfaces."""
     rng = random.Random(seed)
     count = 0
     for vs in surfaces:
@@ -538,10 +541,24 @@ def check_sweep_order(surfaces, seed=0) -> int:
                 sweep = _Sweep(ideal, fam)
                 for idx in subsets:
                     chosen = [fam[i] for i in idx]
-                    assert sweep.minors(idx) == per_pair_subset_minors(
-                        chosen, ideal), (vs.gens.points, idx)
+                    oracle = per_pair_subset_minors(chosen, ideal)
+                    assert sweep.minors(idx) == oracle, (vs.gens.points, idx)
+                    if oracle[0]:
+                        report = _subset_report(None, sweep, idx)
+                        assert report.zero_locus == tn.zero_locus(
+                            [m for _, m in oracle[0]], vs), \
+                            (vs.gens.points, idx)
         count += 1
     return count
+
+
+def report_minors(analysis, report=None) -> list:
+    """The minors analysis.minors gives each report, as _Sweep.minors
+    gives them: (selection, Monomial) pairs; those of report alone when
+    it is given."""
+    out = [[(sel, Monomial(coeff, exp)) for sel, coeff, exp in minors]
+           for minors in analysis.minors()]
+    return out if report is None else out[analysis.reports.index(report)]
 
 
 def pair_scan_cone_rays(gens) -> tuple:
@@ -874,18 +891,19 @@ def disagreeing_sigma(monkeypatch):
                         lambda vs: OrbitSet(True, False))
 
 
-def support_witness(reports, sigma, vs):
+def support_witness(analysis, vs):
     """The witness by minor supports, an oracle for Analysis.witness: for a
     one-dimensional sigma, the first full-rank report when both closures
     are singular, else the first with a minor supported on the x block
     (sigma has only O1) or on the z block (only O2); None otherwise."""
+    sigma = analysis.sigma.orbits
     if sigma.dimension != 1:
         return None
     both = sigma.has_O1 and sigma.has_O2
     block = set(vs.x_indices if sigma.has_O1 else vs.z_indices)
-    for report in reports:
+    for report, minors in zip(analysis.reports, report_minors(analysis)):
         supports = ({i for i, e in enumerate(m.exp) if e}
-                    for _, m in report.minors)
+                    for _, m in minors)
         if report.rank_ok and (both or any(s and s <= block
                                            for s in supports)):
             return report

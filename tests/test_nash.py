@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from collections import Counter
 import pytest
 
 import toricnash as tn
-from toricnash import algebra, ideal as ideal_mod, nash
+from toricnash import algebra, cli, ideal as ideal_mod, nash
 from toricnash.algebra import (
     Binomial,
     Monomial,
@@ -389,7 +390,8 @@ class TestSparseMinor:
             assert sup.fiber_minima(nfs, vs.gens.points, ideal.order) == \
                 {nf: nf for nf in nfs}, points
             assert [sweep.minors(r.subset) for r in analysis.reports] == \
-                [(list(r.minors), r.fallbacks) for r in analysis.reports]
+                [(minors, r.fallbacks) for r, minors in
+                 zip(analysis.reports, sup.report_minors(analysis))]
 
     @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
     def test_sub_minors_expanded_once_in_any_order(self, make_order,
@@ -502,14 +504,14 @@ class TestSubsetMinors:
                                 ("groebner", ideal.gb.elements)):
                 analysis = analyze(ideal, family)
                 assert analysis.sigma.origin_singular
-                assert analysis.witness == sup.support_witness(
-                    analysis.reports, analysis.sigma.orbits, vs)
+                assert analysis.witness == sup.support_witness(analysis, vs)
                 witnesses += analysis.witness is not None
                 indices = list(itertools.combinations(range(len(fam)), vs.r))
                 assert [r.subset for r in analysis.reports] == indices
-                for report in analysis.reports:
+                for report, minors in zip(analysis.reports,
+                                          sup.report_minors(analysis)):
                     chosen = [fam[i] for i in report.subset]
-                    assert (list(report.minors), report.fallbacks) == \
+                    assert (minors, report.fallbacks) == \
                         sup.per_pair_subset_minors(chosen, ideal), chosen
                     subsets += 1
                     fallbacks += report.fallbacks
@@ -699,14 +701,36 @@ class TestZeroLocus:
         with pytest.raises(tn.EmptyIdeal):
             zero_locus([], vs)
 
+    def test_empty_iterator_refused(self, fixture_a):
+        # an iterator is true however many monomials it holds
+        vs, _ = fixture_a
+        with pytest.raises(tn.EmptyIdeal):
+            zero_locus(iter([]), vs)
+        with pytest.raises(tn.EmptyIdeal):
+            zero_locus((m for m in ()), vs)
+
+    def test_generator_matches_list(self):
+        # a one-shot generator of each report's monomials, and of its bare
+        # (coefficient, exponent) pairs, gives the locus of the list
+        checked = 0
+        for vs, ideal in sweep_ideals():
+            for minors in sup.report_minors(analyze(ideal)):
+                monos = [m for _, m in minors]
+                if monos:
+                    want = zero_locus(monos, vs)
+                    assert zero_locus((m for m in monos), vs) == want
+                    assert zero_locus((tuple(m) for m in monos), vs) == want
+                    checked += 1
+        assert checked
+
     def test_slices_match_index_lists(self):
         # every minor of the four sweep surfaces, alone and as its subset's
         # ideal, in both families, then a constant minor and no minor
         checked = 0
         for vs, ideal in sweep_ideals():
             for family in ("minimal", "groebner"):
-                for report in analyze(ideal, family).reports:
-                    monos = [m for _, m in report.minors]
+                for minors in sup.report_minors(analyze(ideal, family)):
+                    monos = [m for _, m in minors]
                     for group in [[m] for m in monos] + [monos] * bool(monos):
                         assert zero_locus(group, vs) == \
                             sup.index_zero_locus(group, vs)
@@ -852,11 +876,12 @@ class TestDim1Selector:
     def test_witness_minor_is_pure_block(self, fixture_c):
         vs, ideal = fixture_c
         report = dim1_selector(ideal)
+        minors = sup.report_minors(analyze(ideal), report)
         # sigma is the x-axis closure here, so a pure z-block minor exists
         z = set(vs.z_indices)
         assert any(
             set(i for i, e in enumerate(m.exp) if e) <= z
-            for _, m in report.minors)
+            for _, m in minors)
 
 
 class TestAnalysis:
@@ -909,8 +934,8 @@ class TestAnalysis:
     def test_no_full_rank_subset_refused(self, fixture_c, monkeypatch):
         # every subset reported below full rank (c_S == 0)
         _, ideal = fixture_c
-        monkeypatch.setattr(nash._Sweep, "minors",
-                            lambda self, subset: ([], 0))
+        monkeypatch.setattr(nash._Sweep, "check",
+                            lambda self, subset: (0, None, 0))
         with pytest.raises(TorusSingular, match="^no subset of the family "
                                                 "reaches full rank$"):
             analyze(ideal)
@@ -925,12 +950,13 @@ class TestAnalysis:
             analyze(ideal)
 
     def test_verdict_mismatch_is_theorem_violation(self, monkeypatch):
-        # the hypersurface xz - y^2 read as no complete intersection: a
-        # point singular locus then predicts no match, but the one subset
-        # cuts out the origin
+        # the hypersurface xz - y^2 predicted as N >= 4 would be: a point
+        # singular locus then predicts no match, but the one subset cuts
+        # out the origin
         vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
         ideal = toric_ideal(vs)
-        monkeypatch.setattr(nash, "classify_ci", lambda ideal: (False, False))
+        monkeypatch.setattr(nash, "predict", lambda vs: (
+            singular_orbits(vs), "never_equal", False))
         with pytest.raises(TheoremViolation) as info:
             analyze(ideal)
         assert str(info.value) == (
@@ -1056,3 +1082,150 @@ class TestContainment:
             for report in search_all_subsets(ideal):
                 if report.rank_ok:
                     assert sup.contains(report.zero_locus, sigma)
+
+
+# the surfaces of the ideal benchmark, under lex
+IDEAL_SURFACES = [[(11, 0), (12, 0), (13, 0), (1, 1), (0, 11)],
+                  [(7, 0), (8, 0), (9, 0), (10, 0), (1, 1), (0, 7)],
+                  [(2, 0), (1, 2), (4, 2), (4, 3), (1, 3)],
+                  [(2, 0), (1, 4), (3, 2), (4, 3), (0, 2)]]
+S7 = [(5, 0), (6, 0), (7, 0), (0, 5), (0, 6), (0, 7), (1, 1)]
+
+
+@pytest.fixture(scope="module")
+def small_sets():
+    """Every valid 3-4 point set of [0,3]^2."""
+    return sup.box_semigroups(3, (3, 4))
+
+
+def rule_matches_oracle(analysis, vs) -> int:
+    """Assert that each full-rank report's zero locus, by the height rule,
+    is zero_locus of its minors; returns how many were checked."""
+    checked = 0
+    for r, minors in zip(analysis.reports, analysis.minors(), strict=True):
+        if r.rank_ok:
+            assert r.zero_locus == zero_locus(
+                [(coeff, exp) for _, coeff, exp in minors], vs), r.subset
+            checked += 1
+    return checked
+
+
+class TestHeightRule:
+    def test_small_sets(self, small_sets):
+        # both orders and both families of every valid 3-4 point set
+        checked = 0
+        for vs in small_sets:
+            for make_order in (lex_order, degrevlex_order):
+                ideal = toric_ideal(vs, make_order(vs.N))
+                for family in ("minimal", "groebner"):
+                    checked += rule_matches_oracle(analyze(ideal, family), vs)
+        assert len(small_sets) == 754
+        assert checked == 10292
+
+    def test_fixtures_and_s7(self, fixture_a, fixture_b, fixture_c):
+        checked = 0
+        for vs, ideal in (fixture_a, fixture_b, fixture_c):
+            for family in ("minimal", "groebner"):
+                checked += rule_matches_oracle(analyze(ideal, family), vs)
+        vs, ideal = sup.build(S7)
+        s7 = rule_matches_oracle(analyze(ideal), vs)
+        assert checked > 0 and s7 > 5000
+
+    def test_wrong_rule_refused(self, fixture_b, monkeypatch):
+        # every subset read as vanishing on no orbit: the analysis's one
+        # comparison with zero_locus refuses it before the edge check
+        _, ideal = fixture_b
+
+        class Wrong(nash._Sweep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.loci = ((OrbitSet(False, False),) * 2,) * 2
+
+        monkeypatch.setattr(nash, "_Sweep", Wrong)
+        with pytest.raises(InvariantViolation, match="^height rule and "
+                                                     "zero_locus disagree"):
+            analyze(ideal)
+
+    def test_probe_is_witness(self, fixture_c, monkeypatch):
+        # the comparison reads the witness's minors, and zero_locus keeps
+        # its constant-minor refusal on that path
+        _, ideal = fixture_c
+        probed = []
+        expand = nash._expand
+
+        def watched(pairs, coords, normal_forms, c_s, base):
+            probed.append(base)
+            return expand(pairs, coords, normal_forms, c_s, base)
+
+        monkeypatch.setattr(nash, "_expand", watched)
+        a = analyze(ideal)
+        assert probed == [a.witness.base]
+        monkeypatch.setattr(nash, "_expand", lambda *args: [
+            ((0, 1), 1, (0,) * ideal.semigroup.N)])
+        with pytest.raises(InvariantViolation, match="constant minor"):
+            analyze(ideal)
+
+    @pytest.mark.parametrize("points", [CYC6, sup.FIXTURE_B, EXISTS])
+    def test_no_monomial_records(self, monkeypatch, points):
+        # analyze and the three writers hold each minor as a bare
+        # (selection, coefficient, exponent) triple
+        spec = InputSpec(tuple(points))
+        rep = build_report(spec)
+        outputs = (cli.report_json(rep), cli.report_text(rep))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Monomial was built")
+
+        monkeypatch.setattr(nash, "Monomial", refuse)
+        monkeypatch.setattr(algebra, "Monomial", refuse)
+        again = build_report(spec)
+        assert again.analysis == rep.analysis
+        assert (cli.report_json(again), cli.report_text(again)) == outputs
+        cli.write_report_json(again, io.StringIO())
+
+    def test_reports_hold_no_minors(self, fixture_b):
+        assert nash.NashReport._fields == (
+            "subset", "c_s", "base", "zero_locus", "equals_sigma",
+            "fallbacks")
+        for r in analyze(fixture_b[1]).reports:
+            assert r.rank_ok == (r.c_s != 0)
+            assert (r.base is None) == (not r.rank_ok)
+
+
+class TestPredict:
+    @staticmethod
+    def _agrees(vs, analysis):
+        sigma, predicted, answer = tn.predict(vs)
+        assert sigma == analysis.sigma.orbits
+        assert predicted == analysis.verdict.predicted
+        assert answer == any(r.equals_sigma for r in analysis.reports
+                             if r.rank_ok)
+        return predicted
+
+    def test_fixtures_and_bench_surfaces(self, fixture_a, fixture_b,
+                                         fixture_c):
+        inputs = [fixture_a, fixture_b, fixture_c] + sweep_ideals() + [
+            sup.build(points) for points in IDEAL_SURFACES]
+        seen = Counter()
+        for vs, ideal in inputs:
+            for family in ("minimal", "groebner"):
+                seen[self._agrees(vs, analyze(ideal, family))] += 1
+        assert set(seen) == {"never_equal", "exists_equal", "always_equal"}
+
+    def test_small_sets(self, small_sets):
+        seen = Counter()
+        for vs in small_sets:
+            ideal = toric_ideal(vs)
+            for family in ("minimal", "groebner"):
+                seen[self._agrees(vs, analyze(ideal, family))] += 1
+        assert set(seen) == {"never_equal", "exists_equal", "always_equal",
+                             "out_of_scope"}
+
+    def test_rule(self):
+        cases = {((1, 0), (1, 1), (1, 2)): ("out_of_scope", True),
+                 tuple(sup.FIXTURE_A): ("never_equal", False),
+                 tuple(sup.FIXTURE_B): ("always_equal", True),
+                 tuple(sup.FIXTURE_C): ("exists_equal", True)}
+        for points, want in cases.items():
+            vs = validate(generator_set(list(points)))
+            assert tn.predict(vs)[1:] == want, points

@@ -20,7 +20,8 @@ def _records():
     """One instance of every public record."""
     vs, ideal = sup.build(sup.FIXTURE_B)
     a = tn.analyze(ideal)
-    return [ideal.order, ideal.gb.elements[0], a.witness.minors[0][1],
+    return [ideal.order, ideal.gb.elements[0],
+            sup.report_minors(a, a.witness)[0][1],
             vs.gens, vs.gens.points[0], vs, ideal.gb, ideal, a.sigma.orbits,
             a.sigma, a.witness, a.verdict, a, InputSpec(((1, 0), (0, 1)))]
 
