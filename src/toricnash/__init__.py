@@ -11,8 +11,6 @@ from .algebra import (
     Monomial,
     TermOrder,
     degrevlex_order,
-    derivative,
-    determinant,
     lex_order,
 )
 from .errors import (
@@ -41,7 +39,6 @@ from .ideal import (
     lattice_kernel,
     minimal_generators,
     monomial_nf,
-    normal_form,
     toric_ideal,
 )
 from .nash import (
@@ -52,16 +49,9 @@ from .nash import (
     TheoremVerdict,
     analyze,
     classify_ci,
-    dim1_selector,
-    minor_monomial_formula,
-    minor_symbolic,
     nash_ideal,
     predict,
-    rank,
-    search_all_subsets,
-    singular_locus,
     subset_minors,
-    verify_dichotomy,
     zero_locus,
 )
 from .semigroup import (

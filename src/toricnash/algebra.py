@@ -21,10 +21,10 @@ class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
     """A monomial order on nvars variables, ranked x_0 > x_1 > ...
 
     kind is a name in ORDERS.  weights, when given, are strictly positive
-    degree weights used by degrevlex (None means total degree).  degree is
-    that weighted degree for a weighted degrevlex order and the total
-    degree otherwise; a degrevlex key begins with it.  nvars and the
-    weights are non-bool ints, nvars nonnegative (ValueError otherwise).
+    degree weights, which only degrevlex reads, so lex stores None (None
+    means total degree).  degree is that weighted degree, else the total
+    degree; a degrevlex key begins with it.  nvars and the weights are
+    non-bool ints, nvars nonnegative (ValueError otherwise).
     """
 
     __slots__ = ()
@@ -43,13 +43,14 @@ class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
                 raise ValueError("degree weights must be ints")
             if any(w <= 0 for w in weights):
                 raise ValueError("degree weights must be strictly positive")
-        return super().__new__(cls, kind, nvars, weights)
+        return super().__new__(cls, kind, nvars,
+                               None if kind == "lex" else weights)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def degree(self, exp: ExponentVector) -> int:
         """Weighted degree under the degrevlex weights, else total degree."""
-        if self.weights is None or self.kind == "lex":
+        if self.weights is None:
             return sum(exp)
         return sum(map(operator.mul, self.weights, exp))
 

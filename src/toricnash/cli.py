@@ -424,7 +424,7 @@ def _check_fixture(name: str, doc) -> list:
     ideal, a = rep.ideal, rep.analysis
     vs, sig, v = ideal.semigroup, a.sigma, a.verdict
     # blocks, sigma and verdict are required (KeyError), origin_singular
-    # defaults to True, the other scalars are compared when given
+    # defaults to True, the rest are compared when given, as JSON (true != 1)
     exp_verdict = _object(exp["verdict"], '"verdict"')
     expected = {"origin_singular": True, **exp, "blocks": exp["blocks"],
                 "sigma": exp["sigma"], "verdict": [exp_verdict["predicted"],
@@ -436,8 +436,9 @@ def _check_fixture(name: str, doc) -> list:
               "complete_intersection": v.is_complete_intersection,
               "verdict": [v.predicted, v.observed]}
     problems = [f"{key} {value} != {expected[key]}"
-                for key, value in actual.items()
-                if key in expected and value != expected[key]]
+                for key, value in actual.items() if key in expected
+                and json.dumps(value, sort_keys=True)
+                != json.dumps(expected[key], sort_keys=True)]
     expected_binomials = _binomials_from_pairs(exp["ideal"], vs.N)
     if buchberger(expected_binomials, ideal.order).elements != \
             ideal.gb.elements:

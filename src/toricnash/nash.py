@@ -14,7 +14,8 @@ singular locus and the dichotomy verdict.
 - Verdicts: predict reads the verdict off sigma and N; analyze is the only
   code that sweeps a whole family, into one Analysis, and checks it;
   singular_locus, search_all_subsets, dim1_selector and verify_dichotomy
-  each read one field of it.
+  each read one field of it.  These readers, rank and the minor oracles are
+  not exported: the benchmark's bindings and the tests import them here.
 """
 from __future__ import annotations
 

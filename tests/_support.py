@@ -36,6 +36,7 @@ from toricnash.ideal import (
     int_rank,
     lattice_kernel,
     minimal_generators,
+    normal_form,
 )
 from toricnash.nash import (
     OrbitSet,
@@ -98,7 +99,7 @@ def pi(vs, alpha):
 
 
 def nf_exponent(exp, ideal):
-    nf = tn.normal_form({tuple(exp): 1}, ideal.gb)
+    nf = normal_form({tuple(exp): 1}, ideal.gb)
     assert len(nf) == 1, f"monomial class of {exp} has non-monomial NF"
     (term,) = nf
     return term
@@ -132,7 +133,7 @@ def evaluate(p: dict, point: Sequence[int]) -> int:
 
 def ideal_member(p: dict, gb) -> bool:
     """Whether p lies in the ideal of the Groebner basis gb."""
-    return not tn.normal_form(p, gb)
+    return not normal_form(p, gb)
 
 
 def contains(big: OrbitSet, small: OrbitSet) -> bool:

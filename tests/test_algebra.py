@@ -53,6 +53,20 @@ class TestCompare:
         for order in (weighted, degrevlex_order(3)):
             assert order.key(exp)[0] == order.degree(exp)
 
+    def test_lex_stores_no_weights(self):
+        # lex reads no weights, so two lex orders that differ only in them
+        # are one order, and buchberger gives one record under both; the
+        # weights are still checked
+        weighted = TermOrder("lex", 4, (1, 2, 3, 4))
+        assert weighted == lex_order(4) and weighted.weights is None
+        assert hash(weighted) == hash(lex_order(4))
+        assert TermOrder("degrevlex", 4, (1, 2, 3, 4))._replace(
+            kind="lex") == lex_order(4)
+        rows = sup.binomials(sup.IDEAL_A)
+        assert buchberger(rows, weighted) == buchberger(rows, lex_order(4))
+        with pytest.raises(ValueError):
+            TermOrder("lex", 2, (1, 0))
+
     def test_key_matches_reference(self):
         # the keys equal the generator-expression keys and sort alike; a
         # shorter or longer exponent is refused, not truncated

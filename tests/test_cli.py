@@ -358,6 +358,18 @@ class TestExamplesCommand:
         assert capsys.readouterr().out == (
             f"broken.json: FAIL\n  {line}\n0/1 examples pass\n")
 
+    def test_bool_for_int_reported(self, tmp_path, capsys):
+        # JSON true is not 1, nor 0 false, though Python's == says so
+        doc = _bundled("c_one_edge.json")
+        doc["expected"]["blocks"] = [True, True, 2]
+        doc["expected"]["hypersurface"] = 0
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "c.json: FAIL\n  blocks [1, 1, 2] != [True, True, 2]\n"
+            "  hypersurface False != 0\n0/1 examples pass\n")
+
     @pytest.mark.parametrize("key", SCALARS)
     def test_only_blocks_sigma_verdict_required(self, tmp_path, capsys,
                                                 key):

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -563,7 +564,8 @@ class TestSubsetMinors:
         assert len(tops) == fallbacks > 0
 
     @pytest.mark.parametrize("group", ["fixture_b", "cyc6", "box5"])
-    def test_prefix_wedges_match_int_det(self, group, fixture_b):
+    def test_prefix_wedges_match_int_det(self, group, fixture_b,
+                                         five_point_sets):
         # the reference minor of every subset, visited in shuffled order,
         # is int_det of its rows over the columns 1..N-2, zero for the
         # rank-deficient ones, and every memoised prefix minor is int_det
@@ -574,7 +576,7 @@ class TestSubsetMinors:
             ideals = [ideal for _, ideal in sweep_ideals(SWEEP_SURFACES[:2])]
         else:
             ideals = [toric_ideal(vs, lex_order(vs.N))
-                      for vs in sup.box_semigroups(3, (5,))]
+                      for vs in five_point_sets]
         subsets = zeros = 0
         for seed, ideal in enumerate(ideals):
             checked, deficient = sup.check_prefix_wedges(ideal, seed)
@@ -1098,6 +1100,12 @@ def small_sets():
     return sup.box_semigroups(3, (3, 4))
 
 
+@pytest.fixture(scope="module")
+def five_point_sets():
+    """Every valid 5-point set of [0,3]^2."""
+    return sup.box_semigroups(3, (5,))
+
+
 def rule_matches_oracle(analysis, vs) -> int:
     """Assert that each full-rank report's zero locus, by the height rule,
     is zero_locus of its minors; returns how many were checked."""
@@ -1212,20 +1220,52 @@ class TestPredict:
                 seen[self._agrees(vs, analyze(ideal, family))] += 1
         assert set(seen) == {"never_equal", "exists_equal", "always_equal"}
 
-    def test_small_sets(self, small_sets):
+    def test_small_sets(self, small_sets, five_point_sets):
+        # every valid 3-5 point set, lex, both families
         seen = Counter()
-        for vs in small_sets:
+        for vs in small_sets + five_point_sets:
             ideal = toric_ideal(vs)
             for family in ("minimal", "groebner"):
                 seen[self._agrees(vs, analyze(ideal, family))] += 1
+        assert len(five_point_sets) == 578
+        assert sum(seen.values()) == 2 * (754 + 578)
         assert set(seen) == {"never_equal", "exists_equal", "always_equal",
                              "out_of_scope"}
 
+    # an edge's orbit is singular when its generators share a factor or no
+    # generator lies at height 1 above it; the last seven are the probes
+    # whose analysis runs for seconds or more, which predict answers at once
+    RULE_CASES = {
+        ((1, 0), (1, 1), (1, 2)): ("out_of_scope", True),
+        tuple(sup.FIXTURE_A): ("never_equal", False),
+        tuple(sup.FIXTURE_B): ("always_equal", True),
+        tuple(sup.FIXTURE_C): ("exists_equal", True),
+        # edges (3,-2), no point at height 1 (heights 11, 16, 17, 10^4),
+        # and (-10^4,10^4), a multiple: both singular
+        ((3, -2), (-5, 9), (4, 1), (-10**4, 10**4), (5, 2)):
+            ("always_equal", True),
+        # edges (1,0) and (0,200),(0,201), coprime; (1,1) and (1,0) lie at
+        # height 1: a point, N = 7
+        ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (0, 200), (0, 201)):
+            ("never_equal", False),
+        # edges (2^63,10^30), a multiple of 2^30, and (-1,-1), whose
+        # nearest point (-3,-1) lies at height 2: both singular
+        ((2**63, 10**30), (-3, 0), (-3, -1), (-1, -1)):
+            ("always_equal", True),
+        # edges (1,0) and (0,1000),(0,1001), coprime, with (1,1) and
+        # (1,0) at height 1: a point, N = 4
+        ((1, 0), (1, 1), (0, 1000), (0, 1001)): ("never_equal", False),
+        # axes-60: coprime 60, 61 on both axes, (1,1) at height 1 above
+        # each: a point, N = 5
+        ((60, 0), (61, 0), (0, 60), (0, 61), (1, 1)): ("never_equal", False),
+        # cyc10 and cyc11: primitive edges (1,0), (1,k) with (1,1) and
+        # (1,k-1) at height 1: a point, N >= 4
+        tuple((1, j) for j in range(10)): ("never_equal", False),
+        tuple((1, j) for j in range(11)): ("never_equal", False)}
+
     def test_rule(self):
-        cases = {((1, 0), (1, 1), (1, 2)): ("out_of_scope", True),
-                 tuple(sup.FIXTURE_A): ("never_equal", False),
-                 tuple(sup.FIXTURE_B): ("always_equal", True),
-                 tuple(sup.FIXTURE_C): ("exists_equal", True)}
-        for points, want in cases.items():
+        for points, want in self.RULE_CASES.items():
+            start = time.perf_counter()
             vs = validate(generator_set(list(points)))
             assert tn.predict(vs)[1:] == want, points
+            assert time.perf_counter() - start < 1.0, points

@@ -1,0 +1,55 @@
+"""README's "Library" example runs, and the package exports what it
+documents: the symbolic oracle and the one-field readers stay module
+names."""
+import importlib
+import re
+import warnings
+from pathlib import Path
+
+import pytest
+
+import toricnash as tn
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the symbolic oracle and the four readers that each rerun analyze for one
+# field, by the module that defines them
+UNEXPORTED = [("algebra", "derivative"), ("algebra", "determinant"),
+              ("ideal", "normal_form"), ("nash", "rank"),
+              ("nash", "minor_symbolic"), ("nash", "minor_monomial_formula"),
+              ("nash", "singular_locus"), ("nash", "search_all_subsets"),
+              ("nash", "dim1_selector"), ("nash", "verify_dichotomy")]
+
+
+def _library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    return block
+
+
+def test_library_example_runs():
+    # warnings are errors, as in the tier-1 run; a removed or renamed name
+    # raises AttributeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(_library_block(), str(README), "exec"), {})
+
+
+def test_every_package_name_in_readme_exists():
+    names = set(re.findall(r"\btn\.(\w+)", README.read_text(encoding="utf-8")))
+    assert {"analyze", "predict", "subset_minors", "toric_ideal",
+            "validate"} <= names
+    assert sorted(n for n in names if not hasattr(tn, n)) == []
+
+
+@pytest.mark.parametrize("module, name", UNEXPORTED,
+                         ids=[name for _, name in UNEXPORTED])
+def test_oracle_and_readers_not_exported(module, name):
+    # README names each by its module, never as a package name
+    readme = README.read_text(encoding="utf-8")
+    assert f"`{module}.{name}`" in readme
+    assert f"`{name}`" not in readme and f"tn.{name}" not in readme
+    assert not hasattr(tn, name)
+    assert callable(getattr(importlib.import_module(f"toricnash.{module}"),
+                            name))
