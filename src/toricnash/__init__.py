@@ -8,7 +8,6 @@ against the singular locus.
 
 from .algebra import (
     Binomial,
-    Monomial,
     TermOrder,
     degrevlex_order,
     lex_order,
@@ -25,7 +24,6 @@ from .errors import (
     NonMonomialResidue,
     NotMinimal,
     NotSquare,
-    RankDeficient,
     SigmaDimensionError,
     TheoremViolation,
     TooFewGenerators,
@@ -49,7 +47,6 @@ from .nash import (
     TheoremVerdict,
     analyze,
     classify_ci,
-    nash_ideal,
     predict,
     subset_minors,
     zero_locus,

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import LengthMismatch, NotSquare
-
-ExponentVector = tuple  # tuple[int, ...], all entries >= 0
 
 
 class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
@@ -48,13 +46,13 @@ class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def degree(self, exp: ExponentVector) -> int:
+    def degree(self, exp: tuple) -> int:
         """Weighted degree under the degrevlex weights, else total degree."""
         if self.weights is None:
             return sum(exp)
         return sum(map(operator.mul, self.weights, exp))
 
-    def key(self, exp: ExponentVector):
+    def key(self, exp: tuple):
         """Sortable key; bigger key means bigger monomial.  Lex: the
         exponents; degrevlex: the degree, then the negated exponents from
         the last variable.  Another length raises LengthMismatch."""
@@ -75,13 +73,6 @@ def degrevlex_order(n: int) -> TermOrder:
 
 
 ORDERS = ("lex", "degrevlex")
-
-
-class Monomial(NamedTuple):
-    """A nonzero integer multiple of a single power product."""
-
-    coeff: int
-    exp: ExponentVector
 
 
 class Binomial(namedtuple("Binomial", "plus minus")):

@@ -22,8 +22,8 @@ InputError (1), TheoremViolation (3) or another ToricNashError (2).  Only
 the failures with a message of their own are handled where they happen:
 an unwritable --out, an unreadable or empty corpus and a failing example.
 analyze writes --out before its text.  A stdout closed at start or during
-the run exits 1 without a message.  Every string a report prints is made
-in this module.
+the run exits 1 without a message; text its encoding cannot hold prints
+as backslash escapes.  Every string a report prints is made here.
 """
 from __future__ import annotations
 
@@ -48,9 +48,9 @@ from .nash import (  # noqa: F401
     analyze,
     dim1_selector,
     monomial_classes,
-    nash_ideal,
     search_all_subsets,
     singular_locus,
+    subset_minors,
     verify_dichotomy,
     zero_locus,
 )
@@ -439,6 +439,10 @@ def _check_fixture(name: str, doc) -> list:
                 for key, value in actual.items() if key in expected
                 and json.dumps(value, sort_keys=True)
                 != json.dumps(expected[key], sort_keys=True)]
+    flags = {key: exp.get(key, False)
+             for key in ("all_rank_valid_equal_sigma", "dim1_witness")}
+    problems += [f"{key} {json.dumps(value)} is not true or false"
+                 for key, value in flags.items() if type(value) is not bool]
     expected_binomials = _binomials_from_pairs(exp["ideal"], vs.N)
     if buchberger(expected_binomials, ideal.order).elements != \
             ideal.gb.elements:
@@ -450,23 +454,23 @@ def _check_fixture(name: str, doc) -> list:
     for i, mf in enumerate(minor_fixtures):
         mf = _object(mf, f"minor fixture {i}")
         rows = _binomials_from_pairs(mf["rows"], vs.N)
-        got = monomial_classes([m.exp for m in nash_ideal(rows, ideal)],
-                               ideal)
+        got = monomial_classes(
+            [exp for _, _, exp in subset_minors(rows, ideal)[0]], ideal)
         want = _nf_exponents(mf["monomials"], ideal)
         if got != want:
             problems.append(f"minor fixture {i}: classes {sorted(got)} != "
                             f"{sorted(want)}")
-    if exp.get("all_rank_valid_equal_sigma"):
+    if flags["all_rank_valid_equal_sigma"] is True:
         bad = [r.subset for r in a.reports
                if r.rank_ok and not r.equals_sigma]
         if bad:
             problems.append(f"subsets with V != sigma: {bad}")
     if "witness_rows" in exp:
         rows = _binomials_from_pairs(exp["witness_rows"], vs.N)
-        locus = zero_locus(nash_ideal(rows, ideal), vs)
-        if locus != sig.orbits:
+        minors = [m[1:] for m in subset_minors(rows, ideal)[0]]
+        if not minors or zero_locus(minors, vs) != sig.orbits:
             problems.append("witness rows do not cut out sigma")
-    if exp.get("dim1_witness"):
+    if flags["dim1_witness"] is True:
         a.dim1_witness()  # SigmaDimensionError unless sigma is a curve
     status = "pass" if not problems else "FAIL"
     print(f"{name}: {status}")
@@ -573,6 +577,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if hasattr(sys.stdout, "reconfigure"):  # None when fd 1 is closed
+            sys.stdout.reconfigure(errors="backslashreplace")
         if args.command == "validate":
             status = cmd_validate(args.input)
         elif args.command == "analyze":

@@ -53,10 +53,6 @@ class NotSquare(ToricNashError):
 
 # --- minor / singular-locus analysis -------------------------------------
 
-class RankDeficient(ToricNashError):
-    """Chosen binomials have Jacobian rank below the codimension."""
-
-
 class NonMonomialResidue(ToricNashError):
     """A reduced minor has two or more terms; upstream data is corrupt."""
 

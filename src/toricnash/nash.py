@@ -2,11 +2,11 @@
 singular locus and the dichotomy verdict.
 
 - Minors: a _Sweep checks each r-subset down to (c_S, D_S), from which
-  _expand makes its minors (_Sweep.check says why they are exact);
-  subset_minors, minor_monomial_formula and nash_ideal read one subset.
-  minor_symbolic, the symbolic determinant reduced to normal form, is the
-  reference the tests hold them against; like _minor_terms it gives a
-  minor as a fresh {exponent: coefficient} dict.
+  _expand makes its (selection, coefficient, exponent) triples, exact by
+  _Sweep.check; subset_minors reads one subset, minor_monomial_formula
+  one pair.  minor_symbolic, the symbolic determinant reduced to normal
+  form, is the tests' reference; like _minor_terms it gives a minor as a
+  fresh {exponent: coefficient} dict.
 - Orbit sets: zero loci and the singular locus are unions of torus-orbit
   closures (OrbitSet); singular_orbits reads the singular ones off the
   cone's two edges, _subset_report a subset's off two height sums and
@@ -24,14 +24,13 @@ from math import gcd
 from operator import add, attrgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import Binomial, Monomial, derivative, determinant
+from .algebra import Binomial, derivative, determinant
 from .errors import (
     EmptyIdeal,
     InvariantViolation,
     LengthMismatch,
     NonMonomialResidue,
     NotSquare,
-    RankDeficient,
     SigmaDimensionError,
     TheoremViolation,
     TorusSingular,
@@ -321,27 +320,26 @@ class _Sweep:
     def minors(self, subset: tuple) -> tuple:
         """(minors, fallbacks) as subset_minors gives them: check, _expand."""
         c_s, base, fallbacks = self.check(subset)
-        if not c_s:
-            return [], 0
-        return [(sel, Monomial(coeff, exp)) for sel, coeff, exp in _expand(
-            self.pairs, self.coords, self.deg_memo, c_s, base)], fallbacks
+        return (_expand(self.pairs, self.coords, self.deg_memo, c_s, base)
+                if c_s else []), fallbacks
 
 
 def subset_minors(family_subset: Sequence[Binomial],
                   ideal: ToricIdeal) -> tuple:
     """(minors, fallbacks) for one r-subset, over all C(N, 2) column pairs.
 
-    minors lists the nonvanishing minors as (selection, monomial) in pair
-    order: selection is the pair K of deleted columns and the monomial's
-    coefficient the integer minor det(R_K) of the difference rows; it is
-    empty exactly when the subset is below full rank.  fallbacks counts the
-    minors whose closed form had a negative exponent.  _Sweep.check gives
-    the arguments and its checks' errors; a row that is not a relation of
-    the generators raises InvariantViolation.  NotSquare when family_subset
-    does not have r binomials, then LengthMismatch when one of them does
-    not have N variables.  This is a sweep of the one subset; analyze
-    sweeps every subset of a family, which then share sub-minors and the
-    normal form of each degree.
+    minors lists the nonvanishing minors as _expand's (selection,
+    coefficient, exponent) triples in pair order: selection is the pair K
+    of deleted columns and the coefficient the integer minor det(R_K) of
+    the difference rows; it is empty exactly when the subset is below full
+    rank.  fallbacks counts the minors whose closed form had a negative
+    exponent.  _Sweep.check gives the arguments and its checks' errors; a
+    row that is not a relation of the generators raises
+    InvariantViolation.  NotSquare when family_subset does not have r
+    binomials, then LengthMismatch when one of them does not have N
+    variables.  This is a sweep of the one subset; analyze sweeps every
+    subset of a family, which then share sub-minors and the normal form of
+    each degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
@@ -351,27 +349,15 @@ def subset_minors(family_subset: Sequence[Binomial],
 
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
-                           ideal: ToricIdeal) -> Optional[Monomial]:
-    """Minor as det(R_K) times a monomial; None when the minor vanishes.
+                           ideal: ToricIdeal) -> Optional[tuple]:
+    """Minor as (det(R_K), exponent); None when the minor vanishes.
 
-    The monomial subset_minors gives the pair selection, with its checks
-    and errors; ValueError when selection is not a pair of distinct
-    columns.
+    Read off subset_minors' triple for selection, with its checks and
+    errors; ValueError when selection is not a pair of distinct columns.
     """
     sel = _normalize_selection(selection, ideal.semigroup.N)
-    return dict(subset_minors(family_subset, ideal)[0]).get(sel)
-
-
-def nash_ideal(family_subset: Sequence[Binomial], ideal: ToricIdeal) -> list:
-    """Monomial generators of the minor ideal of an r-element subset.
-
-    NotSquare (from subset_minors) unless the subset has r binomials;
-    RankDeficient when it is below full generic rank, so no minor survives.
-    """
-    minors, _ = subset_minors(family_subset, ideal)
-    if not minors:
-        raise RankDeficient("difference matrix rank below codimension")
-    return [mono for _, mono in minors]
+    return {s: (coeff, exp) for s, coeff, exp in
+            subset_minors(family_subset, ideal)[0]}.get(sel)
 
 
 def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
@@ -430,7 +416,7 @@ def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
 
 def zero_locus(monomials, vs: ValidatedSemigroup) -> OrbitSet:
     """Orbit-closure decomposition of the vanishing set of the monomials,
-    an iterable of Monomials or (coefficient, exponent) pairs.
+    an iterable of (coefficient, exponent) pairs.
 
     A monomial vanishes on the z-axis orbit exactly when it involves an x
     or y variable, and on the x-axis orbit exactly when it involves a y or

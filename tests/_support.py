@@ -13,7 +13,6 @@ from typing import NamedTuple, Optional, Sequence
 import toricnash as tn
 from toricnash.algebra import (
     Binomial,
-    Monomial,
     binomial_from_vector,
     degrevlex_order,
     derivative,
@@ -44,8 +43,8 @@ from toricnash.nash import (
     _normalize_selection,
     _subset_report,
     monomial_classes,
-    nash_ideal,
     singular_orbits,
+    subset_minors,
 )
 from toricnash.semigroup import cross, primitive
 
@@ -109,10 +108,16 @@ def nf_classes(exps, ideal):
     return frozenset(nf_exponent(e, ideal) for e in exps)
 
 
+def minor_pairs(rows, ideal) -> list:
+    """The (coefficient, exponent) pairs of the minors of rows, in pair
+    order: subset_minors' triples without their selections."""
+    return [minor[1:] for minor in subset_minors(rows, ideal)[0]]
+
+
 def minor_classes(rows, ideal):
     """Normal-form exponents of the minor monomials of rows, coefficients
-    dropped: monomial_classes over nash_ideal."""
-    return monomial_classes([mono.exp for mono in nash_ideal(rows, ideal)],
+    dropped: monomial_classes over minor_pairs."""
+    return monomial_classes([exp for _, exp in minor_pairs(rows, ideal)],
                             ideal)
 
 
@@ -547,18 +552,17 @@ def check_sweep_order(surfaces, seed=0) -> int:
                     if oracle[0]:
                         report = _subset_report(None, sweep, idx)
                         assert report.zero_locus == tn.zero_locus(
-                            [m for _, m in oracle[0]], vs), \
+                            [m[1:] for m in oracle[0]], vs), \
                             (vs.gens.points, idx)
         count += 1
     return count
 
 
 def report_minors(analysis, report=None) -> list:
-    """The minors analysis.minors gives each report, as _Sweep.minors
-    gives them: (selection, Monomial) pairs; those of report alone when
+    """The minors analysis.minors gives each report, as lists of
+    (selection, coefficient, exponent) triples; those of report alone when
     it is given."""
-    out = [[(sel, Monomial(coeff, exp)) for sel, coeff, exp in minors]
-           for minors in analysis.minors()]
+    out = list(analysis.minors())
     return out if report is None else out[analysis.reports.index(report)]
 
 
@@ -642,10 +646,10 @@ def check_prefix_wedges(ideal, seed=0) -> tuple:
             numerator = int_det([[rows[i][c] for c in inner] for i in idx])
             minors, _ = sweep.minors(idx)
             assert bool(minors) == bool(numerator), (pts, idx)
-            for (a, b), mono in minors:
+            for (a, b), coeff, _ in minors:
                 det_ab = (-1) ** (a + b) * (pts[a].u * pts[b].v
                                             - pts[a].v * pts[b].u)
-                assert mono.coeff * sweep.reference == numerator * det_ab, \
+                assert coeff * sweep.reference == numerator * det_ab, \
                     (pts, idx, (a, b))
             subsets += 1
             zeros += not numerator
@@ -783,8 +787,9 @@ def per_pair_minor_terms(family_subset: Sequence[Binomial],
 
 def per_pair_minor(family_subset: Sequence[Binomial], selection,
                    ideal: ToricIdeal,
-                   stats: Optional[dict] = None) -> Optional[Monomial]:
-    """Minor as det(R_K) times a monomial; None when the minor vanishes.
+                   stats: Optional[dict] = None) -> Optional[tuple]:
+    """Minor as (coefficient, exponent), det(R_K) times a monomial; None
+    when the minor vanishes.
 
     Uses the closed combinatorial form when its exponent is nonnegative.
     Otherwise it records the event in stats["formula_fallbacks"] and
@@ -807,7 +812,7 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
         e = sum(b.plus[i] for b in family_subset) - 1 + (1 if i in sel else 0)
         exp.append(e)
     if min(exp) >= 0:
-        return Monomial(det_rk, tuple(exp))
+        return det_rk, tuple(exp)
     if stats is not None:
         stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
     elements = ideal.gb.elements
@@ -827,7 +832,7 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
         raise InvariantViolation(
             "reduced minor coefficient differs from the difference-matrix "
             "determinant")
-    return Monomial(coeff, nf)
+    return coeff, nf
 
 
 def per_pair_subset_minors(family_subset: Sequence[Binomial],
@@ -837,14 +842,15 @@ def per_pair_subset_minors(family_subset: Sequence[Binomial],
     stats: dict = {}
     out = []
     for sel in itertools.combinations(range(ideal.semigroup.N), 2):
-        mono = per_pair_minor(family_subset, sel, ideal, stats)
-        if mono is not None:
-            out.append((sel, mono))
+        minor = per_pair_minor(family_subset, sel, ideal, stats)
+        if minor is not None:
+            out.append((sel, *minor))
     return out, stats.get("formula_fallbacks", 0)
 
 
-def is_constant(mono: Monomial) -> bool:
-    return all(e == 0 for e in mono.exp)
+def is_constant(mono: tuple) -> bool:
+    """Whether the (coefficient, exponent) pair mono is a constant."""
+    return all(e == 0 for e in mono[1])
 
 
 def index_zero_locus(monomials, vs) -> OrbitSet:
@@ -860,9 +866,10 @@ def index_zero_locus(monomials, vs) -> OrbitSet:
     for mono in monomials:
         if is_constant(mono):
             raise InvariantViolation("constant minor: empty zero locus")
-        if not any(mono.exp[i] for i in xy):
+        exp = mono[1]
+        if not any(exp[i] for i in xy):
             has_o1 = False
-        if not any(mono.exp[i] for i in yz):
+        if not any(exp[i] for i in yz):
             has_o2 = False
     return OrbitSet(has_o1, has_o2)
 
@@ -903,8 +910,8 @@ def support_witness(analysis, vs):
     both = sigma.has_O1 and sigma.has_O2
     block = set(vs.x_indices if sigma.has_O1 else vs.z_indices)
     for report, minors in zip(analysis.reports, report_minors(analysis)):
-        supports = ({i for i, e in enumerate(m.exp) if e}
-                    for _, m in minors)
+        supports = ({i for i, e in enumerate(exp) if e}
+                    for _, _, exp in minors)
         if report.rank_ok and (both or any(s and s <= block
                                            for s in supports)):
             return report

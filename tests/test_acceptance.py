@@ -20,7 +20,6 @@ from toricnash.nash import (
     dim1_selector,
     minor_monomial_formula,
     minor_symbolic,
-    nash_ideal,
     rank,
     search_all_subsets,
     singular_locus,
@@ -107,7 +106,7 @@ def test_criterion_5_fixture_c(fixture_c):
     sigma = singular_locus(ideal).orbits
     assert sigma == OrbitSet(False, True)
     rows = sup.binomials(sup.IDEAL_C[:2])
-    assert zero_locus(nash_ideal(rows, ideal), vs) == sigma
+    assert zero_locus(sup.minor_pairs(rows, ideal), vs) == sigma
     witness = dim1_selector(ideal)
     assert witness.equals_sigma
     verdict = verify_dichotomy(ideal)
@@ -134,7 +133,8 @@ def test_criterion_6_formula_oracle_equivalence(
                 continue
             # one evaluation of the subset serves all of its pairs;
             # minor_monomial_formula must read the same entry for one of them
-            minors = dict(subset_minors(chosen, ideal)[0])
+            minors = {sel: (coeff, exp) for sel, coeff, exp
+                      in subset_minors(chosen, ideal)[0]}
             sel = pairs[sum(subset) % len(pairs)]
             assert minor_monomial_formula(chosen, sel, ideal) == \
                 minors.get(sel), f"{gens_repr} subset {subset} K {sel}"
@@ -145,7 +145,8 @@ def test_criterion_6_formula_oracle_equivalence(
                     assert not sym, \
                         f"{gens_repr} subset {subset} K {sel}"
                 else:
-                    poly = {fast.exp: fast.coeff}
+                    coeff, exp = fast
+                    poly = {exp: coeff}
                     assert normal_form(poly, ideal.gb) == sym, \
                         f"{gens_repr} subset {subset} K {sel}"
                 pairs_checked += 1

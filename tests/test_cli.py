@@ -432,6 +432,56 @@ class TestExamplesCommand:
             "broken.json: FAIL\n  witness rows do not cut out sigma\n"
             "0/1 examples pass\n")
 
+    def test_rank_deficient_witness_rows_reported(self, tmp_path, capsys):
+        # a row twice has no minor, so it cuts out no locus at all
+        doc = _bundled("c_one_edge.json")
+        row = doc["expected"]["witness_rows"][0]
+        doc["expected"]["witness_rows"] = [row, row]
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL\n  witness rows do not cut out sigma\n"
+            "0/1 examples pass\n")
+
+    def test_rank_deficient_minor_fixture_reported(self, tmp_path, capsys):
+        # rows f1, f1 of fixture A: no minor, so no class
+        doc = _bundled("a_origin_only.json")
+        fixture = doc["expected"]["minor_fixtures"][0]
+        fixture["rows"] = [fixture["rows"][0]] * 2
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL\n  minor fixture 0: classes [] != "
+            "[(0, 0, 2, 0), (0, 1, 1, 0), (0, 2, 0, 0), (1, 1, 0, 0), "
+            "(2, 0, 0, 0)]\n0/1 examples pass\n")
+
+    # a flag that is not JSON true or false is one line naming its key and
+    # value, and the check it guards does not run: no SigmaDimensionError
+    # for fixture A's point locus, no subset list for fixture C
+    @pytest.mark.parametrize("name, flags, lines", [
+        ("a_origin_only.json", {"dim1_witness": "false"},
+         ['dim1_witness "false" is not true or false']),
+        ("c_one_edge.json",
+         {"dim1_witness": "no", "all_rank_valid_equal_sigma": 0},
+         ["all_rank_valid_equal_sigma 0 is not true or false",
+          'dim1_witness "no" is not true or false']),
+        ("c_one_edge.json", {"all_rank_valid_equal_sigma": "false"},
+         ['all_rank_valid_equal_sigma "false" is not true or false'])],
+        ids=["dim1_witness_string", "string_and_zero",
+             "all_rank_valid_string"])
+    def test_non_boolean_flag_reported(self, tmp_path, capsys, name, flags,
+                                       lines):
+        doc = _bundled(name)
+        doc["expected"].update(flags)
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        assert main(["examples", "--corpus", str(tmp_path)]) == \
+            EXIT_VIOLATION == 3
+        assert capsys.readouterr().out == (
+            "broken.json: FAIL\n" + "".join(f"  {line}\n" for line in lines)
+            + "0/1 examples pass\n")
+
     def test_empty_corpus(self, tmp_path, capsys):
         assert main(["examples", "--corpus", str(tmp_path)]) == EXIT_PARSE
         assert capsys.readouterr().err == "no example documents found\n"
@@ -646,14 +696,14 @@ class TestRenderOnce:
                 for r, minors, entry in zip(rep.analysis.reports,
                                             sup.report_minors(rep.analysis),
                                             doc["subsets"]):
-                    want = [sup.reference_monomial_str(m.coeff, m.exp,
-                                                       rep.names)
-                            for _, m in minors]
-                    assert [rep.minor_str(*m) for _, m in minors] == want
+                    want = [sup.reference_monomial_str(coeff, exp, rep.names)
+                            for _, coeff, exp in minors]
+                    assert [rep.minor_str(coeff, exp)
+                            for _, coeff, exp in minors] == want
                     assert [m["str"] for m in entry["minors"]] == want
                     if r.rank_ok:
                         assert f"      minors: {', '.join(want)}\n" in text
-                    coeffs.update(m.coeff for _, m in minors)
+                    coeffs.update(coeff for _, coeff, _ in minors)
                 for key, fam in (("minimal_generators",
                                   rep.ideal.minimal_gens),
                                  ("groebner_basis", rep.ideal.gb.elements)):
@@ -680,8 +730,8 @@ class TestRenderOnce:
         rep = build_report(InputSpec(tuple(CYC6)))
         report_text(rep)
         report_json(rep)
-        exps = {m.exp for minors in sup.report_minors(rep.analysis)
-                for _, m in minors}
+        exps = {exp for minors in sup.report_minors(rep.analysis)
+                for _, _, exp in minors}
         exps.update(e for b in rep.ideal.minimal_gens + rep.ideal.gb.elements
                     for e in (b.plus, b.minus))
         assert calls == Counter(exps)
@@ -760,10 +810,10 @@ class TestStreamedReport:
                                     sup.report_minors(rep.analysis),
                                     doc["subsets"], strict=True):
             assert entry["subset"] is r.subset
-            for (sel, m), minor in zip(minors, entry["minors"],
-                                       strict=True):
+            for (sel, _, exp), minor in zip(minors, entry["minors"],
+                                            strict=True):
                 assert minor["K"] is sel
-                assert type(minor["exp"]) is tuple and minor["exp"] == m.exp
+                assert type(minor["exp"]) is tuple and minor["exp"] == exp
 
     def test_writer_renders_each_exponent_once(self, monkeypatch):
         # the writer reads the report's rendered minors, so the two
@@ -929,11 +979,11 @@ class TestUtf8Input:
     # locale's encoding; no read or write falls back to that encoding
     NAMES = ["\u03b1", "\u03b2", "\u03b3", "\u03b4"]
 
-    def run(self, args):
+    def run(self, args, encoding="utf-8"):
         return subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error",
              "-m", "toricnash", *args],
-            capture_output=True, env=python_env(PYTHONIOENCODING="utf-8"))
+            capture_output=True, env=python_env(PYTHONIOENCODING=encoding))
 
     def test_input_document(self, tmp_path):
         path = tmp_path / "greek.json"
@@ -960,3 +1010,24 @@ class TestUtf8Input:
         proc = self.run(["examples", "--corpus", str(tmp_path)])
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
         assert proc.stdout == b"greek.json: pass\n1/1 examples pass\n"
+
+    def test_ascii_stdout(self, tmp_path):
+        # text an ASCII stdout cannot hold, names and a corpus file name,
+        # prints as backslash escapes, and the rest keeps its bytes
+        gens, names = ((1, 0), (1, 1), (1, 2)), self.NAMES[:3]
+        path = tmp_path / "greek.json"
+        path.write_text(json.dumps({"generators": gens, "names": names},
+                                   ensure_ascii=False), encoding="utf-8")
+        proc = self.run(["analyze", "--input", str(path)], "ascii")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        rep = build_report(InputSpec(gens, names=tuple(names)))
+        assert proc.stdout == report_text(rep).encode("ascii",
+                                                      "backslashreplace")
+        assert b"\\u03b1*\\u03b3 - \\u03b2^2" in proc.stdout
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "\u03b3.json").write_text(json.dumps(
+            _bundled("a_origin_only.json")), encoding="utf-8")
+        proc = self.run(["examples", "--corpus", str(corpus)], "ascii")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == b"\\u03b3.json: pass\n1/1 examples pass\n"

@@ -1,6 +1,6 @@
 """README's "Library" example runs, and the package exports what it
 documents: the symbolic oracle and the one-field readers stay module
-names."""
+names, and the names a minor's old record form needed are gone."""
 import importlib
 import re
 import warnings
@@ -19,6 +19,11 @@ UNEXPORTED = [("algebra", "derivative"), ("algebra", "determinant"),
               ("nash", "minor_symbolic"), ("nash", "minor_monomial_formula"),
               ("nash", "singular_locus"), ("nash", "search_all_subsets"),
               ("nash", "dim1_selector"), ("nash", "verify_dichotomy")]
+
+# a minor has one form, the (selection, coefficient, exponent) triple: the
+# record, the reader that wrapped subset_minors and its error went
+REMOVED = [("algebra", "Monomial"), ("nash", "nash_ideal"),
+           ("errors", "RankDeficient")]
 
 
 def _library_block() -> str:
@@ -53,3 +58,10 @@ def test_oracle_and_readers_not_exported(module, name):
     assert not hasattr(tn, name)
     assert callable(getattr(importlib.import_module(f"toricnash.{module}"),
                             name))
+
+
+@pytest.mark.parametrize("module, name", REMOVED,
+                         ids=[name for _, name in REMOVED])
+def test_removed_names_gone(module, name):
+    assert not hasattr(tn, name)
+    assert not hasattr(importlib.import_module(f"toricnash.{module}"), name)
