@@ -15,15 +15,16 @@ printed in the relations and minors, so each must be distinct and a
 Python identifier (str.isidentifier(): no leading digit, which would read
 as a coefficient, and no whitespace or operator such as * / ^ + -).
 
-Exit codes: 0 success, 1 input parse error or unreadable/unwritable file,
-2 validation failure, 3 dichotomy or bundled-example violation.  main
-maps every failure to its exit code and stderr line: the commands raise
-InputError (1), TheoremViolation (3) or another ToricNashError (2).  Only
-the failures with a message of their own are handled where they happen:
-an unwritable --out, an unreadable or empty corpus and a failing example.
-analyze writes --out before its text.  A stdout closed at start or during
-the run exits 1 without a message; text its encoding cannot hold prints
-as backslash escapes.  Every string a report prints is made here.
+Exit codes: 0 success, 1 usage error, input parse error or
+unreadable/unwritable file, 2 validation failure, 3 dichotomy or
+bundled-example violation.  main maps every failure to its exit code and
+stderr line: the commands raise InputError (1), TheoremViolation (3) or
+another ToricNashError (2).  Only the failures with a message of their
+own are handled where they happen: an unwritable --out, an unreadable or
+empty corpus and a failing example.  analyze writes --out before its
+text.  A stdout closed at start or during the run exits 1 without a
+message; text its encoding cannot hold prints as backslash escapes.
+Every string a report prints is made here.
 """
 from __future__ import annotations
 
@@ -467,7 +468,7 @@ def _check_fixture(name: str, doc) -> list:
             problems.append(f"subsets with V != sigma: {bad}")
     if "witness_rows" in exp:
         rows = _binomials_from_pairs(exp["witness_rows"], vs.N)
-        minors = [m[1:] for m in subset_minors(rows, ideal)[0]]
+        minors = subset_minors(rows, ideal)[0]
         if not minors or zero_locus(minors, vs) != sig.orbits:
             problems.append("witness rows do not cut out sigma")
     if flags["dim1_witness"] is True:
@@ -575,7 +576,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ex.add_argument("--corpus", help="directory of example JSON files "
                                        "(defaults to the bundled set)")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         if hasattr(sys.stdout, "reconfigure"):  # None when fd 1 is closed
             sys.stdout.reconfigure(errors="backslashreplace")

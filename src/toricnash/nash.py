@@ -4,7 +4,7 @@ singular locus and the dichotomy verdict.
 - Minors: a _Sweep checks each r-subset down to (c_S, D_S), from which
   _expand makes its (selection, coefficient, exponent) triples, exact by
   _Sweep.check; subset_minors reads one subset, minor_monomial_formula
-  one pair.  minor_symbolic, the symbolic determinant reduced to normal
+  one selection.  minor_symbolic, the symbolic determinant reduced to normal
   form, is the tests' reference; like _minor_terms it gives a minor as a
   fresh {exponent: coefficient} dict.
 - Orbit sets: zero loci and the singular locus are unions of torus-orbit
@@ -350,14 +350,13 @@ def subset_minors(family_subset: Sequence[Binomial],
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
                            ideal: ToricIdeal) -> Optional[tuple]:
-    """Minor as (det(R_K), exponent); None when the minor vanishes.
-
-    Read off subset_minors' triple for selection, with its checks and
-    errors; ValueError when selection is not a pair of distinct columns.
+    """subset_minors' (selection, det(R_K), exponent) triple for
+    selection, with its checks and errors; None when the minor vanishes.
+    ValueError when selection is not a pair of distinct columns.
     """
     sel = _normalize_selection(selection, ideal.semigroup.N)
-    return {s: (coeff, exp) for s, coeff, exp in
-            subset_minors(family_subset, ideal)[0]}.get(sel)
+    return next((m for m in subset_minors(family_subset, ideal)[0]
+                 if m[0] == sel), None)
 
 
 def monomial_classes(exps, ideal: ToricIdeal) -> frozenset:
@@ -416,7 +415,7 @@ def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
 
 def zero_locus(monomials, vs: ValidatedSemigroup) -> OrbitSet:
     """Orbit-closure decomposition of the vanishing set of the monomials,
-    an iterable of (coefficient, exponent) pairs.
+    given as subset_minors' (selection, coefficient, exponent) triples.
 
     A monomial vanishes on the z-axis orbit exactly when it involves an x
     or y variable, and on the x-axis orbit exactly when it involves a y or
@@ -428,7 +427,7 @@ def zero_locus(monomials, vs: ValidatedSemigroup) -> OrbitSet:
     l, lm, n = vs.l, vs.l + vs.m, vs.N
     has_o1 = has_o2 = True
     exp = None
-    for _, exp in monomials:
+    for _, _, exp in monomials:
         if len(exp) != n:
             raise LengthMismatch(f"exponent length {len(exp)} != {n}")
         if not any(exp):
@@ -614,7 +613,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     probe = witness or valid[0]
     minors = _expand(sweep.pairs, sweep.coords, sweep.deg_memo, probe.c_s,
                      probe.base)
-    if zero_locus((m[1:] for m in minors), vs) != probe.zero_locus:
+    if zero_locus(minors, vs) != probe.zero_locus:
         raise InvariantViolation(
             f"height rule and zero_locus disagree on subset {probe.subset}")
     if OrbitSet(all(r.zero_locus.has_O1 for r in valid),

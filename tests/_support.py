@@ -108,17 +108,11 @@ def nf_classes(exps, ideal):
     return frozenset(nf_exponent(e, ideal) for e in exps)
 
 
-def minor_pairs(rows, ideal) -> list:
-    """The (coefficient, exponent) pairs of the minors of rows, in pair
-    order: subset_minors' triples without their selections."""
-    return [minor[1:] for minor in subset_minors(rows, ideal)[0]]
-
-
 def minor_classes(rows, ideal):
     """Normal-form exponents of the minor monomials of rows, coefficients
-    dropped: monomial_classes over minor_pairs."""
-    return monomial_classes([exp for _, exp in minor_pairs(rows, ideal)],
-                            ideal)
+    dropped: monomial_classes over subset_minors' triples."""
+    return monomial_classes(
+        [exp for _, _, exp in subset_minors(rows, ideal)[0]], ideal)
 
 
 def evaluate(p: dict, point: Sequence[int]) -> int:
@@ -552,8 +546,7 @@ def check_sweep_order(surfaces, seed=0) -> int:
                     if oracle[0]:
                         report = _subset_report(None, sweep, idx)
                         assert report.zero_locus == tn.zero_locus(
-                            [m[1:] for m in oracle[0]], vs), \
-                            (vs.gens.points, idx)
+                            oracle[0], vs), (vs.gens.points, idx)
         count += 1
     return count
 
@@ -788,8 +781,8 @@ def per_pair_minor_terms(family_subset: Sequence[Binomial],
 def per_pair_minor(family_subset: Sequence[Binomial], selection,
                    ideal: ToricIdeal,
                    stats: Optional[dict] = None) -> Optional[tuple]:
-    """Minor as (coefficient, exponent), det(R_K) times a monomial; None
-    when the minor vanishes.
+    """Minor as a (selection, coefficient, exponent) triple, det(R_K) times
+    a monomial, as subset_minors gives it; None when the minor vanishes.
 
     Uses the closed combinatorial form when its exponent is nonnegative.
     Otherwise it records the event in stats["formula_fallbacks"] and
@@ -812,7 +805,7 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
         e = sum(b.plus[i] for b in family_subset) - 1 + (1 if i in sel else 0)
         exp.append(e)
     if min(exp) >= 0:
-        return det_rk, tuple(exp)
+        return sel, det_rk, tuple(exp)
     if stats is not None:
         stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
     elements = ideal.gb.elements
@@ -832,7 +825,7 @@ def per_pair_minor(family_subset: Sequence[Binomial], selection,
         raise InvariantViolation(
             "reduced minor coefficient differs from the difference-matrix "
             "determinant")
-    return coeff, nf
+    return sel, coeff, nf
 
 
 def per_pair_subset_minors(family_subset: Sequence[Binomial],
@@ -844,13 +837,14 @@ def per_pair_subset_minors(family_subset: Sequence[Binomial],
     for sel in itertools.combinations(range(ideal.semigroup.N), 2):
         minor = per_pair_minor(family_subset, sel, ideal, stats)
         if minor is not None:
-            out.append((sel, *minor))
+            out.append(minor)
     return out, stats.get("formula_fallbacks", 0)
 
 
 def is_constant(mono: tuple) -> bool:
-    """Whether the (coefficient, exponent) pair mono is a constant."""
-    return all(e == 0 for e in mono[1])
+    """Whether the (selection, coefficient, exponent) triple mono is a
+    constant."""
+    return all(e == 0 for e in mono[2])
 
 
 def index_zero_locus(monomials, vs) -> OrbitSet:
@@ -866,7 +860,7 @@ def index_zero_locus(monomials, vs) -> OrbitSet:
     for mono in monomials:
         if is_constant(mono):
             raise InvariantViolation("constant minor: empty zero locus")
-        exp = mono[1]
+        exp = mono[2]
         if not any(exp[i] for i in xy):
             has_o1 = False
         if not any(exp[i] for i in yz):

@@ -106,7 +106,7 @@ def test_criterion_5_fixture_c(fixture_c):
     sigma = singular_locus(ideal).orbits
     assert sigma == OrbitSet(False, True)
     rows = sup.binomials(sup.IDEAL_C[:2])
-    assert zero_locus(sup.minor_pairs(rows, ideal), vs) == sigma
+    assert zero_locus(subset_minors(rows, ideal)[0], vs) == sigma
     witness = dim1_selector(ideal)
     assert witness.equals_sigma
     verdict = verify_dichotomy(ideal)
@@ -133,8 +133,7 @@ def test_criterion_6_formula_oracle_equivalence(
                 continue
             # one evaluation of the subset serves all of its pairs;
             # minor_monomial_formula must read the same entry for one of them
-            minors = {sel: (coeff, exp) for sel, coeff, exp
-                      in subset_minors(chosen, ideal)[0]}
+            minors = {m[0]: m for m in subset_minors(chosen, ideal)[0]}
             sel = pairs[sum(subset) % len(pairs)]
             assert minor_monomial_formula(chosen, sel, ideal) == \
                 minors.get(sel), f"{gens_repr} subset {subset} K {sel}"
@@ -145,7 +144,7 @@ def test_criterion_6_formula_oracle_equivalence(
                     assert not sym, \
                         f"{gens_repr} subset {subset} K {sel}"
                 else:
-                    coeff, exp = fast
+                    _, coeff, exp = fast
                     poly = {exp: coeff}
                     assert normal_form(poly, ideal.gb) == sym, \
                         f"{gens_repr} subset {subset} K {sel}"

@@ -305,6 +305,6 @@ class TestEvaluate:
 
 class TestRendering:
     def test_monomial_tuple(self):
-        # a minor's (coefficient, exponent) pair
-        assert not sup.is_constant((2, (1, 1)))
-        assert sup.is_constant((5, (0, 0)))
+        # a minor's (selection, coefficient, exponent) triple
+        assert not sup.is_constant(((0, 1), 2, (1, 1)))
+        assert sup.is_constant(((0, 1), 5, (0, 0)))

@@ -286,6 +286,16 @@ class TestAnalyzeCommand:
             cli.cmd_analyze(path, None, order, family)
         assert str(info.value) == message
         assert capsys.readouterr().out == ""
+        # through main, argparse's usage error exits 1 as well, and so
+        # does a missing --input; --help exits 0
+        flag = ["--order", order] if order else ["--family", family]
+        for argv in (["analyze", "--input", path, *flag], ["analyze"]):
+            assert main(argv) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: ")
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: ")
 
     def test_theorem_violation_exits_3(self, tmp_path, capsys, monkeypatch):
         def violated(ideal, family):

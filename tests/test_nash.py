@@ -125,8 +125,8 @@ class TestMinors:
     def test_formula_known_case(self, fixture_a):
         # rows f1, f2 with the two y-block/z-block columns deleted
         _, ideal = fixture_a
-        coeff, exp = minor_monomial_formula(A_ROWS[:2], (2, 3), ideal)
-        assert coeff == 1
+        sel, coeff, exp = minor_monomial_formula(A_ROWS[:2], (2, 3), ideal)
+        assert (sel, coeff) == ((2, 3), 1)
         assert sup.nf_exponent(exp, ideal) == \
             sup.nf_exponent((0, 1, 0, 1), ideal)
 
@@ -235,7 +235,7 @@ class TestMinors:
                 if fast is None:
                     assert not sym
                 else:
-                    coeff, exp = fast
+                    _, coeff, exp = fast
                     assert normal_form({exp: coeff}, ideal.gb) == sym
 
 
@@ -666,12 +666,12 @@ class TestNashIdeal:
 class TestZeroLocus:
     def test_j12_case(self, fixture_a):
         vs, ideal = fixture_a
-        monos = sup.minor_pairs(A_ROWS[:2], ideal)
-        assert zero_locus(monos, vs) == OrbitSet(True, False)
+        minors, _ = subset_minors(A_ROWS[:2], ideal)
+        assert zero_locus(minors, vs) == OrbitSet(True, False)
 
     def test_pure_x_monomial(self, fixture_a):
         vs, _ = fixture_a
-        locus = zero_locus([(1, (3, 0, 0, 0))], vs)
+        locus = zero_locus([((0, 1), 1, (3, 0, 0, 0))], vs)
         assert locus == OrbitSet(True, False)
 
     @pytest.mark.parametrize("exp", [(0, 2, 0), (0, 0, 0, 0, 5)])
@@ -680,13 +680,14 @@ class TestZeroLocus:
         # read it as another monomial
         vs, ideal = fixture_a
         with pytest.raises(LengthMismatch):
-            zero_locus([(1, exp)], vs)
+            zero_locus([((0, 1), 1, exp)], vs)
         with pytest.raises(LengthMismatch):
             monomial_classes([exp], ideal)
 
     def test_origin_only_pattern(self, fixture_a):
         vs, _ = fixture_a
-        locus = zero_locus([(1, (1, 0, 0, 0)), (1, (0, 0, 0, 1))], vs)
+        locus = zero_locus([((0, 1), 1, (1, 0, 0, 0)),
+                            ((2, 3), 1, (0, 0, 0, 1))], vs)
         assert locus == OrbitSet(False, False)
         assert locus.dimension == 0
 
@@ -704,16 +705,16 @@ class TestZeroLocus:
             zero_locus((m for m in ()), vs)
 
     def test_generator_matches_list(self):
-        # a one-shot generator of each report's (coefficient, exponent)
-        # pairs, and of the same pairs as lists, gives the locus of the list
+        # a one-shot generator of each report's (selection, coefficient,
+        # exponent) triples, and of the same triples as lists, gives the
+        # locus of the list
         checked = 0
         for vs, ideal in sweep_ideals():
             for minors in sup.report_minors(analyze(ideal)):
-                monos = [m[1:] for m in minors]
-                if monos:
-                    want = zero_locus(monos, vs)
-                    assert zero_locus((m for m in monos), vs) == want
-                    assert zero_locus((list(m) for m in monos), vs) == want
+                if minors:
+                    want = zero_locus(minors, vs)
+                    assert zero_locus((m for m in minors), vs) == want
+                    assert zero_locus((list(m) for m in minors), vs) == want
                     checked += 1
         assert checked
 
@@ -724,12 +725,13 @@ class TestZeroLocus:
         for vs, ideal in sweep_ideals():
             for family in ("minimal", "groebner"):
                 for minors in sup.report_minors(analyze(ideal, family)):
-                    monos = [m[1:] for m in minors]
-                    for group in [[m] for m in monos] + [monos] * bool(monos):
+                    groups = [[m] for m in minors] + [minors] * bool(minors)
+                    for group in groups:
                         assert zero_locus(group, vs) == \
                             sup.index_zero_locus(group, vs)
                         checked += 1
-            constant = [(1, (1,) + (0,) * (vs.N - 1)), (3, (0,) * vs.N)]
+            constant = [((0, 1), 1, (1,) + (0,) * (vs.N - 1)),
+                        ((0, 2), 3, (0,) * vs.N)]
             for locus in (zero_locus, sup.index_zero_locus):
                 with pytest.raises(InvariantViolation, match="constant"):
                     locus(constant, vs)
@@ -747,14 +749,14 @@ class TestZeroLocus:
                 chosen = [fam[i] for i in subset]
                 if rank(chosen) < vs.r:
                     continue
-                monos = sup.minor_pairs(chosen, ideal)
-                locus = zero_locus(monos, vs)
+                minors, _ = subset_minors(chosen, ideal)
+                locus = zero_locus(minors, vs)
                 all_o1 = all(
                     sup.evaluate({exp: coeff}, reps["O1"]) == 0
-                    for coeff, exp in monos)
+                    for _, coeff, exp in minors)
                 all_o2 = all(
                     sup.evaluate({exp: coeff}, reps["O2"]) == 0
-                    for coeff, exp in monos)
+                    for _, coeff, exp in minors)
                 assert locus == OrbitSet(all_o1, all_o2)
 
     def test_congruent_monomials_same_pattern(self, population):
@@ -766,7 +768,7 @@ class TestZeroLocus:
                 chosen = [fam[i] for i in subset]
                 if rank(chosen) < vs.r:
                     continue
-                for _, exp in sup.minor_pairs(chosen, ideal):
+                for _, _, exp in subset_minors(chosen, ideal)[0]:
                     nf = sup.nf_exponent(exp, ideal)
                     for rep in reps.values():
                         a = sup.evaluate({exp: 1}, rep)
@@ -839,7 +841,7 @@ class TestSearch:
     def test_fixture_c_paper_subset(self, fixture_c):
         vs, ideal = fixture_c
         rows = sup.binomials(sup.IDEAL_C[:2])
-        locus = zero_locus(sup.minor_pairs(rows, ideal), vs)
+        locus = zero_locus(subset_minors(rows, ideal)[0], vs)
         assert locus == OrbitSet(False, True)
         assert locus == singular_locus(ideal).orbits
 
@@ -1023,8 +1025,8 @@ class TestVerdicts:
         # defining equation still cuts out exactly the singular point
         vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
         ideal = toric_ideal(vs)
-        monos = sup.minor_pairs(list(ideal.minimal_gens), ideal)
-        assert zero_locus(monos, vs) == singular_locus(ideal).orbits
+        minors, _ = subset_minors(list(ideal.minimal_gens), ideal)
+        assert zero_locus(minors, vs) == singular_locus(ideal).orbits
 
     def test_family_agreement(self, population):
         for _, ideal in population[:10]:
@@ -1062,7 +1064,7 @@ class TestDimZeroProperty:
                 if rank(chosen) < vs.r:
                     continue
                 supports = [set(i for i, e in enumerate(exp) if e)
-                            for _, exp in sup.minor_pairs(chosen, ideal)]
+                            for _, _, exp in subset_minors(chosen, ideal)[0]]
                 has_pure_x = any(s <= x for s in supports)
                 has_pure_z = any(s <= z for s in supports)
                 assert not (has_pure_x and has_pure_z)
@@ -1103,8 +1105,7 @@ def rule_matches_oracle(analysis, vs) -> int:
     checked = 0
     for r, minors in zip(analysis.reports, analysis.minors(), strict=True):
         if r.rank_ok:
-            assert r.zero_locus == zero_locus(
-                [(coeff, exp) for _, coeff, exp in minors], vs), r.subset
+            assert r.zero_locus == zero_locus(minors, vs), r.subset
             checked += 1
     return checked
 
