@@ -73,7 +73,8 @@ class InputError(Exception):
 class InputSpec(namedtuple("InputSpec", "generators order names family")):
     """Parsed analysis request; its fields are the input keys.  An order
     or family that is not a name in ORDERS or FAMILIES raises InputError,
-    also when it is not a string."""
+    also when it is not a string, and so do names that are not a list or
+    tuple of strings with one per generator."""
 
     __slots__ = ()
 
@@ -83,6 +84,12 @@ class InputSpec(namedtuple("InputSpec", "generators order names family")):
             if not (isinstance(value, str) and value in choices):
                 quoted = " or ".join(f'"{name}"' for name in choices)
                 raise InputError(f"{key} must be {quoted}, got {value!r}")
+        if names is not None:
+            if (not isinstance(names, (list, tuple))
+                    or not all(isinstance(s, str) for s in names)):
+                raise InputError('"names" must be a list of strings')
+            if len(names) != len(generators):
+                raise InputError('"names" must have one entry per generator')
         return super().__new__(cls, generators, order, names, family)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
@@ -116,11 +123,6 @@ def parse_input(text: str) -> InputSpec:
     spec = InputSpec(**doc)  # InputSpec's defaults for absent keys
     names = spec.names
     if names is not None:
-        if (not isinstance(names, list)
-                or not all(isinstance(s, str) for s in names)):
-            raise InputError('"names" must be a list of strings')
-        if len(names) != len(gens):
-            raise InputError('"names" must have one entry per generator')
         for name in names:
             if not name.isidentifier():
                 raise InputError(f'"names" entry {name!r} is not an '

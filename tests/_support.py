@@ -16,6 +16,7 @@ from toricnash.algebra import (
     binomial_from_vector,
     degrevlex_order,
     derivative,
+    determinant,
     lex_order,
 )
 from toricnash.errors import (
@@ -40,7 +41,6 @@ from toricnash.ideal import (
 from toricnash.nash import (
     OrbitSet,
     _Sweep,
-    _normalize_selection,
     _subset_report,
     monomial_classes,
     singular_orbits,
@@ -208,7 +208,7 @@ def det_along_row(matrix, row):
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination; NotSquare unless
     every row has as many entries as there are rows.  The oracle for the
-    sweep's c_S numerator and the det(R_K) of per_pair_minor."""
+    sweep's c_S numerator and the det(R_K) of per_pair_subset_minors."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -523,15 +523,15 @@ def cyclic_quotient(n, q) -> list:
         a != p and in_cone(p[0] - a[0], p[1] - a[1]) for a in cell)]
 
 
-def check_sweep_order(surfaces, seed=0) -> int:
+def check_sweep_order(surfaces, seed=0) -> tuple:
     """Assert that one _Sweep over the r-subsets of the minimal generators
     and of the Groebner basis, under lex and degrevlex, visited in a
     shuffled order, gives each subset the minors of
     per_pair_subset_minors, and each full-rank subset the zero locus of
     those minors by the height rule of _subset_report; returns the number
-    of surfaces."""
+    of surfaces and the number of fallback minors compared."""
     rng = random.Random(seed)
-    count = 0
+    count = fallbacks = 0
     for vs in surfaces:
         for order_of in (lex_order, degrevlex_order):
             ideal = tn.toric_ideal(vs, order_of(vs.N))
@@ -543,12 +543,13 @@ def check_sweep_order(surfaces, seed=0) -> int:
                     chosen = [fam[i] for i in idx]
                     oracle = per_pair_subset_minors(chosen, ideal)
                     assert sweep.minors(idx) == oracle, (vs.gens.points, idx)
+                    fallbacks += oracle[1]
                     if oracle[0]:
                         report = _subset_report(None, sweep, idx)
                         assert report.zero_locus == tn.zero_locus(
                             oracle[0], vs), (vs.gens.points, idx)
         count += 1
-    return count
+    return count, fallbacks
 
 
 def report_minors(analysis, report=None) -> list:
@@ -723,122 +724,54 @@ def fraction_lll(vectors: Sequence[Sequence[int]]) -> list:
     return [tuple(v) for v in b]
 
 
-# The per-pair minor evaluation: every column pair rebuilds the subset's
-# difference rows, closed form and partials, takes det(R_K) from a fresh
-# Bareiss elimination, and runs a Laplace expansion memoised by positions.
-
-
-def _partials(b: Binomial, var: int) -> tuple:
-    """Terms (exponent, coefficient) of the derivative of b by x_var:
-    plus_var x^(plus - e_var) - minus_var x^(minus - e_var)."""
-    return tuple((exp[:var] + (exp[var] - 1,) + exp[var + 1:], sign * exp[var])
-                 for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
-
-
-def per_pair_minor_terms(family_subset: Sequence[Binomial],
-                         cols: Sequence[int]) -> dict:
-    """Unreduced Jacobian minor of the rows family_subset over the columns
-    cols, as {exponent: coefficient} without zero coefficients.
-
-    Laplace expansion along the rows, entries read from the exponents by
-    _partials.  The minor of the rows below a row depends only on the
-    columns still free, so it is memoised by their tuple: at most 2^r
-    states for r rows.  Equals algebra.determinant of the derivative
-    matrix, term for term.
-    """
-    n = len(family_subset)
-    if n != len(cols) or n == 0:
-        raise NotSquare(f"matrix is {n}x{len(cols)}")
-    entries = [[_partials(b, c) for c in cols] for b in family_subset]
-    memo: dict = {}
-
-    def minor(free: tuple) -> dict:
-        got = memo.get(free)
-        if got is not None:
-            return got
-        row = entries[n - len(free)]
-        if len(free) == 1:
-            out = dict(row[free[0]])
-        else:
-            out = {}
-            for k, j in enumerate(free):
-                if not row[j]:
-                    continue
-                sub = minor(free[:k] + free[k + 1:])
-                for e1, c1 in row[j]:
-                    if k % 2:
-                        c1 = -c1
-                    for e2, c2 in sub.items():
-                        e = tuple(map(add, e1, e2))
-                        out[e] = out.get(e, 0) + c1 * c2
-            out = {e: c for e, c in out.items() if c}
-        memo[free] = out
-        return out
-
-    return minor(tuple(range(n)))
-
-
-def per_pair_minor(family_subset: Sequence[Binomial], selection,
-                   ideal: ToricIdeal,
-                   stats: Optional[dict] = None) -> Optional[tuple]:
-    """Minor as a (selection, coefficient, exponent) triple, det(R_K) times
-    a monomial, as subset_minors gives it; None when the minor vanishes.
-
-    Uses the closed combinatorial form when its exponent is nonnegative.
-    Otherwise it records the event in stats["formula_fallbacks"] and
-    evaluates the minor exactly with integers: per_pair_minor_terms, then
-    each term's monomial normal form by _rewrite, not the library's
-    monomial_nf.
-    The reduced minor must be a single term with coefficient det(R_K):
-    more terms raise NonMonomialResidue, zero or another coefficient
-    InvariantViolation.
-    """
-    vs = ideal.semigroup
-    sel = _normalize_selection(selection, vs.N)
-    cols = [i for i in range(vs.N) if i not in sel]
-    rows = [b.difference() for b in family_subset]
-    det_rk = int_det([[row[c] for c in cols] for row in rows])
-    if det_rk == 0:
-        return None
-    exp = []
-    for i in range(vs.N):
-        e = sum(b.plus[i] for b in family_subset) - 1 + (1 if i in sel else 0)
-        exp.append(e)
-    if min(exp) >= 0:
-        return sel, det_rk, tuple(exp)
-    if stats is not None:
-        stats["formula_fallbacks"] = stats.get("formula_fallbacks", 0) + 1
-    elements = ideal.gb.elements
-    reduced: dict = {}
-    for e, c in per_pair_minor_terms(family_subset, cols).items():
-        nf = _rewrite(e, elements)
-        reduced[nf] = reduced.get(nf, 0) + c
-    reduced = {e: c for e, c in reduced.items() if c}
-    if len(reduced) > 1:
-        raise NonMonomialResidue(
-            f"minor reduced to {len(reduced)} terms for columns {sel}")
-    if not reduced:
-        raise InvariantViolation(
-            "nonzero coefficient minor reduced to zero")
-    ((nf, coeff),) = reduced.items()
-    if coeff != det_rk:
-        raise InvariantViolation(
-            "reduced minor coefficient differs from the difference-matrix "
-            "determinant")
-    return sel, coeff, nf
-
-
 def per_pair_subset_minors(family_subset: Sequence[Binomial],
                            ideal: ToricIdeal) -> tuple:
-    """(minors, fallbacks) in the shape of nash.subset_minors, one
-    per_pair_minor call per column pair."""
-    stats: dict = {}
-    out = []
-    for sel in itertools.combinations(range(ideal.semigroup.N), 2):
-        minor = per_pair_minor(family_subset, sel, ideal, stats)
-        if minor is not None:
-            out.append(minor)
-    return out, stats.get("formula_fallbacks", 0)
+    """(minors, fallbacks) in the shape of nash.subset_minors, evaluated
+    column pair by column pair, each rebuilding the subset's difference
+    rows and taking det(R_K) from int_det.
+
+    A minor is det(R_K) times its closed-form monomial when that exponent
+    is nonnegative.  Otherwise it counts as a fallback and is expanded
+    exactly: algebra.determinant of the algebra.derivative entries, each
+    term's monomial normal form by _rewrite, not the library's
+    monomial_nf.  The reduced minor must be a single term with coefficient
+    det(R_K): more terms raise NonMonomialResidue, zero or another
+    coefficient InvariantViolation.
+    """
+    vs = ideal.semigroup
+    rows = [b.difference() for b in family_subset]
+    plus_sums = [sum(col) for col in zip(*(b.plus for b in family_subset))]
+    out, fallbacks = [], 0
+    for sel in itertools.combinations(range(vs.N), 2):
+        cols = [i for i in range(vs.N) if i not in sel]
+        det_rk = int_det([[row[c] for c in cols] for row in rows])
+        if det_rk == 0:
+            continue
+        exp = tuple(s - 1 + (i in sel) for i, s in enumerate(plus_sums))
+        if min(exp) >= 0:
+            out.append((sel, det_rk, exp))
+            continue
+        fallbacks += 1
+        terms = determinant([[derivative(b, c) for c in cols]
+                             for b in family_subset])
+        reduced: dict = {}
+        for e, c in terms.items():
+            nf = _rewrite(e, ideal.gb.elements)
+            reduced[nf] = reduced.get(nf, 0) + c
+        reduced = {e: c for e, c in reduced.items() if c}
+        if len(reduced) > 1:
+            raise NonMonomialResidue(
+                f"minor reduced to {len(reduced)} terms for columns {sel}")
+        if not reduced:
+            raise InvariantViolation(
+                "nonzero coefficient minor reduced to zero")
+        ((nf, coeff),) = reduced.items()
+        if coeff != det_rk:
+            raise InvariantViolation(
+                "reduced minor coefficient differs from the difference-matrix "
+                "determinant")
+        out.append((sel, coeff, nf))
+    return out, fallbacks
 
 
 def is_constant(mono: tuple) -> bool:

@@ -302,6 +302,23 @@ class TestSparseMinor:
         monkeypatch.setattr(nash, "derivative", refuse)
         assert analyze(ideal) == expected
 
+    def test_per_pair_oracle_without_the_sweep(self, fixture_a, monkeypatch):
+        # the oracle reads none of the sweep's partials, Laplace steps or
+        # normal forms, yet gives rows f1, f2 their minors and 3 fallbacks
+        _, ideal = fixture_a
+        expected = subset_minors(A_ROWS[:2], ideal)
+        assert expected[1] == 3
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep in the per-pair oracle")
+
+        for module, name in ((nash, "_partials"), (nash, "_minor_terms"),
+                             (nash, "_laplace"), (nash, "_expand"),
+                             (ideal_mod, "monomial_nf"),
+                             (nash, "monomial_nf")):
+            monkeypatch.setattr(module, name, refuse)
+        assert sup.per_pair_subset_minors(A_ROWS[:2], ideal) == expected
+
     def test_singular_orbits_match_jacobian_ranks(self, population):
         # the edge rule gives the orbits where the Jacobian of the
         # evaluated derivative polynomials drops below r, for both families

@@ -67,12 +67,21 @@ def test_repr_names_the_fields():
     (tn.generator_set([(1, 0), (0, 1)]), {"points": ((1, 0), (1, 0))},
      InvalidGeneratorSet),
     (InputSpec(((1, 0), (0, 1))), {"order": "grlex"}, InputError),
-    (InputSpec(((1, 0), (0, 1))), {"family": None}, InputError)],
+    (InputSpec(((1, 0), (0, 1))), {"family": None}, InputError),
+    (InputSpec(((1, 0), (0, 1))), {"names": ("a",)}, InputError)],
     ids=["term_order_kind", "term_order_nvars", "binomial_zero",
-         "binomial_negative", "generator_set", "input_order", "input_family"])
+         "binomial_negative", "generator_set", "input_order", "input_family",
+         "input_names"])
 def test_replace_checks_as_the_constructor(record, change, error):
     with pytest.raises(error):
         record._replace(**change)
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
+def test_input_spec_needs_one_name_per_generator(names):
+    with pytest.raises(InputError,
+                       match='"names" must have one entry per generator'):
+        InputSpec(((1, 0), (1, 1), (1, 2)), "lex", names)
 
 
 def test_replace_rebuilds_term_order_key():
