@@ -43,7 +43,6 @@ from .nash import (
     Analysis,
     NashReport,
     OrbitSet,
-    SingularLocus,
     TheoremVerdict,
     analyze,
     classify_ci,

@@ -74,7 +74,8 @@ class InputSpec(namedtuple("InputSpec", "generators order names family")):
     """Parsed analysis request; its fields are the input keys.  An order
     or family that is not a name in ORDERS or FAMILIES raises InputError,
     also when it is not a string, and so do names that are not a list or
-    tuple of strings with one per generator."""
+    tuple of distinct strings with one per generator.  names and each list
+    pair of generators are stored as tuples, so a spec hashes."""
 
     __slots__ = ()
 
@@ -90,6 +91,11 @@ class InputSpec(namedtuple("InputSpec", "generators order names family")):
                 raise InputError('"names" must be a list of strings')
             if len(names) != len(generators):
                 raise InputError('"names" must have one entry per generator')
+            if len(set(names)) != len(names):
+                raise InputError('"names" must be distinct')
+            names = tuple(names)
+        generators = tuple(tuple(g) if type(g) is list and len(g) == 2 else g
+                           for g in generators)
         return super().__new__(cls, generators, order, names, family)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
@@ -121,17 +127,10 @@ def parse_input(text: str) -> InputSpec:
                            for c in g)):
             raise InputError(f"generator {g!r} is not an integer pair")
     spec = InputSpec(**doc)  # InputSpec's defaults for absent keys
-    names = spec.names
-    if names is not None:
-        for name in names:
-            if not name.isidentifier():
-                raise InputError(f'"names" entry {name!r} is not an '
-                                 "identifier")
-        if len(set(names)) != len(names):
-            raise InputError('"names" must be distinct')
-        names = tuple(names)
-    return spec._replace(generators=tuple(tuple(g) for g in gens),
-                         names=names)
+    for name in spec.names or ():
+        if not name.isidentifier():
+            raise InputError(f'"names" entry {name!r} is not an identifier')
+    return spec
 
 
 # --- report ------------------------------------------------------------------
@@ -251,8 +250,8 @@ def _document(rep: RunReport, subsets: list) -> dict:
             "groebner_basis": [_binomial_json(b, rep)
                                for b in rep.ideal.gb.elements],
         },
-        "sigma": _orbit_json(a.sigma.orbits),
-        "origin_singular": a.sigma.origin_singular,
+        "sigma": _orbit_json(a.sigma),
+        "origin_singular": True,  # always, as OrbitSet says
         "ci": {"is_hypersurface": a.verdict.is_hypersurface,
                "is_complete_intersection": a.verdict.is_complete_intersection},
         "subsets": subsets,
@@ -335,7 +334,7 @@ def _text_lines(rep: RunReport):
     yield f"groebner basis ({len(rep.ideal.gb.elements)} elements):\n"
     for b in rep.ideal.gb.elements:
         yield f"  {rep.binomial_str(b)}\n"
-    yield (f"singular locus: {_orbit_text(a.sigma.orbits)}"
+    yield (f"singular locus: {_orbit_text(a.sigma)}"
            " (origin singular: yes)\n")
     v = a.verdict
     yield (f"hypersurface: {'yes' if v.is_hypersurface else 'no'}; "
@@ -433,8 +432,7 @@ def _check_fixture(name: str, doc) -> list:
                 "sigma": exp["sigma"], "verdict": [exp_verdict["predicted"],
                                                    exp_verdict["observed"]]}
     actual = {"blocks": [vs.l, vs.m, vs.n], "s_min": ideal.s_min,
-              "sigma": _orbit_json(sig.orbits),
-              "origin_singular": sig.origin_singular,
+              "sigma": _orbit_json(sig), "origin_singular": True,
               "hypersurface": v.is_hypersurface,
               "complete_intersection": v.is_complete_intersection,
               "verdict": [v.predicted, v.observed]}
@@ -471,7 +469,7 @@ def _check_fixture(name: str, doc) -> list:
     if "witness_rows" in exp:
         rows = _binomials_from_pairs(exp["witness_rows"], vs.N)
         minors = subset_minors(rows, ideal)[0]
-        if not minors or zero_locus(minors, vs) != sig.orbits:
+        if not minors or zero_locus(minors, vs) != sig:
             problems.append("witness rows do not cut out sigma")
     if flags["dim1_witness"] is True:
         a.dim1_witness()  # SigmaDimensionError unless sigma is a curve

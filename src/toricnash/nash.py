@@ -7,10 +7,10 @@ singular locus and the dichotomy verdict.
   one selection.  minor_symbolic, the symbolic determinant reduced to normal
   form, is the tests' reference; like _minor_terms it gives a minor as a
   fresh {exponent: coefficient} dict.
-- Orbit sets: zero loci and the singular locus are unions of torus-orbit
-  closures (OrbitSet); singular_orbits reads the singular ones off the
-  cone's two edges, _subset_report a subset's off two height sums and
-  zero_locus, its oracle, off the minors.
+- Orbit sets: zero loci and the singular locus sigma are unions of
+  torus-orbit closures, each one OrbitSet; singular_orbits reads sigma off
+  the cone's two edges, _subset_report a subset's locus off two height
+  sums and zero_locus, its oracle, off the minors.
 - Verdicts: predict reads the verdict off sigma and N; analyze is the only
   code that sweeps a whole family, into one Analysis, and checks it;
   singular_locus, search_all_subsets, dim1_selector and verify_dichotomy
@@ -378,7 +378,10 @@ class OrbitSet(NamedTuple):
 
     has_O1 marks the closure of the one-dimensional orbit along the z block
     (edge 2), has_O2 the one along the x block (edge 1).  The origin is
-    always part of the set; the dense orbit never is.
+    always part of the set, and is singular: a Jacobian row survives at
+    the origin only for a side of degree below 2, which toric_ideal
+    (degree 1) and minimal_generators (degree 0) refuse with
+    InvariantViolation.  The dense orbit is never part of the set.
     """
 
     has_O1: bool
@@ -439,18 +442,6 @@ def zero_locus(monomials, vs: ValidatedSemigroup) -> OrbitSet:
     if exp is None:
         raise EmptyIdeal("no monomials given")
     return OrbitSet(has_o1, has_o2)
-
-
-class SingularLocus(NamedTuple):
-    """Orbit-set shape of the singular locus plus the origin flag.
-
-    origin_singular is always True: a Jacobian row survives at the origin
-    only for a side of degree below 2, which toric_ideal (degree 1) and
-    minimal_generators (degree 0) refuse with InvariantViolation.
-    """
-
-    orbits: OrbitSet
-    origin_singular: bool
 
 
 # --- exhaustive search and verdicts -------------------------------------------
@@ -541,12 +532,13 @@ class TheoremVerdict(NamedTuple):
 class Analysis(NamedTuple):
     """Everything one sweep yields.
 
-    witness is the first report whose zero locus equals a one-dimensional
-    singular locus (None when it is a point).  minors reads the sweep's
+    sigma is the singular locus as predict gives it, an OrbitSet; witness
+    is the first report whose zero locus equals it when it is
+    one-dimensional (None when it is a point).  minors reads the sweep's
     pairs, coords and normal_forms (deg_memo's items).
     """
 
-    sigma: SingularLocus
+    sigma: OrbitSet
     reports: tuple
     verdict: TheoremVerdict
     witness: Optional[NashReport]
@@ -642,15 +634,14 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
             f"predicted {predicted} but observed {observed} for generators "
             f"{[tuple(p) for p in vs.gens.points]}")
     verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed)
-    return Analysis(SingularLocus(sigma, True), reports, verdict, witness,
-                    tuple(sweep.pairs), sweep.coords,
-                    tuple(sweep.deg_memo.items()))
+    return Analysis(sigma, reports, verdict, witness, tuple(sweep.pairs),
+                    sweep.coords, tuple(sweep.deg_memo.items()))
 
 
 # --- entry points: reads of one analysis --------------------------------------
 
 
-def singular_locus(ideal: ToricIdeal) -> SingularLocus:
+def singular_locus(ideal: ToricIdeal) -> OrbitSet:
     """The singular locus analyze(ideal) finds, cross-checked against the
     zero locus of the minors; raises what analyze raises."""
     return analyze(ideal).sigma

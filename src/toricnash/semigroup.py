@@ -42,12 +42,13 @@ def primitive(p: LatticePoint) -> LatticePoint:
 
 
 class GeneratorSet(namedtuple("GeneratorSet", "points")):
-    """An ordered list of pairwise distinct nonzero lattice points; its
-    length is the number of points."""
+    """Pairwise distinct nonzero lattice points, in order, each read by
+    _point; its length is the number of points."""
 
     __slots__ = ()
 
     def __new__(cls, points):
+        points = tuple(map(_point, points))
         if len(set(points)) != len(points):
             raise InvalidGeneratorSet("duplicate generator")
         if (0, 0) in points:
@@ -73,7 +74,7 @@ def _point(p) -> LatticePoint:
 
 
 def generator_set(pairs: Sequence[Sequence[int]]) -> GeneratorSet:
-    return GeneratorSet(tuple(map(_point, pairs)))
+    return GeneratorSet(pairs)
 
 
 def compute_cone_rays(gens: GeneratorSet) -> tuple:

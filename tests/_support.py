@@ -606,11 +606,11 @@ def check_gl2_invariance(surfaces, seed=0) -> Counter:
         image = tn.validate(tn.generator_set(pts))
         ideal, mapped = tn.toric_ideal(vs), tn.toric_ideal(image)
         before, after = tn.analyze(ideal), tn.analyze(mapped)
-        sigma = before.sigma.orbits
+        sigma = before.sigma
         if a * d - b * c == -1:
             sigma = OrbitSet(sigma.has_O2, sigma.has_O1)
         assert (image.N, mapped.s_min, after.verdict.predicted,
-                after.verdict.observed, after.sigma.orbits) == \
+                after.verdict.observed, after.sigma) == \
             (vs.N, ideal.s_min, before.verdict.predicted,
              before.verdict.observed, sigma), (vs.gens.points, m)
     return drawn
@@ -831,7 +831,7 @@ def support_witness(analysis, vs):
     one-dimensional sigma, the first full-rank report when both closures
     are singular, else the first with a minor supported on the x block
     (sigma has only O1) or on the z block (only O2); None otherwise."""
-    sigma = analysis.sigma.orbits
+    sigma = analysis.sigma
     if sigma.dimension != 1:
         return None
     both = sigma.has_O1 and sigma.has_O2

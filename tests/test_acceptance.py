@@ -64,10 +64,9 @@ def test_criterion_2_minor_fixtures(fixture_a):
 
 def test_criterion_3_point_locus_never_equal(fixture_a):
     t0 = time.monotonic()
-    _, ideal = fixture_a
-    sigma = singular_locus(ideal)
-    assert sigma.orbits == OrbitSet(False, False)
-    assert sigma.origin_singular
+    vs, ideal = fixture_a
+    assert singular_locus(ideal) == OrbitSet(False, False)
+    assert sup.derivative_drops(ideal.minimal_gens, vs)["origin"]
     assert classify_ci(ideal) == (False, False)
     reports = search_all_subsets(ideal)
     assert len(reports) == 3
@@ -85,7 +84,7 @@ def test_criterion_4_fixture_b(fixture_b):
     _, ideal = fixture_b
     expected = buchberger(sup.binomials(sup.IDEAL_B), lex_order(5))
     assert ideal.gb.elements == expected.elements
-    assert singular_locus(ideal).orbits == OrbitSet(True, True)
+    assert singular_locus(ideal) == OrbitSet(True, True)
     reports = search_all_subsets(ideal)
     valid = [r for r in reports if r.rank_ok]
     assert valid
@@ -103,7 +102,7 @@ def test_criterion_5_fixture_c(fixture_c):
     vs, ideal = fixture_c
     expected = buchberger(sup.binomials(sup.IDEAL_C), lex_order(4))
     assert ideal.gb.elements == expected.elements
-    sigma = singular_locus(ideal).orbits
+    sigma = singular_locus(ideal)
     assert sigma == OrbitSet(False, True)
     rows = sup.binomials(sup.IDEAL_C[:2])
     assert zero_locus(subset_minors(rows, ideal)[0], vs) == sigma
@@ -160,7 +159,7 @@ def test_criterion_7_containment(fixture_a, fixture_b, fixture_c,
     inputs = [fixture_a, fixture_b, fixture_c] + list(population)
     subsets_checked = 0
     for vs, ideal in inputs:
-        sigma = singular_locus(ideal).orbits
+        sigma = singular_locus(ideal)
         for report in search_all_subsets(ideal):
             if not report.rank_ok:
                 continue
@@ -189,7 +188,7 @@ def test_criterion_8_membership_oracle(fixture_a, fixture_b, fixture_c):
 def test_criterion_9_dichotomy_sweep(population):
     counts = {}
     for vs, ideal in population:
-        assert singular_locus(ideal).origin_singular
+        assert sup.derivative_drops(ideal.minimal_gens, vs)["origin"]
         try:
             verdict = verify_dichotomy(ideal)
         except TheoremViolation as exc:

@@ -507,14 +507,14 @@ class TestSubsetMinors:
         # common leading rows across subsets; subset by subset its reports
         # hold the per-pair oracle's minors, in its order, and its fallbacks.
         # The witness read from the zero-locus flags is the one the minor
-        # supports give, and the origin is singular on every input
+        # supports give, and the family's Jacobian drops rank at the origin
         subsets = fallbacks = witnesses = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
             for family, fam in (("minimal", ideal.minimal_gens),
                                 ("groebner", ideal.gb.elements)):
                 analysis = analyze(ideal, family)
-                assert analysis.sigma.origin_singular
+                assert sup.derivative_drops(fam, vs)["origin"]
                 assert analysis.witness == sup.support_witness(analysis, vs)
                 witnesses += analysis.witness is not None
                 indices = list(itertools.combinations(range(len(fam)), vs.r))
@@ -795,28 +795,27 @@ class TestZeroLocus:
 
 class TestSingularLocus:
     def test_fixture_a(self, fixture_a):
-        _, ideal = fixture_a
-        sig = singular_locus(ideal)
-        assert sig.orbits == OrbitSet(False, False)
-        assert sig.origin_singular
+        vs, ideal = fixture_a
+        assert singular_locus(ideal) == OrbitSet(False, False)
+        assert sup.derivative_drops(ideal.minimal_gens, vs)["origin"]
 
     def test_fixture_b(self, fixture_b):
         _, ideal = fixture_b
-        assert singular_locus(ideal).orbits == OrbitSet(True, True)
+        assert singular_locus(ideal) == OrbitSet(True, True)
 
     def test_fixture_c(self, fixture_c):
         _, ideal = fixture_c
-        assert singular_locus(ideal).orbits == OrbitSet(False, True)
+        assert singular_locus(ideal) == OrbitSet(False, True)
 
     def test_family_independent(self, population):
-        # the Jacobian of the Groebner basis drops on the same orbits, and
-        # the Groebner sweep agrees with it
+        # the Jacobian of the Groebner basis drops on the same orbits and at
+        # the origin, and the Groebner sweep agrees with it
         for vs, ideal in population[:10]:
             sig = singular_locus(ideal)
             assert analyze(ideal, "groebner").sigma == sig
             assert sup.derivative_drops(ideal.gb.elements, vs) == {
-                "torus": False, "O1": sig.orbits.has_O1,
-                "O2": sig.orbits.has_O2, "origin": sig.origin_singular}
+                "torus": False, "O1": sig.has_O1, "O2": sig.has_O2,
+                "origin": True}
 
     def test_cyclic_quotients(self):
         # the 45 normal surfaces 1/n(1, q), 2 <= n <= 12: Wahl's count
@@ -860,7 +859,7 @@ class TestSearch:
         rows = sup.binomials(sup.IDEAL_C[:2])
         locus = zero_locus(subset_minors(rows, ideal)[0], vs)
         assert locus == OrbitSet(False, True)
-        assert locus == singular_locus(ideal).orbits
+        assert locus == singular_locus(ideal)
 
     def test_groebner_family(self, fixture_a):
         _, ideal = fixture_a
@@ -1043,7 +1042,7 @@ class TestVerdicts:
         vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
         ideal = toric_ideal(vs)
         minors, _ = subset_minors(list(ideal.minimal_gens), ideal)
-        assert zero_locus(minors, vs) == singular_locus(ideal).orbits
+        assert zero_locus(minors, vs) == singular_locus(ideal)
 
     def test_family_agreement(self, population):
         for _, ideal in population[:10]:
@@ -1058,7 +1057,7 @@ class TestVerdicts:
         ideal = toric_ideal(vs)
         analysis = analyze(ideal)
         v = analysis.verdict
-        assert analysis.sigma.orbits == OrbitSet(True, False)
+        assert analysis.sigma == OrbitSet(True, False)
         assert (v.predicted, v.observed) == ("exists_equal", "exists_equal")
         assert dim1_selector(ideal).equals_sigma
 
@@ -1069,7 +1068,7 @@ class TestDimZeroProperty:
         # subset produces both a pure x-block and a pure z-block minor
         cases = [fixture_a] + [
             (vs, ideal) for vs, ideal in population
-            if singular_locus(ideal).orbits.dimension == 0
+            if singular_locus(ideal).dimension == 0
             and not classify_ci(ideal)[0]]
         assert cases
         for vs, ideal in cases:
@@ -1090,7 +1089,7 @@ class TestDimZeroProperty:
 class TestContainment:
     def test_sigma_inside_every_zero_locus(self, population):
         for vs, ideal in population[:20]:
-            sigma = singular_locus(ideal).orbits
+            sigma = singular_locus(ideal)
             for report in search_all_subsets(ideal):
                 if report.rank_ok:
                     assert sup.contains(report.zero_locus, sigma)
@@ -1210,7 +1209,7 @@ class TestPredict:
     @staticmethod
     def _agrees(vs, analysis):
         sigma, predicted, answer = tn.predict(vs)
-        assert sigma == analysis.sigma.orbits
+        assert analysis.sigma == sigma
         assert predicted == analysis.verdict.predicted
         assert answer == any(r.equals_sigma for r in analysis.reports
                              if r.rank_ok)
@@ -1227,14 +1226,15 @@ class TestPredict:
         assert set(seen) == {"never_equal", "exists_equal", "always_equal"}
 
     def test_small_sets(self, small_sets, five_point_sets):
-        # every valid 3-5 point set, lex, both families
+        # every valid 3-5 point set, both orders, both families
         seen = Counter()
         for vs in small_sets + five_point_sets:
-            ideal = toric_ideal(vs)
-            for family in ("minimal", "groebner"):
-                seen[self._agrees(vs, analyze(ideal, family))] += 1
+            for make_order in (lex_order, degrevlex_order):
+                ideal = toric_ideal(vs, make_order(vs.N))
+                for family in ("minimal", "groebner"):
+                    seen[self._agrees(vs, analyze(ideal, family))] += 1
         assert len(five_point_sets) == 578
-        assert sum(seen.values()) == 2 * (754 + 578)
+        assert sum(seen.values()) == 4 * (754 + 578)
         assert set(seen) == {"never_equal", "exists_equal", "always_equal",
                              "out_of_scope"}
 

@@ -21,9 +21,10 @@ UNEXPORTED = [("algebra", "derivative"), ("algebra", "determinant"),
               ("nash", "dim1_selector"), ("nash", "verify_dichotomy")]
 
 # a minor has one form, the (selection, coefficient, exponent) triple: the
-# record, the reader that wrapped subset_minors and its error went
+# record, the reader that wrapped subset_minors and its error went; the
+# singular locus is one OrbitSet, without a record around it
 REMOVED = [("algebra", "Monomial"), ("nash", "nash_ideal"),
-           ("errors", "RankDeficient")]
+           ("errors", "RankDeficient"), ("nash", "SingularLocus")]
 
 
 def _library_block() -> str:
@@ -46,6 +47,17 @@ def test_every_package_name_in_readme_exists():
     assert {"analyze", "predict", "subset_minors", "toric_ideal",
             "validate", "zero_locus"} <= names
     assert sorted(n for n in names if not hasattr(tn, n)) == []
+
+
+def test_record_list_names_every_public_record():
+    # the names in "Every record (...)" are the package's named-tuple types
+    # and cli.InputSpec, the set test_records' _records() covers
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = text.split("Every record (", 1)[1].split(")", 1)[0]
+    public = {v.__name__ for v in vars(tn).values()
+              if isinstance(v, type) and issubclass(v, tuple)}
+    assert set(re.findall(r"`([\w.]+)`", listed)) == \
+        public | {"cli.InputSpec"}
 
 
 @pytest.mark.parametrize("module, name", UNEXPORTED,

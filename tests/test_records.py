@@ -21,8 +21,8 @@ def _records():
     vs, ideal = sup.build(sup.FIXTURE_B)
     a = tn.analyze(ideal)
     return [ideal.order, ideal.gb.elements[0], vs.gens, vs.gens.points[0],
-            vs, ideal.gb, ideal, a.sigma.orbits, a.sigma, a.witness,
-            a.verdict, a, InputSpec(((1, 0), (0, 1)))]
+            vs, ideal.gb, ideal, a.sigma, a.witness, a.verdict, a,
+            InputSpec([[1, 0], [1, 1], [1, 2]], names=["a", "b", "c"])]
 
 
 def test_import_loads_no_dataclasses():
@@ -66,12 +66,16 @@ def test_repr_names_the_fields():
     (tn.Binomial((1, 0), (0, 1)), {"plus": (1, -1)}, ValueError),
     (tn.generator_set([(1, 0), (0, 1)]), {"points": ((1, 0), (1, 0))},
      InvalidGeneratorSet),
+    (tn.generator_set([(1, 0), (0, 1)]), {"points": ((1, 0), (1.5, 0))},
+     InvalidGeneratorSet),
     (InputSpec(((1, 0), (0, 1))), {"order": "grlex"}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"family": None}, InputError),
-    (InputSpec(((1, 0), (0, 1))), {"names": ("a",)}, InputError)],
+    (InputSpec(((1, 0), (0, 1))), {"names": ("a",)}, InputError),
+    (InputSpec(((1, 0), (0, 1))), {"names": ("a", "a")}, InputError)],
     ids=["term_order_kind", "term_order_nvars", "binomial_zero",
-         "binomial_negative", "generator_set", "input_order", "input_family",
-         "input_names"])
+         "binomial_negative", "generator_set", "generator_set_float",
+         "input_order", "input_family", "input_names",
+         "input_repeated_names"])
 def test_replace_checks_as_the_constructor(record, change, error):
     with pytest.raises(error):
         record._replace(**change)
@@ -95,6 +99,14 @@ def test_records_are_tuples_of_their_fields():
     b = tn.Binomial((1, 0), (0, 1))
     plus, minus = b
     assert (plus, minus) == b == ((1, 0), (0, 1))
+
+
+def test_generator_set_record_reads_points_as_generator_set():
+    # a GeneratorSet of plain tuples validates as generator_set's does
+    pairs = ((1, 0), (1, 1), (1, 2))
+    assert tn.GeneratorSet(pairs) == tn.generator_set(pairs)
+    assert tn.validate(tn.GeneratorSet(pairs)) == \
+        tn.validate(tn.generator_set(pairs))
 
 
 def test_generator_set_length_counts_points():
