@@ -6,12 +6,7 @@ Jacobian, decompose their zero loci into torus-orbit closures, and compare
 against the singular locus.
 """
 
-from .algebra import (
-    Binomial,
-    TermOrder,
-    degrevlex_order,
-    lex_order,
-)
+from .algebra import Binomial, TermOrder
 from .errors import (
     ConeNotStrictlyConvex,
     ConeNotTwoDimensional,
@@ -56,7 +51,6 @@ from .semigroup import (
     ValidatedSemigroup,
     check_generates_Z2,
     compute_cone_rays,
-    generator_set,
     semigroup_membership,
     validate,
 )

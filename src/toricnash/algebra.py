@@ -64,14 +64,6 @@ class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
         return (self.degree(exp), tuple(map(operator.neg, exp[::-1])))
 
 
-def lex_order(n: int) -> TermOrder:
-    return TermOrder("lex", n)
-
-
-def degrevlex_order(n: int) -> TermOrder:
-    return TermOrder("degrevlex", n)
-
-
 ORDERS = ("lex", "degrevlex")
 
 

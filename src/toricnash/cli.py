@@ -37,7 +37,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algebra import ORDERS, Binomial, TermOrder
+from .algebra import ORDERS, Binomial
 from .errors import InvalidExponent, TheoremViolation, ToricNashError
 from .ideal import ToricIdeal, buchberger, toric_ideal
 # dim1_selector, search_all_subsets, singular_locus and verify_dichotomy
@@ -55,7 +55,7 @@ from .nash import (  # noqa: F401
     verify_dichotomy,
     zero_locus,
 )
-from .semigroup import ValidatedSemigroup, generator_set, validate
+from .semigroup import ValidatedSemigroup, validate
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -71,15 +71,19 @@ class InputError(Exception):
 
 
 class InputSpec(namedtuple("InputSpec", "generators order names family")):
-    """Parsed analysis request; its fields are the input keys.  An order
-    or family that is not a name in ORDERS or FAMILIES raises InputError,
-    also when it is not a string, and so do names that are not a list or
-    tuple of distinct strings with one per generator.  names and each list
-    pair of generators are stored as tuples, so a spec hashes."""
+    """Parsed analysis request; its fields are the input keys, which
+    build_report passes on as they are.  InputError is raised for
+    generators that are not a non-empty list or tuple, an order or family
+    that is not a name in ORDERS or FAMILIES (also when not a string), and
+    names that are not a list or tuple of distinct strings with one per
+    generator.  names and each list pair of generators are stored as
+    tuples, so a spec hashes."""
 
     __slots__ = ()
 
     def __new__(cls, generators, order="lex", names=None, family="minimal"):
+        if not isinstance(generators, (list, tuple)) or not generators:
+            raise InputError('"generators" must be a non-empty list')
         for key, value, choices in (("order", order, ORDERS),
                                     ("family", family, FAMILIES)):
             if not (isinstance(value, str) and value in choices):
@@ -186,13 +190,13 @@ def _canonical_names(spec: InputSpec, vs: ValidatedSemigroup) -> list:
 
 
 def build_report(spec: InputSpec) -> RunReport:
-    vs = validate(generator_set(spec.generators))
-    ideal = toric_ideal(vs, TermOrder(spec.order, vs.N))
+    ideal = toric_ideal(validate(spec.generators), spec.order)
     a = analyze(ideal, spec.family)
     fallbacks = sum(r.fallbacks for r in a.reports)
     warnings = ([f"minor formula fell back to the symbolic determinant "
                  f"{fallbacks} times"] if fallbacks else [])
-    return RunReport(spec, _canonical_names(spec, vs), ideal, a, warnings)
+    return RunReport(spec, _canonical_names(spec, ideal.semigroup), ideal, a,
+                     warnings)
 
 
 def _orbit_json(o: Optional[OrbitSet]):
@@ -514,7 +518,7 @@ def _read_spec(path: str) -> InputSpec:
 
 
 def cmd_validate(path: str) -> int:
-    vs = validate(generator_set(_read_spec(path).generators))
+    vs = validate(_read_spec(path).generators)
     print(f"l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}")
     print("canonical generators: "
           + " ".join(str(tuple(p)) for p in vs.gens.points))

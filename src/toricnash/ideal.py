@@ -24,12 +24,7 @@ from functools import cached_property
 from operator import add, le, mul, sub
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import (
-    Binomial,
-    TermOrder,
-    binomial_from_vector,
-    lex_order,
-)
+from .algebra import Binomial, TermOrder, binomial_from_vector
 from .errors import InvariantViolation, LengthMismatch
 from .semigroup import ValidatedSemigroup
 
@@ -553,22 +548,19 @@ def _check_no_unit_sides(elements: Iterable[Binomial]) -> None:
                     "not minimal")
 
 
-def toric_ideal(vs: ValidatedSemigroup,
-                order: Optional[TermOrder] = None) -> ToricIdeal:
-    """Defining ideal of the toric surface of vs under the given order.
+def toric_ideal(vs: ValidatedSemigroup, order: str = "lex") -> ToricIdeal:
+    """Defining ideal of the toric surface of vs under the named order.
 
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
     sigma that the lattice basis forces, then the final basis, with
     lattice=True since its input generates the lattice ideal and is
     homogeneous for vs.degree_weights); the minimal generators are
     certified by minimal_generators' path replay, and recomputing the
-    basis from them is a test oracle only.  An order in another number of
-    variables than N raises LengthMismatch.
+    basis from them is a test oracle only.  order is a name in ORDERS, as
+    analyze's family is one in FAMILIES; TermOrder(order, N) raises
+    ValueError for another.
     """
-    order = order or lex_order(vs.N)
-    if order.nvars != vs.N:
-        raise LengthMismatch(
-            f"term order has {order.nvars} variables, not {vs.N}")
+    order = TermOrder(order, vs.N)
     gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
     saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
                                    vs.degree_weights)

@@ -73,10 +73,6 @@ def _point(p) -> LatticePoint:
     return LatticePoint(u, v)
 
 
-def generator_set(pairs: Sequence[Sequence[int]]) -> GeneratorSet:
-    return GeneratorSet(pairs)
-
-
 def compute_cone_rays(gens: GeneratorSet) -> tuple:
     """Primitive extreme rays of the cone, counterclockwise order.
 
@@ -115,7 +111,7 @@ def check_generates_Z2(gens: GeneratorSet) -> bool:
 
 def semigroup_membership(p, vs: ValidatedSemigroup) -> bool:
     """Decide p in the semigroup of vs by bounded exhaustive search in
-    heights.  p must be a pair of non-bool ints, as for generator_set,
+    heights.  p must be a pair of non-bool ints, as validate reads them,
     else InvalidGeneratorSet."""
     q = _point(p)
     u1, u2 = vs.rays
@@ -195,10 +191,12 @@ class ValidatedSemigroup(NamedTuple):
         return range(self.l + self.m, self.N)
 
 
-def validate(gens: GeneratorSet) -> ValidatedSemigroup:
+def validate(points: Sequence) -> ValidatedSemigroup:
     """Check every standing hypothesis and canonicalize the generator order.
 
-    Raising order: cone shape first (so a single generator reports
+    points are read as a GeneratorSet (each a pair of non-bool ints,
+    distinct and nonzero; InvalidGeneratorSet otherwise).  Raising order
+    after that: cone shape first (so a single generator reports
     ConeNotTwoDimensional, not a count problem), then lattice fullness,
     generator count, and minimality.  One compute_cone_rays call gives the
     two extreme rays and so each generator's heights cross(ray1, p) and
@@ -207,6 +205,7 @@ def validate(gens: GeneratorSet) -> ValidatedSemigroup:
     InvariantViolation.  The height sums, checked positive, are the degree
     weights and order each edge outward.
     """
+    gens = GeneratorSet(points)
     ray1, ray2 = compute_cone_rays(gens)
     pts = gens.points
     heights = tuple((cross(ray1, p), cross(p, ray2)) for p in pts)

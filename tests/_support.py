@@ -12,12 +12,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import toricnash as tn
 from toricnash.algebra import (
+    ORDERS,
     Binomial,
+    TermOrder,
     binomial_from_vector,
-    degrevlex_order,
     derivative,
     determinant,
-    lex_order,
 )
 from toricnash.errors import (
     ConeNotStrictlyConvex,
@@ -52,6 +52,9 @@ FIXTURE_A = [(1, 0), (1, 1), (1, 2), (1, 3)]
 FIXTURE_B = [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
 FIXTURE_C = [(2, 0), (1, 2), (0, 3), (0, 5)]
 
+# pytest ids of a parametrize over ORDERS: lex_order, degrevlex_order
+ORDER_IDS = [f"{kind}_order" for kind in ORDERS]
+
 # canonical variable order: x block | y block | z block
 IDEAL_A = [
     ((1, 0, 1, 0), (0, 2, 0, 0)),
@@ -83,7 +86,7 @@ J23 = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2)]
 
 
 def build(points):
-    vs = tn.validate(tn.generator_set(points))
+    vs = tn.validate(points)
     return vs, tn.toric_ideal(vs)
 
 
@@ -230,15 +233,15 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def fraction_rank(rows):
-    """Rank over the rationals by Gaussian elimination in Fractions
-    (independent of the library's integer elimination, ideal._echelon)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+def _fraction_reduce(m, ncols) -> int:
+    """Bring the first ncols columns of the Fraction matrix m to reduced
+    row echelon form in place, by Gauss-Jordan elimination; returns the
+    rank (independent of the library's integer elimination,
+    ideal._echelon)."""
     rank = 0
     for col in range(ncols):
+        if rank == len(m):
+            break
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
             continue
@@ -250,9 +253,13 @@ def fraction_rank(rows):
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
-        if rank == len(m):
-            break
     return rank
+
+
+def fraction_rank(rows):
+    """Rank over the rationals, by _fraction_reduce."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return _fraction_reduce(m, len(m[0])) if m else 0
 
 
 def _rewrite(exp, elements):
@@ -351,7 +358,7 @@ def membership_minimal_generators(gb):
     """Irredundant subset of a reduced basis by ideal membership: prune in
     increasing leading-term order, dropping an element that lies in the
     ideal of the other kept ones (a fresh degrevlex basis per test)."""
-    test_order = tn.degrevlex_order(gb.nvars)
+    test_order = TermOrder("degrevlex", gb.nvars)
     kept = sorted(gb.elements, key=lambda b: gb.order.key(b.plus))
     for b in list(kept):
         others = [h for h in kept if h is not b]
@@ -419,7 +426,7 @@ def box_semigroups(max_coord, sizes) -> list:
     for k in sizes:
         for pts in itertools.combinations(box, k):
             try:
-                out.append(tn.validate(tn.generator_set(list(pts))))
+                out.append(tn.validate(list(pts)))
             except tn.ToricNashError:
                 continue
     return out
@@ -440,7 +447,7 @@ def random_semigroups(seed, max_coord, sizes, count) -> list:
             continue
         seen.add(tuple(pts))
         try:
-            out.append(tn.validate(tn.generator_set(pts)))
+            out.append(tn.validate(pts))
         except tn.ToricNashError:
             continue
     return out
@@ -460,9 +467,9 @@ def check_toric_ideals(surfaces) -> int:
         assert _saturate_elements(gens, sigma, vs.degree_weights) == \
             reference_saturation(gens, sigma, vs.degree_weights), \
             vs.gens.points
-        for order_of in (lex_order, degrevlex_order):
-            ideal = tn.toric_ideal(vs, order_of(vs.N))
-            full = full_saturation_ideal(vs, order_of(vs.N))
+        for kind in ORDERS:
+            ideal = tn.toric_ideal(vs, kind)
+            full = full_saturation_ideal(vs, TermOrder(kind, vs.N))
             assert ideal.gb.elements == full.gb.elements, vs.gens.points
             assert ideal.minimal_gens == full.minimal_gens, vs.gens.points
             check_orbit_ranks(ideal)
@@ -533,8 +540,8 @@ def check_sweep_order(surfaces, seed=0) -> tuple:
     rng = random.Random(seed)
     count = fallbacks = 0
     for vs in surfaces:
-        for order_of in (lex_order, degrevlex_order):
-            ideal = tn.toric_ideal(vs, order_of(vs.N))
+        for kind in ORDERS:
+            ideal = tn.toric_ideal(vs, kind)
             for fam in (ideal.minimal_gens, ideal.gb.elements):
                 subsets = list(itertools.combinations(range(len(fam)), vs.r))
                 rng.shuffle(subsets)
@@ -603,7 +610,7 @@ def check_gl2_invariance(surfaces, seed=0) -> Counter:
         drawn[m] += 1
         pts = [(a * u + b * v, c * u + d * v) for u, v in vs.gens.points]
         rng.shuffle(pts)
-        image = tn.validate(tn.generator_set(pts))
+        image = tn.validate(pts)
         ideal, mapped = tn.toric_ideal(vs), tn.toric_ideal(image)
         before, after = tn.analyze(ideal), tn.analyze(mapped)
         sigma = before.sigma
@@ -918,19 +925,7 @@ def in_integer_span(basis, v):
     n = len(rows)
     m = [[Fraction(rows[i][j]) for i in range(n)] + [Fraction(v[j])]
          for j in range(len(v))]
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
+    rank = _fraction_reduce(m, n)
     sol = [Fraction(0)] * n
     for i in range(rank):
         col = next(j for j in range(n) if m[i][j])
@@ -986,7 +981,7 @@ def random_semigroup(rng, max_coord=6):
         else:
             pts = _uniform_candidate(rng, max_coord)
         try:
-            return tn.validate(tn.generator_set(pts))
+            return tn.validate(pts)
         except tn.ToricNashError:
             continue
 

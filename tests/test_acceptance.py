@@ -11,7 +11,7 @@ import time
 import pytest
 
 import toricnash as tn
-from toricnash.algebra import lex_order
+from toricnash.algebra import TermOrder
 from toricnash.errors import TheoremViolation
 from toricnash.ideal import buchberger, normal_form
 from toricnash.nash import (
@@ -42,7 +42,7 @@ def _elapsed_ok(t0, budget, label):
 def test_criterion_1_ideal_fixture_a(fixture_a):
     t0 = time.monotonic()
     _, ideal = fixture_a
-    expected = buchberger(sup.binomials(sup.IDEAL_A), lex_order(4))
+    expected = buchberger(sup.binomials(sup.IDEAL_A), TermOrder("lex", 4))
     assert ideal.gb.elements == expected.elements
     assert ideal.s_min == 3
     dt = _elapsed_ok(t0, 1.0, "criterion 1")
@@ -82,7 +82,7 @@ def test_criterion_3_point_locus_never_equal(fixture_a):
 def test_criterion_4_fixture_b(fixture_b):
     t0 = time.monotonic()
     _, ideal = fixture_b
-    expected = buchberger(sup.binomials(sup.IDEAL_B), lex_order(5))
+    expected = buchberger(sup.binomials(sup.IDEAL_B), TermOrder("lex", 5))
     assert ideal.gb.elements == expected.elements
     assert singular_locus(ideal) == OrbitSet(True, True)
     reports = search_all_subsets(ideal)
@@ -100,7 +100,7 @@ def test_criterion_4_fixture_b(fixture_b):
 def test_criterion_5_fixture_c(fixture_c):
     t0 = time.monotonic()
     vs, ideal = fixture_c
-    expected = buchberger(sup.binomials(sup.IDEAL_C), lex_order(4))
+    expected = buchberger(sup.binomials(sup.IDEAL_C), TermOrder("lex", 4))
     assert ideal.gb.elements == expected.elements
     sigma = singular_locus(ideal)
     assert sigma == OrbitSet(False, True)

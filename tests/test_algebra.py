@@ -3,12 +3,11 @@ import random
 import pytest
 
 from toricnash.algebra import (
+    ORDERS,
     Binomial,
     TermOrder,
-    degrevlex_order,
     derivative,
     determinant,
-    lex_order,
 )
 from toricnash.errors import LengthMismatch, NotSquare
 from toricnash.ideal import buchberger, minimal_generators
@@ -19,22 +18,24 @@ import _support as sup
 
 class TestCompare:
     def test_lex(self):
-        assert lex_order(2).key((1, 0)) > lex_order(2).key((0, 5))
+        order = TermOrder("lex", 2)
+        assert order.key((1, 0)) > order.key((0, 5))
 
     def test_degrevlex(self):
-        order = degrevlex_order(2)
+        order = TermOrder("degrevlex", 2)
         assert order.key((1, 1)) < order.key((2, 0))
 
     def test_equal(self):
-        assert lex_order(2).key((0, 0)) == lex_order(2).key((0, 0))
-        assert sup.oriented_binomial((0, 0), (0, 0), lex_order(2)) is None
+        order = TermOrder("lex", 2)
+        assert order.key((0, 0)) == order.key((0, 0))
+        assert sup.oriented_binomial((0, 0), (0, 0), order) is None
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            sup.oriented_binomial((1, 0), (1, 0, 0), lex_order(2))
+            sup.oriented_binomial((1, 0), (1, 0, 0), TermOrder("lex", 2))
 
     def test_degrevlex_degree_first(self):
-        order = degrevlex_order(3)
+        order = TermOrder("degrevlex", 3)
         assert order.key((0, 0, 3)) > order.key((1, 1, 0))
 
     def test_weighted_degrevlex(self):
@@ -48,8 +49,9 @@ class TestCompare:
         exp = (2, 0, 3)
         weighted = TermOrder("degrevlex", 3, (5, 1, 2))
         assert weighted.degree(exp) == 16
-        assert degrevlex_order(3).degree(exp) == lex_order(3).degree(exp) == 5
-        for order in (weighted, degrevlex_order(3)):
+        assert TermOrder("degrevlex", 3).degree(exp) == \
+            TermOrder("lex", 3).degree(exp) == 5
+        for order in (weighted, TermOrder("degrevlex", 3)):
             assert order.key(exp)[0] == order.degree(exp)
 
     def test_lex_stores_no_weights(self):
@@ -57,12 +59,13 @@ class TestCompare:
         # are one order, and buchberger gives one record under both; the
         # weights are still checked
         weighted = TermOrder("lex", 4, (1, 2, 3, 4))
-        assert weighted == lex_order(4) and weighted.weights is None
-        assert hash(weighted) == hash(lex_order(4))
+        assert weighted == TermOrder("lex", 4) and weighted.weights is None
+        assert hash(weighted) == hash(TermOrder("lex", 4))
         assert TermOrder("degrevlex", 4, (1, 2, 3, 4))._replace(
-            kind="lex") == lex_order(4)
+            kind="lex") == TermOrder("lex", 4)
         rows = sup.binomials(sup.IDEAL_A)
-        assert buchberger(rows, weighted) == buchberger(rows, lex_order(4))
+        assert buchberger(rows, weighted) == \
+            buchberger(rows, TermOrder("lex", 4))
         with pytest.raises(ValueError):
             TermOrder("lex", 2, (1, 0))
 
@@ -92,7 +95,7 @@ class TestCompare:
         rng = random.Random(3)
         for _ in range(200):
             n = rng.randint(2, 5)
-            order = rng.choice([lex_order(n), degrevlex_order(n)])
+            order = TermOrder(rng.choice(ORDERS), n)
             a = tuple(rng.randint(0, 4) for _ in range(n))
             b = tuple(rng.randint(0, 4) for _ in range(n))
             ob = sup.oriented_binomial(a, b, order)
@@ -161,9 +164,9 @@ def _with_hash(obj):
 SEQUENCE_FIELDS = {
     "binomial": lambda seq: _with_hash(_square(seq)),
     "buchberger": lambda seq: buchberger(
-        [_square(seq), _square(tuple)], lex_order(2)),
+        [_square(seq), _square(tuple)], TermOrder("lex", 2)),
     "minimal_generators": lambda seq: minimal_generators(
-        buchberger([_square(seq)], lex_order(2)), (1, 1)),
+        buchberger([_square(seq)], TermOrder("lex", 2)), (1, 1)),
     "subset_minors": lambda seq: subset_minors(
         _curve_relation(seq), _curve_ideal()),
     "minor_symbolic": lambda seq: minor_symbolic(

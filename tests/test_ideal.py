@@ -6,12 +6,7 @@ from operator import le
 
 import pytest
 
-from toricnash.algebra import (
-    Binomial,
-    binomial_from_vector,
-    degrevlex_order,
-    lex_order,
-)
+from toricnash.algebra import ORDERS, Binomial, TermOrder, binomial_from_vector
 from toricnash import ideal as ideal_mod
 from toricnash.errors import InvariantViolation, LengthMismatch, NotMinimal
 from toricnash.ideal import (
@@ -27,7 +22,7 @@ from toricnash.ideal import (
     normal_form,
     toric_ideal,
 )
-from toricnash.semigroup import ValidatedSemigroup, generator_set, validate
+from toricnash.semigroup import GeneratorSet, ValidatedSemigroup, validate
 
 import _support as sup
 
@@ -48,7 +43,7 @@ class TestLatticeKernel:
             assert sup.in_integer_span(basis, v)
 
     def test_rank_one_case(self):
-        vs = validate(generator_set([(1, 0), (1, 2), (1, 1)]))
+        vs = validate([(1, 0), (1, 2), (1, 1)])
         basis = lattice_kernel(vs)
         assert len(basis) == 1
         assert basis[0] in ((1, -2, 1), (-1, 2, -1))
@@ -114,7 +109,7 @@ class TestLLL:
 
         monkeypatch.setattr(ideal_mod, "_lll_reduce", recorded)
         surfaces = [vs for vs, _ in population]
-        surfaces += [validate(generator_set(p)) for p in IDEAL_BENCH + [S7]]
+        surfaces += [validate(p) for p in IDEAL_BENCH + [S7]]
         for vs in surfaces:
             lattice_kernel(vs)
         assert len(inputs) == len(surfaces)
@@ -126,7 +121,7 @@ class TestLLL:
             _lll_reduce([(1, 2, 0), (2, 4, 0)])
 
     def test_kernels_unchanged(self, fixture_a, fixture_b, fixture_c):
-        s7 = validate(generator_set(S7))
+        s7 = validate(S7)
         assert lattice_kernel(fixture_a[0]) == (
             (1, -2, 1, 0), (1, -1, -1, 1))
         assert lattice_kernel(fixture_b[0]) == (
@@ -141,20 +136,20 @@ class TestLLL:
 
 class TestBuchberger:
     def test_fixture_a_generators_already_basis(self):
-        order = lex_order(4)
+        order = TermOrder("lex", 4)
         gens = sup.binomials(sup.IDEAL_A)
         gb = buchberger(gens, order)
         assert set((b.plus, b.minus) for b in gb.elements) == \
             set(sup.IDEAL_A)
 
     def test_single_binomial(self):
-        order = lex_order(3)
+        order = TermOrder("lex", 3)
         b = Binomial((2, 0, 0), (0, 1, 1))
         gb = buchberger([b], order)
         assert gb.elements == (b,)
 
     def test_linear_chain_reduces(self):
-        order = lex_order(3)
+        order = TermOrder("lex", 3)
         gens = [Binomial((1, 0, 0), (0, 1, 0)), Binomial((0, 1, 0), (0, 0, 1))]
         gb = buchberger(gens, order)
         assert set((b.plus, b.minus) for b in gb.elements) == {
@@ -186,10 +181,10 @@ class TestBuchberger:
                 Binomial((1, 0, 0, 1), (1, 1, 0, 0))]
         for inputs in (gens, gens[::-1]):
             with pytest.raises(LengthMismatch):
-                buchberger(inputs, lex_order(3))
+                buchberger(inputs, TermOrder("lex", 3))
 
-    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
-    def test_matches_plain_buchberger(self, order_of):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_matches_plain_buchberger(self, kind):
         # random binomial families, which need be neither prime nor
         # homogeneous, plus fixed ones: two non-prime, then inputs that
         # reduce on entry against the inputs before them
@@ -213,13 +208,13 @@ class TestBuchberger:
             families.append(sup.random_binomial_family(
                 rng, rng.choice((3, 4)), rng.randint(2, 4)))
         for fam in families:
-            order = order_of(fam[0].nvars if fam else 3)
+            order = TermOrder(kind, fam[0].nvars if fam else 3)
             gb = buchberger(fam, order)
             assert gb.elements == sup.plain_buchberger(fam, order).elements
             sup.assert_reduced_groebner(fam, gb)
 
-    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
-    def test_toric_calls_match_oracles(self, monkeypatch, order_of):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_toric_calls_match_oracles(self, monkeypatch, kind):
         # every Buchberger call of toric_ideal: the weighted-degrevlex
         # saturation steps and the final basis, on real toric inputs;
         # |sigma| + 1 calls each, sigma being two variables on fixture C
@@ -237,8 +232,8 @@ class TestBuchberger:
         surfaces = ([sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C]
                     + IDEAL_BENCH + [IDEAL_LEFT_OUT])
         for points in surfaces:
-            vs = validate(generator_set(points))
-            toric_ideal(vs, order_of(vs.N))
+            vs = validate(points)
+            toric_ideal(vs, kind)
             assert calls[-1][2] is True
         assert len(calls) == 19
         assert sum(lattice for _, _, lattice in calls) == len(surfaces)
@@ -257,7 +252,7 @@ class TestBuchberger:
             return monomial_nf(exp, reducers)
 
         monkeypatch.setattr(ideal_mod, "monomial_nf", recording)
-        toric_ideal(validate(generator_set(IDEAL_BENCH[2])))
+        toric_ideal(validate(IDEAL_BENCH[2]))
         assert lists
         for leading in lists:
             for i, b_plus in enumerate(leading):
@@ -290,7 +285,7 @@ class TestBuchberger:
         entered = []
         for points in IDEAL_BENCH[2:]:
             runs.clear()
-            toric_ideal(validate(generator_set(points)))
+            toric_ideal(validate(points))
             entered.append([(kind, calls / 2) for kind, calls in runs])
         a, b = entered
         assert a == [("degrevlex", 24), ("lex", 30)]
@@ -298,8 +293,8 @@ class TestBuchberger:
 
 
 class TestLatticeWeights:
-    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
-    def test_final_runs_match_plain_buchberger(self, monkeypatch, order_of):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_final_runs_match_plain_buchberger(self, monkeypatch, kind):
         # every final-run input toric_ideal builds for the 3-5 point sets
         # of [0,3]^2: the skip changes no basis
         finals = []
@@ -313,7 +308,7 @@ class TestLatticeWeights:
         monkeypatch.setattr(ideal_mod, "buchberger", recording)
         surfaces = sup.box_semigroups(3, range(3, 6))
         for vs in surfaces:
-            toric_ideal(vs, order_of(vs.N))
+            toric_ideal(vs, kind)
         assert len(finals) == len(surfaces) == 1332
         for gens, order in finals:
             gb = buchberger(gens, order, True)
@@ -324,9 +319,9 @@ class TestLatticeWeights:
         # the precondition is real: on the kernel binomials of
         # (2,0),(3,0),(1,1),(0,1), before saturation, the skip drops two
         # of the four basis elements
-        vs = validate(generator_set([(2, 0), (3, 0), (1, 1), (0, 1)]))
+        vs = validate([(2, 0), (3, 0), (1, 1), (0, 1)])
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
-        order = lex_order(vs.N)
+        order = TermOrder("lex", vs.N)
         plain = buchberger(gens, order)
         assert plain.elements == sup.plain_buchberger(gens, order).elements
         assert len(plain.elements) == 4
@@ -340,28 +335,28 @@ class TestLatticeWeights:
 
 class TestReducerRows:
     @staticmethod
-    def _bases(population, order_of):
+    def _bases(population, kind):
         surfaces = [vs for vs, _ in population]
-        surfaces += [validate(generator_set(p)) for p in
+        surfaces += [validate(p) for p in
                      (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C)]
-        return [toric_ideal(vs, order_of(vs.N)).gb for vs in surfaces]
+        return [toric_ideal(vs, kind).gb for vs in surfaces]
 
-    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
-    def test_monomial_nf_matches_rewrite(self, population, order_of):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_monomial_nf_matches_rewrite(self, population, kind):
         # the pivot prefilter picks the same first divisor as the plain
         # scan of sup._rewrite, so every normal form agrees
         rng = random.Random(14)
-        for gb in self._bases(population, order_of):
+        for gb in self._bases(population, kind):
             for _ in range(40):
                 exp = tuple(rng.randint(0, 6) for _ in range(gb.nvars))
                 assert monomial_nf(exp, gb.reducers) == \
                     sup._rewrite(exp, gb.elements), (gb, exp)
 
-    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
-    def test_rows_describe_elements(self, population, order_of):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_rows_describe_elements(self, population, kind):
         # one row per element, in order; the pivot is a largest entry of
         # plus and positive, so the prefilter never rejects a divisor
-        for gb in self._bases(population, order_of):
+        for gb in self._bases(population, kind):
             assert len(gb.reducers) == len(gb.elements)
             for (i, p, plus, delta), b in zip(gb.reducers, gb.elements):
                 assert plus == b.plus
@@ -373,8 +368,7 @@ class TestReducerRows:
         # the rows' maps stop at the shorter of exp and a row, so both
         # exponents would be read cut short; normal_form refuses them, and
         # so does monomial_nf
-        gb = toric_ideal(validate(generator_set([(1, 0), (1, 1), (1, 2)])),
-                         lex_order(3)).gb
+        gb = toric_ideal(validate([(1, 0), (1, 1), (1, 2)])).gb
         assert gb.elements == (Binomial((1, 0, 1), (0, 2, 0)),)
         for exp in ((2,), (1, 0, 1, 7)):
             with pytest.raises(LengthMismatch):
@@ -391,7 +385,7 @@ def _saturated_basis(gens, order, weights):
 
 class TestSaturation:
     def test_strip_common_factor(self):
-        order = lex_order(3)
+        order = TermOrder("lex", 3)
         # x1*x2 - x1*x3 saturated leaves x2 - x3
         sat = _saturated_basis([Binomial((1, 1, 0), (1, 0, 1))], order,
                                (1, 1, 1))
@@ -406,7 +400,7 @@ class TestSaturation:
 
     def test_lattice_basis_saturates_to_full_ideal(self, fixture_a):
         vs, ideal = fixture_a
-        order = lex_order(4)
+        order = TermOrder("lex", 4)
         from toricnash.algebra import binomial_from_vector
         # a specific kernel basis whose binomial ideal is strictly smaller
         # than the saturated one
@@ -421,7 +415,7 @@ class TestSaturation:
 
     def test_any_kernel_basis_saturates_to_full_ideal(self, fixture_a):
         vs, ideal = fixture_a
-        order = lex_order(4)
+        order = TermOrder("lex", 4)
         from toricnash.algebra import binomial_from_vector
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         gb = _saturated_basis(gens, order, vs.degree_weights)
@@ -465,7 +459,7 @@ class TestSaturation:
 
     def test_forcing_pair(self):
         # no single variable forces on this surface of the sweep workload
-        vs = validate(generator_set([(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)]))
+        vs = validate([(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)])
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         assert _forcing_variables(gens, vs.N) == (0, 2)
         assert sup.check_toric_ideals([vs]) == 1
@@ -492,35 +486,31 @@ class TestSaturation:
 class TestToricIdeal:
     def test_fixture_a(self, fixture_a):
         _, ideal = fixture_a
-        assert buchberger(sup.binomials(sup.IDEAL_A), lex_order(4)) \
+        assert buchberger(sup.binomials(sup.IDEAL_A), TermOrder("lex", 4)) \
             .elements == ideal.gb.elements
         assert ideal.s_min == 3
 
     def test_fixture_b(self, fixture_b):
         _, ideal = fixture_b
-        assert buchberger(sup.binomials(sup.IDEAL_B), lex_order(5)) \
+        assert buchberger(sup.binomials(sup.IDEAL_B), TermOrder("lex", 5)) \
             .elements == ideal.gb.elements
 
     def test_fixture_c(self, fixture_c):
         _, ideal = fixture_c
-        assert buchberger(sup.binomials(sup.IDEAL_C), lex_order(4)) \
+        assert buchberger(sup.binomials(sup.IDEAL_C), TermOrder("lex", 4)) \
             .elements == ideal.gb.elements
         assert ideal.s_min == 4
 
-    @pytest.mark.parametrize("order, message", [
-        (lex_order(4), "term order has 4 variables, not 3"),
-        (degrevlex_order(2), "term order has 2 variables, not 3")])
-    def test_order_of_wrong_length_refused(self, order, message):
-        # the caller's mistake, not a failed internal check
-        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
-        with pytest.raises(LengthMismatch) as info:
-            toric_ideal(vs, order)
-        assert str(info.value) == message
+    def test_unknown_order_name_refused(self):
+        # an order is named as in ORDERS; TermOrder refuses another name
+        vs = validate([(1, 0), (1, 1), (1, 2)])
+        with pytest.raises(ValueError, match="'grlex'"):
+            toric_ideal(vs, "grlex")
 
     def test_degrevlex_defines_same_ideal(self, fixture_a):
         vs, ideal = fixture_a
-        other = toric_ideal(vs, degrevlex_order(vs.N))
-        regenerated = buchberger(other.gb.elements, lex_order(vs.N))
+        other = toric_ideal(vs, "degrevlex")
+        regenerated = buchberger(other.gb.elements, TermOrder("lex", vs.N))
         assert regenerated.elements == ideal.gb.elements
 
     def test_no_unit_exponent_sides(self, population):
@@ -543,9 +533,9 @@ class TestToricIdeal:
     def test_unit_side_refused_by_toric_ideal(self):
         # generators validate refuses: (2, 1) = (1, 0) + (1, 1), so the
         # basis holds y2 - x1 y1, whose side y2 has degree 1
-        gens = generator_set([(1, 0), (1, 1), (2, 1), (0, 1)])
+        gens = GeneratorSet([(1, 0), (1, 1), (2, 1), (0, 1)])
         with pytest.raises(NotMinimal):
-            validate(gens)
+            validate(gens.points)
         vs = ValidatedSemigroup(gens, 1, 2, 1, (0, 1, 2, 3),
                                 ((0, 1), (1, 1), (1, 2), (1, 0)))
         assert vs.degree_weights == (1, 2, 3, 1)
@@ -664,7 +654,7 @@ class TestMinimalGenerators:
                 count
 
     def test_principal(self):
-        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        vs = validate([(1, 0), (1, 1), (1, 2)])
         ideal = toric_ideal(vs)
         assert ideal.s_min == 1
 
@@ -678,13 +668,14 @@ class TestMinimalGenerators:
     def test_non_homogeneous_basis_raises(self):
         # x1^2 - x2 joins monomials of different unit-weight degree, so
         # the search would not stay inside one finite fiber
-        gb = GroebnerBasis(lex_order(3), (Binomial((2, 0, 0), (0, 1, 0)),
-                                          Binomial((0, 1, 1), (0, 0, 3))))
+        gb = GroebnerBasis(TermOrder("lex", 3),
+                           (Binomial((2, 0, 0), (0, 1, 0)),
+                            Binomial((0, 1, 1), (0, 0, 3))))
         with pytest.raises(InvariantViolation):
             minimal_generators(gb, (1, 1, 1))
 
     def test_s7(self):
-        ideal = toric_ideal(validate(generator_set(S7)))
+        ideal = toric_ideal(validate(S7))
         assert ideal.s_min == 19
         assert len(ideal.gb.elements) == 45
         # digest recorded with the Buchberger loop of sup.plain_buchberger
@@ -724,12 +715,12 @@ def _dropped_earlier(path, start, moves, dropped):
 
 
 class TestPruningCertificate:
-    @pytest.mark.parametrize("order_of", [lex_order, degrevlex_order])
-    def test_regeneration_oracle(self, population, order_of):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_regeneration_oracle(self, population, kind):
         surfaces = [vs for vs, _ in population]
-        surfaces += [validate(generator_set(p)) for p in IDEAL_BENCH + [S7]]
+        surfaces += [validate(p) for p in IDEAL_BENCH + [S7]]
         for vs in surfaces:
-            ideal = toric_ideal(vs, order_of(vs.N))
+            ideal = toric_ideal(vs, kind)
             assert buchberger(ideal.minimal_gens, ideal.order).elements == \
                 ideal.gb.elements
 

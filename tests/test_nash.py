@@ -9,13 +9,7 @@ import pytest
 
 import toricnash as tn
 from toricnash import algebra, cli, ideal as ideal_mod, nash
-from toricnash.algebra import (
-    Binomial,
-    degrevlex_order,
-    derivative,
-    determinant,
-    lex_order,
-)
+from toricnash.algebra import ORDERS, Binomial, derivative, determinant
 from toricnash.cli import InputSpec, build_report, report_json
 from toricnash.errors import (
     InvariantViolation,
@@ -49,7 +43,7 @@ from toricnash.nash import (
     verify_dichotomy,
     zero_locus,
 )
-from toricnash.semigroup import generator_set, validate
+from toricnash.semigroup import validate
 
 import _support as sup
 
@@ -274,12 +268,12 @@ class TestSparseMinor:
         assert checked == (len(list(itertools.combinations(fam, vs.r)))
                            * vs.N * (vs.N - 1) // 2)
 
-    @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
-    def test_monomial_nf_matches_normal_form(self, make_order):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_monomial_nf_matches_normal_form(self, kind):
         rng = random.Random(31)
         for points in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C, EXISTS):
-            vs = validate(generator_set(points))
-            ideal = toric_ideal(vs, make_order(vs.N))
+            vs = validate(points)
+            ideal = toric_ideal(vs, kind)
             for _ in range(200):
                 exp = tuple(rng.randint(0, 6) for _ in range(vs.N))
                 (want,) = normal_form({exp: 1}, ideal.gb)
@@ -373,8 +367,8 @@ class TestSparseMinor:
                                match="coefficient differs"):
                 evaluate()
 
-    @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
-    def test_deg_memo_is_fiber_minimum(self, make_order, monkeypatch):
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_deg_memo_is_fiber_minimum(self, kind, monkeypatch):
         # the normal form the sweep records for each fallback degree is the
         # order-minimal monomial of that degree's fiber, found from the
         # generators without the basis; a second pass over the subsets
@@ -388,8 +382,8 @@ class TestSparseMinor:
 
         monkeypatch.setattr(nash, "_Sweep", Recorded)
         for points in (CYC6, EXISTS, SWEEP_SURFACES[3][0]):
-            vs = validate(generator_set(points))
-            ideal = toric_ideal(vs, make_order(vs.N))
+            vs = validate(points)
+            ideal = toric_ideal(vs, kind)
             sweeps.clear()
             analysis = analyze(ideal)
             (sweep,) = sweeps
@@ -404,13 +398,13 @@ class TestSparseMinor:
                 [(minors, r.fallbacks) for r, minors in
                  zip(analysis.reports, sup.report_minors(analysis))]
 
-    @pytest.mark.parametrize("make_order", [lex_order, degrevlex_order])
-    def test_sub_minors_expanded_once_in_any_order(self, make_order,
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_sub_minors_expanded_once_in_any_order(self, kind,
                                                    monkeypatch):
         # the memo is keyed by (rows, columns): no sub-minor is expanded
         # twice in one sweep, and visiting the subsets in shuffled order
         # gives the same minors as itertools.combinations order
-        ((vs, ideal),) = sweep_ideals([(CYC6, make_order)])
+        ((vs, ideal),) = sweep_ideals([(CYC6, kind)])
         fam = ideal.minimal_gens
         subsets = list(itertools.combinations(range(len(fam)), vs.r))
         minor_terms = nash._minor_terms
@@ -433,16 +427,15 @@ class TestSparseMinor:
 
 
 # the surfaces of the sweep benchmark, under their term orders
-SWEEP_SURFACES = [(CYC6, lex_order), (CYC6, degrevlex_order),
-                  (EXISTS, lex_order),
-                  ([(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)], degrevlex_order)]
+SWEEP_SURFACES = [(CYC6, "lex"), (CYC6, "degrevlex"), (EXISTS, "lex"),
+                  ([(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)], "degrevlex")]
 
 
 def sweep_ideals(surfaces=SWEEP_SURFACES):
     out = []
-    for points, make_order in surfaces:
-        vs = validate(generator_set(points))
-        out.append((vs, toric_ideal(vs, make_order(vs.N))))
+    for points, kind in surfaces:
+        vs = validate(points)
+        out.append((vs, toric_ideal(vs, kind)))
     return out
 
 
@@ -585,8 +578,7 @@ class TestSubsetMinors:
         elif group == "cyc6":
             ideals = [ideal for _, ideal in sweep_ideals(SWEEP_SURFACES[:2])]
         else:
-            ideals = [toric_ideal(vs, lex_order(vs.N))
-                      for vs in five_point_sets]
+            ideals = [toric_ideal(vs) for vs in five_point_sets]
         subsets = zeros = 0
         for seed, ideal in enumerate(ideals):
             checked, deficient = sup.check_prefix_wedges(ideal, seed)
@@ -617,15 +609,16 @@ class TestSubsetMinors:
                 sweep.minors(idx)
         assert raised > 0
 
-    @pytest.mark.parametrize("make_order, fallbacks, expansions",
-                             [(lex_order, 922, 19),
-                              (degrevlex_order, 2116, 21)])
-    def test_one_laplace_expansion_per_degree(self, make_order, fallbacks,
+    @pytest.mark.parametrize("kind, fallbacks, expansions",
+                             [("lex", 922, 19), ("degrevlex", 2116, 21)],
+                             ids=["lex_order-922-19",
+                                  "degrevlex_order-2116-21"])
+    def test_one_laplace_expansion_per_degree(self, kind, fallbacks,
                                               expansions, monkeypatch):
         # one sweep over every subset of cyc6 expands the first fallback
         # minor of each degree; later minors of that degree read the
         # sweep's memo and still count as fallbacks
-        ((vs, ideal),) = sweep_ideals([(CYC6, make_order)])
+        ((vs, ideal),) = sweep_ideals([(CYC6, kind)])
         tops = []
         minor_terms = nash._minor_terms
 
@@ -964,7 +957,7 @@ class TestAnalysis:
         # the hypersurface xz - y^2 predicted as N >= 4 would be: a point
         # singular locus then predicts no match, but the one subset cuts
         # out the origin
-        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        vs = validate([(1, 0), (1, 1), (1, 2)])
         ideal = toric_ideal(vs)
         monkeypatch.setattr(nash, "predict", lambda vs: (
             singular_orbits(vs), "never_equal", False))
@@ -995,7 +988,7 @@ class TestClassifyCI:
         assert classify_ci(fixture_a[1]) == (False, False)
 
     def test_hypersurface(self):
-        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        vs = validate([(1, 0), (1, 1), (1, 2)])
         assert classify_ci(toric_ideal(vs)) == (True, True)
 
     def test_fixture_b(self, fixture_b):
@@ -1031,7 +1024,7 @@ class TestVerdicts:
         assert a.witness.subset == (0, 1)
 
     def test_hypersurface_out_of_scope(self):
-        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        vs = validate([(1, 0), (1, 1), (1, 2)])
         v = verify_dichotomy(toric_ideal(vs))
         assert v.predicted == "out_of_scope"
         assert v.is_complete_intersection
@@ -1039,7 +1032,7 @@ class TestVerdicts:
     def test_hypersurface_minors_cut_origin(self):
         # for the complete-intersection case the minor ideal of the single
         # defining equation still cuts out exactly the singular point
-        vs = validate(generator_set([(1, 0), (1, 1), (1, 2)]))
+        vs = validate([(1, 0), (1, 1), (1, 2)])
         ideal = toric_ideal(vs)
         minors, _ = subset_minors(list(ideal.minimal_gens), ideal)
         assert zero_locus(minors, vs) == singular_locus(ideal)
@@ -1053,7 +1046,7 @@ class TestVerdicts:
     def test_empty_interior_block(self):
         # no interior generators: the y block is empty and everything
         # degenerates gracefully
-        vs = validate(generator_set([(2, 0), (3, 0), (0, 1)]))
+        vs = validate([(2, 0), (3, 0), (0, 1)])
         ideal = toric_ideal(vs)
         analysis = analyze(ideal)
         v = analysis.verdict
@@ -1131,8 +1124,8 @@ class TestHeightRule:
         # both orders and both families of every valid 3-4 point set
         checked = 0
         for vs in small_sets:
-            for make_order in (lex_order, degrevlex_order):
-                ideal = toric_ideal(vs, make_order(vs.N))
+            for kind in ORDERS:
+                ideal = toric_ideal(vs, kind)
                 for family in ("minimal", "groebner"):
                     checked += rule_matches_oracle(analyze(ideal, family), vs)
         assert len(small_sets) == 754
@@ -1229,8 +1222,8 @@ class TestPredict:
         # every valid 3-5 point set, both orders, both families
         seen = Counter()
         for vs in small_sets + five_point_sets:
-            for make_order in (lex_order, degrevlex_order):
-                ideal = toric_ideal(vs, make_order(vs.N))
+            for kind in ORDERS:
+                ideal = toric_ideal(vs, kind)
                 for family in ("minimal", "groebner"):
                     seen[self._agrees(vs, analyze(ideal, family))] += 1
         assert len(five_point_sets) == 578
@@ -1272,6 +1265,6 @@ class TestPredict:
     def test_rule(self):
         for points, want in self.RULE_CASES.items():
             start = time.perf_counter()
-            vs = validate(generator_set(list(points)))
+            vs = validate(list(points))
             assert tn.predict(vs)[1:] == want, points
             assert time.perf_counter() - start < 1.0, points

@@ -24,7 +24,9 @@ UNEXPORTED = [("algebra", "derivative"), ("algebra", "determinant"),
 # record, the reader that wrapped subset_minors and its error went; the
 # singular locus is one OrbitSet, without a record around it
 REMOVED = [("algebra", "Monomial"), ("nash", "nash_ideal"),
-           ("errors", "RankDeficient"), ("nash", "SingularLocus")]
+           ("errors", "RankDeficient"), ("nash", "SingularLocus"),
+           ("semigroup", "generator_set"), ("algebra", "lex_order"),
+           ("algebra", "degrevlex_order")]
 
 
 def _library_block() -> str:

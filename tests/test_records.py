@@ -53,32 +53,41 @@ def test_immutable_and_equal_by_fields(record):
 
 
 def test_repr_names_the_fields():
-    assert repr(tn.lex_order(2)) == \
+    assert repr(tn.TermOrder("lex", 2)) == \
         "TermOrder(kind='lex', nvars=2, weights=None)"
     assert repr(tn.Binomial([1, 0], [0, 1])) == \
         "Binomial(plus=(1, 0), minus=(0, 1))"
 
 
 @pytest.mark.parametrize("record, change, error", [
-    (tn.lex_order(2), {"kind": "grlex"}, ValueError),
-    (tn.lex_order(2), {"nvars": -1}, ValueError),
+    (tn.TermOrder("lex", 2), {"kind": "grlex"}, ValueError),
+    (tn.TermOrder("lex", 2), {"nvars": -1}, ValueError),
     (tn.Binomial((1, 0), (0, 1)), {"minus": (1, 0)}, ValueError),
     (tn.Binomial((1, 0), (0, 1)), {"plus": (1, -1)}, ValueError),
-    (tn.generator_set([(1, 0), (0, 1)]), {"points": ((1, 0), (1, 0))},
+    (tn.GeneratorSet([(1, 0), (0, 1)]), {"points": ((1, 0), (1, 0))},
      InvalidGeneratorSet),
-    (tn.generator_set([(1, 0), (0, 1)]), {"points": ((1, 0), (1.5, 0))},
+    (tn.GeneratorSet([(1, 0), (0, 1)]), {"points": ((1, 0), (1.5, 0))},
      InvalidGeneratorSet),
+    (InputSpec(((1, 0), (0, 1))), {"generators": None}, InputError),
+    (InputSpec(((1, 0), (0, 1))), {"generators": ()}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"order": "grlex"}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"family": None}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"names": ("a",)}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"names": ("a", "a")}, InputError)],
     ids=["term_order_kind", "term_order_nvars", "binomial_zero",
          "binomial_negative", "generator_set", "generator_set_float",
-         "input_order", "input_family", "input_names",
-         "input_repeated_names"])
+         "input_generators_none", "input_generators_empty", "input_order",
+         "input_family", "input_names", "input_repeated_names"])
 def test_replace_checks_as_the_constructor(record, change, error):
     with pytest.raises(error):
         record._replace(**change)
+
+
+@pytest.mark.parametrize("generators", [None, 5, ()])
+def test_input_spec_needs_a_non_empty_list_of_generators(generators):
+    with pytest.raises(InputError,
+                       match='"generators" must be a non-empty list'):
+        InputSpec(generators)
 
 
 @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
@@ -89,7 +98,7 @@ def test_input_spec_needs_one_name_per_generator(names):
 
 
 def test_replace_rebuilds_term_order_key():
-    order = tn.lex_order(2)._replace(nvars=3)
+    order = tn.TermOrder("lex", 2)._replace(nvars=3)
     assert order.nvars == 3 and order.key((1, 2, 0)) == (1, 2, 0)
     with pytest.raises(LengthMismatch):
         order.key((1, 2))
@@ -102,13 +111,13 @@ def test_records_are_tuples_of_their_fields():
 
 
 def test_generator_set_record_reads_points_as_generator_set():
-    # a GeneratorSet of plain tuples validates as generator_set's does
+    # a GeneratorSet of plain tuples holds the points validate reads
     pairs = ((1, 0), (1, 1), (1, 2))
-    assert tn.GeneratorSet(pairs) == tn.generator_set(pairs)
-    assert tn.validate(tn.GeneratorSet(pairs)) == \
-        tn.validate(tn.generator_set(pairs))
+    gens = tn.GeneratorSet(pairs)
+    assert gens.points == pairs
+    assert tn.validate(gens.points) == tn.validate(pairs)
 
 
 def test_generator_set_length_counts_points():
     pts = [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert len(tn.generator_set(pts)) == len(pts)
+    assert len(tn.GeneratorSet(pts)) == len(pts)

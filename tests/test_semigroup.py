@@ -17,11 +17,11 @@ from toricnash.errors import (
     TooFewGenerators,
 )
 from toricnash.semigroup import (
+    GeneratorSet,
     LatticePoint,
     check_generates_Z2,
     compute_cone_rays,
     cross,
-    generator_set,
     primitive,
     semigroup_membership,
     validate,
@@ -33,53 +33,53 @@ import _support as sup
 class TestGeneratorSet:
     def test_duplicate_rejected(self):
         with pytest.raises(InvalidGeneratorSet):
-            generator_set([(1, 0), (1, 0)])
+            GeneratorSet([(1, 0), (1, 0)])
 
     def test_origin_rejected(self):
         with pytest.raises(InvalidGeneratorSet):
-            generator_set([(1, 0), (0, 0)])
+            GeneratorSet([(1, 0), (0, 0)])
 
     def test_non_integer_rejected(self):
         with pytest.raises(InvalidGeneratorSet):
-            generator_set([(1, 0), (0.5, 1)])
+            GeneratorSet([(1, 0), (0.5, 1)])
 
     @pytest.mark.parametrize("point", [(1, 2, 3), (1,), 5, None])
     def test_non_pair_rejected(self, point):
         with pytest.raises(InvalidGeneratorSet, match="not a coordinate pair"):
-            generator_set([(1, 0), point])
+            GeneratorSet([(1, 0), point])
 
 
 class TestConeRays:
     def test_fixture_a(self):
-        rays = compute_cone_rays(generator_set(sup.FIXTURE_A))
+        rays = compute_cone_rays(GeneratorSet(sup.FIXTURE_A))
         assert rays == ((1, 0), (1, 3))
 
     def test_fixture_b(self):
-        rays = compute_cone_rays(generator_set(sup.FIXTURE_B))
+        rays = compute_cone_rays(GeneratorSet(sup.FIXTURE_B))
         assert rays == ((1, 0), (0, 1))
 
     def test_empty_set(self):
         with pytest.raises(InvalidGeneratorSet, match="empty generator set"):
-            compute_cone_rays(generator_set([]))
+            compute_cone_rays(GeneratorSet([]))
 
     def test_single_generator(self):
         with pytest.raises(ConeNotTwoDimensional):
-            compute_cone_rays(generator_set([(1, 0)]))
+            compute_cone_rays(GeneratorSet([(1, 0)]))
 
     def test_collinear(self):
         with pytest.raises(ConeNotTwoDimensional):
-            compute_cone_rays(generator_set([(1, 2), (2, 4), (3, 6)]))
+            compute_cone_rays(GeneratorSet([(1, 2), (2, 4), (3, 6)]))
 
     def test_halfplane(self):
         with pytest.raises(ConeNotStrictlyConvex):
-            compute_cone_rays(generator_set([(1, 0), (0, 1), (-1, 0)]))
+            compute_cone_rays(GeneratorSet([(1, 0), (0, 1), (-1, 0)]))
 
     def test_full_plane(self):
         with pytest.raises(ConeNotStrictlyConvex):
-            compute_cone_rays(generator_set([(1, 0), (-1, 1), (0, -1)]))
+            compute_cone_rays(GeneratorSet([(1, 0), (-1, 1), (0, -1)]))
 
     def test_rays_are_primitive(self):
-        rays = compute_cone_rays(generator_set([(2, 0), (4, 6), (0, 8)]))
+        rays = compute_cone_rays(GeneratorSet([(2, 0), (4, 6), (0, 8)]))
         assert rays == ((1, 0), (0, 1))
 
     def test_matches_pair_scan(self):
@@ -96,7 +96,7 @@ class TestConeRays:
         kinds = set()
         for k in range(5):
             for pts in itertools.combinations(box, k):
-                gens = generator_set(pts)
+                gens = GeneratorSet(pts)
                 expected = outcome(sup.pair_scan_cone_rays, gens)
                 assert outcome(compute_cone_rays, gens) == expected, pts
                 kinds.add(expected if isinstance(expected, type) else tuple)
@@ -106,35 +106,35 @@ class TestConeRays:
 
 class TestClassification:
     def test_fixture_a_blocks(self):
-        vs = validate(generator_set(sup.FIXTURE_A))
+        vs = validate(sup.FIXTURE_A)
         assert (vs.l, vs.m, vs.n) == (1, 2, 1)
         assert vs.permutation == (0, 1, 2, 3)
         # reversed input: edge 1 is input 3, the interior sorts (1, 1) first
-        vs = validate(generator_set(sup.FIXTURE_A[::-1]))
+        vs = validate(sup.FIXTURE_A[::-1])
         assert (vs.l, vs.m, vs.n) == (1, 2, 1)
         assert vs.permutation == (3, 2, 1, 0)
 
     def test_fixture_b_blocks(self):
-        vs = validate(generator_set(sup.FIXTURE_B))
+        vs = validate(sup.FIXTURE_B)
         assert (vs.l, vs.m, vs.n) == (2, 1, 2)
 
     def test_fixture_c_blocks(self):
-        vs = validate(generator_set(sup.FIXTURE_C))
+        vs = validate(sup.FIXTURE_C)
         assert (vs.l, vs.m, vs.n) == (1, 1, 2)
 
 
 class TestLatticeFullness:
     def test_non_unimodular_pair(self):
-        assert not check_generates_Z2(generator_set([(1, 0), (1, 3)]))
+        assert not check_generates_Z2(GeneratorSet([(1, 0), (1, 3)]))
 
     def test_unimodular_pair(self):
-        assert check_generates_Z2(generator_set([(1, 0), (1, 1)]))
+        assert check_generates_Z2(GeneratorSet([(1, 0), (1, 1)]))
 
     def test_index_four(self):
-        assert not check_generates_Z2(generator_set([(2, 0), (0, 2)]))
+        assert not check_generates_Z2(GeneratorSet([(2, 0), (0, 2)]))
 
     def test_fixture_b(self):
-        assert check_generates_Z2(generator_set(sup.FIXTURE_B))
+        assert check_generates_Z2(GeneratorSet(sup.FIXTURE_B))
 
     def test_matches_brute_gcd(self):
         from math import gcd
@@ -150,11 +150,11 @@ class TestLatticeFullness:
                 for j in range(i + 1, 4):
                     g = gcd(g, abs(pts[i][0] * pts[j][1]
                                    - pts[i][1] * pts[j][0]))
-            assert check_generates_Z2(generator_set(pts)) == (g == 1)
+            assert check_generates_Z2(GeneratorSet(pts)) == (g == 1)
 
 
 def validated(points):
-    return validate(generator_set(points))
+    return validate(points)
 
 
 def assert_minimality_matches_bfs(coords, sizes, cap):
@@ -167,7 +167,7 @@ def assert_minimality_matches_bfs(coords, sizes, cap):
     for k in sizes:
         for pts in itertools.combinations(box, k):
             try:
-                validate(generator_set(pts))
+                validate(pts)
                 found = None
             except NotMinimal as exc:
                 found = exc.index
@@ -243,15 +243,16 @@ class TestMembership:
     @pytest.mark.parametrize("point", [(True, False), (2.0, 2.0),
                                        ("a", "b"), (1, 2, 3)])
     def test_point_rule_shared_with_generator_set(self, point):
-        # the point rule is generator_set's: a pair of non-bool ints
+        # the point rule is the one validate reads generators by: a pair
+        # of non-bool ints
         vs = validated(sup.FIXTURE_A)
         with pytest.raises(InvalidGeneratorSet):
-            generator_set([point])
+            validate([point])
         with pytest.raises(InvalidGeneratorSet):
             semigroup_membership(point, vs)
 
     def test_origin_is_member(self):
-        # generator_set refuses the origin as a generator, but it is the
+        # validate refuses the origin as a generator, but it is the
         # empty sum, so the semigroup holds it
         assert semigroup_membership((0, 0), validated(sup.FIXTURE_B))
 
@@ -268,37 +269,49 @@ class TestMembership:
             return inner(*args)
 
         monkeypatch.setattr(semigroup, "_member", counted)
-        vs = validate(generator_set([(5, 1), (4, 2), (3, 3), (2, 4), (1, 5),
-                                     (251, 49), (253, 0), (0, 51)]))
+        vs = validate([(5, 1), (4, 2), (3, 3), (2, 4), (1, 5),
+                                     (251, 49), (253, 0), (0, 51)])
         assert vs.N == 8
         assert len(calls) <= 20_000
 
 
 class TestValidate:
     def test_fixture_a(self):
-        vs = validate(generator_set(sup.FIXTURE_A))
+        vs = validate(sup.FIXTURE_A)
         assert (vs.N, vs.r) == (4, 2)
         assert (vs.l, vs.m, vs.n) == (1, 2, 1)
 
     def test_not_minimal(self):
         with pytest.raises(NotMinimal) as exc:
-            validate(generator_set([(1, 0), (2, 0), (0, 1)]))
+            validate([(1, 0), (2, 0), (0, 1)])
         assert exc.value.point == (2, 0)
 
     def test_lattice_not_full(self):
         with pytest.raises(LatticeNotFull):
-            validate(generator_set([(2, 0), (0, 2)]))
+            validate([(2, 0), (0, 2)])
 
     def test_too_few(self):
         with pytest.raises(TooFewGenerators):
-            validate(generator_set([(1, 0), (0, 1)]))
+            validate([(1, 0), (0, 1)])
 
     def test_single_generator_reports_cone_error(self):
         with pytest.raises(ConeNotTwoDimensional):
-            validate(generator_set([(1, 0)]))
+            validate([(1, 0)])
+
+    def test_reads_lists_and_tuples_alike(self):
+        for points in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
+            assert validate([list(p) for p in points]) == \
+                validate(tuple(map(tuple, points)))
+
+    def test_generator_set_record_is_not_points(self):
+        # a GeneratorSet iterates as its one field, which is no point
+        vs = validate(sup.FIXTURE_A)
+        for gens in (vs.gens, GeneratorSet([(1, 0), (0, 1)])):
+            with pytest.raises(InvalidGeneratorSet):
+                validate(gens)
 
     def test_canonical_order_and_permutation(self):
-        vs = validate(generator_set([(0, 5), (2, 6), (0, 4), (3, 0), (2, 0)]))
+        vs = validate([(0, 5), (2, 6), (0, 4), (3, 0), (2, 0)])
         pts = [tuple(p) for p in vs.gens.points]
         assert pts == [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
         original = [(0, 5), (2, 6), (0, 4), (3, 0), (2, 0)]
@@ -313,25 +326,25 @@ class TestValidate:
 
     def test_idempotent(self, population):
         for vs, _ in population[:15]:
-            again = validate(vs.gens)
+            again = validate(vs.gens.points)
             assert again.gens == vs.gens
             assert again.permutation == tuple(range(vs.N))
 
     def test_order_independent(self):
         rng = random.Random(23)
         for pts in (sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C):
-            vs0 = validate(generator_set(pts))
+            vs0 = validate(pts)
             for _ in range(5):
                 shuffled = list(pts)
                 rng.shuffle(shuffled)
-                vs = validate(generator_set(shuffled))
+                vs = validate(shuffled)
                 assert vs.gens == vs0.gens
 
     def test_verdict_order_independent_for_invalid(self):
         bad = [(1, 0), (2, 0), (0, 1)]
         for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
             with pytest.raises(NotMinimal):
-                validate(generator_set([bad[i] for i in perm]))
+                validate([bad[i] for i in perm])
 
     def test_degree_weights_positive(self, population):
         for vs, _ in population:
@@ -350,10 +363,10 @@ class TestValidate:
 
         monkeypatch.setattr(semigroup, "compute_cone_rays", counted)
         for vs, _ in population:
-            shuffled = generator_set(vs.gens.points[::-1])
+            shuffled = vs.gens.points[::-1]
             calls.clear()
             again = validate(shuffled)
-            assert calls == [shuffled]
+            assert calls == [GeneratorSet(shuffled)]
             assert again.heights == vs.heights
 
     def test_dual_vector_checked(self, monkeypatch):
@@ -363,7 +376,7 @@ class TestValidate:
         monkeypatch.setattr(semigroup, "compute_cone_rays",
                             lambda gens: inner(gens)[::-1])
         with pytest.raises(InvariantViolation):
-            validate(generator_set(sup.FIXTURE_A))
+            validate(sup.FIXTURE_A)
 
     def test_empty_edge_is_invariant_violation(self, monkeypatch):
         # both rays come from generator directions; a ray that no
@@ -372,7 +385,7 @@ class TestValidate:
         monkeypatch.setattr(semigroup, "compute_cone_rays",
                             lambda gens: (LatticePoint(2, 1), inner(gens)[1]))
         with pytest.raises(InvariantViolation):
-            validate(generator_set(sup.FIXTURE_A))
+            validate(sup.FIXTURE_A)
 
     def test_minimality_search_linear_on_one_edge(self, monkeypatch):
         # (b, b) = b (1, 0) + b (0, 1): for each coefficient of (1, 0) the
@@ -388,7 +401,7 @@ class TestValidate:
 
         monkeypatch.setattr(semigroup, "_member", counted)
         with pytest.raises(NotMinimal) as exc:
-            validate(generator_set([(1, 0), (0, 1), (b, b)]))
+            validate([(1, 0), (0, 1), (b, b)])
         assert exc.value.point == (b, b)
         assert len(calls) <= 2 * b
 
@@ -406,7 +419,7 @@ class TestValidate:
         # cap each coefficient independently of the coordinates' size, so
         # the search stays small
         start = time.perf_counter()
-        vs = validate(generator_set(points))
+        vs = validate(points)
         assert time.perf_counter() - start < 1
         assert (vs.l, vs.m, vs.n) == blocks
 
@@ -421,6 +434,6 @@ class TestValidate:
         assert_minimality_matches_bfs(range(-2, 3), range(3, 5), cap=8)
 
     def test_empty_interior_block_accepted(self):
-        vs = validate(generator_set([(2, 0), (3, 0), (0, 1)]))
+        vs = validate([(2, 0), (3, 0), (0, 1)])
         assert (vs.l, vs.m, vs.n) == (2, 0, 1)
         assert list(vs.y_indices) == []
