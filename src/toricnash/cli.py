@@ -219,7 +219,8 @@ def _binomial_json(b: Binomial, rep: RunReport) -> dict:
 
 def report_json(rep: RunReport) -> dict:
     """The JSON report.  "subset", "K" and "exp" are tuples of the
-    analysis and its minors, which json writes as arrays."""
+    analysis and its minors, which json writes as arrays; a minimal
+    generator's entry is its "groebner_basis" entry, rendered once."""
     return _document(rep, [{
         "subset": r.subset,
         "rank_ok": r.rank_ok,
@@ -234,6 +235,7 @@ def report_json(rep: RunReport) -> dict:
 def _document(rep: RunReport, subsets: list) -> dict:
     """report_json(rep) with subsets as its "subsets"."""
     vs, a = rep.ideal.semigroup, rep.analysis
+    basis = {b: _binomial_json(b, rep) for b in rep.ideal.gb.elements}
     return {
         "input": {
             "generators": [list(g) for g in rep.spec.generators],
@@ -249,10 +251,8 @@ def _document(rep: RunReport, subsets: list) -> dict:
         "ideal": {
             "order": rep.spec.order,
             "s_min": rep.ideal.s_min,
-            "minimal_generators": [_binomial_json(b, rep)
-                                   for b in rep.ideal.minimal_gens],
-            "groebner_basis": [_binomial_json(b, rep)
-                               for b in rep.ideal.gb.elements],
+            "minimal_generators": [basis[b] for b in rep.ideal.minimal_gens],
+            "groebner_basis": list(basis.values()),
         },
         "sigma": _orbit_json(a.sigma),
         "origin_singular": True,  # always, as OrbitSet says

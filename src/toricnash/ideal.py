@@ -5,7 +5,7 @@ of the generator matrix.  toric_ideal builds it in four steps:
 
 - lattice_kernel: an LLL-reduced basis of L;
 - _saturate_elements: the ideal of the basis binomials, saturated by the
-  one or two variables that _forcing_variables finds;
+  one or two variables that _forcing_variables finds (none for rank 1);
 - buchberger: the reduced Groebner basis under the requested order, with
   monomial_nf as its reduction;
 - minimal_generators: an irredundant generating subset of that basis.
@@ -154,6 +154,11 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
 # --- binomial Groebner engine -----------------------------------------------
 
 
+def _derived(plus, minus) -> Binomial:
+    """x^plus - x^minus derived from checked Binomials, not checked again."""
+    return tuple.__new__(Binomial, (plus, minus))
+
+
 def _reducer_row(plus, minus) -> tuple:
     """The row (i, plus[i], plus, minus - plus) that monomial_nf scans for
     x^plus - x^minus, i being the coordinate of plus's largest entry."""
@@ -247,7 +252,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     replacing each trailing term by its normal form, which is never larger,
     makes it the reduced one.  An input whose length differs from the
     variable count raises LengthMismatch, from key while the live list is
-    empty and from monomial_nf after that.
+    empty and from monomial_nf after that.  The returned elements are built
+    once, by _derived, from the exponents that the run derived.
 
     lattice=True asserts that gens generate a lattice ideal I_L and are
     homogeneous for some strictly positive weights w; the caller vouches
@@ -327,7 +333,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
         minus = monomial_nf(tuple(map(add, plus, delta)), live)
         if minus == plus:
             raise InvariantViolation("basis element reduced to zero")
-        out.append(Binomial(plus, minus))
+        out.append(_derived(plus, minus))
     return GroebnerBasis(order, tuple(out))
 
 
@@ -368,13 +374,16 @@ def normal_form(p: Mapping, gb: GroebnerBasis) -> dict:
 
 
 def _forcing_variables(basis: Sequence[Binomial], nvars: int) -> tuple:
-    """The variables to saturate lattice-basis binomials by: the first
-    single variable that forces, else the first pair, else all nvars.
-
-    sigma forces when its closure, which adds every variable of one side
-    of a basis binomial once all of the other side's are in it, reaches
-    all nvars variables; at most O(nvars^2) closures are taken.
+    """The variables to saturate lattice-basis binomials by: none for one
+    vector v, as x^(v+) - x^(v-) generates I_L for L = Zv (x^u - x^w with
+    u - w = kv is x^min(u,w) times a multiple of it), else the first single
+    variable that forces, else the first pair, else all nvars.  sigma
+    forces when its closure, which adds every variable of one side of a
+    basis binomial once all of the other side's are in it, reaches all
+    nvars variables; at most O(nvars^2) closures are taken.
     """
+    if len(basis) == 1:
+        return ()
     supports = [(frozenset(i for i, e in enumerate(b.plus) if e),
                  frozenset(i for i, e in enumerate(b.minus) if e))
                 for b in basis]
@@ -418,20 +427,21 @@ def _saturate_elements(elements: Sequence[Binomial], variables: Iterable[int],
     I_B and I_L agree once every variable is inverted; if sigma forces,
     every point of V(I_B) with x_sigma != 0 lies in the torus, so no
     associated prime of I_B[x_sigma^-1] contains a variable, each is a
-    nonzerodivisor modulo it, and I_B : x_sigma^infinity = I_L.
+    nonzerodivisor modulo it, and I_B : x_sigma^infinity = I_L.  The moved
+    and stripped relations rearrange checked Binomials: _derived builds them.
     """
     weights = tuple(weights)
     current = list(elements)
     for var in variables:
         last = TermOrder("degrevlex", len(weights),
                          weights[:var] + weights[var + 1:] + (weights[var],))
-        moved = [Binomial(*(s[:var] + s[var + 1:] + (s[var],) for s in b))
+        moved = [_derived(*(s[:var] + s[var + 1:] + (s[var],) for s in b))
                  for b in current]
         current = []
         for b in buchberger(moved, last).elements:
             k = min(b.plus[-1], b.minus[-1])
             current.append(
-                Binomial(*(s[:var] + (s[-1] - k,) + s[var:-1] for s in b)))
+                _derived(*(s[:var] + (s[-1] - k,) + s[var:-1] for s in b)))
     return current
 
 
@@ -552,9 +562,9 @@ def toric_ideal(vs: ValidatedSemigroup, order: str = "lex") -> ToricIdeal:
     """Defining ideal of the toric surface of vs under the named order.
 
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
-    sigma that the lattice basis forces, then the final basis, with
-    lattice=True since its input generates the lattice ideal and is
-    homogeneous for vs.degree_weights); the minimal generators are
+    sigma that the lattice basis forces, none for N = 3, then the final
+    basis, with lattice=True since its input generates the lattice ideal
+    and is homogeneous for vs.degree_weights); the minimal generators are
     certified by minimal_generators' path replay, and recomputing the
     basis from them is a test oracle only.  order is a name in ORDERS, as
     analyze's family is one in FAMILIES; TermOrder(order, N) raises

@@ -188,8 +188,8 @@ class _Sweep:
     the sweep expanded to its checked normal form, memo the reduced
     Laplace sub-minors under their (rows, columns) and wedges the _wedge
     entry of each prefix of family rows, () included, whatever the order in
-    which subsets are visited; inner are the columns 1..N-2, and rule and
-    loci serve _subset_report.  A binomial of another length than N raises
+    which subsets are visited; inner are the columns 1..N-2, and rule
+    serves _subset_report.  A binomial of another length than N raises
     LengthMismatch, before any row is checked.
     """
 
@@ -216,8 +216,6 @@ class _Sweep:
                     tuple(map(add, pts[a], pts[b]))))
         self.rule = [(h, -min([h[a] + h[b] for (a, b), _, _, _ in pairs]))
                      for h in zip(*vs.heights)]
-        self.loci = tuple((OrbitSet(o1, False), OrbitSet(o1, True))
-                          for o1 in (False, True))
         self.deg_memo = {}
         self.partials = [[_partials(b, j) for j in range(vs.N)]
                          for b in family]
@@ -392,6 +390,9 @@ class OrbitSet(NamedTuple):
         return 1 if (self.has_O1 or self.has_O2) else 0
 
 
+_LOCI = tuple((OrbitSet(o, False), OrbitSet(o, True)) for o in (False, True))
+
+
 def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
     """The one-dimensional orbit closures in the singular locus, read off
     the generators on the cone's two edge rays.
@@ -475,12 +476,12 @@ def _subset_report(sigma: OrbitSet, sweep: _Sweep,
     each pair has a minor of degree T_S + g_a + g_b (_Sweep.check), and as
     heights are nonnegative and h2 is 0 only on the z block, each involves
     x or y exactly when h2(T_S) + mu2 = sum_j base_j h2_j + mu2 > 0.
-    sweep.rule holds (h, -mu) per height, sweep.loci the four loci."""
+    sweep.rule holds (h, -mu) per height, _LOCI the four loci."""
     c_s, base, fallbacks = sweep.check(subset)
     if not c_s:  # below full rank
         return NashReport(subset, 0, None, None, None, 0)
     (h1, f1), (h2, f2) = sweep.rule
-    locus = sweep.loci[sum(map(mul, base, h2)) > f2][
+    locus = _LOCI[sum(map(mul, base, h2)) > f2][
         sum(map(mul, base, h1)) > f1]
     return NashReport(subset, c_s, base, locus, locus == sigma, fallbacks)
 

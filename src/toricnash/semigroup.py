@@ -43,11 +43,13 @@ def primitive(p: LatticePoint) -> LatticePoint:
 
 class GeneratorSet(namedtuple("GeneratorSet", "points")):
     """Pairwise distinct nonzero lattice points, in order, each read by
-    _point; its length is the number of points."""
+    _point from a list or tuple; its length is the number of points."""
 
     __slots__ = ()
 
     def __new__(cls, points):
+        if not isinstance(points, (list, tuple)):
+            raise InvalidGeneratorSet("generators must be a list or tuple")
         points = tuple(map(_point, points))
         if len(set(points)) != len(points):
             raise InvalidGeneratorSet("duplicate generator")
@@ -194,8 +196,9 @@ class ValidatedSemigroup(NamedTuple):
 def validate(points: Sequence) -> ValidatedSemigroup:
     """Check every standing hypothesis and canonicalize the generator order.
 
-    points are read as a GeneratorSet (each a pair of non-bool ints,
-    distinct and nonzero; InvalidGeneratorSet otherwise).  Raising order
+    points, a list or tuple, are read as a GeneratorSet (each a pair of
+    non-bool ints, distinct and nonzero; InvalidGeneratorSet otherwise);
+    the canonical one reorders them without a second check.  Raising order
     after that: cone shape first (so a single generator reports
     ConeNotTwoDimensional, not a count problem), then lattice fullness,
     generator count, and minimality.  One compute_cone_rays call gives the
@@ -229,6 +232,6 @@ def validate(points: Sequence) -> ValidatedSemigroup:
     perm = (tuple(sorted(edge1, key=weights.__getitem__))
             + tuple(sorted(interior, key=lambda i: pts[i]))
             + tuple(sorted(edge2, key=weights.__getitem__)))
-    canonical = GeneratorSet(tuple(pts[i] for i in perm))
+    canonical = tuple.__new__(GeneratorSet, (tuple(pts[i] for i in perm),))
     return ValidatedSemigroup(canonical, len(edge1), len(interior), len(edge2),
                               perm, tuple(heights[i] for i in perm))

@@ -455,15 +455,16 @@ def random_semigroups(seed, max_coord, sizes, count) -> list:
 
 def check_toric_ideals(surfaces) -> int:
     """Assert that toric_ideal saturates each surface by at most two
-    variables, that this saturation equals reference_saturation, that the
-    ideal equals full_saturation_ideal under lex and degrevlex, and that
-    check_orbit_ranks holds for each of those ideals; returns the number
-    of surfaces."""
+    variables, by none when it has three generators (one kernel vector
+    generates the lattice ideal), that this saturation equals
+    reference_saturation, that the ideal equals full_saturation_ideal under
+    lex and degrevlex, and that check_orbit_ranks holds for each of those
+    ideals; returns the number of surfaces."""
     count = 0
     for vs in surfaces:
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         sigma = _forcing_variables(gens, vs.N)
-        assert len(sigma) <= 2, vs.gens.points
+        assert len(sigma) <= 2 and (vs.N > 3 or sigma == ()), vs.gens.points
         assert _saturate_elements(gens, sigma, vs.degree_weights) == \
             reference_saturation(gens, sigma, vs.degree_weights), \
             vs.gens.points

@@ -465,22 +465,48 @@ class TestSaturation:
         assert sup.check_toric_ideals([vs]) == 1
 
     def test_forcing_all_variables(self):
-        # x0 x1 x2 - x3 x4 x5: a closure grows only once it holds a whole
-        # side, no pair holds one, so no variable or pair forces and the
-        # fallback saturates by all six
-        sides = ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))
-        assert _forcing_variables([Binomial(*sides)], 6) == tuple(range(6))
+        # x0 x1 x2 - x3 x4 x5 and x0 x3 x6 - x1 x4 x7: a closure grows only
+        # once it holds a whole side, no pair holds one, so no variable or
+        # pair forces and the fallback saturates by all eight
+        basis = [Binomial((1, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0, 0)),
+                 Binomial((1, 0, 0, 1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 0, 0, 1))]
+        assert _forcing_variables(basis, 8) == tuple(range(8))
         assert not any(set(i for i, e in enumerate(side) if e) <= set(pair)
-                       for side in sides
-                       for pair in itertools.combinations(range(6), 2))
+                       for b in basis for side in b
+                       for pair in itertools.combinations(range(8), 2))
+
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_unchecked_relations_pass_the_checks(self, monkeypatch, kind):
+        # the saturation's moved and stripped relations and buchberger's
+        # elements are built without Binomial's checks, and validate's
+        # canonical GeneratorSet without its own: each passes them, on
+        # every valid 3-5 point set of [0,3]^2
+        built = []
+
+        def recording(gens, order, lattice=False):
+            gens = list(gens)
+            gb = buchberger(gens, order, lattice)
+            built.extend(gens + list(gb.elements))
+            return gb
+
+        monkeypatch.setattr(ideal_mod, "buchberger", recording)
+        surfaces = sup.box_semigroups(3, range(3, 6))
+        for vs in surfaces:
+            assert GeneratorSet(vs.gens.points) == vs.gens
+            toric_ideal(vs, kind)
+        assert len(surfaces) == 1332 and built
+        for b in built:
+            assert Binomial(*b) == b
 
     def test_matches_full_saturation(self, population):
-        # saturating by the forced variables gives the ideal that
-        # saturating by all of them does, under lex and degrevlex, and the
-        # orbit-point ranks of those ideals match polynomial evaluation
+        # saturating by the forced variables, none for the one kernel
+        # vector of a 3-point set, gives the ideal that saturating by all
+        # of them does, under lex and degrevlex, and the orbit-point ranks
+        # of those ideals match polynomial evaluation
         surfaces = [vs for vs, _ in population]
         assert sup.check_toric_ideals(surfaces) == len(surfaces)
-        assert sup.check_toric_ideals(sup.box_semigroups(3, (5,))) == 578
+        assert sup.check_toric_ideals(sup.box_semigroups(3, (3, 5))) == \
+            225 + 578
 
 
 class TestToricIdeal:

@@ -1144,13 +1144,8 @@ class TestHeightRule:
         # every subset read as vanishing on no orbit: the analysis's one
         # comparison with zero_locus refuses it before the edge check
         _, ideal = fixture_b
-
-        class Wrong(nash._Sweep):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.loci = ((OrbitSet(False, False),) * 2,) * 2
-
-        monkeypatch.setattr(nash, "_Sweep", Wrong)
+        monkeypatch.setattr(nash, "_LOCI",
+                            ((OrbitSet(False, False),) * 2,) * 2)
         with pytest.raises(InvariantViolation, match="^height rule and "
                                                      "zero_locus disagree"):
             analyze(ideal)

@@ -303,6 +303,15 @@ class TestValidate:
             assert validate([list(p) for p in points]) == \
                 validate(tuple(map(tuple, points)))
 
+    @pytest.mark.parametrize("points", [
+        None, 5, {(1, 0): 1, (0, 1): 1, (1, 1): 1}], ids=["None", "5", "dict"])
+    def test_not_a_list_refused(self, points):
+        # only a list or tuple is read, before any point: a dict's keys
+        # would otherwise be read as generators
+        with pytest.raises(InvalidGeneratorSet,
+                           match="^generators must be a list or tuple$"):
+            validate(points)
+
     def test_generator_set_record_is_not_points(self):
         # a GeneratorSet iterates as its one field, which is no point
         vs = validate(sup.FIXTURE_A)
