@@ -28,17 +28,12 @@ class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
     __slots__ = ()
 
     def __new__(cls, kind, nvars, weights=None):
-        if weights is not None:  # a tuple, which compares and hashes alike
-            weights = tuple(weights)
         if not (isinstance(kind, str) and kind in ORDERS):
             raise ValueError(f"unknown term order kind {kind!r}")
         if type(nvars) is not int or nvars < 0:
             raise ValueError(f"variable count {nvars!r} is not an int >= 0")
-        if weights is not None:
-            if len(weights) != nvars:
-                raise LengthMismatch("weights length differs from variable count")
-            if not all(type(w) is int for w in weights):
-                raise ValueError("degree weights must be ints")
+        if weights is not None:  # a tuple, which compares and hashes alike
+            weights = int_weights(weights, nvars)
             if any(w <= 0 for w in weights):
                 raise ValueError("degree weights must be strictly positive")
         return super().__new__(cls, kind, nvars,
@@ -65,6 +60,17 @@ class TermOrder(namedtuple("TermOrder", "kind nvars weights")):
 
 
 ORDERS = ("lex", "degrevlex")
+
+
+def int_weights(weights: Sequence[int], nvars: int) -> tuple:
+    """weights as a tuple of nvars non-bool ints, else LengthMismatch for
+    another length or ValueError (TermOrder's and minimal_generators')."""
+    weights = tuple(weights)
+    if len(weights) != nvars:
+        raise LengthMismatch("weights length differs from variable count")
+    if not all(type(w) is int for w in weights):
+        raise ValueError("degree weights must be ints")
+    return weights
 
 
 class Binomial(namedtuple("Binomial", "plus minus")):

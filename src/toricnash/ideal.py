@@ -8,7 +8,9 @@ of the generator matrix.  toric_ideal builds it in four steps:
   one or two variables that _forcing_variables finds (none for rank 1);
 - buchberger: the reduced Groebner basis under the requested order, with
   monomial_nf as its reduction;
-- minimal_generators: an irredundant generating subset of that basis.
+- minimal_generators: an irredundant generating subset of that basis, or
+  _betti_generators, the same subset searched only in the Betti degrees
+  of the saturated set where the basis holds more elements than needed.
 
 normal_form divides a general polynomial, an {exponent: coefficient}
 dict, by a basis for nash.minor_symbolic and returns a fresh dict.
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from functools import cached_property
 from operator import add, le, mul, sub
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import Binomial, TermOrder, binomial_from_vector
+from .algebra import Binomial, TermOrder, binomial_from_vector, int_weights
 from .errors import InvariantViolation, LengthMismatch
 from .semigroup import ValidatedSemigroup
 
@@ -477,45 +479,31 @@ def _connected(start, goal, moves) -> Optional[list]:
     return None
 
 
-def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
-    """Irredundant generating subset of the reduced basis.
+def _prune(elements, key, fixed=()) -> list:
+    """Irredundant subset of the homogeneous binomials elements beside
+    fixed, which all stay: greedy in increasing key(plus) order.
 
-    Prunes in increasing leading-term order; an element b is dropped when
-    x^b.plus reaches x^b.minus by moves x^h.plus <-> x^h.minus of the other
-    kept elements h, which holds exactly when b lies in their ideal
-    (Diaconis-Sturmfels, Ann. Statist. 26, 1998; Sturmfels, Groebner Bases
-    and Convex Polytopes, ch. 4), so no Groebner basis of the kept elements
-    is needed.  For these positively graded ideals any irredundant subset
-    has the minimal possible cardinality.
-
-    The search runs over the fiber of b, the monomials of its weighted
-    degree, which every move keeps.  That fiber is finite only when the
-    weights are strictly positive and every element is homogeneous for
-    them; both are checked first, and a failure raises InvariantViolation
-    instead of starting a search that might not end.
-
-    The pruning is certified by replaying the recorded paths in reverse
-    drop order from the kept elements' moves: every step must be an
-    allowed move dividing the current monomial and the path must end at
-    x^b.minus, after which b's moves are allowed too.  So the kept subset
-    generates every basis element; a failure raises InvariantViolation.
+    b goes when x^b.plus reaches x^b.minus in its fiber by the moves of
+    fixed and the other kept elements, that is when b lies in their ideal
+    (Diaconis-Sturmfels, Ann. Statist. 26, 1998); in these positively
+    graded ideals the result has the minimal cardinality.  Certified by
+    replaying the paths in reverse drop order, each step an allowed move
+    dividing the current monomial, b's moves allowed after its path: a
+    failure raises InvariantViolation.
     """
-    if len(weights) != gb.nvars or any(w <= 0 for w in weights):
-        raise InvariantViolation("degree weights are not strictly positive")
-    for b in gb.elements:
-        if sum(map(mul, weights, b.plus)) != sum(map(mul, weights, b.minus)):
-            raise InvariantViolation(
-                "basis element is not homogeneous for the degree weights")
-    kept = sorted(gb.elements, key=lambda b: gb.order.key(b.plus))
+    kept = sorted(elements, key=lambda b: key(b.plus))
+    fixed = [m for h in fixed for m in ((h.plus, h.minus), (h.minus, h.plus))]
     dropped = []
     for b in list(kept):
         moves = [m for h in kept if h is not b
                  for m in ((h.plus, h.minus), (h.minus, h.plus))]
+        moves += fixed
         path = _connected(b.plus, b.minus, moves)
         if path is not None:
             kept.remove(b)
             dropped.append((b, path))
     allowed = {m for h in kept for m in ((h.plus, h.minus), (h.minus, h.plus))}
+    allowed.update(fixed)
     for b, path in reversed(dropped):
         exp = b.plus
         for a, c in path:
@@ -526,7 +514,57 @@ def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
         if exp != b.minus:
             raise InvariantViolation("pruned generators span a smaller ideal")
         allowed.update(((b.plus, b.minus), (b.minus, b.plus)))
-    return tuple(kept)
+    return kept
+
+
+def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
+    """Irredundant generating subset of the reduced basis: _prune over all
+    of it in increasing leading-term order.  Its fibers are finite, as the
+    checks first raise InvariantViolation for weights that are not strictly
+    positive or an element not homogeneous for them.  The weights are read
+    by TermOrder's rule (int_weights)."""
+    weights = int_weights(weights, gb.nvars)
+    if any(w <= 0 for w in weights):
+        raise InvariantViolation("degree weights are not strictly positive")
+    for b in gb.elements:
+        if sum(map(mul, weights, b.plus)) != sum(map(mul, weights, b.minus)):
+            raise InvariantViolation(
+                "basis element is not homogeneous for the degree weights")
+    return tuple(_prune(gb.elements, gb.order.key))
+
+
+def _betti_generators(gb: GroebnerBasis, saturated: Sequence[Binomial],
+                      heights: Sequence[tuple]) -> tuple:
+    """minimal_generators of gb, a basis of the ideal saturated generates,
+    by toric_ideal's rules; a degree is sum(e_j * heights_j) over either
+    side.  Certified by InvariantViolation unless the kept elements are as
+    many as the minimal generators of saturated and _prune drops all of
+    those beside them."""
+    h1, h2 = zip(*heights)
+    degree = {}
+    for b in itertools.chain(saturated, gb.elements):
+        d = degree[b] = (sum(map(mul, h1, b.plus)), sum(map(mul, h2, b.plus)))
+        if d != (sum(map(mul, h1, b.minus)), sum(map(mul, h2, b.minus))):
+            raise InvariantViolation(
+                "basis element is not homogeneous for the degree weights")
+    key = gb.order.key
+    minimal = _prune(saturated, key)
+    mu = Counter(degree[m] for m in minimal)
+    betti: dict = {}
+    for b in gb.elements:
+        betti.setdefault(degree[b], []).append(b)
+    fixed = [b for d, bs in betti.items() if len(bs) == mu[d] for b in bs]
+    kept = set(fixed).union(_prune(
+        [b for d, bs in betti.items() if len(bs) > mu[d] > 0 for b in bs],
+        key, fixed))
+    mingens = tuple(b for b in gb.elements if b in kept)
+    if len(mingens) != len(minimal):
+        raise InvariantViolation(
+            "minimal generator count differs from the saturated set's")
+    pairs = set(map(frozenset, mingens))
+    if _prune([m for m in minimal if frozenset(m) not in pairs], key, mingens):
+        raise InvariantViolation("pruned generators span a smaller ideal")
+    return mingens
 
 
 class ToricIdeal(NamedTuple):
@@ -564,10 +602,19 @@ def toric_ideal(vs: ValidatedSemigroup, order: str = "lex") -> ToricIdeal:
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
     sigma that the lattice basis forces, none for N = 3, then the final
     basis, with lattice=True since its input generates the lattice ideal
-    and is homogeneous for vs.degree_weights); the minimal generators are
-    certified by minimal_generators' path replay, and recomputing the
-    basis from them is a test oracle only.  order is a name in ORDERS, as
-    analyze's family is one in FAMILIES; TermOrder(order, N) raises
+    and is homogeneous for vs.degree_weights).  The minimal generators are
+    minimal_generators'.  A final basis with four or more elements beyond
+    the saturated set gets them from _betti_generators, as the degrees D
+    of a minimal generating set and its count mu_D in each do not depend
+    on the set (Briales et al., JPAA 124, 1998):
+    - an element of no such D goes, since I_D is generated below D;
+    - a D holding mu_D basis elements keeps them;
+    - a D holding more runs the greedy with the moves of the elements in
+      these degrees alone, since the others lie in their ideal.
+    With fewer extra elements that route costs about what it saves.  Both
+    routes certify by path replay; recomputing the basis from the minimal
+    generators is a test oracle only.  order is a name in ORDERS,
+    as analyze's family is in FAMILIES; TermOrder(order, N) raises
     ValueError for another.
     """
     order = TermOrder(order, vs.N)
@@ -575,7 +622,10 @@ def toric_ideal(vs: ValidatedSemigroup, order: str = "lex") -> ToricIdeal:
     saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
                                    vs.degree_weights)
     gb = buchberger(saturated, order, True)
-    mingens = minimal_generators(gb, vs.degree_weights)
+    if len(gb.elements) < len(saturated) + 4:
+        mingens = minimal_generators(gb, vs.degree_weights)
+    else:
+        mingens = _betti_generators(gb, saturated, vs.heights)
     _check_no_unit_sides(gb.elements)
     return ToricIdeal(vs, gb, mingens)
 

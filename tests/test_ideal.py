@@ -6,6 +6,7 @@ from operator import le
 
 import pytest
 
+import toricnash as tn
 from toricnash.algebra import ORDERS, Binomial, TermOrder, binomial_from_vector
 from toricnash import ideal as ideal_mod
 from toricnash.errors import InvariantViolation, LengthMismatch, NotMinimal
@@ -671,6 +672,14 @@ IDEAL_BENCH = [
 IDEAL_LEFT_OUT = [(2, 0), (1, 4), (3, 2), (4, 3), (0, 4)]
 
 S7 = [(5, 0), (6, 0), (7, 0), (0, 5), (0, 6), (0, 7), (1, 1)]
+# its lex basis has 188 elements, of which 16 generate minimally
+LEX_PROBE = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (0, 20), (0, 21)]
+# a lex basis with a Betti degree holding more elements than it needs
+SURPLUS = [(2, 0), (1, 2), (1, 3), (0, 2), (0, 3)]
+# Betti routes whose certificate path can detour through an element that
+# the saturated set's pruning dropped
+DETOURS = [[(3, 0), (1, 2), (2, 3), (3, 3), (0, 2)],
+           [(2, 0), (2, 3), (3, 2), (3, 3), (0, 2)]]
 
 
 class TestMinimalGenerators:
@@ -690,6 +699,47 @@ class TestMinimalGenerators:
         for ideal in surfaces:
             assert ideal.minimal_gens == \
                 sup.membership_minimal_generators(ideal.gb)
+
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_matches_whole_basis_greedy(self, kind, monkeypatch):
+        # toric_ideal takes the Betti route on a final basis four or more
+        # elements larger than the saturated set; either way its minimal
+        # generators are those of the greedy over the whole final basis
+        routed = []
+        betti = ideal_mod._betti_generators
+        monkeypatch.setattr(ideal_mod, "_betti_generators",
+                            lambda *args: routed.append(1) or betti(*args))
+        surfaces = sup.box_semigroups(3, range(3, 6))
+        surfaces += [validate(p) for p in
+                     IDEAL_BENCH + [IDEAL_LEFT_OUT, S7, LEX_PROBE, SURPLUS]]
+        for vs in surfaces:
+            ideal = toric_ideal(vs, kind)
+            assert ideal.minimal_gens == \
+                minimal_generators(ideal.gb, vs.degree_weights), \
+                vs.gens.points
+        assert len(routed) >= 100
+
+    @pytest.mark.parametrize("weights, error", [
+        ((1, 1), LengthMismatch),
+        ((1, 1, 1, 1, 1), LengthMismatch),
+        ((True, 1, 1, 1), ValueError),
+        ((1.5, 1, 1, 1), ValueError),
+        (("1", 1, 1, 1), ValueError),
+        ((0, 1, 1, 1), InvariantViolation),
+        ((1, -2, 1, 1), InvariantViolation),
+    ])
+    def test_weights_read_by_term_order_rule(self, fixture_a, weights,
+                                             error):
+        # a weight vector of another length or with a weight that is not a
+        # non-bool int is refused as TermOrder refuses it; a weight that is
+        # not positive is the library's own fault
+        vs, ideal = fixture_a
+        assert vs.N == 4
+        with pytest.raises(error):
+            tn.minimal_generators(ideal.gb, weights)
+        if error is not InvariantViolation:
+            with pytest.raises(error):
+                TermOrder("degrevlex", 4, weights)
 
     def test_non_homogeneous_basis_raises(self):
         # x1^2 - x2 joins monomials of different unit-weight degree, so
@@ -730,11 +780,12 @@ def _non_dividing(path, start, moves, dropped):
 
 
 def _dropped_earlier(path, start, moves, dropped):
-    # a detour through an element that was dropped before this one
+    # a detour through an element that was dropped before this one and
+    # that this search was not given (another pruning may keep it)
     exp = start
     for i, move in enumerate(path):
         for p, q in dropped:
-            if all(map(le, p, exp)):
+            if (p, q) not in moves and all(map(le, p, exp)):
                 return path[:i] + [(p, q), (q, p)] + path[i:]
         exp = _step(exp, *move)
     return None
@@ -795,7 +846,8 @@ class TestPruningCertificate:
         real = ideal_mod._connected
         changed = 0
         for vs in [fixture_b[0], fixture_c[0]] + \
-                [vs for vs, _ in population]:
+                [vs for vs, _ in population] + \
+                [validate(p) for p in IDEAL_BENCH + [S7]]:
             dropped, mutated = [], []
 
             def connected(start, goal, moves):
@@ -819,6 +871,101 @@ class TestPruningCertificate:
             else:
                 assert not mutated
         assert changed >= 5
+
+    @pytest.mark.parametrize("mutate, stage, least", [
+        (_cut_last, 1, 3), (_non_dividing, 1, 3),
+        (_cut_last, 2, 11), (_non_dividing, 2, 11), (_dropped_earlier, 2, 6),
+    ], ids=["surplus-cut_last", "surplus-non_dividing",
+            "certificate-cut_last", "certificate-non_dividing",
+            "certificate-dropped_earlier"])
+    def test_mutated_betti_path_raises(self, mutate, stage, least,
+                                       monkeypatch):
+        # _betti_generators runs _prune on the saturated set (stage 0),
+        # on the degrees with a surplus (1) and as its certificate (2);
+        # only the paths found in the given stage are mutated.  The
+        # surplus stages here drop one element each, so no earlier drop is
+        # there for _dropped_earlier to detour through
+        real_prune, real_connected = ideal_mod._prune, ideal_mod._connected
+        stages, dropped, mutated = [], [], []
+
+        def prune(*args):
+            stages.append(len(stages))
+            return real_prune(*args)
+
+        def connected(start, goal, moves):
+            path = real_connected(start, goal, moves)
+            if path is None:
+                return None
+            new = mutate(path, start, moves, dropped) \
+                if stages[-1] == stage else None
+            dropped.extend(((start, goal), (goal, start)))
+            if new is None:
+                return path
+            mutated.append(new)
+            return new
+
+        monkeypatch.setattr(ideal_mod, "_prune", prune)
+        monkeypatch.setattr(ideal_mod, "_connected", connected)
+        changed = 0
+        for points in [SURPLUS, LEX_PROBE, S7] + IDEAL_BENCH + DETOURS:
+            for kind in ORDERS:
+                for record in (stages, dropped, mutated):
+                    record.clear()
+                try:
+                    toric_ideal(validate(points), kind)
+                except InvariantViolation as exc:
+                    assert mutated
+                    assert str(exc) == \
+                        "pruned generators span a smaller ideal"
+                    changed += 1
+                else:
+                    assert not mutated
+        assert changed >= least
+
+    @pytest.mark.parametrize("points, stage, change", [
+        (IDEAL_BENCH[2], 0, 1),
+        (SURPLUS, 1, 1),
+        (SURPLUS, 1, -1),
+    ], ids=["saturated_one_too_many", "surplus_one_too_many",
+            "surplus_one_too_few"])
+    def test_count_cross_check(self, points, stage, change, monkeypatch):
+        # a pruning stage of _betti_generators that keeps one element too
+        # many or too few leaves more or fewer minimal generators than the
+        # saturated set has, which s_min's independence of the order refuses
+        real = ideal_mod._prune
+        stages = []
+
+        def prune(elements, key, fixed=()):
+            kept = real(elements, key, fixed)
+            stages.append(len(stages))
+            if stages[-1] != stage:
+                return kept
+            if change > 0:
+                return kept + [b for b in elements if b not in kept][:1]
+            return kept[1:]
+
+        monkeypatch.setattr(ideal_mod, "_prune", prune)
+        with pytest.raises(InvariantViolation) as exc:
+            toric_ideal(validate(points), "lex")
+        assert str(exc.value) == \
+            "minimal generator count differs from the saturated set's"
+        assert stages == [0, 1]
+
+    def test_betti_route_bounds_fiber_searches(self, monkeypatch):
+        # the whole-basis greedy makes one _connected call for each of the
+        # probe's 188 lex basis elements; the Betti route made 36 (its
+        # saturated set, the surplus degrees and the certificate)
+        calls = []
+        real = ideal_mod._connected
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ideal_mod, "_connected", counted)
+        ideal = toric_ideal(validate(LEX_PROBE), "lex")
+        assert (len(ideal.gb.elements), ideal.s_min) == (188, 16)
+        assert len(calls) <= 60
 
 
 def _edge_relation(vs, idx, i, j):
