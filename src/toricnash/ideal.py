@@ -164,7 +164,7 @@ def _derived(plus, minus) -> Binomial:
 def _reducer_row(plus, minus) -> tuple:
     """The row (i, plus[i], plus, minus - plus) that monomial_nf scans for
     x^plus - x^minus, i being the coordinate of plus's largest entry."""
-    i = max(range(len(plus)), key=plus.__getitem__)
+    i = plus.index(max(plus))
     return (i, plus[i], plus, tuple(map(sub, minus, plus)))
 
 
@@ -280,20 +280,21 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     counter = itertools.count()
 
     def update(hp, hm) -> None:
+        i, p, _, hdelta = row = _reducer_row(hp, hm)
         if heap:
             kept = [e for e in heap
-                    if not (all(map(le, hp, e[5]))
-                            and tuple(map(max, e[3][2], hp)) != e[5]
-                            and tuple(map(max, e[4][2], hp)) != e[5])]
+                    if not (e[5][i] >= p and all(map(le, hp, e[5]))
+                            and tuple([x if x > y else y for x, y
+                                       in zip(e[3][2], hp)]) != e[5]
+                            and tuple([x if x > y else y for x, y
+                                       in zip(e[4][2], hp)]) != e[5])]
             if len(kept) != len(heap):
                 heap[:] = kept
                 heapq.heapify(heap)
         hdeg = sum(hp)
-        row = _reducer_row(hp, hm)
-        hdelta = row[3]
         new = []
         for g in live:
-            lcm = tuple(map(max, g[2], hp))
+            lcm = tuple([x if x > y else y for x, y in zip(g[2], hp)])
             deg = sum(lcm)
             new.append((deg, deg != sum(g[2]) + hdeg, lcm, g))
         # a proper divisor has a smaller degree, so it comes first; of equal
@@ -306,12 +307,13 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
                     break
             else:
                 minimal.append(lcm)
-                if not_coprime and not (
-                        lattice and any(map(min, map(add, lcm, g[3]),
-                                                 map(add, lcm, hdelta)))):
+                if not_coprime and not (lattice and any([
+                        l + x and l + y
+                        for l, x, y in zip(lcm, g[3], hdelta)])):
                     heapq.heappush(heap, (degree(lcm), key(lcm),
                                           next(counter), g, row, lcm))
-        live[:] = [g for g in live if not all(map(le, hp, g[2]))]
+        live[:] = [g for g in live
+                   if not (g[2][i] >= p and all(map(le, hp, g[2])))]
         live.append(row)
 
     def enter(u, v) -> None:

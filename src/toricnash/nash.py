@@ -3,10 +3,10 @@ singular locus and the dichotomy verdict.
 
 - Minors: a _Sweep checks each r-subset down to (c_S, D_S), from which
   _expand makes its (selection, coefficient, exponent) triples, exact by
-  _Sweep.check; subset_minors reads one subset, minor_monomial_formula
-  one selection.  minor_symbolic, the symbolic determinant reduced to normal
-  form, is the tests' reference; like _minor_terms it gives a minor as a
-  fresh {exponent: coefficient} dict.
+  _Sweep.check, which reduces one monomial per fallback degree;
+  subset_minors reads one subset, minor_monomial_formula one selection.
+  minor_symbolic, the symbolic determinant reduced to normal form as a
+  fresh {exponent: coefficient} dict, is the tests' reference.
 - Orbit sets: zero loci and the singular locus sigma are unions of
   torus-orbit closures, each one OrbitSet; singular_orbits reads sigma off
   the cone's two edges, _subset_report a subset's locus off two height
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Binomial, derivative, determinant
@@ -88,54 +88,18 @@ def minor_symbolic(family_subset: Sequence[Binomial], selection,
     return reduced
 
 
-def _partials(b: Binomial, var: int) -> tuple:
-    """Terms (exponent, coefficient) of the derivative of b by x_var:
-    plus_var x^(plus - e_var) - minus_var x^(minus - e_var)."""
-    return tuple((exp[:var] + (exp[var] - 1,) + exp[var + 1:], sign * exp[var])
-                 for exp, sign in ((b.plus, 1), (b.minus, -1)) if exp[var])
-
-
-def _minor_terms(partials: list, rows: tuple, cols: tuple, memo: dict,
-                 reducers) -> dict:
-    """Normal form of the Jacobian minor of the family rows rows over the
-    columns cols, as {exponent: coefficient} without zero coefficients.
-
-    partials[i][j] holds the _partials terms of family row i by x_j.
-    Laplace expansion along the last of rows; each term is reduced against
-    the reducer rows (gb.reducers) as it is built.  The sub-minors it
-    multiplies are themselves reduced, which is exact: NF(a b) =
-    NF(a NF(b)).  A sub-minor of k >= 2 rows depends only on its
-    rows and columns, so it is stored in memo under (rows, columns), as
-    (exponent, coefficient) pairs; an entry of a single row is read from
-    partials.  With no reducers every normal form is the identity and this
-    is the plain integer expansion.
-    """
-    k = len(cols)
-    row = partials[rows[-1]]
-    lead = rows[:-1]
-    out: dict = {}
-    for i, j in enumerate(cols):
-        terms = row[j]
-        if not terms:
-            continue
-        rest = cols[:i] + cols[i + 1:]
-        if k == 1:
-            sub = (((0,) * len(terms[0][0]), 1),)  # the minor of no rows
-        elif k == 2:
-            sub = partials[lead[0]][rest[0]]
+def _walk(exp, reducers, path: set) -> tuple:
+    """Rewrite x^exp by monomial_nf's rule until it reaches path or a normal
+    form, adding each exponent it leaves to path: (last, whether in path)."""
+    while exp not in path:
+        path.add(exp)
+        for i, p, plus, delta in reducers:
+            if exp[i] >= p and all(map(le, plus, exp)):
+                exp = tuple(map(add, exp, delta))
+                break
         else:
-            sub = memo.get((lead, rest))
-            if sub is None:
-                sub = memo[lead, rest] = tuple(_minor_terms(
-                    partials, lead, rest, memo, reducers).items())
-        odd = (i + k - 1) % 2
-        for e1, c1 in terms:
-            if odd:
-                c1 = -c1
-            for e2, c2 in sub:
-                nf = monomial_nf(tuple(map(add, e1, e2)), reducers)
-                out[nf] = out.get(nf, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+            return exp, False
+    return exp, True
 
 
 def _laplace(row: Sequence[int], minors: dict, cols: tuple) -> int:
@@ -181,15 +145,15 @@ class _Sweep:
 
     rows are the family's difference rows, each checked here to be a
     relation of the generators, coords the two coordinate vectors of the
-    generators and partials the _partials table of the family; pairs lists
-    (selection, kept columns, (-1)^(a+b) det(g_a, g_b), g_a + g_b) for
-    every column pair (a, b) with a nonzero determinant, in pair order;
-    reducers are the basis's reducer rows.  deg_memo maps each degree D
-    the sweep expanded to its checked normal form, memo the reduced
-    Laplace sub-minors under their (rows, columns) and wedges the _wedge
-    entry of each prefix of family rows, () included, whatever the order in
-    which subsets are visited; inner are the columns 1..N-2, and rule
-    serves _subset_report.  A binomial of another length than N raises
+    generators, sides the (support bitmask, exponent) of each row's
+    trailing and leading side; pairs lists (selection, bitmask of the kept
+    columns, (-1)^(a+b) det(g_a, g_b), g_a + g_b) for every column pair
+    (a, b) with a nonzero determinant, in pair order; reducers are the
+    basis's reducer rows.  deg_memo maps each fallback degree D of the
+    sweep to its checked normal form and wedges the _wedge entry of each
+    prefix of family rows, () included, whatever the order in which
+    subsets are visited; inner are the columns 1..N-2, and rule serves
+    _subset_report.  A binomial of another length than N raises
     LengthMismatch, before any row is checked.
     """
 
@@ -210,16 +174,15 @@ class _Sweep:
         for a, b in itertools.combinations(range(vs.N), 2):
             det_ab = cross(pts[a], pts[b])
             if det_ab:
-                pairs.append(((a, b), tuple(
-                    c for c in range(vs.N) if c != a and c != b),
-                    -det_ab if (a + b) % 2 else det_ab,
-                    tuple(map(add, pts[a], pts[b]))))
+                pairs.append(((a, b), (1 << vs.N) - 1 ^ 1 << a ^ 1 << b,
+                              -det_ab if (a + b) % 2 else det_ab,
+                              tuple(map(add, pts[a], pts[b]))))
         self.rule = [(h, -min([h[a] + h[b] for (a, b), _, _, _ in pairs]))
                      for h in zip(*vs.heights)]
         self.deg_memo = {}
-        self.partials = [[_partials(b, j) for j in range(vs.N)]
-                         for b in family]
-        self.memo = {}
+        self.sides = [tuple((sum(1 << j for j, e in enumerate(side) if e),
+                             side) for side in (b.minus, b.plus))
+                      for b in family]
         self.inner = tuple(range(1, vs.N - 1))
         self.wedges = {(): ({(): 1}, (0,) * vs.N)}
 
@@ -268,12 +231,17 @@ class _Sweep:
         minor has the degree D = T_S + g_a + g_b, T_S = deg x^(D_S), and
         monomials of one degree are congruent modulo the toric ideal
         (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4), so they
-        share one normal form.  A pair whose closed form has a negative
-        entry (a fallback) is expanded exactly by _minor_terms, once per D
-        in the sweep; the result must be one term whose coefficient is
-        det(R_K): more terms raise NonMonomialResidue, zero or another
-        coefficient InvariantViolation.  The normal form is kept in
-        deg_memo, and every fallback of D is it times det(R_K).
+        share one normal form.  So a pair whose closed form has a negative
+        entry (a fallback) needs one monomial of degree D, once per D in the
+        sweep: sum_i side_i - 1_K for one side of each row that covers K,
+        each kept column positive in a chosen side (_covers, all trailing
+        sides first, as those start nearer the normal form).  _fallback
+        reduces the first; its normal form must have degree D, and the
+        second's rewrites must land on its path, else NonMonomialResidue.
+        No cover (the minor reduced to zero), a degree off D, or at the
+        sweep's first fallback a det(R_K) of the rows other than c_S
+        (-1)^(a+b) det(g_a, g_b) raise InvariantViolation.  The normal form
+        is kept in deg_memo; every fallback of D is it times det(R_K).
         """
         i = subset[-1]
         last, plus = self.rows[i], self.family[i].plus
@@ -291,29 +259,59 @@ class _Sweep:
         # the fallbacks, which _expand reads from normal forms
         some, first, last = len(neg) <= 2, neg[0], neg[-1]
         t_u, t_v = [sum(map(mul, base, coord)) for coord in self.coords]
-        fallbacks = 0
-        for sel, cols, det_ab, (u, v) in self.pairs:
+        fallbacks, covers = 0, None
+        for sel, kept, det_ab, (u, v) in self.pairs:
             if some and first in sel and last in sel:
                 continue
             fallbacks += 1
             degree = (t_u + u, t_v + v)
-            if degree in self.deg_memo:
-                continue
-            reduced = _minor_terms(self.partials, subset, cols, self.memo,
-                                   self.reducers)
-            if len(reduced) > 1:
-                raise NonMonomialResidue(
-                    f"minor reduced to {len(reduced)} terms for columns {sel}")
-            if not reduced:
-                raise InvariantViolation(
-                    "nonzero coefficient minor reduced to zero")
-            ((nf, coeff),) = reduced.items()
-            if coeff != c_s * det_ab:
-                raise InvariantViolation(
-                    "reduced minor coefficient differs from det(R_K) = "
-                    "c_S (-1)^(a+b) det(g_a, g_b)")
-            self.deg_memo[degree] = nf
+            if degree not in self.deg_memo:
+                covers = covers or self._covers(subset)
+                self.deg_memo[degree] = self._fallback(
+                    subset, covers, sel, kept, c_s * det_ab, degree)
         return c_s, base, fallbacks
+
+    def _covers(self, subset: tuple) -> list:
+        """(support bitmask, sum_i side_i - 1) per choice of a side of each
+        subset row: all trailing first, the first row's changing fastest."""
+        out = [(0, (-1,) * len(self.coords[0]))]
+        for i in reversed(subset):
+            out = [(mask | m, tuple(map(add, exp, side)))
+                   for mask, exp in out for m, side in self.sides[i]]
+        return out
+
+    def _fallback(self, subset, covers, sel, kept, det_rk, degree) -> tuple:
+        """The checked normal form of degree (check, Fallbacks)."""
+        if not self.deg_memo:  # the sweep's first fallback
+            cols = tuple(c for c in range(len(self.coords[0])) if c not in sel)
+            minors = {(): 1}
+            for k, i in enumerate(subset, 1):
+                minors = {c: _laplace(self.rows[i], minors, c)
+                          for c in itertools.combinations(cols, k)}
+            if minors[cols] != det_rk:
+                raise InvariantViolation("minor coefficient differs from "
+                                         "c_S (-1)^(a+b) det(g_a, g_b)")
+        exps = []
+        for mask, exp in covers:
+            if mask & kept == kept:
+                exp = list(exp)
+                for c in sel:
+                    exp[c] += 1
+                exps.append(tuple(exp))
+                if len(exps) == 2:
+                    break
+        if not exps:
+            raise InvariantViolation(
+                "nonzero coefficient minor reduced to zero")
+        path = set()
+        nf, _ = _walk(exps[0], self.reducers, path)
+        if tuple(sum(map(mul, nf, g)) for g in self.coords) != degree:
+            raise InvariantViolation(
+                f"fallback normal form is off its degree {degree}")
+        if exps[1:] and not _walk(exps[1], self.reducers, path)[1]:
+            raise NonMonomialResidue(
+                f"minor has two normal forms for columns {sel}")
+        return nf
 
     def minors(self, subset: tuple) -> tuple:
         """(minors, fallbacks) as subset_minors gives them: check, _expand."""
@@ -336,8 +334,8 @@ def subset_minors(family_subset: Sequence[Binomial],
     InvariantViolation.  NotSquare when family_subset does not have r
     binomials, then LengthMismatch when one of them does not have N
     variables.  This is a sweep of the one subset; analyze sweeps every
-    subset of a family, which then share sub-minors and the normal form of
-    each degree.
+    subset of a family, which then share prefix minors and the normal form
+    of each degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:

@@ -242,28 +242,36 @@ class TestSparseMinor:
                                         sup.FIXTURE_C, EXISTS])
     def test_laplace_equals_determinant(self, points):
         # every r-subset of the minimal generators, full rank or not, and
-        # every deleted column pair: with an empty basis (every normal form
-        # the identity) the unreduced minor, term for term; with the
-        # Groebner basis, reduced as it is built, the normal form of the
-        # determinant
+        # every deleted column pair K: each term of the unreduced
+        # determinant is a monomial sum_i side_i - 1_K of a choice of row
+        # sides that covers K (_covers), its coefficients sum to the integer
+        # minor det(R_K), and its normal form is zero exactly when det(R_K)
+        # is, else det(R_K) times the normal form of every such monomial
         vs, ideal = sup.build(points)
         fam = ideal.minimal_gens
         reducers = ideal.gb.reducers
         checked = 0
         rows = tuple(range(vs.r))
         for subset in itertools.combinations(fam, vs.r):
-            partials = [[nash._partials(b, j) for j in range(vs.N)]
-                        for b in subset]
+            covers = nash._Sweep(ideal, subset)._covers(rows)
+            diff = [b.difference() for b in subset]
             for sel in itertools.combinations(range(vs.N), 2):
                 cols = tuple(i for i in range(vs.N) if i not in sel)
+                kept = sum(1 << c for c in cols)
                 det = determinant([[derivative(f, i) for i in cols]
                                    for f in subset])
-                got = nash._minor_terms(partials, rows, cols, {}, ())
-                assert got == det, (points, subset, sel)
-                reduced = nash._minor_terms(
-                    partials, rows, cols, {}, reducers)
-                assert reduced == normal_form(det, ideal.gb), \
-                    (points, subset, sel)
+                monomials = {tuple(e + (j in sel) for j, e in enumerate(exp))
+                             for mask, exp in covers if mask & kept == kept}
+                assert set(det) <= monomials, (points, subset, sel)
+                det_rk = sup.int_det([[row[c] for c in cols] for row in diff])
+                assert sum(det.values()) == det_rk
+                reduced = normal_form(det, ideal.gb)
+                assert bool(reduced) == bool(det_rk)
+                if det_rk:
+                    assert monomials
+                for exp in monomials if det_rk else ():
+                    assert reduced == {monomial_nf(exp, reducers): det_rk}, \
+                        (points, subset, sel)
                 checked += 1
         assert checked == (len(list(itertools.combinations(fam, vs.r)))
                            * vs.N * (vs.N - 1) // 2)
@@ -297,8 +305,8 @@ class TestSparseMinor:
         assert analyze(ideal) == expected
 
     def test_per_pair_oracle_without_the_sweep(self, fixture_a, monkeypatch):
-        # the oracle reads none of the sweep's partials, Laplace steps or
-        # normal forms, yet gives rows f1, f2 their minors and 3 fallbacks
+        # the oracle reads none of the sweep, its Laplace steps or its
+        # rewrites, yet gives rows f1, f2 their minors and 3 fallbacks
         _, ideal = fixture_a
         expected = subset_minors(A_ROWS[:2], ideal)
         assert expected[1] == 3
@@ -306,7 +314,7 @@ class TestSparseMinor:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep in the per-pair oracle")
 
-        for module, name in ((nash, "_partials"), (nash, "_minor_terms"),
+        for module, name in ((nash, "_Sweep"), (nash, "_walk"),
                              (nash, "_laplace"), (nash, "_expand"),
                              (ideal_mod, "monomial_nf"),
                              (nash, "monomial_nf")):
@@ -322,10 +330,10 @@ class TestSparseMinor:
             sup.check_orbit_ranks(ideal)
 
     # rows f1, f2 of fixture A without columns 0 and 3: the closed form has
-    # a negative exponent, so the minor goes through the integer path, and
-    # its two unreduced terms x2^2 and x1x3 share one normal form; each
-    # check must be reached through all three entry points, the last being
-    # the sweep over every subset of the minimal generators
+    # a negative exponent, so the minor is a fallback, and its two covering
+    # monomials x2^2 and x1x3 share one normal form; each check must be
+    # reached through all three entry points, the last being the sweep over
+    # every subset of the minimal generators
     @staticmethod
     def _entry_points(ideal):
         yield lambda: minor_monomial_formula(A_ROWS[:2], (0, 3), ideal)
@@ -347,25 +355,78 @@ class TestSparseMinor:
         with pytest.raises(NonMonomialResidue, match="2 terms"):
             minor_symbolic(A_ROWS[:2], (0, 3), bare)
 
+    @staticmethod
+    def _tampered(monkeypatch, tamper):
+        # every sweep the entry points build is tampered after __init__
+        class Tampered(nash._Sweep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tamper(self)
+
+        monkeypatch.setattr(nash, "_Sweep", Tampered)
+
     def test_fallback_checks_zero(self, fixture_a, monkeypatch):
         _, ideal = fixture_a
-        # no partials in the sweep's table: every Laplace expansion is the
-        # zero polynomial, while det(R_K) still comes from the difference
-        # rows
-        monkeypatch.setattr(nash, "_partials", lambda b, var: ())
+        # row sides that support no column: no choice of sides covers the
+        # kept columns, as if the minor were the zero polynomial, while
+        # det(R_K) still comes from the difference rows
+        self._tampered(monkeypatch, lambda sweep: setattr(
+            sweep, "sides", [tuple((0, side) for _, side in row)
+                             for row in sweep.sides]))
         for evaluate in self._entry_points(ideal):
             with pytest.raises(InvariantViolation, match="reduced to zero"):
                 evaluate()
 
     def test_fallback_checks_coefficient(self, fixture_a, monkeypatch):
+        # a reference minor of the wrong sign keeps c_S an integer but
+        # gives it the wrong sign, which the first fallback's det(R_K) of
+        # the difference rows exposes
         _, ideal = fixture_a
-        partials = nash._partials
-        monkeypatch.setattr(nash, "_partials", lambda b, var: tuple(
-            (e, 2 * c) for e, c in partials(b, var)))
+        self._tampered(monkeypatch, lambda sweep: setattr(
+            sweep, "reference", -sweep.reference))
         for evaluate in self._entry_points(ideal):
             with pytest.raises(InvariantViolation,
                                match="coefficient differs"):
                 evaluate()
+
+    def test_fallback_checks_pair_sign(self, fixture_a, monkeypatch):
+        # a wrong (-1)^(a+b) det(g_a, g_b) sign in the sweep's pairs is
+        # caught by the once-per-sweep coefficient check
+        _, ideal = fixture_a
+        self._tampered(monkeypatch, lambda sweep: setattr(
+            sweep, "pairs", [(sel, kept, -det_ab, g)
+                             for sel, kept, det_ab, g in sweep.pairs]))
+        for evaluate in self._entry_points(ideal):
+            with pytest.raises(InvariantViolation,
+                               match="coefficient differs"):
+                evaluate()
+
+    def test_fallback_checks_degree(self, fixture_a, monkeypatch):
+        # pairs whose g_a + g_b is off by (1, 0): the normal form found for
+        # each fallback has its true degree, not the one the sweep asks for
+        _, ideal = fixture_a
+        self._tampered(monkeypatch, lambda sweep: setattr(
+            sweep, "pairs", [(sel, kept, det_ab, (u + 1, v))
+                             for sel, kept, det_ab, (u, v) in sweep.pairs]))
+        for evaluate in self._entry_points(ideal):
+            with pytest.raises(InvariantViolation, match="off its degree"):
+                evaluate()
+
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_fallback_checks_join(self, kind):
+        # a basis missing one element is no Groebner basis: two covering
+        # monomials of one fallback degree reach different normal forms.
+        # Some join needs each listed one of cyc6's ten elements: nine
+        # under degrevlex, six under lex
+        ((_, ideal),) = sweep_ideals([(CYC6, kind)])
+        needed = ((0, 1, 2, 3, 4, 5, 6, 8, 9) if kind == "degrevlex"
+                  else (0, 2, 4, 5, 8, 9))
+        elements = ideal.gb.elements
+        for k in needed:
+            dropped = GroebnerBasis(ideal.order,
+                                    elements[:k] + elements[k + 1:])
+            with pytest.raises(NonMonomialResidue, match="two normal forms"):
+                analyze(ideal._replace(gb=dropped))
 
     @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
     def test_deg_memo_is_fiber_minimum(self, kind, monkeypatch):
@@ -401,25 +462,19 @@ class TestSparseMinor:
     @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
     def test_sub_minors_expanded_once_in_any_order(self, kind,
                                                    monkeypatch):
-        # the memo is keyed by (rows, columns): no sub-minor is expanded
-        # twice in one sweep, and visiting the subsets in shuffled order
-        # gives the same minors as itertools.combinations order
+        # deg_memo is keyed by degree: no fallback degree is reduced to its
+        # normal form twice in one sweep, and visiting the subsets in
+        # shuffled order gives the same minors as itertools.combinations
+        # order
         ((vs, ideal),) = sweep_ideals([(CYC6, kind)])
         fam = ideal.minimal_gens
         subsets = list(itertools.combinations(range(len(fam)), vs.r))
-        minor_terms = nash._minor_terms
-        calls = []
-
-        def watched(partials, rows, cols, memo, reducers):
-            calls.append((rows, cols))
-            return minor_terms(partials, rows, cols, memo, reducers)
-
-        monkeypatch.setattr(nash, "_minor_terms", watched)
+        degrees = normal_forms_taken(monkeypatch, vs)
         sweep = nash._Sweep(ideal, fam)
         ordered = {idx: sweep.minors(idx) for idx in subsets}
-        assert any(len(rows) < vs.r for rows, _ in calls)
-        assert len(set(calls)) == len(calls)
-        assert len(sweep.memo) == sum(len(rows) < vs.r for rows, _ in calls)
+        assert degrees
+        assert len(set(degrees)) == len(degrees) == len(sweep.deg_memo)
+        assert set(degrees) == set(sweep.deg_memo)
         shuffled = subsets.copy()
         random.Random(5).shuffle(shuffled)
         sweep = nash._Sweep(ideal, fam)
@@ -437,6 +492,22 @@ def sweep_ideals(surfaces=SWEEP_SURFACES):
         vs = validate(points)
         out.append((vs, toric_ideal(vs, kind)))
     return out
+
+
+def normal_forms_taken(monkeypatch, vs) -> list:
+    """A list that records the degree of each monomial the sweeps of vs
+    reduce all the way to its normal form: the first of each fallback
+    degree, as the second only rewrites until it joins that path."""
+    walk, degrees = nash._walk, []
+
+    def watched(exp, reducers, path):
+        last, joined = walk(exp, reducers, path)
+        if not joined:
+            degrees.append(sup.pi(vs, exp))
+        return last, joined
+
+    monkeypatch.setattr(nash, "_walk", watched)
+    return degrees
 
 
 class TestSubsetMinors:
@@ -526,28 +597,23 @@ class TestSubsetMinors:
         # sweep's wedges: each prefix is built once from the seeded empty
         # one, in whatever order the subsets come, and no determinant or
         # integer elimination runs.
-        # The partials Laplace expansion starts once per degree in the
+        # A monomial is reduced to its normal form once per degree in the
         # shared sweep, and in a sweep of one subset only at its fallback
         # pairs
         vs, ideal = fixture_b
-        built, tops = [], []
-        wedge, minor_terms = nash._Sweep._wedge, nash._minor_terms
+        built = []
+        wedge = nash._Sweep._wedge
+        tops = normal_forms_taken(monkeypatch, vs)
 
         def counted_wedge(self, prefix):
             if prefix not in self.wedges:
                 built.append(prefix)
             return wedge(self, prefix)
 
-        def counted_terms(partials, rows, cols, memo, reducers):
-            if len(cols) == vs.r:
-                tops.append(cols)
-            return minor_terms(partials, rows, cols, memo, reducers)
-
         def no_determinant(*args):
             raise AssertionError("a determinant ran in the sweep")
 
         monkeypatch.setattr(nash._Sweep, "_wedge", counted_wedge)
-        monkeypatch.setattr(nash, "_minor_terms", counted_terms)
         monkeypatch.setattr(nash, "int_rank", no_determinant)
         monkeypatch.setattr(nash, "determinant", no_determinant)
         fam = ideal.gb.elements
@@ -615,19 +681,11 @@ class TestSubsetMinors:
                                   "degrevlex_order-2116-21"])
     def test_one_laplace_expansion_per_degree(self, kind, fallbacks,
                                               expansions, monkeypatch):
-        # one sweep over every subset of cyc6 expands the first fallback
-        # minor of each degree; later minors of that degree read the
-        # sweep's memo and still count as fallbacks
+        # one sweep over every subset of cyc6 takes one normal form for
+        # the first fallback minor of each degree; later minors of that
+        # degree read the sweep's memo and still count as fallbacks
         ((vs, ideal),) = sweep_ideals([(CYC6, kind)])
-        tops = []
-        minor_terms = nash._minor_terms
-
-        def counted_terms(partials, rows, cols, memo, reducers):
-            if len(cols) == vs.r:
-                tops.append(cols)
-            return minor_terms(partials, rows, cols, memo, reducers)
-
-        monkeypatch.setattr(nash, "_minor_terms", counted_terms)
+        tops = normal_forms_taken(monkeypatch, vs)
         fam = ideal.minimal_gens
         sweep = nash._Sweep(ideal, fam)
         assert sum(sweep.minors(idx)[1] for idx in itertools.combinations(
