@@ -46,11 +46,8 @@ from .nash import (
     zero_locus,
 )
 from .semigroup import (
-    GeneratorSet,
     LatticePoint,
     ValidatedSemigroup,
-    check_generates_Z2,
-    compute_cone_rays,
     semigroup_membership,
     validate,
 )

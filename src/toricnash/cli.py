@@ -75,8 +75,8 @@ class InputSpec(namedtuple("InputSpec", "generators order names family")):
     build_report passes on as they are.  InputError is raised for
     generators that are not a non-empty list or tuple, an order or family
     that is not a name in ORDERS or FAMILIES (also when not a string), and
-    names that are not a list or tuple of distinct strings with one per
-    generator.  names and each list pair of generators are stored as
+    names that are not a list or tuple of distinct identifiers with one
+    per generator.  names and each list pair of generators are stored as
     tuples, so a spec hashes."""
 
     __slots__ = ()
@@ -97,6 +97,10 @@ class InputSpec(namedtuple("InputSpec", "generators order names family")):
                 raise InputError('"names" must have one entry per generator')
             if len(set(names)) != len(names):
                 raise InputError('"names" must be distinct')
+            for name in names:
+                if not name.isidentifier():
+                    raise InputError(
+                        f'"names" entry {name!r} is not an identifier')
             names = tuple(names)
         generators = tuple(tuple(g) if type(g) is list and len(g) == 2 else g
                            for g in generators)
@@ -130,11 +134,7 @@ def parse_input(text: str) -> InputSpec:
                 or not all(isinstance(c, int) and not isinstance(c, bool)
                            for c in g)):
             raise InputError(f"generator {g!r} is not an integer pair")
-    spec = InputSpec(**doc)  # InputSpec's defaults for absent keys
-    for name in spec.names or ():
-        if not name.isidentifier():
-            raise InputError(f'"names" entry {name!r} is not an identifier')
-    return spec
+    return InputSpec(**doc)  # InputSpec's defaults for absent keys
 
 
 # --- report ------------------------------------------------------------------
@@ -246,7 +246,7 @@ def _document(rep: RunReport, subsets: list) -> dict:
         "semigroup": {
             "l": vs.l, "m": vs.m, "n": vs.n, "N": vs.N, "r": vs.r,
             "permutation": list(vs.permutation),
-            "canonical_generators": [list(p) for p in vs.gens.points],
+            "canonical_generators": [list(p) for p in vs.points],
         },
         "ideal": {
             "order": rep.spec.order,
@@ -326,7 +326,7 @@ def _text_lines(rep: RunReport):
     made."""
     vs, a = rep.ideal.semigroup, rep.analysis
     blocks = " | ".join(
-        " ".join(str(tuple(vs.gens.points[i])) for i in idx) or "-"
+        " ".join(str(tuple(vs.points[i])) for i in idx) or "-"
         for idx in (vs.x_indices, vs.y_indices, vs.z_indices))
     yield f"semigroup: l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}\n"
     yield f"canonical generators: {blocks}\n"
@@ -521,7 +521,7 @@ def cmd_validate(path: str) -> int:
     vs = validate(_read_spec(path).generators)
     print(f"l={vs.l} m={vs.m} n={vs.n} N={vs.N} r={vs.r}")
     print("canonical generators: "
-          + " ".join(str(tuple(p)) for p in vs.gens.points))
+          + " ".join(str(tuple(p)) for p in vs.points))
     print(f"input permutation: {list(vs.permutation)}")
     return EXIT_OK
 

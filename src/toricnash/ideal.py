@@ -128,7 +128,7 @@ def lattice_kernel(vs: ValidatedSemigroup) -> tuple:
     basis of the saturated lattice and each vector is primitive.
     The result is LLL-reduced so the binomials it seeds stay small.
     """
-    pts = vs.gens.points
+    pts = vs.points
     s = len(pts)
     rows = [[p.u, p.v] + [1 if j == i else 0 for j in range(s)]
             for i, p in enumerate(pts)]

@@ -121,14 +121,13 @@ def _expand(pairs, coords, normal_forms, c_s: int, base: tuple) -> list:
     _Sweep's pairs and coords: the closed form base + e_a + e_b, or for a
     fallback normal_forms[T_S + g_a + g_b] (_Sweep.check)."""
     # base >= -1, so base + e_a + e_b >= 0 exactly when (a, b) holds each
-    # negative entry: never with three, else when it holds the first, last
-    neg = [j for j, e in enumerate(base) if e < 0]
+    # negative entry: when the bitmask neg of those meets no kept column
+    neg = sum([1 << j for j, e in enumerate(base) if e < 0])
     if neg:
-        some, first, last = len(neg) <= 2, neg[0], neg[-1]
         t_u, t_v = [sum(map(mul, base, coord)) for coord in coords]
     out = []
-    for sel, _, det_ab, (u, v) in pairs:
-        if not neg or some and first in sel and last in sel:
+    for sel, kept, det_ab, (u, v) in pairs:
+        if not neg & kept:
             a, b = sel
             exp = list(base)
             exp[a] += 1
@@ -159,7 +158,7 @@ class _Sweep:
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
         vs = ideal.semigroup
-        pts = vs.gens.points
+        pts = vs.points
         _check_lengths(family, vs.N)
         self.family = family
         self.reducers = ideal.gb.reducers
@@ -253,15 +252,14 @@ class _Sweep:
         if not c_s:
             return 0, None, 0
         base = tuple([s + e - 1 for s, e in zip(sums, plus)])
-        neg = [j for j, e in enumerate(base) if e < 0]
+        neg = sum([1 << j for j, e in enumerate(base) if e < 0])
         if not neg:
             return c_s, base, 0
         # the fallbacks, which _expand reads from normal forms
-        some, first, last = len(neg) <= 2, neg[0], neg[-1]
         t_u, t_v = [sum(map(mul, base, coord)) for coord in self.coords]
         fallbacks, covers = 0, None
         for sel, kept, det_ab, (u, v) in self.pairs:
-            if some and first in sel and last in sel:
+            if not neg & kept:
                 continue
             fallbacks += 1
             degree = (t_u + u, t_v + v)
@@ -408,7 +406,7 @@ def singular_orbits(vs: ValidatedSemigroup) -> OrbitSet:
     block) ray, O1 that of the edge-2 (z block) ray; u1, u2 are vs.rays,
     and vs.heights holds each generator's two heights.
     """
-    pts = vs.gens.points
+    pts = vs.points
     h1, h2 = zip(*vs.heights)
     o1 = gcd(*(gcd(*p) for p in pts[vs.l + vs.m:])) != 1 or 1 not in h2
     o2 = gcd(*(gcd(*p) for p in pts[:vs.l])) != 1 or 1 not in h1
@@ -631,7 +629,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     if predicted != observed:
         raise TheoremViolation(
             f"predicted {predicted} but observed {observed} for generators "
-            f"{[tuple(p) for p in vs.gens.points]}")
+            f"{[tuple(p) for p in vs.points]}")
     verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed)
     return Analysis(sigma, reports, verdict, witness, tuple(sweep.pairs),
                     sweep.coords, tuple(sweep.deg_memo.items()))

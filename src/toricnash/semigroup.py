@@ -12,7 +12,6 @@ sorted lexicographically, so downstream output is reproducible.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -41,28 +40,6 @@ def primitive(p: LatticePoint) -> LatticePoint:
     return LatticePoint(p.u // g, p.v // g)
 
 
-class GeneratorSet(namedtuple("GeneratorSet", "points")):
-    """Pairwise distinct nonzero lattice points, in order, each read by
-    _point from a list or tuple; its length is the number of points."""
-
-    __slots__ = ()
-
-    def __new__(cls, points):
-        if not isinstance(points, (list, tuple)):
-            raise InvalidGeneratorSet("generators must be a list or tuple")
-        points = tuple(map(_point, points))
-        if len(set(points)) != len(points):
-            raise InvalidGeneratorSet("duplicate generator")
-        if (0, 0) in points:
-            raise InvalidGeneratorSet("the origin is not a generator")
-        return super().__new__(cls, points)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def _point(p) -> LatticePoint:
     """p as a LatticePoint if it is a pair of non-bool ints."""
     try:
@@ -75,8 +52,9 @@ def _point(p) -> LatticePoint:
     return LatticePoint(u, v)
 
 
-def compute_cone_rays(gens: GeneratorSet) -> tuple:
-    """Primitive extreme rays of the cone, counterclockwise order.
+def compute_cone_rays(pts: tuple) -> tuple:
+    """Primitive extreme rays of the cone of pts, the LatticePoints that
+    validate has read, counterclockwise order.
 
     Ray 1 is the first generator with every generator on its
     counterclockwise side (cross(ray1, q) >= 0), ray 2 the first with every
@@ -85,7 +63,6 @@ def compute_cone_rays(gens: GeneratorSet) -> tuple:
     contains a line (angular width of pi or more): then a ray is missing
     or cross(ray1, ray2) <= 0.
     """
-    pts = gens.points
     if not pts:
         raise InvalidGeneratorSet("empty generator set")
     if all(cross(pts[0], q) == 0 for q in pts):
@@ -98,10 +75,9 @@ def compute_cone_rays(gens: GeneratorSet) -> tuple:
     return primitive(ray1), primitive(ray2)
 
 
-def check_generates_Z2(gens: GeneratorSet) -> bool:
-    """True when the generators span the full lattice: the gcd of all 2x2
-    minors of the generator matrix is 1."""
-    pts = gens.points
+def check_generates_Z2(pts: tuple) -> bool:
+    """True when pts, the LatticePoints that validate has read, span the
+    full lattice: the gcd of all 2x2 minors of the generator matrix is 1."""
     g = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -145,17 +121,17 @@ def _member(heights: tuple, k: int, target: tuple, memo: dict) -> bool:
 
 
 class ValidatedSemigroup(NamedTuple):
-    """A validated generator set in canonical block order.
+    """A validated generator set: its LatticePoints in canonical block order.
 
     l, m and n count the edge-1, interior and edge-2 generators, which
     occupy the canonical positions in that order.  permutation maps
     canonical positions to input positions:
-    gens.points[i] == original.points[permutation[i]].
-    heights[i] is (cross(u1, p), cross(p, u2)) for p = gens.points[i] and
+    points[i] == input[permutation[i]].
+    heights[i] is (cross(u1, p), cross(p, u2)) for p = points[i] and
     (u1, u2) = rays; their sums, degree_weights, make relations homogeneous.
     """
 
-    gens: GeneratorSet
+    points: tuple
     l: int
     m: int
     n: int
@@ -165,8 +141,7 @@ class ValidatedSemigroup(NamedTuple):
     @property
     def rays(self) -> tuple:
         """Primitive edge rays of the cone, counterclockwise."""
-        pts = self.gens.points
-        return primitive(pts[0]), primitive(pts[-1])
+        return primitive(self.points[0]), primitive(self.points[-1])
 
     @property
     def degree_weights(self) -> tuple:
@@ -174,7 +149,7 @@ class ValidatedSemigroup(NamedTuple):
 
     @property
     def N(self) -> int:
-        return len(self.gens.points)
+        return len(self.points)
 
     @property
     def r(self) -> int:
@@ -196,32 +171,36 @@ class ValidatedSemigroup(NamedTuple):
 def validate(points: Sequence) -> ValidatedSemigroup:
     """Check every standing hypothesis and canonicalize the generator order.
 
-    points, a list or tuple, are read as a GeneratorSet (each a pair of
-    non-bool ints, distinct and nonzero; InvalidGeneratorSet otherwise);
-    the canonical one reorders them without a second check.  Raising order
-    after that: cone shape first (so a single generator reports
-    ConeNotTwoDimensional, not a count problem), then lattice fullness,
-    generator count, and minimality.  One compute_cone_rays call gives the
-    two extreme rays and so each generator's heights cross(ray1, p) and
-    cross(p, ray2): a zero height puts it on that edge, the rest form the
-    interior.  Both rays are generator directions, so an empty edge is an
-    InvariantViolation.  The height sums, checked positive, are the degree
-    weights and order each edge outward.
+    points must be a list or tuple of pairs of non-bool ints, each read by
+    _point, distinct and nonzero; InvalidGeneratorSet otherwise, in that
+    order.  The result's points are these LatticePoints in canonical order.
+    Raising order after that: cone shape first (so a single generator
+    reports ConeNotTwoDimensional, not a count problem), then lattice
+    fullness, generator count, and minimality.  One compute_cone_rays call
+    gives the two extreme rays and so each generator's heights
+    cross(ray1, p) and cross(p, ray2): a zero height puts it on that edge,
+    the rest form the interior.  Both rays are generator directions, so an
+    empty edge is an InvariantViolation.  The height sums, checked
+    positive, are the degree weights and order each edge outward.
     """
-    gens = GeneratorSet(points)
-    ray1, ray2 = compute_cone_rays(gens)
-    pts = gens.points
+    if not isinstance(points, (list, tuple)):
+        raise InvalidGeneratorSet("generators must be a list or tuple")
+    pts = tuple(map(_point, points))
+    if len(set(pts)) != len(pts):
+        raise InvalidGeneratorSet("duplicate generator")
+    if (0, 0) in pts:
+        raise InvalidGeneratorSet("the origin is not a generator")
+    ray1, ray2 = compute_cone_rays(pts)
     heights = tuple((cross(ray1, p), cross(p, ray2)) for p in pts)
     edge1 = [i for i, h in enumerate(heights) if not h[0]]
     edge2 = [i for i, h in enumerate(heights) if not h[1]]
     interior = [i for i, h in enumerate(heights) if all(h)]
     if not edge1 or not edge2:
         raise InvariantViolation("a cone ray carries no generator")
-    if not check_generates_Z2(gens):
+    if not check_generates_Z2(pts):
         raise LatticeNotFull("generators span a proper sublattice")
-    if len(gens) < 3:
-        raise TooFewGenerators(
-            f"need at least 3 generators, got {len(gens)}")
+    if len(pts) < 3:
+        raise TooFewGenerators(f"need at least 3 generators, got {len(pts)}")
     weights = list(map(sum, heights))
     if min(weights) <= 0:
         raise InvariantViolation("a height sum is not positive")
@@ -232,6 +211,6 @@ def validate(points: Sequence) -> ValidatedSemigroup:
     perm = (tuple(sorted(edge1, key=weights.__getitem__))
             + tuple(sorted(interior, key=lambda i: pts[i]))
             + tuple(sorted(edge2, key=weights.__getitem__)))
-    canonical = tuple.__new__(GeneratorSet, (tuple(pts[i] for i in perm),))
-    return ValidatedSemigroup(canonical, len(edge1), len(interior), len(edge2),
-                              perm, tuple(heights[i] for i in perm))
+    return ValidatedSemigroup(tuple(pts[i] for i in perm), len(edge1),
+                              len(interior), len(edge2), perm,
+                              tuple(heights[i] for i in perm))

@@ -95,7 +95,7 @@ def binomials(pairs):
 
 
 def pi(vs, alpha):
-    pts = vs.gens.points
+    pts = vs.points
     return (sum(a * p.u for a, p in zip(alpha, pts)),
             sum(a * p.v for a, p in zip(alpha, pts)))
 
@@ -464,15 +464,15 @@ def check_toric_ideals(surfaces) -> int:
     for vs in surfaces:
         gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
         sigma = _forcing_variables(gens, vs.N)
-        assert len(sigma) <= 2 and (vs.N > 3 or sigma == ()), vs.gens.points
+        assert len(sigma) <= 2 and (vs.N > 3 or sigma == ()), vs.points
         assert _saturate_elements(gens, sigma, vs.degree_weights) == \
             reference_saturation(gens, sigma, vs.degree_weights), \
-            vs.gens.points
+            vs.points
         for kind in ORDERS:
             ideal = tn.toric_ideal(vs, kind)
             full = full_saturation_ideal(vs, TermOrder(kind, vs.N))
-            assert ideal.gb.elements == full.gb.elements, vs.gens.points
-            assert ideal.minimal_gens == full.minimal_gens, vs.gens.points
+            assert ideal.gb.elements == full.gb.elements, vs.points
+            assert ideal.minimal_gens == full.minimal_gens, vs.points
             check_orbit_ranks(ideal)
         count += 1
     return count
@@ -513,7 +513,7 @@ def check_orbit_ranks(ideal) -> None:
     expected = {"torus": False, "O1": sigma.has_O1, "O2": sigma.has_O2,
                 "origin": True}
     for fam in (ideal.minimal_gens, ideal.gb.elements):
-        assert derivative_drops(fam, vs) == expected, vs.gens.points
+        assert derivative_drops(fam, vs) == expected, vs.points
 
 
 def cyclic_quotient(n, q) -> list:
@@ -550,12 +550,12 @@ def check_sweep_order(surfaces, seed=0) -> tuple:
                 for idx in subsets:
                     chosen = [fam[i] for i in idx]
                     oracle = per_pair_subset_minors(chosen, ideal)
-                    assert sweep.minors(idx) == oracle, (vs.gens.points, idx)
+                    assert sweep.minors(idx) == oracle, (vs.points, idx)
                     fallbacks += oracle[1]
                     if oracle[0]:
                         report = _subset_report(None, sweep, idx)
                         assert report.zero_locus == tn.zero_locus(
-                            oracle[0], vs), (vs.gens.points, idx)
+                            oracle[0], vs), (vs.points, idx)
         count += 1
     return count, fallbacks
 
@@ -568,12 +568,11 @@ def report_minors(analysis, report=None) -> list:
     return out if report is None else out[analysis.reports.index(report)]
 
 
-def pair_scan_cone_rays(gens) -> tuple:
-    """Reference for compute_cone_rays: the first ordered pair of distinct
-    generator directions whose counterclockwise wedge, of angular width
-    below pi, holds every generator; raises what compute_cone_rays
-    raises."""
-    pts = gens.points
+def pair_scan_cone_rays(pts) -> tuple:
+    """Reference for compute_cone_rays on the LatticePoints pts: the first
+    ordered pair of distinct generator directions whose counterclockwise
+    wedge, of angular width below pi, holds every generator; raises what
+    compute_cone_rays raises."""
     if not pts:
         raise InvalidGeneratorSet("empty generator set")
     dirs = []
@@ -609,7 +608,7 @@ def check_gl2_invariance(surfaces, seed=0) -> Counter:
     for vs in surfaces:
         (a, b), (c, d) = m = rng.choice(GL2_MAPS)
         drawn[m] += 1
-        pts = [(a * u + b * v, c * u + d * v) for u, v in vs.gens.points]
+        pts = [(a * u + b * v, c * u + d * v) for u, v in vs.points]
         rng.shuffle(pts)
         image = tn.validate(pts)
         ideal, mapped = tn.toric_ideal(vs), tn.toric_ideal(image)
@@ -620,7 +619,7 @@ def check_gl2_invariance(surfaces, seed=0) -> Counter:
         assert (image.N, mapped.s_min, after.verdict.predicted,
                 after.verdict.observed, after.sigma) == \
             (vs.N, ideal.s_min, before.verdict.predicted,
-             before.verdict.observed, sigma), (vs.gens.points, m)
+             before.verdict.observed, sigma), (vs.points, m)
     return drawn
 
 
@@ -636,7 +635,7 @@ def check_prefix_wedges(ideal, seed=0) -> tuple:
     and the column sums of their plus sides.  Returns (subsets,
     rank-deficient subsets)."""
     vs, rng = ideal.semigroup, random.Random(seed)
-    pts = vs.gens.points
+    pts = vs.points
     inner = range(1, vs.N - 1)
     subsets = zeros = 0
     for fam in (ideal.minimal_gens, ideal.gb.elements):

@@ -125,7 +125,7 @@ def test_criterion_6_formula_oracle_equivalence(
     for vs, ideal in inputs:
         fam = ideal.minimal_gens
         pairs = list(itertools.combinations(range(vs.N), 2))
-        gens_repr = [tuple(p) for p in vs.gens.points]
+        gens_repr = [tuple(p) for p in vs.points]
         for subset in itertools.combinations(range(len(fam)), vs.r):
             chosen = [fam[i] for i in subset]
             if rank(chosen) < vs.r:
@@ -164,7 +164,7 @@ def test_criterion_7_containment(fixture_a, fixture_b, fixture_c,
             if not report.rank_ok:
                 continue
             assert sup.contains(report.zero_locus, sigma), \
-                f"{[tuple(p) for p in vs.gens.points]} subset {report.subset}"
+                f"{[tuple(p) for p in vs.points]} subset {report.subset}"
             subsets_checked += 1
     print(f"PASS criterion 7: sigma contained in every zero locus "
           f"({subsets_checked} subsets)")
@@ -180,7 +180,7 @@ def test_criterion_8_membership_oracle(fixture_a, fixture_b, fixture_c):
             p[b] = p.get(b, 0) - 1
             member = sup.ideal_member(p, ideal.gb)
             assert member == (sup.pi(vs, a) == sup.pi(vs, b)), \
-                f"{[tuple(q) for q in vs.gens.points]}: alpha={a} beta={b}"
+                f"{[tuple(q) for q in vs.points]}: alpha={a} beta={b}"
     print("PASS criterion 8: membership matches the defining map on "
           "500 pairs per fixture")
 
@@ -194,7 +194,7 @@ def test_criterion_9_dichotomy_sweep(population):
         except TheoremViolation as exc:
             pytest.fail(
                 "dichotomy violated; reproduction bundle: "
-                f"generators={[tuple(p) for p in vs.gens.points]} "
+                f"generators={[tuple(p) for p in vs.points]} "
                 f"seed={POP_SEED} order=lex family=minimal error={exc}")
         assert verdict.predicted == verdict.observed
         counts[verdict.predicted] = counts.get(verdict.predicted, 0) + 1

@@ -700,7 +700,7 @@ class TestRenderOnce:
         # and |c| > 1
         coeffs = set()
         for gens, order in RENDERED:
-            for names in (None, tuple(f"g{i}'" for i in range(len(gens)))):
+            for names in (None, tuple(f"g{i}_" for i in range(len(gens)))):
                 rep = build_report(InputSpec(tuple(gens), order, names))
                 text, doc = report_text(rep), report_json(rep)
                 for r, minors, entry in zip(rep.analysis.reports,
@@ -767,7 +767,7 @@ class TestStreamedReport:
     def test_every_small_set_both_families(self):
         sets = sup.box_semigroups(3, (3, 4))
         for vs in sets:
-            gens = tuple(map(tuple, vs.gens.points))
+            gens = tuple(map(tuple, vs.points))
             for family in ("minimal", "groebner"):
                 rep = build_report(InputSpec(gens, family=family))
                 assert streamed(rep) == oracle(rep), (gens, family)

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from math import gcd
-from operator import le
+from operator import le, mul
 
 import pytest
 
@@ -23,7 +23,7 @@ from toricnash.ideal import (
     normal_form,
     toric_ideal,
 )
-from toricnash.semigroup import GeneratorSet, ValidatedSemigroup, validate
+from toricnash.semigroup import LatticePoint, ValidatedSemigroup, validate
 
 import _support as sup
 
@@ -57,7 +57,7 @@ class TestLatticeKernel:
             if vs.N > 4:
                 continue
             basis = lattice_kernel(vs)
-            pts = vs.gens.points
+            pts = vs.points
             for v in itertools.product(range(-2, 3), repeat=vs.N):
                 if sum(c * p.u for c, p in zip(v, pts)) == 0 and \
                         sum(c * p.v for c, p in zip(v, pts)) == 0:
@@ -479,9 +479,8 @@ class TestSaturation:
     @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
     def test_unchecked_relations_pass_the_checks(self, monkeypatch, kind):
         # the saturation's moved and stripped relations and buchberger's
-        # elements are built without Binomial's checks, and validate's
-        # canonical GeneratorSet without its own: each passes them, on
-        # every valid 3-5 point set of [0,3]^2
+        # elements are built without Binomial's checks: each passes them,
+        # on every valid 3-5 point set of [0,3]^2
         built = []
 
         def recording(gens, order, lattice=False):
@@ -493,7 +492,6 @@ class TestSaturation:
         monkeypatch.setattr(ideal_mod, "buchberger", recording)
         surfaces = sup.box_semigroups(3, range(3, 6))
         for vs in surfaces:
-            assert GeneratorSet(vs.gens.points) == vs.gens
             toric_ideal(vs, kind)
         assert len(surfaces) == 1332 and built
         for b in built:
@@ -560,10 +558,11 @@ class TestToricIdeal:
     def test_unit_side_refused_by_toric_ideal(self):
         # generators validate refuses: (2, 1) = (1, 0) + (1, 1), so the
         # basis holds y2 - x1 y1, whose side y2 has degree 1
-        gens = GeneratorSet([(1, 0), (1, 1), (2, 1), (0, 1)])
+        pts = tuple(LatticePoint(u, v)
+                    for u, v in [(1, 0), (1, 1), (2, 1), (0, 1)])
         with pytest.raises(NotMinimal):
-            validate(gens.points)
-        vs = ValidatedSemigroup(gens, 1, 2, 1, (0, 1, 2, 3),
+            validate(pts)
+        vs = ValidatedSemigroup(pts, 1, 2, 1, (0, 1, 2, 3),
                                 ((0, 1), (1, 1), (1, 2), (1, 0)))
         assert vs.degree_weights == (1, 2, 3, 1)
         with pytest.raises(InvariantViolation, match="^relation with a "
@@ -716,7 +715,7 @@ class TestMinimalGenerators:
             ideal = toric_ideal(vs, kind)
             assert ideal.minimal_gens == \
                 minimal_generators(ideal.gb, vs.degree_weights), \
-                vs.gens.points
+                vs.points
         assert len(routed) >= 100
 
     @pytest.mark.parametrize("weights, error", [
@@ -968,9 +967,121 @@ class TestPruningCertificate:
         assert len(calls) <= 60
 
 
+def _raised_in(exc, function, message):
+    """The InvariantViolation exc carries message and was raised by
+    function itself."""
+    assert str(exc.value) == message
+    assert exc.traceback[-1].name == function
+
+
+class TestTamperedHelpers:
+    # checks that no correct helper output reaches: each test makes one
+    # helper lie, and toric_ideal must refuse at the check named for it
+
+    def test_non_kernel_vector(self, fixture_a, monkeypatch):
+        # the all-ones vector sums the generators, which is nonzero in a
+        # strictly convex cone
+        real = ideal_mod._lll_reduce
+        monkeypatch.setattr(ideal_mod, "_lll_reduce", lambda rows: [
+            (1,) * len(rows[0])] + real(rows)[1:])
+        with pytest.raises(InvariantViolation) as exc:
+            toric_ideal(fixture_a[0])
+        _raised_in(exc, "lattice_kernel",
+                   "kernel vector fails the relation check")
+
+    def test_kernel_rank_short(self, fixture_a, monkeypatch):
+        # one pivot too many leaves out a kernel row: every vector still
+        # passes the relation check, but there are s - 3 of them
+        real = ideal_mod._echelon
+        monkeypatch.setattr(ideal_mod, "_echelon",
+                            lambda rows, k: real(rows, k) + 1)
+        with pytest.raises(InvariantViolation) as exc:
+            toric_ideal(fixture_a[0])
+        _raised_in(exc, "lattice_kernel", "kernel rank is not s - 2")
+
+    def test_basis_element_reduced_to_zero(self, monkeypatch):
+        # toric_ideal's last monomial_nf call is the final basis's last
+        # element's minus side; reducing it to that element's plus side
+        # instead of its normal form makes the element zero
+        real = ideal_mod.monomial_nf
+        calls = []
+
+        def counted(exp, reducers):
+            calls.append(exp)
+            return real(exp, reducers)
+
+        monkeypatch.setattr(ideal_mod, "monomial_nf", counted)
+        toric_ideal(validate(SURPLUS), "lex")
+        last = len(calls)
+        calls.clear()
+
+        def tampered(exp, reducers):
+            calls.append(exp)
+            if len(calls) < last:
+                return real(exp, reducers)
+            return next(plus for _, _, plus, delta in reducers
+                        if tuple(map(sum, zip(plus, delta))) == exp)
+
+        monkeypatch.setattr(ideal_mod, "monomial_nf", tampered)
+        with pytest.raises(InvariantViolation) as exc:
+            toric_ideal(validate(SURPLUS), "lex")
+        _raised_in(exc, "buchberger", "basis element reduced to zero")
+
+    def test_betti_route_non_homogeneous(self, monkeypatch):
+        # the final basis (the lattice=True run) gets one more x_0 on its
+        # last element's minus side, which shifts that side's degree by
+        # g_0's heights
+        real = ideal_mod.buchberger
+
+        def tampered(gens, order, lattice=False):
+            gb = real(gens, order, lattice)
+            if not lattice:
+                return gb
+            plus, minus = gb.elements[-1]
+            changed = Binomial(plus, (minus[0] + 1,) + minus[1:])
+            return GroebnerBasis(order, gb.elements[:-1] + (changed,))
+
+        monkeypatch.setattr(ideal_mod, "buchberger", tampered)
+        with pytest.raises(InvariantViolation) as exc:
+            toric_ideal(validate(SURPLUS), "lex")
+        _raised_in(exc, "_betti_generators",
+                   "basis element is not homogeneous for the degree weights")
+
+    def test_surplus_swap_spans_smaller_ideal(self, monkeypatch):
+        # the surplus stage swaps its kept element for a basis element of
+        # another degree outside the fixed ones, so the count cross-check
+        # passes and the certificate finds a minimal generator of the
+        # saturated set that the result does not reach
+        vs = validate(SURPLUS)
+        gb = toric_ideal(vs, "lex").gb
+        h1, h2 = zip(*vs.heights)
+
+        def degree(b):
+            return (sum(map(mul, h1, b.plus)), sum(map(mul, h2, b.plus)))
+
+        real = ideal_mod._prune
+        stages = []
+
+        def prune(elements, key, fixed=()):
+            kept = real(elements, key, fixed)
+            stages.append(kept)
+            if len(stages) != 2:
+                return kept
+            other = [b for b in gb.elements if b not in fixed
+                     and degree(b) != degree(kept[0])]
+            return kept[1:] + other[:1]
+
+        monkeypatch.setattr(ideal_mod, "_prune", prune)
+        with pytest.raises(InvariantViolation) as exc:
+            toric_ideal(vs, "lex")
+        assert len(stages) == 3
+        _raised_in(exc, "_betti_generators",
+                   "pruned generators span a smaller ideal")
+
+
 def _edge_relation(vs, idx, i, j):
     """x_i^(k_j/g) - x_j^(k_i/g) for g_i = k_i * ray, g_j = k_j * ray."""
-    pts = vs.gens.points
+    pts = vs.points
     ki = gcd(pts[idx[i]].u, pts[idx[i]].v)
     kj = gcd(pts[idx[j]].u, pts[idx[j]].v)
     g = gcd(ki, kj)

@@ -213,9 +213,8 @@ class TestMinors:
         # sublattice: det(g_0, g_3) = 12 no longer divides the reference
         # minor of rows f1, f2, so c_S would not be an integer
         vs, ideal = fixture_a
-        doubled = tn.GeneratorSet(tuple(tn.LatticePoint(2 * p.u, 2 * p.v)
-                                        for p in vs.gens.points))
-        bad = ideal._replace(semigroup=vs._replace(gens=doubled))
+        doubled = tuple(tn.LatticePoint(2 * p.u, 2 * p.v) for p in vs.points)
+        bad = ideal._replace(semigroup=vs._replace(points=doubled))
         with pytest.raises(InvariantViolation, match="not a multiple"):
             subset_minors(A_ROWS[:2], bad)
 
@@ -453,7 +452,7 @@ class TestSparseMinor:
             assert all(sup.pi(vs, nf) == degree
                        for degree, nf in memo.items()), points
             nfs = list(memo.values())
-            assert sup.fiber_minima(nfs, vs.gens.points, ideal.order) == \
+            assert sup.fiber_minima(nfs, vs.points, ideal.order) == \
                 {nf: nf for nf in nfs}, points
             assert [sweep.minors(r.subset) for r in analysis.reports] == \
                 [(minors, r.fallbacks) for r, minors in
@@ -532,7 +531,7 @@ class TestSubsetMinors:
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
-            pts = vs.gens.points
+            pts = vs.points
             ones_u, ones_v = sup.pi(vs, (1,) * vs.N)
             for fam in (ideal.minimal_gens, ideal.gb.elements):
                 sweep = nash._Sweep(ideal, fam)
@@ -658,9 +657,8 @@ class TestSubsetMinors:
         # det(g_0, g_(N-1)) by 4; a subset whose reference minor it no
         # longer divides raises, one whose minor it divides does not
         vs, ideal = sup.build(points)
-        doubled = tn.GeneratorSet(tuple(tn.LatticePoint(2 * p.u, 2 * p.v)
-                                        for p in vs.gens.points))
-        bad = ideal._replace(semigroup=vs._replace(gens=doubled))
+        doubled = tuple(tn.LatticePoint(2 * p.u, 2 * p.v) for p in vs.points)
+        bad = ideal._replace(semigroup=vs._replace(points=doubled))
         fam = ideal.gb.elements
         rows = [b.difference() for b in fam]
         sweep = nash._Sweep(bad, fam)

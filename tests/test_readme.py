@@ -22,11 +22,12 @@ UNEXPORTED = [("algebra", "derivative"), ("algebra", "determinant"),
 
 # a minor has one form, the (selection, coefficient, exponent) triple: the
 # record, the reader that wrapped subset_minors and its error went; the
-# singular locus is one OrbitSet, without a record around it
+# singular locus is one OrbitSet, without a record around it; a generator
+# set is its points, without a record around them
 REMOVED = [("algebra", "Monomial"), ("nash", "nash_ideal"),
            ("errors", "RankDeficient"), ("nash", "SingularLocus"),
            ("semigroup", "generator_set"), ("algebra", "lex_order"),
-           ("algebra", "degrevlex_order")]
+           ("algebra", "degrevlex_order"), ("semigroup", "GeneratorSet")]
 
 
 def _library_block() -> str:
@@ -79,3 +80,12 @@ def test_oracle_and_readers_not_exported(module, name):
 def test_removed_names_gone(module, name):
     assert not hasattr(tn, name)
     assert not hasattr(importlib.import_module(f"toricnash.{module}"), name)
+
+
+def test_validate_steps_not_exported():
+    # validate's cone and lattice steps take the points it has read, so
+    # they stay semigroup module functions, not package names
+    from toricnash import semigroup
+    for name in ("compute_cone_rays", "check_generates_Z2"):
+        assert not hasattr(tn, name)
+        assert callable(getattr(semigroup, name))

@@ -9,7 +9,7 @@ import pytest
 
 import toricnash as tn
 from toricnash.cli import InputError, InputSpec
-from toricnash.errors import InvalidGeneratorSet, LengthMismatch
+from toricnash.errors import LengthMismatch
 
 import _support as sup
 
@@ -20,7 +20,7 @@ def _records():
     """One instance of every public record."""
     vs, ideal = sup.build(sup.FIXTURE_B)
     a = tn.analyze(ideal)
-    return [ideal.order, ideal.gb.elements[0], vs.gens, vs.gens.points[0],
+    return [ideal.order, ideal.gb.elements[0], vs.points[0],
             vs, ideal.gb, ideal, a.sigma, a.witness, a.verdict, a,
             InputSpec([[1, 0], [1, 1], [1, 2]], names=["a", "b", "c"])]
 
@@ -64,20 +64,19 @@ def test_repr_names_the_fields():
     (tn.TermOrder("lex", 2), {"nvars": -1}, ValueError),
     (tn.Binomial((1, 0), (0, 1)), {"minus": (1, 0)}, ValueError),
     (tn.Binomial((1, 0), (0, 1)), {"plus": (1, -1)}, ValueError),
-    (tn.GeneratorSet([(1, 0), (0, 1)]), {"points": ((1, 0), (1, 0))},
-     InvalidGeneratorSet),
-    (tn.GeneratorSet([(1, 0), (0, 1)]), {"points": ((1, 0), (1.5, 0))},
-     InvalidGeneratorSet),
     (InputSpec(((1, 0), (0, 1))), {"generators": None}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"generators": ()}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"order": "grlex"}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"family": None}, InputError),
     (InputSpec(((1, 0), (0, 1))), {"names": ("a",)}, InputError),
-    (InputSpec(((1, 0), (0, 1))), {"names": ("a", "a")}, InputError)],
+    (InputSpec(((1, 0), (0, 1))), {"names": ("a", "a")}, InputError),
+    (InputSpec(((1, 0), (0, 1))), {"names": ("x*y", "b")}, InputError),
+    (InputSpec(((1, 0), (0, 1))), {"names": ("2", "b")}, InputError)],
     ids=["term_order_kind", "term_order_nvars", "binomial_zero",
-         "binomial_negative", "generator_set", "generator_set_float",
-         "input_generators_none", "input_generators_empty", "input_order",
-         "input_family", "input_names", "input_repeated_names"])
+         "binomial_negative", "input_generators_none",
+         "input_generators_empty", "input_order", "input_family",
+         "input_names", "input_repeated_names", "input_names_product",
+         "input_names_digit"])
 def test_replace_checks_as_the_constructor(record, change, error):
     with pytest.raises(error):
         record._replace(**change)
@@ -110,14 +109,11 @@ def test_records_are_tuples_of_their_fields():
     assert (plus, minus) == b == ((1, 0), (0, 1))
 
 
-def test_generator_set_record_reads_points_as_generator_set():
-    # a GeneratorSet of plain tuples holds the points validate reads
-    pairs = ((1, 0), (1, 1), (1, 2))
-    gens = tn.GeneratorSet(pairs)
-    assert gens.points == pairs
-    assert tn.validate(gens.points) == tn.validate(pairs)
-
-
-def test_generator_set_length_counts_points():
-    pts = [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert len(tn.GeneratorSet(pts)) == len(pts)
+@pytest.mark.parametrize("names, bad", [(("x*y", "2", "z"), "x*y"),
+                                        (("x", "y", "2z"), "2z")])
+def test_input_spec_needs_identifier_names(names, bad):
+    # a name that is no identifier prints relations that read as others:
+    # under the first names, x*y*z - 2^2 for these generators
+    with pytest.raises(InputError) as exc:
+        InputSpec(((1, 0), (1, 1), (1, 2)), names=names)
+    assert str(exc.value) == f'"names" entry {bad!r} is not an identifier'

@@ -17,7 +17,6 @@ from toricnash.errors import (
     TooFewGenerators,
 )
 from toricnash.semigroup import (
-    GeneratorSet,
     LatticePoint,
     check_generates_Z2,
     compute_cone_rays,
@@ -30,56 +29,74 @@ from toricnash.semigroup import (
 import _support as sup
 
 
+def points(pairs) -> tuple:
+    """pairs as the LatticePoints validate reads, the input of
+    compute_cone_rays and check_generates_Z2."""
+    return tuple(LatticePoint(u, v) for u, v in pairs)
+
+
 class TestGeneratorSet:
+    # validate reads the points first: the generator set's own errors come
+    # before any cone check
     def test_duplicate_rejected(self):
-        with pytest.raises(InvalidGeneratorSet):
-            GeneratorSet([(1, 0), (1, 0)])
+        with pytest.raises(InvalidGeneratorSet,
+                           match="^duplicate generator$"):
+            validate([(1, 0), (1, 0)])
 
     def test_origin_rejected(self):
-        with pytest.raises(InvalidGeneratorSet):
-            GeneratorSet([(1, 0), (0, 0)])
+        with pytest.raises(InvalidGeneratorSet,
+                           match="^the origin is not a generator$"):
+            validate([(1, 0), (0, 0)])
 
     def test_non_integer_rejected(self):
-        with pytest.raises(InvalidGeneratorSet):
-            GeneratorSet([(1, 0), (0.5, 1)])
+        with pytest.raises(InvalidGeneratorSet,
+                           match=r"^non-integer coordinates: \(0\.5, 1\)$"):
+            validate([(1, 0), (0.5, 1)])
 
     @pytest.mark.parametrize("point", [(1, 2, 3), (1,), 5, None])
     def test_non_pair_rejected(self, point):
         with pytest.raises(InvalidGeneratorSet, match="not a coordinate pair"):
-            GeneratorSet([(1, 0), point])
+            validate([(1, 0), point])
+
+    def test_checks_in_order(self):
+        # a bad point before a duplicate, a duplicate before the origin
+        with pytest.raises(InvalidGeneratorSet, match="^non-integer"):
+            validate([(0, 0), (1, 0), (1, 0), (1.5, 0)])
+        with pytest.raises(InvalidGeneratorSet, match="^duplicate"):
+            validate([(0, 0), (1, 0), (1, 0)])
 
 
 class TestConeRays:
     def test_fixture_a(self):
-        rays = compute_cone_rays(GeneratorSet(sup.FIXTURE_A))
+        rays = compute_cone_rays(points(sup.FIXTURE_A))
         assert rays == ((1, 0), (1, 3))
 
     def test_fixture_b(self):
-        rays = compute_cone_rays(GeneratorSet(sup.FIXTURE_B))
+        rays = compute_cone_rays(points(sup.FIXTURE_B))
         assert rays == ((1, 0), (0, 1))
 
     def test_empty_set(self):
         with pytest.raises(InvalidGeneratorSet, match="empty generator set"):
-            compute_cone_rays(GeneratorSet([]))
+            compute_cone_rays(points([]))
 
     def test_single_generator(self):
         with pytest.raises(ConeNotTwoDimensional):
-            compute_cone_rays(GeneratorSet([(1, 0)]))
+            compute_cone_rays(points([(1, 0)]))
 
     def test_collinear(self):
         with pytest.raises(ConeNotTwoDimensional):
-            compute_cone_rays(GeneratorSet([(1, 2), (2, 4), (3, 6)]))
+            compute_cone_rays(points([(1, 2), (2, 4), (3, 6)]))
 
     def test_halfplane(self):
         with pytest.raises(ConeNotStrictlyConvex):
-            compute_cone_rays(GeneratorSet([(1, 0), (0, 1), (-1, 0)]))
+            compute_cone_rays(points([(1, 0), (0, 1), (-1, 0)]))
 
     def test_full_plane(self):
         with pytest.raises(ConeNotStrictlyConvex):
-            compute_cone_rays(GeneratorSet([(1, 0), (-1, 1), (0, -1)]))
+            compute_cone_rays(points([(1, 0), (-1, 1), (0, -1)]))
 
     def test_rays_are_primitive(self):
-        rays = compute_cone_rays(GeneratorSet([(2, 0), (4, 6), (0, 8)]))
+        rays = compute_cone_rays(points([(2, 0), (4, 6), (0, 8)]))
         assert rays == ((1, 0), (0, 1))
 
     def test_matches_pair_scan(self):
@@ -96,7 +113,7 @@ class TestConeRays:
         kinds = set()
         for k in range(5):
             for pts in itertools.combinations(box, k):
-                gens = GeneratorSet(pts)
+                gens = points(pts)
                 expected = outcome(sup.pair_scan_cone_rays, gens)
                 assert outcome(compute_cone_rays, gens) == expected, pts
                 kinds.add(expected if isinstance(expected, type) else tuple)
@@ -125,16 +142,16 @@ class TestClassification:
 
 class TestLatticeFullness:
     def test_non_unimodular_pair(self):
-        assert not check_generates_Z2(GeneratorSet([(1, 0), (1, 3)]))
+        assert not check_generates_Z2(points([(1, 0), (1, 3)]))
 
     def test_unimodular_pair(self):
-        assert check_generates_Z2(GeneratorSet([(1, 0), (1, 1)]))
+        assert check_generates_Z2(points([(1, 0), (1, 1)]))
 
     def test_index_four(self):
-        assert not check_generates_Z2(GeneratorSet([(2, 0), (0, 2)]))
+        assert not check_generates_Z2(points([(2, 0), (0, 2)]))
 
     def test_fixture_b(self):
-        assert check_generates_Z2(GeneratorSet(sup.FIXTURE_B))
+        assert check_generates_Z2(points(sup.FIXTURE_B))
 
     def test_matches_brute_gcd(self):
         from math import gcd
@@ -150,7 +167,7 @@ class TestLatticeFullness:
                 for j in range(i + 1, 4):
                     g = gcd(g, abs(pts[i][0] * pts[j][1]
                                    - pts[i][1] * pts[j][0]))
-            assert check_generates_Z2(GeneratorSet(pts)) == (g == 1)
+            assert check_generates_Z2(points(pts)) == (g == 1)
 
 
 def validated(points):
@@ -196,7 +213,7 @@ class TestMembership:
     def test_random_combinations_are_members(self):
         rng = random.Random(7)
         vs = validated(sup.FIXTURE_C)
-        pts = vs.gens.points
+        pts = vs.points
         for _ in range(30):
             lam = [rng.randint(0, 2) for _ in pts]
             p = (sum(a * g.u for a, g in zip(lam, pts)),
@@ -232,7 +249,7 @@ class TestMembership:
         assert len(box) == 1332
         for vs in [validated(pts) for pts in (
                 sup.FIXTURE_A, sup.FIXTURE_B, sup.FIXTURE_C)] + box:
-            gens = vs.gens.points
+            gens = vs.points
             u1, u2 = vs.rays
             assert (u1, u2) == (primitive(gens[0]), primitive(gens[-1]))
             assert vs.heights == tuple((cross(u1, p), cross(p, u2))
@@ -313,15 +330,15 @@ class TestValidate:
             validate(points)
 
     def test_generator_set_record_is_not_points(self):
-        # a GeneratorSet iterates as its one field, which is no point
-        vs = validate(sup.FIXTURE_A)
-        for gens in (vs.gens, GeneratorSet([(1, 0), (0, 1)])):
-            with pytest.raises(InvalidGeneratorSet):
-                validate(gens)
+        # a ValidatedSemigroup is a tuple whose first field, the points,
+        # is no point
+        with pytest.raises(InvalidGeneratorSet,
+                           match="^not a coordinate pair: "):
+            validate(validate(sup.FIXTURE_A))
 
     def test_canonical_order_and_permutation(self):
         vs = validate([(0, 5), (2, 6), (0, 4), (3, 0), (2, 0)])
-        pts = [tuple(p) for p in vs.gens.points]
+        pts = [tuple(p) for p in vs.points]
         assert pts == [(2, 0), (3, 0), (2, 6), (0, 4), (0, 5)]
         original = [(0, 5), (2, 6), (0, 4), (3, 0), (2, 0)]
         assert [original[i] for i in vs.permutation] == pts
@@ -335,8 +352,8 @@ class TestValidate:
 
     def test_idempotent(self, population):
         for vs, _ in population[:15]:
-            again = validate(vs.gens.points)
-            assert again.gens == vs.gens
+            again = validate(vs.points)
+            assert again.points == vs.points
             assert again.permutation == tuple(range(vs.N))
 
     def test_order_independent(self):
@@ -347,7 +364,7 @@ class TestValidate:
                 shuffled = list(pts)
                 rng.shuffle(shuffled)
                 vs = validate(shuffled)
-                assert vs.gens == vs0.gens
+                assert vs.points == vs0.points
 
     def test_verdict_order_independent_for_invalid(self):
         bad = [(1, 0), (2, 0), (0, 1)]
@@ -372,10 +389,10 @@ class TestValidate:
 
         monkeypatch.setattr(semigroup, "compute_cone_rays", counted)
         for vs, _ in population:
-            shuffled = vs.gens.points[::-1]
+            shuffled = vs.points[::-1]
             calls.clear()
             again = validate(shuffled)
-            assert calls == [GeneratorSet(shuffled)]
+            assert calls == [shuffled]
             assert again.heights == vs.heights
 
     def test_dual_vector_checked(self, monkeypatch):
