@@ -8,9 +8,8 @@ of the generator matrix.  toric_ideal builds it in four steps:
   one or two variables that _forcing_variables finds (none for rank 1);
 - buchberger: the reduced Groebner basis under the requested order, with
   monomial_nf as its reduction;
-- minimal_generators: an irredundant generating subset of that basis, or
-  _betti_generators, the same subset searched only in the Betti degrees
-  of the saturated set where the basis holds more elements than needed.
+- _betti_generators: minimal_generators' irredundant generating subset
+  of that basis, searched only in the degrees of the saturated set.
 
 normal_form divides a general polynomial, an {exponent: coefficient}
 dict, by a basis for nash.minor_symbolic and returns a fresh dict.
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from functools import cached_property
 from operator import add, le, mul, sub
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence
@@ -538,34 +537,33 @@ def minimal_generators(gb: GroebnerBasis, weights: Sequence[int]) -> tuple:
 def _betti_generators(gb: GroebnerBasis, saturated: Sequence[Binomial],
                       heights: Sequence[tuple]) -> tuple:
     """minimal_generators of gb, a basis of the ideal saturated generates,
-    by toric_ideal's rules; a degree is sum(e_j * heights_j) over either
-    side.  Certified by InvariantViolation unless the kept elements are as
-    many as the minimal generators of saturated and _prune drops all of
-    those beside them."""
+    searched only in the degrees of saturated's elements (a degree is
+    sum(e_j * heights_j) over either side): they hold every degree of a
+    minimal generating set (Briales et al., JPAA 124, 1998), and in any
+    other the ideal is generated below it.  Where an element is skipped,
+    InvariantViolation unless saturated's minimal generators are as many
+    as the result and _prune drops all of them beside it."""
     h1, h2 = zip(*heights)
     degree = {}
     for b in itertools.chain(saturated, gb.elements):
         d = degree[b] = (sum(map(mul, h1, b.plus)), sum(map(mul, h2, b.plus)))
         if d != (sum(map(mul, h1, b.minus)), sum(map(mul, h2, b.minus))):
             raise InvariantViolation(
-                "basis element is not homogeneous for the degree weights")
+                "relation is not homogeneous for the generators' heights")
     key = gb.order.key
-    minimal = _prune(saturated, key)
-    mu = Counter(degree[m] for m in minimal)
-    betti: dict = {}
-    for b in gb.elements:
-        betti.setdefault(degree[b], []).append(b)
-    fixed = [b for d, bs in betti.items() if len(bs) == mu[d] for b in bs]
-    kept = set(fixed).union(_prune(
-        [b for d, bs in betti.items() if len(bs) > mu[d] > 0 for b in bs],
-        key, fixed))
-    mingens = tuple(b for b in gb.elements if b in kept)
-    if len(mingens) != len(minimal):
-        raise InvariantViolation(
-            "minimal generator count differs from the saturated set's")
-    pairs = set(map(frozenset, mingens))
-    if _prune([m for m in minimal if frozenset(m) not in pairs], key, mingens):
-        raise InvariantViolation("pruned generators span a smaller ideal")
+    degrees = {degree[b] for b in saturated}
+    candidates = [b for b in gb.elements if degree[b] in degrees]
+    mingens = tuple(_prune(candidates, key))
+    if len(candidates) < len(gb.elements):
+        minimal = _prune(saturated, key)
+        if len(mingens) != len(minimal):
+            raise InvariantViolation(
+                "minimal generator count differs from the saturated set's")
+        pairs = set(map(frozenset, mingens))
+        if _prune([m for m in minimal if frozenset(m) not in pairs], key,
+                  mingens):
+            raise InvariantViolation(
+                "a minimal generator of the saturated set is not reached")
     return mingens
 
 
@@ -604,30 +602,18 @@ def toric_ideal(vs: ValidatedSemigroup, order: str = "lex") -> ToricIdeal:
     |sigma| + 1 Buchberger runs (saturation by the one or two variables
     sigma that the lattice basis forces, none for N = 3, then the final
     basis, with lattice=True since its input generates the lattice ideal
-    and is homogeneous for vs.degree_weights).  The minimal generators are
-    minimal_generators'.  A final basis with four or more elements beyond
-    the saturated set gets them from _betti_generators, as the degrees D
-    of a minimal generating set and its count mu_D in each do not depend
-    on the set (Briales et al., JPAA 124, 1998):
-    - an element of no such D goes, since I_D is generated below D;
-    - a D holding mu_D basis elements keeps them;
-    - a D holding more runs the greedy with the moves of the elements in
-      these degrees alone, since the others lie in their ideal.
-    With fewer extra elements that route costs about what it saves.  Both
-    routes certify by path replay; recomputing the basis from the minimal
-    generators is a test oracle only.  order is a name in ORDERS,
-    as analyze's family is in FAMILIES; TermOrder(order, N) raises
-    ValueError for another.
+    and is homogeneous for vs.degree_weights), then _betti_generators for
+    minimal_generators' subset, certified by path replay and the
+    saturated set; recomputing the basis from it is a test oracle only.
+    order is a name in ORDERS, as analyze's family is in FAMILIES;
+    TermOrder(order, N) raises ValueError for another.
     """
     order = TermOrder(order, vs.N)
     gens = [binomial_from_vector(v) for v in lattice_kernel(vs)]
     saturated = _saturate_elements(gens, _forcing_variables(gens, vs.N),
                                    vs.degree_weights)
     gb = buchberger(saturated, order, True)
-    if len(gb.elements) < len(saturated) + 4:
-        mingens = minimal_generators(gb, vs.degree_weights)
-    else:
-        mingens = _betti_generators(gb, saturated, vs.heights)
+    mingens = _betti_generators(gb, saturated, vs.heights)
     _check_no_unit_sides(gb.elements)
     return ToricIdeal(vs, gb, mingens)
 

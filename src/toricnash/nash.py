@@ -330,16 +330,17 @@ def subset_minors(family_subset: Sequence[Binomial],
     exponent.  _Sweep.check gives the arguments and its checks' errors; a
     row that is not a relation of the generators raises
     InvariantViolation.  NotSquare when family_subset does not have r
-    binomials, then LengthMismatch when one of them does not have N
-    variables.  This is a sweep of the one subset; analyze sweeps every
-    subset of a family, which then share prefix minors and the normal form
-    of each degree.
+    rows; each is read as Binomial(*row), so (plus, minus) pairs serve
+    too, and one without N variables raises LengthMismatch.  This is a
+    sweep of the one subset; analyze sweeps every subset of a family,
+    which then share prefix minors and the normal form of each degree.
     """
     vs = ideal.semigroup
     if len(family_subset) != vs.r:
         raise NotSquare(f"need {vs.r} binomials for {vs.N} variables, "
                         f"got {len(family_subset)}")
-    return _Sweep(ideal, family_subset).minors(tuple(range(vs.r)))
+    family = [Binomial(*row) for row in family_subset]
+    return _Sweep(ideal, family).minors(tuple(range(vs.r)))
 
 
 def minor_monomial_formula(family_subset: Sequence[Binomial], selection,
@@ -374,8 +375,8 @@ class OrbitSet(NamedTuple):
     (edge 2), has_O2 the one along the x block (edge 1).  The origin is
     always part of the set, and is singular: a Jacobian row survives at
     the origin only for a side of degree below 2, which toric_ideal
-    (degree 1) and minimal_generators (degree 0) refuse with
-    InvariantViolation.  The dense orbit is never part of the set.
+    refuses with InvariantViolation (degree 0 in _betti_generators'
+    homogeneity check).  The dense orbit is never part of the set.
     """
 
     has_O1: bool

@@ -219,6 +219,22 @@ class TestAnalyzeCommand:
         assert f"s_min={doc['ideal']['s_min']}" in text
         assert doc["verdict"]["predicted"] in text
 
+    def test_json_generators_read_back_as_rows(self):
+        # a report's minimal generators, read back from their "plus" and
+        # "minus" lists, give subset_minors the minors of the Binomials
+        rep = build_report(parse_input(json.dumps(
+            {"generators": sup.FIXTURE_C})))
+        doc = json.loads(json.dumps(report_json(rep)))
+        rows = [(g["plus"], g["minus"])
+                for g in doc["ideal"]["minimal_generators"]]
+        pairs = list(zip(rows, rep.ideal.minimal_gens))
+        subsets = list(itertools.combinations(pairs, rep.ideal.semigroup.r))
+        assert len(subsets) > 1
+        for subset in subsets:
+            read, gens = zip(*subset)
+            assert nash.subset_minors(read, rep.ideal) == \
+                nash.subset_minors(gens, rep.ideal)
+
     # "" names no file: open refuses it like a missing directory
     @pytest.mark.parametrize("out", [Path("missing") / "r.json", ""],
                              ids=["missing_dir", "empty"])

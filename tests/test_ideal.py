@@ -701,8 +701,7 @@ class TestMinimalGenerators:
 
     @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
     def test_matches_whole_basis_greedy(self, kind, monkeypatch):
-        # toric_ideal takes the Betti route on a final basis four or more
-        # elements larger than the saturated set; either way its minimal
+        # toric_ideal prunes by one _betti_generators call, and its minimal
         # generators are those of the greedy over the whole final basis
         routed = []
         betti = ideal_mod._betti_generators
@@ -716,7 +715,7 @@ class TestMinimalGenerators:
             assert ideal.minimal_gens == \
                 minimal_generators(ideal.gb, vs.degree_weights), \
                 vs.points
-        assert len(routed) >= 100
+        assert len(routed) == len(surfaces)
 
     @pytest.mark.parametrize("weights, error", [
         ((1, 1), LengthMismatch),
@@ -872,18 +871,23 @@ class TestPruningCertificate:
         assert changed >= 5
 
     @pytest.mark.parametrize("mutate, stage, least", [
-        (_cut_last, 1, 3), (_non_dividing, 1, 3),
-        (_cut_last, 2, 11), (_non_dividing, 2, 11), (_dropped_earlier, 2, 6),
-    ], ids=["surplus-cut_last", "surplus-non_dividing",
+        (_cut_last, 0, 14), (_non_dividing, 0, 14),
+        (_cut_last, 1, 12), (_non_dividing, 1, 12), (_dropped_earlier, 1, 12),
+        (_cut_last, 2, 14), (_non_dividing, 2, 14), (_dropped_earlier, 2, 7),
+    ], ids=["candidates-cut_last", "candidates-non_dividing",
+            "saturated-cut_last", "saturated-non_dividing",
+            "saturated-dropped_earlier",
             "certificate-cut_last", "certificate-non_dividing",
             "certificate-dropped_earlier"])
     def test_mutated_betti_path_raises(self, mutate, stage, least,
                                        monkeypatch):
-        # _betti_generators runs _prune on the saturated set (stage 0),
-        # on the degrees with a surplus (1) and as its certificate (2);
-        # only the paths found in the given stage are mutated.  The
-        # surplus stages here drop one element each, so no earlier drop is
-        # there for _dropped_earlier to detour through
+        # _betti_generators runs _prune on the basis elements in the
+        # saturated set's degrees (stage 0) and, when it skips one, on the
+        # saturated set (1) and as its certificate (2); only the paths
+        # found in the given stage are mutated.  No candidate stage here
+        # passes an element it dropped before, so _dropped_earlier has no
+        # case there; in the later stages it detours through elements that
+        # an earlier stage dropped
         real_prune, real_connected = ideal_mod._prune, ideal_mod._connected
         stages, dropped, mutated = [], [], []
 
@@ -922,15 +926,17 @@ class TestPruningCertificate:
         assert changed >= least
 
     @pytest.mark.parametrize("points, stage, change", [
-        (IDEAL_BENCH[2], 0, 1),
-        (SURPLUS, 1, 1),
-        (SURPLUS, 1, -1),
+        (IDEAL_BENCH[2], 1, 1),
+        (SURPLUS, 0, 1),
+        (SURPLUS, 0, -1),
+        (IDEAL_BENCH[2], 1, -1),
     ], ids=["saturated_one_too_many", "surplus_one_too_many",
-            "surplus_one_too_few"])
+            "surplus_one_too_few", "saturated_one_too_few"])
     def test_count_cross_check(self, points, stage, change, monkeypatch):
-        # a pruning stage of _betti_generators that keeps one element too
-        # many or too few leaves more or fewer minimal generators than the
-        # saturated set has, which s_min's independence of the order refuses
+        # the pruning of the saturated set (stage 1), or of the basis
+        # elements in its degrees (0), which hold one more than needed on
+        # SURPLUS, keeps one element too many or too few: the two counts
+        # differ, which s_min's independence of the order refuses
         real = ideal_mod._prune
         stages = []
 
@@ -950,10 +956,76 @@ class TestPruningCertificate:
             "minimal generator count differs from the saturated set's"
         assert stages == [0, 1]
 
+    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
+    def test_one_extra_element_fails_the_count(self, kind, monkeypatch):
+        # the two prunings are independent, so keeping any one element
+        # that either dropped breaks the count wherever the cross-checks
+        # run, also in a degree that holds one basis element more than it
+        # needs
+        calls = []
+        betti = ideal_mod._betti_generators
+        monkeypatch.setattr(ideal_mod, "_betti_generators",
+                            lambda *args: calls.append(args) or betti(*args))
+        for points in [SURPLUS, LEX_PROBE] + IDEAL_BENCH + DETOURS:
+            toric_ideal(validate(points), kind)
+        real = ideal_mod._prune
+        stages, extra = [], []
+
+        def prune(elements, key, fixed=()):
+            kept = real(elements, key, fixed)
+            stages.append(len(stages))
+            dropped = [b for b in elements if b not in kept]
+            if stages[-1] != stage or len(dropped) <= index:
+                return kept
+            extra.append(dropped[index])
+            return kept + extra
+
+        monkeypatch.setattr(ideal_mod, "_prune", prune)
+        raised = 0
+        for args in calls:
+            for stage in (0, 1):
+                for index in itertools.count():
+                    stages.clear()
+                    extra.clear()
+                    try:
+                        betti(*args)
+                    except InvariantViolation as exc:
+                        assert str(exc) == \
+                            "minimal generator count differs from the " \
+                            "saturated set's"
+                        raised += 1
+                    else:
+                        # nothing to keep, or no basis element was skipped
+                        # and so no check ran
+                        assert not extra or stages == [0]
+                    if not extra:
+                        break
+        assert raised == {"lex": 48, "degrevlex": 34}[kind]
+
+    @pytest.mark.parametrize("points, kind", [
+        ([(1, 0), (1, 1), (1, 2)], "lex"),
+        (IDEAL_BENCH[0], "degrevlex"),
+        (IDEAL_BENCH[1], "degrevlex"),
+    ], ids=["principal", "ideal_bench_0", "ideal_bench_1"])
+    def test_no_skipped_element_one_prune(self, points, kind, monkeypatch):
+        # every basis element lies in a degree of the saturated set, so
+        # the replay of the one pruning certifies the whole basis
+        real = ideal_mod._prune
+        calls = []
+
+        def prune(elements, key, fixed=()):
+            calls.append(list(elements))
+            return real(elements, key, fixed)
+
+        monkeypatch.setattr(ideal_mod, "_prune", prune)
+        ideal = toric_ideal(validate(points), kind)
+        assert calls == [list(ideal.gb.elements)]
+
     def test_betti_route_bounds_fiber_searches(self, monkeypatch):
         # the whole-basis greedy makes one _connected call for each of the
-        # probe's 188 lex basis elements; the Betti route made 36 (its
-        # saturated set, the surplus degrees and the certificate)
+        # probe's 188 lex basis elements; _betti_generators makes 58 (22
+        # in the saturated set's degrees, 35 for the saturated set and one
+        # for the certificate)
         calls = []
         real = ideal_mod._connected
 
@@ -1045,13 +1117,14 @@ class TestTamperedHelpers:
         with pytest.raises(InvariantViolation) as exc:
             toric_ideal(validate(SURPLUS), "lex")
         _raised_in(exc, "_betti_generators",
-                   "basis element is not homogeneous for the degree weights")
+                   "relation is not homogeneous for the generators' heights")
 
     def test_surplus_swap_spans_smaller_ideal(self, monkeypatch):
-        # the surplus stage swaps its kept element for a basis element of
-        # another degree outside the fixed ones, so the count cross-check
-        # passes and the certificate finds a minimal generator of the
-        # saturated set that the result does not reach
+        # the pruning of the basis elements in the saturated set's degrees
+        # swaps its first kept element for a basis element of another
+        # degree that it does not keep, so the count cross-check passes
+        # and the certificate finds a minimal generator of the saturated
+        # set that the result does not reach
         vs = validate(SURPLUS)
         gb = toric_ideal(vs, "lex").gb
         h1, h2 = zip(*vs.heights)
@@ -1065,9 +1138,9 @@ class TestTamperedHelpers:
         def prune(elements, key, fixed=()):
             kept = real(elements, key, fixed)
             stages.append(kept)
-            if len(stages) != 2:
+            if len(stages) != 1:
                 return kept
-            other = [b for b in gb.elements if b not in fixed
+            other = [b for b in gb.elements if b not in kept
                      and degree(b) != degree(kept[0])]
             return kept[1:] + other[:1]
 
@@ -1076,7 +1149,7 @@ class TestTamperedHelpers:
             toric_ideal(vs, "lex")
         assert len(stages) == 3
         _raised_in(exc, "_betti_generators",
-                   "pruned generators span a smaller ideal")
+                   "a minimal generator of the saturated set is not reached")
 
 
 def _edge_relation(vs, idx, i, j):

@@ -195,6 +195,22 @@ class TestMinors:
                     f"binomial has {bad.nvars} variables, not 4")):
                 minor_symbolic(rows, sel, ideal)
 
+    def test_rows_read_as_binomials(self, fixture_a):
+        # a plain (plus, minus) row is read as Binomial(*row): it gives
+        # the Binomial's minors, and a malformed one raises Binomial's
+        # error, after NotSquare
+        _, ideal = fixture_a
+        rows = [tuple(b) for b in A_ROWS[:2]]
+        assert subset_minors(rows, ideal) == subset_minors(A_ROWS[:2], ideal)
+        plus, minus = rows[0]
+        for bad, error in (((plus, plus), ValueError),
+                           ((plus, minus[:-1]), LengthMismatch),
+                           (((-1,) + plus[1:], minus), ValueError)):
+            with pytest.raises(error):
+                subset_minors([bad, rows[1]], ideal)
+            with pytest.raises(NotSquare):
+                subset_minors([bad], ideal)
+
     def test_rows_off_the_lattice_refused(self, fixture_a):
         # x1 - x2 is no relation of fixture A's generators (1,0), (1,1), so
         # the Pluecker identity det(R_K) = c_S (-1)^(a+b) det(g_a, g_b)

@@ -102,6 +102,23 @@ def test_choice_names_listed_once():
         (names, *owner) for names, owner in owners.items())
 
 
+def test_internal_messages_raised_once():
+    # each literal message of the library's own check errors has one
+    # raise, so a report of the error says which check fired
+    kinds = ("InvariantViolation", "TheoremViolation", "NonMonomialResidue")
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) in kinds
+                    and node.exc.args
+                    and isinstance(node.exc.args[0], ast.Constant)):
+                sites.setdefault(node.exc.args[0].value, []).append(
+                    f"{path.name}:{node.lineno}")
+    assert sites
+    assert {m: s for m, s in sites.items() if len(s) > 1} == {}
+
+
 def test_text_io_names_its_encoding():
     # JSON is UTF-8 (RFC 8259); a text-mode open, read_text or write_text
     # without encoding= uses the locale's encoding instead
