@@ -3,7 +3,7 @@ singular locus and the dichotomy verdict.
 
 - Minors: a _Sweep checks each r-subset down to (c_S, D_S), from which
   _expand makes its (selection, coefficient, exponent) triples, exact by
-  _Sweep.check, which reduces one monomial per fallback degree;
+  _Sweep.check, which reduces up to two monomials per fallback degree;
   subset_minors reads one subset, minor_monomial_formula one selection.
   minor_symbolic, the symbolic determinant reduced to normal form as a
   fresh {exponent: coefficient} dict, is the tests' reference.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import add, attrgetter, le, mul
+from operator import add, attrgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Binomial, derivative, determinant
@@ -86,20 +86,6 @@ def minor_symbolic(family_subset: Sequence[Binomial], selection,
         raise NonMonomialResidue(
             f"minor reduced to {len(reduced)} terms for columns {sel}")
     return reduced
-
-
-def _walk(exp, reducers, path: set) -> tuple:
-    """Rewrite x^exp by monomial_nf's rule until it reaches path or a normal
-    form, adding each exponent it leaves to path: (last, whether in path)."""
-    while exp not in path:
-        path.add(exp)
-        for i, p, plus, delta in reducers:
-            if exp[i] >= p and all(map(le, plus, exp)):
-                exp = tuple(map(add, exp, delta))
-                break
-        else:
-            return exp, False
-    return exp, True
 
 
 def _laplace(row: Sequence[int], minors: dict, cols: tuple) -> int:
@@ -235,8 +221,8 @@ class _Sweep:
         sweep: sum_i side_i - 1_K for one side of each row that covers K,
         each kept column positive in a chosen side (_covers, all trailing
         sides first, as those start nearer the normal form).  _fallback
-        reduces the first; its normal form must have degree D, and the
-        second's rewrites must land on its path, else NonMonomialResidue.
+        reduces the first two; the first's normal form must have degree D,
+        and the second's must equal it, else NonMonomialResidue.
         No cover (the minor reduced to zero), a degree off D, or at the
         sweep's first fallback a det(R_K) of the rows other than c_S
         (-1)^(a+b) det(g_a, g_b) raise InvariantViolation.  The normal form
@@ -301,12 +287,12 @@ class _Sweep:
         if not exps:
             raise InvariantViolation(
                 "nonzero coefficient minor reduced to zero")
-        path = set()
-        nf, _ = _walk(exps[0], self.reducers, path)
-        if tuple(sum(map(mul, nf, g)) for g in self.coords) != degree:
+        nf = monomial_nf(exps[0], self.reducers)
+        cu, cv = self.coords
+        if (sum(map(mul, nf, cu)), sum(map(mul, nf, cv))) != degree:
             raise InvariantViolation(
                 f"fallback normal form is off its degree {degree}")
-        if exps[1:] and not _walk(exps[1], self.reducers, path)[1]:
+        if exps[1:] and monomial_nf(exps[1], self.reducers) != nf:
             raise NonMonomialResidue(
                 f"minor has two normal forms for columns {sel}")
         return nf

@@ -30,6 +30,7 @@ from toricnash.errors import (
     NotSquare,
 )
 from toricnash.ideal import (
+    GroebnerBasis,
     ToricIdeal,
     _forcing_variables,
     _saturate_elements,
@@ -558,6 +559,30 @@ def check_sweep_order(surfaces, seed=0) -> tuple:
                             oracle[0], vs), (vs.points, idx)
         count += 1
     return count, fallbacks
+
+
+def drop_detection(surfaces) -> tuple:
+    """Drop each reduced-basis element of each surface in turn, under lex
+    and degrevlex, and analyze; returns how many drops raise, how many
+    give every fallback normal form of the full basis, and how many give
+    some other normal form without an error."""
+    raised = unchanged = different = 0
+    for vs in surfaces:
+        for kind in ORDERS:
+            ideal = tn.toric_ideal(vs, kind)
+            want = tn.analyze(ideal).normal_forms
+            elements = ideal.gb.elements
+            for k in range(len(elements)):
+                dropped = GroebnerBasis(ideal.order,
+                                        elements[:k] + elements[k + 1:])
+                try:
+                    got = tn.analyze(ideal._replace(gb=dropped)).normal_forms
+                except tn.ToricNashError:
+                    raised += 1
+                    continue
+                unchanged += got == want
+                different += got != want
+    return raised, unchanged, different
 
 
 def report_minors(analysis, report=None) -> list:

@@ -249,6 +249,7 @@ class TestMinors:
 
 
 EXISTS = [(7, 0), (9, 0), (3, 1), (7, 4), (6, 6)]
+ALWAYS = [(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)]
 CYC6 = [(1, j) for j in range(6)]
 
 
@@ -329,8 +330,8 @@ class TestSparseMinor:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep in the per-pair oracle")
 
-        for module, name in ((nash, "_Sweep"), (nash, "_walk"),
-                             (nash, "_laplace"), (nash, "_expand"),
+        for module, name in ((nash, "_Sweep"), (nash, "_laplace"),
+                             (nash, "_expand"),
                              (ideal_mod, "monomial_nf"),
                              (nash, "monomial_nf")):
             monkeypatch.setattr(module, name, refuse)
@@ -427,15 +428,23 @@ class TestSparseMinor:
             with pytest.raises(InvariantViolation, match="off its degree"):
                 evaluate()
 
-    @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
-    def test_fallback_checks_join(self, kind):
+    @pytest.mark.parametrize("points, kind, needed", [
+        (CYC6, "lex", (0, 2, 4, 5, 8, 9)),
+        (CYC6, "degrevlex", (0, 1, 2, 3, 4, 5, 6, 8, 9)),
+        (EXISTS, "lex", (1, *range(3, 16))),
+        (EXISTS, "degrevlex", (0, 1, 2, 3, 4, 5, 8, 11)),
+        (ALWAYS, "lex", tuple(range(14))),
+        (ALWAYS, "degrevlex", tuple(range(13)))],
+        ids=["lex_order", "degrevlex_order", "exists-lex_order",
+             "exists-degrevlex_order", "always-lex_order",
+             "always-degrevlex_order"])
+    def test_fallback_checks_join(self, points, kind, needed):
         # a basis missing one element is no Groebner basis: two covering
         # monomials of one fallback degree reach different normal forms.
-        # Some join needs each listed one of cyc6's ten elements: nine
-        # under degrevlex, six under lex
-        ((_, ideal),) = sweep_ideals([(CYC6, kind)])
-        needed = ((0, 1, 2, 3, 4, 5, 6, 8, 9) if kind == "degrevlex"
-                  else (0, 2, 4, 5, 8, 9))
+        # The check needs each listed element: six of cyc6's ten under
+        # lex, nine under degrevlex, and 14 of 16, 8 of 14, 14 of 15 and
+        # 13 of 13 for the other two surfaces
+        ((_, ideal),) = sweep_ideals([(points, kind)])
         elements = ideal.gb.elements
         for k in needed:
             dropped = GroebnerBasis(ideal.order,
@@ -457,7 +466,7 @@ class TestSparseMinor:
                 sweeps.append(self)
 
         monkeypatch.setattr(nash, "_Sweep", Recorded)
-        for points in (CYC6, EXISTS, SWEEP_SURFACES[3][0]):
+        for points in (CYC6, EXISTS, ALWAYS):
             vs = validate(points)
             ideal = toric_ideal(vs, kind)
             sweeps.clear()
@@ -477,10 +486,10 @@ class TestSparseMinor:
     @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
     def test_sub_minors_expanded_once_in_any_order(self, kind,
                                                    monkeypatch):
-        # deg_memo is keyed by degree: no fallback degree is reduced to its
-        # normal form twice in one sweep, and visiting the subsets in
-        # shuffled order gives the same minors as itertools.combinations
-        # order
+        # deg_memo is keyed by degree: each fallback degree is reduced to
+        # its normal form once in one sweep, for at most two covering
+        # monomials in a row, and visiting the subsets in shuffled order
+        # gives the same minors as itertools.combinations order
         ((vs, ideal),) = sweep_ideals([(CYC6, kind)])
         fam = ideal.minimal_gens
         subsets = list(itertools.combinations(range(len(fam)), vs.r))
@@ -488,7 +497,9 @@ class TestSparseMinor:
         sweep = nash._Sweep(ideal, fam)
         ordered = {idx: sweep.minors(idx) for idx in subsets}
         assert degrees
-        assert len(set(degrees)) == len(degrees) == len(sweep.deg_memo)
+        runs = [len(list(run)) for _, run in itertools.groupby(degrees)]
+        assert len(runs) == len(set(degrees)) == len(sweep.deg_memo)
+        assert max(runs) <= 2
         assert set(degrees) == set(sweep.deg_memo)
         shuffled = subsets.copy()
         random.Random(5).shuffle(shuffled)
@@ -498,7 +509,7 @@ class TestSparseMinor:
 
 # the surfaces of the sweep benchmark, under their term orders
 SWEEP_SURFACES = [(CYC6, "lex"), (CYC6, "degrevlex"), (EXISTS, "lex"),
-                  ([(5, 0), (7, 0), (2, 3), (0, 5), (0, 7)], "degrevlex")]
+                  (ALWAYS, "degrevlex")]
 
 
 def sweep_ideals(surfaces=SWEEP_SURFACES):
@@ -510,18 +521,16 @@ def sweep_ideals(surfaces=SWEEP_SURFACES):
 
 
 def normal_forms_taken(monkeypatch, vs) -> list:
-    """A list that records the degree of each monomial the sweeps of vs
-    reduce all the way to its normal form: the first of each fallback
-    degree, as the second only rewrites until it joins that path."""
-    walk, degrees = nash._walk, []
+    """A list that records, in call order, the degree of each monomial the
+    sweeps of vs reduce to its normal form: the first two covering
+    monomials of each fallback degree, or its only one."""
+    nf, degrees = nash.monomial_nf, []
 
-    def watched(exp, reducers, path):
-        last, joined = walk(exp, reducers, path)
-        if not joined:
-            degrees.append(sup.pi(vs, exp))
-        return last, joined
+    def watched(exp, reducers):
+        degrees.append(sup.pi(vs, exp))
+        return nf(exp, reducers)
 
-    monkeypatch.setattr(nash, "_walk", watched)
+    monkeypatch.setattr(nash, "monomial_nf", watched)
     return degrees
 
 
@@ -612,9 +621,9 @@ class TestSubsetMinors:
         # sweep's wedges: each prefix is built once from the seeded empty
         # one, in whatever order the subsets come, and no determinant or
         # integer elimination runs.
-        # A monomial is reduced to its normal form once per degree in the
-        # shared sweep, and in a sweep of one subset only at its fallback
-        # pairs
+        # Covering monomials are reduced to their normal form once per
+        # degree in the shared sweep, at most two of them, and in a sweep of
+        # one subset only at its fallback pairs
         vs, ideal = fixture_b
         built = []
         wedge = nash._Sweep._wedge
@@ -641,11 +650,15 @@ class TestSubsetMinors:
         prefixes = {idx[:k] for idx in subsets for k in range(1, vs.r)}
         assert sorted(built) == sorted(prefixes)
         assert sorted(sweep.wedges) == sorted(prefixes | {()})
-        assert len(tops) == len(sweep.deg_memo) > 0
-        tops.clear()
-        fallbacks = sum(subset_minors([fam[i] for i in idx], ideal)[1]
-                        for idx in subsets)
-        assert len(tops) == fallbacks > 0
+        assert len(set(tops)) == len(sweep.deg_memo) > 0
+        assert len(tops) <= 2 * len(sweep.deg_memo)
+        fallbacks = 0
+        for idx in subsets:
+            tops.clear()
+            taken = subset_minors([fam[i] for i in idx], ideal)[1]
+            assert len(set(tops)) == taken <= len(tops) <= 2 * taken
+            fallbacks += taken
+        assert fallbacks > 0
 
     @pytest.mark.parametrize("group", ["fixture_b", "cyc6", "box5"])
     def test_prefix_wedges_match_int_det(self, group, fixture_b,
@@ -689,24 +702,29 @@ class TestSubsetMinors:
                 sweep.minors(idx)
         assert raised > 0
 
-    @pytest.mark.parametrize("kind, fallbacks, expansions",
-                             [("lex", 922, 19), ("degrevlex", 2116, 21)],
+    @pytest.mark.parametrize("kind, fallbacks, expansions, reductions",
+                             [("lex", 922, 19, 33),
+                              ("degrevlex", 2116, 21, 38)],
                              ids=["lex_order-922-19",
                                   "degrevlex_order-2116-21"])
     def test_one_laplace_expansion_per_degree(self, kind, fallbacks,
-                                              expansions, monkeypatch):
+                                              expansions, reductions,
+                                              monkeypatch):
         # one sweep over every subset of cyc6 takes one normal form for
-        # the first fallback minor of each degree; later minors of that
-        # degree read the sweep's memo and still count as fallbacks
+        # the first fallback minor of each degree, from two covering
+        # monomials or its only one (5 of lex's 19 degrees, 4 of
+        # degrevlex's 21); later minors of that degree read the sweep's
+        # memo and still count as fallbacks
         ((vs, ideal),) = sweep_ideals([(CYC6, kind)])
         tops = normal_forms_taken(monkeypatch, vs)
         fam = ideal.minimal_gens
         sweep = nash._Sweep(ideal, fam)
         assert sum(sweep.minors(idx)[1] for idx in itertools.combinations(
             range(len(fam)), vs.r)) == fallbacks
-        assert len(tops) == len(sweep.deg_memo) == expansions
+        assert len(set(tops)) == len(sweep.deg_memo) == expansions
+        assert len(tops) == reductions
         assert sum(r.fallbacks for r in analyze(ideal).reports) == fallbacks
-        assert len(tops) == 2 * expansions
+        assert len(tops) == 2 * reductions
 
 
 class TestNashIdeal:

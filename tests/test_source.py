@@ -137,3 +137,16 @@ def test_text_io_names_its_encoding():
                           any(k.arg == "encoding" for k in node.keywords)))
     assert calls
     assert [where for where, named in calls if not named] == []
+
+
+def test_reducer_rows_read_in_ideal_only():
+    # the reducer-row format (i, plus[i], plus, minus - plus) is ideal's
+    # own: every other module rewrites through ideal.monomial_nf, so one
+    # rule picks the first dividing row everywhere
+    readers = {path.name
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.For, ast.comprehension))
+               and "reducers" in (getattr(node.iter, "id", None),
+                                  getattr(node.iter, "attr", None))}
+    assert readers == {"ideal.py"}
