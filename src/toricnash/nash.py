@@ -9,8 +9,8 @@ singular locus and the dichotomy verdict.
   fresh {exponent: coefficient} dict, is the tests' reference.
 - Orbit sets: zero loci and the singular locus sigma are unions of
   torus-orbit closures, each one OrbitSet; singular_orbits reads sigma off
-  the cone's two edges, _subset_report a subset's locus off two height
-  sums and zero_locus, its oracle, off the minors.
+  the cone's two edges, _subset_report a subset's locus off its height
+  degree T_S and zero_locus, its oracle, off the minors.
 - Verdicts: predict reads the verdict off sigma and N; analyze is the only
   code that sweeps a whole family, into one Analysis, and checks it;
   singular_locus, search_all_subsets, dim1_selector and verify_dichotomy
@@ -101,18 +101,18 @@ def _laplace(row: Sequence[int], minors: dict, cols: tuple) -> int:
     return acc
 
 
-def _expand(pairs, coords, normal_forms, c_s: int, base: tuple) -> list:
+def _expand(pairs, heights, normal_forms, c_s: int, base: tuple) -> list:
     """The minors of a full-rank subset with c_S = c_s and D_S = base, as
     (selection, coefficient, exponent) triples in pair order, from a
-    _Sweep's pairs and coords: the closed form base + e_a + e_b, or for a
-    fallback normal_forms[T_S + g_a + g_b] (_Sweep.check)."""
+    _Sweep's pairs and heights: the closed form base + e_a + e_b, or for a
+    fallback normal_forms[T_S + h(g_a) + h(g_b)] (_Sweep.check)."""
     # base >= -1, so base + e_a + e_b >= 0 exactly when (a, b) holds each
     # negative entry: when the bitmask neg of those meets no kept column
     neg = sum([1 << j for j, e in enumerate(base) if e < 0])
     if neg:
-        t_u, t_v = [sum(map(mul, base, coord)) for coord in coords]
+        t1, t2 = [sum(map(mul, base, h)) for h in heights]
     out = []
-    for sel, kept, det_ab, (u, v) in pairs:
+    for sel, kept, det_ab, (d1, d2) in pairs:
         if not neg & kept:
             a, b = sel
             exp = list(base)
@@ -120,7 +120,7 @@ def _expand(pairs, coords, normal_forms, c_s: int, base: tuple) -> list:
             exp[b] += 1
             exp = tuple(exp)
         else:
-            exp = normal_forms[t_u + u, t_v + v]
+            exp = normal_forms[t1 + d1, t2 + d2]
         out.append((sel, c_s * det_ab, exp))
     return out
 
@@ -129,29 +129,29 @@ class _Sweep:
     """What every r-subset of one family shares in a sweep, built once.
 
     rows are the family's difference rows, each checked here to be a
-    relation of the generators, coords the two coordinate vectors of the
-    generators, sides the (support bitmask, exponent) of each row's
-    trailing and leading side; pairs lists (selection, bitmask of the kept
-    columns, (-1)^(a+b) det(g_a, g_b), g_a + g_b) for every column pair
-    (a, b) with a nonzero determinant, in pair order; reducers are the
-    basis's reducer rows.  deg_memo maps each fallback degree D of the
-    sweep to its checked normal form and wedges the _wedge entry of each
-    prefix of family rows, () included, whatever the order in which
-    subsets are visited; inner are the columns 1..N-2, and rule serves
-    _subset_report.  A binomial of another length than N raises
-    LengthMismatch, before any row is checked.
+    relation of the generators (heights 0), heights the generators' two
+    height columns, which grade every monomial (check, Fallbacks), sides
+    the (support bitmask, exponent) of each row's trailing and leading
+    side; pairs lists (selection, bitmask of the kept columns, (-1)^(a+b)
+    det(g_a, g_b), h(g_a) + h(g_b)) for every column pair (a, b) with a
+    nonzero determinant, in pair order, and floors the entrywise least
+    h(g_a) + h(g_b) over them, negated; reducers are the basis's reducer
+    rows.  deg_memo maps each fallback degree of the sweep to its checked
+    normal form and wedges the _wedge entry of each prefix of family rows,
+    () included, whatever the order of the subsets; inner are the columns
+    1..N-2.  A binomial not of length N raises LengthMismatch first.
     """
 
     def __init__(self, ideal: ToricIdeal, family: Sequence[Binomial]):
         vs = ideal.semigroup
-        pts = vs.points
+        pts, hs = vs.points, vs.heights
         _check_lengths(family, vs.N)
         self.family = family
         self.reducers = ideal.gb.reducers
         self.rows = [b.difference() for b in family]
-        self.coords = tuple(zip(*pts))
-        if any(sum(map(mul, row, coord))
-               for row in self.rows for coord in self.coords):
+        self.heights = tuple(zip(*hs))
+        if any(sum(map(mul, row, h))
+               for row in self.rows for h in self.heights):
             raise InvariantViolation(
                 "difference row is not a relation of the generators")
         self.reference = (-1) ** (vs.N - 1) * cross(pts[0], pts[-1])
@@ -161,9 +161,8 @@ class _Sweep:
             if det_ab:
                 pairs.append(((a, b), (1 << vs.N) - 1 ^ 1 << a ^ 1 << b,
                               -det_ab if (a + b) % 2 else det_ab,
-                              tuple(map(add, pts[a], pts[b]))))
-        self.rule = [(h, -min([h[a] + h[b] for (a, b), _, _, _ in pairs]))
-                     for h in zip(*vs.heights)]
+                              tuple(map(add, hs[a], hs[b]))))
+        self.floors = tuple([-min(s) for s in zip(*[p[3] for p in pairs])])
         self.deg_memo = {}
         self.sides = [tuple((sum(1 << j for j, e in enumerate(side) if e),
                              side) for side in (b.minus, b.plus))
@@ -190,8 +189,8 @@ class _Sweep:
         return entry
 
     def check(self, subset: tuple) -> tuple:
-        """(c_S, D_S, number of fallback pairs) of the family rows at the
-        indices subset; D_S is None when c_S = 0.
+        """(c_S, D_S, T_S, number of fallback pairs) of the family rows at
+        the indices subset; D_S and T_S are None when c_S = 0.
 
         Closed form.  Modulo the toric ideal x^minus = x^plus, so x_j times
         the derivative of x^plus - x^minus by x_j is (plus_j - minus_j)
@@ -212,21 +211,23 @@ class _Sweep:
         which is nonzero since g_0 and g_(N-1) lie on the two edges; a
         remainder raises InvariantViolation.
 
-        Fallbacks.  With deg x^e = sum_j e_j g_j in Z^2, every term of the
-        minor has the degree D = T_S + g_a + g_b, T_S = deg x^(D_S), and
-        monomials of one degree are congruent modulo the toric ideal
-        (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4), so they
-        share one normal form.  So a pair whose closed form has a negative
-        entry (a fallback) needs one monomial of degree D, once per D in the
-        sweep: sum_i side_i - 1_K for one side of each row that covers K,
-        each kept column positive in a chosen side (_covers, all trailing
-        sides first, as those start nearer the normal form).  _fallback
-        reduces the first two; the first's normal form must have degree D,
-        and the second's must equal it, else NonMonomialResidue.
-        No cover (the minor reduced to zero), a degree off D, or at the
-        sweep's first fallback a det(R_K) of the rows other than c_S
-        (-1)^(a+b) det(g_a, g_b) raise InvariantViolation.  The normal form
-        is kept in deg_memo; every fallback of D is it times det(R_K).
+        Fallbacks.  x^e has the degree h(e) = sum_j e_j h(g_j) in the
+        heights h(p) = (cross(u1, p), cross(p, u2)), linear and injective
+        on Z^2 (semigroup._member).  Every term of the minor has the degree
+        D = T_S + h(g_a) + h(g_b), T_S = h(D_S), and monomials of one degree
+        are congruent modulo the toric ideal (Sturmfels, Groebner Bases and
+        Convex Polytopes, ch. 4), so they share one normal form.  So a pair
+        whose closed form has a negative entry (a fallback) needs one
+        monomial of degree D, once per D in the sweep: sum_i side_i - 1_K
+        for one side of each row that covers K, each kept column positive
+        in a chosen side (_covers, trailing sides first, as those start
+        nearer the normal form).  _fallback reduces the first two; the
+        first's normal form must have degree D, the second's must equal
+        it, else NonMonomialResidue.  No cover (the minor reduced to zero),
+        a degree off D, or at the sweep's first fallback a det(R_K) of the
+        rows other than c_S (-1)^(a+b) det(g_a, g_b) raise
+        InvariantViolation.  deg_memo keeps the normal form; every fallback
+        of D is it times det(R_K).
         """
         i = subset[-1]
         last, plus = self.rows[i], self.family[i].plus
@@ -236,29 +237,29 @@ class _Sweep:
             raise InvariantViolation(
                 "reference minor is not a multiple of det(g_0, g_(N-1))")
         if not c_s:
-            return 0, None, 0
+            return 0, None, None, 0
         base = tuple([s + e - 1 for s, e in zip(sums, plus)])
+        t_s = t1, t2 = tuple([sum(map(mul, base, h)) for h in self.heights])
         neg = sum([1 << j for j, e in enumerate(base) if e < 0])
         if not neg:
-            return c_s, base, 0
+            return c_s, base, t_s, 0
         # the fallbacks, which _expand reads from normal forms
-        t_u, t_v = [sum(map(mul, base, coord)) for coord in self.coords]
         fallbacks, covers = 0, None
-        for sel, kept, det_ab, (u, v) in self.pairs:
+        for sel, kept, det_ab, (d1, d2) in self.pairs:
             if not neg & kept:
                 continue
             fallbacks += 1
-            degree = (t_u + u, t_v + v)
+            degree = (t1 + d1, t2 + d2)
             if degree not in self.deg_memo:
                 covers = covers or self._covers(subset)
                 self.deg_memo[degree] = self._fallback(
                     subset, covers, sel, kept, c_s * det_ab, degree)
-        return c_s, base, fallbacks
+        return c_s, base, t_s, fallbacks
 
     def _covers(self, subset: tuple) -> list:
         """(support bitmask, sum_i side_i - 1) per choice of a side of each
         subset row: all trailing first, the first row's changing fastest."""
-        out = [(0, (-1,) * len(self.coords[0]))]
+        out = [(0, (-1,) * len(self.rows[0]))]
         for i in reversed(subset):
             out = [(mask | m, tuple(map(add, exp, side)))
                    for mask, exp in out for m, side in self.sides[i]]
@@ -267,7 +268,7 @@ class _Sweep:
     def _fallback(self, subset, covers, sel, kept, det_rk, degree) -> tuple:
         """The checked normal form of degree (check, Fallbacks)."""
         if not self.deg_memo:  # the sweep's first fallback
-            cols = tuple(c for c in range(len(self.coords[0])) if c not in sel)
+            cols = tuple(c for c in range(len(self.rows[0])) if c not in sel)
             minors = {(): 1}
             for k, i in enumerate(subset, 1):
                 minors = {c: _laplace(self.rows[i], minors, c)
@@ -288,8 +289,7 @@ class _Sweep:
             raise InvariantViolation(
                 "nonzero coefficient minor reduced to zero")
         nf = monomial_nf(exps[0], self.reducers)
-        cu, cv = self.coords
-        if (sum(map(mul, nf, cu)), sum(map(mul, nf, cv))) != degree:
+        if tuple([sum(map(mul, nf, h)) for h in self.heights]) != degree:
             raise InvariantViolation(
                 f"fallback normal form is off its degree {degree}")
         if exps[1:] and monomial_nf(exps[1], self.reducers) != nf:
@@ -299,8 +299,8 @@ class _Sweep:
 
     def minors(self, subset: tuple) -> tuple:
         """(minors, fallbacks) as subset_minors gives them: check, _expand."""
-        c_s, base, fallbacks = self.check(subset)
-        return (_expand(self.pairs, self.coords, self.deg_memo, c_s, base)
+        c_s, base, _, fallbacks = self.check(subset)
+        return (_expand(self.pairs, self.heights, self.deg_memo, c_s, base)
                 if c_s else []), fallbacks
 
 
@@ -453,19 +453,16 @@ def _subset_report(sigma: OrbitSet, sweep: _Sweep,
                    subset: tuple) -> NashReport:
     """The report of one subset, its zero locus by two integer comparisons.
 
-    With the heights h1, h2 of singular_orbits, mu the least h_a + h_b over
-    the pairs and theta = sum_j h_j - mu, a full-rank subset holds O1
-    exactly when sum_j (base_j + 1) h2_j > theta2, and O2 the same with h1:
-    each pair has a minor of degree T_S + g_a + g_b (_Sweep.check), and as
-    heights are nonnegative and h2 is 0 only on the z block, each involves
-    x or y exactly when h2(T_S) + mu2 = sum_j base_j h2_j + mu2 > 0.
-    sweep.rule holds (h, -mu) per height, _LOCI the four loci."""
-    c_s, base, fallbacks = sweep.check(subset)
+    Each pair has a minor of degree T_S + h(g_a) + h(g_b) (_Sweep.check).
+    Heights are nonnegative and h2 is 0 only on the z block, so a minor
+    involves x or y, and vanishes on O1, exactly when its h2 is positive:
+    for all pairs when T_S2 + mu2 > 0, mu2 the least h2(g_a) + h2(g_b), so
+    when T_S2 > floors2 = -mu2.  O2 the same with h1; _LOCI has the loci."""
+    c_s, base, t_s, fallbacks = sweep.check(subset)
     if not c_s:  # below full rank
         return NashReport(subset, 0, None, None, None, 0)
-    (h1, f1), (h2, f2) = sweep.rule
-    locus = _LOCI[sum(map(mul, base, h2)) > f2][
-        sum(map(mul, base, h1)) > f1]
+    (t1, t2), (f1, f2) = t_s, sweep.floors
+    locus = _LOCI[t2 > f2][t1 > f1]
     return NashReport(subset, c_s, base, locus, locus == sigma, fallbacks)
 
 
@@ -519,7 +516,7 @@ class Analysis(NamedTuple):
     sigma is the singular locus as predict gives it, an OrbitSet; witness
     is the first report whose zero locus equals it when it is
     one-dimensional (None when it is a point).  minors reads the sweep's
-    pairs, coords and normal_forms (deg_memo's items).
+    pairs, heights and normal_forms (deg_memo's items).
     """
 
     sigma: OrbitSet
@@ -527,7 +524,7 @@ class Analysis(NamedTuple):
     verdict: TheoremVerdict
     witness: Optional[NashReport]
     pairs: tuple
-    coords: tuple
+    heights: tuple
     normal_forms: tuple
 
     def dim1_witness(self) -> NashReport:
@@ -544,7 +541,7 @@ class Analysis(NamedTuple):
         _Sweep.minors gives it, empty below full rank."""
         normal_forms = dict(self.normal_forms)
         for r in self.reports:
-            yield _expand(self.pairs, self.coords, normal_forms, r.c_s,
+            yield _expand(self.pairs, self.heights, normal_forms, r.c_s,
                           r.base) if r.c_s else []
 
 
@@ -587,7 +584,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
     # a one-dimensional sigma predicts a match, which the checks below find
     witness = equal[0] if sigma.dimension == 1 and equal else None
     probe = witness or valid[0]
-    minors = _expand(sweep.pairs, sweep.coords, sweep.deg_memo, probe.c_s,
+    minors = _expand(sweep.pairs, sweep.heights, sweep.deg_memo, probe.c_s,
                      probe.base)
     if zero_locus(minors, vs) != probe.zero_locus:
         raise InvariantViolation(
@@ -619,7 +616,7 @@ def analyze(ideal: ToricIdeal, family: str = "minimal") -> Analysis:
             f"{[tuple(p) for p in vs.points]}")
     verdict = TheoremVerdict(is_hyp, is_ci, predicted, observed)
     return Analysis(sigma, reports, verdict, witness, tuple(sweep.pairs),
-                    sweep.coords, tuple(sweep.deg_memo.items()))
+                    sweep.heights, tuple(sweep.deg_memo.items()))
 
 
 # --- entry points: reads of one analysis --------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures data, random input generation, and independent oracles."""
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -33,10 +34,12 @@ from toricnash.ideal import (
     GroebnerBasis,
     ToricIdeal,
     _forcing_variables,
+    _prune,
     _saturate_elements,
     int_rank,
     lattice_kernel,
     minimal_generators,
+    monomial_nf,
     normal_form,
 )
 from toricnash.nash import (
@@ -99,6 +102,13 @@ def pi(vs, alpha):
     pts = vs.points
     return (sum(a * p.u for a, p in zip(alpha, pts)),
             sum(a * p.v for a, p in zip(alpha, pts)))
+
+
+def height_degree(vs, alpha):
+    """The degree the sweep grades x^alpha by: sum_j alpha_j vs.heights[j],
+    the image of pi(vs, alpha) under the heights map."""
+    return tuple(sum(a * h[k] for a, h in zip(alpha, vs.heights))
+                 for k in (0, 1))
 
 
 def nf_exponent(exp, ideal):
@@ -530,6 +540,71 @@ def cyclic_quotient(n, q) -> list:
             if (u, v) != (0, 0) and in_cone(u, v) and n * u - q * v <= n]
     return [p for p in cell if not any(
         a != p and in_cone(p[0] - a[0], p[1] - a[1]) for a in cell)]
+
+
+def quotient_semigroups(max_n) -> list:
+    """The validated cyclic quotients 1/n(1, q), 2 <= n <= max_n and
+    0 < q < n coprime, in (n, q) order."""
+    return [tn.validate(cyclic_quotient(n, q)) for n in range(2, max_n + 1)
+            for q in range(1, n) if math.gcd(n, q) == 1]
+
+
+def riemenschneider(vs) -> Optional[list]:
+    """Riemenschneider's C(N - 1, 2) binomials of a normal surface, over
+    the variables of vs, with no Groebner basis; None when vs is not
+    normal.  In angular order g_0, ..., g_(N-1) from ray 1 to ray 2 the
+    set is normal exactly when consecutive determinants are 1 (the cones
+    of consecutive pairs are then unimodular and cover the cone), and then
+    g_(i-1) + g_(i+1) = a_i g_i with a_i = det(g_(i-1), g_(i+1)).  Each
+    j >= i + 2 gives x_i x_j - x_(i+1)^(a_(i+1) - 1) prod_(i+1<k<j-1)
+    x_k^(a_k - 2) x_(j-1)^(a_(j-1) - 1), which is x_i x_(i+2) -
+    x_(i+1)^(a_(i+1)) for j = i + 2 (Riemenschneider, Math. Ann. 209,
+    1974).  These minimally generate the toric ideal."""
+    pts, n = vs.points, vs.N
+    var = sorted(range(n), key=functools.cmp_to_key(
+        lambda a, b: cross(pts[b], pts[a])))
+    g = [pts[v] for v in var]
+    if any(cross(p, q) != 1 for p, q in zip(g, g[1:])):
+        return None
+    a = [None] + [cross(g[i - 1], g[i + 1]) for i in range(1, n - 1)]
+    for i in range(1, n - 1):
+        assert (g[i - 1].u + g[i + 1].u, g[i - 1].v + g[i + 1].v) == \
+            (a[i] * g[i].u, a[i] * g[i].v), vs.points
+    out = []
+    for i, j in itertools.combinations(range(n), 2):
+        if j >= i + 2:
+            plus, minus = [0] * n, [0] * n
+            plus[var[i]] = plus[var[j]] = 1
+            for k in range(i + 1, j):
+                minus[var[k]] = a[k] - 2 + (k == i + 1) + (k == j - 1)
+            out.append(Binomial(plus, minus))
+    return out
+
+
+def check_riemenschneider(surfaces) -> int:
+    """Assert that each surface is normal and that, under lex and
+    degrevlex, riemenschneider's binomials lie in toric_ideal's ideal
+    (both sides have one monomial_nf), that _prune keeps every one, that
+    they are s_min many and that their height degrees are those of the
+    minimal generators, as multisets; returns the number of surfaces."""
+    count = 0
+    for vs in surfaces:
+        gens = riemenschneider(vs)
+        assert gens is not None, vs.points
+        degrees = sorted(height_degree(vs, b.plus) for b in gens)
+        for kind in ORDERS:
+            ideal = tn.toric_ideal(vs, kind)
+            reducers = ideal.gb.reducers
+            for b in gens:
+                assert monomial_nf(b.plus, reducers) == \
+                    monomial_nf(b.minus, reducers), (vs.points, kind, b)
+            assert len(_prune(gens, ideal.order.key)) == len(gens) == \
+                ideal.s_min, (vs.points, kind)
+            assert degrees == sorted(height_degree(vs, b.plus)
+                                     for b in ideal.minimal_gens), \
+                (vs.points, kind)
+        count += 1
+    return count
 
 
 def check_sweep_order(surfaces, seed=0) -> tuple:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from math import gcd
 from operator import le, mul
 
@@ -758,6 +759,23 @@ class TestMinimalGenerators:
             repr((ideal.gb.elements, ideal.minimal_gens)).encode()).hexdigest()
         assert digest == ("f9e00da097d6a486e3f5522d88ec6013"
                           "c4239e5a959a08979a1dd7e9a269b7dc")
+
+    @pytest.mark.parametrize("group", ["box", "quotients"])
+    def test_riemenschneider_oracle(self, group):
+        # Riemenschneider's closed-form binomials, built with no Groebner
+        # basis, lie in the ideal, are irredundant, count s_min and have
+        # the minimal generators' degrees, under both orders: on the 21
+        # normal sets of [0,3]^2 (14 of 3 points, 6 of 4, 1 of 5) and the
+        # 31 quotients 1/n(1, q) with n <= 10
+        if group == "box":
+            surfaces = [vs for vs in sup.box_semigroups(3, range(3, 6))
+                        if sup.riemenschneider(vs) is not None]
+            assert sorted(Counter(vs.N for vs in surfaces).items()) == \
+                [(3, 14), (4, 6), (5, 1)]
+        else:
+            surfaces = sup.quotient_semigroups(10)
+        assert sup.check_riemenschneider(surfaces) == \
+            {"box": 21, "quotients": 31}[group]
 
 
 def _step(exp, a, c):

@@ -418,8 +418,9 @@ class TestSparseMinor:
                 evaluate()
 
     def test_fallback_checks_degree(self, fixture_a, monkeypatch):
-        # pairs whose g_a + g_b is off by (1, 0): the normal form found for
-        # each fallback has its true degree, not the one the sweep asks for
+        # pairs whose h(g_a) + h(g_b) is off by (1, 0): the normal form
+        # found for each fallback has its true height degree, not the one
+        # the sweep asks for
         _, ideal = fixture_a
         self._tampered(monkeypatch, lambda sweep: setattr(
             sweep, "pairs", [(sel, kept, det_ab, (u + 1, v))
@@ -452,6 +453,15 @@ class TestSparseMinor:
             with pytest.raises(NonMonomialResidue, match="two normal forms"):
                 analyze(ideal._replace(gb=dropped))
 
+    def test_drop_detection_counts(self):
+        # dropping each reduced-basis element of the three sweep surfaces,
+        # under both orders: 64 drops raise, 10 leave every fallback
+        # normal form unchanged and 4 change one silently.  A change of
+        # the sweep's grading or checks that moves a drop between these
+        # counts changes what the fallback check detects
+        surfaces = [validate(points) for points in (CYC6, EXISTS, ALWAYS)]
+        assert sup.drop_detection(surfaces) == (64, 10, 4)
+
     @pytest.mark.parametrize("kind", ORDERS, ids=sup.ORDER_IDS)
     def test_deg_memo_is_fiber_minimum(self, kind, monkeypatch):
         # the normal form the sweep records for each fallback degree is the
@@ -474,7 +484,7 @@ class TestSparseMinor:
             (sweep,) = sweeps
             memo = sweep.deg_memo
             assert memo, points
-            assert all(sup.pi(vs, nf) == degree
+            assert all(sup.height_degree(vs, nf) == degree
                        for degree, nf in memo.items()), points
             nfs = list(memo.values())
             assert sup.fiber_minima(nfs, vs.points, ideal.order) == \
@@ -521,13 +531,13 @@ def sweep_ideals(surfaces=SWEEP_SURFACES):
 
 
 def normal_forms_taken(monkeypatch, vs) -> list:
-    """A list that records, in call order, the degree of each monomial the
-    sweeps of vs reduce to its normal form: the first two covering
-    monomials of each fallback degree, or its only one."""
+    """A list that records, in call order, the height degree of each
+    monomial the sweeps of vs reduce to its normal form: the first two
+    covering monomials of each fallback degree, or its only one."""
     nf, degrees = nash.monomial_nf, []
 
     def watched(exp, reducers):
-        degrees.append(sup.pi(vs, exp))
+        degrees.append(sup.height_degree(vs, exp))
         return nf(exp, reducers)
 
     monkeypatch.setattr(nash, "monomial_nf", watched)
@@ -549,15 +559,15 @@ class TestSubsetMinors:
         # same minors in the same order and the same fallback count as one
         # per-pair evaluation per column pair, and as a sweep of the subset
         # alone, on every r-subset of both families, through one sweep per
-        # family as analyze runs it.  Every minor has the degree
-        # sum_(f in S) deg(f.plus) - sum_j g_j + g_a + g_b, and every
-        # fallback minor's exponent is the sweep's normal form of that
-        # degree
+        # family as analyze runs it.  Every minor has the height degree
+        # sum_(f in S) h(f.plus) - sum_j h(g_j) + h(g_a) + h(g_b), and
+        # every fallback minor's exponent is the sweep's normal form of
+        # that degree
         subsets = fallbacks = 0
         for vs, ideal in self._inputs(group, fixture_a, fixture_b,
                                       fixture_c, population):
-            pts = vs.points
-            ones_u, ones_v = sup.pi(vs, (1,) * vs.N)
+            hs = vs.heights
+            ones_1, ones_2 = sup.height_degree(vs, (1,) * vs.N)
             for fam in (ideal.minimal_gens, ideal.gb.elements):
                 sweep = nash._Sweep(ideal, fam)
                 for idx in itertools.combinations(range(len(fam)), vs.r):
@@ -567,15 +577,17 @@ class TestSubsetMinors:
                         chosen, ideal), chosen
                     assert got == subset_minors(chosen, ideal), chosen
                     assert bool(got[0]) == (rank(chosen) == vs.r)
-                    t_u = sum(sup.pi(vs, f.plus)[0] for f in chosen) - ones_u
-                    t_v = sum(sup.pi(vs, f.plus)[1] for f in chosen) - ones_v
+                    plus = [sup.height_degree(vs, f.plus) for f in chosen]
+                    t_1 = sum(h for h, _ in plus) - ones_1
+                    t_2 = sum(h for _, h in plus) - ones_2
                     base = [sum(col) - 1
                             for col in zip(*(f.plus for f in chosen))]
                     expanded = 0
                     for (a, b), _, exp in got[0]:
-                        degree = (t_u + pts[a].u + pts[b].u,
-                                  t_v + pts[a].v + pts[b].v)
-                        assert sup.pi(vs, exp) == degree, (chosen, a, b)
+                        degree = (t_1 + hs[a][0] + hs[b][0],
+                                  t_2 + hs[a][1] + hs[b][1])
+                        assert sup.height_degree(vs, exp) == degree, \
+                            (chosen, a, b)
                         if any(e + (i in (a, b)) < 0
                                for i, e in enumerate(base)):
                             # the closed form is negative: a fallback
@@ -905,20 +917,19 @@ class TestSingularLocus:
         # s_min = C(N - 1, 2), a point singular locus by the edge rule and
         # by the Jacobian, and, where the listing is small, no witness for
         # N >= 4 (out of scope for the hypersurfaces, N = 3)
-        cases = [(n, q) for n in range(2, 13) for q in range(1, n)
-                 if math.gcd(n, q) == 1]
-        assert len(cases) == 45
+        surfaces = sup.quotient_semigroups(12)
+        assert len(surfaces) == 45
         verdicts = Counter()
-        for n, q in cases:
-            vs, ideal = sup.build(sup.cyclic_quotient(n, q))
-            assert ideal.s_min == math.comb(vs.N - 1, 2), (n, q)
-            assert singular_orbits(vs) == OrbitSet(False, False), (n, q)
+        for vs in surfaces:
+            ideal = toric_ideal(vs)
+            assert ideal.s_min == math.comb(vs.N - 1, 2), vs.points
+            assert singular_orbits(vs) == OrbitSet(False, False), vs.points
             sup.check_orbit_ranks(ideal)
             if math.comb(ideal.s_min, vs.r) <= 200:
                 verdict = verify_dichotomy(ideal)
                 expected = "never_equal" if vs.N >= 4 else "out_of_scope"
                 assert (verdict.predicted, verdict.observed) == \
-                    (expected, expected), (n, q)
+                    (expected, expected), vs.points
                 verdicts[expected] += 1
         assert verdicts["never_equal"] and verdicts["out_of_scope"]
 
@@ -1029,7 +1040,7 @@ class TestAnalysis:
         # every subset reported below full rank (c_S == 0)
         _, ideal = fixture_c
         monkeypatch.setattr(nash._Sweep, "check",
-                            lambda self, subset: (0, None, 0))
+                            lambda self, subset: (0, None, None, 0))
         with pytest.raises(TorusSingular, match="^no subset of the family "
                                                 "reaches full rank$"):
             analyze(ideal)
@@ -1247,9 +1258,9 @@ class TestHeightRule:
         probed = []
         expand = nash._expand
 
-        def watched(pairs, coords, normal_forms, c_s, base):
+        def watched(pairs, heights, normal_forms, c_s, base):
             probed.append(base)
-            return expand(pairs, coords, normal_forms, c_s, base)
+            return expand(pairs, heights, normal_forms, c_s, base)
 
         monkeypatch.setattr(nash, "_expand", watched)
         a = analyze(ideal)
